@@ -63,6 +63,7 @@ from repro.concurrency import (
     resolve_executor,
 )
 from repro.core import (
+    DEFAULT_SEARCH,
     SEARCH_FRONTIER,
     SEARCH_FULL,
     AnalyticPolicyManager,
@@ -185,6 +186,7 @@ __all__ = [
     "RoundRobinDispatcher",
     "RuntimeConfig",
     "RuntimeResult",
+    "DEFAULT_SEARCH",
     "SEARCH_FRONTIER",
     "SEARCH_FULL",
     "Scenario",

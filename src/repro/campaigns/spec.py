@@ -166,6 +166,7 @@ class CampaignSpec:
     num_jobs: int | None = None
     frequency_step: float | None = None
     backend: str = BACKEND_VECTORIZED
+    # Pinned in campaign.json/results.csv: a new default breaks --resume.
     search: str = SEARCH_FULL
 
     def __post_init__(self) -> None:

@@ -19,6 +19,7 @@ from repro.core.qos import (
 )
 from repro.core.runtime import RuntimeConfig, RuntimeSession, SleepScaleRuntime
 from repro.core.search import (
+    DEFAULT_SEARCH,
     SEARCH_FRONTIER,
     SEARCH_FULL,
     CharacterizationCache,
@@ -59,6 +60,7 @@ __all__ = [
     "QosConstraint",
     "RaceToHaltStrategy",
     "RuntimeConfig",
+    "DEFAULT_SEARCH",
     "SEARCH_FRONTIER",
     "SEARCH_FULL",
     "SearchStats",

@@ -230,6 +230,7 @@ class PolicyManager:
         characterization_jobs: int = 5_000,
         seed: int | None = 0,
         backend: str = BACKEND_VECTORIZED,
+        # Offline characteriser: select().evaluations/by_state() need the table.
         search: str = "full",
         cache: "CharacterizationCache | None" = None,
         utilization_quantum: float = 0.0,

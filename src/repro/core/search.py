@@ -37,7 +37,8 @@ feasible candidate at all, the engine falls back to the exhaustive grid so
 the infeasible ranking (largest slack, NaN-aware) also matches the oracle.
 The selected ``PolicySelection.policy`` therefore always equals the
 full-grid search on the same inputs, which
-``tests/core/test_search.py`` fuzzes and ``benchmarks/bench_policy_search.py``
+``tests/core/test_search.py`` fuzzes, ``tests/scenarios/test_default_search_parity.py``
+pins on every registered scenario and ``benchmarks/bench_policy_search.py``
 asserts on whole scenario runs.
 
 Contract notes (see ``docs/ARCHITECTURE.md``):
@@ -87,6 +88,10 @@ from repro.workloads.jobs import JobTrace
 SEARCH_FULL = "full"
 SEARCH_FRONTIER = "frontier"
 SEARCHES = (SEARCH_FULL, SEARCH_FRONTIER)
+#: The per-epoch search mode of the runtime surfaces (strategies, scenarios,
+#: ``run-scenario``).  Frontier selects the identical policy at a fraction of
+#: the kernel solves; ``full`` stays selectable as its oracle.
+DEFAULT_SEARCH = SEARCH_FRONTIER
 
 
 def validate_search(search: str) -> str:

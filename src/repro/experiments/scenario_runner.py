@@ -7,7 +7,9 @@ energy and latency numbers can be compared between e.g. ``diurnal`` and
 ``flash-crowd`` runs without any per-scenario glue.
 
 Report schema (``repro.scenario-report/v4``; v2 added the ``search``
-key recording the policy-search mode, v3 the ``controller`` block
+key recording the policy-search mode — ``"frontier"`` unless the
+``"full"`` oracle is asked for; every other field is identical between
+the two — v3 the ``controller`` block
 recording farm-level right-sizing, v4 the always-present ``tenants``
 block recording the farm-level QoS contract and per-tenant outcomes)::
 
@@ -17,7 +19,7 @@ block recording the farm-level QoS contract and per-tenant outcomes)::
       "description": str,
       "seed": int,
       "backend": "vectorized" | "reference",
-      "search": "full" | "frontier",
+      "search": "frontier" | "full",
       "parameters": {name: value, ...},        # resolved builder parameters
       "workload": {
         "name": str,                           # WorkloadSpec name
@@ -112,14 +114,14 @@ from repro.core.qos import (
     mean_qos_from_baseline,
     percentile_qos_from_baseline,
 )
-from repro.exceptions import ExperimentError
+from repro.exceptions import ConfigurationError, ExperimentError, ScenarioError
 from repro.scenarios import (
     BuiltScenario,
     available_scenarios,
     get_scenario,
     scenario_catalog,
 )
-from repro.core.search import SEARCHES, SEARCH_FULL
+from repro.core.search import DEFAULT_SEARCH, SEARCHES
 from repro.simulation.kernel import BACKENDS, BACKEND_VECTORIZED
 from repro.workloads.storage import TRACE_BACKENDS
 
@@ -288,7 +290,7 @@ def run_scenario(
     *,
     seed: int = 0,
     backend: str = BACKEND_VECTORIZED,
-    search: str = SEARCH_FULL,
+    search: str = DEFAULT_SEARCH,
     executor: Executor | str | None = None,
     max_workers: int | None = None,
     chunk_jobs: int | None = None,
@@ -913,11 +915,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--search-mode",
         choices=list(SEARCHES),
-        default=SEARCH_FULL,
+        default=DEFAULT_SEARCH,
         help=(
-            "per-epoch policy-search mode: 'full' walks the whole candidate "
-            "grid, 'frontier' bisects it with a farm-shared characterisation "
-            "cache (selected policies are identical either way)"
+            "per-epoch policy-search mode: 'frontier' (default) bisects the "
+            "candidate grid, 'full' walks all of it as the oracle (selected "
+            "policies are identical either way)"
         ),
     )
     parser.add_argument(
@@ -1046,24 +1048,29 @@ def main(argv: list[str] | None = None) -> int:
             f"--chunk-jobs must be non-negative, got {arguments.chunk_jobs}"
         )
 
-    overrides = dict(_parse_override(item) for item in arguments.overrides)
-    report = run_scenario(
-        arguments.scenario,
-        seed=arguments.seed,
-        backend=arguments.backend,
-        search=arguments.search_mode,
-        executor=arguments.executor,
-        max_workers=arguments.workers,
-        chunk_jobs=arguments.chunk_jobs,
-        trace_backend=arguments.trace_backend,
-        controller=arguments.controller,
-        setup_latency_s=arguments.setup_latency,
-        setup_energy_j=arguments.setup_energy,
-        min_awake=arguments.min_awake,
-        tenants=arguments.tenants,
-        isolation=arguments.isolation,
-        overrides=overrides,
-    )
+    try:
+        overrides = dict(_parse_override(item) for item in arguments.overrides)
+        report = run_scenario(
+            arguments.scenario,
+            seed=arguments.seed,
+            backend=arguments.backend,
+            search=arguments.search_mode,
+            executor=arguments.executor,
+            max_workers=arguments.workers,
+            chunk_jobs=arguments.chunk_jobs,
+            trace_backend=arguments.trace_backend,
+            controller=arguments.controller,
+            setup_latency_s=arguments.setup_latency,
+            setup_energy_j=arguments.setup_energy,
+            min_awake=arguments.min_awake,
+            tenants=arguments.tenants,
+            isolation=arguments.isolation,
+            overrides=overrides,
+        )
+    except (ScenarioError, ConfigurationError, ExperimentError) as error:
+        # A mistyped name, --set or flag combination: one line, no traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     text = json.dumps(report, indent=2, sort_keys=False)
     print(text)
     if arguments.output:

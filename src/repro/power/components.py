@@ -18,7 +18,7 @@ This module provides:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.exceptions import ConfigurationError
 from repro.power.states import CpuState
@@ -155,10 +155,28 @@ class ComponentInventory:
     cpu: CpuPowerModel
     components: tuple[ComponentPower, ...] = field(default_factory=tuple)
     name: str = "custom"
+    #: Per-mode platform sums, each taken on first use because platform_power
+    #: runs on every system_power call (same summation, hence bit-identical).
+    #: Derived state: kept out of repr, ==, hash and the pickled state.
+    _platform_powers: dict[ComponentMode, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict[str, object]:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_platform_powers", {})
 
     def platform_power(self, mode: ComponentMode) -> float:
         """Total non-CPU platform power (watts) with every component in *mode*."""
-        return sum(component.power(mode) for component in self.components)
+        power = self._platform_powers.get(mode)
+        if power is None:
+            power = sum(component.power(mode) for component in self.components)
+            self._platform_powers[mode] = power
+        return power
 
     def component(self, name: str) -> ComponentPower:
         """Look up a component by name (case-insensitive)."""

@@ -135,6 +135,24 @@ class TestRegistryMatchesRuntime:
         names = [contract.name for contract in PARITY_REGISTRY]
         assert len(names) == len(set(names))
 
+    @pytest.mark.parametrize(
+        ("evidence", "satisfied"),
+        [
+            ("tests/core/test_search.py", True),
+            ("tests/scenarios/test_default_search_parity.py", True),
+            ("tests/test_units.py", False),  # control: not a search parity test
+        ],
+    )
+    def test_policy_search_evidence_files(self, evidence, satisfied):
+        """Unit fuzz and whole-farm parity each satisfy ``policy-search`` alone."""
+        (contract,) = [c for c in PARITY_REGISTRY if c.name == "policy-search"]
+        files = [
+            context(path, (REPO_ROOT / path).read_text())
+            for path in ("src/repro/core/search.py", evidence)
+        ]
+        rule = OracleParityRule(registry=(contract,))
+        assert (list(rule.check_project(files)) == []) is satisfied
+
 
 class TestShippedTree:
     """The acceptance gate: the repo's own tree analyzes clean."""

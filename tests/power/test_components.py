@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -13,7 +16,8 @@ from repro.power.components import (
     atom_component_inventory,
     xeon_component_inventory,
 )
-from repro.power.states import CpuState
+from repro.power.platform import atom_power_model, xeon_power_model
+from repro.power.states import ACTIVE, LOW_POWER_STATES, CpuState
 
 
 class TestComponentPower:
@@ -125,3 +129,45 @@ class TestAtomInventory:
         xeon = xeon_component_inventory()
         for mode in ComponentMode:
             assert atom.platform_power(mode) < xeon.platform_power(mode)
+
+
+def _summed_platform_power(inventory, mode):
+    """Reference: the plain per-call sum over the components."""
+    return sum(component.power(mode) for component in inventory.components)
+
+
+class TestMemoisedPlatformPower:
+    MODELS = (xeon_power_model, atom_power_model)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_table_equals_summed_form_bit_for_bit(self, model, monkeypatch):
+        power = model()
+        frequencies = [index / 20 for index in range(21)]
+        states = (ACTIVE, *LOW_POWER_STATES)
+        for mode in ComponentMode:
+            assert power.inventory.platform_power(mode) == _summed_platform_power(
+                power.inventory, mode
+            )
+        tabled = [power.system_power(s, f) for s in states for f in frequencies]
+        monkeypatch.setattr(
+            ComponentInventory, "platform_power", _summed_platform_power
+        )
+        summed = [power.system_power(s, f) for s in states for f in frequencies]
+        assert tabled == summed
+
+    def test_identity_and_pickling_stay_field_based(self):
+        inventory = xeon_component_inventory()
+        clone = pickle.loads(pickle.dumps(inventory))
+        assert clone == inventory
+        assert hash(clone) == hash(inventory)
+        assert repr(clone) == repr(inventory)
+        assert "_platform_powers" not in repr(inventory)
+        assert set(inventory.__getstate__()) == {"cpu", "components", "name"}
+        for mode in ComponentMode:
+            assert clone.platform_power(mode) == inventory.platform_power(mode)
+
+    def test_replace_recomputes_the_table(self):
+        inventory = xeon_component_inventory()
+        assert inventory.platform_power(ComponentMode.OPERATING) == pytest.approx(120.0)
+        fewer = dataclasses.replace(inventory, components=inventory.components[:1])
+        assert fewer.platform_power(ComponentMode.OPERATING) == pytest.approx(7.8)

@@ -394,3 +394,27 @@ class TestCli:
         output = capsys.readouterr().out
         assert "run-scenario" in output
         assert "list-scenarios" in output
+
+
+class TestCliErrors:
+    """User mistakes end in one ``error:`` line and a nonzero exit."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["diurnal", "--set", "bogus=1"], "no parameter(s) ['bogus']"),
+            (["diurnal", "--set", "peak_utilization=1.5"], "peak_utilization"),
+            (["flash-crowd", "--set", "duration_minutes=0.5"], "duration_minutes"),
+        ],
+        ids=["unknown-parameter", "peak-utilization-range", "fractional-duration"],
+    )
+    def test_bad_override_prints_one_error_line(self, capsys, argv, message):
+        from repro.experiments.runner import main
+
+        assert main(["run-scenario", *argv]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
