@@ -129,9 +129,11 @@ class WorkTracker:
 
     The tracker stores, for every server, the time it would finish all work
     routed to it so far, serving at its assumed speed.  ``charge`` routes one
-    job and returns the server's new estimated finish time; the arithmetic
-    (``max(busy, arrival) + demand * time_factor``) is written once here so
-    the heap and loop engines cannot drift apart numerically.
+    job and returns the server's new estimated finish time
+    (``max(busy, arrival) + demand * time_factor``).  The least-loaded heap
+    engine inlines the same arithmetic in its per-job step; the heap-vs-loop
+    parity tests in ``tests/cluster/test_dispatch_engine.py`` (exact ties
+    included, on uniform and mixed speeds) pin the two byte-identical.
     """
 
     __slots__ = ("busy_until", "time_factors")
@@ -445,6 +447,8 @@ _MAX_BLOCK = 131072
 #: a hostile regime cannot trigger an O(block) attempt for every job.
 _FALLBACK_RUN = 64
 _SMALL_COMMIT = 32
+#: Per-job burst on mixed-speed fleets, which never take a merge block.
+_MIXED_SPEED_RUN = 4096
 
 
 class _LeastLoadedHeapAssigner(StreamAssigner):
@@ -571,27 +575,39 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
         demands = np.ascontiguousarray(service_demands, dtype=float)
         count = len(arrivals)
         assignment = np.empty(count, dtype=np.int64)
-        charge = self._tracker.charge
+        busy_until = self._tracker.busy_until
+        factors = self._tracker.time_factors
+        heapreplace = heapq.heapreplace
         index = 0
         while index < count:
             committed = self._try_merge_block(arrivals, demands, assignment, index)
             index += committed
             if index >= count:
                 break
-            # Fallback burst: per-job heap steps (O(log m) each).
-            stop = min(
-                count, index + (_FALLBACK_RUN if committed < _SMALL_COMMIT else 1)
-            )
-            heap = self._heap
-            arrival_list = arrivals[index:stop].tolist()
-            demand_list = demands[index:stop].tolist()
-            for arrival, demand in zip(arrival_list, demand_list, strict=True):
-                server = heap[0][1]
-                assignment[index] = server
-                heapq.heapreplace(
-                    heap, (charge(server, arrival, demand), server)
+            # Fallback burst: per-job heap steps (O(log m) each).  Mixed
+            # speeds never pass the merge-block test, so they step through
+            # long bursts, bounded to keep the per-burst lists small.
+            if self._uniform_factor is None:
+                stop = min(count, index + _MIXED_SPEED_RUN)
+            else:
+                stop = min(
+                    count, index + (_FALLBACK_RUN if committed < _SMALL_COMMIT else 1)
                 )
-                index += 1
+            heap = self._heap
+            servers: list[int] = []
+            append = servers.append
+            for arrival, demand in zip(
+                arrivals[index:stop].tolist(), demands[index:stop].tolist(), strict=True
+            ):
+                busy, server = heap[0]
+                # ``WorkTracker.charge`` inlined: ``max(busy, arrival)``
+                # spelled as the comparison ``max`` itself makes.
+                finish = (arrival if arrival > busy else busy) + demand * factors[server]
+                busy_until[server] = finish
+                heapreplace(heap, (finish, server))
+                append(server)
+            assignment[index:stop] = servers
+            index = stop
         return assignment
 
 

@@ -69,7 +69,7 @@ from repro.core.policy_manager import (
     evaluation_from_result,
     pick_selection,
 )
-from repro.core.qos import QosConstraint
+from repro.core.qos import MeanResponseTimeConstraint, QosConstraint
 from repro.exceptions import ConfigurationError
 from repro.policies.policy import Policy, dvfs_only_policy
 from repro.policies.space import PolicySpace
@@ -321,23 +321,35 @@ class _ResultSolution:
     def average_power(self) -> float:
         return self.result.average_power
 
+    @property
+    def normalized_mean_response_time(self) -> float:
+        return self.result.normalized_mean_response_time
+
 
 class _Probe:
     """One evaluated candidate, with QoS metrics computed lazily.
 
     Average power is available immediately (scalar aggregates of the gap
-    solution); slack and feasibility materialise the per-job arrays on
-    first access, so valley probes — which only ever compare power — never
-    pay for them.  ``slack_computed`` lets the certificate check slack
-    monotonicity over exactly the probes whose slack the search actually
-    used.
+    solution).  A mean-response budget is checked against the solution's
+    gap-aggregate ``E[R]`` — the same number the assembled result reports —
+    so mean-QoS probes never build per-job arrays; any other constraint
+    materialises them on first access to slack or feasibility.
+    ``slack_computed`` lets the certificate check slack monotonicity over
+    exactly the probes whose slack the search actually used.
     """
 
-    __slots__ = ("solution", "_qos", "_slack", "_meets")
+    __slots__ = ("solution", "_qos", "_mean_budget", "_slack", "_meets")
 
     def __init__(self, solution, qos: QosConstraint):
         self.solution = solution
         self._qos = qos
+        # ``MeanResponseTimeConstraint.is_met``/``slack`` restated on the
+        # solution's aggregates; subclasses keep their own rules.
+        self._mean_budget = (
+            qos.normalized_budget
+            if type(qos) is MeanResponseTimeConstraint
+            else None
+        )
         self._slack = None
         self._meets = None
 
@@ -348,13 +360,23 @@ class _Probe:
     @property
     def slack(self) -> float:
         if self._slack is None:
-            self._slack = self._qos.slack(self.solution.result)
+            if self._mean_budget is None:
+                self._slack = self._qos.slack(self.solution.result)
+            else:
+                self._slack = (
+                    self._mean_budget - self.solution.normalized_mean_response_time
+                )
         return self._slack
 
     @property
     def meets(self) -> bool:
         if self._meets is None:
-            self._meets = self._qos.is_met(self.solution.result)
+            if self._mean_budget is None:
+                self._meets = self._qos.is_met(self.solution.result)
+            else:
+                self._meets = (
+                    self.solution.normalized_mean_response_time <= self._mean_budget
+                )
         return self._meets
 
     @property

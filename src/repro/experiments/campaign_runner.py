@@ -133,8 +133,9 @@ def main(argv: list[str] | None = None) -> int:
             max_cells=arguments.max_cells,
         )
     except ReproError as error:
+        # The same boundary as ``run-scenario``: one line, exit status 2.
         print(f"error: {error}", file=sys.stderr)
-        return 1
+        return 2
     total = spec.num_cells
     print(
         f"campaign {spec.name!r}: {len(outcome.executed)} cell(s) executed, "

@@ -38,7 +38,7 @@ from typing import Any
 
 from repro.campaigns.spec import CampaignSpec
 from repro.concurrency import EXECUTORS, Executor, fan_out
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ReproError
 from repro.experiments import (
     ablations,
     figure1,
@@ -282,14 +282,19 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
-    config = ExperimentConfig(fast=not arguments.full, seed=arguments.seed)
     started = time.perf_counter()
-    results = run_experiments(
-        arguments.experiments,
-        config,
-        max_workers=arguments.parallel,
-        executor=arguments.executor,
-    )
+    try:
+        config = ExperimentConfig(fast=not arguments.full, seed=arguments.seed)
+        results = run_experiments(
+            arguments.experiments,
+            config,
+            max_workers=arguments.parallel,
+            executor=arguments.executor,
+        )
+    except ReproError as error:
+        # A mistyped experiment name or bad option: one line, no traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
     for name in dict.fromkeys(arguments.experiments):
         print(format_result(results[name]))

@@ -24,17 +24,28 @@ against each other):
    boundary therefore resolves to the same state (and survives) regardless of
    the exact delay, so its outcome is computed vectorized.  Only the *risky*
    gaps — shorter than ``w_max``, or straddling an entry-delay boundary —
-   need the exact carried delay, and those are resolved in a short scalar
-   loop over gaps, not jobs.
+   need the exact carried delay.  For a single state entered immediately
+   (the whole default policy space) a gap can only *close*: one
+   ``flatnonzero(idle0 < w)`` finds the risky gaps, and their closures are
+   resolved by a per-gap float loop when there are few of them
+   (:data:`LOOP_MAX_RISKY`), or by a reset-chain jump table — a
+   ``searchsorted`` on the idle prefix sum plus pointer doubling over the
+   chain resets — when a wake-up latency far above the inter-arrival gap
+   makes nearly every gap risky.  Other ladders resolve their risky gaps in
+   a scalar loop over gaps, not jobs.
 
 3. **Sleep-segment accounting.**  Per-state residency and idle energy over
    all surviving gaps are computed with ``np.searchsorted``/``np.clip``
    against the entry-delay ladder, one vector operation per sleep state.
+   The delay each gap carries on (``carried_after``) also gives the mean
+   response time without per-job arrays: every job after gap ``g`` departs
+   ``carried_after[g]`` later than in the no-wake system.
 
 :class:`TraceKernel` additionally memoises the per-frequency structure
-(scaled services, no-wake departures, candidate gaps), so characterising a
-policy space that crosses the same frequencies with several sleep sequences
-only pays for the Lindley recursion once per frequency.
+(scaled services, no-wake departures, candidate gaps, jobs per gap, total
+no-wake response time), so characterising a policy space that crosses the
+same frequencies with several sleep sequences only pays for the Lindley
+recursion once per frequency.
 
 **Backend contract** (see ``docs/ARCHITECTURE.md``): this module is the
 ``backend="vectorized"`` side; :mod:`repro.simulation.engine` keeps the
@@ -55,7 +66,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.power.platform import ServerPowerModel
-from repro.power.sleep import SleepSequence
+from repro.power.sleep import SleepSequence, SleepStateSpec
 from repro.simulation.metrics import (
     STATE_PRE_SLEEP,
     STATE_SERVING,
@@ -120,10 +131,98 @@ def zero_job_result(
     )
 
 
+#: Most risky gaps whose single-state closures the per-gap float loop
+#: resolves; more go to the reset-chain jump table.  The two cost the same
+#: at about 200 risky gaps (2-vCPU VM): below, the table's fixed cost of a
+#: dozen array operations dominates; above, the loop's per-gap cost does.
+LOOP_MAX_RISKY = 192
+
+
+def _closures_by_loop(
+    idle0: np.ndarray, risky: np.ndarray, wake: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed gaps and their residual delays, one risky gap at a time.
+
+    A gap entered with carried delay ``c`` closes when ``c - idle0 > 0`` and
+    hands the residual on to the next gap; a gap that survives hands on the
+    full wake-up latency.  Returns the closed gap indices and residuals.
+    """
+    closed: list[int] = []
+    residuals: list[float] = []
+    last_closed = -2
+    carried = 0.0
+    for gap, idle in zip(risky.tolist(), idle0[risky].tolist(), strict=True):
+        carried = (carried if gap == last_closed + 1 else wake) - idle
+        if carried > 0.0:
+            closed.append(gap)
+            residuals.append(carried)
+            last_closed = gap
+    return np.asarray(closed, dtype=np.intp), np.asarray(residuals, dtype=float)
+
+
+def _closures_by_jump_table(
+    idle0: np.ndarray, risky: np.ndarray, wake: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed gaps and their residual delays, resolved per reset chain.
+
+    Every chain of closures starts at a risky gap entered with the full
+    wake-up latency ``w`` (its predecessor survived).  From such a start
+    ``s`` the gaps keep closing until the first gap ``t`` whose cumulative
+    no-wake idle ``idle0[s] + ... + idle0[t]`` reaches ``w``; ``t`` survives
+    and the next risky gap after it starts the next chain.  One
+    ``searchsorted`` on the idle prefix sum gives ``t`` for every potential
+    start; pointer doubling over that next-start map then marks the starts
+    actually reached from the first risky gap.
+    """
+    num_risky = risky.size
+    prefix = np.empty(idle0.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(idle0, out=prefix[1:])
+    base = prefix[risky]
+    survivor = np.searchsorted(prefix, base + wake, side="left") - 1
+    step = np.empty(num_risky + 1, dtype=np.intp)
+    step[:num_risky] = np.searchsorted(risky, survivor + 1, side="left")
+    step[num_risky] = num_risky  # absorbing end-of-trace sentinel
+    # Before each round ``reached`` holds the starts fewer than 2**k resets
+    # from the first risky gap and ``step`` jumps 2**k resets ahead.
+    reached = np.zeros(num_risky + 1, dtype=bool)
+    reached[0] = True
+    while step[0] < num_risky:
+        reached[step[reached]] = True
+        step = step[step]
+    starts = np.flatnonzero(reached[:num_risky])
+    owner = np.zeros(num_risky, dtype=np.intp)
+    owner[starts] = starts
+    np.maximum.accumulate(owner, out=owner)
+    is_closed = risky < survivor[owner]
+    closed = risky[is_closed]
+    residuals = wake - (prefix[closed + 1] - base[owner[is_closed]])
+    return closed, residuals
+
+
+def _single_state_closures(
+    idle0: np.ndarray, wake: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed gaps and residual delays under one immediately entered state.
+
+    Gap 0 carries no delay and always survives; every other gap is entered
+    with the wake-up latency of the previous surviving gap, so only gaps
+    shorter than ``wake`` (the risky ones) can close.
+    """
+    risky = np.flatnonzero(idle0 < wake)
+    if risky.size and risky[0] == 0:
+        risky = risky[1:]
+    if risky.size > LOOP_MAX_RISKY:
+        return _closures_by_jump_table(idle0, risky, wake)
+    if risky.size:
+        return _closures_by_loop(idle0, risky, wake)
+    return risky, np.empty(0)
+
+
 def _resolve_gaps(
     idle0: np.ndarray, entry_delays: np.ndarray, wake_latencies: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve candidate idle gaps into actual idle periods.
+    """Resolve candidate idle gaps into actual idle periods (any ladder).
 
     Parameters are the no-wake idle durations of the candidate gaps and the
     sleep sequence's entry-delay / wake-latency ladders.  Returns, per gap:
@@ -134,6 +233,9 @@ def _resolve_gaps(
     * ``survived`` — whether the gap is an idle period of the real system,
     * ``reached`` — index of the deepest sleep state entered (-1 for none),
     * ``wake_latency`` — wake-up latency paid at the end of the gap.
+
+    Single immediately entered states take the cheaper
+    :func:`_single_state_closures` path in :meth:`TraceKernel.solve`.
     """
     num_gaps = idle0.size
     offset = np.zeros(num_gaps)
@@ -141,44 +243,6 @@ def _resolve_gaps(
         empty = np.empty(0)
         return offset, empty, np.empty(0, dtype=bool), np.empty(0, dtype=int), empty
     w_max = float(wake_latencies[-1])
-    single_immediate = entry_delays.size == 1 and entry_delays[0] == 0.0
-
-    if single_immediate:
-        # Immediate single-state sequence (the whole default policy space):
-        # every surviving gap reaches state 0 and pays the constant wake-up
-        # ``w_max``, so the vector fill is already correct for every
-        # surviving gap; only closures (idle shorter than the carried delay)
-        # and their successors need fixing.  A closed gap propagates its
-        # residual delay, which keeps decaying until some gap absorbs it.
-        survived = np.ones(num_gaps, dtype=bool)
-        if w_max > 0.0:
-            offset[1:] = w_max
-            risky_indices = np.nonzero(idle0 < w_max)[0]
-            if risky_indices.size:
-                if risky_indices.size > 32:
-                    # Resolve long risky chains on plain Python floats: at
-                    # high wake latencies most gaps are risky and per-element
-                    # ndarray access would dominate the whole evaluation.
-                    idle0_view = idle0.tolist()
-                    offset_view = offset.tolist()
-                else:
-                    idle0_view, offset_view = idle0, offset
-                closed: list[int] = []
-                for gap in risky_indices.tolist():
-                    carried = offset_view[gap] - idle0_view[gap]
-                    if carried > 0.0:
-                        closed.append(gap)
-                        if gap + 1 < num_gaps:
-                            offset_view[gap + 1] = carried
-                if offset_view is not offset:
-                    offset = np.asarray(offset_view)
-                if closed:
-                    survived[closed] = False
-        idle = idle0 - offset
-        reached = np.where(survived, 0, -1)
-        wake_latency = np.where(survived, w_max, 0.0)
-        return offset, idle, survived, reached, wake_latency
-
     reached = np.searchsorted(entry_delays, idle0, side="right") - 1
     if w_max > 0.0:
         # Vectorized fill: the delay carried into gap g is the wake-up paid at
@@ -286,7 +350,7 @@ class TraceKernel:
         """Number of jobs in the underlying trace."""
         return int(self._arrivals.size)
 
-    def _structure(self, frequency: float) -> tuple:
+    def _structure(self, frequency: float) -> "_FrequencyStructure":
         """No-wake busy-period structure at one frequency (memoised)."""
         cached = self._frequency_cache.get(frequency)
         if cached is None:
@@ -303,17 +367,25 @@ class TraceKernel:
             previous_departure = np.empty_like(departures0)
             previous_departure[0] = self._base
             previous_departure[1:] = departures0[:-1]
-            gap_indices = np.nonzero(self._arrivals >= previous_departure)[0]
+            gap_indices = np.flatnonzero(self._arrivals >= previous_departure)
             idle0 = self._arrivals[gap_indices] - previous_departure[gap_indices]
-            cached = (
-                time_factor,
-                services,
-                departures0,
-                gap_indices,
-                idle0,
-                float(services.sum()),
-                self._power_model.active_power(frequency),
-                self._power_model.idle_power(frequency),
+            # Jobs served after each candidate gap, up to the next one: the
+            # delay carried out of a gap shifts exactly these departures.
+            counts = np.empty(gap_indices.size, dtype=np.intp)
+            if gap_indices.size:
+                np.subtract(gap_indices[1:], gap_indices[:-1], out=counts[:-1])
+                counts[-1] = departures0.size - gap_indices[-1]
+            cached = _FrequencyStructure(
+                time_factor=time_factor,
+                services=services,
+                departures0=departures0,
+                gap_indices=gap_indices,
+                idle0=idle0,
+                counts=counts,
+                response0_total=float((departures0 - self._arrivals).sum()),
+                serving_time=float(services.sum()),
+                active_power=self._power_model.active_power(frequency),
+                pre_sleep_power=self._power_model.idle_power(frequency),
             )
             self._frequency_cache[frequency] = cached
         return cached
@@ -322,14 +394,13 @@ class TraceKernel:
         """Resolve one ``(frequency, sleep)`` policy without per-job arrays.
 
         Returns a :class:`GapSolution` whose scalar aggregates — average
-        power, energy breakdown, horizon, residencies — are available
-        immediately at ``O(idle gaps)`` cost beyond the memoised
-        per-frequency structure.  The per-job response/waiting arrays (and
-        the full :class:`SimulationResult`) are assembled lazily on first
-        access, through the same arithmetic :meth:`evaluate` always used,
-        so every derived quantity is bit-identical to a full evaluation.
-        This is what makes frontier-search probes cheap: most probes only
-        ever compare average power.
+        power, energy breakdown, horizon, residencies and the mean response
+        time — are available immediately at ``O(idle gaps)`` cost beyond the
+        memoised per-frequency structure.  The per-job response/waiting
+        arrays (and the full :class:`SimulationResult`) are assembled lazily
+        on first access, through the same arithmetic :meth:`evaluate` always
+        used.  This is what makes frontier-search probes cheap: most probes
+        only ever compare average power and mean response time.
         """
         frequency = validate_frequency(frequency)
         if self.num_jobs == 0:
@@ -340,72 +411,22 @@ class TraceKernel:
                     frequency, sleep, self._clock_start, self._busy_until
                 ),
             )
-        (
-            time_factor,
-            services,
-            departures0,
-            gap_indices,
-            idle0,
-            serving_time,
-            active_power,
-            pre_sleep_power,
-        ) = self._structure(frequency)
-
-        entry_delays = np.array([spec.entry_delay for spec in sleep])
-        sleep_powers = np.array([spec.power for spec in sleep])
-        wake_latencies = np.array([spec.wake_up_latency for spec in sleep])
-        state_names = [spec.name for spec in sleep]
-
-        offset, idle, survived, reached, wake_latency = _resolve_gaps(
-            idle0, entry_delays, wake_latencies
-        )
-
-        carried_after = None
-        if gap_indices.size:
-            carried_after = np.where(survived, wake_latency, offset - idle0)
-
-        waking_time = float(wake_latency.sum())
-        wake_up_count = int(np.count_nonzero(reached >= 0))
-
-        idle_durations = idle[survived] if not survived.all() else idle
-        num_states = len(state_names)
-        residency: dict[str, float] = {
-            STATE_SERVING: serving_time,
-            STATE_WAKING: waking_time,
-        }
-        if num_states == 1 and entry_delays[0] == 0.0:
-            # Immediate single-state sequence: every surviving idle second is
-            # spent in that one state.
-            total = float(idle_durations.sum())
-            residency[STATE_PRE_SLEEP] = 0.0
-            residency[state_names[0]] = total
-            idle_energy = sleep_powers[0] * total
-        else:
-            pre_sleep_time = float(
-                np.minimum(idle_durations, entry_delays[0]).sum()
+        structure = self._structure(frequency)
+        first = sleep[0]
+        if len(sleep) == 1 and first.entry_delay == 0.0:
+            carried_after, residency, idle_energy, wake_up_count = (
+                self._solve_single_state(structure, first)
             )
-            residency[STATE_PRE_SLEEP] = pre_sleep_time
-            for name in state_names:
-                residency.setdefault(name, 0.0)
-            idle_energy = pre_sleep_power * pre_sleep_time
-            for state_index in range(num_states):
-                lower = entry_delays[state_index]
-                upper = (
-                    entry_delays[state_index + 1]
-                    if state_index + 1 < num_states
-                    else np.inf
-                )
-                segment = np.clip(
-                    np.minimum(idle_durations, upper) - lower, 0.0, None
-                )
-                total = float(segment.sum())
-                residency[state_names[state_index]] += total
-                idle_energy += sleep_powers[state_index] * total
+        else:
+            carried_after, residency, idle_energy, wake_up_count = (
+                self._solve_ladder(structure, sleep)
+            )
 
         # Last departure without materialising the per-job offset array:
         # the offset of the final job is the delay carried out of the last
         # candidate gap (``np.repeat`` would place exactly that value there),
         # so the scalar sum below reproduces ``departures[-1]`` bit-exactly.
+        departures0 = structure.departures0
         last_departure = float(departures0[-1])
         if carried_after is not None:
             last_departure = float(departures0[-1] + carried_after[-1])
@@ -413,11 +434,14 @@ class TraceKernel:
         if horizon <= 0.0:
             # Degenerate single-instant trace; fall back to the total service
             # time so power is still well defined.
-            horizon = max(float(np.sum(self._demands)) * time_factor, 1e-12)
+            horizon = max(
+                float(np.sum(self._demands)) * structure.time_factor, 1e-12
+            )
 
+        active_power = structure.active_power
         energy = EnergyBreakdown(
-            serving=active_power * serving_time,
-            waking=active_power * waking_time,
+            serving=active_power * structure.serving_time,
+            waking=active_power * residency[STATE_WAKING],
             idle=idle_energy,
         )
         return GapSolution(
@@ -427,25 +451,161 @@ class TraceKernel:
             horizon=horizon,
             state_residency=residency,
             wake_up_count=wake_up_count,
-            _services=services,
-            _departures0=departures0,
-            _gap_indices=gap_indices,
+            _structure=structure,
             _carried_after=carried_after,
         )
+
+    @staticmethod
+    def _solve_single_state(
+        structure: "_FrequencyStructure", spec: SleepStateSpec
+    ) -> tuple[np.ndarray | None, dict[str, float], float, int]:
+        """One state entered immediately: the whole default policy space.
+
+        Every surviving gap reaches the state and pays its constant wake-up
+        latency ``w``, which is also the delay it carries into the next gap;
+        a closed gap carries its residual instead.  ``carried_after`` is
+        therefore ``w`` everywhere except at the closures, and every
+        aggregate derives from it.
+        """
+        idle0 = structure.idle0
+        num_gaps = idle0.size
+        name = spec.name
+        residency = {
+            STATE_SERVING: structure.serving_time,
+            STATE_WAKING: 0.0,
+            STATE_PRE_SLEEP: 0.0,
+            name: 0.0,
+        }
+        if num_gaps == 0:
+            return None, residency, 0.0, 0
+        wake = float(spec.wake_up_latency)
+        closed, residuals = _single_state_closures(idle0, wake)
+        carried_after = np.full(num_gaps, wake)
+        carried_after[closed] = residuals
+        idle = np.empty(num_gaps)
+        idle[0] = idle0[0]
+        np.subtract(idle0[1:], carried_after[:-1], out=idle[1:])
+        if closed.size:
+            survived = np.ones(num_gaps, dtype=bool)
+            survived[closed] = False
+            wake_latency = np.where(survived, wake, 0.0)
+            # Survived idle is summed directly, never as "total minus
+            # closed", which cancels.  The jump table decides survival on
+            # prefix sums, so a survivor's idle can still round a hair below
+            # zero; the clamp is a no-op for the per-gap loop.
+            idle_time = float(np.maximum(idle[survived], 0.0).sum())
+        else:
+            wake_latency = carried_after
+            idle_time = float(idle.sum())
+        residency[STATE_WAKING] = float(wake_latency.sum())
+        residency[name] = idle_time
+        return carried_after, residency, spec.power * idle_time, num_gaps - closed.size
+
+    @staticmethod
+    def _solve_ladder(
+        structure: "_FrequencyStructure", sleep: SleepSequence
+    ) -> tuple[np.ndarray | None, dict[str, float], float, int]:
+        """Any sleep ladder: delayed entry and/or several states."""
+        entry_delays = np.array([spec.entry_delay for spec in sleep])
+        sleep_powers = np.array([spec.power for spec in sleep])
+        wake_latencies = np.array([spec.wake_up_latency for spec in sleep])
+        state_names = [spec.name for spec in sleep]
+        idle0 = structure.idle0
+
+        offset, idle, survived, reached, wake_latency = _resolve_gaps(
+            idle0, entry_delays, wake_latencies
+        )
+        carried_after = None
+        if idle0.size:
+            carried_after = np.where(survived, wake_latency, offset - idle0)
+
+        idle_durations = idle[survived] if not survived.all() else idle
+        pre_sleep_time = float(np.minimum(idle_durations, entry_delays[0]).sum())
+        residency: dict[str, float] = {
+            STATE_SERVING: structure.serving_time,
+            STATE_WAKING: float(wake_latency.sum()),
+            STATE_PRE_SLEEP: pre_sleep_time,
+        }
+        for name in state_names:
+            residency.setdefault(name, 0.0)
+        idle_energy = structure.pre_sleep_power * pre_sleep_time
+        num_states = len(state_names)
+        for state_index in range(num_states):
+            lower = entry_delays[state_index]
+            upper = (
+                entry_delays[state_index + 1]
+                if state_index + 1 < num_states
+                else np.inf
+            )
+            segment = np.clip(np.minimum(idle_durations, upper) - lower, 0.0, None)
+            total = float(segment.sum())
+            residency[state_names[state_index]] += total
+            idle_energy += sleep_powers[state_index] * total
+        wake_up_count = int(np.count_nonzero(reached >= 0))
+        return carried_after, residency, idle_energy, wake_up_count
 
     def evaluate(self, frequency: float, sleep: SleepSequence) -> SimulationResult:
         """Simulate one ``(frequency, sleep)`` policy against the trace."""
         return self.solve(frequency, sleep).result
 
 
+class _FrequencyStructure:
+    """The memoised no-wake structure of one trace at one frequency."""
+
+    __slots__ = (
+        "time_factor",
+        "services",
+        "departures0",
+        "gap_indices",
+        "idle0",
+        "counts",
+        "response0_total",
+        "serving_time",
+        "active_power",
+        "pre_sleep_power",
+    )
+
+    def __init__(
+        self,
+        *,
+        time_factor: float,
+        services: np.ndarray,
+        departures0: np.ndarray,
+        gap_indices: np.ndarray,
+        idle0: np.ndarray,
+        counts: np.ndarray,
+        response0_total: float,
+        serving_time: float,
+        active_power: float,
+        pre_sleep_power: float,
+    ):
+        self.time_factor = time_factor
+        #: Per-job service times at this frequency.
+        self.services = services
+        #: Per-job departures ignoring wake-up latencies.
+        self.departures0 = departures0
+        #: Index of the first job after each candidate idle gap.
+        self.gap_indices = gap_indices
+        #: No-wake idle duration of each candidate gap.
+        self.idle0 = idle0
+        #: Jobs from each candidate gap up to the next one.
+        self.counts = counts
+        #: ``sum(departures0 - arrivals)``: total no-wake response time.
+        self.response0_total = response0_total
+        self.serving_time = serving_time
+        self.active_power = active_power
+        self.pre_sleep_power = pre_sleep_power
+
+
 class GapSolution:
     """One policy's resolved gap structure, with lazily assembled arrays.
 
     Produced by :meth:`TraceKernel.solve`.  The scalar aggregates (``energy``,
-    ``horizon``, ``average_power``, residencies) are final; :attr:`result`
-    assembles the per-job response/waiting arrays on first access and returns
-    the full :class:`~repro.simulation.metrics.SimulationResult` — identical
-    to what :meth:`TraceKernel.evaluate` returns, because ``evaluate`` *is*
+    ``horizon``, ``average_power``, residencies, ``mean_response_time``) are
+    final; :attr:`result` assembles the per-job response/waiting arrays on
+    first access and returns the full
+    :class:`~repro.simulation.metrics.SimulationResult` — identical to what
+    :meth:`TraceKernel.evaluate` returns, because ``evaluate`` *is*
     ``solve().result``.
     """
 
@@ -456,10 +616,9 @@ class GapSolution:
         "horizon",
         "state_residency",
         "wake_up_count",
-        "_services",
-        "_departures0",
-        "_gap_indices",
+        "_structure",
         "_carried_after",
+        "_mean_response_time",
         "_result",
     )
 
@@ -471,9 +630,7 @@ class GapSolution:
         horizon: float = 0.0,
         state_residency: dict[str, float] | None = None,
         wake_up_count: int = 0,
-        _services: np.ndarray | None = None,
-        _departures0: np.ndarray | None = None,
-        _gap_indices: np.ndarray | None = None,
+        _structure: _FrequencyStructure | None = None,
         _carried_after: np.ndarray | None = None,
         _result: SimulationResult | None = None,
     ):
@@ -483,10 +640,9 @@ class GapSolution:
         self.horizon = horizon
         self.state_residency = state_residency
         self.wake_up_count = wake_up_count
-        self._services = _services
-        self._departures0 = _departures0
-        self._gap_indices = _gap_indices
+        self._structure = _structure
         self._carried_after = _carried_after
+        self._mean_response_time: float | None = None
         self._result = _result
         if _result is not None:
             self.energy = _result.energy
@@ -500,6 +656,36 @@ class GapSolution:
         return self.energy.total / self.horizon
 
     @property
+    def mean_response_time(self) -> float:
+        """``E[R]`` from gap aggregates, without per-job arrays.
+
+        Every job after candidate gap ``g`` departs ``carried_after[g]``
+        later than in the no-wake system, so the total response time is
+        ``sum(departures0 - arrivals) + sum(carried_after * counts)``.  The
+        assembled :attr:`result` reports this same number.
+        """
+        if self._mean_response_time is None:
+            if self._structure is None:
+                self._mean_response_time = self.result.mean_response_time
+            else:
+                total = self._structure.response0_total
+                if self._carried_after is not None:
+                    total += float(
+                        (self._carried_after * self._structure.counts).sum()
+                    )
+                self._mean_response_time = total / self.kernel.num_jobs
+        return self._mean_response_time
+
+    @property
+    def normalized_mean_response_time(self) -> float:
+        """``mu * E[R]``, identical to the assembled result's."""
+        mean_demand = self.kernel._mean_demand
+        if self._structure is None or mean_demand <= 0:
+            # Zero-job or unnormalisable: the result holds the exact rule.
+            return self.result.normalized_mean_response_time
+        return self.mean_response_time / mean_demand
+
+    @property
     def result(self) -> SimulationResult:
         """The full simulation result (per-job arrays assembled on demand)."""
         if self._result is None:
@@ -508,26 +694,23 @@ class GapSolution:
 
     def _assemble(self) -> SimulationResult:
         kernel = self.kernel
-        departures0 = self._departures0
-        gap_indices = self._gap_indices
+        structure = self._structure
+        departures0 = structure.departures0
+        gap_indices = structure.gap_indices
         # Per-job departures: the no-wake departure plus the delay introduced
         # at the last candidate gap at or before the job (piecewise constant
         # between gaps).
-        num_jobs = kernel.num_jobs
         departures = departures0
         if gap_indices.size:
-            counts = np.empty(gap_indices.size, dtype=np.intp)
-            counts[:-1] = np.diff(gap_indices)
-            counts[-1] = num_jobs - gap_indices[-1]
-            job_offset = np.repeat(self._carried_after, counts)
+            job_offset = np.repeat(self._carried_after, structure.counts)
             if gap_indices[0] == 0:
                 departures = departures0 + job_offset
             else:
                 departures = departures0.copy()
                 departures[gap_indices[0] :] += job_offset
         response_times = departures - kernel._arrivals
-        waiting_times = response_times - self._services
-        return SimulationResult(
+        waiting_times = response_times - structure.services
+        result = SimulationResult(
             response_times=response_times,
             waiting_times=waiting_times,
             energy=self.energy,
@@ -537,3 +720,7 @@ class GapSolution:
             wake_up_count=self.wake_up_count,
             mean_service_demand=kernel._mean_demand,
         )
+        # Seed the cached mean so probes and assembled results share one
+        # definition of E[R].
+        result.__dict__["mean_response_time"] = self.mean_response_time
+        return result

@@ -46,8 +46,14 @@ SPEED_CASES = [
     (16, None),
     (16, [1.0] * 8 + [0.7] * 8),
     (5, [1.0, 0.5, 0.9, 0.7, 1.0]),
+    # Power-of-two speeds: estimated finish times tie exactly across speeds.
+    (4, [1.0, 0.5, 1.0, 0.25]),
     (1, None),
 ]
+
+#: The mixed-speed fleets: these never take the least-loaded heap engine's
+#: merge block, so every job goes through its per-job heap step.
+MIXED_SPEED_CASES = [case for case in SPEED_CASES if case[1] is not None]
 
 #: Traffic regimes relative to one full-frequency server: idle-dominated,
 #: nominal, and far beyond single-server saturation.
@@ -107,6 +113,21 @@ class TestEngineEquivalence:
             ),
             PowerAwareDispatcher(idle_powers, engine=ENGINE_LOOP).assign(
                 jobs, num_servers
+            ),
+        )
+
+    @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
+    @pytest.mark.parametrize("num_servers,speeds", MIXED_SPEED_CASES)
+    def test_exact_ties_mixed_speeds_byte_identical(
+        self, trace_index, num_servers, speeds
+    ):
+        jobs = TIE_TRACES[trace_index]
+        np.testing.assert_array_equal(
+            LeastLoadedDispatcher(ENGINE_HEAP).assign(
+                jobs, num_servers, server_speeds=speeds
+            ),
+            LeastLoadedDispatcher(ENGINE_LOOP).assign(
+                jobs, num_servers, server_speeds=speeds
             ),
         )
 

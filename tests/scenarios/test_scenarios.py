@@ -418,3 +418,26 @@ class TestCliErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert message in lines[0]
+
+    def test_unknown_experiment_prints_one_error_line(self, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["no_such_figure"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "no_such_figure" in lines[0]
+
+    def test_unknown_campaign_exits_like_run_scenario(self, capsys, tmp_path):
+        from repro.experiments.runner import main
+
+        argv = ["run-campaign", "no-such-campaign", "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "no-such-campaign" in lines[0]

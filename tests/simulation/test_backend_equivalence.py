@@ -17,12 +17,13 @@ from repro.power.platform import xeon_power_model
 from repro.power.sleep import SleepSequence, SleepStateSpec
 from repro.power.states import LOW_POWER_STATES, C6_S0I
 from repro.simulation.engine import simulate_trace
-from repro.simulation.kernel import TraceKernel, _resolve_gaps
-from repro.simulation.service_scaling import (
-    ServiceScaling,
-    cpu_bound,
-    memory_bound,
+from repro.simulation.kernel import (
+    LOOP_MAX_RISKY,
+    TraceKernel,
+    _closures_by_jump_table,
+    _closures_by_loop,
 )
+from repro.simulation.service_scaling import ServiceScaling, memory_bound
 from repro.workloads.jobs import JobTrace
 
 RTOL = 1e-9
@@ -72,7 +73,20 @@ def assert_backends_agree(jobs, frequency, sleep, power_model, **kwargs):
         )
     assert vectorized.frequency == reference.frequency
     assert vectorized.mean_service_demand == reference.mean_service_demand
+    assert_mean_from_aggregates(jobs, frequency, sleep, power_model, **kwargs)
     return vectorized, reference
+
+
+def assert_mean_from_aggregates(jobs, frequency, sleep, power_model, **kwargs):
+    """The gap-aggregate ``E[R]`` is the assembled result's, to the bit."""
+    solution = TraceKernel(jobs, power_model, **kwargs).solve(frequency, sleep)
+    mean = solution.mean_response_time
+    result = solution.result
+    if result.num_jobs == 0:
+        assert np.isnan(mean) and np.isnan(result.mean_response_time)
+        return
+    assert mean == result.mean_response_time
+    np.testing.assert_allclose(mean, np.mean(result.response_times), rtol=1e-12)
 
 
 def random_trace(rng, num_jobs, utilization, mean_service=0.2):
@@ -135,28 +149,46 @@ class TestRandomizedEquivalence:
             jobs, 0.8, sleep, power_model, start_time=start, busy_until=busy
         )
 
-    def test_large_wake_latencies_force_gap_closures(self, power_model):
-        # Wake-up latencies comparable to the inter-arrival gaps make carried
-        # delays swallow whole idle gaps, exercising the risky-gap chain.
+    @pytest.mark.parametrize(
+        "num_jobs, wake, jump_table",
+        [
+            # Wake-up latencies comparable to the inter-arrival gaps: a few
+            # short chains, resolved by the per-gap loop.
+            (120, 0.15, False),
+            # Wake-up latency far above the inter-arrival gap: nearly every
+            # gap is risky, resolved by the reset-chain jump table.
+            (1500, 1.0, True),
+        ],
+    )
+    def test_large_wake_latencies_force_gap_closures(
+        self, power_model, num_jobs, wake, jump_table
+    ):
+        # Carried delays swallow whole idle gaps, exercising the risky-gap
+        # chains on both sides of the loop/jump-table threshold.
         rng = np.random.default_rng(7)
-        jobs = random_trace(rng, num_jobs=500, utilization=0.6, mean_service=0.1)
+        jobs = random_trace(rng, num_jobs=num_jobs, utilization=0.6, mean_service=0.1)
         sleep = SleepSequence(
             [
                 SleepStateSpec(
-                    state=C6_S0I, power=5.0, entry_delay=0.0, wake_up_latency=0.15
+                    state=C6_S0I, power=5.0, entry_delay=0.0, wake_up_latency=wake
                 )
             ]
         )
-        vectorized, _ = assert_backends_agree(jobs, 1.0, sleep, power_model)
+        vectorized, reference = assert_backends_agree(jobs, 1.0, sleep, power_model)
+        idle0 = TraceKernel(jobs, power_model)._structure(1.0).idle0
+        risky = np.flatnonzero(idle0 < wake)
+        risky = risky[risky > 0]
+        assert (risky.size > LOOP_MAX_RISKY) is jump_table
+        # Both resolution paths close the same gaps with the same residuals.
+        closed, residuals = _closures_by_loop(idle0, risky, wake)
+        jump_closed, jump_residuals = _closures_by_jump_table(idle0, risky, wake)
+        np.testing.assert_array_equal(jump_closed, closed)
+        np.testing.assert_allclose(jump_residuals, residuals, rtol=RTOL, atol=ATOL)
         # Prove the scenario actually closes gaps: fewer wake-ups than
         # candidate idle gaps of the no-wake system.
-        kernel = TraceKernel(jobs, power_model, scaling=cpu_bound())
-        _, _, _, _, idle0 = kernel._structure(1.0)[:5]
-        _, _, survived, _, _ = _resolve_gaps(
-            idle0, np.array([0.0]), np.array([0.15])
-        )
-        assert not survived.all()
-        assert vectorized.wake_up_count == int(survived.sum())
+        assert closed.size > 0
+        assert vectorized.wake_up_count == reference.wake_up_count
+        assert vectorized.wake_up_count == idle0.size - closed.size
 
 
 class TestHandCraftedEdgeCases:
@@ -185,6 +217,22 @@ class TestHandCraftedEdgeCases:
         assert_backends_agree(
             jobs, 0.3, sleep, power_model, scaling=memory_bound()
         )
+
+    def test_periodic_closures_end_exactly_at_the_wake_latency(self, power_model):
+        # Zero-demand jobs every 0.05 s under a 2.1 s wake-up: each chain of
+        # closures sums to the wake latency up to rounding, so the jump
+        # table's survivors sit on the survival boundary.  Their idle time
+        # must not round below zero, which the energy breakdown rejects.
+        jobs = JobTrace(np.arange(219) * 0.05, np.zeros(219))
+        sleep = SleepSequence(
+            [
+                SleepStateSpec(
+                    state=C6_S0I, power=5.0, entry_delay=0.0, wake_up_latency=2.1
+                )
+            ]
+        )
+        vectorized, _ = assert_backends_agree(jobs, 1.0, sleep, power_model)
+        assert vectorized.energy.idle >= 0.0
 
     def test_delayed_entry_never_reached(self, power_model):
         # Entry delay longer than every idle gap: no state is ever entered,
