@@ -1,30 +1,27 @@
-"""Executor benchmark: serial vs thread vs process on the mega-farm fleet.
+"""Executor benchmark: serial vs process on the mega-farm fleet.
 
 Runs the registered ``mega-farm`` scenario (64 mixed Xeon/Atom servers at
 defaults, least-loaded speed-aware dispatch, short epochs) once per
 executor and reports wall-clock plus speedup over the serial oracle.
-**Executor parity is asserted in-benchmark**: all three runs must produce
+**Executor parity is asserted in-benchmark**: both runs must produce
 bit-identical ``FarmResult``s — same total energy, same per-server
 response-time arrays (hence identical dispatch assignments), same
 per-epoch policy selections — and any divergence aborts the benchmark.
-
-The thread row documents *why* the process executor exists: the per-server
-epoch loops are Python-heavy (policy search per epoch), so the thread pool
-stays GIL-bound near 1x while the process pool scales with cores.
 
 The ``>= min-speedup`` gate on the process executor is enforced only on
 machines with at least four CPUs (``--gate auto``, the default) — on a
 single-core runner the measurement is still recorded, honestly, as ~1x.
 
 ``--mode storage`` benchmarks the zero-copy trace-storage path instead:
-it pickles every per-server shard task the process executor would ship —
-the memory path's :class:`~repro.cluster.farm.ServerShardTask` (carrying a
-full per-server ``JobTrace``) against the zero-copy
-:class:`~repro.cluster.farm.SharedServerShardTask` (carrying constant-size
-descriptors into a shared-memory arena) — and gates on the serialized-bytes
-reduction (deterministic, so enforced on any machine).  It then times the
-process path end to end under ``trace_backend="memory"`` vs ``"shm"``,
-asserting the two runs stay bit-identical.
+it pickles every per-server :class:`~repro.cluster.farm.ServerShardTask`
+the process executor would ship under each trace backend — the memory
+path's tasks carry the server's grouped array slices, the mmap path's
+carry constant-size descriptors into a
+:class:`~repro.workloads.storage.SharedTraceArena` — and gates on the
+serialized-bytes reduction (deterministic, so enforced on any machine).
+It then times the process path end to end under
+``trace_backend="memory"`` vs ``"mmap"``, asserting the two runs stay
+bit-identical.
 
 Run directly (sizes shrink for CI smoke)::
 
@@ -49,12 +46,12 @@ from datetime import date
 
 import numpy as np
 
-from repro.cluster.farm import ServerShardTask, SharedServerShardTask
+from repro.cluster.farm import ServerShardTask, group_by_server
 from repro.scenarios import get_scenario
 from repro.workloads.storage import SharedTraceArena
 
-#: Executors compared, serial first (the oracle the others must match).
-EXECUTOR_ORDER = ("serial", "thread", "process")
+#: Executors compared, serial first (the oracle the other must match).
+EXECUTOR_ORDER = ("serial", "process")
 
 #: Cores below which the speedup gate is skipped under ``--gate auto``.
 GATE_MIN_CPUS = 4
@@ -69,7 +66,7 @@ def _epoch_signature(result):
 
 def _assert_parity(executor: str, oracle, candidate) -> None:
     # repro: ignore[REP004] -- in-benchmark oracle-parity gate: the executor
-    # contract pins thread/process FarmResults bit-identical to serial, so
+    # contract pins process FarmResults bit-identical to serial, so
     # exact equality is the point; an approximate check would mask drift.
     if candidate.total_energy != oracle.total_energy:
         raise SystemExit(
@@ -158,60 +155,56 @@ def bench(
 
 
 def _shard_bytes(farm, jobs) -> dict:
-    """Serialized bytes per shard: memory-path tasks vs zero-copy descriptors.
+    """Serialized bytes per shard: memory-path slices vs mmap descriptors.
 
-    Reconstructs exactly the task lists the two process paths ship (the
-    memory path's per-server ``JobTrace`` copies, the shm path's narrowed
-    descriptors into the server-grouped published arrays) and measures
-    ``pickle.dumps`` of each shard — the bytes that actually cross the
-    process boundary.
+    Reconstructs exactly the task lists the process path ships under the
+    two trace backends (the server-grouped array slices, and descriptors
+    narrowed to the same ranges of the published grouped arrays) and
+    measures ``pickle.dumps`` of each shard — the bytes that actually cross
+    the process boundary.
     """
     use_cache = farm.search_cache is not None
-    streams = farm.dispatcher.dispatch(
-        jobs, farm.num_servers, server_speeds=farm.dispatch_speeds
-    )
-    memory_bytes = [
-        len(
-            pickle.dumps(
-                ServerShardTask(
-                    server=farm.servers[index],
-                    spec=farm.spec,
-                    jobs=stream,
-                    use_cache=use_cache,
-                )
-            )
-        )
-        for index, stream in enumerate(streams)
-        if stream is not None
-    ]
     assignment = farm.dispatcher.validated_assignment(
         jobs, farm.num_servers, server_speeds=farm.dispatch_speeds
     )
-    counts = np.bincount(assignment, minlength=farm.num_servers)
-    order = np.argsort(assignment, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    with SharedTraceArena("shm") as arena:
-        arrivals = arena.publish(jobs.arrival_times[order], "arrivals")
-        demands = arena.publish(jobs.service_demands[order], "demands")
-        shared_bytes = [
+    (arrivals, demands), ranges = group_by_server(
+        assignment, farm.num_servers, jobs.arrival_times, jobs.service_demands
+    )
+    bounds = [(index, span) for index, span in enumerate(ranges) if span is not None]
+
+    def task_bytes(shards) -> list[int]:
+        return [
             len(
                 pickle.dumps(
-                    SharedServerShardTask(
+                    ServerShardTask(
                         server=farm.servers[index],
                         spec=farm.spec,
                         use_cache=use_cache,
-                        arrivals=arrivals.narrow(
-                            int(offsets[index]), int(counts[index])
-                        ),
-                        demands=demands.narrow(
-                            int(offsets[index]), int(counts[index])
-                        ),
+                        arrivals=shard_arrivals,
+                        demands=shard_demands,
                     )
                 )
             )
-            for index in range(farm.num_servers)
-            if counts[index] > 0
+            for (index, _), (shard_arrivals, shard_demands) in zip(
+                bounds, shards, strict=True
+            )
         ]
+
+    memory_bytes = task_bytes(
+        [(arrivals[span], demands[span]) for _, span in bounds]
+    )
+    with SharedTraceArena() as arena:
+        arrivals_desc = arena.publish(arrivals, "arrivals")
+        demands_desc = arena.publish(demands, "demands")
+        shared_bytes = task_bytes(
+            [
+                (
+                    arrivals_desc.narrow(span.start, span.stop - span.start),
+                    demands_desc.narrow(span.start, span.stop - span.start),
+                )
+                for _, span in bounds
+            ]
+        )
     reduction = 1.0 - sum(shared_bytes) / sum(memory_bytes)
     return {
         "shards": len(memory_bytes),
@@ -248,13 +241,13 @@ def bench_storage(
     shard_bytes = _shard_bytes(built.farm, built.jobs)
     print(
         f"  shard bytes: memory {shard_bytes['memory_total_bytes']:,} -> "
-        f"shm {shard_bytes['shared_total_bytes']:,} "
+        f"mmap {shard_bytes['shared_total_bytes']:,} "
         f"({shard_bytes['reduction']:.1%} reduction over "
         f"{shard_bytes['shards']} shards)"
     )
     rows: dict[str, dict] = {}
     results = {}
-    for backend in ("memory", "shm"):
+    for backend in ("memory", "mmap"):
         farm = dataclasses.replace(
             built.farm,
             executor="process",
@@ -277,13 +270,13 @@ def bench_storage(
             "total_energy_j": result.total_energy,
         }
         print(f"  process/{backend:6s} {elapsed:8.2f} s")
-    _assert_parity("process/shm", results["memory"], results["shm"])
-    rows["shm"]["speedup"] = round(
-        rows["memory"]["seconds"] / rows["shm"]["seconds"], 2
+    _assert_parity("process/mmap", results["memory"], results["mmap"])
+    rows["mmap"]["speedup"] = round(
+        rows["memory"]["seconds"] / rows["mmap"]["seconds"], 2
     )
-    rows["shm"]["parity"] = True
+    rows["mmap"]["parity"] = True
     print(
-        f"  process/shm speedup {rows['shm']['speedup']:5.2f}x over "
+        f"  process/mmap speedup {rows['mmap']['speedup']:5.2f}x over "
         "process/memory  parity=True"
     )
     return {
@@ -305,9 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=("executor", "storage"),
         default="executor",
         help=(
-            "'executor' compares serial/thread/process (PR 5 artifact); "
-            "'storage' compares the process path's memory vs shm trace "
-            "backends and the serialized shard bytes (PR 6 artifact)"
+            "'executor' compares serial vs process; 'storage' compares "
+            "the process path's memory vs mmap trace backends and the "
+            "serialized shard bytes"
         ),
     )
     parser.add_argument("--duration-minutes", type=int, default=40)
@@ -318,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="pool size for the thread/process rows (default: CPU count)",
+        help="worker processes for the process rows (default: CPU count)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -381,19 +374,19 @@ def main(argv: list[str] | None = None) -> int:
                 f"FATAL: serialized shard-bytes reduction {reduction:.1%} "
                 f"is below the required {arguments.min_bytes_reduction:.0%}"
             )
-        shm_speedup = row["process_path"]["shm"]["speedup"]
+        mmap_speedup = row["process_path"]["mmap"]["speedup"]
         if enforce:
-            gate = "enforced (shm >= memory wall-clock)"
-            if shm_speedup < 1.0:
+            gate = "enforced (mmap >= memory wall-clock)"
+            if mmap_speedup < 1.0:
                 raise SystemExit(
-                    f"FATAL: process/shm ran {shm_speedup}x vs "
+                    f"FATAL: process/mmap ran {mmap_speedup}x vs "
                     f"process/memory on a {cpus}-CPU machine"
                 )
         else:
             gate = f"skipped ({cpus} CPU(s) < {GATE_MIN_CPUS})"
             print(
                 f"wall-clock gate skipped: {cpus} CPU(s); recorded "
-                f"{shm_speedup}x for the record"
+                f"{mmap_speedup}x for the record"
             )
         report = {
             "benchmark": "trace-storage",

@@ -25,10 +25,10 @@ from __future__ import annotations
 import argparse
 
 from repro import (
-    ClusterRuntime,
     LmsCusumPredictor,
     RoundRobinDispatcher,
     RuntimeConfig,
+    ServerFarm,
     dns_workload,
     dvfs_only_strategy,
     generate_trace_driven_jobs,
@@ -80,12 +80,12 @@ def main() -> None:
     config = RuntimeConfig(epoch_minutes=5.0, rho_b=arguments.rho_b, over_provisioning=0.35)
 
     def make_cluster(strategy_factory):
-        return ClusterRuntime(
-            num_servers=arguments.servers,
-            power_model=power_model,
-            spec=spec,
-            strategy_factory=strategy_factory,
-            predictor_factory=make_predictor,
+        return ServerFarm.homogeneous(
+            arguments.servers,
+            power_model,
+            spec,
+            strategy_factory,
+            make_predictor,
             config=config,
             dispatcher=RoundRobinDispatcher(),
         )

@@ -44,7 +44,6 @@ Quickstart::
 """
 
 from repro.cluster import (
-    ClusterRuntime,
     FarmResult,
     LeastLoadedDispatcher,
     PowerAwareDispatcher,
@@ -58,7 +57,6 @@ from repro.concurrency import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     fan_out,
     resolve_executor,
 )
@@ -157,7 +155,6 @@ __all__ = [
     "C3_S0I",
     "C6_S0I",
     "C6_S3",
-    "ClusterRuntime",
     "DvfsModel",
     "EXECUTORS",
     "EpochContext",
@@ -201,7 +198,6 @@ __all__ = [
     "SleepSequence",
     "SleepStateSpec",
     "SystemState",
-    "ThreadExecutor",
     "UtilizationPredictor",
     "UtilizationTrace",
     "WorkloadSpec",

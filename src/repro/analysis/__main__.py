@@ -7,9 +7,10 @@ Usage::
 
 With no paths the standard layout (``src``, ``tests``, ``benchmarks``,
 ``examples`` — whichever exist under the current directory) is analyzed.
-Exit status is 0 when no unsuppressed finding remains, 1 otherwise;
-``--output`` writes the JSON report (the CI artifact) regardless of the
-chosen stdout format.
+Exit status is 0 when no unsuppressed finding remains, 1 otherwise, and 2
+(with one ``error: …`` line) for an unknown ``--rules`` code or a path that
+does not exist; ``--output`` writes the JSON report (the CI artifact)
+regardless of the chosen stdout format.
 """
 
 from __future__ import annotations
@@ -60,10 +61,18 @@ def main(argv: list[str] | None = None) -> int:
         if arguments.rules
         else None
     )
-    rules = all_rules(codes)
+    try:
+        rules = all_rules(codes)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     paths = arguments.paths or [path for path in _DEFAULT_PATHS if Path(path).exists()]
     if not paths:
         parser.error("no paths given and none of the default paths exist")
+    missing = [path for path in paths if not Path(path).exists()]
+    if missing:
+        print(f"error: no such file or directory: {', '.join(missing)}", file=sys.stderr)
+        return 2
     report = analyze_paths(paths, rules)
 
     if arguments.output is not None:

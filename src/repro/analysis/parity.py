@@ -3,8 +3,8 @@
 Every fast path in this repo ships with a reference oracle and a parity
 test pinning the two bit-identical: the vectorized kernel against the
 per-job loop, the heap dispatch engine against the loop engine, the
-frontier search against the full grid, the thread/process executors
-against serial, the shm/mmap trace backends against in-memory, and the
+frontier search against the full grid, the process executor against
+serial, the mmap trace backend against in-memory, and the
 reactive/predictive controller policies against always-on.  That
 discipline only survives if *adding* a fast path without its parity
 test fails CI — which is what this rule does.
@@ -97,18 +97,18 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         module="repro.concurrency",
         selector="EXECUTORS",
         oracle="serial",
-        members=("serial", "thread", "process"),
+        members=("serial", "process"),
         import_evidence=("repro.concurrency", "repro.cluster.farm"),
-        description="thread/process fan-out executors vs serial oracle",
+        description="process fan-out executor vs serial oracle",
     ),
     ParityContract(
         name="trace-backend",
         module="repro.workloads.storage",
         selector="TRACE_BACKENDS",
         oracle="memory",
-        members=("memory", "shm", "mmap"),
+        members=("memory", "mmap"),
         import_evidence=("repro.workloads.storage", "trace_backend"),
-        description="shared-memory/mmap trace arenas vs in-memory arrays",
+        description="memory-mapped trace arena vs in-memory arrays",
     ),
     ParityContract(
         name="controller-policy",
@@ -124,7 +124,7 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         module="repro.campaigns.engine",
         selector="CAMPAIGN_EXECUTORS",
         oracle="serial",
-        members=("serial", "thread", "process"),
+        members=("serial", "process"),
         import_evidence=("repro.campaigns",),
         description="campaign cell fan-out executors vs serial oracle",
     ),

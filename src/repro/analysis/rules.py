@@ -191,14 +191,13 @@ _BOUNDARY_CALLEES = frozenset(
     {
         "ServerSpec",
         "ServerShardTask",
-        "SharedServerShardTask",
         "PerIndexFactory",
-        "ClusterRuntime",
+        "homogeneous",
     }
 )
 
 _EXECUTOR_FACTORIES = frozenset(
-    {"ProcessExecutor", "ThreadExecutor", "SerialExecutor", "resolve_executor"}
+    {"ProcessExecutor", "SerialExecutor", "resolve_executor"}
 )
 
 _EXECUTORISH_NAME = re.compile(r"executor|pool", re.IGNORECASE)
@@ -234,8 +233,8 @@ class PicklabilityRule(Rule):
       (everywhere — the executor behind those calls is the caller's
       choice);
     * outside tests, the same passed to a shard-context constructor
-      (``ServerSpec``, ``ClusterRuntime``, ``PerIndexFactory``, the
-      shard-task classes) — tests may build serial-only farms with local
+      (``ServerSpec``, ``ServerFarm.homogeneous``, ``PerIndexFactory``,
+      ``ServerShardTask``) — tests may build serial-only farms with local
       factories, library/benchmark/example code must stay
       process-ready;
     * in library code, a ``lambda`` stored as a class attribute, as a

@@ -32,9 +32,9 @@ from repro.campaigns.spec import (
 from repro.campaigns.store import CampaignStore, make_cell_record
 
 #: Executors campaign fan-out is pinned across: ``serial`` is the oracle,
-#: ``thread`` and ``process`` must produce byte-identical cell records
-#: (REP003 contract ``campaign-executor``).
-CAMPAIGN_EXECUTORS = ("serial", "thread", "process")
+#: ``process`` must produce byte-identical cell records (REP003 contract
+#: ``campaign-executor``).
+CAMPAIGN_EXECUTORS = ("serial", "process")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Multi-server scale-out substrate (the paper's future-work direction).
 
-Homogeneous farms run through :class:`ClusterRuntime`; heterogeneous farms
-(mixed platforms, per-server policy managers) through :class:`ServerFarm`
-with one :class:`ServerSpec` per server.  Dispatchers decide which server
+Every farm is a :class:`ServerFarm` with one :class:`ServerSpec` per server
+(mixed platforms, per-server policy managers); :meth:`ServerFarm.homogeneous`
+builds the identical-servers case.  Dispatchers decide which server
 each arriving job lands on (see :mod:`repro.cluster.dispatch`), and an
 optional :class:`FarmController` right-sizes the awake server set across
 epochs (see :mod:`repro.cluster.controller`).  Multi-tenant QoS — per-class
@@ -37,7 +37,6 @@ from repro.cluster.dispatch import (
     validate_engine,
 )
 from repro.cluster.farm import (
-    ClusterRuntime,
     FarmResult,
     PerIndexFactory,
     ServerFarm,
@@ -70,7 +69,6 @@ __all__ = [
     "FARM_QOS_MODES",
     "TENANT_DISPATCH_KINDS",
     "AlwaysOnPolicy",
-    "ClusterRuntime",
     "CompositeQosConstraint",
     "ControllerSchedule",
     "FarmController",

@@ -7,42 +7,44 @@ the single-server :class:`~repro.core.runtime.SleepScaleRuntime` does.  The
 farm result aggregates the per-server outcomes into farm-level power and
 latency metrics.
 
-Two runtimes share this machinery:
+:class:`ServerFarm` takes an explicit list of :class:`ServerSpec` entries,
+each carrying its own platform power model, policy-management strategy (and
+therefore its own :class:`~repro.core.policy_manager.PolicyManager`),
+predictor, runtime config, service-scaling rule and dispatch-visible
+frequency ceiling.  Mixing e.g. Xeon- and Atom-class servers behind a
+:class:`~repro.cluster.dispatch.PowerAwareDispatcher` is the substrate for the
+energy-proportionality scenarios in :mod:`repro.scenarios`;
+:meth:`ServerFarm.homogeneous` builds ``n`` identical servers from per-index
+strategy/predictor factories.
 
-* :class:`ClusterRuntime` — the original *homogeneous* farm: one power model,
-  one runtime config, and per-index strategy/predictor factories, replicated
-  across ``num_servers`` identical servers;
-* :class:`ServerFarm` — the *heterogeneous* generalisation: an explicit list
-  of :class:`ServerSpec` entries, each carrying its own platform power model,
-  policy-management strategy (and therefore its own
-  :class:`~repro.core.policy_manager.PolicyManager`), predictor, runtime
-  config, service-scaling rule and dispatch-visible frequency ceiling.
-  Mixing e.g. Xeon- and Atom-class servers behind a
-  :class:`~repro.cluster.dispatch.PowerAwareDispatcher` is the substrate for
-  the energy-proportionality scenarios in :mod:`repro.scenarios`.
+Execution model — one pipeline:
 
-Execution model: the dispatcher assigns every job to a server *first* (from
-arrival times and nominal service demands only — the front end cannot see
-DVFS or sleep decisions), then each server's epoch loop runs independently
-over its sub-stream, optionally fanned out over a thread pool
-(``max_workers``) or sharded across worker processes
-(``executor="process"``, via picklable :class:`ServerShardTask`s); all
-execution paths produce bit-identical :class:`FarmResult`s.
-The work-tracking dispatchers receive each server's *dispatch speed* —
-derived from its :class:`ServerSpec` service scaling and frequency ceiling —
-so heterogeneous farms route on estimated finish times rather than raw
-demand seconds.  Because each server is managed independently (no
-coordination), the per-epoch policy-search overhead scales linearly with the
-number of servers — the "controlling the overall queuing simulation
-overhead" concern the paper raises — which the ablation benchmark quantifies
-through the recorded wall-clock cost per run.
+1. an *assignment* (job → server) comes from the dispatcher, from the
+   controller's per-regime masked dispatch, or chunk by chunk from the
+   dispatcher's streaming assigner (the front end sees arrival times and
+   nominal service demands only — never DVFS or sleep decisions);
+2. :func:`group_by_server` splits the jobs into per-server contiguous ranges
+   with one stable argsort, so each server keeps its jobs in arrival order;
+3. each server's epoch loop runs over its range — in the caller
+   (``executor="serial"``), or sharded across worker processes
+   (``executor="process"``) as picklable :class:`ServerShardTask`\\ s.
 
-Streaming farm runs: with ``chunk_jobs`` set (field or ``run`` argument) the
-farm dispatches and feeds per-server epoch loops in arrival-ordered chunks
-through :class:`~repro.core.runtime.RuntimeSession`, never materialising all
-per-server job arrays at once — million-job traces stream through in
-bounded memory and produce results identical to the one-shot path (pinned
-by ``tests/cluster/test_farm_streaming.py``).
+Both executors and both trace backends produce bit-identical
+:class:`FarmResult`\\ s.  The work-tracking dispatchers receive each server's
+*dispatch speed* — derived from its :class:`ServerSpec` service scaling and
+frequency ceiling — so heterogeneous farms route on estimated finish times
+rather than raw demand seconds.  Because each server is managed
+independently (no coordination), the per-epoch policy-search overhead scales
+linearly with the number of servers — the "controlling the overall queuing
+simulation overhead" concern the paper raises — which the ablation benchmark
+quantifies through the recorded wall-clock cost per run.
+
+Streaming farm runs: with ``chunk_jobs`` set (field or ``run`` argument) a
+serial farm dispatches and feeds per-server epoch loops in arrival-ordered
+chunks through :class:`~repro.core.runtime.RuntimeSession`, never
+materialising all per-server job arrays at once — million-job traces stream
+through in bounded memory and produce results identical to the one-shot path
+(pinned by ``tests/cluster/test_farm_streaming.py``).
 
 Farm-level QoS: each server derives its response-time budget from its own
 ``rho_b``; the farm reports against the *strictest* (smallest) per-server
@@ -57,6 +59,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -70,17 +73,12 @@ from repro.cluster.tenancy import (
     FarmQos,
     TenancyAccounting,
     TenantOutcome,
+    farm_qos_type_error,
     tenant_outcomes,
 )
-from repro.concurrency import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    resolve_executor,
-)
+from repro.concurrency import Executor, ProcessExecutor, resolve_executor
 from repro.core.epoch import RuntimeResult
 from repro.core.runtime import RuntimeConfig, RuntimeSession, SleepScaleRuntime
-from repro.core.qos import QosConstraint
 from repro.core.search import CharacterizationCache
 from repro.core.strategies import PowerManagementStrategy
 from repro.exceptions import ConfigurationError
@@ -94,7 +92,6 @@ from repro.workloads.spec import WorkloadSpec
 from repro.workloads.storage import (
     TRACE_BACKEND_MEMORY,
     TRACE_BACKEND_MMAP,
-    ArenaReader,
     ArrayDescriptor,
     SharedTraceArena,
     is_mmap_backed,
@@ -119,8 +116,8 @@ class PerIndexFactory:
     Unlike the ``lambda index=index: factory(index)`` closure it replaces,
     an instance is *picklable* whenever the wrapped factory is (a module
     level function, ``functools.partial`` of one, or a factory dataclass),
-    which is what lets :meth:`ClusterRuntime.as_server_farm` farms run on
-    the process executor.
+    which is what lets :meth:`ServerFarm.homogeneous` farms run on the
+    process executor.
     """
 
     factory: Callable[[int], object]
@@ -157,43 +154,23 @@ class ServerShardTask:
     run bit for bit: the full :class:`ServerSpec` (its factories must be
     picklable — the built-in scenario factories and
     :class:`PerIndexFactory` are), the farm-wide workload spec, this
-    server's dispatched sub-stream, and whether the farm carries a shared
-    characterisation cache.  The cache itself cannot cross the process
-    boundary (it is a lock-guarded LRU), so each worker process attaches
-    its own (:func:`_process_local_cache`); cached values are exact, keyed
-    by full identity, hence per-process caching cannot change results —
-    only hit rates.
-    """
-
-    server: ServerSpec
-    spec: WorkloadSpec
-    jobs: JobTrace
-    use_cache: bool
-
-
-@dataclass(frozen=True)
-class SharedServerShardTask:
-    """Zero-copy process shard: descriptors instead of the sub-stream.
-
-    The shared-memory counterpart of :class:`ServerShardTask` (the farm
-    picks between them by ``trace_backend``): the parent gathers the trace
-    into stable server-grouped order and publishes the grouped
-    arrival/demand arrays into a
-    :class:`~repro.workloads.storage.SharedTraceArena` *once*; each shard
-    task then carries two constant-size
-    :class:`~repro.workloads.storage.ArrayDescriptor`\\ s narrowed to its
-    server's contiguous range.  Pickling a shard is therefore O(1) in the
-    trace length instead of O(jobs-on-server), and the worker materialises
-    its sub-stream with a straight contiguous copy — no worker-side gather.
-    The grouped range holds the same float values, in the same order, as
-    the memory path's boolean-mask dispatch, hence bit-identical results.
+    server's jobs, and whether the farm carries a shared characterisation
+    cache.  The jobs are either the server's grouped array slices
+    (``trace_backend="memory"``, pickled with the task) or two
+    constant-size :class:`~repro.workloads.storage.ArrayDescriptor`\\ s
+    narrowed to the server's range of the published grouped arrays
+    (``"mmap"``), which the worker copies out contiguously.  The cache
+    itself cannot cross the process boundary (it is a lock-guarded LRU),
+    so each worker process attaches its own (:func:`_process_local_cache`);
+    cached values are exact, keyed by full identity, hence per-process
+    caching cannot change results — only hit rates.
     """
 
     server: ServerSpec
     spec: WorkloadSpec
     use_cache: bool
-    arrivals: ArrayDescriptor
-    demands: ArrayDescriptor
+    arrivals: np.ndarray | ArrayDescriptor
+    demands: np.ndarray | ArrayDescriptor
 
 
 #: LRU bounds of the per-worker-process characterisation cache.  A pool
@@ -219,10 +196,8 @@ def _process_local_cache() -> CharacterizationCache:
     return _PROCESS_CACHE
 
 
-def _run_shard(
-    server: ServerSpec, spec: WorkloadSpec, jobs: JobTrace, use_cache: bool
-) -> RuntimeResult:
-    """Run one server's epoch loop in a worker (shared by both shard kinds).
+def run_server_shard(task: ServerShardTask) -> RuntimeResult:
+    """Run one server's epoch loop over its shard (process-pool work fn).
 
     When the worker-local cache is in play, the shard's hit/miss deltas are
     folded into ``RuntimeResult.extra`` (``process_cache_*`` keys), so the
@@ -230,9 +205,15 @@ def _run_shard(
     dies with the worker.  The counters are observability only; they never
     feed back into results.
     """
-    cache = _process_local_cache() if use_cache else None
+    arrivals, demands = task.arrivals, task.demands
+    if isinstance(arrivals, ArrayDescriptor):
+        arrivals = arrivals.load()
+    if isinstance(demands, ArrayDescriptor):
+        demands = demands.load()
+    jobs = JobTrace.from_validated_arrays(arrivals, demands)
+    cache = _process_local_cache() if task.use_cache else None
     before = cache.stats.as_dict() if cache is not None else None
-    runtime = _build_server_runtime(server, spec, cache)
+    runtime = _build_server_runtime(task.server, task.spec, cache)
     result = runtime.run(jobs)
     if cache is not None and before is not None:
         after = cache.stats.as_dict()
@@ -243,46 +224,37 @@ def _run_shard(
     return result
 
 
-def run_server_shard(task: ServerShardTask) -> RuntimeResult:
-    """Run one server's epoch loop over its shard (process-pool work fn)."""
-    return _run_shard(task.server, task.spec, task.jobs, task.use_cache)
+def group_by_server(
+    assignment: np.ndarray, num_servers: int, *arrays: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], list[slice | None]]:
+    """Gather *arrays* into server-grouped order with one stable argsort.
 
-
-def run_shared_server_shard(task: SharedServerShardTask) -> RuntimeResult:
-    """Zero-copy process-pool work fn: resolve descriptors, then run.
-
-    ``load`` copies this server's contiguous grouped range into private
-    worker memory (exactly the arrays the memory path would have pickled
-    over), so the reader detaches before the epoch loop runs — no shared
-    buffer outlives the ``with`` block, and the parent's unlink can never
-    invalidate arrays mid-simulation.
+    Returns the grouped copies of *arrays* and, per server, the slice of
+    its contiguous range in them (``None`` for a server with no jobs).  The
+    argsort is stable, so within each server the jobs keep their order:
+    ``grouped[k][ranges[s]]`` equals ``arrays[k][assignment == s]`` bit for
+    bit.  This is the farm's only per-server split — one-shot, controlled,
+    chunked and process-sharded runs all go through it.
     """
-    with ArenaReader() as reader:
-        arrivals = reader.load(task.arrivals)
-        demands = reader.load(task.demands)
-    jobs = JobTrace.from_validated_arrays(arrivals, demands)
-    return _run_shard(task.server, task.spec, jobs, task.use_cache)
+    counts = np.bincount(assignment, minlength=num_servers).tolist()
+    order = np.argsort(assignment, kind="stable")
+    grouped = tuple(array[order] for array in arrays)
+    ranges: list[slice | None] = []
+    start = 0
+    for count in counts:
+        ranges.append(slice(start, start + count) if count else None)
+        start += count
+    return grouped, ranges
 
 
-def _run_runtime_on_stream(
-    pair: "tuple[SleepScaleRuntime, JobTrace]",
-) -> RuntimeResult:
-    """Thread/serial fan-out work fn: run one prebuilt runtime on its stream."""
-    runtime, stream = pair
-    return runtime.run(stream)
-
-
-def _feed_session(
-    item: "tuple[RuntimeSession, np.ndarray, np.ndarray]",
-) -> None:
-    """Chunked-run fan-out work fn: feed one chunk into one session."""
-    session, chunk_arrivals, chunk_demands = item
-    session.feed(chunk_arrivals, chunk_demands)
-
-
-def _finish_session(session: RuntimeSession) -> RuntimeResult:
-    """Chunked-run fan-out work fn: close one streaming session."""
-    return session.finish()
+def _take(
+    source: np.ndarray | ArrayDescriptor, bounds: slice | None
+) -> np.ndarray | ArrayDescriptor:
+    """One server's range of a grouped array or of its published descriptor."""
+    assert bounds is not None
+    if isinstance(source, ArrayDescriptor):
+        return source.narrow(bounds.start, bounds.stop - bounds.start)
+    return source[bounds]
 
 
 def prorated_idle_energy(
@@ -453,11 +425,13 @@ class FarmResult:
         """
         assert self.tenancy is not None
         assignment = self.tenancy.assignment
+        (positions,), ranges = group_by_server(
+            assignment, self.num_servers, np.arange(assignment.size)
+        )
         response_times = np.empty(assignment.size, dtype=float)
-        for server, result in enumerate(self.per_server):
-            if result is None:
-                continue
-            response_times[assignment == server] = result.response_times
+        for result, bounds in zip(self.per_server, ranges, strict=True):
+            if result is not None and bounds is not None:
+                response_times[positions[bounds]] = result.response_times
         return response_times
 
     def tenant_rows(self) -> tuple[TenantOutcome, ...]:
@@ -600,7 +574,8 @@ class ServerSpec:
         Zero-argument callables producing this server's strategy and
         predictor.  Called once per :meth:`ServerFarm.run`; each call must
         return a *fresh* object so per-server state (policy-manager RNGs, LMS
-        weights) is never shared across servers or threads.
+        weights) is never shared across servers.  Process-sharded farms
+        pickle them, so they must then be picklable too.
     config:
         This server's runtime configuration (epoch length, ``rho_b``,
         over-provisioning guard band).
@@ -669,34 +644,33 @@ class ServerFarm:
         Work-tracking dispatchers receive :attr:`dispatch_speeds` so their
         backlog estimates are speed-aware on heterogeneous farms.
     max_workers:
-        Pool size for the per-server epoch loops (thread pool by default
-        when > 1; see ``executor``).  Results are identical to the serial
-        run because no state is shared between servers.
+        Worker-process count for the per-server epoch loops; ``> 1`` with
+        ``executor=None`` selects the process executor.  Results are
+        identical to the serial run because no state is shared between
+        servers.
     executor:
-        How the per-server epoch loops execute: ``None`` keeps the
-        historical behaviour (thread pool iff ``max_workers > 1``),
-        ``"serial"``/``"thread"``/``"process"`` select explicitly, and any
+        How the per-server epoch loops execute: ``None`` picks by
+        ``max_workers`` (process pool iff ``> 1``), ``"serial"``/
+        ``"process"`` select explicitly, and an
         :class:`~repro.concurrency.Executor` instance is used as-is.  The
         process executor shards the farm across worker processes via
-        picklable :class:`ServerShardTask`s — every ``ServerSpec`` factory
-        must then be picklable — and produces bit-identical results to the
-        serial and thread paths (pinned by
+        picklable :class:`ServerShardTask`\\ s — every ``ServerSpec``
+        factory must then be picklable — and produces bit-identical results
+        to the serial path (pinned by
         ``tests/cluster/test_executor_parity.py``).
     chunk_jobs:
         When set, :meth:`run` streams the trace through the farm in
         arrival-ordered chunks of this many jobs (see :meth:`run`).
     trace_backend:
-        Where the trace's arrays live while the farm runs (``"memory"``,
-        ``"shm"``, ``"mmap"`` — see :mod:`repro.workloads.storage`).  With
-        ``"shm"`` or ``"mmap"``, the process executor switches to zero-copy
-        sharding: the trace (and the server-grouped job order) is published
-        into a :class:`~repro.workloads.storage.SharedTraceArena` once and
-        shard tasks carry constant-size descriptors instead of pickled
-        sub-streams.  ``"mmap"`` additionally spills an in-memory trace to
-        a temporary ``.npy`` file and memory-maps it, so the farm's working
-        arrays live on disk (traces loaded via
+        Where the trace's arrays live while the farm runs (``"memory"`` or
+        ``"mmap"`` — see :mod:`repro.workloads.storage`).  ``"mmap"``
+        spills an in-memory trace to a temporary ``.npy`` file and
+        memory-maps it, so the farm's working arrays live on disk (traces
+        loaded via
         :meth:`JobTrace.from_file(mmap=True) <repro.workloads.jobs.JobTrace.from_file>`
-        are used as-is).  The backend is result-invisible: all backends
+        are used as-is); process shards then carry constant-size
+        descriptors into a :class:`~repro.workloads.storage.SharedTraceArena`
+        instead of pickled arrays.  The backend is result-invisible: both
         produce bit-identical :class:`FarmResult`\\ s.
     search_cache:
         Optional :class:`~repro.core.search.CharacterizationCache` shared
@@ -705,7 +679,8 @@ class ServerFarm:
         sound — cache keys carry the full trace/space/power-model/QoS
         identity — and pays off for servers with identical spec, QoS and
         candidate space, whose repeated characterisations collapse to one.
-        The cache is thread-safe, so it composes with ``max_workers``.
+        Process shards cannot carry it; each worker process attaches a
+        bounded cache of its own instead.
     controller:
         Optional :class:`~repro.cluster.controller.FarmController` for
         farm-level dynamic right-sizing: before dispatch, the controller
@@ -722,10 +697,8 @@ class ServerFarm:
         that replaces the historically scattered per-call qos plumbing.
         ``None`` and ``FarmQos.strictest()`` keep the historic behaviour
         bit-for-bit (the farm's budget stays the strictest per-server
-        budget); a bare :class:`~repro.core.qos.QosConstraint` is wrapped
-        into ``FarmQos.strictest(constraint)`` (deprecation shim);
-        ``FarmQos.per_tenant(...)`` enables per-class accounting — the
-        result then carries per-tenant latency rows and SLA verdicts.
+        budget); ``FarmQos.per_tenant(...)`` enables per-class accounting —
+        the result then carries per-tenant latency rows and SLA verdicts.
         Per-tenant mode is result-invisible at farm level: budget, energy
         and ``meets_budget`` are computed exactly as without it.
     """
@@ -739,7 +712,7 @@ class ServerFarm:
     trace_backend: str = TRACE_BACKEND_MEMORY
     search_cache: CharacterizationCache | None = None
     controller: FarmController | None = None
-    qos: FarmQos | QosConstraint | None = field(default=None, kw_only=True)
+    qos: FarmQos | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         if not self.servers:
@@ -751,15 +724,8 @@ class ServerFarm:
                 "controller must be a FarmController or None, got "
                 f"{type(self.controller).__name__}"
             )
-        if isinstance(self.qos, QosConstraint):
-            # Deprecation shim: a bare constraint means the historic
-            # single-budget behaviour, made explicit.
-            self.qos = FarmQos.strictest(self.qos)
-        elif self.qos is not None and not isinstance(self.qos, FarmQos):
-            raise ConfigurationError(
-                "qos must be a FarmQos, a QosConstraint (wrapped into "
-                f"FarmQos.strictest) or None, got {type(self.qos).__name__}"
-            )
+        if self.qos is not None and not isinstance(self.qos, FarmQos):
+            raise ConfigurationError(farm_qos_type_error(self.qos))
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigurationError(
                 f"max_workers must be at least 1, got {self.max_workers}"
@@ -777,6 +743,43 @@ class ServerFarm:
             raise ConfigurationError(
                 f"server names must be unique, got {names}"
             )
+
+    @classmethod
+    def homogeneous(
+        cls,
+        num_servers: int,
+        power_model: ServerPowerModel,
+        spec: WorkloadSpec,
+        strategy_factory: StrategyFactory,
+        predictor_factory: PredictorFactory,
+        *,
+        config: RuntimeConfig | None = None,
+        scaling: ServiceScaling | None = None,
+        max_frequency: float = 1.0,
+        **farm_fields: Any,
+    ) -> ServerFarm:
+        """A farm of ``num_servers`` identical servers named ``server-<i>``.
+
+        Every server shares *power_model*, *config*, *scaling* and
+        *max_frequency*; the per-index factories are called with the server
+        index and frozen per slot into :class:`PerIndexFactory` objects, so
+        the farm stays picklable for the process executor whenever the
+        factories are.  *farm_fields* (``dispatcher``, ``executor``,
+        ``chunk_jobs``, ``qos``, ...) are passed to the constructor.
+        """
+        servers = tuple(
+            ServerSpec(
+                name=f"server-{index}",
+                power_model=power_model,
+                strategy_factory=PerIndexFactory(strategy_factory, index),
+                predictor_factory=PerIndexFactory(predictor_factory, index),
+                config=config if config is not None else RuntimeConfig(),
+                scaling=scaling,
+                max_frequency=max_frequency,
+            )
+            for index in range(num_servers)
+        )
+        return cls(servers=servers, spec=spec, **farm_fields)
 
     @property
     def num_servers(self) -> int:
@@ -809,29 +812,6 @@ class ServerFarm:
 
     def _resolve_executor(self) -> Executor:
         return resolve_executor(self.executor, self.max_workers)
-
-    def _shard_task(self, index: int, stream: JobTrace) -> ServerShardTask:
-        return ServerShardTask(
-            server=self.servers[index],
-            spec=self.spec,
-            jobs=stream,
-            use_cache=self.search_cache is not None,
-        )
-
-    def _validate_fresh_instances(
-        self, runtimes: Sequence[SleepScaleRuntime]
-    ) -> None:
-        """Threaded runs require per-server strategy/predictor objects."""
-        for label, instances in (
-            ("strategy", [runtime._strategy for runtime in runtimes]),
-            ("predictor", [runtime._predictor for runtime in runtimes]),
-        ):
-            if len({id(instance) for instance in instances}) != len(instances):
-                raise ConfigurationError(
-                    f"the {label} factory must return a fresh object per "
-                    "server when max_workers > 1; a shared instance "
-                    "would race across server threads"
-                )
 
     def _idle_energies(
         self,
@@ -977,7 +957,8 @@ class ServerFarm:
         across chunks and every server consumes its share through a
         :class:`~repro.core.runtime.RuntimeSession`, so no per-server copy
         of the whole stream ever exists.  Chunked and one-shot runs produce
-        identical results.
+        identical results, so controlled and process-sharded runs, which
+        need the whole assignment up front, ignore ``chunk_jobs``.
         """
         if chunk_jobs is None:
             chunk_jobs = self.chunk_jobs
@@ -1012,31 +993,43 @@ class ServerFarm:
         # Fail fast on a per-tenant farm fed a mislabelled trace, whatever
         # run path is about to execute.
         self._tenant_labels(jobs)
-        if self.controller is not None:
-            # The controller's schedule is a pure function of the full
-            # trace, and chunked runs are pinned identical to one-shot runs
-            # anyway, so controlled runs always take the one-shot path.
-            return self._run_controlled(jobs)
-        if chunk_jobs is not None and chunk_jobs < len(jobs):
-            if isinstance(self._resolve_executor(), ProcessExecutor):
-                # Process sharding ships each server's whole sub-stream
-                # across the process boundary once; feeding chunk by chunk
-                # would serialise every chunk separately for no memory win
-                # (the parent materialises the shards either way).  Chunked
-                # and one-shot runs are pinned identical, so fall through.
-                return self._run_one_shot(jobs)
+        executor = self._resolve_executor()
+        if (
+            chunk_jobs is not None
+            and chunk_jobs < len(jobs)
+            and self.controller is None
+            and not isinstance(executor, ProcessExecutor)
+        ):
             return self._run_chunked(jobs, chunk_jobs)
-        return self._run_one_shot(jobs)
+        # Everything else runs one-shot: the controller's schedule is a pure
+        # function of the full trace, and process sharding ships each
+        # server's whole range across the process boundary once (chunked
+        # and one-shot runs are pinned identical, so nothing is lost).
+        schedule: ControllerSchedule | None = None
+        setup_energy = 0.0
+        if self.controller is None:
+            assignment = self.dispatcher.validated_assignment(
+                jobs, self.num_servers, server_speeds=self.dispatch_speeds
+            )
+        else:
+            schedule, assignment, setup_energy = self._controlled_assignment(jobs)
+        return self._assemble_result(
+            self._per_server_results(executor, jobs, assignment),
+            schedule=schedule,
+            setup_energy=setup_energy,
+            jobs=jobs,
+            assignment=assignment,
+        )
 
-    def _run_controlled(self, jobs: JobTrace) -> FarmResult:
-        """One-shot run under the farm controller's awake/park schedule.
+    def _controlled_assignment(
+        self, jobs: JobTrace
+    ) -> tuple[ControllerSchedule, np.ndarray, float]:
+        """Plan the controller's awake/park schedule and dispatch under it.
 
-        Plan first (pure function of the trace), mask dispatch to the
-        schedule's serviceable regimes, then execute the per-server shards
-        exactly as an uncontrolled run would — the same
-        :meth:`_per_server_results` machinery serves every executor and
-        trace backend, which is what makes the setup-free always-on
-        controller bit-identical to no controller at all.
+        Returns the schedule, the assignment masked to each regime's
+        serviceable servers, and the wake setup energy.  Execution is then
+        exactly an uncontrolled run's, which is what makes the setup-free
+        always-on controller bit-identical to no controller at all.
         """
         controller = self.controller
         assert controller is not None
@@ -1069,7 +1062,6 @@ class ServerFarm:
             num_servers=self.num_servers,
             server_speeds=self.dispatch_speeds,
         )
-        per_server = self._per_server_results(jobs, assignment)
         setup_energy = sum(
             schedule.wake_counts[index]
             * controller.setup.transition_energy(
@@ -1077,149 +1069,88 @@ class ServerFarm:
             )
             for index in range(self.num_servers)
         )
-        return self._assemble_result(
-            per_server,
-            schedule=schedule,
-            setup_energy=setup_energy,
-            jobs=jobs,
-            assignment=assignment,
-        )
-
-    def _run_one_shot(self, jobs: JobTrace) -> FarmResult:
-        assignment = self.dispatcher.validated_assignment(
-            jobs, self.num_servers, server_speeds=self.dispatch_speeds
-        )
-        return self._assemble_result(
-            self._per_server_results(jobs, assignment),
-            jobs=jobs,
-            assignment=assignment,
-        )
+        return schedule, assignment, setup_energy
 
     def _per_server_results(
-        self, jobs: JobTrace, assignment: np.ndarray
+        self, executor: Executor, jobs: JobTrace, assignment: np.ndarray
     ) -> list[RuntimeResult | None]:
-        """Run every server's epoch loop for one validated assignment.
+        """Run every server's epoch loop over its range of one assignment.
 
-        The assignment → execution split lets the controlled and
-        uncontrolled paths share every executor/backend combination: only
-        *how the assignment is computed* differs between them.
+        The process executor ships :class:`ServerShardTask`\\ s; any other
+        executor maps :meth:`_run_server` in this process, so every runtime
+        attaches the farm's own search cache.
         """
-        if self.trace_backend != TRACE_BACKEND_MEMORY and isinstance(
-            self._resolve_executor(), ProcessExecutor
-        ):
-            return self._process_zero_copy_results(jobs, assignment)
-        # A boolean mask preserves order, so the masked views of a
-        # validated trace still satisfy every invariant: trusted ctor.
-        # (This is exactly the split JobDispatcher.dispatch performs.)
-        streams: list[JobTrace | None] = []
-        for server in range(self.num_servers):
-            mask = assignment == server
-            if not np.any(mask):
-                streams.append(None)
-                continue
-            streams.append(
-                JobTrace.from_validated_arrays(
-                    jobs.arrival_times[mask], jobs.service_demands[mask]
-                )
-            )
-        per_server: list[RuntimeResult | None] = [None] * len(streams)
-        active = [
-            (index, stream)
-            for index, stream in enumerate(streams)
-            if stream is not None
-        ]
+        grouped, ranges = group_by_server(
+            assignment, self.num_servers, jobs.arrival_times, jobs.service_demands
+        )
+        active = [index for index, bounds in enumerate(ranges) if bounds is not None]
         if not active:
             raise ConfigurationError("no server received any job")
-        executor = self._resolve_executor()
         if isinstance(executor, ProcessExecutor):
-            # Worker processes rebuild each server's runtime from its
-            # picklable spec, so nothing mutable crosses the boundary.
-            results = executor.map(
-                run_server_shard,
-                [self._shard_task(index, stream) for index, stream in active],
-            )
+            results = self._run_shards(executor, grouped, ranges, active)
         else:
-            # Build the runtimes up front (in the caller's thread) so the
-            # threaded path can check the factories actually hand out
-            # per-server state instead of silently racing on a shared object.
-            runtimes = [self._build_runtime(index) for index, _ in active]
-            if not isinstance(executor, SerialExecutor):
-                self._validate_fresh_instances(runtimes)
+            arrivals, demands = grouped
+            # A grouped range keeps arrival order: trusted constructor.
             results = executor.map(
-                _run_runtime_on_stream,
+                self._run_server,
                 [
-                    (runtime, stream)
-                    for runtime, (_, stream) in zip(runtimes, active, strict=True)
+                    (
+                        index,
+                        JobTrace.from_validated_arrays(
+                            arrivals[ranges[index]], demands[ranges[index]]
+                        ),
+                    )
+                    for index in active
                 ],
             )
-        for (index, _), result in zip(active, results, strict=True):
-            per_server[index] = result
-        return per_server
-
-    def _process_zero_copy_results(
-        self, jobs: JobTrace, assignment: np.ndarray
-    ) -> list[RuntimeResult | None]:
-        """One-shot process sharding through a shared-trace arena.
-
-        Instead of materialising per-server :class:`JobTrace` copies and
-        pickling each into its shard (O(trace) serialised bytes per farm),
-        the parent gathers the trace into server-grouped order, publishes
-        the grouped arrays once, and ships constant-size descriptors
-        narrowed to each server's contiguous range.  Grouping uses a
-        *stable* argsort of the assignment, so within each server the jobs
-        keep arrival order — the grouped range for server ``s`` is exactly
-        ``arrivals[np.nonzero(assignment == s)]``, making the worker-side
-        contiguous copies bit-identical to the memory path's masked copies
-        (hence bit-identical ``FarmResult``\\ s).
-        """
-        counts = np.bincount(assignment, minlength=self.num_servers)
-        active = [
-            index for index in range(self.num_servers) if counts[index] > 0
-        ]
-        if not active:
-            raise ConfigurationError("no server received any job")
-        order = np.argsort(assignment, kind="stable")
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        executor = self._resolve_executor()
-        use_cache = self.search_cache is not None
-        with contextlib.ExitStack() as stack:
-            directory = (
-                stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro_arena_")
-                )
-                if self.trace_backend == TRACE_BACKEND_MMAP
-                else None
-            )
-            # The with-block guarantees segment unlink on *every* exit —
-            # including a worker crash surfacing as an executor exception.
-            arena = stack.enter_context(
-                SharedTraceArena(self.trace_backend, directory=directory)
-            )
-            arrivals_desc = arena.publish(jobs.arrival_times[order], "arrivals")
-            demands_desc = arena.publish(
-                jobs.service_demands[order], "demands"
-            )
-            tasks = [
-                SharedServerShardTask(
-                    server=self.servers[index],
-                    spec=self.spec,
-                    use_cache=use_cache,
-                    arrivals=arrivals_desc.narrow(
-                        int(offsets[index]), int(counts[index])
-                    ),
-                    demands=demands_desc.narrow(
-                        int(offsets[index]), int(counts[index])
-                    ),
-                )
-                for index in active
-            ]
-            results = executor.map(run_shared_server_shard, tasks)
         per_server: list[RuntimeResult | None] = [None] * self.num_servers
         for index, result in zip(active, results, strict=True):
             per_server[index] = result
         return per_server
 
+    def _run_server(self, item: tuple[int, JobTrace]) -> RuntimeResult:
+        """In-process work fn: build server *index*'s runtime and run it."""
+        index, jobs = item
+        return self._build_runtime(index).run(jobs)
+
+    def _run_shards(
+        self,
+        executor: Executor,
+        grouped: tuple[np.ndarray, ...],
+        ranges: Sequence[slice | None],
+        active: Sequence[int],
+    ) -> list[RuntimeResult]:
+        """Shard the active servers across worker processes.
+
+        Under ``trace_backend="mmap"`` the grouped arrays are published once
+        into a :class:`~repro.workloads.storage.SharedTraceArena` and each
+        task carries descriptors narrowed to its server's range (O(1)
+        pickled bytes per shard); otherwise tasks carry the range slices.
+        The arena's ``with`` block deletes its files on every exit,
+        including a worker crash surfacing as an executor exception.
+        """
+        arrivals: np.ndarray | ArrayDescriptor
+        demands: np.ndarray | ArrayDescriptor
+        with contextlib.ExitStack() as stack:
+            arrivals, demands = grouped
+            if self.trace_backend == TRACE_BACKEND_MMAP:
+                arena = stack.enter_context(SharedTraceArena())
+                arrivals = arena.publish(arrivals, "arrivals")
+                demands = arena.publish(demands, "demands")
+            tasks = [
+                ServerShardTask(
+                    server=self.servers[index],
+                    spec=self.spec,
+                    use_cache=self.search_cache is not None,
+                    arrivals=_take(arrivals, ranges[index]),
+                    demands=_take(demands, ranges[index]),
+                )
+                for index in active
+            ]
+            return executor.map(run_server_shard, tasks)
+
     def _run_chunked(self, jobs: JobTrace, chunk_jobs: int) -> FarmResult:
+        """Stream *jobs* through the farm in arrival-ordered chunks, serially."""
         assigner = self.dispatcher.assigner(
             self.num_servers,
             server_speeds=self.dispatch_speeds,
@@ -1236,14 +1167,7 @@ class ServerFarm:
             isinstance(self.qos, FarmQos) and self.qos.is_per_tenant
         )
         assignment_chunks: list[np.ndarray] = []
-        # One runtime + streaming session per server, created up front so
-        # the freshness validation happens before any thread runs.  (The
-        # process executor never reaches this path — ``run`` routes it to
-        # the one-shot sharding path.)
-        executor = self._resolve_executor()
         runtimes = [self._build_runtime(index) for index in range(self.num_servers)]
-        if not isinstance(executor, SerialExecutor):
-            self._validate_fresh_instances(runtimes)
         sessions: list[RuntimeSession] = [runtime.stream() for runtime in runtimes]
         fed_jobs = [0] * self.num_servers
 
@@ -1270,24 +1194,21 @@ class ServerFarm:
                 assignment_chunks.append(
                     np.asarray(assignment, dtype=np.int64).copy()
                 )
-            targets = np.unique(assignment)
-            work: list[tuple[RuntimeSession, np.ndarray, np.ndarray]] = []
-            for server in targets.tolist():
-                mask = assignment == server
-                work.append(
-                    (sessions[server], chunk_arrivals[mask], chunk_demands[mask])
-                )
-                fed_jobs[server] += int(np.count_nonzero(mask))
-            executor.map(_feed_session, work)
+            (grouped_arrivals, grouped_demands), ranges = group_by_server(
+                assignment, self.num_servers, chunk_arrivals, chunk_demands
+            )
+            for server, bounds in enumerate(ranges):
+                if bounds is not None:
+                    sessions[server].feed(
+                        grouped_arrivals[bounds], grouped_demands[bounds]
+                    )
+                    fed_jobs[server] += bounds.stop - bounds.start
         if not any(fed_jobs):
             raise ConfigurationError("no server received any job")
-        per_server: list[RuntimeResult | None] = [None] * self.num_servers
-        active = [index for index, count in enumerate(fed_jobs) if count > 0]
-        results = executor.map(
-            _finish_session, [sessions[index] for index in active]
-        )
-        for index, result in zip(active, results, strict=True):
-            per_server[index] = result
+        per_server: list[RuntimeResult | None] = [
+            session.finish() if fed else None
+            for session, fed in zip(sessions, fed_jobs, strict=True)
+        ]
         # Parked servers' runtimes were built but never fed — reuse them for
         # the idle accounting instead of invoking the factories again.
         full_assignment = (
@@ -1299,137 +1220,3 @@ class ServerFarm:
             jobs=jobs if keep_assignment else None,
             assignment=full_assignment,
         )
-
-
-@dataclass
-class ClusterRuntime:
-    """Runs one independent SleepScale (or baseline) instance per server.
-
-    Parameters
-    ----------
-    num_servers:
-        Farm size.
-    power_model, spec:
-        Shared (homogeneous) server power model and workload description.
-    strategy_factory, predictor_factory:
-        Called once per server index to create that server's strategy and
-        predictor (each server must own its state).
-    config:
-        Runtime configuration shared by all servers.
-    dispatcher:
-        How arriving jobs are split across servers (round-robin by default).
-    max_workers:
-        When > 1, run the per-server epoch loops on a pool of this size.
-        The factories must return a *fresh* strategy/predictor per server
-        index (validated at run time for the threaded path) so no mutable
-        state is shared across threads; the result is then identical to the
-        serial run regardless of scheduling, and the farm-level
-        policy-search overhead scales with ``num_servers / max_workers``
-        instead of ``num_servers``.
-    executor:
-        Executor for the per-server epoch loops (see :class:`ServerFarm`);
-        ``"process"`` requires the per-index factories themselves to be
-        picklable (module-level functions or factory objects — they are
-        wrapped per slot in picklable :class:`PerIndexFactory` instances).
-    scaling:
-        Service-time/frequency dependence shared by all servers (``None``
-        selects the CPU-bound default).
-    max_frequency:
-        Dispatch-visible frequency ceiling shared by all servers; threaded
-        into every :class:`ServerSpec` by :meth:`as_server_farm` so the
-        work-tracking dispatchers see the same speed model either way.
-    chunk_jobs:
-        When set, farm runs stream the trace in arrival-ordered chunks of
-        this many jobs (see :meth:`ServerFarm.run`).
-    trace_backend:
-        Trace storage backend threaded into the built farm (see
-        :class:`ServerFarm` and :mod:`repro.workloads.storage`).
-    search_cache:
-        Optional characterisation cache shared by every server's strategy
-        (see :class:`ServerFarm`); in a homogeneous cluster all servers
-        have identical spec/QoS/space, the best case for sharing.
-    controller:
-        Optional farm-level right-sizing controller threaded into the
-        built farm (see :class:`ServerFarm` and
-        :mod:`repro.cluster.controller`).
-    qos:
-        Farm-level QoS contract threaded into the built farm (see
-        :class:`ServerFarm`); keyword-only, with the same
-        bare-``QosConstraint`` → ``FarmQos.strictest`` shim.
-    """
-
-    num_servers: int
-    power_model: ServerPowerModel
-    spec: WorkloadSpec
-    strategy_factory: StrategyFactory
-    predictor_factory: PredictorFactory
-    config: RuntimeConfig = field(default_factory=RuntimeConfig)
-    dispatcher: JobDispatcher = field(default_factory=RoundRobinDispatcher)
-    max_workers: int | None = None
-    executor: Executor | str | None = None
-    scaling: ServiceScaling | None = None
-    max_frequency: float = 1.0
-    chunk_jobs: int | None = None
-    trace_backend: str = TRACE_BACKEND_MEMORY
-    search_cache: CharacterizationCache | None = None
-    controller: FarmController | None = None
-    qos: FarmQos | QosConstraint | None = field(default=None, kw_only=True)
-
-    def __post_init__(self) -> None:
-        if self.num_servers < 1:
-            raise ConfigurationError(
-                f"a farm needs at least one server, got {self.num_servers}"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be at least 1, got {self.max_workers}"
-            )
-        resolve_executor(self.executor, self.max_workers)
-        validate_trace_backend(self.trace_backend)
-        if isinstance(self.qos, QosConstraint):
-            self.qos = FarmQos.strictest(self.qos)
-        elif self.qos is not None and not isinstance(self.qos, FarmQos):
-            raise ConfigurationError(
-                "qos must be a FarmQos, a QosConstraint (wrapped into "
-                f"FarmQos.strictest) or None, got {type(self.qos).__name__}"
-            )
-
-    def as_server_farm(self) -> ServerFarm:
-        """The equivalent heterogeneous farm: ``num_servers`` identical specs.
-
-        The per-index factories are frozen into zero-argument
-        :class:`PerIndexFactory` objects per server slot, so running the
-        returned :class:`ServerFarm` is identical to running this cluster
-        directly (and stays picklable for the process executor whenever the
-        per-index factories are).  The shared service scaling and frequency
-        ceiling are threaded into every spec, so speed-aware dispatch sees
-        the same (homogeneous) speed on every server.
-        """
-        servers = tuple(
-            ServerSpec(
-                name=f"server-{index}",
-                power_model=self.power_model,
-                strategy_factory=PerIndexFactory(self.strategy_factory, index),
-                predictor_factory=PerIndexFactory(self.predictor_factory, index),
-                config=self.config,
-                scaling=self.scaling,
-                max_frequency=self.max_frequency,
-            )
-            for index in range(self.num_servers)
-        )
-        return ServerFarm(
-            servers=servers,
-            spec=self.spec,
-            dispatcher=self.dispatcher,
-            max_workers=self.max_workers,
-            executor=self.executor,
-            chunk_jobs=self.chunk_jobs,
-            trace_backend=self.trace_backend,
-            search_cache=self.search_cache,
-            controller=self.controller,
-            qos=self.qos,
-        )
-
-    def run(self, jobs: JobTrace, *, chunk_jobs: int | None = None) -> FarmResult:
-        """Dispatch *jobs* across the farm and run every server's epoch loop."""
-        return self.as_server_farm().run(jobs, chunk_jobs=chunk_jobs)

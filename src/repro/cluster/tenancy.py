@@ -76,6 +76,7 @@ __all__ = [
     "TenantOutcome",
     "TenantSpec",
     "WeightedFairDispatcher",
+    "farm_qos_type_error",
     "isolation_report",
     "make_tenant_dispatcher",
     "tenant_outcomes",
@@ -264,6 +265,14 @@ class FarmQos:
         raise ConfigurationError(
             f"unknown tenant {name!r}; declared: {list(self.tenant_names)}"
         )
+
+
+def farm_qos_type_error(value: object) -> str:
+    """The one-line error for a farm ``qos=`` that is not a :class:`FarmQos`."""
+    message = f"qos must be a FarmQos or None, got {type(value).__name__}"
+    if isinstance(value, QosConstraint):
+        message += "; wrap a bare constraint as FarmQos.strictest(constraint)"
+    return message
 
 
 # -- capacity partitioning -----------------------------------------------------

@@ -1,17 +1,17 @@
-"""Pluggable fan-out executors: serial, thread pool, process pool.
+"""Fan-out executors: serial or process pool.
 
 The farm, the state sweeps and the experiment runner all offer the same
 optional parallelism: independent work items, results in item order, serial
 execution unless a pool is explicitly requested.  :func:`fan_out` is that
-shape, once, so the call sites cannot drift apart — and since PR 5 the pool
-behind it is pluggable:
+shape, once, so the call sites cannot drift apart.  Two executors back it:
 
 * :class:`SerialExecutor` — run in the caller's thread (the oracle);
-* :class:`ThreadExecutor` — a ``ThreadPoolExecutor``; cheap to start and
-  shares memory, but Python-heavy work stays GIL-bound;
 * :class:`ProcessExecutor` — a ``ProcessPoolExecutor``; work functions,
   items and results must pickle, in exchange the per-server epoch loops of a
   farm actually occupy multiple cores.
+
+There is no thread pool: the work is Python-heavy (per-epoch policy
+search), so threads stay GIL-bound and measured slower than serial.
 
 The executor contract (pinned by ``tests/test_concurrency.py`` and the
 scenario-wide parity suite in ``tests/cluster/test_executor_parity.py``):
@@ -30,7 +30,7 @@ import abc
 import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Sequence
 from typing import TypeVar
 
@@ -42,9 +42,8 @@ ResultT = TypeVar("ResultT")
 #: Executor names accepted by every ``executor=`` knob (farm, cluster,
 #: sweeps, experiment runner, ``Scenario.build`` and the CLIs).
 EXECUTOR_SERIAL = "serial"
-EXECUTOR_THREAD = "thread"
 EXECUTOR_PROCESS = "process"
-EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_THREAD, EXECUTOR_PROCESS)
+EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_PROCESS)
 
 
 def _validate_workers(max_workers: int | None) -> int | None:
@@ -81,30 +80,6 @@ class SerialExecutor(Executor):
         self, fn: Callable[[ItemT], ResultT], items: Sequence[ItemT]
     ) -> list[ResultT]:
         return [fn(item) for item in items]
-
-
-class ThreadExecutor(Executor):
-    """Run work items on a thread pool.
-
-    Results are identical to :class:`SerialExecutor` whenever the work items
-    are independent (the library-wide requirement).  With fewer than two
-    items the pool is skipped entirely.  ``max_workers=None`` uses the
-    standard-library default sizing.
-    """
-
-    name = EXECUTOR_THREAD
-
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = _validate_workers(max_workers)
-
-    def map(
-        self, fn: Callable[[ItemT], ResultT], items: Sequence[ItemT]
-    ) -> list[ResultT]:
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            return [future.result() for future in futures]
 
 
 class ProcessExecutor(Executor):
@@ -196,10 +171,9 @@ def resolve_executor(
 ) -> Executor:
     """Turn an ``executor=`` knob value into a concrete :class:`Executor`.
 
-    ``None`` preserves the pre-executor behaviour every call site shipped
-    with: a thread pool when ``max_workers > 1``, serial otherwise —
-    including the historical tolerance for ``max_workers <= 0`` meaning
-    "no pool".  A string selects by name (:data:`EXECUTORS`), with
+    ``None`` means a process pool when ``max_workers > 1`` and serial
+    otherwise — including the historical tolerance for ``max_workers <= 0``
+    meaning "no pool".  A string selects by name (:data:`EXECUTORS`), with
     *max_workers* sizing the pool (and then a count below 1 is rejected —
     an explicitly requested pool of zero workers is a configuration error);
     an :class:`Executor` instance is returned unchanged (its own worker
@@ -209,13 +183,11 @@ def resolve_executor(
         return executor
     if executor is None:
         if max_workers is not None and max_workers > 1:
-            return ThreadExecutor(max_workers)
+            return ProcessExecutor(max_workers)
         return SerialExecutor()
     _validate_workers(max_workers)
     if executor == EXECUTOR_SERIAL:
         return SerialExecutor()
-    if executor == EXECUTOR_THREAD:
-        return ThreadExecutor(max_workers)
     if executor == EXECUTOR_PROCESS:
         return ProcessExecutor(max_workers)
     raise ExecutorError(
@@ -242,12 +214,11 @@ def fan_out(
 ) -> list[ResultT]:
     """Apply *fn* to every item on the executor the arguments select.
 
-    Results come back in item order.  With the default ``executor=None`` the
-    historical contract holds unchanged: a thread pool when
-    ``max_workers > 1`` and more than one item, serial otherwise (``None``,
-    ``1`` and the historically tolerated ``<= 0`` all run in the caller's
-    thread).  Exceptions propagate either way (first in item order for the
-    pooled paths).  Items must be independent — *fn* must not rely on
-    earlier calls' side effects.
+    Results come back in item order.  With the default ``executor=None``, a
+    process pool runs the items when ``max_workers > 1`` (so *fn* and the
+    items must pickle); ``None``, ``1`` and the historically tolerated
+    ``<= 0`` run them in the caller's thread.  Exceptions propagate either
+    way (first in item order for the pool).  Items must be independent —
+    *fn* must not rely on earlier calls' side effects.
     """
     return resolve_executor(executor, max_workers).map(fn, list(items))

@@ -29,7 +29,7 @@ import numpy as np
 from repro.campaigns.spec import CampaignSpec
 from repro.cluster.dispatch import RoundRobinDispatcher
 from repro.exceptions import ExperimentError
-from repro.cluster.farm import ClusterRuntime
+from repro.cluster.farm import ServerFarm
 from repro.core.analytic_manager import analytic_sleepscale_strategy
 from repro.core.qos import baseline_normalized_mean_budget, mean_qos_from_baseline
 from repro.core.runtime import RuntimeConfig
@@ -360,12 +360,12 @@ def run_server_farm(
 
     rows: list[dict[str, object]] = []
     for label, factory in (("SleepScale farm", sleepscale_factory), ("R2H(C6) farm", race_factory)):
-        cluster = ClusterRuntime(
-            num_servers=num_servers,
-            power_model=scenario.power_model,
-            spec=scenario.spec,
-            strategy_factory=factory,
-            predictor_factory=_FarmPredictorFactory(history=10),
+        cluster = ServerFarm.homogeneous(
+            num_servers,
+            scenario.power_model,
+            scenario.spec,
+            factory,
+            _FarmPredictorFactory(history=10),
             config=runtime_config,
             dispatcher=RoundRobinDispatcher(),
         )

@@ -3,8 +3,8 @@
 ``python -m repro.experiments <name> [<name> ...] [--full] [--seed N]`` runs
 one or more experiments and prints their result tables; ``--list`` shows
 every registered experiment, ``--parallel N`` fans independent experiments
-out over a pool of N workers (``--executor`` picks serial, thread or process
-execution; each experiment owns its seeds, so results are identical
+out over a pool of N worker processes (``--executor`` picks serial or
+process execution; each experiment owns its seeds, so results are identical
 whichever executor runs them), and ``--output FILE`` also writes the results
 as a schema-versioned JSON report (:mod:`repro.experiments.report`).  The
 same registry is what the benchmark harness iterates over, so the CLI and
@@ -167,10 +167,9 @@ def run_experiments(
     """Run several registered experiments, optionally on a pool.
 
     Each experiment derives its random streams from the config's base seed
-    independently of the others, so the fan-out (``max_workers > 1`` for the
-    default thread pool, or any ``executor=`` selection including
-    ``"process"``) produces the same results as running them one after
-    another.  Unknown names raise before anything is started.
+    independently of the others, so the fan-out (``max_workers > 1`` for a
+    process pool, or an explicit ``executor=``) produces the same results
+    as running them one after another.  Unknown names raise before anything is started.
     """
     for name in names:
         if name not in EXPERIMENTS:
@@ -259,9 +258,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(EXECUTORS),
         default=None,
         help=(
-            "pool type for --parallel: 'thread' (default when N > 1), "
-            "'process' for multi-core runs, 'serial' to force in-line "
-            "execution; results are identical across executors"
+            "pool type for --parallel: 'process' (default when N > 1) "
+            "for multi-core runs, 'serial' to force in-line execution; "
+            "results are identical across executors"
         ),
     )
     parser.add_argument(

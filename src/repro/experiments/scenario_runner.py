@@ -299,7 +299,7 @@ def run_scenario(
     setup_latency_s: float | None = None,
     setup_energy_j: float | None = None,
     min_awake: int | None = None,
-    qos: FarmQos | QosConstraint | None = None,
+    qos: FarmQos | None = None,
     tenants: list[str] | None = None,
     isolation: bool = False,
     overrides: Mapping[str, Any] | None = None,
@@ -308,12 +308,12 @@ def run_scenario(
 
     *overrides* maps declared parameter names to values (unknown names are
     rejected by the scenario).  *executor*/*max_workers* select how the farm
-    fans its per-server epoch loops out (serial, thread pool, or process
-    sharding — the report is identical whichever executes, which is why the
-    schema carries no executor field).  *trace_backend* selects where the
-    trace's arrays live while the farm runs (``"memory"``/``"shm"``/
-    ``"mmap"``; storage is result-invisible like the executor, so the schema
-    carries no backend field either).  *chunk_jobs* overrides the farm's
+    runs its per-server epoch loops (serial, or sharded across worker
+    processes — the report is identical whichever executes, which is why
+    the schema carries no executor field).  *trace_backend* selects where
+    the trace's arrays live while the farm runs (``"memory"``/``"mmap"``;
+    storage is result-invisible like the executor, so the schema carries
+    no backend field either).  *chunk_jobs* overrides the farm's
     streaming chunk size (``0`` forces a one-shot run even if the scenario
     configured chunking).  *controller* attaches a farm-level right-sizing
     controller (a :class:`~repro.cluster.controller.FarmController` or a
@@ -927,9 +927,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(EXECUTORS),
         default=None,
         help=(
-            "how per-server epoch loops execute: 'serial', 'thread', or "
-            "'process' (shards the farm across worker processes for "
-            "multi-core runs); the report is identical whichever executes"
+            "how per-server epoch loops execute: 'serial' or 'process' "
+            "(shards the farm across worker processes for multi-core "
+            "runs); the report is identical whichever executes"
         ),
     )
     parser.add_argument(
@@ -938,9 +938,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "pool size for --executor thread/process (default: --executor "
-            "thread alone sizes from the machine; without --executor, N > 1 "
-            "selects the historical thread pool)"
+            "worker-process count for --executor process (default: the "
+            "machine's CPU count; without --executor, N > 1 selects the "
+            "process executor)"
         ),
     )
     parser.add_argument(
@@ -959,10 +959,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "where the trace's arrays live while the farm runs: 'memory' "
-            "(default), 'shm' (zero-copy process sharding via shared-memory "
-            "descriptors), or 'mmap' (trace memory-mapped from a .npy file, "
-            "for larger-than-RAM runs); results are identical whichever is "
-            "selected"
+            "(default) or 'mmap' (trace memory-mapped from a .npy file, for "
+            "larger-than-RAM runs; process shards then carry constant-size "
+            "file descriptors); results are identical whichever is selected"
         ),
     )
     parser.add_argument(

@@ -33,8 +33,7 @@ from typing import Any
 
 from repro.cluster.controller import FarmController
 from repro.cluster.farm import ServerFarm
-from repro.cluster.tenancy import FarmQos
-from repro.core.qos import QosConstraint
+from repro.cluster.tenancy import FarmQos, farm_qos_type_error
 from repro.concurrency import Executor, validate_executor
 from repro.core.search import DEFAULT_SEARCH, validate_search
 from repro.exceptions import ScenarioError
@@ -163,7 +162,7 @@ class Scenario:
         executor: Executor | str | None = None,
         trace_backend: str | None = None,
         controller: FarmController | str | None = None,
-        qos: FarmQos | QosConstraint | None = None,
+        qos: FarmQos | None = None,
         **overrides: Any,
     ) -> BuiltScenario:
         """Materialise the scenario with *overrides* applied over the defaults.
@@ -175,10 +174,9 @@ class Scenario:
         select identical policies, but only ``"full"`` keeps the whole
         characterisation table in ``last_selection``; frontier keeps the
         winning row.  Neither attaches a characterisation cache.
-        ``executor`` selects how the built farm fans its per-server epoch
-        loops out (``"serial"``/``"thread"``/``"process"``) and
-        ``trace_backend`` where the trace's arrays live while it runs
-        (``"memory"``/``"shm"``/``"mmap"``; see
+        ``executor`` selects how the built farm runs its per-server epoch
+        loops (``"serial"``/``"process"``) and ``trace_backend`` where the
+        trace's arrays live while it runs (``"memory"``/``"mmap"``; see
         :mod:`repro.workloads.storage`); neither changes results — the
         parity suites pin this — so builders never see them; both are
         applied to the built farm directly.  ``controller`` attaches a
@@ -189,12 +187,11 @@ class Scenario:
         the executor and trace backend it *does* change results, except for
         the setup-free ``"always-on"`` identity the parity suite pins.
         ``qos`` attaches a farm-level QoS contract (a
-        :class:`~repro.cluster.tenancy.FarmQos`, or a bare
-        :class:`~repro.core.qos.QosConstraint` wrapped into
-        ``FarmQos.strictest``) to the built farm, replacing any the builder
-        embedded; it is result-invisible at farm level — ``strictest`` is
-        pinned bit-identical to no qos at all, and per-tenant mode only
-        adds accounting.
+        :class:`~repro.cluster.tenancy.FarmQos`; wrap a bare constraint as
+        ``FarmQos.strictest(constraint)``) to the built farm, replacing any
+        the builder embedded; it is result-invisible at farm level —
+        ``strictest`` is pinned bit-identical to no qos at all, and
+        per-tenant mode only adds accounting.
         """
         validate_backend(backend)
         validate_search(search)
@@ -208,11 +205,8 @@ class Scenario:
                 "controller must be a FarmController, a policy name or None, "
                 f"got {type(controller).__name__}"
             )
-        if qos is not None and not isinstance(qos, (FarmQos, QosConstraint)):
-            raise ScenarioError(
-                "qos must be a FarmQos, a QosConstraint or None, "
-                f"got {type(qos).__name__}"
-            )
+        if qos is not None and not isinstance(qos, FarmQos):
+            raise ScenarioError(farm_qos_type_error(qos))
         declared = {parameter.name for parameter in self.parameters}
         unknown = sorted(set(overrides) - declared)
         if unknown:

@@ -261,9 +261,8 @@ def sweep_states(
     labelled by their own names).  Remaining keyword arguments are passed
     through to :func:`sweep_frequencies`.
 
-    ``max_workers`` > 1 fans the per-state curves out over a thread pool;
-    ``executor`` selects the pool explicitly
-    (``"serial"``/``"thread"``/``"process"`` or an
+    ``max_workers`` > 1 fans the per-state curves out over a process pool;
+    ``executor`` selects explicitly (``"serial"``/``"process"`` or an
     :class:`~repro.concurrency.Executor`) — the process executor requires
     picklable sleep specifications (states and sequences are; ad-hoc
     callables are not).  Each curve draws its job stream from an independent

@@ -22,7 +22,6 @@ from repro.workloads.generator import (
 from repro.workloads.jobs import Job, JobTrace
 from repro.workloads.storage import (
     TRACE_BACKENDS,
-    ArenaReader,
     ArrayDescriptor,
     SharedTraceArena,
     TraceBuffer,
@@ -47,7 +46,6 @@ from repro.workloads.traces import (
 )
 
 __all__ = [
-    "ArenaReader",
     "ArrayDescriptor",
     "Deterministic",
     "Distribution",

@@ -1,58 +1,39 @@
-"""Trace storage backends: in-memory, shared-memory, and memory-mapped.
+"""Trace storage backends: in-memory and memory-mapped.
 
 A :class:`~repro.workloads.jobs.JobTrace` is two parallel float64 arrays.
 Where those arrays *live* is orthogonal to what they mean, and at farm scale
-it dominates the cost of process-sharded runs: PR 5's process executor
-pickled each server's full dispatched sub-stream into every shard task, so a
-million-job farm serialised the whole trace once per farm — pure overhead.
-This module makes the storage pluggable (the ``trace_backend`` knob on
-:class:`~repro.cluster.farm.ServerFarm`, :class:`~repro.cluster.farm.ClusterRuntime`,
-``Scenario.build`` and the ``run-scenario`` CLI):
+it dominates the cost of process-sharded runs: pickling each server's
+dispatched sub-stream into its shard task serialises the whole trace once
+per farm.  The ``trace_backend`` knob (on
+:class:`~repro.cluster.farm.ServerFarm`, ``Scenario.build`` and the
+``run-scenario`` CLI) picks one of two backends:
 
-* ``"memory"`` — plain in-process ndarrays; today's behaviour and the
-  default.  Process shards carry pickled array copies.
-* ``"shm"`` — ``multiprocessing.shared_memory``: the parent publishes the
-  (server-grouped) arrival/demand arrays into shared segments *once*; shard
-  tasks carry only :class:`ArrayDescriptor`\\ s — ``(segment name, dtype,
-  offset, length)`` tuples of constant size — and worker processes
-  reconstruct read-only ndarray views.  Per-shard pickled bytes drop from
-  O(jobs) to O(1).
-* ``"mmap"`` — ``numpy.memmap`` over ``.npy`` files: the same descriptor
-  indirection, but through the filesystem, which additionally lets traces
-  larger than RAM stream through chunked farm runs
+* ``"memory"`` — plain in-process ndarrays, the default.  Process shards
+  carry pickled array copies.
+* ``"mmap"`` — ``numpy.memmap`` over ``.npy`` files.  The farm spills the
+  trace to disk, publishes its server-grouped arrays into a
+  :class:`SharedTraceArena` once, and process shards carry only
+  :class:`ArrayDescriptor`\\ s — ``(path, offset, length)`` tuples of
+  constant size — that workers resolve with one contiguous copy.  The same
+  file form lets traces larger than RAM stream through chunked farm runs
   (``JobTrace.to_file``/``from_file`` + ``ServerFarm.run(chunk_jobs=...)``).
 
-Lifecycle
----------
-
-Shared segments outlive the process that forgets to unlink them, so the
-arena is aggressively context-managed: :class:`SharedTraceArena` owns every
-segment it publishes, unlinks them on ``close()``/``__exit__`` (which runs
-even when a worker crashes — the executor's ``map`` raises and the ``with``
-block unwinds), counts open parent-side views so an unlink never races a
-live reader in-process, and registers an ``atexit`` fallback (guarded by
-owner PID, so forked pool workers can never unlink their parent's segments)
-for interpreter-exit hardening.  Worker-side attachments go through
-:class:`ArenaReader`, which closes its attachments deterministically and
-never unlinks (ownership stays with the creating arena; see
-:func:`_attach_segment` for the Python < 3.13 resource-tracker subtlety).
+The arena is an owned temporary directory: ``with SharedTraceArena() as
+arena`` deletes every file it published on exit, including when a worker
+crashed and the executor's ``map`` raised through the ``with`` block.
 
 The storage backend is **result-invisible**, exactly like the executor
-choice: the arrays a worker reconstructs from a descriptor are byte-for-byte
-the arrays the memory path would have pickled, so serial/thread/process runs
-stay bit-identical across all three backends (pinned by
+choice: the arrays a worker copies out of a descriptor are byte-for-byte the
+arrays the memory path would have pickled, so serial and process runs stay
+bit-identical on both backends (pinned by
 ``tests/cluster/test_trace_backend_parity.py``).
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import secrets
-import weakref
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,13 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (jobs imports storage
 
 #: Trace storage backends accepted by every ``trace_backend=`` knob.
 TRACE_BACKEND_MEMORY = "memory"
-TRACE_BACKEND_SHM = "shm"
 TRACE_BACKEND_MMAP = "mmap"
-TRACE_BACKENDS = (TRACE_BACKEND_MEMORY, TRACE_BACKEND_SHM, TRACE_BACKEND_MMAP)
-
-#: Prefix of every shared-memory segment the arena creates; the cleanup
-#: tests scan ``/dev/shm`` for it to prove nothing leaked.
-SHM_PREFIX = "reproshm"
+TRACE_BACKENDS = (TRACE_BACKEND_MEMORY, TRACE_BACKEND_MMAP)
 
 #: Chunk size (elements) for the streaming invariant validation, chosen so
 #: validating a memory-mapped trace never materialises more than a few MB.
@@ -138,7 +114,7 @@ def is_mmap_backed(array: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Descriptors
+# Descriptors and the arena
 # ---------------------------------------------------------------------------
 
 
@@ -146,33 +122,23 @@ def is_mmap_backed(array: np.ndarray) -> bool:
 class ArrayDescriptor:
     """Picklable, constant-size handle to (a slice of) a published array.
 
-    ``kind`` selects how a reader resolves ``location``: a shared-memory
-    segment name (``"shm"``) or a ``.npy`` file path (``"mmap"``).
-    ``offset`` and ``length`` are in *elements*, so one published array can
-    hand out many non-overlapping sub-range descriptors (the per-server
-    index slices of a farm shard) without further copies.
+    ``location`` is the ``.npy`` file the array was published to (its
+    header carries the dtype); ``offset`` and ``length`` are in *elements*,
+    so one published array can hand out many non-overlapping sub-range
+    descriptors (the per-server ranges of a farm shard) without further
+    copies.
     """
 
-    kind: str
     location: str
-    dtype: str
     offset: int
     length: int
 
     def __post_init__(self) -> None:
-        if self.kind not in (TRACE_BACKEND_SHM, TRACE_BACKEND_MMAP):
-            raise ConfigurationError(
-                f"descriptor kind must be 'shm' or 'mmap', got {self.kind!r}"
-            )
         if self.offset < 0 or self.length < 0:
             raise ConfigurationError(
                 f"descriptor offset/length must be non-negative, got "
                 f"offset={self.offset}, length={self.length}"
             )
-
-    @property
-    def itemsize(self) -> int:
-        return np.dtype(self.dtype).itemsize
 
     def narrow(self, start: int, length: int) -> "ArrayDescriptor":
         """A descriptor for ``[start, start + length)`` of this one's range."""
@@ -183,118 +149,34 @@ class ArrayDescriptor:
             )
         return replace(self, offset=self.offset + start, length=length)
 
+    def load(self) -> np.ndarray:
+        """A private in-process copy of this descriptor's range.
 
-# ---------------------------------------------------------------------------
-# Shared-memory plumbing (Python 3.11 resource-tracker workaround included)
-# ---------------------------------------------------------------------------
-
-
-def _attach_segment(name: str):
-    """Attach to an existing shared-memory segment without tracker side effects.
-
-    Python 3.13 grew ``track=False`` so an attachment is never registered
-    with the ``multiprocessing`` resource tracker (ownership stays with the
-    creator).  On earlier versions the attach re-registers the name — which
-    is harmless for the fork-context workers of
-    :class:`~repro.concurrency.ProcessExecutor`, because they share the
-    parent's tracker daemon and the duplicate registration collapses into
-    the same set entry the parent's ``unlink`` later clears.  (Explicitly
-    unregistering here instead would *race* the parent: with a shared
-    tracker it strips the creator's registration, so the later unlink logs
-    a spurious tracker error.)
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # pragma: no cover - Python < 3.13
-        return shared_memory.SharedMemory(name=name)
-
-
-def _segment_view(segment, descriptor: ArrayDescriptor) -> np.ndarray:
-    """Read-only ndarray view over *descriptor*'s range of *segment*."""
-    view = np.ndarray(
-        (descriptor.length,),
-        dtype=np.dtype(descriptor.dtype),
-        buffer=segment.buf,
-        offset=descriptor.offset * descriptor.itemsize,
-    )
-    view.flags.writeable = False
-    return view
-
-
-#: Arenas still owning live segments, for the interpreter-exit fallback.
-_LIVE_ARENAS: "weakref.WeakSet[SharedTraceArena]" = weakref.WeakSet()
-
-
-@atexit.register
-def _unlink_leaked_arenas() -> None:  # pragma: no cover - exit-path hardening
-    for arena in list(_LIVE_ARENAS):
-        arena.close(force=True)
+        The memory map is dropped before returning, so nothing keeps the
+        published file open once the copy exists.
+        """
+        data = np.load(self.location, mmap_mode="r")
+        return np.array(data[self.offset : self.offset + self.length])
 
 
 class SharedTraceArena:
-    """Owner of published trace segments: create once, view anywhere, unlink always.
+    """An owned temporary directory of published ``.npy`` arrays.
 
-    The arena is the parent-side lifecycle manager of the zero-copy sharding
-    path.  ``publish`` copies an array into a fresh segment (one copy total,
-    not one per shard) and returns its :class:`ArrayDescriptor`; workers
-    resolve descriptors through :class:`ArenaReader`.  ``backend`` selects
-    the transport: ``"shm"`` creates ``multiprocessing.shared_memory``
-    segments, ``"mmap"`` writes ``.npy`` files under *directory* (which the
-    arena then owns and deletes) — the descriptor/reader surface is
-    identical, so the farm's sharding code never branches on it.
-
-    Cleanup is layered, so segments are released even on the unhappy paths:
-
-    * ``with SharedTraceArena(...) as arena`` unlinks at ``__exit__`` —
-      including when a worker raised or the pool broke (the executor's
-      ``map`` raises through the ``with`` block);
-    * parent-side views are reference-counted (``views``/``release_view``),
-      and ``close()`` refuses to tear segments down under a live view unless
-      forced, so an unlink can never race an in-process reader;
-    * an ``atexit`` hook force-closes arenas that somehow escaped their
-      context (guarded by creating PID: a forked worker inheriting the
-      module state must never unlink its parent's segments).
+    ``publish`` writes an array once (one copy total, not one per shard) and
+    returns its :class:`ArrayDescriptor`; worker processes resolve
+    descriptors with :meth:`ArrayDescriptor.load`.  ``close`` (and
+    ``__exit__``, which also runs when a worker raised or the pool broke)
+    deletes the directory and everything in it; it is idempotent.
     """
 
-    def __init__(
-        self,
-        backend: str = TRACE_BACKEND_SHM,
-        *,
-        directory: str | Path | None = None,
-    ):
-        if backend not in (TRACE_BACKEND_SHM, TRACE_BACKEND_MMAP):
-            raise ConfigurationError(
-                f"an arena backend must be 'shm' or 'mmap', got {backend!r}"
-            )
-        if backend == TRACE_BACKEND_MMAP and directory is None:
-            raise ConfigurationError(
-                "an mmap arena needs a directory to own its trace files"
-            )
-        self.backend = backend
-        self._directory = None if directory is None else Path(directory)
-        self._segments: dict[str, object] = {}
-        self._files: list[Path] = []
-        self._open_views = 0
-        self._closed = False
-        self._owner_pid = os.getpid()
+    def __init__(self) -> None:
+        self._tmp = tempfile.TemporaryDirectory(prefix="repro_arena_")
+        self.directory = Path(self._tmp.name)
         self._counter = 0
-        _LIVE_ARENAS.add(self)
-
-    # -- publishing --------------------------------------------------------
-
-    def _new_name(self, label: str) -> str:
-        self._counter += 1
-        return f"{SHM_PREFIX}_{os.getpid():x}_{secrets.token_hex(4)}_{self._counter}_{label}"
+        self._closed = False
 
     def publish(self, array: np.ndarray, label: str = "array") -> ArrayDescriptor:
-        """Copy *array* into a fresh segment and return its descriptor.
-
-        The copy is paid exactly once per published array; every shard task
-        built from the returned descriptor (or its :meth:`ArrayDescriptor.narrow`
-        slices) ships only the descriptor.
-        """
+        """Write *array* into the arena and return its descriptor."""
         if self._closed:
             raise ConfigurationError("cannot publish into a closed arena")
         data = np.ascontiguousarray(array)
@@ -302,173 +184,18 @@ class SharedTraceArena:
             raise ConfigurationError(
                 f"only 1-D arrays can be published, got ndim={data.ndim}"
             )
-        if self.backend == TRACE_BACKEND_MMAP:
-            assert self._directory is not None
-            path = self._directory / f"{self._new_name(label)}.npy"
-            np.save(path, data, allow_pickle=False)
-            self._files.append(path)
-            return ArrayDescriptor(
-                kind=TRACE_BACKEND_MMAP,
-                location=str(path),
-                dtype=data.dtype.str,
-                offset=0,
-                length=int(data.size),
-            )
-        from multiprocessing import shared_memory
-
-        # Zero-size segments are invalid; a 1-byte segment backs an empty
-        # descriptor (length 0) just fine.
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(data.nbytes, 1), name=self._new_name(label)
-        )
-        self._segments[segment.name] = segment
-        if data.size:
-            target = np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf)
-            target[:] = data
-        return ArrayDescriptor(
-            kind=TRACE_BACKEND_SHM,
-            location=segment.name,
-            dtype=data.dtype.str,
-            offset=0,
-            length=int(data.size),
-        )
-
-    def publish_trace(self, trace: "JobTrace") -> tuple[ArrayDescriptor, ArrayDescriptor]:
-        """Publish a trace's arrival and demand arrays; one descriptor each."""
-        return (
-            self.publish(trace.arrival_times, "arrivals"),
-            self.publish(trace.service_demands, "demands"),
-        )
-
-    # -- parent-side views -------------------------------------------------
-
-    def view(self, descriptor: ArrayDescriptor) -> np.ndarray:
-        """Read-only view of a descriptor published by *this* arena.
-
-        Views are counted; pair every ``view`` with a :meth:`release_view`
-        (or drop the whole arena through ``close(force=True)``).  Worker
-        processes use :class:`ArenaReader` instead — they attach by name and
-        must not touch the owner's lifecycle.
-        """
-        if self._closed:
-            raise ConfigurationError("cannot view a closed arena")
-        if descriptor.kind == TRACE_BACKEND_MMAP:
-            data = np.load(descriptor.location, mmap_mode="r")
-            self._open_views += 1
-            return data[descriptor.offset : descriptor.offset + descriptor.length]
-        segment = self._segments.get(descriptor.location)
-        if segment is None:
-            raise ConfigurationError(
-                f"descriptor {descriptor.location!r} was not published by this arena"
-            )
-        self._open_views += 1
-        return _segment_view(segment, descriptor)
-
-    def release_view(self) -> None:
-        """Declare one :meth:`view` result dead (the caller dropped its reference)."""
-        if self._open_views <= 0:
-            raise ConfigurationError("release_view without a matching view")
-        self._open_views -= 1
-
-    @property
-    def open_views(self) -> int:
-        """Number of parent-side views not yet released."""
-        return self._open_views
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- teardown ----------------------------------------------------------
-
-    def close(self, force: bool = False) -> None:
-        """Unlink every owned segment (idempotent).
-
-        With live parent-side views and ``force=False`` this raises instead
-        of pulling memory out from under a reader; ``force=True`` (the
-        ``atexit`` path) unlinks regardless — at interpreter exit a leaked
-        segment is strictly worse than an invalidated view.
-        """
-        if self._closed:
-            return
-        if self._open_views and not force:
-            raise ConfigurationError(
-                f"cannot close an arena with {self._open_views} open view(s); "
-                "release them first or close(force=True)"
-            )
-        if os.getpid() != self._owner_pid:  # pragma: no cover - fork guard
-            # A forked worker inherited this object; the segments belong to
-            # the parent.  Touching them here would unlink the parent's data.
-            return
-        self._closed = True
-        for segment in self._segments.values():
-            try:
-                segment.close()  # type: ignore[attr-defined]
-            except BufferError:  # pragma: no cover - live export at exit
-                pass
-            try:
-                segment.unlink()  # type: ignore[attr-defined]
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-        for path in self._files:
-            try:
-                path.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._files.clear()
-        _LIVE_ARENAS.discard(self)
-
-    def __enter__(self) -> "SharedTraceArena":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close(force=True)
-
-
-class ArenaReader:
-    """Worker-side resolver of :class:`ArrayDescriptor`\\ s.
-
-    Attaches each shared segment (or memory-maps each file) at most once,
-    hands out read-only views, and detaches deterministically on ``close``
-    — dropping its view references first, so the underlying buffers can be
-    released without ``BufferError``.  Never unlinks anything: segment
-    ownership stays with the parent's :class:`SharedTraceArena`.
-    """
-
-    def __init__(self) -> None:
-        self._segments: dict[str, object] = {}
-        self._mmaps: dict[str, np.ndarray] = {}
-
-    def view(self, descriptor: ArrayDescriptor) -> np.ndarray:
-        """Read-only view of *descriptor* (attach on first use per location)."""
-        if descriptor.kind == TRACE_BACKEND_MMAP:
-            data = self._mmaps.get(descriptor.location)
-            if data is None:
-                data = np.load(descriptor.location, mmap_mode="r")
-                self._mmaps[descriptor.location] = data
-            return data[descriptor.offset : descriptor.offset + descriptor.length]
-        segment = self._segments.get(descriptor.location)
-        if segment is None:
-            segment = _attach_segment(descriptor.location)
-            self._segments[descriptor.location] = segment
-        return _segment_view(segment, descriptor)
-
-    def load(self, descriptor: ArrayDescriptor) -> np.ndarray:
-        """A private in-process *copy* of *descriptor*'s range."""
-        return np.array(self.view(descriptor))
+        self._counter += 1
+        path = self.directory / f"{self._counter}_{label}.npy"
+        np.save(path, data, allow_pickle=False)
+        return ArrayDescriptor(location=str(path), offset=0, length=int(data.size))
 
     def close(self) -> None:
-        """Detach from every segment (the caller must have dropped its views)."""
-        self._mmaps.clear()
-        for segment in self._segments.values():
-            try:
-                segment.close()  # type: ignore[attr-defined]
-            except BufferError:  # pragma: no cover - caller kept a view alive
-                pass
-        self._segments.clear()
+        """Delete every published file (idempotent)."""
+        if not self._closed:
+            self._closed = True
+            self._tmp.cleanup()
 
-    def __enter__(self) -> "ArenaReader":
+    def __enter__(self) -> "SharedTraceArena":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -476,82 +203,26 @@ class ArenaReader:
 
 
 # ---------------------------------------------------------------------------
-# TraceBuffer: the (arrivals, demands) pair behind a backend
+# TraceBuffer: the on-disk (arrivals, demands) pair
 # ---------------------------------------------------------------------------
 
 
 class TraceBuffer:
-    """A trace's two parallel arrays behind one of the storage backends.
+    """A trace's two parallel arrays, in memory or memory-mapped from a file.
 
-    This is the array-level substrate :class:`~repro.workloads.jobs.JobTrace`
-    persistence and the farm's zero-copy sharding both build on:
-
-    * :meth:`in_memory` wraps plain ndarrays (the default backend);
-    * :meth:`shared` publishes a trace into a :class:`SharedTraceArena`
-      (``"shm"`` or ``"mmap"`` transport) and keeps the descriptors;
-    * :meth:`from_file` / :meth:`write_file` give the ``.npy`` on-disk form
-      (one ``(2, n)`` float64 array: row 0 arrivals, row 1 demands) that
-      memory-mapped, larger-than-RAM traces stream from.
-
-    Whatever the backend, :attr:`arrivals` / :attr:`demands` are read-only
-    float64 views with byte-identical contents, which is what makes the
-    ``trace_backend`` knob result-invisible.
+    The array-level substrate of :class:`~repro.workloads.jobs.JobTrace`
+    persistence: :meth:`write_file` / :meth:`from_file` give the ``.npy``
+    on-disk form (one ``(2, n)`` float64 array: row 0 arrivals, row 1
+    demands) that memory-mapped, larger-than-RAM traces stream from.
     """
 
-    def __init__(
-        self,
-        backend: str,
-        arrivals: np.ndarray,
-        demands: np.ndarray,
-        descriptors: tuple[ArrayDescriptor, ArrayDescriptor] | None = None,
-    ):
-        validate_trace_backend(backend)
+    def __init__(self, arrivals: np.ndarray, demands: np.ndarray):
         if arrivals.shape != demands.shape or arrivals.ndim != 1:
             raise TraceError(
                 "arrival times and service demands must be matching 1-D arrays"
             )
-        self.backend = backend
         self._arrivals = arrivals
         self._demands = demands
-        self.descriptors = descriptors
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def in_memory(cls, arrivals: np.ndarray, demands: np.ndarray) -> "TraceBuffer":
-        """Plain in-process arrays (today's default behaviour)."""
-        return cls(
-            TRACE_BACKEND_MEMORY,
-            np.asarray(arrivals, dtype=float),
-            np.asarray(demands, dtype=float),
-        )
-
-    @classmethod
-    def shared(cls, trace: "JobTrace", arena: SharedTraceArena) -> "TraceBuffer":
-        """Publish *trace* into *arena* and wrap the published segments."""
-        arrivals_desc, demands_desc = arena.publish_trace(trace)
-        buffer = cls(
-            arena.backend,
-            arena.view(arrivals_desc),
-            arena.view(demands_desc),
-            descriptors=(arrivals_desc, demands_desc),
-        )
-        return buffer
-
-    @classmethod
-    def open(
-        cls,
-        reader: ArenaReader,
-        arrivals: ArrayDescriptor,
-        demands: ArrayDescriptor,
-    ) -> "TraceBuffer":
-        """Worker-side: resolve two descriptors through *reader*."""
-        return cls(
-            arrivals.kind,
-            reader.view(arrivals),
-            reader.view(demands),
-            descriptors=(arrivals, demands),
-        )
 
     @staticmethod
     def write_file(
@@ -596,24 +267,7 @@ class TraceBuffer:
                 f"{path} is not a trace file (expected a (2, n) float64 "
                 f"array, got shape {data.shape}, dtype {data.dtype})"
             )
-        backend = TRACE_BACKEND_MMAP if mmap else TRACE_BACKEND_MEMORY
-        return cls(backend, data[0], data[1])
-
-    # -- array surface -----------------------------------------------------
-
-    @property
-    def arrivals(self) -> np.ndarray:
-        """Absolute arrival times, seconds (read-only view)."""
-        view = self._arrivals.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def demands(self) -> np.ndarray:
-        """Nominal service demands, seconds (read-only view)."""
-        view = self._demands.view()
-        view.flags.writeable = False
-        return view
+        return cls(data[0], data[1])
 
     def __len__(self) -> int:
         return int(self._arrivals.size)
@@ -632,17 +286,3 @@ class TraceBuffer:
         from repro.workloads.jobs import JobTrace
 
         return JobTrace.from_validated_arrays(self._arrivals, self._demands)
-
-    def iter_chunks(
-        self, chunk: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Arrival-ordered ``(arrivals, demands)`` slices of *chunk* elements.
-
-        Basic slices of a memory-mapped buffer are themselves views, so
-        iterating a larger-than-RAM trace touches one chunk at a time.
-        """
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be at least 1, got {chunk}")
-        for start in range(0, len(self), chunk):
-            stop = start + chunk
-            yield self._arrivals[start:stop], self._demands[start:stop]

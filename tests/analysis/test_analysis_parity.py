@@ -186,6 +186,23 @@ class TestShippedTree:
         # Every shipped suppression carries its justification into the report.
         assert all(item["justification"] for item in payload["suppressed"])
 
+    @pytest.mark.parametrize(
+        ("arguments", "message"),
+        [
+            (("--rules", "REP999", "src"), "unknown rule code 'REP999'"),
+            (("no/such/path",), "no such file or directory: no/such/path"),
+        ],
+        ids=["unknown-rule", "missing-path"],
+    )
+    def test_boundary_mistakes_exit_2_with_one_error_line(self, arguments, message):
+        result = self._run(*arguments)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
+
     def test_list_rules(self):
         result = self._run("--list-rules")
         assert result.returncode == 0

@@ -1,8 +1,8 @@
 """Executor parity for the campaign engine (REP003 ``campaign-executor``).
 
 The campaign fan-out is pinned across the shared executor subsystem: the
-"serial" executor is the oracle, and the "thread" and "process" executors
-must leave a *byte-identical* store behind — same cell records, same
+"serial" executor is the oracle, and the "process" executor must leave a
+*byte-identical* store behind — same cell records, same
 merged CSV.  Cell tasks are plain picklable data executed by a
 module-level function, which is what makes the process executor possible
 at all (REP002).
@@ -52,15 +52,14 @@ def serial_oracle(tmp_path_factory, parity_spec):
 
 class TestExecutorParity:
     def test_selector_matches_registry(self):
-        assert CAMPAIGN_EXECUTORS == ("serial", "thread", "process")
+        assert CAMPAIGN_EXECUTORS == ("serial", "process")
         assert repro.campaigns.CAMPAIGN_EXECUTORS is CAMPAIGN_EXECUTORS
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_fast_executors_match_serial_oracle(
-        self, executor, serial_oracle, parity_spec, tmp_path
+    def test_process_executor_matches_serial_oracle(
+        self, serial_oracle, parity_spec, tmp_path
     ):
         outcome = run_campaign(
-            parity_spec, tmp_path, executor=executor, max_workers=2
+            parity_spec, tmp_path, executor="process", max_workers=2
         )
         assert outcome.completed
         assert store_bytes(tmp_path) == serial_oracle

@@ -7,7 +7,8 @@ trace-backend parity suites): attaching a ``FarmController`` whose policy is
 energy, same per-server response-time arrays (hence dispatch assignments),
 same per-epoch policy selections.  This suite pins that across every
 registered scenario and the full executor × trace-backend grid, plus the
-``ClusterRuntime`` threading and the ``Scenario.build``/CLI plumbing.
+``ServerFarm.homogeneous`` threading and the ``Scenario.build``/CLI
+plumbing.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from tests.cluster.test_executor_parity import (
     assert_farm_results_identical,
 )
 
-#: The full grid the contract quantifies over.  Serial and thread runs take
-#: the boolean-mask dispatch path whatever the backend (shm/mmap storage
-#: only changes where the arrays live); process runs with shm/mmap exercise
-#: the zero-copy shard path under the controller as well.
+#: The full grid the contract quantifies over.  Serial runs execute the
+#: grouped ranges in the caller whatever the backend (mmap storage only
+#: changes where the arrays live); process runs with mmap exercise the
+#: zero-copy shard path under the controller as well.
 GRID = tuple(
     (executor, backend)
-    for executor in ("serial", "thread", "process")
-    for backend in ("memory", "shm", "mmap")
+    for executor in ("serial", "process")
+    for backend in ("memory", "mmap")
 )
 
 
@@ -54,7 +55,7 @@ def _plain_oracle(name: str, overrides: dict):
 
 
 class TestAlwaysOnParityEverywhere:
-    """All registered scenarios × {serial,thread,process} × {memory,shm,mmap}."""
+    """All registered scenarios × {serial,process} × {memory,mmap}."""
 
     @pytest.fixture(params=sorted(available_scenarios()))
     def name(self, request):
@@ -88,7 +89,7 @@ class TestPredictivePolicyParity:
     Unlike ``always-on``, a predictive controller actually re-sizes the
     fleet, so there is no uncontrolled oracle to compare against; the
     contract is instead that the serial/memory run *is* the oracle and the
-    thread and process fast paths reproduce it bit-identically.
+    process fast path reproduces it bit-identically.
     """
 
     def _run(self, executor: str):
@@ -105,8 +106,7 @@ class TestPredictivePolicyParity:
     def test_predictive_matches_serial_oracle_on_every_executor(self):
         oracle = self._run("serial")
         assert oracle.awake_counts is not None
-        for executor in ("thread", "process"):
-            assert_farm_results_identical(oracle, self._run(executor))
+        assert_farm_results_identical(oracle, self._run("process"))
 
     def test_predictive_repeat_run_is_bit_identical(self):
         assert_farm_results_identical(self._run("serial"), self._run("serial"))
@@ -148,8 +148,8 @@ class TestControllerPlumbing:
             chunked.farm.run(chunked.jobs, chunk_jobs=64),
         )
 
-    def test_cluster_runtime_threads_the_controller_through(self):
-        from repro.cluster.farm import ClusterRuntime
+    def test_homogeneous_farm_threads_the_controller_through(self):
+        from repro.cluster.farm import ServerFarm
         from repro.core.runtime import RuntimeConfig
         from repro.power.platform import xeon_power_model
         from repro.workloads.generator import generate_jobs
@@ -163,19 +163,19 @@ class TestControllerPlumbing:
         jobs = generate_jobs(spec, num_jobs=1500, utilization=0.4, seed=3)
 
         def cluster(controller):
-            return ClusterRuntime(
-                num_servers=3,
-                power_model=xeon_power_model(),
-                spec=spec,
-                strategy_factory=_strategy_for,
-                predictor_factory=_predictor_for,
+            return ServerFarm.homogeneous(
+                3,
+                xeon_power_model(),
+                spec,
+                _strategy_for,
+                _predictor_for,
                 config=RuntimeConfig(epoch_minutes=1.0, rho_b=0.8),
                 controller=controller,
             )
 
         plain = cluster(None)
         controlled = cluster(_free_always_on())
-        assert controlled.as_server_farm().controller is not None
+        assert controlled.controller is not None
         assert_farm_results_identical(plain.run(jobs), controlled.run(jobs))
 
     def test_run_scenario_rejects_controller_override(self):

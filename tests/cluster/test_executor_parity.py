@@ -1,18 +1,20 @@
-"""Serial / thread / process executors must be result-invisible.
+"""Serial and process executors must be result-invisible.
 
-The executor contract for farms (the PR 5 analogue of the backend, dispatch
+The executor contract for farms (the analogue of the backend, dispatch
 -engine and search-engine oracle contracts): whichever executor runs the
 per-server epoch loops, a farm produces **bit-identical** ``FarmResult``s —
 same total energy, same per-server dispatch assignments (hence per-server
 response-time arrays), and same per-epoch policy selections.  This suite
-pins that across every registered scenario, for ``ClusterRuntime`` farms,
-for chunked runs, and for the other ``fan_out`` call sites
-(``sweep_states``, ``run_experiments``).
+pins that across every registered scenario, for
+``ServerFarm.homogeneous`` farms, for chunked runs, and for the other
+``fan_out`` call sites (``sweep_states``, ``run_experiments``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -32,8 +34,6 @@ from repro.power.states import C1_S0I, C3_S0I
 from repro.workloads.generator import generate_jobs
 from repro.workloads.spec import dns_workload
 
-#: (executor, max_workers) pairs compared against the serial oracle.
-POOLED = (("thread", 2), ("process", 2))
 
 
 def _floats_identical(left: float, right: float) -> bool:
@@ -107,18 +107,15 @@ class TestEveryScenarioParity:
     def name(self, request):
         return request.param
 
-    def test_thread_and_process_match_serial(self, name):
+    def test_process_matches_serial(self, name):
         overrides = _tiny_overrides(name)
         serial = get_scenario(name).build(
             seed=9, executor="serial", **overrides
         )
         oracle = serial.run()
-        for executor, workers in POOLED:
-            built = get_scenario(name).build(
-                seed=9, executor=executor, **overrides
-            )
-            built.farm.max_workers = workers
-            assert_farm_results_identical(oracle, built.run())
+        built = get_scenario(name).build(seed=9, executor="process", **overrides)
+        built.farm.max_workers = 2
+        assert_farm_results_identical(oracle, built.run())
 
 
 def _strategy_for(index: int):
@@ -134,16 +131,28 @@ def _predictor_for(index: int):
     return LmsCusumPredictor(history=10)
 
 
-class TestClusterRuntimeParity:
-    def make_cluster(self, spec, executor=None, workers=None, chunk=None):
-        from repro.cluster.farm import ClusterRuntime
+@dataclass(frozen=True)
+class _OutsideParentStrategy:
+    """Per-index strategy factory that refuses to build in the test process."""
 
-        return ClusterRuntime(
-            num_servers=3,
-            power_model=xeon_power_model(),
-            spec=spec,
-            strategy_factory=_strategy_for,
-            predictor_factory=_predictor_for,
+    parent_pid: int
+
+    def __call__(self, index: int):
+        if os.getpid() == self.parent_pid:
+            raise AssertionError("strategy built in the parent process")
+        return _strategy_for(index)
+
+
+class TestHomogeneousFarmParity:
+    def make_cluster(
+        self, spec, executor=None, workers=None, chunk=None, strategy=_strategy_for
+    ):
+        return ServerFarm.homogeneous(
+            3,
+            xeon_power_model(),
+            spec,
+            strategy,
+            _predictor_for,
             config=RuntimeConfig(epoch_minutes=1.0, rho_b=0.8),
             max_workers=workers,
             executor=executor,
@@ -160,6 +169,19 @@ class TestClusterRuntimeParity:
         spec = dns_workload()
         oracle = self.make_cluster(spec).run(jobs)
         sharded = self.make_cluster(spec, executor="process", workers=2).run(jobs)
+        assert_farm_results_identical(oracle, sharded)
+
+    def test_workers_without_executor_run_on_processes(self, jobs):
+        """``max_workers=2`` alone selects the process executor.
+
+        The strategy factory raises when called in the test process, so the
+        run only completes if every server is built in a worker.
+        """
+        spec = dns_workload()
+        oracle = self.make_cluster(spec).run(jobs)
+        sharded = self.make_cluster(
+            spec, workers=2, strategy=_OutsideParentStrategy(os.getpid())
+        ).run(jobs)
         assert_farm_results_identical(oracle, sharded)
 
     def test_chunked_process_matches_chunked_serial(self, jobs):
@@ -179,7 +201,7 @@ class TestClusterRuntimeParity:
     def test_per_index_factories_pickle(self):
         import pickle
 
-        farm = self.make_cluster(dns_workload()).as_server_farm()
+        farm = self.make_cluster(dns_workload())
         pickle.dumps(farm.servers[0].strategy_factory)
         pickle.dumps(farm.servers[-1].predictor_factory)
 
@@ -213,8 +235,9 @@ class TestUnpicklableWork:
             strategy_factory=lambda: _strategy_for(0),
             predictor_factory=lambda: _predictor_for(0),
         )
-        with pytest.raises(ExecutorError, match="unknown executor"):
-            ServerFarm(servers=(server,), spec=spec, executor="gpu")
+        for name in ("gpu", "thread"):
+            with pytest.raises(ExecutorError, match="unknown executor"):
+                ServerFarm(servers=(server,), spec=spec, executor=name)
 
 
 class TestOtherFanOutSites:

@@ -2,13 +2,15 @@
 
 Pins the streaming contract — ``ServerFarm.run(..., chunk_jobs=...)``
 produces results identical to the one-shot path for every dispatcher,
-serial or threaded, including parked-server idle accounting — plus the
+serial or process-sharded, including parked-server idle accounting — plus the
 accounting bug batch: cached ``FarmResult.response_times``, explicit
 ``meets_budget`` with zero completed jobs, and the guarded parked-server
 idle proration.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from repro.cluster.dispatch import (
     RoundRobinDispatcher,
 )
 from repro.cluster.farm import (
-    ClusterRuntime,
     FarmResult,
     ServerFarm,
     ServerSpec,
@@ -44,8 +45,9 @@ def fixed_policy_server(name, power_model, max_frequency=1.0, scaling=None):
     return ServerSpec(
         name=name,
         power_model=power_model,
-        strategy_factory=lambda: FixedPolicyStrategy(policy),
-        predictor_factory=lambda: NaivePreviousPredictor(),
+        # Picklable factories: the max_workers=2 legs run on processes.
+        strategy_factory=partial(FixedPolicyStrategy, policy),
+        predictor_factory=NaivePreviousPredictor,
         config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0),
         scaling=scaling,
         max_frequency=max_frequency,
@@ -132,17 +134,17 @@ class TestChunkedFarmRuns:
         assert chunked.idle_energies == pytest.approx(one_shot.idle_energies)
         assert chunked.total_energy == pytest.approx(one_shot.total_energy)
 
-    def test_cluster_runtime_supports_chunking(self, dns_empirical, busy_workload):
+    def test_homogeneous_farm_supports_chunking(self, dns_empirical, busy_workload):
         xeon = xeon_power_model()
         policy = race_to_halt_policy(xeon, C6_S0I)
 
         def build(chunk_jobs=None):
-            return ClusterRuntime(
-                num_servers=3,
-                power_model=xeon,
-                spec=dns_empirical,
-                strategy_factory=lambda index: FixedPolicyStrategy(policy),
-                predictor_factory=lambda index: NaivePreviousPredictor(),
+            return ServerFarm.homogeneous(
+                3,
+                xeon,
+                dns_empirical,
+                lambda index: FixedPolicyStrategy(policy),
+                lambda index: NaivePreviousPredictor(),
                 config=RuntimeConfig(
                     epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0
                 ),
@@ -155,28 +157,6 @@ class TestChunkedFarmRuns:
         np.testing.assert_allclose(
             chunked.response_times, one_shot.response_times, rtol=1e-9
         )
-
-    def test_shared_instance_rejected_when_threaded_and_chunked(
-        self, dns_empirical, busy_workload
-    ):
-        xeon = xeon_power_model()
-        shared = FixedPolicyStrategy(race_to_halt_policy(xeon, C6_S0I))
-        farm = ServerFarm(
-            servers=tuple(
-                ServerSpec(
-                    name=f"server-{index}",
-                    power_model=xeon,
-                    strategy_factory=lambda: shared,
-                    predictor_factory=lambda: NaivePreviousPredictor(),
-                )
-                for index in range(2)
-            ),
-            spec=dns_empirical,
-            max_workers=2,
-            chunk_jobs=100,
-        )
-        with pytest.raises(ConfigurationError, match="fresh object"):
-            farm.run(busy_workload)
 
     def test_chunk_jobs_validation(self, dns_empirical, mixed_servers, busy_workload):
         with pytest.raises(ConfigurationError, match="chunk_jobs"):
@@ -228,20 +208,17 @@ class TestDispatchSpeedThreading:
         blind = LeastLoadedDispatcher().assign(busy_workload, 2)
         assert not np.array_equal(expected, blind)
 
-    def test_cluster_runtime_threads_speed_model(self, dns_empirical):
+    def test_homogeneous_farm_threads_speed_model(self, dns_empirical):
         xeon = xeon_power_model()
-        cluster = ClusterRuntime(
-            num_servers=2,
-            power_model=xeon,
-            spec=dns_empirical,
-            strategy_factory=lambda index: FixedPolicyStrategy(
-                race_to_halt_policy(xeon, C6_S0I)
-            ),
-            predictor_factory=lambda index: NaivePreviousPredictor(),
+        farm = ServerFarm.homogeneous(
+            2,
+            xeon,
+            dns_empirical,
+            lambda index: FixedPolicyStrategy(race_to_halt_policy(xeon, C6_S0I)),
+            lambda index: NaivePreviousPredictor(),
             scaling=partially_bound(0.5),
             max_frequency=0.25,
         )
-        farm = cluster.as_server_farm()
         assert farm.dispatch_speeds == (pytest.approx(0.5), pytest.approx(0.5))
         assert all(spec.scaling == partially_bound(0.5) for spec in farm.servers)
 

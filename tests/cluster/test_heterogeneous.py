@@ -13,6 +13,8 @@ The invariants pinned here are the ones the scenario reports rely on:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from repro.cluster.dispatch import (
     PowerAwareDispatcher,
     merge_streams,
 )
-from repro.cluster.farm import ClusterRuntime, ServerFarm, ServerSpec
+from repro.cluster.farm import ServerFarm, ServerSpec
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import FixedPolicyStrategy
 from repro.exceptions import ConfigurationError
@@ -144,8 +146,9 @@ def fixed_policy_server(name, power_model, rho_b=0.8):
     return ServerSpec(
         name=name,
         power_model=power_model,
-        strategy_factory=lambda: FixedPolicyStrategy(policy),
-        predictor_factory=lambda: NaivePreviousPredictor(),
+        # Picklable factories: some farms below run on the process executor.
+        strategy_factory=partial(FixedPolicyStrategy, policy),
+        predictor_factory=NaivePreviousPredictor,
         config=RuntimeConfig(epoch_minutes=5.0, rho_b=rho_b, over_provisioning=0.0),
     )
 
@@ -182,18 +185,16 @@ class TestServerFarm:
         result = farm.run(busy_workload)
         assert result.response_time_budget == pytest.approx(2.5)
 
-    def test_matches_cluster_runtime_for_homogeneous_farm(
-        self, dns_empirical, busy_workload
-    ):
+    def test_matches_homogeneous_constructor(self, dns_empirical, busy_workload):
         xeon = xeon_power_model()
         policy = race_to_halt_policy(xeon, C6_S0I)
         config = RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0)
-        cluster = ClusterRuntime(
-            num_servers=3,
-            power_model=xeon,
-            spec=dns_empirical,
-            strategy_factory=lambda index: FixedPolicyStrategy(policy),
-            predictor_factory=lambda index: NaivePreviousPredictor(),
+        cluster = ServerFarm.homogeneous(
+            3,
+            xeon,
+            dns_empirical,
+            lambda index: FixedPolicyStrategy(policy),
+            lambda index: NaivePreviousPredictor(),
             config=config,
         )
         farm = ServerFarm(
@@ -211,7 +212,7 @@ class TestServerFarm:
             np.sort(from_cluster.response_times), np.sort(from_farm.response_times)
         )
 
-    def test_threaded_matches_serial(self, dns_empirical, busy_workload):
+    def test_process_matches_serial(self, dns_empirical, busy_workload):
         def build(max_workers=None):
             return ServerFarm(
                 servers=(
@@ -223,10 +224,10 @@ class TestServerFarm:
             )
 
         serial = build().run(busy_workload)
-        threaded = build(max_workers=2).run(busy_workload)
-        assert threaded.total_energy == pytest.approx(serial.total_energy)
+        sharded = build(max_workers=2).run(busy_workload)
+        assert sharded.total_energy == serial.total_energy
         np.testing.assert_array_equal(
-            threaded.response_times, serial.response_times
+            sharded.response_times, serial.response_times
         )
 
     def test_power_aware_heterogeneous_farm_saves_energy_at_light_load(
@@ -311,24 +312,3 @@ class TestServerFarm:
                 strategy_factory=lambda: None,
                 predictor_factory=lambda: None,
             )
-
-    def test_shared_instance_rejected_when_threaded(
-        self, dns_empirical, busy_workload
-    ):
-        xeon = xeon_power_model()
-        shared = FixedPolicyStrategy(race_to_halt_policy(xeon, C6_S0I))
-        farm = ServerFarm(
-            servers=tuple(
-                ServerSpec(
-                    name=f"server-{index}",
-                    power_model=xeon,
-                    strategy_factory=lambda: shared,
-                    predictor_factory=lambda: NaivePreviousPredictor(),
-                )
-                for index in range(2)
-            ),
-            spec=dns_empirical,
-            max_workers=2,
-        )
-        with pytest.raises(ConfigurationError, match="fresh object"):
-            farm.run(busy_workload)

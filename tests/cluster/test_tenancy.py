@@ -352,16 +352,18 @@ class TestScenarioQosKnob:
         built = get_scenario("diurnal").build(qos=qos, duration_minutes=4)
         assert built.farm.qos is qos
 
-    def test_bare_constraint_is_wrapped_into_strictest(self):
+    def test_bare_constraint_is_rejected_naming_the_fix(self):
         constraint = percentile_qos_from_baseline(0.8, 0.01)
-        built = get_scenario("diurnal").build(
-            qos=constraint, duration_minutes=4
-        )
-        # The deprecation shim: a bare QosConstraint means "strictest".
-        qos = built.farm.qos
-        assert isinstance(qos, FarmQos)
-        assert not qos.is_per_tenant
-        assert qos.composite_constraint() is constraint
+        with pytest.raises(ScenarioError, match=r"FarmQos\.strictest\(constraint\)"):
+            get_scenario("diurnal").build(qos=constraint, duration_minutes=4)
+        farm = get_scenario("diurnal").build(duration_minutes=4).farm
+        with pytest.raises(
+            ConfigurationError, match=r"FarmQos\.strictest\(constraint\)"
+        ):
+            dataclasses.replace(farm, qos=constraint)
+        # The named fix is accepted.
+        wrapped = dataclasses.replace(farm, qos=FarmQos.strictest(constraint))
+        assert wrapped.qos.composite_constraint() is constraint
 
     def test_qos_is_a_reserved_parameter_name(self):
         from repro.scenarios.base import Scenario

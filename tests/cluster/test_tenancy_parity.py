@@ -39,8 +39,8 @@ from tests.cluster.test_executor_parity import (
 #: the representative scenario (every scenario is pinned serial/memory).
 GRID = tuple(
     (executor, backend)
-    for executor in ("serial", "thread", "process")
-    for backend in ("memory", "shm", "mmap")
+    for executor in ("serial", "process")
+    for backend in ("memory", "mmap")
 )
 
 

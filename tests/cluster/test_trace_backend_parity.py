@@ -1,26 +1,33 @@
 """Trace storage backends must be result-invisible (and leak-free).
 
-The PR 6 analogue of the executor contract: wherever the trace's arrays
-live — in-process memory, shared-memory segments, or a memory-mapped file —
-a farm produces **bit-identical** ``FarmResult``s.  This suite pins that
-across every registered scenario (serial/memory oracle vs zero-copy process
-sharding over shm and mmap, and the serial mmap-spill path), proves shared
-segments are released on every exit path (normal, pickling failure, worker
-crash), and runs a memory-mapped trace larger than a configured memory cap
-through a chunked farm in bounded memory.
+The analogue of the executor contract: wherever the trace's arrays live —
+in-process memory or a memory-mapped file — a farm produces
+**bit-identical** ``FarmResult``s.  This suite pins that across every
+registered scenario (serial/memory oracle vs zero-copy process sharding
+over mmap, process sharding of in-memory slices, and the serial mmap-spill
+path), proves the arena's files are deleted on every exit path (normal,
+pickling failure, worker crash), and runs a memory-mapped trace larger than
+a configured memory cap through a chunked farm in bounded memory.
 """
 
 from __future__ import annotations
 
 import glob
 import os
+import pickle
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.cluster.dispatch import RoundRobinDispatcher
-from repro.cluster.farm import ServerFarm, ServerSpec
+from repro.cluster.farm import (
+    ServerFarm,
+    ServerShardTask,
+    ServerSpec,
+    run_server_shard,
+)
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import race_to_halt_c3
 from repro.exceptions import ExecutorError
@@ -28,7 +35,7 @@ from repro.power.platform import xeon_power_model
 from repro.prediction.naive import NaivePreviousPredictor
 from repro.scenarios import available_scenarios, get_scenario
 from repro.workloads.jobs import JobTrace
-from repro.workloads.storage import SHM_PREFIX, TraceBuffer
+from repro.workloads.storage import SharedTraceArena, TraceBuffer
 
 from tests.cluster.test_executor_parity import (
     _tiny_overrides,
@@ -36,23 +43,29 @@ from tests.cluster.test_executor_parity import (
 )
 
 
-def shm_segments() -> set[str]:
-    return set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
+def arena_dirs() -> set[str]:
+    """The farm's arena and trace-spill directories in the temp directory."""
+    return {
+        path
+        for prefix in ("repro_arena_", "repro_trace_")
+        for path in glob.glob(os.path.join(tempfile.gettempdir(), f"{prefix}*"))
+    }
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = shm_segments()
+def no_leaked_arenas():
+    before = arena_dirs()
     yield
-    leaked = shm_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    leaked = arena_dirs() - before
+    assert not leaked, f"leaked arena directories: {sorted(leaked)}"
 
 
 #: (executor, trace_backend) pairs compared against the serial/memory oracle.
-#: The process runs exercise the zero-copy descriptor sharding; the serial
-#: mmap run exercises the spill-to-file path without an arena.
+#: The process/mmap run exercises the zero-copy descriptor sharding, the
+#: process/memory run the pickled grouped slices; the serial mmap run
+#: exercises the spill-to-file path without an arena.
 BACKEND_MATRIX = (
-    ("process", "shm"),
+    ("process", "memory"),
     ("process", "mmap"),
     ("serial", "mmap"),
 )
@@ -94,11 +107,11 @@ def _fresh_predictor():
 def _crashing_strategy():
     # Hard worker death (no exception, no cleanup handlers in the worker):
     # the pool reports a BrokenProcessPool and the parent's arena context
-    # must still unlink every segment.
+    # must still delete every file.
     os._exit(17)
 
 
-def _small_farm(strategy_factory, *, trace_backend: str = "shm") -> ServerFarm:
+def _small_farm(strategy_factory, *, trace_backend: str = "mmap") -> ServerFarm:
     from repro.workloads.spec import dns_workload
 
     servers = tuple(
@@ -128,31 +141,79 @@ def _small_jobs() -> JobTrace:
     return generate_jobs(dns_workload(), num_jobs=400, utilization=0.4, seed=3)
 
 
-class TestSegmentCleanup:
-    def test_no_segments_survive_a_normal_run(self):
-        before = shm_segments()
+class TestArenaCleanup:
+    def test_no_arena_survives_a_normal_run(self):
+        before = arena_dirs()
         result = _small_farm(_fresh_strategy).run(_small_jobs())
         assert result.num_jobs == 400
-        assert shm_segments() == before
+        assert arena_dirs() == before
 
-    def test_no_segments_survive_an_executor_error(self):
+    def test_no_arena_survives_an_executor_error(self):
         # A lambda factory cannot be pickled into the shard task: the
         # executor raises ExecutorError after the arena published the trace,
-        # and the arena's __exit__ must still unlink everything.
-        before = shm_segments()
+        # and the arena's __exit__ must still delete everything.
+        before = arena_dirs()
         farm = _small_farm(lambda: _fresh_strategy())
         with pytest.raises(ExecutorError, match="pickl"):
             farm.run(_small_jobs())
-        assert shm_segments() == before
+        assert arena_dirs() == before
 
-    def test_no_segments_survive_a_worker_crash(self):
+    def test_no_arena_survives_a_worker_crash(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        before = shm_segments()
+        before = arena_dirs()
         farm = _small_farm(_crashing_strategy)
         with pytest.raises(BrokenProcessPool):
             farm.run(_small_jobs())
-        assert shm_segments() == before
+        assert arena_dirs() == before
+
+
+class TestShardTask:
+    """The process work unit itself, run in-process."""
+
+    def _task(self, arrivals, demands) -> ServerShardTask:
+        farm = _small_farm(_fresh_strategy)
+        return ServerShardTask(
+            server=farm.servers[0],
+            spec=farm.spec,
+            use_cache=False,
+            arrivals=arrivals,
+            demands=demands,
+        )
+
+    def test_descriptor_task_matches_array_task(self):
+        jobs = _small_jobs()
+        direct = run_server_shard(
+            self._task(jobs.arrival_times, jobs.service_demands)
+        )
+        with SharedTraceArena() as arena:
+            published = run_server_shard(
+                self._task(
+                    arena.publish(jobs.arrival_times, "arrivals"),
+                    arena.publish(jobs.service_demands, "demands"),
+                )
+            )
+        assert np.array_equal(direct.response_times, published.response_times)
+        assert direct.total_energy == published.total_energy
+
+    def test_descriptor_task_size_is_independent_of_the_trace(self):
+        # The reason the mmap backend exists: a shard task pickles to
+        # (almost) the same size whether the server's range holds ten jobs
+        # or the whole trace — only the integer widths of offset/length
+        # differ — while an array task grows by 16 bytes per job.
+        jobs = _small_jobs()
+        extra_jobs = len(jobs) - 10
+        with SharedTraceArena() as arena:
+            arrivals = arena.publish(jobs.arrival_times, "arrivals")
+            demands = arena.publish(jobs.service_demands, "demands")
+            small = self._task(arrivals.narrow(0, 10), demands.narrow(0, 10))
+            full = self._task(arrivals, demands)
+            growth = len(pickle.dumps(full)) - len(pickle.dumps(small))
+            assert 0 <= growth < 16
+        few = self._task(jobs.arrival_times[:10], jobs.service_demands[:10])
+        many = self._task(jobs.arrival_times, jobs.service_demands)
+        growth = len(pickle.dumps(many)) - len(pickle.dumps(few))
+        assert growth >= 16 * extra_jobs
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,39 @@
-"""Tests for the multi-server farm substrate (dispatchers and ClusterRuntime)."""
+"""Tests for the multi-server farm substrate (dispatchers and homogeneous farms)."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.cluster.dispatch import RandomDispatcher, RoundRobinDispatcher, merge_streams
-from repro.cluster.farm import ClusterRuntime, FarmResult
+from repro.cluster.farm import FarmResult, ServerFarm
 from repro.core.qos import mean_qos_from_baseline
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import FixedPolicyStrategy, race_to_halt_c6, sleepscale_strategy
 from repro.exceptions import ConfigurationError
-from repro.policies.policy import race_to_halt_policy
+from repro.policies.policy import Policy, race_to_halt_policy
 from repro.power.states import C6_S0I
 from repro.prediction.lms_cusum import LmsCusumPredictor
 from repro.prediction.naive import NaivePreviousPredictor
 from repro.workloads.generator import generate_trace_driven_jobs
 from repro.workloads.jobs import JobTrace
 from repro.workloads.traces import constant_trace
+
+
+@dataclass(frozen=True)
+class FixedPolicyFactory:
+    """Picklable per-index strategy factory (process-sharded farms)."""
+
+    policy: Policy
+
+    def __call__(self, index: int) -> FixedPolicyStrategy:
+        return FixedPolicyStrategy(self.policy)
+
+
+def naive_predictor(index: int) -> NaivePreviousPredictor:
+    return NaivePreviousPredictor()
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +91,14 @@ class TestDispatchers:
             assert stream.offered_load < jobs.offered_load / 2
 
 
-class TestClusterRuntime:
+class TestHomogeneousFarm:
     def make_cluster(self, xeon, spec, num_servers, strategy_factory):
-        return ClusterRuntime(
-            num_servers=num_servers,
-            power_model=xeon,
-            spec=spec,
-            strategy_factory=strategy_factory,
-            predictor_factory=lambda index: NaivePreviousPredictor(),
+        return ServerFarm.homogeneous(
+            num_servers,
+            xeon,
+            spec,
+            strategy_factory,
+            lambda index: NaivePreviousPredictor(),
             config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0),
         )
 
@@ -129,20 +145,20 @@ class TestClusterRuntime:
                 xeon, qos, characterization_jobs=500, seed=index
             )
 
-        sleepscale_farm = ClusterRuntime(
-            num_servers=3,
-            power_model=xeon,
-            spec=dns_empirical,
-            strategy_factory=sleepscale_factory,
-            predictor_factory=lambda index: LmsCusumPredictor(history=10),
+        sleepscale_farm = ServerFarm.homogeneous(
+            3,
+            xeon,
+            dns_empirical,
+            sleepscale_factory,
+            lambda index: LmsCusumPredictor(history=10),
             config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.35),
         ).run(farm_workload.jobs)
-        race_farm = ClusterRuntime(
-            num_servers=3,
-            power_model=xeon,
-            spec=dns_empirical,
-            strategy_factory=lambda index: race_to_halt_c6(xeon),
-            predictor_factory=lambda index: LmsCusumPredictor(history=10),
+        race_farm = ServerFarm.homogeneous(
+            3,
+            xeon,
+            dns_empirical,
+            lambda index: race_to_halt_c6(xeon),
+            lambda index: LmsCusumPredictor(history=10),
             config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.35),
         ).run(farm_workload.jobs)
         assert sleepscale_farm.meets_budget
@@ -160,13 +176,13 @@ class TestClusterRuntime:
         assert fractions == {"C6S0(i)": 1.0}
 
     def test_validation(self, xeon, dns_empirical):
-        with pytest.raises(ConfigurationError):
-            ClusterRuntime(
-                num_servers=0,
-                power_model=xeon,
-                spec=dns_empirical,
-                strategy_factory=lambda index: race_to_halt_c6(xeon),
-                predictor_factory=lambda index: NaivePreviousPredictor(),
+        with pytest.raises(ConfigurationError, match="at least one server"):
+            ServerFarm.homogeneous(
+                0,
+                xeon,
+                dns_empirical,
+                lambda index: race_to_halt_c6(xeon),
+                lambda index: NaivePreviousPredictor(),
             )
         with pytest.raises(ConfigurationError):
             FarmResult(per_server=(), mean_service_time=0.1, response_time_budget=5.0)
@@ -187,31 +203,28 @@ class TestClusterRuntime:
 
 
 class TestParallelFarm:
-    """Threaded per-server fan-out must reproduce the serial farm exactly."""
+    """Process-sharded per-server runs must reproduce the serial farm exactly."""
 
     def make_cluster(self, xeon, spec, num_servers, max_workers=None):
-        policy = race_to_halt_policy(xeon, C6_S0I)
-        return ClusterRuntime(
-            num_servers=num_servers,
-            power_model=xeon,
-            spec=spec,
-            strategy_factory=lambda index: FixedPolicyStrategy(policy),
-            predictor_factory=lambda index: NaivePreviousPredictor(),
+        return ServerFarm.homogeneous(
+            num_servers,
+            xeon,
+            spec,
+            FixedPolicyFactory(race_to_halt_policy(xeon, C6_S0I)),
+            naive_predictor,
             config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0),
             max_workers=max_workers,
         )
 
     def test_parallel_matches_serial(self, xeon, dns_empirical, farm_workload):
         serial = self.make_cluster(xeon, dns_empirical, 4).run(farm_workload.jobs)
-        threaded = self.make_cluster(
-            xeon, dns_empirical, 4, max_workers=4
+        sharded = self.make_cluster(
+            xeon, dns_empirical, 4, max_workers=2
         ).run(farm_workload.jobs)
-        assert threaded.num_jobs == serial.num_jobs
-        assert threaded.total_energy == pytest.approx(serial.total_energy)
-        assert threaded.mean_response_time == pytest.approx(
-            serial.mean_response_time
-        )
-        for fast, slow in zip(threaded.per_server, serial.per_server):
+        assert sharded.num_jobs == serial.num_jobs
+        assert sharded.total_energy == serial.total_energy
+        assert sharded.mean_response_time == serial.mean_response_time
+        for fast, slow in zip(sharded.per_server, serial.per_server, strict=True):
             assert (fast is None) == (slow is None)
             if fast is not None:
                 np.testing.assert_array_equal(
@@ -221,19 +234,3 @@ class TestParallelFarm:
     def test_invalid_worker_count_rejected(self, xeon, dns_empirical):
         with pytest.raises(ConfigurationError):
             self.make_cluster(xeon, dns_empirical, 2, max_workers=0)
-
-    def test_shared_factory_rejected_when_threaded(
-        self, xeon, dns_empirical, farm_workload
-    ):
-        shared = FixedPolicyStrategy(race_to_halt_policy(xeon, C6_S0I))
-        cluster = ClusterRuntime(
-            num_servers=3,
-            power_model=xeon,
-            spec=dns_empirical,
-            strategy_factory=lambda index: shared,  # one instance for all servers
-            predictor_factory=lambda index: NaivePreviousPredictor(),
-            config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0),
-            max_workers=3,
-        )
-        with pytest.raises(ConfigurationError):
-            cluster.run(farm_workload.jobs)

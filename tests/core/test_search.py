@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.farm import ClusterRuntime, ServerFarm, ServerSpec
+from repro.cluster.farm import ServerFarm, ServerSpec
 from repro.core.policy_manager import PolicyManager
 from repro.core.qos import (
     QosConstraint,
@@ -521,21 +521,21 @@ class TestFarmThreading:
             strategy.policy_manager.search_cache is cache for strategy in built
         )
 
-    def test_cluster_runtime_passes_cache_through(self, xeon, dns_ideal):
+    def test_homogeneous_farm_passes_cache_through(self, xeon, dns_ideal):
         cache = CharacterizationCache()
-        cluster = ClusterRuntime(
-            num_servers=2,
-            power_model=xeon,
-            spec=dns_ideal,
-            strategy_factory=lambda index: sleepscale_strategy(
+        farm = ServerFarm.homogeneous(
+            2,
+            xeon,
+            dns_ideal,
+            lambda index: sleepscale_strategy(
                 xeon,
                 mean_qos_from_baseline(0.8),
                 characterization_jobs=150,
                 seed=index,
                 search=SEARCH_FRONTIER,
             ),
-            predictor_factory=lambda index: NaivePreviousPredictor(),
+            lambda index: NaivePreviousPredictor(),
             config=RuntimeConfig(epoch_minutes=1.0),
             search_cache=cache,
         )
-        assert cluster.as_server_farm().search_cache is cache
+        assert farm.search_cache is cache

@@ -419,6 +419,22 @@ class TestCliErrors:
         assert lines[0].startswith("error: ")
         assert message in lines[0]
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["--executor", "thread"], "invalid choice: 'thread'"),
+            (["--trace-backend", "shm"], "invalid choice: 'shm'"),
+        ],
+        ids=["thread-executor", "shm-backend"],
+    )
+    def test_removed_executor_and_backend_are_rejected(self, capsys, argv, message):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run-scenario", "diurnal", *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_experiment_prints_one_error_line(self, capsys):
         from repro.experiments.runner import main
 

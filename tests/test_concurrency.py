@@ -2,7 +2,8 @@
 
 Pins the executor contract of :mod:`repro.concurrency`: results in item
 order on every executor, serial fallback exactly where the historical
-``fan_out`` ran serially, first-in-item-order exception propagation, and —
+``fan_out`` ran serially (``max_workers > 1`` now means worker processes),
+first-in-item-order exception propagation, and —
 for the process executor — *clear* errors (not hangs) when work cannot
 cross a process boundary.
 """
@@ -20,7 +21,6 @@ from repro.concurrency import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     fan_out,
     resolve_executor,
     validate_executor,
@@ -59,11 +59,16 @@ class TestFanOutContract:
     def test_results_in_item_order_serial(self):
         assert fan_out([3, 1, 2], square, None) == [9, 1, 4]
 
-    def test_results_in_item_order_threaded(self):
+    def test_results_in_item_order_pooled(self):
         items = list(range(5))
-        assert fan_out(items, square_after_reverse_delay, 4) == [
+        assert fan_out(items, square_after_reverse_delay, 2) == [
             value * value for value in items
         ]
+
+    def test_workers_above_one_select_worker_processes(self):
+        """``max_workers > 1`` without an executor means the process pool."""
+        pids = fan_out([1, 2], worker_pid, 2)
+        assert all(pid != os.getpid() for pid in pids)
 
     @pytest.mark.parametrize("max_workers", [None, 0, 1])
     def test_serial_fallback_runs_in_callers_thread(self, max_workers):
@@ -71,24 +76,21 @@ class TestFanOutContract:
         idents = fan_out([1, 2, 3], record_thread, max_workers)
         assert set(idents) == {threading.get_ident()}
 
-    def test_single_item_skips_the_pool(self):
-        assert fan_out([7], record_thread, 8) == [threading.get_ident()]
-
-    @pytest.mark.parametrize("max_workers", [None, 4])
+    @pytest.mark.parametrize("max_workers", [None, 2])
     def test_first_exception_in_item_order(self, max_workers):
         """Items 0 and 2 both fail; item 0's error must be the one raised."""
         with pytest.raises(ValueError, match="item 0 failed"):
             fan_out([0, 1, 2], fail_on_even, max_workers)
 
     def test_empty_items(self):
-        assert fan_out([], square, 4) == []
+        assert fan_out([], square, 2) == []
 
     def test_executor_keyword_selects_by_name(self):
         assert fan_out([2, 3], square, None, executor="process") == [4, 9]
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("executor", [SerialExecutor(), ThreadExecutor(2)])
+    @pytest.mark.parametrize("executor", [SerialExecutor(), ProcessExecutor(2)])
     def test_map_in_order(self, executor):
         assert executor.map(square, [3, 1, 2]) == [9, 1, 4]
 
@@ -107,23 +109,23 @@ class TestExecutors:
         with pytest.raises(ValueError, match="item 0 failed"):
             ProcessExecutor(max_workers=2).map(fail_on_even, [0, 1, 2])
 
-    @pytest.mark.parametrize(
-        "executor",
-        [SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2)],
-    )
+    @pytest.mark.parametrize("executor", [SerialExecutor(), ProcessExecutor(2)])
     def test_empty_items_every_executor(self, executor):
         assert executor.map(square, []) == []
 
     def test_executor_names_match_registry(self):
-        assert EXECUTORS == ("serial", "thread", "process")
+        assert EXECUTORS == ("serial", "process")
         assert SerialExecutor().name == "serial"
-        assert ThreadExecutor().name == "thread"
         assert ProcessExecutor().name == "process"
 
-    @pytest.mark.parametrize("cls", [ThreadExecutor, ProcessExecutor])
-    def test_invalid_worker_count_rejected(self, cls):
-        with pytest.raises(ExecutorError):
-            cls(max_workers=0)
+    @pytest.mark.parametrize("max_workers", [0, -2])
+    def test_invalid_worker_count_rejected(self, max_workers):
+        with pytest.raises(ExecutorError, match="at least 1"):
+            ProcessExecutor(max_workers=max_workers)
+
+    def test_single_item_still_runs_in_a_worker(self):
+        pids = ProcessExecutor(max_workers=8).map(worker_pid, [1])
+        assert len(pids) == 1 and pids[0] != os.getpid()
 
 
 class TestProcessPicklability:
@@ -151,32 +153,33 @@ class TestProcessPicklability:
 
 
 class TestResolveExecutor:
-    def test_none_keeps_historical_thread_rule(self):
+    def test_none_means_process_above_one_worker(self):
         assert isinstance(resolve_executor(None, None), SerialExecutor)
         assert isinstance(resolve_executor(None, 0), SerialExecutor)
         assert isinstance(resolve_executor(None, 1), SerialExecutor)
-        assert isinstance(resolve_executor(None, 2), ThreadExecutor)
+        assert isinstance(resolve_executor(None, 2), ProcessExecutor)
+        assert resolve_executor(None, 8).name == "process"
 
     def test_names_resolve(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("thread", 3), ThreadExecutor)
         assert isinstance(resolve_executor("process", 3), ProcessExecutor)
 
     def test_worker_count_threads_through(self):
-        assert resolve_executor("thread", 3).max_workers == 3
+        assert resolve_executor(None, 3).max_workers == 3
         assert resolve_executor("process", 5).max_workers == 5
 
     def test_instance_passes_through(self):
-        executor = ThreadExecutor(2)
+        executor = ProcessExecutor(2)
         assert resolve_executor(executor, 99) is executor
 
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("name", ["gpu", "thread"])
+    def test_unknown_name_rejected(self, name):
         with pytest.raises(ExecutorError, match="unknown executor"):
-            resolve_executor("gpu")
+            resolve_executor(name)
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ExecutorError):
-            resolve_executor("thread", 0)
+            resolve_executor("process", 0)
 
     def test_validate_executor(self):
         validate_executor(None)

@@ -25,7 +25,7 @@ class TestPublicApi:
             "SleepScaleRuntime",
             "PolicyManager",
             "AnalyticPolicyManager",
-            "ClusterRuntime",
+            "ServerFarm",
             "sleepscale_strategy",
             "figure9_strategies",
             "xeon_power_model",
