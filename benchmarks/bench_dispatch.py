@@ -2,13 +2,13 @@
 
 Measures the dispatch-engine contract end to end:
 
-* ``LeastLoadedDispatcher`` and ``PowerAwareDispatcher`` on the ``"heap"``
-  engine vs. the retained per-job ``"loop"`` oracle, asserting
-  **byte-identical assignments** and reporting the speedups across traffic
-  regimes (the farm-scale regime — heavy aggregate traffic spread over 16
-  servers — is the headline);
-* a chunked (streaming) ``ServerFarm.run`` vs. the one-shot path on a
-  reduced trace, asserting equivalence within ``rtol <= 1e-9``.
+* ``LeastLoadedDispatcher`` on the ``"heap"`` engine vs. the retained
+  per-job ``"loop"`` oracle, asserting **byte-identical assignments** and
+  reporting the speedups across traffic regimes (the farm-scale regime —
+  heavy aggregate traffic spread over 16 servers — is the headline);
+* a chunked (streaming) ``ServerFarm.run`` behind a ``PowerAwareDispatcher``
+  vs. the one-shot path on a reduced trace, asserting equivalence within
+  ``rtol <= 1e-9``.
 
 Run directly (sizes shrink for CI smoke)::
 
@@ -66,52 +66,27 @@ def time_assign(dispatcher, jobs, num_servers, server_speeds):
 
 
 def bench_dispatchers(num_jobs: int, seed: int) -> dict:
-    """Heap vs. loop on every (dispatcher, regime, speed model) case."""
+    """Least-loaded heap vs. loop on every (regime, speed model) case."""
     num_servers = NUM_XEON + NUM_ATOM
     het_speeds = [1.0] * NUM_XEON + [ATOM_CEILING] * NUM_ATOM
-    idle_powers = [xeon_power_model().idle_power(1.0)] * NUM_XEON + [
-        atom_power_model().idle_power(1.0)
-    ] * NUM_ATOM
     cases = {
         # The farm-scale regime: aggregate traffic of ~0.9 of one server
         # spread over 16 servers (per-server load ~6%), homogeneous speeds.
-        "least_loaded_farm_scale": (
-            lambda engine: LeastLoadedDispatcher(engine),
-            0.9,
-            None,
-        ),
+        "least_loaded_farm_scale": (0.9, None),
         # Same regime, the mixed Xeon/Atom speed model (merge fast path is
         # homogeneous-only, so this shows the heap-tier floor).
-        "least_loaded_heterogeneous": (
-            lambda engine: LeastLoadedDispatcher(engine),
-            0.9,
-            het_speeds,
-        ),
+        "least_loaded_heterogeneous": (0.9, het_speeds),
         # Aggregate load near half the farm's capacity.
-        "least_loaded_heavy": (
-            lambda engine: LeastLoadedDispatcher(engine),
-            8.0,
-            None,
-        ),
-        "power_aware_farm_scale": (
-            lambda engine: PowerAwareDispatcher(idle_powers, engine=engine),
-            0.9,
-            het_speeds,
-        ),
-        "power_aware_light_packing": (
-            lambda engine: PowerAwareDispatcher(idle_powers, engine=engine),
-            0.1,
-            het_speeds,
-        ),
+        "least_loaded_heavy": (8.0, None),
     }
     results = {}
-    for name, (factory, utilization, speeds) in cases.items():
+    for name, (utilization, speeds) in cases.items():
         jobs = synthetic_jobs(num_jobs, utilization, seed)
         heap_seconds, heap_assignment = time_assign(
-            factory(ENGINE_HEAP), jobs, num_servers, speeds
+            LeastLoadedDispatcher(ENGINE_HEAP), jobs, num_servers, speeds
         )
         loop_seconds, loop_assignment = time_assign(
-            factory(ENGINE_LOOP), jobs, num_servers, speeds
+            LeastLoadedDispatcher(ENGINE_LOOP), jobs, num_servers, speeds
         )
         identical = bool(np.array_equal(heap_assignment, loop_assignment))
         if not identical:

@@ -46,7 +46,8 @@ from datetime import date
 
 import numpy as np
 
-from repro.cluster.farm import ServerShardTask, group_by_server
+from repro.cluster.dispatch import group_by_server
+from repro.cluster.farm import ServerShardTask
 from repro.scenarios import get_scenario
 from repro.workloads.storage import SharedTraceArena
 

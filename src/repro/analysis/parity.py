@@ -81,7 +81,7 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         oracle="loop",
         members=("heap", "loop"),
         import_evidence=("repro.cluster.dispatch",),
-        description="heap-backed dispatch engine vs per-job loop engine",
+        description="least-loaded heap-backed dispatch engine vs per-job loop engine",
     ),
     ParityContract(
         name="policy-search",

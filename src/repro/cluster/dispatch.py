@@ -44,24 +44,27 @@ service-scaling rule and frequency ceiling and threads them through
 instead of raw demand seconds.  Omitting the speeds reproduces the old
 homogeneity-blind estimate bit for bit.
 
-The dispatch engine contract
-----------------------------
+Assignment engines
+------------------
 
-Mirroring the simulation-backend contract, every work-tracking dispatcher has
-two interchangeable engines:
+:class:`LeastLoadedDispatcher` has two interchangeable engines, mirroring the
+simulation-backend contract:
 
 * ``"heap"`` (default) — O(n log m) for ``n`` jobs on ``m`` servers, built on
-  the shared heap-backed :class:`WorkTracker` core with NumPy batch pre/post
-  processing;
+  the shared :class:`WorkTracker` core with NumPy batch pre/post processing;
 * ``"loop"`` — the original per-job Python scan, kept as the reference
   oracle.
 
 The two produce **byte-identical assignments** for every trace (pinned by
-``tests/cluster/test_dispatch_engine.py``).  All dispatchers additionally
+``tests/cluster/test_dispatch_engine.py``).  :class:`PowerAwareDispatcher`
+has one engine, the ranked per-job scan, whose assignments are pinned by
+per-cell golden digests in the same suite.  All dispatchers additionally
 support *streaming* assignment through :meth:`JobDispatcher.assigner`: the
 returned :class:`StreamAssigner` carries the dispatcher state across
 arrival-ordered chunks, so splitting one trace into chunks yields exactly the
-same assignment as one-shot :meth:`JobDispatcher.assign`.  This is what
+same assignment as one-shot :meth:`JobDispatcher.assign` (the work-tracking
+assigners raise :class:`~repro.exceptions.TraceError` on any other order).
+This is what
 :meth:`ServerFarm.run(..., chunk_jobs=...) <repro.cluster.farm.ServerFarm.run>`
 uses to stream million-job traces without materialising every per-server
 array at once.
@@ -86,7 +89,7 @@ from repro.workloads.jobs import JobTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (farm imports dispatch)
     from repro.power.platform import ServerPowerModel
 
-#: Engine identifiers for the work-tracking dispatchers (the dispatch
+#: Engine identifiers for :class:`LeastLoadedDispatcher` (the dispatch
 #: analogue of the simulation BACKENDS tuple).
 ENGINE_HEAP = "heap"
 ENGINE_LOOP = "loop"
@@ -164,6 +167,30 @@ class WorkTracker:
         return max(self.busy_until[server] - now, 0.0)
 
 
+def group_by_server(
+    assignment: np.ndarray, num_servers: int, *arrays: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], list[slice | None]]:
+    """Gather *arrays* into server-grouped order with one stable argsort.
+
+    Returns the grouped copies of *arrays* and, per server, the slice of
+    its contiguous range in them (``None`` for a server with no jobs).  The
+    argsort is stable, so within each server the jobs keep their order:
+    ``grouped[k][ranges[s]]`` equals ``arrays[k][assignment == s]`` bit for
+    bit.  This is the only per-server split: :meth:`JobDispatcher.dispatch`
+    and the farm's one-shot, controlled, chunked and process-sharded runs
+    all go through it.
+    """
+    counts = np.bincount(assignment, minlength=num_servers).tolist()
+    order = np.argsort(assignment, kind="stable")
+    grouped = tuple(array[order] for array in arrays)
+    ranges: list[slice | None] = []
+    start = 0
+    for count in counts:
+        ranges.append(slice(start, start + count) if count else None)
+        start += count
+    return grouped, ranges
+
+
 class StreamAssigner(abc.ABC):
     """Stateful assignment of one arrival stream, one chunk at a time.
 
@@ -171,7 +198,8 @@ class StreamAssigner(abc.ABC):
     Feeding the whole trace as one chunk is exactly one-shot assignment;
     feeding it in pieces yields the same result because the assigner carries
     all dispatcher state (heap contents, round-robin offset, RNG stream)
-    across calls.
+    across calls.  The work-tracking assigners enforce the ordering by
+    reading every chunk through :meth:`_ordered_arrivals`.
     """
 
     def __init__(self, num_servers: int):
@@ -180,6 +208,16 @@ class StreamAssigner(abc.ABC):
                 f"a farm needs at least one server, got {num_servers}"
             )
         self.num_servers = num_servers
+        self._last_arrival = -np.inf
+
+    def _ordered_arrivals(self, arrival_times: Sequence[float] | np.ndarray) -> np.ndarray:
+        """The chunk's arrivals as floats, checked to continue the stream in order."""
+        arrivals = np.ascontiguousarray(arrival_times, dtype=float)
+        if arrivals.size:
+            if np.any(np.diff(arrivals) < 0) or arrivals[0] < self._last_arrival:
+                raise TraceError("streaming dispatch requires arrival-ordered chunks")
+            self._last_arrival = float(arrivals[-1])
+        return arrivals
 
     @abc.abstractmethod
     def assign_chunk(
@@ -276,21 +314,21 @@ class JobDispatcher(abc.ABC):
         assignment = self.validated_assignment(
             jobs, num_servers, server_speeds=server_speeds
         )
+        arrays = [jobs.arrival_times, jobs.service_demands]
+        if jobs.tenant_ids is not None:
+            arrays.append(jobs.tenant_ids)
+        grouped, ranges = group_by_server(assignment, num_servers, *arrays)
         streams: list[JobTrace | None] = []
-        for server in range(num_servers):
-            mask = assignment == server
-            if not np.any(mask):
+        for bounds in ranges:
+            if bounds is None:
                 streams.append(None)
                 continue
-            # A boolean mask preserves order, so the masked views of a
-            # validated trace still satisfy every invariant: trusted ctor.
+            arrivals, demands, *labels = (array[bounds] for array in grouped)
+            # The stable grouping keeps each server's jobs in arrival order, so
+            # the range of a validated trace keeps every invariant: trusted ctor.
             streams.append(
                 JobTrace.from_validated_arrays(
-                    jobs.arrival_times[mask],
-                    jobs.service_demands[mask],
-                    tenant_ids=None
-                    if jobs.tenant_ids is None
-                    else jobs.tenant_ids[mask],
+                    arrivals, demands, tenant_ids=labels[0] if labels else None
                 )
             )
         return streams
@@ -438,7 +476,7 @@ class RandomDispatcher(JobDispatcher):
 # ---------------------------------------------------------------------------
 
 
-#: Adaptive vector-block sizing shared by the heap engines: attempts start
+#: Adaptive merge-block sizing of the least-loaded heap engine: attempts start
 #: small so a regime mismatch costs little, and grow while blocks commit
 #: fully so the numpy overhead amortises over long runs.
 _MIN_BLOCK = 256
@@ -571,7 +609,7 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
         return committed
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        arrivals = np.ascontiguousarray(arrival_times, dtype=float)
+        arrivals = self._ordered_arrivals(arrival_times)
         demands = np.ascontiguousarray(service_demands, dtype=float)
         count = len(arrivals)
         assignment = np.empty(count, dtype=np.int64)
@@ -619,7 +657,7 @@ class _LeastLoadedLoopAssigner(StreamAssigner):
         self._tracker = WorkTracker(num_servers, server_speeds)
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        arrivals = np.asarray(arrival_times, dtype=float).tolist()
+        arrivals = self._ordered_arrivals(arrival_times).tolist()
         demands = np.asarray(service_demands, dtype=float).tolist()
         tracker = self._tracker
         busy_until = tracker.busy_until
@@ -664,20 +702,12 @@ class LeastLoadedDispatcher(JobDispatcher):
         return _LeastLoadedLoopAssigner(num_servers, server_speeds)
 
 
-class _PowerAwareHeapAssigner(StreamAssigner):
-    """Efficiency-ranked packing with vectorised run batching.
+class _PowerAwareAssigner(StreamAssigner):
+    """Efficiency-ranked packing: one ranked per-job scan.
 
-    The packing policy produces long *runs* of consecutive jobs on the same
-    server — the most efficient one whose backlog is below the threshold —
-    so the fast tier batches whole runs: the server's finish-time evolution
-    over a candidate run is the Lindley recursion, vectorised as ``cumsum``
-    + ``maximum.accumulate``, and the run ends at the first exact predicate
-    violation (a more efficient server becomes eligible, or the backlog
-    crosses the threshold).  Jobs outside a committable run fall back to
-    the exact per-job ranked scan.  An EMA of recent run lengths gates the
-    probing so regimes with rapidly alternating packing (saturation,
-    threshold bouncing) degrade to plain per-job cost instead of paying a
-    fixed numpy probe cost per short run.
+    Each job goes to the first server in *ranking* whose estimated finish
+    time is at most ``arrival + threshold``; when none qualifies it goes to
+    the globally least-loaded server.
     """
 
     def __init__(
@@ -689,196 +719,11 @@ class _PowerAwareHeapAssigner(StreamAssigner):
     ):
         super().__init__(num_servers)
         self._tracker = WorkTracker(num_servers, server_speeds)
-        self._threshold = threshold
-        self._ranking = list(ranking)
-        rank_of = [0] * num_servers
-        for rank, server in enumerate(ranking):
-            rank_of[server] = rank
-        self._rank_of = rank_of
-        self._last_arrival = -np.inf
-        self._block = _MIN_BLOCK
-        # Exponential moving average of run-block commit sizes: probing has
-        # a fixed numpy-call cost, so it is only worth it while runs are
-        # long (light traffic or generous backlog thresholds).  Optimistic
-        # start; decays below the gate after a few short runs.
-        self._run_ema = float(_MAX_BLOCK)
-
-    def _try_run_block(
-        self,
-        arrivals: np.ndarray,
-        demands: np.ndarray,
-        assignment: np.ndarray,
-        start: int,
-        server: int,
-    ) -> int:
-        """Commit a run of consecutive jobs onto the already-chosen *server*.
-
-        Returns how many jobs were committed (possibly 0).  The run is valid
-        while, per job,
-
-        * no higher-ranked (more efficient) server becomes eligible:
-          ``cutoff < min(busy of higher-ranked)`` — higher-ranked finish
-          times are frozen during the run, so this is one elementwise
-          predicate on the cutoffs;
-        * the server itself stays at or below the backlog threshold:
-          ``finish so far <= cutoff``, with the running finish times given
-          by the Lindley recursion ``f = max(f, arrival) + w`` expressed as
-          ``cumsum`` + ``maximum.accumulate``.
-
-        The cumsum form rounds differently from the per-job sequential
-        additions (last-ulp differences), so the block is committed only
-        where its comparisons are *provably* on the same side as the
-        sequential arithmetic: any comparison landing within a rigorous
-        rounding-error margin of the boundary ends the block, and the
-        ambiguous job falls back to the exact per-job step.  The committed
-        final finish time is recomputed with sequential additions from the
-        run's last (unambiguous) idle restart, so the server state carried
-        out of the block matches the per-job arithmetic bit for bit.
-        """
-        count = len(arrivals) - start
-        if count < 2:
-            return 0
-        tracker = self._tracker
-        busy_until = tracker.busy_until
-        busy_start = busy_until[server]
-        higher = self._ranking[: self._rank_of[server]]
-        t_higher = min((busy_until[r] for r in higher), default=np.inf)
-        block = min(self._block, count)
-        block_arrivals = arrivals[start : start + block]
-        cutoffs = block_arrivals + self._threshold
-        work = demands[start : start + block] * tracker.time_factors[server]
-        totals = np.cumsum(work)
-        # Lindley: f_k = W_k + max(busy_start, max_{l<=k}(a_l - W_{l-1})).
-        restart_levels = block_arrivals - (totals - work)
-        peaks = np.maximum.accumulate(np.maximum(restart_levels, busy_start))
-        finishes = totals + peaks
-        # All terms are non-negative, so the cumsum-form values differ from
-        # the sequential ones by at most ~n*eps times the magnitudes below;
-        # comparisons inside this margin are ambiguous and end the block.
-        margin = (
-            (8.0 * np.finfo(float).eps)
-            * np.arange(2, block + 2)
-            * (totals + block_arrivals + busy_start)
-        )
-        good = cutoffs < t_higher  # exact: single-op cutoffs vs frozen busy
-        good[1:] &= finishes[:-1] <= cutoffs[1:] - margin[:-1]
-        # Idle-restart classification must also be unambiguous, or the
-        # exact-tail recomputation below could start from a wrong restart.
-        good[1:] &= np.abs(restart_levels[1:] - peaks[:-1]) > margin[1:]
-        committed = int(np.argmin(good)) if not good.all() else block
-        if committed == block:
-            self._block = min(self._block * 2, _MAX_BLOCK)
-        elif committed < block // 2:
-            self._block = max(self._block // 2, _MIN_BLOCK)
-        if committed == 0:
-            return 0
-        assignment[start : start + committed] = server
-        # Exact final finish: sequential adds from the last idle restart
-        # (or from the carried-in backlog if the server never went idle).
-        restarts = np.nonzero(
-            (restart_levels[:committed] == peaks[:committed])
-            & (restart_levels[:committed] > busy_start)
-        )[0]
-        if restarts.size:
-            last = int(restarts[-1])
-            finish = block_arrivals[last] + work[last]
-        else:
-            last = 0
-            finish = (
-                busy_start + work[0]
-                if busy_start >= block_arrivals[0]
-                else block_arrivals[0] + work[0]
-            )
-        tail = work[last + 1 : committed]
-        if tail.size:
-            # np.cumsum accumulates strictly left to right, so this matches
-            # the per-job `finish += w` additions bit for bit.
-            finish = np.cumsum(np.concatenate(([finish], tail)))[-1]
-        busy_until[server] = float(finish)
-        self._last_arrival = float(block_arrivals[committed - 1])
-        return committed
-
-    def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        arrivals = np.ascontiguousarray(arrival_times, dtype=float)
-        demands = np.ascontiguousarray(service_demands, dtype=float)
-        if arrivals.size and (
-            np.any(np.diff(arrivals) < 0) or arrivals[0] < self._last_arrival
-        ):
-            raise TraceError("streaming dispatch requires arrival-ordered chunks")
-        count = len(arrivals)
-        arrival_list = arrivals.tolist()
-        demand_list = demands.tolist()
-        assignment = np.empty(count, dtype=np.int64)
-        tracker = self._tracker
-        busy_until = tracker.busy_until
-        ranking, threshold = self._ranking, self._threshold
-        charge = tracker.charge
-        index = 0
-        while index < count:
-            # Probe for a vectorisable run on the currently chosen server.
-            arrival = arrival_list[index]
-            cutoff = arrival + threshold
-            for candidate in ranking:
-                if busy_until[candidate] <= cutoff:
-                    server = candidate
-                    break
-            else:
-                server = None
-            fallback_span = _FALLBACK_RUN
-            if server is not None:
-                committed = self._try_run_block(
-                    arrivals, demands, assignment, index, server
-                )
-                if committed:
-                    self._run_ema = 0.75 * self._run_ema + 0.25 * committed
-                    index += committed
-                    if self._run_ema < 2 * _FALLBACK_RUN:
-                        # Runs keep breaking (threshold bouncing): stay
-                        # per-job for a long stretch and re-probe only
-                        # occasionally, so the fixed probe cost cannot
-                        # dominate.
-                        fallback_span = 16 * _FALLBACK_RUN
-                    elif committed >= _SMALL_COMMIT:
-                        fallback_span = 0
-                # A structural reject (committed == 0, usually a short spill
-                # stretch while a better-ranked server drains) keeps the
-                # short fallback span without poisoning the run-length EMA.
-            # Per-job stretch: the exact ranked scan, in a tight loop.
-            stop = min(count, index + fallback_span)
-            while index < stop:
-                arrival = arrival_list[index]
-                cutoff = arrival + threshold
-                for candidate in ranking:
-                    if busy_until[candidate] <= cutoff:
-                        server = candidate
-                        break
-                else:
-                    server = busy_until.index(min(busy_until))
-                assignment[index] = server
-                charge(server, arrival, demand_list[index])
-                index += 1
-        if count:
-            self._last_arrival = arrival_list[-1]
-        return assignment
-
-
-class _PowerAwareLoopAssigner(StreamAssigner):
-    """The original ranked per-job scan, retained as the reference oracle."""
-
-    def __init__(
-        self,
-        num_servers: int,
-        server_speeds: Sequence[float] | None,
-        ranking: Sequence[int],
-        threshold: float,
-    ):
-        super().__init__(num_servers)
-        self._tracker = WorkTracker(num_servers, server_speeds)
         self._ranking = list(ranking)
         self._threshold = threshold
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        arrivals = np.asarray(arrival_times, dtype=float).tolist()
+        arrivals = self._ordered_arrivals(arrival_times).tolist()
         demands = np.asarray(service_demands, dtype=float).tolist()
         tracker = self._tracker
         busy_until = tracker.busy_until
@@ -911,10 +756,6 @@ class PowerAwareDispatcher(JobDispatcher):
     level: the low-power platforms absorb the base load and the power-hungry
     ones only wake under pressure.
 
-    ``engine="heap"`` (default) assigns in O(n log m); ``engine="loop"`` is
-    the retained per-job reference oracle.  Both produce byte-identical
-    assignments.
-
     Parameters
     ----------
     idle_powers:
@@ -930,7 +771,6 @@ class PowerAwareDispatcher(JobDispatcher):
         self,
         idle_powers: Sequence[float],
         max_backlog: float | None = None,
-        engine: str = ENGINE_HEAP,
     ):
         self._idle_powers = np.asarray(idle_powers, dtype=float)
         if self._idle_powers.ndim != 1 or self._idle_powers.size == 0:
@@ -942,7 +782,6 @@ class PowerAwareDispatcher(JobDispatcher):
                 f"max_backlog must be positive, got {max_backlog}"
             )
         self._max_backlog = max_backlog
-        self._engine = validate_engine(engine)
         # Stable sort: equally efficient servers keep index order.
         self._ranking = np.argsort(self._idle_powers, kind="stable")
 
@@ -951,13 +790,11 @@ class PowerAwareDispatcher(JobDispatcher):
         cls,
         power_models: Sequence["ServerPowerModel"],
         max_backlog: float | None = None,
-        engine: str = ENGINE_HEAP,
     ) -> "PowerAwareDispatcher":
         """Rank servers by their operating-idle power ``C0(i)S0(i)``."""
         return cls(
             [model.idle_power(1.0) for model in power_models],
             max_backlog=max_backlog,
-            engine=engine,
         )
 
     def _resolve_threshold(self, mean_service_demand: float | None) -> float:
@@ -983,14 +820,11 @@ class PowerAwareDispatcher(JobDispatcher):
             raise ConfigurationError(
                 f"got {self._idle_powers.size} idle powers for {num_servers} servers"
             )
-        threshold = self._resolve_threshold(mean_service_demand)
-        ranking = self._ranking.tolist()
-        if self._engine == ENGINE_HEAP:
-            return _PowerAwareHeapAssigner(
-                num_servers, server_speeds, ranking, threshold
-            )
-        return _PowerAwareLoopAssigner(
-            num_servers, server_speeds, ranking, threshold
+        return _PowerAwareAssigner(
+            num_servers,
+            server_speeds,
+            self._ranking.tolist(),
+            self._resolve_threshold(mean_service_demand),
         )
 
     def assign(
@@ -1016,9 +850,7 @@ class PowerAwareDispatcher(JobDispatcher):
 
     def restrict(self, indices: Sequence[int]) -> "PowerAwareDispatcher":
         return PowerAwareDispatcher(
-            self._idle_powers[list(indices)],
-            max_backlog=self._max_backlog,
-            engine=self._engine,
+            self._idle_powers[list(indices)], max_backlog=self._max_backlog
         )
 
 

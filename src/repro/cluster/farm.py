@@ -23,8 +23,9 @@ Execution model — one pipeline:
    controller's per-regime masked dispatch, or chunk by chunk from the
    dispatcher's streaming assigner (the front end sees arrival times and
    nominal service demands only — never DVFS or sleep decisions);
-2. :func:`group_by_server` splits the jobs into per-server contiguous ranges
-   with one stable argsort, so each server keeps its jobs in arrival order;
+2. :func:`~repro.cluster.dispatch.group_by_server` splits the jobs into
+   per-server contiguous ranges with one stable argsort, so each server
+   keeps its jobs in arrival order;
 3. each server's epoch loop runs over its range — in the caller
    (``executor="serial"``), or sharded across worker processes
    (``executor="process"``) as picklable :class:`ServerShardTask`\\ s.
@@ -68,7 +69,7 @@ from repro.cluster.controller import (
     FarmController,
     controller_assignment,
 )
-from repro.cluster.dispatch import JobDispatcher, RoundRobinDispatcher
+from repro.cluster.dispatch import JobDispatcher, RoundRobinDispatcher, group_by_server
 from repro.cluster.tenancy import (
     FarmQos,
     TenancyAccounting,
@@ -222,29 +223,6 @@ def run_server_shard(task: ServerShardTask) -> RuntimeResult:
             extra[f"process_cache_{key}"] = float(value - before.get(key, 0))
         result = replace(result, extra=extra)
     return result
-
-
-def group_by_server(
-    assignment: np.ndarray, num_servers: int, *arrays: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], list[slice | None]]:
-    """Gather *arrays* into server-grouped order with one stable argsort.
-
-    Returns the grouped copies of *arrays* and, per server, the slice of
-    its contiguous range in them (``None`` for a server with no jobs).  The
-    argsort is stable, so within each server the jobs keep their order:
-    ``grouped[k][ranges[s]]`` equals ``arrays[k][assignment == s]`` bit for
-    bit.  This is the farm's only per-server split — one-shot, controlled,
-    chunked and process-sharded runs all go through it.
-    """
-    counts = np.bincount(assignment, minlength=num_servers).tolist()
-    order = np.argsort(assignment, kind="stable")
-    grouped = tuple(array[order] for array in arrays)
-    ranges: list[slice | None] = []
-    start = 0
-    for count in counts:
-        ranges.append(slice(start, start + count) if count else None)
-        start += count
-    return grouped, ranges
 
 
 def _take(

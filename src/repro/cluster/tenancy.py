@@ -395,7 +395,7 @@ class _WeightedFairAssigner(StreamAssigner):
         arrival_times: Sequence[float] | np.ndarray,
         service_demands: Sequence[float] | np.ndarray,
     ) -> np.ndarray:
-        arrivals = np.asarray(arrival_times, dtype=float)
+        arrivals = self._ordered_arrivals(arrival_times)
         demands = np.asarray(service_demands, dtype=float)
         labels = self._cursor.take(len(arrivals))
         if labels is None:
@@ -452,7 +452,7 @@ class _PriorityAssigner(StreamAssigner):
         arrival_times: Sequence[float] | np.ndarray,
         service_demands: Sequence[float] | np.ndarray,
     ) -> np.ndarray:
-        arrivals = np.asarray(arrival_times, dtype=float)
+        arrivals = self._ordered_arrivals(arrival_times)
         demands = np.asarray(service_demands, dtype=float)
         labels = self._cursor.take(len(arrivals))
         assignment = np.empty(len(arrivals), dtype=np.int64)

@@ -19,8 +19,8 @@ axis of the joint speed-scaling + sleep-state problem:
 ``heterogeneous-farm``    mixed Xeon + Atom fleet behind a power-aware
                           dispatcher — farm-level energy proportionality
 ``farm-scale``            million-job stream over 16 mixed Xeon/Atom servers,
-                          dispatched by the speed-aware heap engine and fed
-                          to the per-server epoch loops in chunks
+                          dispatched power-aware and fed to the per-server
+                          epoch loops in chunks
 ``mega-farm``             64 mixed Xeon/Atom servers with short epochs — the
                           multi-core regime the process executor targets
                           (``run-scenario mega-farm --executor process``)

@@ -1,16 +1,23 @@
-"""The dispatch-engine contract: heap vs. loop equivalence and speed-aware
-backlog.
+"""The dispatch-engine contract: heap vs. loop equivalence, power-aware
+golden assignments and speed-aware backlog.
 
-Mirroring the simulation backend suite, every work-tracking dispatcher must
+Mirroring the simulation backend suite, ``LeastLoadedDispatcher`` must
 produce **byte-identical** assignments on its ``"heap"`` (fast) and
 ``"loop"`` (reference oracle) engines, across traffic regimes, farm sizes,
-speed models and crafted tie cases.  Streaming assignment (chunked) must be
-identical to one-shot assignment for *every* dispatcher.  The
+speed models and crafted tie cases.  ``PowerAwareDispatcher`` has one
+engine; its assignments on the same grid are pinned to recorded SHA-256
+digests (``power_aware_golden.json``).  Streaming assignment (chunked) must
+be identical to one-shot assignment for *every* dispatcher, and every
+work-tracking assigner rejects chunks out of arrival order.  The
 heterogeneity-blind backlog bug and the RandomDispatcher determinism bug are
 pinned by dedicated regression tests.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +34,8 @@ from repro.cluster.dispatch import (
     merge_streams,
     validate_engine,
 )
+from repro.cluster.tenancy import PriorityDispatcher, TenantSpec, WeightedFairDispatcher
+from repro.core.qos import mean_qos_from_baseline
 from repro.exceptions import ConfigurationError, TraceError
 from repro.workloads.jobs import JobTrace
 
@@ -68,6 +77,27 @@ TIE_TRACES = [
     JobTrace(np.arange(60.0), np.full(60, 0.5)),
 ]
 
+#: SHA-256 of ``assignment.tobytes()`` for every power-aware golden cell.
+#: The digests were recorded while a second, run-batching engine still
+#: existed and agreed on every cell, so they are independently checked.
+GOLDEN = json.loads(Path(__file__).with_name("power_aware_golden.json").read_text())
+
+
+def digest(assignment: np.ndarray) -> str:
+    assert assignment.dtype == np.int64
+    return hashlib.sha256(assignment.tobytes()).hexdigest()
+
+
+def coarse_decimal_jobs(seed: int) -> JobTrace:
+    """Coarse decimal values maximise exact float coincidences — the
+    hostile case for vectorised fast paths."""
+    rng = np.random.default_rng(seed)
+    count = 400
+    return JobTrace(
+        np.round(np.cumsum(rng.exponential(0.1, count)), 1),
+        np.round(rng.exponential(0.1, count), 1) + 0.05,
+    )
+
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("utilization", UTILIZATIONS)
@@ -82,22 +112,6 @@ class TestEngineEquivalence:
         )
         np.testing.assert_array_equal(heap, loop)
 
-    @pytest.mark.parametrize("utilization", UTILIZATIONS)
-    @pytest.mark.parametrize("num_servers,speeds", SPEED_CASES)
-    @pytest.mark.parametrize("max_backlog", [None, 0.05, 1.0])
-    def test_power_aware_byte_identical(
-        self, utilization, num_servers, speeds, max_backlog
-    ):
-        jobs = poisson_jobs(3000, utilization, seed=int(utilization * 10) + 1)
-        idle_powers = list(np.linspace(4.0, 20.0, num_servers))
-        heap = PowerAwareDispatcher(
-            idle_powers, max_backlog=max_backlog, engine=ENGINE_HEAP
-        ).assign(jobs, num_servers, server_speeds=speeds)
-        loop = PowerAwareDispatcher(
-            idle_powers, max_backlog=max_backlog, engine=ENGINE_LOOP
-        ).assign(jobs, num_servers, server_speeds=speeds)
-        np.testing.assert_array_equal(heap, loop)
-
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
     @pytest.mark.parametrize("num_servers", [2, 4])
     def test_exact_ties_byte_identical(self, trace_index, num_servers):
@@ -105,15 +119,6 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(
             LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, num_servers),
             LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, num_servers),
-        )
-        idle_powers = list(range(1, num_servers + 1))
-        np.testing.assert_array_equal(
-            PowerAwareDispatcher(idle_powers, engine=ENGINE_HEAP).assign(
-                jobs, num_servers
-            ),
-            PowerAwareDispatcher(idle_powers, engine=ENGINE_LOOP).assign(
-                jobs, num_servers
-            ),
         )
 
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
@@ -131,53 +136,23 @@ class TestEngineEquivalence:
             ),
         )
 
-    def test_rounding_boundary_run_blocks_stay_identical(self):
-        """Regression: the power-aware run block's cumsum-form finish times
-        round differently from the sequential per-job additions; a job whose
-        threshold comparison lands exactly on that last-ulp boundary
-        ((0.1+0.2)+0.3 vs (0.2+0.3)+0.1) must still be routed identically —
-        the block truncates at ambiguous comparisons instead of guessing."""
-        jobs = JobTrace([0.1, 0.1, 0.1], [0.2, 0.3, 0.05])
-        heap = PowerAwareDispatcher([1.0, 2.0], max_backlog=0.5).assign(jobs, 2)
-        loop = PowerAwareDispatcher(
-            [1.0, 2.0], max_backlog=0.5, engine=ENGINE_LOOP
-        ).assign(jobs, 2)
-        np.testing.assert_array_equal(heap, loop)
-        assert list(loop) == [0, 0, 1]
-
     @pytest.mark.parametrize("seed", range(8))
     def test_coarse_decimal_traces_stay_identical(self, seed):
-        """Coarse decimal values maximise exact float coincidences — the
-        hostile case for vectorised fast paths on both dispatchers."""
-        rng = np.random.default_rng(seed)
-        count = 400
-        jobs = JobTrace(
-            np.round(np.cumsum(rng.exponential(0.1, count)), 1),
-            np.round(rng.exponential(0.1, count), 1) + 0.05,
-        )
+        jobs = coarse_decimal_jobs(seed)
         for num_servers in (2, 5):
             np.testing.assert_array_equal(
                 LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, num_servers),
                 LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, num_servers),
             )
-            idle_powers = list(np.linspace(1.0, 3.0, num_servers))
-            for max_backlog in (0.3, None):
-                np.testing.assert_array_equal(
-                    PowerAwareDispatcher(
-                        idle_powers, max_backlog=max_backlog, engine=ENGINE_HEAP
-                    ).assign(jobs, num_servers),
-                    PowerAwareDispatcher(
-                        idle_powers, max_backlog=max_backlog, engine=ENGINE_LOOP
-                    ).assign(jobs, num_servers),
-                )
 
     def test_engine_validation(self):
         assert validate_engine(ENGINE_HEAP) == "heap"
         assert DISPATCH_ENGINES == ("heap", "loop")
         with pytest.raises(ConfigurationError, match="dispatch engine"):
             LeastLoadedDispatcher(engine="vectorized")
-        with pytest.raises(ConfigurationError, match="dispatch engine"):
-            PowerAwareDispatcher([1.0], engine="fast")
+        # The power-aware dispatcher has one engine and no knob for it.
+        with pytest.raises(TypeError):
+            PowerAwareDispatcher([1.0], engine="loop")
 
     def test_dispatch_is_still_lossless(self):
         jobs = poisson_jobs(2000, 3.0, seed=7)
@@ -187,6 +162,69 @@ class TestEngineEquivalence:
         ):
             streams = dispatcher.dispatch(jobs, 4)
             assert merge_streams(streams) == jobs
+
+
+class TestPowerAwareGolden:
+    """The ranked per-job scan, pinned cell by cell to recorded digests."""
+
+    @pytest.mark.parametrize("utilization", UTILIZATIONS)
+    @pytest.mark.parametrize("num_servers,speeds", SPEED_CASES)
+    @pytest.mark.parametrize("max_backlog", [None, 0.05, 1.0])
+    def test_power_aware_golden(self, utilization, num_servers, speeds, max_backlog):
+        jobs = poisson_jobs(3000, utilization, seed=int(utilization * 10) + 1)
+        idle_powers = list(np.linspace(4.0, 20.0, num_servers))
+        assignment = PowerAwareDispatcher(idle_powers, max_backlog=max_backlog).assign(
+            jobs, num_servers, server_speeds=speeds
+        )
+        case = SPEED_CASES.index((num_servers, speeds))
+        key = f"util={utilization}/case={case}/backlog={max_backlog}"
+        assert digest(assignment) == GOLDEN["cells"][key]
+
+    @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
+    @pytest.mark.parametrize("num_servers", [2, 4])
+    def test_exact_ties_golden(self, trace_index, num_servers):
+        idle_powers = list(range(1, num_servers + 1))
+        assignment = PowerAwareDispatcher(idle_powers).assign(
+            TIE_TRACES[trace_index], num_servers
+        )
+        key = f"trace={trace_index}/servers={num_servers}"
+        assert digest(assignment) == GOLDEN["ties"][key]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coarse_decimal_traces_golden(self, seed):
+        jobs = coarse_decimal_jobs(seed)
+        for num_servers in (2, 5):
+            idle_powers = list(np.linspace(1.0, 3.0, num_servers))
+            for max_backlog in (0.3, None):
+                assignment = PowerAwareDispatcher(
+                    idle_powers, max_backlog=max_backlog
+                ).assign(jobs, num_servers)
+                key = f"seed={seed}/servers={num_servers}/backlog={max_backlog}"
+                assert digest(assignment) == GOLDEN["coarse"][key], key
+
+    def test_rounding_boundary_run_blocks_stay_identical(self):
+        """Regression: a threshold comparison that lands on a last-ulp
+        boundary is decided by the sequential per-job additions.  The first
+        two jobs take server 0 to (0.1+0.2)+0.3 = 0.6000000000000001, one
+        ulp past the third job's cutoff 0.1+0.5 = 0.6, so the third spills
+        (the reassociated (0.2+0.3)+0.1 = 0.6 would have kept it)."""
+        jobs = JobTrace([0.1, 0.1, 0.1], [0.2, 0.3, 0.05])
+        assignment = PowerAwareDispatcher([1.0, 2.0], max_backlog=0.5).assign(jobs, 2)
+        assert list(assignment) == [0, 0, 1]
+
+
+def _single_tenant() -> tuple[TenantSpec, ...]:
+    return (TenantSpec(name="only", qos=mean_qos_from_baseline(0.8)),)
+
+
+#: Every work-tracking dispatcher, each with its streaming assigner.
+WORK_TRACKING_DISPATCHERS = {
+    "least-loaded-heap": lambda: LeastLoadedDispatcher(ENGINE_HEAP),
+    "least-loaded-loop": lambda: LeastLoadedDispatcher(ENGINE_LOOP),
+    "power-aware": lambda: PowerAwareDispatcher([1.0, 2.0]),
+    "priority": lambda: PriorityDispatcher(_single_tenant()),
+    "weighted-fair": lambda: WeightedFairDispatcher(_single_tenant()),
+}
 
 
 class TestStreamingAssignment:
@@ -202,7 +240,6 @@ class TestStreamingAssignment:
             LeastLoadedDispatcher(),
             LeastLoadedDispatcher(ENGINE_LOOP),
             PowerAwareDispatcher([4.0, 5.0, 6.0, 7.0]),
-            PowerAwareDispatcher([4.0, 5.0, 6.0, 7.0], engine=ENGINE_LOOP),
         ]
         for dispatcher in dispatchers:
             one_shot = dispatcher.assign(jobs, 4, server_speeds=speeds)
@@ -223,13 +260,22 @@ class TestStreamingAssignment:
                 np.concatenate(parts), one_shot, err_msg=type(dispatcher).__name__
             )
 
-    def test_out_of_order_chunks_rejected(self):
-        assigner = PowerAwareDispatcher([1.0, 2.0]).assigner(
-            2, total_jobs=4, mean_service_demand=1.0
+    @pytest.mark.parametrize("name", sorted(WORK_TRACKING_DISPATCHERS))
+    def test_out_of_order_chunks_rejected(self, name):
+        assigner = WORK_TRACKING_DISPATCHERS[name]().assigner(
+            2, total_jobs=5, mean_service_demand=1.0
         )
         assigner.assign_chunk(np.array([5.0, 6.0]), np.array([1.0, 1.0]))
+        # A chunk may start exactly where the previous one ended.
+        assigner.assign_chunk(np.array([6.0]), np.array([1.0]))
         with pytest.raises(TraceError, match="arrival-ordered"):
             assigner.assign_chunk(np.array([2.0]), np.array([1.0]))
+        # A chunk unordered within itself is rejected too.
+        fresh = WORK_TRACKING_DISPATCHERS[name]().assigner(
+            2, total_jobs=3, mean_service_demand=1.0
+        )
+        with pytest.raises(TraceError, match="arrival-ordered"):
+            fresh.assign_chunk(np.array([1.0, 3.0, 2.0]), np.ones(3))
 
     def test_adaptive_threshold_requires_mean_demand(self):
         with pytest.raises(ConfigurationError, match="mean_service_demand"):
@@ -286,16 +332,13 @@ class TestSpeedAwareBacklogRegression:
         aware_finishes = self.true_finish_times(jobs, aware, speeds)
         assert aware_finishes.max() < blind_finishes.max()
 
-    @pytest.mark.parametrize("engine", DISPATCH_ENGINES)
-    def test_power_aware_overloads_slow_server_when_blind(self, engine):
+    def test_power_aware_overloads_slow_server_when_blind(self):
         # The efficient server (rank 0) is an Atom-class box at half speed.
         # Blind backlog keeps packing it past its true threshold; the
         # speed-aware estimate spills one job earlier.
         speeds = [0.5, 1.0]
         jobs = JobTrace(np.zeros(4), np.full(4, 0.4))
-        dispatcher = PowerAwareDispatcher(
-            [1.0, 2.0], max_backlog=1.0, engine=engine
-        )
+        dispatcher = PowerAwareDispatcher([1.0, 2.0], max_backlog=1.0)
         blind = dispatcher.assign(jobs, 2)
         aware = dispatcher.assign(jobs, 2, server_speeds=speeds)
         assert list(blind) == [0, 0, 0, 1]

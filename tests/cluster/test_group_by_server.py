@@ -1,10 +1,10 @@
-"""The farm's one per-server split: a stable-argsort grouping.
+"""The one per-server split: a stable-argsort grouping.
 
-:func:`~repro.cluster.farm.group_by_server` must hand every server exactly
+:func:`~repro.cluster.dispatch.group_by_server` must hand every server exactly
 the jobs a boolean mask would select, in the same order, bit for bit — and
-``None`` for a server that received nothing.  One-shot, controlled, chunked
-and process-sharded farm runs all split through it, so this property is
-what keeps them bit-identical to each other.
+``None`` for a server that received nothing.  ``JobDispatcher.dispatch`` and
+the one-shot, controlled, chunked and process-sharded farm runs all split
+through it, so this property is what keeps them bit-identical to each other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.farm import group_by_server
+from repro.cluster.dispatch import RandomDispatcher, group_by_server
+from repro.workloads.jobs import JobTrace
 
 
 @st.composite
@@ -96,3 +97,23 @@ def test_sources_are_left_untouched():
     (values,), _ = group_by_server(assignment, 2, source)
     values[:] = -1.0
     assert source.tolist() == [10.0, 20.0, 30.0, 40.0]
+
+
+def test_dispatch_streams_are_the_masked_sub_traces():
+    rng = np.random.default_rng(3)
+    jobs = JobTrace(
+        np.cumsum(rng.exponential(size=500)),
+        rng.exponential(size=500),
+        tenant_ids=rng.integers(0, 3, size=500),
+    )
+    dispatcher = RandomDispatcher(seed=1, weights=[1.0, 0.0, 2.0, 1.0])
+    assignment = dispatcher.assign(jobs, 4)
+    streams = dispatcher.dispatch(jobs, 4)
+    assert streams[1] is None
+    for server in (0, 2, 3):
+        mask = assignment == server
+        assert streams[server] == JobTrace(
+            jobs.arrival_times[mask],
+            jobs.service_demands[mask],
+            tenant_ids=jobs.tenant_ids[mask],
+        )
