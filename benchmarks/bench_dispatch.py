@@ -73,8 +73,8 @@ def bench_dispatchers(num_jobs: int, seed: int) -> dict:
         # The farm-scale regime: aggregate traffic of ~0.9 of one server
         # spread over 16 servers (per-server load ~6%), homogeneous speeds.
         "least_loaded_farm_scale": (0.9, None),
-        # Same regime, the mixed Xeon/Atom speed model (merge fast path is
-        # homogeneous-only, so this shows the heap-tier floor).
+        # Same regime, the mixed Xeon/Atom speed model (the heap engine
+        # takes the same per-job step on mixed and uniform speeds).
         "least_loaded_heterogeneous": (0.9, het_speeds),
         # Aggregate load near half the farm's capacity.
         "least_loaded_heavy": (8.0, None),

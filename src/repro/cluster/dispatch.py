@@ -50,19 +50,20 @@ Assignment engines
 :class:`LeastLoadedDispatcher` has two interchangeable engines, mirroring the
 simulation-backend contract:
 
-* ``"heap"`` (default) — O(n log m) for ``n`` jobs on ``m`` servers, built on
-  the shared :class:`WorkTracker` core with NumPy batch pre/post processing;
+* ``"heap"`` (default) — one O(log m) min-heap step per job, O(n log m) for
+  ``n`` jobs on ``m`` servers, on uniform and mixed speeds alike;
 * ``"loop"`` — the original per-job Python scan, kept as the reference
   oracle.
 
 The two produce **byte-identical assignments** for every trace (pinned by
 ``tests/cluster/test_dispatch_engine.py``).  :class:`PowerAwareDispatcher`
 has one engine, the ranked per-job scan, whose assignments are pinned by
-per-cell golden digests in the same suite.  All dispatchers additionally
-support *streaming* assignment through :meth:`JobDispatcher.assigner`: the
-returned :class:`StreamAssigner` carries the dispatcher state across
-arrival-ordered chunks, so splitting one trace into chunks yields exactly the
-same assignment as one-shot :meth:`JobDispatcher.assign` (the work-tracking
+per-cell golden digests and an independent reference scan in the same
+suite.  All dispatchers additionally support *streaming* assignment through
+:meth:`JobDispatcher.assigner`: the returned :class:`StreamAssigner` carries
+the dispatcher state across arrival-ordered chunks, so splitting one trace
+into chunks yields exactly the same assignment as one-shot
+:meth:`JobDispatcher.assign` (the work-tracking
 assigners raise :class:`~repro.exceptions.TraceError` on any other order).
 This is what
 :meth:`ServerFarm.run(..., chunk_jobs=...) <repro.cluster.farm.ServerFarm.run>`
@@ -133,10 +134,12 @@ class WorkTracker:
     The tracker stores, for every server, the time it would finish all work
     routed to it so far, serving at its assumed speed.  ``charge`` routes one
     job and returns the server's new estimated finish time
-    (``max(busy, arrival) + demand * time_factor``).  The least-loaded heap
-    engine inlines the same arithmetic in its per-job step; the heap-vs-loop
-    parity tests in ``tests/cluster/test_dispatch_engine.py`` (exact ties
-    included, on uniform and mixed speeds) pin the two byte-identical.
+    (``max(busy, arrival) + demand * time_factor``).  Both the least-loaded
+    heap step and the power-aware ranked scan inline the same arithmetic on
+    the ``busy`` value they already read.  The heap-vs-loop parity tests and
+    the power-aware reference scan in ``tests/cluster/test_dispatch_engine.py``
+    (exact ties included, on uniform and mixed speeds) pin them byte-identical
+    to ``charge``.
     """
 
     __slots__ = ("busy_until", "time_factors")
@@ -476,137 +479,30 @@ class RandomDispatcher(JobDispatcher):
 # ---------------------------------------------------------------------------
 
 
-#: Adaptive merge-block sizing of the least-loaded heap engine: attempts start
-#: small so a regime mismatch costs little, and grow while blocks commit
-#: fully so the numpy overhead amortises over long runs.
-_MIN_BLOCK = 256
-_MAX_BLOCK = 131072
-#: Per-job fallback burst after a block attempt commits almost nothing, so
-#: a hostile regime cannot trigger an O(block) attempt for every job.
-_FALLBACK_RUN = 64
-_SMALL_COMMIT = 32
-#: Per-job burst on mixed-speed fleets, which never take a merge block.
-_MIXED_SPEED_RUN = 4096
+#: Jobs per heap-step burst: bounds the per-burst Python lists (whole-chunk
+#: bursts raise peak memory on large streamed chunks).
+_BURST = 4096
 
 
 class _LeastLoadedHeapAssigner(StreamAssigner):
     """Join-the-least-work via a (finish time, server) min-heap.
 
-    Two execution tiers share the heap state:
-
-    * a **vectorised merge block** (equal server speeds only): while every
-      popped finish time lies at or before the popping job's arrival — i.e.
-      some server is idle at every arrival, the common case for a farm that
-      is not globally saturated — the sequence of heap pops is *globally
-      sorted*, so a whole block of pops equals the sorted merge of the
-      current heap values and the block's own finish times
-      (``arrival + demand * time_factor``, precomputable because equal
-      speeds make finish times assignment-independent).  Which *server*
-      each pop denotes is recovered by pointer-jumping through the
-      pop-of-a-pop chains.  Any value tie in the merge aborts the block, so
-      tie-breaking never deviates from the heap order.
-    * a **per-job heap step** (O(log m)) for everything the block
-      certificate cannot validate: heterogeneous speeds, globally saturated
-      stretches, exact value ties.
-
-    Every comparison in both tiers is performed on exactly the float values
-    the per-job loop computes, so the assignment is byte-identical to
-    ``engine="loop"``.
+    Every job takes one O(log m) heap step: pop the server with the
+    smallest estimated finish time, charge the job to it with
+    ``WorkTracker.charge`` inlined, and push the new finish time back.
+    Jobs are stepped in bursts of :data:`_BURST` so the per-burst lists
+    stay small.  The comparisons are on exactly the float values the
+    per-job loop computes, and ``(busy_until, server)`` tuples break ties
+    towards the lowest server index, so the assignment is byte-identical
+    to ``engine="loop"``.
     """
 
     def __init__(self, num_servers: int, server_speeds: Sequence[float] | None):
         super().__init__(num_servers)
         self._tracker = WorkTracker(num_servers, server_speeds)
-        factors = self._tracker.time_factors
-        self._uniform_factor = (
-            factors[0] if all(f == factors[0] for f in factors) else None
-        )
         # (busy_until, server): ties break towards the lowest server index,
         # exactly like the loop engine's list.index(min(...)).
         self._heap = [(0.0, server) for server in range(num_servers)]
-        self._block = _MIN_BLOCK
-
-    def _try_merge_block(
-        self,
-        arrivals: np.ndarray,
-        demands: np.ndarray,
-        assignment: np.ndarray,
-        start: int,
-    ) -> int:
-        """Commit a prefix of jobs via the sorted-merge pop certificate.
-
-        Validity of pop ``j`` = ``j``-th smallest of (heap values + block
-        finish times) requires that value to be at or below arrival ``j``
-        (the popped server is idle, so the loop's ``max(busy, arrival) + w``
-        is exactly ``arrival + w`` and every later finish time strictly
-        exceeds it).  Exact value ties are rejected — the heap fallback
-        handles them with the true tuple tie-break.
-        """
-        count = len(arrivals) - start
-        factor = self._uniform_factor
-        if factor is None or count < 2:
-            return 0
-        num_servers = self.num_servers
-        block = min(self._block, count)
-        block_arrivals = arrivals[start : start + block]
-        finishes = block_arrivals + demands[start : start + block] * factor
-        heap_busy = np.asarray([busy for busy, _ in self._heap])
-        heap_servers = [server for _, server in self._heap]
-        merged = np.concatenate([heap_busy, finishes])
-        # Stable (timsort) exploits that finish times are nearly sorted.
-        order = np.argsort(merged, kind="stable")
-        popped = merged[order]
-        # Pop j must find an idle server, and its value must be globally
-        # unique (strictly below its sorted successor — ties would make the
-        # identity depend on the heap's tuple tie-break, which a stable
-        # value sort cannot reproduce).
-        good = (popped[:block] <= block_arrivals) & (
-            popped[:block] < popped[1 : block + 1]
-        )
-        committed = int(np.argmin(good)) if not good.all() else block
-        if committed == block:
-            self._block = min(self._block * 2, _MAX_BLOCK)
-        elif committed < block // 2:
-            self._block = max(self._block // 2, _MIN_BLOCK)
-        if committed == 0:
-            return 0
-        if committed < block:
-            # Re-rank against only the finish times that exist by then.
-            merged = np.concatenate([heap_busy, finishes[:committed]])
-            order = np.argsort(merged, kind="stable")
-        sources = order[:committed]
-        # Resolve pop identities: a pop of an original heap entry names its
-        # server directly; a pop of job k's finish time inherits job k's
-        # (earlier) assignment — resolved by pointer jumping.
-        parent = np.where(
-            sources < num_servers,
-            np.arange(committed),
-            sources - num_servers,
-        )
-        # Pointer doubling: chains shrink by half per round, so bit_length
-        # rounds always suffice.
-        for _ in range(committed.bit_length()):
-            parent = parent[parent]
-        roots = sources[parent]  # all < num_servers now
-        server_map = np.asarray(heap_servers, dtype=np.int64)
-        committed_servers = server_map[roots]
-        assignment[start : start + committed] = committed_servers
-        # Rebuild the heap from the m surviving entries (everything inserted
-        # so far minus the committed pops).
-        survivors = order[committed : committed + num_servers]
-        busy_until = self._tracker.busy_until
-        heap: list[tuple[float, int]] = []
-        for source in survivors.tolist():
-            if source < num_servers:
-                server = heap_servers[source]
-            else:
-                server = int(committed_servers[source - num_servers])
-            value = float(merged[source])
-            busy_until[server] = value
-            heap.append((value, server))
-        heapq.heapify(heap)
-        self._heap = heap
-        return committed
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
         arrivals = self._ordered_arrivals(arrival_times)
@@ -615,23 +511,10 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
         assignment = np.empty(count, dtype=np.int64)
         busy_until = self._tracker.busy_until
         factors = self._tracker.time_factors
+        heap = self._heap
         heapreplace = heapq.heapreplace
-        index = 0
-        while index < count:
-            committed = self._try_merge_block(arrivals, demands, assignment, index)
-            index += committed
-            if index >= count:
-                break
-            # Fallback burst: per-job heap steps (O(log m) each).  Mixed
-            # speeds never pass the merge-block test, so they step through
-            # long bursts, bounded to keep the per-burst lists small.
-            if self._uniform_factor is None:
-                stop = min(count, index + _MIXED_SPEED_RUN)
-            else:
-                stop = min(
-                    count, index + (_FALLBACK_RUN if committed < _SMALL_COMMIT else 1)
-                )
-            heap = self._heap
+        for index in range(0, count, _BURST):
+            stop = min(count, index + _BURST)
             servers: list[int] = []
             append = servers.append
             for arrival, demand in zip(
@@ -645,7 +528,6 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
                 heapreplace(heap, (finish, server))
                 append(server)
             assignment[index:stop] = servers
-            index = stop
         return assignment
 
 
@@ -725,22 +607,25 @@ class _PowerAwareAssigner(StreamAssigner):
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
         arrivals = self._ordered_arrivals(arrival_times).tolist()
         demands = np.asarray(service_demands, dtype=float).tolist()
-        tracker = self._tracker
-        busy_until = tracker.busy_until
+        busy_until = self._tracker.busy_until
+        factors = self._tracker.time_factors
         ranking = self._ranking
         threshold = self._threshold
-        assignment = np.empty(len(arrivals), dtype=np.int64)
-        for index, (arrival, demand) in enumerate(zip(arrivals, demands, strict=True)):
+        servers: list[int] = []
+        append = servers.append
+        for arrival, demand in zip(arrivals, demands, strict=True):
             cutoff = arrival + threshold
-            for candidate in ranking:
-                if busy_until[candidate] <= cutoff:
-                    server = candidate
+            for server in ranking:
+                busy = busy_until[server]
+                if busy <= cutoff:
                     break
             else:
-                server = busy_until.index(min(busy_until))
-            assignment[index] = server
-            tracker.charge(server, arrival, demand)
-        return assignment
+                busy = min(busy_until)
+                server = busy_until.index(busy)
+            # ``WorkTracker.charge`` inlined on the ``busy`` just read.
+            busy_until[server] = (arrival if arrival > busy else busy) + demand * factors[server]
+            append(server)
+        return np.array(servers, dtype=np.int64)
 
 
 class PowerAwareDispatcher(JobDispatcher):

@@ -6,9 +6,10 @@ produce **byte-identical** assignments on its ``"heap"`` (fast) and
 ``"loop"`` (reference oracle) engines, across traffic regimes, farm sizes,
 speed models and crafted tie cases.  ``PowerAwareDispatcher`` has one
 engine; its assignments on the same grid are pinned to recorded SHA-256
-digests (``power_aware_golden.json``).  Streaming assignment (chunked) must
-be identical to one-shot assignment for *every* dispatcher, and every
-work-tracking assigner rejects chunks out of arrival order.  The
+digests (``power_aware_golden.json``), and on a wide mixed fleet to a
+reference scan written on ``WorkTracker.charge``.  Streaming assignment
+(chunked) must be identical to one-shot assignment for *every* dispatcher,
+and every work-tracking assigner rejects chunks out of arrival order.  The
 heterogeneity-blind backlog bug and the RandomDispatcher determinism bug are
 pinned by dedicated regression tests.
 """
@@ -37,6 +38,7 @@ from repro.cluster.dispatch import (
 from repro.cluster.tenancy import PriorityDispatcher, TenantSpec, WeightedFairDispatcher
 from repro.core.qos import mean_qos_from_baseline
 from repro.exceptions import ConfigurationError, TraceError
+from repro.power.platform import atom_power_model, xeon_power_model
 from repro.workloads.jobs import JobTrace
 
 MEAN_SERVICE = 0.0042  # Google-like job size, seconds
@@ -60,9 +62,37 @@ SPEED_CASES = [
     (1, None),
 ]
 
-#: The mixed-speed fleets: these never take the least-loaded heap engine's
-#: merge block, so every job goes through its per-job heap step.
+#: The mixed-speed fleets, where estimated finish times can tie exactly
+#: across servers of different speeds.
 MIXED_SPEED_CASES = [case for case in SPEED_CASES if case[1] is not None]
+
+#: Wide fleets for the burst-boundary parity cases.  The homogeneous 16- and
+#: 64-server fleets at load 0.3 are the shapes where a vectorised merge tier
+#: used to replace the per-job heap step.
+WIDE_FLEET_CASES = [(16, None), (64, None), (16, [1.0] * 8 + [0.7] * 8)]
+
+
+def fleet_capacity(num_servers: int, speeds: list[float] | None) -> float:
+    """Service capacity in full-frequency servers."""
+    return float(num_servers if speeds is None else sum(speeds))
+
+
+def assign_in_chunks(dispatcher, jobs, num_servers, speeds, chunk) -> np.ndarray:
+    """Stream *jobs* through one assigner in *chunk*-job pieces."""
+    assigner = dispatcher.assigner(
+        num_servers,
+        server_speeds=speeds,
+        total_jobs=len(jobs),
+        mean_service_demand=jobs.mean_service_demand,
+    )
+    parts = [
+        assigner.assign_chunk(
+            jobs.arrival_times[i : i + chunk], jobs.service_demands[i : i + chunk]
+        )
+        for i in range(0, len(jobs), chunk)
+    ]
+    return np.concatenate(parts)
+
 
 #: Traffic regimes relative to one full-frequency server: idle-dominated,
 #: nominal, and far beyond single-server saturation.
@@ -111,6 +141,32 @@ class TestEngineEquivalence:
             jobs, num_servers, server_speeds=speeds
         )
         np.testing.assert_array_equal(heap, loop)
+
+    @pytest.mark.parametrize("load", [0.3, 0.7])
+    @pytest.mark.parametrize("num_servers,speeds", WIDE_FLEET_CASES)
+    def test_least_loaded_across_bursts_byte_identical(self, load, num_servers, speeds):
+        # 10,000 jobs cross two heap-step burst boundaries (4096 jobs each).
+        jobs = poisson_jobs(10_000, load * fleet_capacity(num_servers, speeds), seed=5)
+        heap = LeastLoadedDispatcher(ENGINE_HEAP).assign(
+            jobs, num_servers, server_speeds=speeds
+        )
+        loop = LeastLoadedDispatcher(ENGINE_LOOP).assign(
+            jobs, num_servers, server_speeds=speeds
+        )
+        np.testing.assert_array_equal(heap, loop)
+
+    def test_least_loaded_chunks_straddling_bursts(self):
+        # 5000-job chunks do not divide the 4096-job burst, so bursts and
+        # chunk boundaries fall at different jobs.
+        jobs = poisson_jobs(10_000, 0.3 * 16, seed=6)
+        one_shot = LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, 16)
+        np.testing.assert_array_equal(
+            assign_in_chunks(LeastLoadedDispatcher(ENGINE_HEAP), jobs, 16, None, 5000),
+            one_shot,
+        )
+        np.testing.assert_array_equal(
+            one_shot, LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, 16)
+        )
 
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
     @pytest.mark.parametrize("num_servers", [2, 4])
@@ -164,6 +220,24 @@ class TestEngineEquivalence:
             assert merge_streams(streams) == jobs
 
 
+def reference_power_aware_scan(jobs, ranking, threshold, speeds) -> np.ndarray:
+    """The ranked power-aware scan, written on ``WorkTracker.charge``."""
+    tracker = WorkTracker(len(ranking), server_speeds=speeds)
+    assignment = np.empty(len(jobs), dtype=np.int64)
+    for index, (arrival, demand) in enumerate(
+        zip(jobs.arrival_times.tolist(), jobs.service_demands.tolist())
+    ):
+        for candidate in ranking:
+            if tracker.busy_until[candidate] <= arrival + threshold:
+                server = candidate
+                break
+        else:
+            server = tracker.busy_until.index(min(tracker.busy_until))
+        assignment[index] = server
+        tracker.charge(server, arrival, demand)
+    return assignment
+
+
 class TestPowerAwareGolden:
     """The ranked per-job scan, pinned cell by cell to recorded digests."""
 
@@ -201,6 +275,26 @@ class TestPowerAwareGolden:
                 ).assign(jobs, num_servers)
                 key = f"seed={seed}/servers={num_servers}/backlog={max_backlog}"
                 assert digest(assignment) == GOLDEN["coarse"][key], key
+
+    @pytest.mark.parametrize("utilization,max_backlog", [(0.7, None), (10.0, 0.001)])
+    def test_matches_reference_scan_on_mixed_fleet(self, utilization, max_backlog):
+        # Stream-farm's shape: 8 Xeon + 8 Atom (0.7 ceiling) servers, the
+        # trace at 0.7 of one full-frequency server.  The near-saturated
+        # case with a tight backlog drives the least-loaded fallback.
+        speeds = [1.0] * 8 + [0.7] * 8
+        models = [xeon_power_model()] * 8 + [atom_power_model()] * 8
+        dispatcher = PowerAwareDispatcher.from_power_models(models, max_backlog=max_backlog)
+        jobs = poisson_jobs(20_000, utilization, seed=12)
+        threshold = 4.0 * jobs.mean_service_demand if max_backlog is None else max_backlog
+        ranking = np.argsort([m.idle_power(1.0) for m in models], kind="stable").tolist()
+        expected = reference_power_aware_scan(jobs, ranking, threshold, speeds)
+        one_shot = dispatcher.assign(jobs, 16, server_speeds=speeds)
+        assert digest(one_shot) == digest(expected)
+        chunked = assign_in_chunks(dispatcher, jobs, 16, speeds, 3000)
+        assert digest(chunked) == digest(expected)
+        empty = dispatcher.assigner(16, server_speeds=speeds, mean_service_demand=1.0)
+        assigned = empty.assign_chunk(np.empty(0), np.empty(0))
+        assert assigned.dtype == np.int64 and assigned.shape == (0,)
 
     def test_rounding_boundary_run_blocks_stay_identical(self):
         """Regression: a threshold comparison that lands on a last-ulp
@@ -242,22 +336,10 @@ class TestStreamingAssignment:
             PowerAwareDispatcher([4.0, 5.0, 6.0, 7.0]),
         ]
         for dispatcher in dispatchers:
-            one_shot = dispatcher.assign(jobs, 4, server_speeds=speeds)
-            assigner = dispatcher.assigner(
-                4,
-                server_speeds=speeds,
-                total_jobs=len(jobs),
-                mean_service_demand=jobs.mean_service_demand,
-            )
-            parts = [
-                assigner.assign_chunk(
-                    jobs.arrival_times[i : i + chunk],
-                    jobs.service_demands[i : i + chunk],
-                )
-                for i in range(0, len(jobs), chunk)
-            ]
             np.testing.assert_array_equal(
-                np.concatenate(parts), one_shot, err_msg=type(dispatcher).__name__
+                assign_in_chunks(dispatcher, jobs, 4, speeds, chunk),
+                dispatcher.assign(jobs, 4, server_speeds=speeds),
+                err_msg=type(dispatcher).__name__,
             )
 
     @pytest.mark.parametrize("name", sorted(WORK_TRACKING_DISPATCHERS))
