@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -33,11 +33,48 @@ from repro.campaigns.spec import (
     canonical_json,
 )
 from repro.exceptions import CampaignError, ReproError
-from repro.experiments.report import validate_experiment_payload
-from repro.experiments.scenario_runner import validate_report
+from repro.experiments.report import EXPERIMENT_PAYLOAD_TABLE
+from repro.experiments.scenario_runner import REPORT_TABLE
+from repro.experiments.schema import Const, Int, Obj, Str, validate
 
 #: Version tag stamped into (and required from) every cell record.
 CELL_SCHEMA = "repro.campaign-cell/v1"
+
+
+def _cell_invariants(record: Any) -> Iterator[tuple[str, str]]:
+    """A well-formed ``cell_id`` that the record's content reproduces."""
+    cell_id = record["cell_id"]
+    if not (cell_id[5:6] == "-" and cell_id[:5].isdecimal()):
+        yield "cell_id", "is malformed (expected <index:05d>-<digest>)"
+        return
+    recomputed = CampaignCell(
+        index=int(cell_id[:5]),
+        seed=record["seed"],
+        params=record["params"],
+        kind=record["kind"],
+        target=record["target"],
+    ).cell_id
+    if recomputed != cell_id:
+        yield "cell_id", (
+            f"does not match the record's content (expected {recomputed!r}); the record is stale"
+        )
+
+
+#: The executable cell-record schema; ``result`` is walked separately,
+#: with the table its ``kind`` selects.
+CELL_TABLE = Obj(
+    {
+        "schema": Const(CELL_SCHEMA),
+        "campaign": Str(nonempty=True),
+        "cell_id": Str(nonempty=True),
+        "kind": Str(choices=CAMPAIGN_KINDS),
+        "target": Str(nonempty=True),
+        "seed": Int(),
+        "params": Obj(),
+        "result": Obj(),
+    },
+    invariants=_cell_invariants,
+)
 
 #: File names inside a campaign store directory.
 CAMPAIGN_FILE = "campaign.json"
@@ -91,67 +128,20 @@ def validate_cell_record(record: Any) -> None:
     """Check one cell record against ``repro.campaign-cell/v1``.
 
     Raises :class:`~repro.exceptions.CampaignError` on the first violation.
-    The embedded result is validated with the same checkers the direct
-    surfaces use (``validate_experiment_payload`` for experiment cells,
-    ``validate_report`` for scenario cells), and the content-addressed
-    ``cell_id`` is recomputed from the record — a record whose identity
-    does not match its content is stale, not trusted.
+    The embedded result is walked under the path ``result`` with the same
+    tables the direct surfaces use (the experiment payload for experiment
+    cells, the scenario report for scenario cells), and the
+    content-addressed ``cell_id`` is recomputed from the record — a record
+    whose identity does not match its content is stale, not trusted.
     """
     if not isinstance(record, dict):
         raise CampaignError("a campaign cell record must be a JSON object")
-    expected_keys = {
-        "schema",
-        "campaign",
-        "cell_id",
-        "kind",
-        "target",
-        "seed",
-        "params",
-        "result",
-    }
-    if set(record) != expected_keys:
-        raise CampaignError(
-            "campaign cell record must have exactly the keys "
-            f"{sorted(expected_keys)}, got {sorted(record)}"
-        )
-    if record["schema"] != CELL_SCHEMA:
-        raise CampaignError(
-            f"campaign cell record schema must be {CELL_SCHEMA!r}, "
-            f"got {record['schema']!r}"
-        )
-    for key in ("campaign", "cell_id", "target"):
-        if not isinstance(record[key], str) or not record[key]:
-            raise CampaignError(f"campaign cell record {key!r} must be a non-empty string")
-    if record["kind"] not in CAMPAIGN_KINDS:
-        raise CampaignError(
-            f"campaign cell record kind must be one of {CAMPAIGN_KINDS}, "
-            f"got {record['kind']!r}"
-        )
-    if not isinstance(record["seed"], int) or isinstance(record["seed"], bool):
-        raise CampaignError("campaign cell record seed must be an integer")
-    if not isinstance(record["params"], dict):
-        raise CampaignError("campaign cell record params must be an object")
-    cell_id = record["cell_id"]
-    prefix, _, _digest = cell_id.partition("-")
-    if not (len(prefix) == 5 and prefix.isdigit()):
-        raise CampaignError(f"malformed campaign cell id {cell_id!r}")
-    recomputed = CampaignCell(
-        index=int(prefix),
-        seed=record["seed"],
-        params=record["params"],
-        kind=record["kind"],
-        target=record["target"],
-    ).cell_id
-    if recomputed != cell_id:
-        raise CampaignError(
-            f"campaign cell record {cell_id!r} does not match its content "
-            f"(expected id {recomputed!r}); the record is stale"
-        )
-    result = record["result"]
+    validate(record, CELL_TABLE, CampaignError, "campaign cell record")
     if record["kind"] == KIND_EXPERIMENT:
-        validate_experiment_payload(result, where=f"cell {cell_id} result")
+        result_table = EXPERIMENT_PAYLOAD_TABLE
     else:
-        validate_report(result)
+        result_table = REPORT_TABLE
+    validate(record["result"], result_table, CampaignError, "campaign cell record", "result")
 
 
 class CampaignStore:

@@ -18,7 +18,7 @@ Report schema::
       "experiments": [
         {
           "name": str, "description": str,
-          "rows": [{column: value, ...}, ...],     # non-empty
+          "rows": [{column: value, ...}, ...],     # non-empty; columns may vary
           "metadata": {..},                        # JSON-canonical
           "notes": [str, ...]
         },
@@ -34,16 +34,52 @@ unwrapped to plain Python numbers.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.experiments.schema import Bool, Const, Int, Json, List, Num, Obj, Opt, Str, validate
 
 #: Version tag stamped into (and required from) every experiment report.
 EXPERIMENT_REPORT_SCHEMA = "repro.experiment-report/v1"
 
-_NUMBER = (int, float)
+#: One experiment's payload: the executable form of the docstring schema's
+#: ``experiments`` entries.
+EXPERIMENT_PAYLOAD_TABLE = Obj(
+    {
+        "name": Str(nonempty=True),
+        "description": Str(nonempty=True),
+        "rows": List(Obj(values=Json(), nonempty=True), nonempty=True),
+        "metadata": Obj(values=Json()),
+        "notes": List(Str()),
+    }
+)
+
+
+def _report_invariants(report: Any) -> Iterator[tuple[str, str]]:
+    """Experiment names are unique within a report."""
+    names = [entry["name"] for entry in report["experiments"]]
+    if len(set(names)) != len(names):
+        yield "experiments", "names must be unique"
+
+
+#: The executable experiment-report schema.
+EXPERIMENT_REPORT_TABLE = Obj(
+    {
+        "schema": Const(EXPERIMENT_REPORT_SCHEMA),
+        "config": Obj(
+            {
+                "fast": Bool(),
+                "seed": Int(),
+                "num_jobs": Opt(Int(min=1)),
+                "frequency_step": Opt(Num(positive=True)),
+            }
+        ),
+        "experiments": List(EXPERIMENT_PAYLOAD_TABLE, nonempty=True),
+    },
+    invariants=_report_invariants,
+)
 
 
 def jsonify_value(value: Any) -> Any:
@@ -124,126 +160,17 @@ def experiment_report(
 # ---------------------------------------------------------------------------
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ExperimentError(f"invalid experiment report: {message}")
-
-
 def validate_experiment_payload(payload: Any, where: str = "experiment") -> None:
     """Check one experiment payload (also each campaign cell's result body).
 
     Raises :class:`~repro.exceptions.ExperimentError` on the first
-    violation; returns ``None`` on success.  Structural only — keys,
-    types, finite numbers, non-empty rows with consistent key sets.
+    violation, naming its path under *where*; returns ``None`` on success.
+    Structural only — keys, types, finite numbers, non-empty rows.  Rows
+    may differ in their columns (``table2`` mixes two row shapes).
     """
-    _require(isinstance(payload, dict), f"{where} must be an object")
-    _require(
-        set(payload) == {"name", "description", "rows", "metadata", "notes"},
-        f"{where} must have exactly the keys "
-        "['description', 'metadata', 'name', 'notes', 'rows'], "
-        f"got {sorted(payload) if isinstance(payload, dict) else payload}",
-    )
-    for key in ("name", "description"):
-        _require(
-            isinstance(payload[key], str) and payload[key],
-            f"{where}.{key} must be a non-empty string",
-        )
-    rows = payload["rows"]
-    _require(
-        isinstance(rows, list) and rows,
-        f"{where}.rows must be a non-empty list",
-    )
-    columns = None
-    for position, row in enumerate(rows):
-        _require(
-            isinstance(row, dict) and row,
-            f"{where}.rows[{position}] must be a non-empty object",
-        )
-        for key, value in row.items():
-            _require(
-                isinstance(key, str),
-                f"{where}.rows[{position}] column names must be strings",
-            )
-            _validate_json_scalarish(value, f"{where}.rows[{position}][{key!r}]")
-        if columns is None:
-            columns = set(row)
-    _require(isinstance(payload["metadata"], dict), f"{where}.metadata must be an object")
-    _validate_json_scalarish(payload["metadata"], f"{where}.metadata")
-    _require(
-        isinstance(payload["notes"], list)
-        and all(isinstance(note, str) for note in payload["notes"]),
-        f"{where}.notes must be a list of strings",
-    )
-
-
-def _validate_json_scalarish(value: Any, where: str) -> None:
-    """Reject non-finite numbers and non-JSON types anywhere in *value*."""
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
-        return
-    if isinstance(value, float):
-        _require(math.isfinite(value), f"{where} must be finite (serialise NaN as null)")
-        return
-    if isinstance(value, list):
-        for position, item in enumerate(value):
-            _validate_json_scalarish(item, f"{where}[{position}]")
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require(isinstance(key, str), f"{where} keys must be strings")
-            _validate_json_scalarish(item, f"{where}[{key!r}]")
-        return
-    _require(False, f"{where} must be a JSON value, got {type(value).__name__}")
+    validate(payload, EXPERIMENT_PAYLOAD_TABLE, ExperimentError, "experiment report", where)
 
 
 def validate_experiment_report(report: Any) -> None:
     """Check *report* against the ``repro.experiment-report/v1`` schema."""
-    _require(isinstance(report, dict), "report must be an object")
-    _require(
-        set(report) == {"schema", "config", "experiments"},
-        "report must have exactly the keys ['config', 'experiments', 'schema'], "
-        f"got {sorted(report) if isinstance(report, dict) else report}",
-    )
-    _require(
-        report["schema"] == EXPERIMENT_REPORT_SCHEMA,
-        f"schema must be {EXPERIMENT_REPORT_SCHEMA!r}",
-    )
-    config = report["config"]
-    _require(isinstance(config, dict), "config must be an object")
-    _require(
-        set(config) == {"fast", "seed", "num_jobs", "frequency_step"},
-        "config must have exactly the keys "
-        "['fast', 'frequency_step', 'num_jobs', 'seed']",
-    )
-    _require(isinstance(config["fast"], bool), "config.fast must be a bool")
-    _require(
-        isinstance(config["seed"], int) and not isinstance(config["seed"], bool),
-        "config.seed must be an integer",
-    )
-    _require(
-        config["num_jobs"] is None
-        or (isinstance(config["num_jobs"], int) and config["num_jobs"] > 0),
-        "config.num_jobs must be null or a positive integer",
-    )
-    _require(
-        config["frequency_step"] is None
-        or (
-            isinstance(config["frequency_step"], _NUMBER)
-            and not isinstance(config["frequency_step"], bool)
-            and math.isfinite(config["frequency_step"])
-            and config["frequency_step"] > 0
-        ),
-        "config.frequency_step must be null or a positive number",
-    )
-    experiments = report["experiments"]
-    _require(
-        isinstance(experiments, list) and experiments,
-        "experiments must be a non-empty list",
-    )
-    names = []
-    for position, payload in enumerate(experiments):
-        validate_experiment_payload(payload, f"experiments[{position}]")
-        names.append(payload["name"])
-    _require(
-        len(set(names)) == len(names),
-        f"experiment names must be unique, got {names}",
-    )
+    validate(report, EXPERIMENT_REPORT_TABLE, ExperimentError, "experiment report")

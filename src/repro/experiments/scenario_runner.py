@@ -72,7 +72,7 @@ block recording the farm-level QoS contract and per-tenant outcomes)::
         ]
       },
       "state_selection_fractions": {state: fraction, ...},   # sums to 1
-      "per_server": [
+      "per_server": [                          # one per farm server, in order
         {"server": str, "num_jobs": int,
          "mean_response_time_s": float | null, "average_power_w": float | null},
         ...
@@ -80,9 +80,13 @@ block recording the farm-level QoS contract and per-tenant outcomes)::
     }
 
 NaN is not valid JSON, so metrics that are undefined for a slot (an idle
-server's latency) are serialised as ``null``.  :func:`validate_report` checks
-a report against this schema and is what the scenario round-trip tests and
-the CI smoke matrix call.
+server's latency) are serialised as ``null``.
+
+The block above is an annotated copy; the executable schema is
+:data:`REPORT_TABLE` (a :mod:`repro.experiments.schema` table) plus its
+cross-field invariants, and a tier-1 test keeps every table key in the
+block.  :func:`validate_report` walks a report through that table and is
+what the scenario round-trip tests and the CI smoke matrix call.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ import dataclasses
 import json
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from typing import Any
 
 from repro.cluster.controller import (
@@ -115,6 +119,7 @@ from repro.core.qos import (
     percentile_qos_from_baseline,
 )
 from repro.exceptions import ConfigurationError, ExperimentError, ScenarioError
+from repro.experiments.schema import Bool, Const, Int, List, Num, Obj, Opt, Str, validate
 from repro.scenarios import (
     BuiltScenario,
     available_scenarios,
@@ -127,6 +132,155 @@ from repro.workloads.storage import TRACE_BACKENDS
 
 #: Version tag stamped into (and required from) every scenario report.
 REPORT_SCHEMA = "repro.scenario-report/v4"
+
+#: A metric that is undefined for some slots (an idle server's latency).
+_METRIC = Opt(Num())
+
+
+def _report_invariants(report: Any) -> Iterator[tuple[str, str]]:
+    """What :data:`REPORT_TABLE` cannot express (run once it has passed)."""
+    farm, tenants, workload = report["farm"], report["tenants"], report["workload"]
+    times, controller = report["response_time"], report["controller"]
+    per_tenant = tenants["mode"] == "per-tenant"
+    tenant_names = [row["name"] for row in tenants["rows"]]
+    if not times["p50_s"] <= times["p95_s"] <= times["p99_s"]:
+        yield "response_time", "percentiles must be non-decreasing"
+    if farm["platforms"] != list(dict.fromkeys(s["platform"] for s in farm["servers"])):
+        yield "farm.platforms", "must be the servers' distinct platforms, in server order"
+    if farm["heterogeneous"] != (len(farm["platforms"]) > 1):
+        yield "farm.heterogeneous", "must match the distinct platform count"
+    if controller is not None and max(controller["awake_counts"]) > len(farm["servers"]):
+        yield "controller.awake_counts", "entries must not exceed the number of farm servers"
+    if per_tenant and not tenant_names:
+        yield "tenants.rows", "must not be empty in per-tenant mode"
+    if not per_tenant and (tenant_names or tenants["isolation"] is not None):
+        yield "tenants", "rows/isolation only apply in per-tenant mode"
+    if len(set(tenant_names)) != len(tenant_names):
+        yield "tenants.rows", "names must be unique"
+    if per_tenant and sum(row["num_jobs"] for row in tenants["rows"]) != workload["num_jobs"]:
+        yield "tenants.rows", "job counts must sum to workload.num_jobs (job conservation)"
+    if any(row["name"] not in tenant_names for row in tenants["isolation"] or ()):
+        yield "tenants.isolation", "names must match tenant rows"
+    if abs(sum(report["state_selection_fractions"].values()) - 1.0) >= 1e-9:
+        yield "state_selection_fractions", "must sum to 1"
+    per_server = report["per_server"]
+    if [entry["server"] for entry in per_server] != [s["name"] for s in farm["servers"]]:
+        yield "per_server", "must list one entry per farm server, in server order"
+    if sum(entry["num_jobs"] for entry in per_server) != workload["num_jobs"]:
+        yield "per_server", "job counts must sum to workload.num_jobs (job conservation)"
+
+
+#: The executable scenario-report schema; the module docstring's schema
+#: block is its annotated copy (a tier-1 test keeps every key in both).
+REPORT_TABLE = Obj(
+    {
+        "schema": Const(REPORT_SCHEMA),
+        "scenario": Str(nonempty=True),
+        "description": Str(nonempty=True),
+        "seed": Int(),
+        "backend": Str(choices=BACKENDS),
+        "search": Str(choices=SEARCHES),
+        "parameters": Obj(),
+        "workload": Obj(
+            {
+                "name": Str(nonempty=True),
+                "mean_service_time_s": Num(positive=True),
+                "num_jobs": Int(min=1),
+                "duration_s": Num(min=0),
+            }
+        ),
+        "farm": Obj(
+            {
+                "servers": List(Obj({"name": Str(), "platform": Str()}), nonempty=True),
+                "platforms": List(Str(), nonempty=True),
+                "heterogeneous": Bool(),
+                "dispatcher": Str(nonempty=True),
+            }
+        ),
+        "energy": Obj(
+            {
+                "total_joules": Num(min=0),
+                "average_power_w": Num(min=0),
+                "average_power_per_server_w": Num(min=0),
+            }
+        ),
+        "response_time": Obj(
+            {
+                "mean_s": Num(min=0),
+                "p50_s": Num(min=0),
+                "p95_s": Num(min=0),
+                "p99_s": Num(min=0),
+                "normalized_mean": Num(min=0),
+                "budget": Num(min=0),
+                "meets_budget": Bool(),
+            }
+        ),
+        "controller": Opt(
+            Obj(
+                {
+                    "policy": Str(choices=CONTROLLER_POLICIES),
+                    "min_awake": Int(min=1),
+                    "setup_latency_s": Num(min=0),
+                    "setup_energy_joules": Num(min=0),
+                    "awake_counts": List(Int(min=0), nonempty=True),
+                    "wake_transitions": Int(min=0),
+                }
+            )
+        ),
+        "tenants": Obj(
+            {
+                "mode": Str(choices=("none", *FARM_QOS_MODES)),
+                "constraint": Opt(Str()),
+                "rows": List(
+                    Obj(
+                        {
+                            "name": Str(nonempty=True),
+                            "weight": Num(positive=True),
+                            "priority": Int(),
+                            "qos": Str(),
+                            "num_jobs": Int(min=0),
+                            "mean_response_time_s": _METRIC,
+                            "p95_s": _METRIC,
+                            "p99_s": _METRIC,
+                            "meets_budget": Bool(),
+                            "slack": _METRIC,
+                        }
+                    )
+                ),
+                "isolation": Opt(
+                    List(
+                        Obj(
+                            {
+                                "name": Str(),
+                                "combined_p95_s": _METRIC,
+                                "solo_p95_s": _METRIC,
+                                "combined_p99_s": _METRIC,
+                                "solo_p99_s": _METRIC,
+                                "p95_delta_s": _METRIC,
+                                "p99_delta_s": _METRIC,
+                                "meets_budget_combined": Bool(),
+                                "meets_budget_solo": Bool(),
+                                "interference_violation": Bool(),
+                            }
+                        )
+                    )
+                ),
+            }
+        ),
+        "state_selection_fractions": Obj(values=Num(min=0), nonempty=True),
+        "per_server": List(
+            Obj(
+                {
+                    "server": Str(),
+                    "num_jobs": Int(min=0),
+                    "mean_response_time_s": _METRIC,
+                    "average_power_w": _METRIC,
+                }
+            )
+        ),
+    },
+    invariants=_report_invariants,
+)
 
 #: Peak design utilisation behind the ``--tenant ...:qos=...`` budget
 #: families (matches the scenario library's baseline, the paper's 0.8).
@@ -528,344 +682,16 @@ def _apply_tenant_overrides(
 # Schema validation
 # ---------------------------------------------------------------------------
 
-_NUMBER = (int, float)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ExperimentError(f"invalid scenario report: {message}")
-
-
-def _require_keys(mapping: Any, keys: set[str], where: str) -> None:
-    _require(isinstance(mapping, dict), f"{where} must be an object")
-    _require(
-        set(mapping) == keys,
-        f"{where} must have exactly the keys {sorted(keys)}, got {sorted(mapping)}",
-    )
-
-
-def _require_finite_number(value: Any, where: str) -> None:
-    _require(
-        isinstance(value, _NUMBER) and not isinstance(value, bool),
-        f"{where} must be a number",
-    )
-    _require(math.isfinite(value), f"{where} must be finite")
-
 
 def validate_report(report: Any) -> None:
     """Check *report* against the ``repro.scenario-report/v4`` schema.
 
-    Raises :class:`~repro.exceptions.ExperimentError` on the first violation;
-    returns ``None`` on success.  The check is structural (keys, types,
-    finiteness, fractions summing to one) — it does not re-run the scenario.
+    Raises :class:`~repro.exceptions.ExperimentError` on the first violation,
+    naming its path; returns ``None`` on success.  The check is
+    :data:`REPORT_TABLE` and its invariants — it does not re-run the
+    scenario.
     """
-    _require_keys(
-        report,
-        {
-            "schema",
-            "scenario",
-            "description",
-            "seed",
-            "backend",
-            "search",
-            "parameters",
-            "workload",
-            "farm",
-            "energy",
-            "response_time",
-            "controller",
-            "tenants",
-            "state_selection_fractions",
-            "per_server",
-        },
-        "report",
-    )
-    _require(report["schema"] == REPORT_SCHEMA, f"schema must be {REPORT_SCHEMA!r}")
-    for key in ("scenario", "description"):
-        _require(
-            isinstance(report[key], str) and report[key],
-            f"{key} must be a non-empty string",
-        )
-    _require(
-        isinstance(report["seed"], int) and not isinstance(report["seed"], bool),
-        "seed must be an integer",
-    )
-    _require(report["backend"] in BACKENDS, f"backend must be one of {BACKENDS}")
-    _require(report["search"] in SEARCHES, f"search must be one of {SEARCHES}")
-    _require(isinstance(report["parameters"], dict), "parameters must be an object")
-
-    workload = report["workload"]
-    _require_keys(
-        workload,
-        {"name", "mean_service_time_s", "num_jobs", "duration_s"},
-        "workload",
-    )
-    _require(isinstance(workload["name"], str), "workload.name must be a string")
-    _require_finite_number(workload["mean_service_time_s"], "workload.mean_service_time_s")
-    _require(workload["mean_service_time_s"] > 0, "workload.mean_service_time_s must be positive")
-    _require(
-        isinstance(workload["num_jobs"], int) and workload["num_jobs"] > 0,
-        "workload.num_jobs must be a positive integer",
-    )
-    _require_finite_number(workload["duration_s"], "workload.duration_s")
-
-    farm = report["farm"]
-    _require_keys(
-        farm, {"servers", "platforms", "heterogeneous", "dispatcher"}, "farm"
-    )
-    _require(
-        isinstance(farm["servers"], list) and farm["servers"],
-        "farm.servers must be a non-empty list",
-    )
-    for entry in farm["servers"]:
-        _require_keys(entry, {"name", "platform"}, "farm.servers[*]")
-        _require(
-            isinstance(entry["name"], str) and isinstance(entry["platform"], str),
-            "farm.servers[*] fields must be strings",
-        )
-    _require(
-        isinstance(farm["platforms"], list) and farm["platforms"],
-        "farm.platforms must be a non-empty list",
-    )
-    _require(isinstance(farm["heterogeneous"], bool), "farm.heterogeneous must be a bool")
-    _require(
-        farm["heterogeneous"] == (len(farm["platforms"]) > 1),
-        "farm.heterogeneous must match the distinct platform count",
-    )
-    _require(isinstance(farm["dispatcher"], str), "farm.dispatcher must be a string")
-
-    energy = report["energy"]
-    _require_keys(
-        energy,
-        {"total_joules", "average_power_w", "average_power_per_server_w"},
-        "energy",
-    )
-    for key, value in energy.items():
-        _require_finite_number(value, f"energy.{key}")
-        _require(value >= 0, f"energy.{key} must be non-negative")
-
-    response = report["response_time"]
-    _require_keys(
-        response,
-        {"mean_s", "p50_s", "p95_s", "p99_s", "normalized_mean", "budget", "meets_budget"},
-        "response_time",
-    )
-    _require(isinstance(response["meets_budget"], bool), "response_time.meets_budget must be a bool")
-    for key in ("mean_s", "p50_s", "p95_s", "p99_s", "normalized_mean", "budget"):
-        _require_finite_number(response[key], f"response_time.{key}")
-        _require(response[key] >= 0, f"response_time.{key} must be non-negative")
-    _require(
-        response["p50_s"] <= response["p95_s"] <= response["p99_s"],
-        "response-time percentiles must be non-decreasing",
-    )
-
-    controller = report["controller"]
-    if controller is not None:
-        _require_keys(
-            controller,
-            {
-                "policy",
-                "min_awake",
-                "setup_latency_s",
-                "setup_energy_joules",
-                "awake_counts",
-                "wake_transitions",
-            },
-            "controller",
-        )
-        _require(
-            controller["policy"] in CONTROLLER_POLICIES,
-            f"controller.policy must be one of {CONTROLLER_POLICIES}",
-        )
-        _require(
-            isinstance(controller["min_awake"], int)
-            and not isinstance(controller["min_awake"], bool)
-            and controller["min_awake"] >= 1,
-            "controller.min_awake must be a positive integer",
-        )
-        for key in ("setup_latency_s", "setup_energy_joules"):
-            _require_finite_number(controller[key], f"controller.{key}")
-            _require(controller[key] >= 0, f"controller.{key} must be non-negative")
-        counts = controller["awake_counts"]
-        _require(
-            isinstance(counts, list) and counts,
-            "controller.awake_counts must be a non-empty list",
-        )
-        for count in counts:
-            _require(
-                isinstance(count, int)
-                and not isinstance(count, bool)
-                and 0 <= count <= len(farm["servers"]),
-                "controller.awake_counts entries must be integers in "
-                "[0, num_servers]",
-            )
-        _require(
-            isinstance(controller["wake_transitions"], int)
-            and not isinstance(controller["wake_transitions"], bool)
-            and controller["wake_transitions"] >= 0,
-            "controller.wake_transitions must be a non-negative integer",
-        )
-
-    tenants = report["tenants"]
-    _require_keys(tenants, {"mode", "constraint", "rows", "isolation"}, "tenants")
-    _require(
-        tenants["mode"] in ("none",) + FARM_QOS_MODES,
-        f"tenants.mode must be 'none' or one of {FARM_QOS_MODES}",
-    )
-    _require(
-        tenants["constraint"] is None or isinstance(tenants["constraint"], str),
-        "tenants.constraint must be a string or null",
-    )
-    _require(isinstance(tenants["rows"], list), "tenants.rows must be a list")
-    if tenants["mode"] != "per-tenant":
-        _require(
-            tenants["rows"] == [] and tenants["isolation"] is None,
-            "tenants.rows/isolation only apply in per-tenant mode",
-        )
-    else:
-        _require(tenants["rows"] != [], "per-tenant mode must report tenant rows")
-    tenant_names = []
-    tenant_jobs = 0
-    for row in tenants["rows"]:
-        _require_keys(
-            row,
-            {
-                "name",
-                "weight",
-                "priority",
-                "qos",
-                "num_jobs",
-                "mean_response_time_s",
-                "p95_s",
-                "p99_s",
-                "meets_budget",
-                "slack",
-            },
-            "tenants.rows[*]",
-        )
-        _require(
-            isinstance(row["name"], str) and row["name"],
-            "tenants.rows[*].name must be a non-empty string",
-        )
-        tenant_names.append(row["name"])
-        _require_finite_number(row["weight"], "tenants.rows[*].weight")
-        _require(row["weight"] > 0, "tenants.rows[*].weight must be positive")
-        _require(
-            isinstance(row["priority"], int) and not isinstance(row["priority"], bool),
-            "tenants.rows[*].priority must be an integer",
-        )
-        _require(isinstance(row["qos"], str), "tenants.rows[*].qos must be a string")
-        _require(
-            isinstance(row["num_jobs"], int)
-            and not isinstance(row["num_jobs"], bool)
-            and row["num_jobs"] >= 0,
-            "tenants.rows[*].num_jobs must be a non-negative integer",
-        )
-        tenant_jobs += row["num_jobs"]
-        _require(
-            isinstance(row["meets_budget"], bool),
-            "tenants.rows[*].meets_budget must be a bool",
-        )
-        for key in ("mean_response_time_s", "p95_s", "p99_s", "slack"):
-            if row[key] is not None:
-                _require_finite_number(row[key], f"tenants.rows[*].{key}")
-    _require(
-        len(set(tenant_names)) == len(tenant_names),
-        "tenants.rows names must be unique",
-    )
-    if tenants["mode"] == "per-tenant":
-        _require(
-            tenant_jobs == workload["num_jobs"],
-            "per-tenant job counts must sum to workload.num_jobs "
-            "(job conservation)",
-        )
-    if tenants["isolation"] is not None:
-        _require(
-            isinstance(tenants["isolation"], list),
-            "tenants.isolation must be a list or null",
-        )
-        for row in tenants["isolation"]:
-            _require_keys(
-                row,
-                {
-                    "name",
-                    "combined_p95_s",
-                    "solo_p95_s",
-                    "combined_p99_s",
-                    "solo_p99_s",
-                    "p95_delta_s",
-                    "p99_delta_s",
-                    "meets_budget_combined",
-                    "meets_budget_solo",
-                    "interference_violation",
-                },
-                "tenants.isolation[*]",
-            )
-            _require(
-                isinstance(row["name"], str) and row["name"] in tenant_names,
-                "tenants.isolation[*].name must match a tenant row",
-            )
-            for key in (
-                "combined_p95_s",
-                "solo_p95_s",
-                "combined_p99_s",
-                "solo_p99_s",
-                "p95_delta_s",
-                "p99_delta_s",
-            ):
-                if row[key] is not None:
-                    _require_finite_number(row[key], f"tenants.isolation[*].{key}")
-            for key in (
-                "meets_budget_combined",
-                "meets_budget_solo",
-                "interference_violation",
-            ):
-                _require(
-                    isinstance(row[key], bool),
-                    f"tenants.isolation[*].{key} must be a bool",
-                )
-
-    fractions = report["state_selection_fractions"]
-    _require(
-        isinstance(fractions, dict) and fractions,
-        "state_selection_fractions must be a non-empty object",
-    )
-    for state, fraction in fractions.items():
-        _require(isinstance(state, str), "state names must be strings")
-        _require_finite_number(fraction, f"state_selection_fractions[{state!r}]")
-        _require(
-            0.0 <= fraction <= 1.0,
-            f"state_selection_fractions[{state!r}] must lie in [0, 1]",
-        )
-    _require(
-        abs(sum(fractions.values()) - 1.0) < 1e-9,
-        "state_selection_fractions must sum to 1",
-    )
-
-    per_server = report["per_server"]
-    _require(
-        isinstance(per_server, list) and len(per_server) == len(farm["servers"]),
-        "per_server must list one entry per farm server",
-    )
-    total_jobs = 0
-    for entry in per_server:
-        _require_keys(
-            entry,
-            {"server", "num_jobs", "mean_response_time_s", "average_power_w"},
-            "per_server[*]",
-        )
-        _require(
-            isinstance(entry["num_jobs"], int) and entry["num_jobs"] >= 0,
-            "per_server[*].num_jobs must be a non-negative integer",
-        )
-        total_jobs += entry["num_jobs"]
-        for key in ("mean_response_time_s", "average_power_w"):
-            if entry[key] is not None:
-                _require_finite_number(entry[key], f"per_server[*].{key}")
-    _require(
-        total_jobs == workload["num_jobs"],
-        "per-server job counts must sum to workload.num_jobs (job conservation)",
-    )
+    validate(report, REPORT_TABLE, ExperimentError, "scenario report")
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ class TestCellRecords:
         cell = spec.cells()[0]
         bad = payload_for(cell)
         bad["rows"] = []
-        with pytest.raises(Exception, match="rows"):
+        with pytest.raises(CampaignError, match="rows"):
             make_cell_record(spec, cell, bad)
 
 

@@ -129,6 +129,12 @@ class TestReport:
         with pytest.raises(ExperimentError, match="num_jobs"):
             validate_experiment_report(report)
 
+    def test_bool_is_not_an_integer(self):
+        report = experiment_report({"toy": toy_result()}, ExperimentConfig())
+        report["config"]["num_jobs"] = True
+        with pytest.raises(ExperimentError, match="config.num_jobs must be an integer"):
+            validate_experiment_report(report)
+
 
 class TestCliOutput:
     def test_output_file_holds_a_valid_report(self, tmp_path, capsys):

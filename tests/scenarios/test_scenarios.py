@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError, ScenarioError
+from repro.experiments import scenario_runner
 from repro.experiments.scenario_runner import (
     REPORT_SCHEMA,
+    REPORT_TABLE,
     run_scenario,
     validate_report,
 )
+from repro.experiments.schema import List, Obj, Opt
 from repro.scenarios import (
     BuiltScenario,
     Scenario,
@@ -303,6 +306,66 @@ class TestValidator:
         broken["farm"]["heterogeneous"] = True  # single-platform farm
         with pytest.raises(ExperimentError, match="heterogeneous"):
             validate_report(broken)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda r: r["per_server"][0].update(server=5), r"per_server\[0\]\.server"),
+            (lambda r: r["per_server"][0].update(server="ghost"), "in server order"),
+            (lambda r: r["farm"].update(platforms=[7]), "farm.platforms"),
+            (lambda r: r["farm"].update(platforms=["xeon", "xeon"]), "servers. distinct platforms"),
+            (lambda r: r["workload"].update(duration_s=-1), "workload.duration_s"),
+            (lambda r: r["workload"].update(name=""), "non-empty string"),
+            (lambda r: r["farm"].update(dispatcher=""), "non-empty string"),
+            (lambda r: r["workload"].update(num_jobs=True), "workload.num_jobs must be an integer"),
+        ],
+    )
+    def test_schema_gaps_are_closed(self, report, mutate, message):
+        broken = json.loads(json.dumps(report))
+        mutate(broken)
+        with pytest.raises(ExperimentError, match=message):
+            validate_report(broken)
+
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            (
+                lambda r: r["per_server"].append({**r["per_server"][0], "num_jobs": "x"}),
+                "per_server[1].num_jobs",
+            ),
+            (
+                lambda r: r["farm"]["servers"].append({"name": "extra", "platform": 3}),
+                "farm.servers[1].platform",
+            ),
+        ],
+    )
+    def test_message_names_the_indexed_path(self, report, mutate, path):
+        broken = json.loads(json.dumps(report))
+        mutate(broken)
+        with pytest.raises(ExperimentError) as caught:
+            validate_report(broken)
+        assert f"{path} must be" in str(caught.value)
+
+    def test_docstring_schema_lists_every_table_key(self):
+        block = scenario_runner.__doc__.split("Report schema", 1)[1]
+        block = block.split("NaN is not valid JSON", 1)[0]
+
+        def table_keys(node):
+            if isinstance(node, Opt):
+                yield from table_keys(node.node)
+            elif isinstance(node, List):
+                yield from table_keys(node.item)
+            elif isinstance(node, Obj):
+                for key, child in (node.fields or {}).items():
+                    yield key
+                    yield from table_keys(child)
+                if node.values is not None:
+                    yield from table_keys(node.values)
+
+        keys = set(table_keys(REPORT_TABLE))
+        assert "interference_violation" in keys  # the walk reaches nested rows
+        missing = sorted(key for key in keys if f'"{key}"' not in block)
+        assert missing == []
 
 
 class TestCli:
