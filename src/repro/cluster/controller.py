@@ -512,6 +512,13 @@ def controller_assignment(
     assigned by ``dispatcher.restrict(members)`` over the regime's servers,
     with speeds narrowed to match; work-tracker state restarts per regime
     (a freshly woken server starts empty — it just did).
+
+    A one-server regime skips the per-job step: its restricted assigner is
+    still built, so a dispatcher that cannot serve the regime (a tenant
+    dispatcher with more tenants than servers) raises exactly as before,
+    but every job goes straight to the one member.  That is exact: the
+    range check below forces a one-server answer to all zeros, and no
+    assigner state outlives its regime.
     """
     if schedule.is_always_on:
         return dispatcher.validated_assignment(
@@ -548,6 +555,9 @@ def controller_assignment(
                 None if jobs.tenant_ids is None else jobs.tenant_ids[lo:hi]
             ),
         )
+        if len(members) == 1:
+            assignment[lo:hi] = members[0]
+            continue
         local = np.asarray(
             assigner.assign_chunk(arrivals[lo:hi], regime_demands), dtype=np.int64
         )

@@ -87,6 +87,7 @@ from repro.power.platform import ServerPowerModel
 from repro.power.states import C6_S3
 from repro.prediction.base import UtilizationPredictor
 from repro.units import minutes
+from repro.simulation.metrics import ResponseTimePercentiles
 from repro.simulation.service_scaling import ServiceScaling, cpu_bound
 from repro.workloads.jobs import JobTrace
 from repro.workloads.spec import WorkloadSpec
@@ -262,7 +263,7 @@ def prorated_idle_energy(
 
 
 @dataclass(frozen=True)
-class FarmResult:
+class FarmResult(ResponseTimePercentiles):
     """Aggregate outcome of one multi-server run.
 
     ``server_names`` (optional) labels each server slot — for heterogeneous
@@ -372,11 +373,6 @@ class FarmResult:
     def normalized_mean_response_time(self) -> float:
         """Farm-wide mean response time in units of the mean job size."""
         return self.mean_response_time / self.mean_service_time
-
-    def response_time_percentile(self, percentile: float = 95.0) -> float:
-        """Farm-wide response-time percentile, seconds."""
-        values = self.response_times
-        return float(np.percentile(values, percentile)) if values.size else math.nan
 
     @property
     def meets_budget(self) -> bool:

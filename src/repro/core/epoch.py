@@ -18,6 +18,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.simulation.metrics import ResponseTimePercentiles
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class EpochRecord:
 
 
 @dataclass(frozen=True)
-class RuntimeResult:
+class RuntimeResult(ResponseTimePercentiles):
     """Aggregate outcome of one SleepScale (or baseline strategy) run."""
 
     strategy: str
@@ -100,12 +101,6 @@ class RuntimeResult:
     def normalized_mean_response_time(self) -> float:
         """Mean response time in units of the mean job size (``mu * E[R]``)."""
         return self.mean_response_time / self.mean_service_time
-
-    def response_time_percentile(self, percentile: float = 95.0) -> float:
-        """A percentile of the run-wide response-time distribution, seconds."""
-        if self.response_times.size == 0:
-            return math.nan
-        return float(np.percentile(self.response_times, percentile))
 
     @property
     def meets_budget(self) -> bool:

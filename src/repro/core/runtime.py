@@ -272,7 +272,10 @@ class RuntimeSession:
         demands = [block for _, block in recent if block.size]
         if not arrivals:
             return None
-        return JobTrace(np.concatenate(arrivals), np.concatenate(demands))
+        # Consecutive chunks that feed() already accepted: trusted ctor.
+        return JobTrace.from_validated_arrays(
+            np.concatenate(arrivals), np.concatenate(demands)
+        )
 
     def _run_epoch(self, epoch_index: int, num_windows: int | None) -> None:
         """Execute one epoch — the exact historical loop body."""
@@ -354,7 +357,11 @@ class RuntimeSession:
                 self._carryover_busy_until, epoch_start
             )
         else:
-            epoch_jobs = JobTrace(epoch_arrivals, epoch_demands)
+            # feed() validated every chunk and their global order, so the
+            # epoch's slice of them needs no second scan.
+            epoch_jobs = JobTrace.from_validated_arrays(
+                epoch_arrivals, epoch_demands
+            )
             result = simulate_trace(
                 jobs=epoch_jobs,
                 frequency=applied_policy.frequency,

@@ -310,6 +310,7 @@ def report_from_result(
     :func:`repro.cluster.tenancy.isolation_report`) into the ``tenants``
     block; without it the block's ``isolation`` entry is ``null``.
     """
+    p50, p95, p99 = result.response_time_percentiles(50.0, 95.0, 99.0)
     per_server = []
     for row in result.per_server_rows():
         per_server.append(
@@ -351,9 +352,9 @@ def report_from_result(
         },
         "response_time": {
             "mean_s": result.mean_response_time,
-            "p50_s": result.response_time_percentile(50.0),
-            "p95_s": result.response_time_percentile(95.0),
-            "p99_s": result.response_time_percentile(99.0),
+            "p50_s": p50,
+            "p95_s": p95,
+            "p99_s": p99,
             "normalized_mean": result.normalized_mean_response_time,
             "budget": result.response_time_budget,
             "meets_budget": bool(result.meets_budget),

@@ -17,41 +17,98 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
 
-def linear_percentile(values: np.ndarray, percentile: float) -> float:
-    """The linear-interpolation percentile, identical to :func:`np.percentile`.
+def linear_percentiles(
+    values: np.ndarray, percentiles: Sequence[float]
+) -> tuple[float, ...]:
+    """Linear-interpolation percentiles, identical to :func:`np.percentile`.
 
-    Implemented with :func:`np.partition` (selection, O(n)) instead of a full
-    sort, and replicating NumPy's lerp branch exactly so results are
-    bit-for-bit the same as ``np.percentile(values, percentile)`` with the
-    default linear interpolation.  NaN inputs propagate to ``nan`` just as
+    One :func:`np.partition` (selection, O(n)) over every rank the
+    *percentiles* need, instead of a full sort or one selection each.  Each
+    value replicates NumPy's lerp branch exactly, so it is bit-for-bit
+    ``np.percentile(values, percentile)`` with the default linear
+    interpolation.  NaN inputs propagate to ``nan`` just as
     ``np.percentile`` propagates them.  ``values`` must be non-empty and is
     not modified.
     """
     values = np.asarray(values)
     if np.isnan(values).any():
-        return math.nan
+        return (math.nan,) * len(percentiles)
     size = values.size
     if size == 1:
-        return float(values[0])
-    rank = (size - 1) * (percentile / 100.0)
-    lower = int(rank)
-    if lower >= size - 1:
-        return float(np.max(values))
-    gamma = rank - lower
-    part = np.partition(values, (lower, lower + 1))
-    low_value = part[lower]
-    high_value = part[lower + 1]
-    diff = high_value - low_value
-    if gamma >= 0.5:
-        return float(high_value - diff * (1.0 - gamma))
-    return float(low_value + diff * gamma)
+        return (float(values[0]),) * len(percentiles)
+    plan: list[tuple[int, float] | None] = []
+    kth: set[int] = set()
+    for percentile in percentiles:
+        rank = (size - 1) * (percentile / 100.0)
+        lower = int(rank)
+        if lower >= size - 1:
+            plan.append(None)
+        else:
+            plan.append((lower, rank - lower))
+            kth.update((lower, lower + 1))
+    part = np.partition(values, sorted(kth)) if kth else values
+    top = float(np.max(values)) if None in plan else math.nan
+    out = []
+    for step in plan:
+        if step is None:
+            out.append(top)
+            continue
+        lower, gamma = step
+        low_value = part[lower]
+        high_value = part[lower + 1]
+        diff = high_value - low_value
+        if gamma >= 0.5:
+            out.append(float(high_value - diff * (1.0 - gamma)))
+        else:
+            out.append(float(low_value + diff * gamma))
+    return tuple(out)
+
+
+class ResponseTimePercentiles:
+    """Validated, memoised percentiles of a result's ``response_times``.
+
+    The one percentile contract of :class:`SimulationResult`,
+    :class:`~repro.core.epoch.RuntimeResult` and
+    :class:`~repro.cluster.farm.FarmResult`: a percentile outside
+    ``(0, 100]`` raises :class:`ConfigurationError`, a result with no jobs
+    gives ``nan``, and values equal ``np.percentile``.  Each percentile is
+    computed once per result (the response times are immutable); the
+    percentiles a call still misses share one selection.
+    """
+
+    def response_time_percentile(self, percentile: float = 95.0) -> float:
+        """The *percentile*-th percentile of the response-time distribution."""
+        # Only validated percentiles are ever memoised: a hit needs no check.
+        value = self.__dict__.get("_percentile_cache", {}).get(percentile)
+        if value is None:
+            (value,) = self.response_time_percentiles(percentile)
+        return value
+
+    def response_time_percentiles(self, *percentiles: float) -> tuple[float, ...]:
+        """Several response-time percentiles at once, in argument order."""
+        for percentile in percentiles:
+            if not 0.0 < percentile <= 100.0:
+                raise ConfigurationError(
+                    f"percentile must lie in (0, 100], got {percentile}"
+                )
+        values = np.asarray(self.response_times)
+        if values.size == 0:
+            return (math.nan,) * len(percentiles)
+        cache: dict[float, float] = self.__dict__.setdefault(
+            "_percentile_cache", {}
+        )
+        missing = [p for p in dict.fromkeys(percentiles) if p not in cache]
+        if missing:
+            cache.update(zip(missing, linear_percentiles(values, missing)))
+        return tuple(cache[p] for p in percentiles)
+
 
 #: Residency key for time spent actively serving jobs.
 STATE_SERVING = "serving"
@@ -86,7 +143,7 @@ class EnergyBreakdown:
 
 
 @dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(ResponseTimePercentiles):
     """Outcome of simulating one policy against one job stream.
 
     Parameters
@@ -175,27 +232,6 @@ class SimulationResult:
                 "mean_service_demand was not recorded; cannot normalise"
             )
         return self.mean_response_time / self.mean_service_demand
-
-    def response_time_percentile(self, percentile: float = 95.0) -> float:
-        """The *percentile*-th percentile of the response-time distribution.
-
-        Computed by selection (:func:`linear_percentile`) and memoised per
-        percentile; values are identical to ``np.percentile``.
-        """
-        if not 0.0 < percentile <= 100.0:
-            raise ConfigurationError(
-                f"percentile must lie in (0, 100], got {percentile}"
-            )
-        if self.num_jobs == 0:
-            return math.nan
-        cache: dict[float, float] = self.__dict__.setdefault(
-            "_percentile_cache", {}
-        )
-        value = cache.get(percentile)
-        if value is None:
-            value = linear_percentile(self.response_times, percentile)
-            cache[percentile] = value
-        return value
 
     def exceedance_probability(self, deadline: float) -> float:
         """Empirical ``Pr(R >= d)`` for the given *deadline* in seconds."""

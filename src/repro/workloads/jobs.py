@@ -126,7 +126,11 @@ class JobTrace:
         Only for arrays *derived from an already-validated trace* (or
         validated externally, e.g. by
         :func:`repro.workloads.storage.validate_trace_arrays`).  Arbitrary
-        input must keep going through the validating constructor.
+        input must keep going through the validating constructor.  Among the
+        trusted callers are the runtime's per-epoch and log-window traces:
+        they concatenate consecutive chunks that
+        :meth:`repro.core.runtime.RuntimeSession.feed` already checked
+        (finite, non-negative, in global arrival order).
         """
         arrivals = np.asarray(arrival_times, dtype=float)
         demands = np.asarray(service_demands, dtype=float)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.cluster.dispatch import RandomDispatcher, RoundRobinDispatcher, merge_streams
 from repro.cluster.farm import FarmResult, ServerFarm
+from repro.core.epoch import EpochRecord, RuntimeResult
 from repro.core.qos import mean_qos_from_baseline
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import FixedPolicyStrategy, race_to_halt_c6, sleepscale_strategy
@@ -30,6 +32,46 @@ class FixedPolicyFactory:
 
     def __call__(self, index: int) -> FixedPolicyStrategy:
         return FixedPolicyStrategy(self.policy)
+
+
+#: The one percentile contract: (percentile, response times, expected);
+#: an exception class means the call must raise it.
+PERCENTILE_CONTRACT = [
+    (0.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (-5.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (101.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (100.0, (1.0, 3.0, 2.0), 3.0),
+    (95.0, (), math.nan),
+]
+
+
+def _one_epoch_result(responses) -> RuntimeResult:
+    epoch = EpochRecord(
+        index=0,
+        start_time=0.0,
+        duration=60.0,
+        predicted_utilization=0.3,
+        observed_utilization=0.3,
+        policy_label="p",
+        sleep_state="C6S0(i)",
+        selected_frequency=1.0,
+        applied_frequency=1.0,
+        over_provisioned=False,
+        num_jobs=len(responses),
+        mean_response_time=math.nan,
+        p95_response_time=math.nan,
+        energy_joules=100.0,
+    )
+    return RuntimeResult(
+        strategy="SS",
+        predictor="LC",
+        epochs=(epoch,),
+        response_times=np.asarray(responses, dtype=float),
+        total_energy=100.0,
+        total_duration=60.0,
+        mean_service_time=0.1,
+        response_time_budget=5.0,
+    )
 
 
 def naive_predictor(index: int) -> NaivePreviousPredictor:
@@ -190,6 +232,27 @@ class TestHomogeneousFarm:
             FarmResult(
                 per_server=(None, None), mean_service_time=0.1, response_time_budget=5.0
             )
+
+    @pytest.mark.parametrize("percentile, responses, expected", PERCENTILE_CONTRACT)
+    def test_percentile_contract(self, percentile, responses, expected):
+        # Two active slots: the farm-wide percentile spans both of them.
+        split = len(responses) // 2
+        result = FarmResult(
+            per_server=(
+                _one_epoch_result(responses[:split]),
+                None,
+                _one_epoch_result(responses[split:]),
+            ),
+            mean_service_time=0.1,
+            response_time_budget=5.0,
+        )
+        if expected is ConfigurationError:
+            with pytest.raises(ConfigurationError, match=r"\(0, 100\]"):
+                result.response_time_percentile(percentile)
+        elif math.isnan(expected):
+            assert math.isnan(result.response_time_percentile(percentile))
+        else:
+            assert result.response_time_percentile(percentile) == expected
 
     def test_idle_server_when_jobs_fewer_than_servers(self, xeon, dns_empirical):
         jobs = JobTrace([0.0, 1.0], [0.1, 0.1])

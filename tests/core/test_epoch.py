@@ -10,6 +10,16 @@ import pytest
 from repro.core.epoch import EpochRecord, RuntimeResult, epochs_to_rows
 from repro.exceptions import ConfigurationError
 
+#: The one percentile contract: (percentile, response times, expected);
+#: an exception class means the call must raise it.
+PERCENTILE_CONTRACT = [
+    (0.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (-5.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (101.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (100.0, (1.0, 3.0, 2.0), 3.0),
+    (95.0, (), math.nan),
+]
+
 
 def make_epoch(
     index=0,
@@ -101,6 +111,17 @@ class TestRuntimeResult:
         result = make_result([make_epoch()], responses=[0.1, 0.2, 0.3, 10.0])
         assert result.response_time_percentile(50.0) == pytest.approx(0.25)
         assert result.energy_per_job == pytest.approx(30_000.0 / 4)
+
+    @pytest.mark.parametrize("percentile, responses, expected", PERCENTILE_CONTRACT)
+    def test_percentile_contract(self, percentile, responses, expected):
+        result = make_result([make_epoch()], responses=responses)
+        if expected is ConfigurationError:
+            with pytest.raises(ConfigurationError, match=r"\(0, 100\]"):
+                result.response_time_percentile(percentile)
+        elif math.isnan(expected):
+            assert math.isnan(result.response_time_percentile(percentile))
+        else:
+            assert result.response_time_percentile(percentile) == expected
 
     def test_state_selection_counts(self):
         epochs = [

@@ -26,14 +26,21 @@ from repro.cluster.controller import (
     SetupModel,
     controller_assignment,
 )
-from repro.cluster.dispatch import LeastLoadedDispatcher, RandomDispatcher
+from repro.cluster.dispatch import (
+    LeastLoadedDispatcher,
+    PowerAwareDispatcher,
+    RandomDispatcher,
+    RoundRobinDispatcher,
+)
 from repro.cluster.farm import (
     PARKED_STATE,
     ServerFarm,
     ServerSpec,
     prorated_idle_energy,
 )
+from repro.cluster.tenancy import PriorityDispatcher, TenantSpec, WeightedFairDispatcher
 from repro.core.qos import mean_qos_from_baseline
+from repro.exceptions import ConfigurationError
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import sleepscale_strategy
 from repro.power.platform import xeon_power_model
@@ -186,6 +193,140 @@ class TestAssignmentInvariants:
                     f"job at t={arrival} routed to non-serviceable "
                     f"server {server} (serviceable: {members})"
                 )
+
+
+def _tenants(count):
+    qos = mean_qos_from_baseline(0.8)
+    return tuple(
+        TenantSpec(name=f"t{index}", qos=qos, weight=1.0 + index, priority=index)
+        for index in range(count)
+    )
+
+
+#: One instance of every dispatcher kind over the 6-server fleet below.
+_BYPASS_DISPATCHERS = {
+    "least-loaded-heap": LeastLoadedDispatcher(engine="heap"),
+    "least-loaded-loop": LeastLoadedDispatcher(engine="loop"),
+    "power-aware": PowerAwareDispatcher([90.0, 30.0, 60.0, 30.0, 120.0, 45.0]),
+    "round-robin": RoundRobinDispatcher(),
+    "random": RandomDispatcher(seed=5),
+    "random-weighted": RandomDispatcher(seed=5, weights=[1, 2, 3, 1, 2, 3]),
+    "weighted-fair": WeightedFairDispatcher(_tenants(1)),
+    "weighted-fair-loop": WeightedFairDispatcher(_tenants(1), engine="loop"),
+    "priority": PriorityDispatcher(_tenants(1)),
+}
+_SPEEDS = (1.0, 0.5, 1.0, 0.75, 1.0, 0.5)
+
+
+def _mixed_schedule(regimes):
+    """A planned 6-server schedule with its regimes replaced by *regimes*."""
+    _, _, schedule = _plan(6, 1, 0.0, (6,), 8)
+    return dataclasses.replace(schedule, regimes=regimes)
+
+
+#: 1-, 2- and 4-member regimes, including single members other than 0.
+_MIXED_REGIMES = (
+    (0.0, 60.0, (0, 1, 2, 3, 4, 5)),
+    (60.0, 120.0, (4,)),
+    (120.0, 180.0, (1, 5)),
+    (180.0, 240.0, (0, 2, 3, 5)),
+    (240.0, 300.0, (2,)),
+    (300.0, 360.0, (0, 1, 2, 3)),
+    (360.0, 420.0, (3, 4)),
+    (420.0, math.inf, (0,)),
+)
+
+
+def _labelled_trace(seed, tenants=1):
+    rng = np.random.default_rng(seed)
+    arrivals = np.sort(rng.uniform(0.0, 8 * _EPOCH_SECONDS, size=600))
+    demands = rng.exponential(0.4, size=arrivals.size)
+    labels = rng.integers(0, tenants, size=arrivals.size)
+    return JobTrace(arrivals, demands, tenant_ids=labels)
+
+
+def _reference_assignment(jobs, dispatcher, schedule, server_speeds):
+    """Every regime through its restricted dispatcher, one-server ones too."""
+    arrivals, demands = jobs.arrival_times, jobs.service_demands
+    assignment = np.full(len(jobs), -1, dtype=np.int64)
+    for start, end, members in schedule.regimes:
+        lo = int(np.searchsorted(arrivals, start, side="left"))
+        hi = int(np.searchsorted(arrivals, end, side="left"))
+        if hi <= lo:
+            continue
+        assigner = dispatcher.restrict(members).assigner(
+            len(members),
+            server_speeds=(
+                None
+                if server_speeds is None
+                else tuple(server_speeds[i] for i in members)
+            ),
+            total_jobs=hi - lo,
+            mean_service_demand=float(np.mean(demands[lo:hi])),
+            tenant_ids=jobs.tenant_ids[lo:hi],
+        )
+        local = assigner.assign_chunk(arrivals[lo:hi], demands[lo:hi])
+        assignment[lo:hi] = np.asarray(members, dtype=np.int64)[local]
+    return assignment
+
+
+class TestOneServerBypass:
+    """A one-server regime skips the per-job step without changing a job."""
+
+    @pytest.mark.parametrize("kind", sorted(_BYPASS_DISPATCHERS))
+    @pytest.mark.parametrize("server", [0, 3, 5])
+    def test_restricted_single_server_assigns_all_zeros(self, kind, server):
+        jobs = _labelled_trace(seed=server)
+        dispatcher = _BYPASS_DISPATCHERS[kind]
+        assigner = dispatcher.restrict([server]).assigner(
+            1,
+            server_speeds=(_SPEEDS[server],),
+            total_jobs=len(jobs),
+            mean_service_demand=jobs.mean_service_demand,
+            tenant_ids=jobs.tenant_ids,
+        )
+        local = assigner.assign_chunk(jobs.arrival_times, jobs.service_demands)
+        assert np.array_equal(local, np.zeros(len(jobs), dtype=np.int64))
+
+    @pytest.mark.parametrize("kind", sorted(_BYPASS_DISPATCHERS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_regimes_equal_the_restricted_dispatcher(self, kind, seed):
+        jobs = _labelled_trace(seed)
+        schedule = _mixed_schedule(_MIXED_REGIMES)
+        dispatcher = _BYPASS_DISPATCHERS[kind]
+        for speeds in (None, _SPEEDS):
+            got = controller_assignment(
+                jobs, dispatcher, schedule, num_servers=6, server_speeds=speeds
+            )
+            expected = _reference_assignment(jobs, dispatcher, schedule, speeds)
+            assert np.array_equal(got, expected), (kind, speeds)
+
+    @pytest.mark.parametrize(
+        "dispatcher",
+        [WeightedFairDispatcher(_tenants(2)), PriorityDispatcher(_tenants(2))],
+        ids=["weighted-fair", "priority"],
+    )
+    def test_tenant_dispatcher_still_rejects_a_one_server_regime(self, dispatcher):
+        # Two tenants cannot share one server: the bypass keeps the error
+        # the restricted dispatcher raises, and the 2- and 4-member
+        # regimes alone still match the reference loop.
+        jobs = _labelled_trace(seed=4, tenants=2)
+        schedule = _mixed_schedule(_MIXED_REGIMES)
+        with pytest.raises(ConfigurationError, match="cannot host 2 tenant"):
+            _reference_assignment(jobs, dispatcher, schedule, None)
+        with pytest.raises(ConfigurationError, match="cannot host 2 tenant"):
+            controller_assignment(jobs, dispatcher, schedule, num_servers=6)
+        wide = _mixed_schedule(
+            (
+                (0.0, 180.0, (1, 5)),
+                (180.0, 300.0, (0, 2, 3, 5)),
+                (300.0, math.inf, (2, 4)),
+            )
+        )
+        assert np.array_equal(
+            controller_assignment(jobs, dispatcher, wide, num_servers=6),
+            _reference_assignment(jobs, dispatcher, wide, None),
+        )
 
 
 energies = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)

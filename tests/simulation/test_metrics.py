@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,19 @@ from repro.simulation.metrics import (
     STATE_SERVING,
     EnergyBreakdown,
     SimulationResult,
+    linear_percentiles,
     merge_results,
 )
+
+#: The one percentile contract: (percentile, response times, expected);
+#: an exception class means the call must raise it.
+PERCENTILE_CONTRACT = [
+    (0.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (-5.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (101.0, (1.0, 3.0, 2.0), ConfigurationError),
+    (100.0, (1.0, 3.0, 2.0), 3.0),
+    (95.0, (), math.nan),
+]
 
 
 def make_result(
@@ -71,6 +84,17 @@ class TestSimulationResultMetrics:
     def test_percentile_validation(self):
         with pytest.raises(ConfigurationError):
             make_result().response_time_percentile(0.0)
+
+    @pytest.mark.parametrize("percentile, responses, expected", PERCENTILE_CONTRACT)
+    def test_percentile_contract(self, percentile, responses, expected):
+        result = make_result(response=responses, waiting=(0.0,) * len(responses))
+        if expected is ConfigurationError:
+            with pytest.raises(ConfigurationError, match=r"\(0, 100\]"):
+                result.response_time_percentile(percentile)
+        elif math.isnan(expected):
+            assert math.isnan(result.response_time_percentile(percentile))
+        else:
+            assert result.response_time_percentile(percentile) == expected
 
     def test_exceedance_probability(self):
         result = make_result(response=(1.0, 2.0, 3.0, 4.0), waiting=(0, 0, 0, 0))
@@ -175,15 +199,46 @@ class TestLinearPercentile:
     """The selection-based percentile must match np.percentile bit-for-bit."""
 
     def test_matches_numpy_exactly(self):
-        from repro.simulation.metrics import linear_percentile
-
         rng = np.random.default_rng(99)
         for size in (1, 2, 3, 10, 999, 1000):
             values = rng.exponential(1.0, size=size)
             for percentile in (0.5, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0):
-                assert linear_percentile(values, percentile) == float(
-                    np.percentile(values, percentile)
+                assert linear_percentiles(values, (percentile,)) == (
+                    float(np.percentile(values, percentile)),
                 )
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 1000, 65_000])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_multi_rank_matches_numpy_exactly(self, size, ties):
+        rng = np.random.default_rng(size)
+        values = rng.exponential(1.0, size=size)
+        if ties:
+            # Heavy ties: a handful of distinct values, every rank repeated.
+            values = np.round(values * 2.0) / 2.0
+        before = values.copy()
+        together = (50.0, 95.0, 99.0, 100.0)
+        expected = tuple(float(np.percentile(values, q)) for q in together)
+        assert linear_percentiles(values, together) == expected
+        assert linear_percentiles(values, together[::-1]) == expected[::-1]
+        for q, value in zip(together, expected):
+            assert linear_percentiles(values, (q,)) == (value,)
+        assert np.array_equal(values, before), "input must not be modified"
+
+    def test_multi_rank_propagates_nan(self):
+        values = np.array([0.5, np.nan, 2.0, 1.0])
+        assert all(math.isnan(v) for v in linear_percentiles(values, (50.0, 99.0)))
+        assert math.isnan(float(np.percentile(values, 95.0)))
+
+    def test_result_percentiles_share_the_memo(self):
+        result = make_result(response=tuple(np.arange(1, 101, dtype=float)),
+                             waiting=tuple(np.zeros(100)))
+        p50, p99 = result.response_time_percentiles(50.0, 99.0)
+        assert (p50, p99) == (
+            float(np.percentile(result.response_times, 50.0)),
+            float(np.percentile(result.response_times, 99.0)),
+        )
+        assert result.response_time_percentile(99.0) == p99
+        assert result.response_time_percentiles(99.0, 50.0, 99.0) == (p99, p50, p99)
 
     def test_result_percentile_is_memoised(self):
         result = make_result(response=tuple(np.arange(1, 101, dtype=float)),
