@@ -164,7 +164,6 @@ def _shard_bytes(farm, jobs) -> dict:
     measures ``pickle.dumps`` of each shard — the bytes that actually cross
     the process boundary.
     """
-    use_cache = farm.search_cache is not None
     assignment = farm.dispatcher.validated_assignment(
         jobs, farm.num_servers, server_speeds=farm.dispatch_speeds
     )
@@ -180,7 +179,6 @@ def _shard_bytes(farm, jobs) -> dict:
                     ServerShardTask(
                         server=farm.servers[index],
                         spec=farm.spec,
-                        use_cache=use_cache,
                         arrivals=shard_arrivals,
                         demands=shard_demands,
                     )

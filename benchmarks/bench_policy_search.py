@@ -1,4 +1,4 @@
-"""Policy-search engine benchmark: frontier + cache vs. the full grid.
+"""Policy-search engine benchmark: frontier search vs. the full grid.
 
 Measures the epoch-loop policy search — the per-epoch characterisation and
 selection inside ``select_policy`` — on two workloads:
@@ -9,10 +9,10 @@ selection inside ``select_policy`` — on two workloads:
   dispatcher, the farm-scale regime of constant heavy aggregate load),
 
 each executed twice: ``search="full"`` (the exhaustive grid, the oracle) and
-``search="frontier"`` (bisected frontier search with a farm-shared
-characterisation cache).  **Full-grid parity is asserted in-benchmark**: the
-two runs must select the identical policy in every epoch of every server and
-produce bit-identical total energy; any divergence aborts the benchmark.
+``search="frontier"`` (bisected frontier search).  **Full-grid parity is
+asserted in-benchmark**: the two runs must select the identical policy in
+every epoch of every server and produce bit-identical total energy; any
+divergence aborts the benchmark.
 
 The headline numbers use the paper's evaluation frequency grid (Section
 4.1: minimum ``rho + 0.01`` with step 0.01); the coarser 0.05 runtime grid
@@ -42,7 +42,7 @@ from repro.cluster.dispatch import PowerAwareDispatcher
 from repro.cluster.farm import ServerFarm, ServerSpec
 from repro.core.qos import mean_qos_from_baseline
 from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
-from repro.core.search import SEARCH_FRONTIER, SEARCH_FULL, CharacterizationCache
+from repro.core.search import SEARCH_FRONTIER, SEARCH_FULL
 from repro.core.strategies import sleepscale_strategy
 from repro.power.platform import atom_power_model, xeon_power_model
 from repro.prediction.lms_cusum import LmsCusumPredictor
@@ -104,7 +104,6 @@ def bench_diurnal(epochs: int, frequency_step: float, seed: int) -> dict:
             characterization_jobs=CHARACTERIZATION_JOBS,
             seed=seed,
             search=search,
-            cache=CharacterizationCache() if search == SEARCH_FRONTIER else None,
         )
         runtime = SleepScaleRuntime(
             xeon_power_model(),
@@ -204,9 +203,6 @@ def bench_heterogeneous_farm(
             dispatcher=PowerAwareDispatcher.from_power_models(
                 [s.power_model for s in servers]
             ),
-            search_cache=(
-                CharacterizationCache() if search == SEARCH_FRONTIER else None
-            ),
         )
         result = farm.run(jobs)
         return result, strategies
@@ -283,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "pr": 4,
         "title": (
-            "Epoch-scale policy-search engine: cached + frontier "
+            "Epoch-scale policy-search engine: frontier "
             "characterization with full-grid parity"
         ),
         # repro: ignore[REP001] -- report metadata stamp, not simulation input.

@@ -65,7 +65,6 @@ from repro.core import (
     SEARCH_FRONTIER,
     SEARCH_FULL,
     AnalyticPolicyManager,
-    CharacterizationCache,
     EpochContext,
     EpochRecord,
     MeanResponseTimeConstraint,
@@ -148,7 +147,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AnalyticPolicyManager",
-    "CharacterizationCache",
     "BuiltScenario",
     "C0I_S0I",
     "C1_S0I",

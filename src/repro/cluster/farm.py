@@ -57,7 +57,7 @@ from __future__ import annotations
 import contextlib
 import math
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
@@ -80,7 +80,6 @@ from repro.cluster.tenancy import (
 from repro.concurrency import Executor, ProcessExecutor, resolve_executor
 from repro.core.epoch import RuntimeResult
 from repro.core.runtime import RuntimeConfig, RuntimeSession, SleepScaleRuntime
-from repro.core.search import CharacterizationCache
 from repro.core.strategies import PowerManagementStrategy
 from repro.exceptions import ConfigurationError
 from repro.power.platform import ServerPowerModel
@@ -129,19 +128,12 @@ class PerIndexFactory:
         return self.factory(self.index)
 
 
-def _build_server_runtime(
-    server: ServerSpec,
-    spec: WorkloadSpec,
-    search_cache: CharacterizationCache | None,
-) -> SleepScaleRuntime:
+def _build_server_runtime(server: ServerSpec, spec: WorkloadSpec) -> SleepScaleRuntime:
     """One fresh runtime for *server* (shared by all execution paths)."""
-    strategy = server.strategy_factory()
-    if search_cache is not None and hasattr(strategy, "attach_search_cache"):
-        strategy.attach_search_cache(search_cache)
     return SleepScaleRuntime(
         power_model=server.power_model,
         spec=spec,
-        strategy=strategy,
+        strategy=server.strategy_factory(),
         predictor=server.predictor_factory(),
         config=server.config,
         scaling=server.scaling,
@@ -155,75 +147,29 @@ class ServerShardTask:
     Everything a worker process needs to reproduce the serial per-server
     run bit for bit: the full :class:`ServerSpec` (its factories must be
     picklable — the built-in scenario factories and
-    :class:`PerIndexFactory` are), the farm-wide workload spec, this
-    server's jobs, and whether the farm carries a shared characterisation
-    cache.  The jobs are either the server's grouped array slices
+    :class:`PerIndexFactory` are), the farm-wide workload spec and this
+    server's jobs.  The jobs are either the server's grouped array slices
     (``trace_backend="memory"``, pickled with the task) or two
     constant-size :class:`~repro.workloads.storage.ArrayDescriptor`\\ s
     narrowed to the server's range of the published grouped arrays
-    (``"mmap"``), which the worker copies out contiguously.  The cache
-    itself cannot cross the process boundary (it is a lock-guarded LRU),
-    so each worker process attaches its own (:func:`_process_local_cache`);
-    cached values are exact, keyed by full identity, hence per-process
-    caching cannot change results — only hit rates.
+    (``"mmap"``), which the worker copies out contiguously.
     """
 
     server: ServerSpec
     spec: WorkloadSpec
-    use_cache: bool
     arrivals: np.ndarray | ArrayDescriptor
     demands: np.ndarray | ArrayDescriptor
 
 
-#: LRU bounds of the per-worker-process characterisation cache.  A pool
-#: worker outlives one farm run (and under an externally managed pool may
-#: serve many different farms), so the cache must carry an explicit bound —
-#: the same LRU discipline :class:`CharacterizationCache` applies everywhere
-#: else — rather than growing with every farm a worker ever shards.
-_PROCESS_CACHE_MAX_TABLES = 512
-_PROCESS_CACHE_MAX_KERNELS = 8
-
-#: Per-worker-process characterisation cache (see :class:`ServerShardTask`).
-#: Created lazily inside a worker; never populated in the parent process.
-_PROCESS_CACHE: CharacterizationCache | None = None
-
-
-def _process_local_cache() -> CharacterizationCache:
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = CharacterizationCache(
-            max_tables=_PROCESS_CACHE_MAX_TABLES,
-            max_kernels=_PROCESS_CACHE_MAX_KERNELS,
-        )
-    return _PROCESS_CACHE
-
-
 def run_server_shard(task: ServerShardTask) -> RuntimeResult:
-    """Run one server's epoch loop over its shard (process-pool work fn).
-
-    When the worker-local cache is in play, the shard's hit/miss deltas are
-    folded into ``RuntimeResult.extra`` (``process_cache_*`` keys), so the
-    parent can observe per-shard cache effectiveness — state that otherwise
-    dies with the worker.  The counters are observability only; they never
-    feed back into results.
-    """
+    """Run one server's epoch loop over its shard (process-pool work fn)."""
     arrivals, demands = task.arrivals, task.demands
     if isinstance(arrivals, ArrayDescriptor):
         arrivals = arrivals.load()
     if isinstance(demands, ArrayDescriptor):
         demands = demands.load()
     jobs = JobTrace.from_validated_arrays(arrivals, demands)
-    cache = _process_local_cache() if task.use_cache else None
-    before = cache.stats.as_dict() if cache is not None else None
-    runtime = _build_server_runtime(task.server, task.spec, cache)
-    result = runtime.run(jobs)
-    if cache is not None and before is not None:
-        after = cache.stats.as_dict()
-        extra = dict(result.extra)
-        for key, value in after.items():
-            extra[f"process_cache_{key}"] = float(value - before.get(key, 0))
-        result = replace(result, extra=extra)
-    return result
+    return _build_server_runtime(task.server, task.spec).run(jobs)
 
 
 def _take(
@@ -646,15 +592,6 @@ class ServerFarm:
         descriptors into a :class:`~repro.workloads.storage.SharedTraceArena`
         instead of pickled arrays.  The backend is result-invisible: both
         produce bit-identical :class:`FarmResult`\\ s.
-    search_cache:
-        Optional :class:`~repro.core.search.CharacterizationCache` shared
-        by every policy-search strategy of the farm (attached to each
-        strategy right after its factory builds it).  Sharing is always
-        sound — cache keys carry the full trace/space/power-model/QoS
-        identity — and pays off for servers with identical spec, QoS and
-        candidate space, whose repeated characterisations collapse to one.
-        Process shards cannot carry it; each worker process attaches a
-        bounded cache of its own instead.
     controller:
         Optional :class:`~repro.cluster.controller.FarmController` for
         farm-level dynamic right-sizing: before dispatch, the controller
@@ -684,7 +621,6 @@ class ServerFarm:
     executor: Executor | str | None = None
     chunk_jobs: int | None = None
     trace_backend: str = TRACE_BACKEND_MEMORY
-    search_cache: CharacterizationCache | None = None
     controller: FarmController | None = None
     qos: FarmQos | None = field(default=None, kw_only=True)
 
@@ -756,6 +692,11 @@ class ServerFarm:
         return cls(servers=servers, spec=spec, **farm_fields)
 
     @property
+    def search_cache(self) -> None:
+        """Always ``None``; perfbench's ``ScenarioWorkload.cache_stats`` reads it."""
+        return None
+
+    @property
     def num_servers(self) -> int:
         """Number of servers in the farm."""
         return len(self.servers)
@@ -780,9 +721,7 @@ class ServerFarm:
     # ------------------------------------------------------------------
 
     def _build_runtime(self, index: int) -> SleepScaleRuntime:
-        return _build_server_runtime(
-            self.servers[index], self.spec, self.search_cache
-        )
+        return _build_server_runtime(self.servers[index], self.spec)
 
     def _resolve_executor(self) -> Executor:
         return resolve_executor(self.executor, self.max_workers)
@@ -1115,7 +1054,6 @@ class ServerFarm:
                 ServerShardTask(
                     server=self.servers[index],
                     spec=self.spec,
-                    use_cache=self.search_cache is not None,
                     arrivals=_take(arrivals, ranges[index]),
                     demands=_take(demands, ranges[index]),
                 )

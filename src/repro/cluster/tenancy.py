@@ -140,12 +140,7 @@ class TenantSpec:
 
 @dataclass(frozen=True)
 class CompositeQosConstraint(QosConstraint):
-    """All per-tenant constraints applied to one result: met iff all met.
-
-    The generated ``repr`` includes every tenant's spec, so the search
-    layer's ``qos_fingerprint`` (which digests ``repr``) extends policy
-    cache keys with the full tenant fingerprint for free.
-    """
+    """All per-tenant constraints applied to one result: met iff all met."""
 
     tenants: tuple[TenantSpec, ...]
 
@@ -250,9 +245,8 @@ class FarmQos:
 
         Per-tenant mode returns a :class:`CompositeQosConstraint` (met iff
         every tenant's budget is met), so per-server policy search selects
-        against the binding per-tenant constraint and its fingerprint
-        extends the search cache keys.  Strictest mode returns whatever
-        farm-wide constraint was attached (usually ``None``).
+        against the binding per-tenant constraint.  Strictest mode returns
+        whatever farm-wide constraint was attached (usually ``None``).
         """
         if self.is_per_tenant:
             return CompositeQosConstraint(tenants=self.tenants)

@@ -22,7 +22,6 @@ from repro.core.search import (
     DEFAULT_SEARCH,
     SEARCH_FRONTIER,
     SEARCH_FULL,
-    CharacterizationCache,
     FrontierSearch,
     PolicySearchEngine,
     SearchStats,
@@ -44,7 +43,6 @@ from repro.core.strategies import (
 __all__ = [
     "AnalyticPolicyManager",
     "AnalyticSleepScaleStrategy",
-    "CharacterizationCache",
     "EpochContext",
     "EpochRecord",
     "FixedPolicyStrategy",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analytic.mm1_sleep import evaluate_policy
-from repro.core.policy_manager import PolicyEvaluation, PolicyManager, PolicySelection
+from repro.core.policy_manager import PolicyEvaluation, PolicySelection, pick_selection
 from repro.core.qos import (
     MeanResponseTimeConstraint,
     PercentileResponseTimeConstraint,
@@ -179,7 +179,7 @@ class AnalyticPolicyManager:
             )
             for e in analytic
         ]
-        return PolicyManager._pick(evaluations)
+        return pick_selection(evaluations)
 
 
 class AnalyticSleepScaleStrategy(PowerManagementStrategy):

@@ -67,7 +67,7 @@ from repro.workloads.jobs import JobTrace
 from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (search imports us)
-    from repro.core.search import CharacterizationCache, SearchStats
+    from repro.core.search import SearchStats
 
 
 @dataclass(frozen=True)
@@ -210,15 +210,6 @@ class PolicyManager:
         frequency axis per sleep state and falls back to the full grid
         whenever its monotonicity certificate fails — the selected policy
         is always identical to the full search.
-    cache:
-        Optional :class:`~repro.core.search.CharacterizationCache` handle;
-        attaching one (in either search mode) reuses characterisation
-        tables, selections and per-trace kernel structure across repeated
-        inputs, and may be shared farm-wide.
-    utilization_quantum:
-        Quantisation step the search engine snaps utilisations to before
-        candidate enumeration and cache keying (0 disables, the default).
-        Only meaningful when an engine is active.
     """
 
     def __init__(
@@ -232,8 +223,6 @@ class PolicyManager:
         backend: str = BACKEND_VECTORIZED,
         # Offline characteriser: select().evaluations/by_state() need the table.
         search: str = "full",
-        cache: "CharacterizationCache | None" = None,
-        utilization_quantum: float = 0.0,
     ):
         self._power_model = power_model
         self._space = policy_space
@@ -242,26 +231,24 @@ class PolicyManager:
         self._characterization_jobs = int(characterization_jobs)
         self._rng = make_rng(seed)
         self._backend = validate_backend(backend)
-        from repro.core.search import validate_search  # deferred: cycle
+        # Deferred: repro.core.search imports this module.
+        from repro.core.search import (
+            SEARCH_FRONTIER,
+            PolicySearchEngine,
+            validate_search,
+        )
 
         self._search = validate_search(search)
-        self._utilization_quantum = float(utilization_quantum)
-        self._engine = None
-        if self._search != "full" or cache is not None:
-            self._build_engine(cache)
-
-    def _build_engine(self, cache: "CharacterizationCache | None") -> None:
-        from repro.core.search import PolicySearchEngine  # deferred: cycle
-
-        self._engine = PolicySearchEngine(
-            power_model=self._power_model,
-            policy_space=self._space,
-            qos=self._qos,
-            scaling=self._scaling,
-            backend=self._backend,
-            search=self._search,
-            cache=cache,
-            utilization_quantum=self._utilization_quantum,
+        self._engine = (
+            PolicySearchEngine(
+                power_model=self._power_model,
+                policy_space=self._space,
+                qos=self._qos,
+                scaling=self._scaling,
+                backend=self._backend,
+            )
+            if self._search == SEARCH_FRONTIER
+            else None
         )
 
     # -- accessors -----------------------------------------------------------------
@@ -282,26 +269,9 @@ class PolicyManager:
         return self._search
 
     @property
-    def search_cache(self) -> "CharacterizationCache | None":
-        """The cache handle the search engine uses, if any."""
-        return None if self._engine is None else self._engine.cache
-
-    @property
     def search_stats(self) -> "SearchStats | None":
         """Counters of the search engine (``None`` for the plain full search)."""
         return None if self._engine is None else self._engine.stats
-
-    def attach_search_cache(self, cache: "CharacterizationCache") -> None:
-        """Attach a (possibly farm-shared) characterisation cache.
-
-        Builds the search engine on first attachment; in a farm this runs
-        before any epoch loop starts, so every selection of the run sees
-        the shared cache.
-        """
-        if self._engine is None:
-            self._build_engine(cache)
-        else:
-            self._engine.attach_cache(cache)
 
     # -- characterisation -------------------------------------------------------------
 
@@ -381,19 +351,13 @@ class PolicyManager:
 
     # -- selection ----------------------------------------------------------------------
 
-    @staticmethod
-    def _pick(evaluations: Sequence[PolicyEvaluation]) -> PolicySelection:
-        # Kept as a method for backwards compatibility; the logic (shared
-        # with the search engine) lives in :func:`pick_selection`.
-        return pick_selection(evaluations)
-
     def select(self, jobs: JobTrace, utilization: float) -> PolicySelection:
         """Characterise against *jobs* and return the minimum-power feasible policy.
 
-        With ``search="frontier"`` (or an attached cache) this routes
-        through the search engine; the selected policy is identical to the
-        full-grid search either way, but frontier selections carry only the
-        winning row in ``PolicySelection.evaluations``.
+        With ``search="frontier"`` this routes through the search engine;
+        the selected policy is identical to the full-grid search either way,
+        but frontier selections carry only the winning row in
+        ``PolicySelection.evaluations``.
         """
         if self._engine is not None:
             return self._engine.select(jobs, utilization)

@@ -1,4 +1,4 @@
-"""The policy-search engine: cached and frontier-accelerated policy selection.
+"""The policy-search engine: frontier-accelerated policy selection.
 
 SleepScale's per-epoch policy search evaluates every candidate
 ``(frequency, sleep-state)`` policy against the characterisation trace —
@@ -8,15 +8,6 @@ fresh :class:`~repro.simulation.kernel.TraceKernel` per call and walks the
 whole grid even when the winner barely moves between epochs.  This module
 makes the search sublinear in the candidate grid while keeping the selected
 policy **identical** to the full-grid oracle:
-
-* :class:`CharacterizationCache` — a thread-safe LRU keyed by
-  ``(trace fingerprint, quantized utilization, policy-space fingerprint,
-  power-model identity, QoS, scaling, backend)``.  Repeated epochs with
-  identical inputs (cold-start epochs pinned at ``rho_b``, quiet epochs
-  floored at ``min_utilization``) and identical servers in a
-  :class:`~repro.cluster.farm.ServerFarm` sharing one cache reuse whole
-  characterisation tables, whole selections, and the per-frequency kernel
-  structure of a trace.
 
 * :class:`FrontierSearch` — exploits the monotone structure of the grid
   (the speed-scaling frontier of Wierman et al.): at a fixed sleep state,
@@ -47,16 +38,14 @@ Contract notes (see ``docs/ARCHITECTURE.md``):
   ``PolicySelection.evaluations`` (the probed metrics are engine-internal);
   use ``search="full"`` or :meth:`PolicySearchEngine.characterize` when the
   full table is needed;
-* ``utilization_quantum`` (default 0: exact) snaps the searched utilisation
-  to a grid *before* candidate enumeration, so coarser quanta trade a tiny
-  amount of prediction resolution for cross-epoch cache hits — both search
-  modes quantize identically, so parity is unaffected.
+* the engine is uncached: every epoch characterises a fresh log window, so
+  inputs almost never repeat (a characterisation cache shared across the
+  ``figure8``-``figure10`` experiments hit 7 times in 7,992 selection
+  lookups and made none of them faster).
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -101,207 +90,6 @@ def validate_search(search: str) -> str:
             f"unknown policy search mode {search!r}; expected one of {SEARCHES}"
         )
     return search
-
-
-# ---------------------------------------------------------------------------
-# Fingerprints (cache-key components)
-# ---------------------------------------------------------------------------
-
-
-def trace_fingerprint(jobs: JobTrace) -> str:
-    """Content hash of a job trace (arrival times and demands, byte-exact)."""
-    digest = hashlib.sha1()
-    digest.update(np.ascontiguousarray(jobs.arrival_times, dtype=float).tobytes())
-    digest.update(np.ascontiguousarray(jobs.service_demands, dtype=float).tobytes())
-    return digest.hexdigest()
-
-
-def power_model_fingerprint(model: ServerPowerModel) -> str:
-    """Identity of a power model: name plus its full (frozen) parameterisation."""
-    return _digest_of(repr(model))
-
-
-def policy_space_fingerprint(space: PolicySpace) -> str:
-    """Identity of a candidate policy space (states, grid, flags, scaling)."""
-    return _digest_of(repr(space))
-
-
-def qos_fingerprint(qos: QosConstraint) -> str:
-    """Identity of a QoS constraint (type and parameters)."""
-    return _digest_of(f"{type(qos).__qualname__}:{qos!r}")
-
-
-def scaling_fingerprint(scaling: ServiceScaling) -> str:
-    """Identity of a service-scaling rule."""
-    return _digest_of(repr(scaling))
-
-
-def _digest_of(text: str) -> str:
-    return hashlib.sha1(text.encode()).hexdigest()
-
-
-def quantize_utilization(utilization: float, quantum: float) -> float:
-    """Snap *utilization* to the engine's quantisation grid.
-
-    A quantum of 0 (the default) keeps the exact value.  The result is
-    clamped to ``[0, 0.98]`` so quantisation can never push a prediction
-    outside the range the candidate enumeration accepts.
-    """
-    if quantum < 0:
-        raise ConfigurationError(
-            f"utilization quantum must be non-negative, got {quantum}"
-        )
-    if quantum:
-        utilization = round(utilization / quantum) * quantum
-    return min(max(float(utilization), 0.0), 0.98)
-
-
-# ---------------------------------------------------------------------------
-# The characterisation cache
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one :class:`CharacterizationCache`."""
-
-    table_hits: int = 0
-    table_misses: int = 0
-    selection_hits: int = 0
-    selection_misses: int = 0
-    kernel_hits: int = 0
-    kernel_misses: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict snapshot (for reports and benchmarks)."""
-        return {
-            "table_hits": self.table_hits,
-            "table_misses": self.table_misses,
-            "selection_hits": self.selection_hits,
-            "selection_misses": self.selection_misses,
-            "kernel_hits": self.kernel_hits,
-            "kernel_misses": self.kernel_misses,
-        }
-
-
-class CharacterizationCache:
-    """Thread-safe LRU cache shared by policy-search engines.
-
-    Three kinds of entries live here, all immutable once stored:
-
-    * whole characterisation **tables** (tuples of
-      :class:`~repro.core.policy_manager.PolicyEvaluation`),
-    * whole **selections** (:class:`~repro.core.policy_manager.PolicySelection`),
-    * per-trace **kernels** (:class:`~repro.simulation.kernel.TraceKernel`),
-      which memoise the per-frequency Lindley/busy-period structure, so two
-      searches over the same trace — even with different QoS or candidate
-      spaces — never recompute it.
-
-    One cache may be shared across the servers of a farm and across threads:
-    the LRU book-keeping is lock-protected, and table/selection values are
-    immutable.  Kernels memoise their per-frequency structure internally
-    with plain (GIL-atomic) dict writes, so concurrent evaluation of one
-    shared kernel is safe — at worst a frequency's structure is computed
-    twice.  Sharing is always *correct* regardless of how heterogeneous the
-    farm is, because every key carries the trace, utilisation, space,
-    power-model, QoS, scaling and backend identity; it only pays off for
-    servers whose spec/QoS/space coincide.
-    """
-
-    def __init__(self, max_tables: int = 512, max_kernels: int = 8):
-        if max_tables < 1 or max_kernels < 1:
-            raise ConfigurationError(
-                "cache sizes must be at least 1, got "
-                f"max_tables={max_tables}, max_kernels={max_kernels}"
-            )
-        self._max_tables = int(max_tables)
-        self._max_kernels = int(max_kernels)
-        self._tables: OrderedDict[tuple, object] = OrderedDict()
-        self._kernels: OrderedDict[tuple, TraceKernel] = OrderedDict()
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
-
-    # -- generic LRU plumbing -------------------------------------------------
-
-    @staticmethod
-    def _get(store: OrderedDict, key: tuple):
-        value = store.get(key)
-        if value is not None:
-            store.move_to_end(key)
-        return value
-
-    @staticmethod
-    def _put(store: OrderedDict, key: tuple, value, limit: int) -> None:
-        store[key] = value
-        store.move_to_end(key)
-        while len(store) > limit:
-            store.popitem(last=False)
-
-    # -- tables and selections ------------------------------------------------
-
-    def lookup_table(self, key: tuple) -> tuple[PolicyEvaluation, ...] | None:
-        """The cached characterisation table for *key*, if any."""
-        with self._lock:
-            value = self._get(self._tables, ("table", *key))
-            if value is None:
-                self.stats.table_misses += 1
-            else:
-                self.stats.table_hits += 1
-            return value
-
-    def store_table(self, key: tuple, table: tuple[PolicyEvaluation, ...]) -> None:
-        """Insert a characterisation table."""
-        with self._lock:
-            self._put(self._tables, ("table", *key), table, self._max_tables)
-
-    def lookup_selection(self, search: str, key: tuple) -> PolicySelection | None:
-        """The cached selection for *key* under the given search mode."""
-        with self._lock:
-            value = self._get(self._tables, ("selection", search, *key))
-            if value is None:
-                self.stats.selection_misses += 1
-            else:
-                self.stats.selection_hits += 1
-            return value
-
-    def store_selection(
-        self, search: str, key: tuple, selection: PolicySelection
-    ) -> None:
-        """Insert a selection outcome."""
-        with self._lock:
-            self._put(
-                self._tables, ("selection", search, *key), selection, self._max_tables
-            )
-
-    # -- kernels --------------------------------------------------------------
-
-    def kernel_for(
-        self,
-        jobs: JobTrace,
-        trace_key: str,
-        power_model: ServerPowerModel,
-        power_key: str,
-        scaling: ServiceScaling,
-        scaling_key: str,
-    ) -> TraceKernel:
-        """A (possibly shared) trace kernel for *jobs* under one power model."""
-        key = (trace_key, power_key, scaling_key)
-        with self._lock:
-            kernel = self._get(self._kernels, key)
-            if kernel is not None:
-                self.stats.kernel_hits += 1
-                return kernel
-            self.stats.kernel_misses += 1
-        kernel = TraceKernel(jobs, power_model, scaling=scaling)
-        with self._lock:
-            self._put(self._kernels, key, kernel, self._max_kernels)
-        return kernel
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._tables.clear()
-            self._kernels.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -881,14 +669,13 @@ class FrontierSearch:
 
 
 class PolicySearchEngine:
-    """Cached, optionally frontier-accelerated policy characterisation/selection.
+    """Frontier-accelerated policy characterisation/selection.
 
-    One engine backs one :class:`~repro.core.policy_manager.PolicyManager`
-    (hence one strategy, hence one server); the cache handle it holds may be
-    shared farm-wide.  The engine owns:
+    One engine backs one frontier
+    :class:`~repro.core.policy_manager.PolicyManager` (hence one strategy,
+    hence one server); the full-grid oracle is ``PolicyManager(search="full")``,
+    which builds no engine.  The engine owns:
 
-    * the cache keys (fingerprints of its space/power model/QoS/scaling are
-      computed once at construction),
     * the per-trace evaluator (kernel-backed for the vectorized backend,
       per-candidate :func:`simulate_trace` for the reference backend),
     * the :class:`FrontierSearch` warm-start state, and
@@ -902,19 +689,12 @@ class PolicySearchEngine:
         qos: QosConstraint,
         scaling: ServiceScaling | None = None,
         backend: str = BACKEND_VECTORIZED,
-        search: str = SEARCH_FULL,
-        cache: CharacterizationCache | None = None,
-        utilization_quantum: float = 0.0,
     ):
         self._power_model = power_model
         self._space = policy_space
         self._qos = qos
         self._scaling = scaling or cpu_bound()
         self._backend = validate_backend(backend)
-        self._search = validate_search(search)
-        self._cache = cache
-        self._quantum = float(utilization_quantum)
-        quantize_utilization(0.0, self._quantum)  # validates the quantum
         self._frontier = FrontierSearch()
         #: Small LRU of candidate grids keyed by the frequency axis: two
         #: utilisations whose stability pruning yields the same axis share
@@ -922,43 +702,10 @@ class PolicySearchEngine:
         #: expensive) policy construction is not repeated per epoch.
         self._grids: OrderedDict[bytes, _PolicyGrid | None] = OrderedDict()
         self.stats = SearchStats()
-        self._power_key = power_model_fingerprint(power_model)
-        self._space_key = policy_space_fingerprint(policy_space)
-        self._qos_key = qos_fingerprint(qos)
-        self._scaling_key = scaling_fingerprint(self._scaling)
-
-    # -- accessors ------------------------------------------------------------
-
-    @property
-    def search(self) -> str:
-        """The search mode in force (``"full"`` or ``"frontier"``)."""
-        return self._search
-
-    @property
-    def cache(self) -> CharacterizationCache | None:
-        """The (possibly shared) cache handle, if any."""
-        return self._cache
-
-    def attach_cache(self, cache: CharacterizationCache | None) -> None:
-        """Swap the cache handle (e.g. for a farm-wide shared cache)."""
-        self._cache = cache
 
     # -- evaluation plumbing --------------------------------------------------
 
-    def _cache_key(self, trace_key: str, utilization: float) -> tuple:
-        return (
-            trace_key,
-            utilization,
-            self._space_key,
-            self._power_key,
-            self._qos_key,
-            self._scaling_key,
-            self._backend,
-        )
-
-    def _evaluator(
-        self, jobs: JobTrace, trace_key: str | None
-    ) -> Callable[[Policy], SimulationResult]:
+    def _evaluator(self, jobs: JobTrace) -> Callable[[Policy], SimulationResult]:
         if self._backend != BACKEND_VECTORIZED:
 
             def evaluate(policy: Policy) -> _ResultSolution:
@@ -974,37 +721,10 @@ class PolicySearchEngine:
                 )
 
             return evaluate
-        if self._cache is not None and trace_key is not None:
-            kernel = self._cache.kernel_for(
-                jobs,
-                trace_key,
-                self._power_model,
-                self._power_key,
-                self._scaling,
-                self._scaling_key,
-            )
-        else:
-            kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
+        kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
         return lambda policy: kernel.solve(policy.frequency, policy.sleep)
 
     # -- characterisation -----------------------------------------------------
-
-    def characterize(
-        self, jobs: JobTrace, utilization: float
-    ) -> tuple[PolicyEvaluation, ...]:
-        """The full characterisation table (cached when a cache is attached)."""
-        utilization = quantize_utilization(utilization, self._quantum)
-        trace_key = trace_fingerprint(jobs) if self._cache is not None else None
-        key = None
-        if self._cache is not None and trace_key is not None:
-            key = self._cache_key(trace_key, utilization)
-            table = self._cache.lookup_table(key)
-            if table is not None:
-                return table
-        table = self._full_table(jobs, utilization, trace_key)
-        if self._cache is not None and key is not None:
-            self._cache.store_table(key, table)
-        return table
 
     def _grid_for(self, utilization: float) -> "_PolicyGrid | None":
         """The candidate grid at *utilization*, cached by frequency axis."""
@@ -1020,16 +740,17 @@ class PolicySearchEngine:
             self._grids.move_to_end(key)
         return grid
 
-    def _full_table(
-        self, jobs: JobTrace, utilization: float, trace_key: str | None
+    def characterize(
+        self, jobs: JobTrace, utilization: float
     ) -> tuple[PolicyEvaluation, ...]:
+        """The full characterisation table, in full-enumeration order."""
         grid = self._grid_for(utilization)
         candidates = (
             grid.policies
             if grid is not None
             else self._space.candidate_policies(utilization)
         )
-        evaluate = self._evaluator(jobs, trace_key)
+        evaluate = self._evaluator(jobs)
         self.stats.candidates_evaluated += len(candidates)
         return tuple(
             evaluation_from_result(policy, evaluate(policy).result, self._qos)
@@ -1040,52 +761,23 @@ class PolicySearchEngine:
 
     def select(self, jobs: JobTrace, utilization: float) -> PolicySelection:
         """Select the minimum-power feasible policy, oracle-identically."""
-        utilization = quantize_utilization(utilization, self._quantum)
         self.stats.selections += 1
-        trace_key = trace_fingerprint(jobs) if self._cache is not None else None
-        key = None
-        if self._cache is not None and trace_key is not None:
-            key = self._cache_key(trace_key, utilization)
-            cached = self._cache.lookup_selection(self._search, key)
-            if cached is not None:
-                return cached
-        if self._search == SEARCH_FRONTIER and len(jobs) > 0:
-            selection = self._frontier_select(jobs, utilization, trace_key)
-        else:
-            selection = None
+        selection = (
+            self._frontier_select(jobs, utilization) if len(jobs) > 0 else None
+        )
         if selection is None:
             self.stats.full_selections += 1
-            selection = pick_selection(
-                self._table_for_selection(jobs, utilization, trace_key, key)
-            )
-        if self._cache is not None and key is not None:
-            self._cache.store_selection(self._search, key, selection)
+            selection = pick_selection(self.characterize(jobs, utilization))
         return selection
 
-    def _table_for_selection(
-        self,
-        jobs: JobTrace,
-        utilization: float,
-        trace_key: str | None,
-        key: tuple | None,
-    ) -> tuple[PolicyEvaluation, ...]:
-        """Full table for a full/fallback selection, shared with the cache."""
-        if self._cache is not None and key is not None:
-            table = self._cache.lookup_table(key)
-            if table is None:
-                table = self._full_table(jobs, utilization, trace_key)
-                self._cache.store_table(key, table)
-            return table
-        return self._full_table(jobs, utilization, trace_key)
-
     def _frontier_select(
-        self, jobs: JobTrace, utilization: float, trace_key: str | None
+        self, jobs: JobTrace, utilization: float
     ) -> PolicySelection | None:
         """Frontier-accelerated selection; ``None`` requests the full path."""
         grid = self._grid_for(utilization)
         if grid is None or grid.num_frequencies < 2:
             return None
-        evaluate = self._evaluator(jobs, trace_key)
+        evaluate = self._evaluator(jobs)
         qos = self._qos
         probes: dict[tuple[int, int], _Probe] = {}
 

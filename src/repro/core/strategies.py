@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.policy_manager import PolicyManager, PolicySelection
-from repro.core.search import DEFAULT_SEARCH, CharacterizationCache, SearchStats
+from repro.core.search import DEFAULT_SEARCH, SearchStats
 from repro.core.qos import QosConstraint
 from repro.exceptions import ConfigurationError
 from repro.policies.policy import Policy, race_to_halt_policy
@@ -93,9 +93,8 @@ class PolicySearchStrategy(PowerManagementStrategy):
 
     The per-epoch search itself runs through the policy manager's search
     engine when *search* is ``"frontier"`` (the default,
-    :data:`~repro.core.search.DEFAULT_SEARCH`) or a *cache* handle is
-    supplied (see :mod:`repro.core.search`); the selected policy is
-    identical to the ``"full"`` grid oracle either way.
+    :data:`~repro.core.search.DEFAULT_SEARCH`, see :mod:`repro.core.search`);
+    the selected policy is identical to the ``"full"`` grid oracle either way.
     """
 
     def __init__(
@@ -111,8 +110,6 @@ class PolicySearchStrategy(PowerManagementStrategy):
         seed: int | None = 0,
         backend: str = BACKEND_VECTORIZED,
         search: str = DEFAULT_SEARCH,
-        cache: CharacterizationCache | None = None,
-        utilization_quantum: float = 0.0,
     ):
         self.name = name
         self._manager = PolicyManager(
@@ -124,8 +121,6 @@ class PolicySearchStrategy(PowerManagementStrategy):
             seed=seed,
             backend=backend,
             search=search,
-            cache=cache,
-            utilization_quantum=utilization_quantum,
         )
         self._max_logged_jobs = int(max_logged_jobs)
         self._min_utilization = float(min_utilization)
@@ -157,10 +152,6 @@ class PolicySearchStrategy(PowerManagementStrategy):
     def search_stats(self) -> SearchStats | None:
         """Search-engine counters (``None`` for the plain full search)."""
         return self._manager.search_stats
-
-    def attach_search_cache(self, cache: CharacterizationCache) -> None:
-        """Attach a (possibly farm-shared) characterisation cache."""
-        self._manager.attach_search_cache(cache)
 
     def _characterization_jobs_for(self, context: EpochContext) -> JobTrace:
         utilization = max(context.predicted_utilization, self._min_utilization)
@@ -235,7 +226,6 @@ def sleepscale_strategy(
     seed: int | None = 0,
     backend: str = BACKEND_VECTORIZED,
     search: str = DEFAULT_SEARCH,
-    cache: CharacterizationCache | None = None,
 ) -> PolicySearchStrategy:
     """The full SleepScale strategy (SS): all low-power states, joint search."""
     space = full_space(power_model, frequency_step=frequency_step, scaling=scaling or cpu_bound())
@@ -250,7 +240,6 @@ def sleepscale_strategy(
         seed=seed,
         backend=backend,
         search=search,
-        cache=cache,
     )
 
 
@@ -265,7 +254,6 @@ def sleepscale_single_state_strategy(
     seed: int | None = 0,
     backend: str = BACKEND_VECTORIZED,
     search: str = DEFAULT_SEARCH,
-    cache: CharacterizationCache | None = None,
 ) -> PolicySearchStrategy:
     """SleepScale restricted to a single low-power state — SS(C3) in the paper."""
     space = single_state_space(
@@ -282,7 +270,6 @@ def sleepscale_single_state_strategy(
         seed=seed,
         backend=backend,
         search=search,
-        cache=cache,
     )
 
 
@@ -296,7 +283,6 @@ def dvfs_only_strategy(
     seed: int | None = 0,
     backend: str = BACKEND_VECTORIZED,
     search: str = DEFAULT_SEARCH,
-    cache: CharacterizationCache | None = None,
 ) -> PolicySearchStrategy:
     """The DVFS-only baseline: frequency search but no low-power state at all."""
     space = dvfs_only_space(
@@ -313,7 +299,6 @@ def dvfs_only_strategy(
         seed=seed,
         backend=backend,
         search=search,
-        cache=cache,
     )
 
 

@@ -173,7 +173,7 @@ class Scenario:
         builds: ``"frontier"`` (the default) or its oracle ``"full"``.  Both
         select identical policies, but only ``"full"`` keeps the whole
         characterisation table in ``last_selection``; frontier keeps the
-        winning row.  Neither attaches a characterisation cache.
+        winning row.
         ``executor`` selects how the built farm runs its per-server epoch
         loops (``"serial"``/``"process"``) and ``trace_backend`` where the
         trace's arrays live while it runs (``"memory"``/``"mmap"``; see

@@ -319,8 +319,7 @@ def _tenant_farm(
     The per-server policy search runs against the composite per-tenant
     constraint (met iff every tenant's budget is met), so the binding
     tenant budget — not a collapsed farm-wide one — drives frequency and
-    sleep-state selection, and the tenant table fingerprints the search
-    cache keys.
+    sleep-state selection.
     """
     return _xeon_farm(
         num_servers,

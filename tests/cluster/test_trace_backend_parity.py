@@ -176,7 +176,6 @@ class TestShardTask:
         return ServerShardTask(
             server=farm.servers[0],
             spec=farm.spec,
-            use_cache=False,
             arrivals=arrivals,
             demands=demands,
         )

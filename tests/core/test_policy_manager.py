@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.policy_manager import PolicyManager
+from repro.core.policy_manager import PolicyManager, pick_selection
 from repro.core.qos import MeanResponseTimeConstraint, PercentileResponseTimeConstraint
 from repro.exceptions import PolicySelectionError
 from repro.policies.space import PolicySpace, full_space
@@ -98,7 +98,7 @@ class TestSelection:
 
     def test_pick_rejects_empty_evaluations(self):
         with pytest.raises(PolicySelectionError):
-            PolicyManager._pick([])
+            pick_selection([])
 
     @staticmethod
     def _row(policy, power, slack):
@@ -136,7 +136,7 @@ class TestSelection:
             [best_row, nan_row, worse_row],
             [worse_row, best_row, nan_row],
         ):
-            selection = PolicyManager._pick(table)
+            selection = pick_selection(table)
             assert not selection.feasible
             assert selection.best is best_row
 
@@ -148,7 +148,7 @@ class TestSelection:
 
         cheap = self._row(race_to_halt_policy(xeon, C6_S3), 10.0, math.nan)
         costly = self._row(race_to_halt_policy(xeon, C3_S0I), 90.0, math.nan)
-        selection = PolicyManager._pick([costly, cheap])
+        selection = pick_selection([costly, cheap])
         assert not selection.feasible
         assert selection.best is cheap
 

@@ -1,11 +1,11 @@
-"""Tests for the policy-search engine (cache + frontier vs. full-grid oracle).
+"""Tests for the policy-search engine (frontier vs. full-grid oracle).
 
-The central contract: for any inputs, ``search="frontier"`` (with or without
-a cache) selects the **identical** policy to the full-grid search.  The fuzz
-classes sweep policy-space shapes, QoS constraint types, both simulation
-backends and both platform presets; the structural classes pin the cache
-key behaviour, the lazy candidate grid, the fallback paths and the farm
-cache threading.
+The central contract: for any inputs, ``search="frontier"`` selects the
+**identical** policy to the full-grid search.  The fuzz classes sweep
+policy-space shapes, QoS constraint types, both simulation backends and both
+platform presets; the structural classes pin the lazy candidate grid, the
+fallback paths, the utilisation range, the characterisation table and the
+cacheless farm surface.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.farm import ServerFarm, ServerSpec
+from repro.cluster.farm import ServerFarm
 from repro.core.policy_manager import PolicyManager
 from repro.core.qos import (
     QosConstraint,
@@ -24,13 +24,7 @@ from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.search import (
     SEARCH_FRONTIER,
     SEARCH_FULL,
-    CharacterizationCache,
     _PolicyGrid,
-    policy_space_fingerprint,
-    power_model_fingerprint,
-    qos_fingerprint,
-    quantize_utilization,
-    trace_fingerprint,
     validate_search,
 )
 from repro.core.strategies import sleepscale_strategy
@@ -47,7 +41,7 @@ from repro.workloads.generator import generate_jobs
 from repro.workloads.jobs import JobTrace
 
 
-def _managers(power_model, space, qos, backend="vectorized", cache=None):
+def _managers(power_model, space, qos, backend="vectorized"):
     """A (full oracle, frontier) pair over identical configuration."""
     full = PolicyManager(power_model, space, qos, seed=0, backend=backend)
     frontier = PolicyManager(
@@ -57,7 +51,6 @@ def _managers(power_model, space, qos, backend="vectorized", cache=None):
         seed=0,
         backend=backend,
         search=SEARCH_FRONTIER,
-        cache=cache,
     )
     return full, frontier
 
@@ -68,31 +61,6 @@ class TestValidation:
         assert validate_search("frontier") == SEARCH_FRONTIER
         with pytest.raises(ConfigurationError):
             validate_search("heap")
-
-    def test_quantize(self):
-        assert quantize_utilization(0.3141, 0.0) == 0.3141
-        assert quantize_utilization(0.3141, 0.05) == pytest.approx(0.3)
-        assert quantize_utilization(0.999, 0.0) == 0.98  # clamped
-        with pytest.raises(ConfigurationError):
-            quantize_utilization(0.5, -0.1)
-
-
-class TestFingerprints:
-    def test_trace_fingerprint_is_content_based(self):
-        a = JobTrace([0.0, 1.0], [0.5, 0.25])
-        b = JobTrace(np.array([0.0, 1.0]), np.array([0.5, 0.25]))
-        c = JobTrace([0.0, 1.0], [0.5, 0.2500001])
-        assert trace_fingerprint(a) == trace_fingerprint(b)
-        assert trace_fingerprint(a) != trace_fingerprint(c)
-
-    def test_model_space_qos_fingerprints_distinguish(self, xeon, atom):
-        assert power_model_fingerprint(xeon) != power_model_fingerprint(atom)
-        assert policy_space_fingerprint(full_space(xeon)) != (
-            policy_space_fingerprint(dvfs_only_space(xeon))
-        )
-        assert qos_fingerprint(mean_qos_from_baseline(0.8)) != (
-            qos_fingerprint(mean_qos_from_baseline(0.7))
-        )
 
 
 class TestLazyGrid:
@@ -173,10 +141,7 @@ class TestFrontierFullEquivalence:
                 utilization=utilization,
                 rng=np.random.default_rng(int(rng.integers(1 << 30))),
             )
-            full, frontier = _managers(
-                power_model, space, qos, backend=backend,
-                cache=CharacterizationCache(),
-            )
+            full, frontier = _managers(power_model, space, qos, backend=backend)
             oracle = full.select(jobs, utilization)
             fast = frontier.select(jobs, utilization)
             assert fast.policy == oracle.policy
@@ -187,7 +152,7 @@ class TestFrontierFullEquivalence:
         """Consecutive selects at drifting utilisations (the epoch-loop shape)."""
         qos = mean_qos_from_baseline(0.8)
         space = full_space(xeon, frequency_step=0.02)
-        full, frontier = _managers(xeon, space, qos, cache=CharacterizationCache())
+        full, frontier = _managers(xeon, space, qos)
         rng = np.random.default_rng(11)
         utilization = 0.1
         for _ in range(12):
@@ -294,91 +259,55 @@ class TestFallbacks:
         assert fast.feasible is False
 
 
-class TestCharacterizationCache:
-    def test_selection_cache_hits_on_identical_inputs(self, xeon, dns_ideal):
-        cache = CharacterizationCache()
-        qos = mean_qos_from_baseline(0.8)
-        manager = PolicyManager(
-            xeon, full_space(xeon, frequency_step=0.1), qos,
-            seed=0, search=SEARCH_FRONTIER, cache=cache,
+class TestUtilizationRange:
+    """The frontier manager searches the caller's utilisation, unclamped."""
+
+    @staticmethod
+    def _setup(xeon, spec):
+        space = full_space(xeon, frequency_step=0.01)
+        full, frontier = _managers(xeon, space, mean_qos_from_baseline(0.8))
+        jobs = generate_jobs(
+            spec, num_jobs=400, utilization=0.5, rng=np.random.default_rng(13)
+        )
+        return full, frontier, jobs
+
+    @pytest.mark.parametrize("utilization", [0.985, 0.99, 0.995])
+    def test_near_saturation_matches_oracle(self, xeon, dns_ideal, utilization):
+        full, frontier, jobs = self._setup(xeon, dns_ideal)
+        oracle = full.select(jobs, utilization)
+        fast = frontier.select(jobs, utilization)
+        assert fast.policy == oracle.policy
+        assert fast.best.average_power == oracle.best.average_power
+
+    @pytest.mark.parametrize("utilization", [-0.1, 1.0, float("nan")])
+    def test_out_of_range_rejected_by_both(self, xeon, dns_ideal, utilization):
+        full, frontier, jobs = self._setup(xeon, dns_ideal)
+        for manager in (full, frontier):
+            with pytest.raises(ConfigurationError):
+                manager.select(jobs, utilization)
+
+
+class TestCharacterization:
+    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    @pytest.mark.parametrize("utilization", [0.05, 0.45, 0.9])
+    def test_frontier_manager_table_matches_full(
+        self, xeon, dns_ideal, backend, utilization
+    ):
+        space = full_space(xeon, frequency_step=0.1)
+        full, frontier = _managers(
+            xeon, space, mean_qos_from_baseline(0.8), backend=backend
         )
         jobs = generate_jobs(
-            dns_ideal, num_jobs=400, utilization=0.3,
-            rng=np.random.default_rng(2),
+            dns_ideal, num_jobs=300, utilization=utilization,
+            rng=np.random.default_rng(14),
         )
-        first = manager.select(jobs, 0.3)
-        second = manager.select(jobs, 0.3)
-        assert second is first  # whole selection reused
-        assert cache.stats.selection_hits == 1
-        # A different utilisation is a different key.
-        manager.select(jobs, 0.35)
-        assert cache.stats.selection_hits == 1
 
-    def test_table_cache_round_trip(self, xeon, dns_ideal):
-        cache = CharacterizationCache()
-        qos = mean_qos_from_baseline(0.8)
-        manager = PolicyManager(
-            xeon, full_space(xeon, frequency_step=0.1), qos, seed=0, cache=cache
-        )
-        jobs = generate_jobs(
-            dns_ideal, num_jobs=400, utilization=0.3,
-            rng=np.random.default_rng(3),
-        )
-        table = manager.characterize(jobs, 0.3)
-        again = manager.characterize(jobs, 0.3)
-        assert again is table
-        assert cache.stats.table_hits == 1
+        def rows(table):
+            return [(e.policy, e.average_power, e.qos_slack) for e in table]
 
-    def test_cache_distinguishes_qos_and_model(self, xeon, atom, dns_ideal):
-        cache = CharacterizationCache()
-        jobs = generate_jobs(
-            dns_ideal, num_jobs=300, utilization=0.3,
-            rng=np.random.default_rng(4),
-        )
-        selections = []
-        for power_model, rho in ((xeon, 0.8), (xeon, 0.7), (atom, 0.8)):
-            manager = PolicyManager(
-                power_model,
-                full_space(power_model, frequency_step=0.1),
-                mean_qos_from_baseline(rho),
-                seed=0,
-                search=SEARCH_FRONTIER,
-                cache=cache,
-            )
-            selections.append(manager.select(jobs, 0.3))
-        # Three distinct keys: no cross-talk between configurations.
-        assert cache.stats.selection_hits == 0
-        assert cache.stats.selection_misses == 3
-
-    def test_lru_eviction(self):
-        cache = CharacterizationCache(max_tables=2)
-        cache.store_table(("a",), (1,))
-        cache.store_table(("b",), (2,))
-        cache.store_table(("c",), (3,))
-        assert cache.lookup_table(("a",)) is None
-        assert cache.lookup_table(("c",)) == (3,)
-
-    def test_kernel_reuse_across_engines(self, xeon, dns_ideal):
-        cache = CharacterizationCache()
-        jobs = generate_jobs(
-            dns_ideal, num_jobs=300, utilization=0.3,
-            rng=np.random.default_rng(6),
-        )
-        for rho in (0.8, 0.7):  # different QoS, same trace/platform
-            manager = PolicyManager(
-                xeon,
-                full_space(xeon, frequency_step=0.1),
-                mean_qos_from_baseline(rho),
-                seed=0,
-                search=SEARCH_FRONTIER,
-                cache=cache,
-            )
-            manager.select(jobs, 0.3)
-        assert cache.stats.kernel_hits >= 1
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CharacterizationCache(max_tables=0)
+        oracle = full.characterize(jobs, utilization)
+        assert len(oracle) == space.size(utilization)
+        assert rows(frontier.characterize(jobs, utilization)) == rows(oracle)
 
 
 class TestEngineSurface:
@@ -391,13 +320,6 @@ class TestEngineSurface:
         assert fast.search == SEARCH_FRONTIER
         assert fast.search_stats is not None
 
-    def test_attach_search_cache_builds_engine(self, xeon):
-        qos = mean_qos_from_baseline(0.8)
-        manager = PolicyManager(xeon, full_space(xeon), qos)
-        cache = CharacterizationCache()
-        manager.attach_search_cache(cache)
-        assert manager.search_cache is cache
-
     def test_invalid_mode_rejected(self, xeon):
         with pytest.raises(ConfigurationError):
             PolicyManager(
@@ -405,36 +327,16 @@ class TestEngineSurface:
                 search="bisect",
             )
 
-    def test_engine_full_mode_matches_plain_manager(self, xeon, dns_ideal):
-        qos = mean_qos_from_baseline(0.8)
-        space = full_space(xeon, frequency_step=0.05)
-        plain = PolicyManager(xeon, space, qos, seed=0)
-        engined = PolicyManager(
-            xeon, space, qos, seed=0, cache=CharacterizationCache()
-        )
-        jobs = generate_jobs(
-            dns_ideal, num_jobs=500, utilization=0.45,
-            rng=np.random.default_rng(8),
-        )
-        a = plain.select(jobs, 0.45)
-        b = engined.select(jobs, 0.45)
-        assert a.policy == b.policy
-        assert [e.average_power for e in a.evaluations] == [
-            e.average_power for e in b.evaluations
-        ]
-
-
 class TestRuntimeIntegration:
     """The engine inside the epoch loop: run() and stream() parity."""
 
-    def _runtime(self, xeon, spec, search, cache=None):
+    def _runtime(self, xeon, spec, search):
         strategy = sleepscale_strategy(
             xeon,
             mean_qos_from_baseline(0.8),
             characterization_jobs=200,
             seed=0,
             search=search,
-            cache=cache,
         )
         runtime = SleepScaleRuntime(
             xeon,
@@ -454,9 +356,7 @@ class TestRuntimeIntegration:
         )
         full_rt, _ = self._runtime(xeon, dns_ideal, SEARCH_FULL)
         oracle = full_rt.run(jobs)
-        frontier_rt, strategy = self._runtime(
-            xeon, dns_ideal, SEARCH_FRONTIER, CharacterizationCache()
-        )
+        frontier_rt, strategy = self._runtime(xeon, dns_ideal, SEARCH_FRONTIER)
         fast = frontier_rt.run(jobs)
         assert [e.policy_label for e in fast.epochs] == [
             e.policy_label for e in oracle.epochs
@@ -468,9 +368,7 @@ class TestRuntimeIntegration:
         assert fast.extra["search"] == SEARCH_FRONTIER
         assert oracle.extra["search"] == SEARCH_FULL
         # Streamed chunks reproduce the one-shot run exactly.
-        streamed_rt, _ = self._runtime(
-            xeon, dns_ideal, SEARCH_FRONTIER, CharacterizationCache()
-        )
+        streamed_rt, _ = self._runtime(xeon, dns_ideal, SEARCH_FRONTIER)
         session = streamed_rt.stream()
         third = len(jobs) // 3
         session.feed(jobs.arrival_times[:third], jobs.service_demands[:third])
@@ -482,51 +380,15 @@ class TestRuntimeIntegration:
         ]
 
 
-class TestFarmThreading:
-    def test_server_farm_attaches_shared_cache(self, xeon, dns_ideal):
-        cache = CharacterizationCache()
-        built = []
+class TestFarmSurface:
+    """Farms carry no characterisation cache; only a read-only ``None`` stays."""
 
-        def factory():
-            strategy = sleepscale_strategy(
-                xeon,
-                mean_qos_from_baseline(0.8),
-                characterization_jobs=150,
-                seed=0,
-                search=SEARCH_FRONTIER,
-            )
-            built.append(strategy)
-            return strategy
-
-        farm = ServerFarm(
-            servers=tuple(
-                ServerSpec(
-                    name=f"s{index}",
-                    power_model=xeon,
-                    strategy_factory=factory,
-                    predictor_factory=lambda: NaivePreviousPredictor(),
-                    config=RuntimeConfig(epoch_minutes=1.0),
-                )
-                for index in range(2)
-            ),
-            spec=dns_ideal,
-            search_cache=cache,
-        )
-        jobs = generate_jobs(
-            dns_ideal, num_jobs=600, utilization=0.4,
-            rng=np.random.default_rng(12),
-        )
-        farm.run(jobs)
-        assert built and all(
-            strategy.policy_manager.search_cache is cache for strategy in built
-        )
-
-    def test_homogeneous_farm_passes_cache_through(self, xeon, dns_ideal):
-        cache = CharacterizationCache()
-        farm = ServerFarm.homogeneous(
+    @staticmethod
+    def _homogeneous(xeon, spec, **fields):
+        return ServerFarm.homogeneous(
             2,
             xeon,
-            dns_ideal,
+            spec,
             lambda index: sleepscale_strategy(
                 xeon,
                 mean_qos_from_baseline(0.8),
@@ -536,6 +398,12 @@ class TestFarmThreading:
             ),
             lambda index: NaivePreviousPredictor(),
             config=RuntimeConfig(epoch_minutes=1.0),
-            search_cache=cache,
+            **fields,
         )
-        assert farm.search_cache is cache
+
+    def test_search_cache_property_is_none(self, xeon, dns_ideal):
+        assert self._homogeneous(xeon, dns_ideal).search_cache is None
+
+    def test_search_cache_argument_rejected(self, xeon, dns_ideal):
+        with pytest.raises(TypeError):
+            self._homogeneous(xeon, dns_ideal, search_cache=object())

@@ -49,7 +49,7 @@ def test_default_search_matches_full_oracle(name):
     oracle = get_scenario(name).build(seed=4, search="full", **overrides)
     assert default.search == "frontier"
     assert oracle.search == "full"
-    # Scenarios attach no farm-shared characterisation cache.
+    # perfbench reads this read-only property; the engine is uncached.
     assert default.farm.search_cache is None
     _assert_same_outcome(oracle.run(), default.run())
 
