@@ -990,8 +990,7 @@ class ServerFarm:
         """Run every server's epoch loop over its range of one assignment.
 
         The process executor ships :class:`ServerShardTask`\\ s; any other
-        executor maps :meth:`_run_server` in this process, so every runtime
-        attaches the farm's own search cache.
+        executor maps :meth:`_run_server` in this process.
         """
         grouped, ranges = group_by_server(
             assignment, self.num_servers, jobs.arrival_times, jobs.service_demands

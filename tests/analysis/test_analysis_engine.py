@@ -79,7 +79,7 @@ class TestFileCategories:
         [
             ("src/repro/cluster/farm.py", "src"),
             ("tests/cluster/test_farm.py", "tests"),
-            ("benchmarks/bench_executor.py", "benchmarks"),
+            ("benchmarks/wallclock_gates.py", "benchmarks"),
             ("examples/server_farm.py", "examples"),
             ("scripts/one_off.py", "other"),
         ],

@@ -10,6 +10,8 @@ cacheless farm surface.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,42 @@ class TestLazyGrid:
         assert frontier.select(jobs, 0.3).policy == full.select(jobs, 0.3).policy
 
 
+def _assert_equivalent(
+    power_model, dns, backend, space_kind, qos_kind, step, utilization,
+    jobs_seed, num_jobs,
+):
+    """Frontier and full-grid managers select identically on one draw."""
+    space = {
+        "full": lambda: full_space(power_model, frequency_step=step),
+        "single": lambda: single_state_space(
+            power_model, C6_S0I, frequency_step=step
+        ),
+        "dvfs": lambda: dvfs_only_space(power_model, frequency_step=step),
+        "deep": lambda: PolicySpace(
+            power_model=power_model,
+            frequency_step=step,
+            deep_entry_delays=(0.05,),
+        ),
+    }[space_kind]()
+    qos = (
+        mean_qos_from_baseline(0.8)
+        if qos_kind == "mean"
+        else percentile_qos_from_baseline(0.8, dns.mean_service_time)
+    )
+    jobs = generate_jobs(
+        dns,
+        num_jobs=num_jobs,
+        utilization=utilization,
+        rng=np.random.default_rng(jobs_seed),
+    )
+    full, frontier = _managers(power_model, space, qos, backend=backend)
+    oracle = full.select(jobs, utilization)
+    fast = frontier.select(jobs, utilization)
+    assert fast.policy == oracle.policy
+    assert fast.feasible == oracle.feasible
+    assert fast.best.average_power == oracle.best.average_power
+
+
 class TestFrontierFullEquivalence:
     """The headline contract: identical selected policy on every case."""
 
@@ -110,43 +148,55 @@ class TestFrontierFullEquivalence:
     def test_equivalence_fuzz(
         self, xeon, atom, dns_ideal, backend, space_kind, qos_kind
     ):
-        rng = np.random.default_rng(hash((backend, space_kind, qos_kind)) % (1 << 32))
+        # crc32, not hash(): string hashing changes with PYTHONHASHSEED, and
+        # every run must draw the same cases.
+        key = f"{backend}/{space_kind}/{qos_kind}".encode()
+        rng = np.random.default_rng(zlib.crc32(key))
         cases = 2 if backend == "reference" else 4
         for index in range(cases):
-            power_model = xeon if index % 2 == 0 else atom
             step = 0.05 if backend == "reference" else (0.05, 0.02)[index % 2]
-            space = {
-                "full": lambda: full_space(power_model, frequency_step=step),
-                "single": lambda: single_state_space(
-                    power_model, C6_S0I, frequency_step=step
-                ),
-                "dvfs": lambda: dvfs_only_space(power_model, frequency_step=step),
-                "deep": lambda: PolicySpace(
-                    power_model=power_model,
-                    frequency_step=step,
-                    deep_entry_delays=(0.05,),
-                ),
-            }[space_kind]()
-            qos = (
-                mean_qos_from_baseline(0.8)
-                if qos_kind == "mean"
-                else percentile_qos_from_baseline(
-                    0.8, dns_ideal.mean_service_time
-                )
-            )
             utilization = float(rng.uniform(0.02, 0.95))
-            jobs = generate_jobs(
+            _assert_equivalent(
+                xeon if index % 2 == 0 else atom,
                 dns_ideal,
+                backend,
+                space_kind,
+                qos_kind,
+                step,
+                utilization,
+                jobs_seed=int(rng.integers(1 << 30)),
                 num_jobs=250 if backend == "reference" else 700,
-                utilization=utilization,
-                rng=np.random.default_rng(int(rng.integers(1 << 30))),
             )
-            full, frontier = _managers(power_model, space, qos, backend=backend)
-            oracle = full.select(jobs, utilization)
-            fast = frontier.select(jobs, utilization)
-            assert fast.policy == oracle.policy
-            assert fast.feasible == oracle.feasible
-            assert fast.best.average_power == oracle.best.average_power
+
+    @pytest.mark.parametrize(
+        ("space_kind", "utilization", "jobs_seed"),
+        [
+            ("full", 0.083885101905616, 135939283),
+            ("full", 0.07693773837751156, 398926077),
+            ("deep", 0.08161663088466843, 451439759),
+        ],
+    )
+    def test_cheaper_valley_behind_bump(
+        self, atom, dns_ideal, space_kind, utilization, jobs_seed
+    ):
+        """Percentile-QoS columns with two valleys split by a ~0.2% bump.
+
+        On the first draw the oracle picks f=0.63 (21.979 W); the valley
+        across the bump, f=0.71 (21.995 W), must not stop the winner walk.
+        The fuzz above drew these cases when it was seeded from ``hash()``
+        under ``PYTHONHASHSEED`` 4, 13 and 21.
+        """
+        _assert_equivalent(
+            atom,
+            dns_ideal,
+            "vectorized",
+            space_kind,
+            "percentile",
+            0.02,
+            utilization,
+            jobs_seed,
+            num_jobs=700,
+        )
 
     def test_warm_started_sequence_stays_exact(self, xeon, dns_ideal):
         """Consecutive selects at drifting utilisations (the epoch-loop shape)."""
