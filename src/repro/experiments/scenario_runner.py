@@ -122,6 +122,7 @@ from repro.exceptions import ConfigurationError, ExperimentError, ScenarioError
 from repro.experiments.schema import Bool, Const, Int, List, Num, Obj, Opt, Str, validate
 from repro.scenarios import (
     BuiltScenario,
+    Scenario,
     available_scenarios,
     get_scenario,
     scenario_catalog,
@@ -487,27 +488,16 @@ def run_scenario(
     :data:`REPORT_SCHEMA`.
     """
     overrides = dict(overrides or {})
-    # 'seed'/'backend' are build() keywords, not scenario parameters; caught
-    # here they produce a pointer to the right flag instead of a TypeError
-    # from the keyword splat below.
-    reserved = sorted(
-        set(overrides)
-        & {
-            "seed",
-            "backend",
-            "search",
-            "executor",
-            "trace_backend",
-            "controller",
-            "qos",
-        }
-    )
+    # Scenario.RESERVED_NAMES are build() keywords, not scenario parameters;
+    # caught here they produce a pointer to the right flag instead of a
+    # TypeError from the keyword splat below.
+    reserved = sorted(set(overrides) & Scenario.RESERVED_NAMES)
     if reserved:
         raise ExperimentError(
             f"{', '.join(reserved)} cannot be set via overrides; use the "
-            "dedicated seed/backend/search/executor/trace_backend/controller/"
-            "qos arguments (CLI: --seed / --backend / --search-mode / "
-            "--executor / --trace-backend / --controller / --tenant)"
+            f"dedicated {'/'.join(sorted(Scenario.RESERVED_NAMES))} arguments "
+            "(CLI: --seed / --backend / --search-mode / --executor / "
+            "--trace-backend / --controller / --tenant)"
         )
     setup_flags = (setup_latency_s, setup_energy_j, min_awake)
     if controller is None and any(flag is not None for flag in setup_flags):

@@ -2,16 +2,23 @@
 
 A *scenario* bundles everything one experiment run needs — a workload
 specification, a concrete job stream, and a (possibly heterogeneous) server
-farm — behind a name and a declared parameter list.  Scenarios are the unit
-of evaluation breadth: the paper sweeps a handful of workload shapes; this
-registry is where the reproduction accumulates every shape it can imagine
-(diurnal cycles, flash crowds, heavy tails, correlated arrivals, mixed
-traffic, trace replay, mixed-platform farms, ...).
+farm — behind a name and a declared parameter list.  The paper judges
+SleepScale on a handful of workload shapes; the registry holds the ones
+this reproduction evaluates it on.
 
-The contract:
+The contract — each parameter is stated once, in its
+:class:`ScenarioParameter` declaration:
 
-* a builder function produces a :class:`BuiltScenario` from ``seed``,
-  ``backend`` and its declared parameters;
+* :meth:`Scenario.build` resolves the declared defaults and overrides and
+  calls the builder with one read-only :class:`ScenarioArgs` namespace: the
+  resolved parameters plus ``seed``, ``backend`` and ``search``;
+* the builder returns ``(spec, jobs, farm, normalised)``, where
+  ``normalised`` maps the few parameters it normalised (say, a duration
+  rounded to whole minutes) to the values it actually used;
+* :meth:`Scenario.build` assembles the :class:`BuiltScenario` — its
+  ``parameters`` are the resolved values with the normalised ones laid
+  over them, in declaration order — and applies the executor, trace
+  backend, controller and qos overrides to the farm;
 * :func:`register_scenario` (usually via the :func:`scenario` decorator)
   publishes it under a unique kebab-case name;
 * :func:`get_scenario` / :func:`available_scenarios` /
@@ -19,14 +26,14 @@ The contract:
   tests share, so a scenario that builds also appears in ``list-scenarios``
   and in the smoke matrix automatically.
 
-Builders must be deterministic given ``seed`` and honour ``backend`` by
-passing it down to every policy-search strategy they create, so any scenario
-can be replayed on the ``"reference"`` simulation backend for validation.
+Builders must be deterministic given ``seed`` and hand ``backend`` and
+``search`` to every policy-search strategy they create.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import types
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
 from typing import Any
@@ -77,8 +84,8 @@ class BuiltScenario:
     seed: int = 0
     #: Policy-search mode every search strategy of the farm was built with.
     search: str = DEFAULT_SEARCH
-    #: Filled in by :meth:`Scenario.build` from the scenario's description
-    #: when the builder leaves it empty, so reports never need the registry.
+    #: Filled in by :meth:`Scenario.build` from the scenario's description,
+    #: so reports never need the registry.
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -104,9 +111,23 @@ class BuiltScenario:
         return self.farm.run(self.jobs)
 
 
-#: Signature every scenario builder implements.  Declared parameters arrive
-#: as keyword arguments with their defaults already resolved.
-ScenarioBuilder = Callable[..., BuiltScenario]
+class ScenarioArgs(types.SimpleNamespace):
+    """The one argument of a scenario builder, read-only.
+
+    Its attributes are the declared parameters (defaults with the overrides
+    applied) plus ``seed``, ``backend`` and ``search``.
+    """
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"scenario arguments are read-only; cannot set {name!r}")
+
+
+#: What a builder returns: spec, jobs, farm and the values of the declared
+#: parameters it normalised.
+BuilderResult = tuple[WorkloadSpec, JobTrace, ServerFarm, Mapping[str, Any]]
+
+#: Signature every scenario builder implements.
+ScenarioBuilder = Callable[[ScenarioArgs], BuilderResult]
 
 
 @dataclass(frozen=True)
@@ -118,8 +139,8 @@ class Scenario:
     builder: ScenarioBuilder
     parameters: tuple[ScenarioParameter, ...] = ()
 
-    #: Builder keywords owned by :meth:`build` itself; a declared parameter
-    #: (or an override splatted into ``build``) must never collide with them.
+    #: Keywords owned by :meth:`build` itself; a declared parameter (or an
+    #: override splatted into ``build``) must never collide with them.
     RESERVED_NAMES = frozenset(
         {
             "seed",
@@ -144,8 +165,7 @@ class Scenario:
         if reserved:
             raise ScenarioError(
                 f"scenario {self.name!r} declares reserved parameter name(s) "
-                f"{reserved}; 'seed', 'backend', 'search', 'executor', "
-                "'trace_backend', 'controller' and 'qos' are handled by "
+                f"{reserved}; {sorted(self.RESERVED_NAMES)} are handled by "
                 "build() itself"
             )
 
@@ -235,33 +255,38 @@ class Scenario:
                 f"parameter {key!r} of scenario {self.name!r} expects a "
                 f"{expected} (default {default!r}), got {got!r}"
             )
-        built = self.builder(seed=seed, backend=backend, search=search, **values)
-        if not built.description:
-            built = dataclasses.replace(built, description=self.description)
-        if executor is not None:
-            # Executor choice never changes results (the parity suite pins
-            # this), so it is orthogonal to what the builder constructed and
-            # is applied to the built farm afterwards.
-            built = dataclasses.replace(
-                built, farm=dataclasses.replace(built.farm, executor=executor)
+        spec, jobs, farm, normalised = self.builder(
+            ScenarioArgs(**values, seed=seed, backend=backend, search=search)
+        )
+        undeclared = sorted(set(normalised) - declared)
+        if undeclared:
+            raise ScenarioError(
+                f"scenario {self.name!r} normalised undeclared parameter(s) "
+                f"{undeclared}"
             )
-        if trace_backend is not None:
-            # Same contract as the executor: storage is result-invisible.
-            built = dataclasses.replace(
-                built,
-                farm=dataclasses.replace(built.farm, trace_backend=trace_backend),
+        farm_overrides = {
+            key: value
+            for key, value in (
+                ("executor", executor),
+                ("trace_backend", trace_backend),
+                ("controller", controller),
+                ("qos", qos),
             )
-        if controller is not None:
-            built = dataclasses.replace(
-                built,
-                farm=dataclasses.replace(built.farm, controller=controller),
-            )
-        if qos is not None:
-            built = dataclasses.replace(
-                built,
-                farm=dataclasses.replace(built.farm, qos=qos),
-            )
-        return built
+            if value is not None
+        }
+        if farm_overrides:
+            farm = dataclasses.replace(farm, **farm_overrides)
+        return BuiltScenario(
+            name=self.name,
+            spec=spec,
+            jobs=jobs,
+            farm=farm,
+            parameters={**values, **normalised},
+            backend=backend,
+            seed=seed,
+            search=search,
+            description=self.description,
+        )
 
 
 _REGISTRY: dict[str, Scenario] = {}

@@ -41,10 +41,15 @@ axis of the joint speed-scaling + sleep-state problem:
                           overloads that priority dispatch confines
 ========================  ====================================================
 
-Every builder is deterministic given ``seed``, sizes itself from
-``duration_minutes`` so tests can shrink it to seconds, and passes
-``backend`` into each server's policy-search strategy so the whole scenario
-can be replayed on the reference simulator.
+Each parameter is stated once, in its ``ScenarioParameter`` declaration.
+:meth:`~repro.scenarios.base.Scenario.build` calls a builder with one
+read-only :class:`~repro.scenarios.base.ScenarioArgs` namespace (the
+resolved parameters plus ``seed``, ``backend`` and ``search``); the builder
+returns spec, jobs, farm and only the parameters it normalised — whole
+minutes and server counts, a crowd window clipped to the run, a trace
+length clipped to the trace — and ``Scenario.build`` assembles the rest.
+Every builder is deterministic given ``seed`` and sizes itself from
+``duration_minutes`` so tests can shrink it to seconds.
 
 Utilisation convention: trace utilisations are offered load relative to one
 full-frequency server, so a farm of ``n`` servers behind a balanced
@@ -86,18 +91,18 @@ from repro.core.qos import (
     percentile_qos_from_baseline,
 )
 from repro.core.runtime import RuntimeConfig
-from repro.core.search import DEFAULT_SEARCH
 from repro.core.strategies import (
     PolicySearchStrategy,
     RaceToHaltStrategy,
     sleepscale_strategy,
 )
-from repro.exceptions import ScenarioError
+from repro.exceptions import ScenarioError, TraceError
 from repro.power.platform import ServerPowerModel, atom_power_model, xeon_power_model
 from repro.power.states import C1_S0I, SystemState
 from repro.prediction.lms_cusum import LmsCusumPredictor
 from repro.scenarios.base import (
-    BuiltScenario,
+    BuilderResult,
+    ScenarioArgs,
     ScenarioParameter,
     scenario,
 )
@@ -122,6 +127,8 @@ _RHO_B = 0.8
 #: Per-epoch policy-search sample size; small enough that a scenario runs in
 #: seconds, large enough that selections are stable.
 _CHARACTERIZATION_JOBS = 600
+#: Policy epoch of the autoscale servers and of their farm controller.
+_AUTOSCALE_EPOCH_MINUTES = 1.0
 
 
 @dataclass(frozen=True)
@@ -165,21 +172,21 @@ class LmsCusumPredictorFactory:
 
 
 def _sleepscale_server(
+    args: ScenarioArgs,
     name: str,
     power_model: ServerPowerModel,
     *,
-    seed: int,
-    backend: str,
-    search: str = DEFAULT_SEARCH,
+    seed_offset: int = 0,
     epoch_minutes: float = 5.0,
     max_frequency: float = 1.0,
     qos: QosConstraint | None = None,
 ) -> ServerSpec:
     """A server running full SleepScale with an LMS+CUSUM predictor.
 
-    ``qos`` overrides the default baseline mean-response-time budget; the
-    tenant scenarios pass the composite per-tenant constraint here so each
-    server's policy search selects against the binding tenant budget.
+    Its strategy is seeded ``args.seed + seed_offset``.  ``qos`` overrides
+    the default baseline mean-response-time budget; the tenant scenarios
+    pass the composite per-tenant constraint here so each server's policy
+    search selects against the binding tenant budget.
     """
     if qos is None:
         qos = mean_qos_from_baseline(_RHO_B)
@@ -193,9 +200,9 @@ def _sleepscale_server(
             power_model=power_model,
             qos=qos,
             characterization_jobs=_CHARACTERIZATION_JOBS,
-            seed=seed,
-            backend=backend,
-            search=search,
+            seed=args.seed + seed_offset,
+            backend=args.backend,
+            search=args.search,
         ),
         predictor_factory=LmsCusumPredictorFactory(history=10),
         config=config,
@@ -204,14 +211,11 @@ def _sleepscale_server(
 
 
 def _xeon_farm(
+    args: ScenarioArgs,
     num_servers: int,
     spec: WorkloadSpec,
     *,
-    seed: int,
-    backend: str,
-    search: str = DEFAULT_SEARCH,
     dispatcher: JobDispatcher | None = None,
-    epoch_minutes: float = 5.0,
     qos: FarmQos | None = None,
     server_qos: QosConstraint | None = None,
 ) -> ServerFarm:
@@ -219,13 +223,7 @@ def _xeon_farm(
     power_model = xeon_power_model()
     servers = tuple(
         _sleepscale_server(
-            f"xeon-{index}",
-            power_model,
-            seed=seed + index,
-            backend=backend,
-            search=search,
-            epoch_minutes=epoch_minutes,
-            qos=server_qos,
+            args, f"xeon-{index}", power_model, seed_offset=index, qos=server_qos
         )
         for index in range(num_servers)
     )
@@ -237,54 +235,159 @@ def _xeon_farm(
     )
 
 
-def _check_duration(duration_minutes: float) -> int:
-    if duration_minutes < 1:
-        raise ScenarioError(
-            f"duration_minutes must be at least 1, got {duration_minutes}"
-        )
-    return int(round(duration_minutes))
+def _mixed_fleet(
+    args: ScenarioArgs,
+    *,
+    epoch_minutes: float = 5.0,
+    atom_frequency_ceiling: float = 1.0,
+) -> tuple[tuple[ServerSpec, ...], dict[str, int]]:
+    """``xeon_servers`` Xeon then ``atom_servers`` Atom SleepScale servers.
 
-
-def _diurnal_values(
-    num_samples: int, trough_utilization: float, peak_utilization: float
-) -> np.ndarray:
-    """One raised-cosine day/night cycle spanning *num_samples* minutes."""
-    if not 0.0 < trough_utilization <= peak_utilization <= 0.95:
+    Xeon *i* is seeded ``seed + i`` and Atom *i* ``seed + xeon_servers + i``.
+    Returns the servers and the two counts as whole numbers.
+    """
+    counts = {}
+    for label in ("xeon_servers", "atom_servers"):
+        count = getattr(args, label)
+        if count != int(count) or count < 0:
+            raise ScenarioError(
+                f"{label} must be a non-negative whole number, got {count}"
+            )
+        counts[label] = int(count)
+    xeons, atoms = counts["xeon_servers"], counts["atom_servers"]
+    if xeons + atoms < 1:
         raise ScenarioError(
-            "need 0 < trough_utilization <= peak_utilization <= 0.95, got "
-            f"[{trough_utilization}, {peak_utilization}]"
+            "need at least one server in total, got "
+            f"xeon_servers={xeons}, atom_servers={atoms}"
         )
-    phase = 2.0 * math.pi * np.arange(num_samples) / num_samples
-    return trough_utilization + (peak_utilization - trough_utilization) * 0.5 * (
-        1.0 - np.cos(phase)
+    xeon = xeon_power_model()
+    atom = atom_power_model()
+    servers = tuple(
+        _sleepscale_server(
+            args, f"xeon-{index}", xeon, seed_offset=index, epoch_minutes=epoch_minutes
+        )
+        for index in range(xeons)
+    ) + tuple(
+        _sleepscale_server(
+            args,
+            f"atom-{index}",
+            atom,
+            seed_offset=xeons + index,
+            epoch_minutes=epoch_minutes,
+            # The front end provisions against the Atom parts' lower DVFS
+            # ceiling, so backlog estimates are speed-aware.
+            max_frequency=atom_frequency_ceiling,
+        )
+        for index in range(atoms)
     )
+    return servers, counts
 
 
-def _check_servers(num_servers: int) -> int:
-    if num_servers != int(num_servers):
+def _check_duration(args: ScenarioArgs) -> int:
+    if args.duration_minutes < 1:
         raise ScenarioError(
-            f"servers must be a whole number, got {num_servers}"
+            f"duration_minutes must be at least 1, got {args.duration_minutes}"
         )
-    if num_servers < 1:
-        raise ScenarioError(f"servers must be at least 1, got {num_servers}")
-    return int(num_servers)
+    return int(round(args.duration_minutes))
 
 
-def _check_dispatcher(kind: str) -> str:
-    if kind not in TENANT_DISPATCH_KINDS:
+def _check_servers(args: ScenarioArgs) -> int:
+    if args.servers != int(args.servers):
+        raise ScenarioError(
+            f"servers must be a whole number, got {args.servers}"
+        )
+    if args.servers < 1:
+        raise ScenarioError(f"servers must be at least 1, got {args.servers}")
+    return int(args.servers)
+
+
+def _check_atom_frequency_ceiling(args: ScenarioArgs) -> None:
+    if not 0.0 < args.atom_frequency_ceiling <= 1.0:
+        raise ScenarioError(
+            "atom_frequency_ceiling must lie in (0, 1], got "
+            f"{args.atom_frequency_ceiling}"
+        )
+
+
+def _check_loads(args: ScenarioArgs, *names: str, ordered: bool = False) -> None:
+    """Each named offered load must lie in (0, 0.95].
+
+    With ``ordered``, the two named loads must also be non-decreasing.
+    """
+    if ordered:
+        low, high = (getattr(args, name) for name in names)
+        if not 0.0 < low <= high <= 0.95:
+            raise ScenarioError(
+                f"need 0 < {names[0]} <= {names[1]} <= 0.95, got [{low}, {high}]"
+            )
+        return
+    for name in names:
+        value = getattr(args, name)
+        if not 0.0 < value <= 0.95:
+            raise ScenarioError(f"{name} must lie in (0, 0.95], got {value}")
+
+
+def _diurnal_values(args: ScenarioArgs, num_samples: int) -> np.ndarray:
+    """One raised-cosine day/night cycle spanning *num_samples* minutes."""
+    _check_loads(args, "trough_utilization", "peak_utilization", ordered=True)
+    trough, peak = args.trough_utilization, args.peak_utilization
+    phase = 2.0 * math.pi * np.arange(num_samples) / num_samples
+    return trough + (peak - trough) * 0.5 * (1.0 - np.cos(phase))
+
+
+def _crowd_values(
+    args: ScenarioArgs, num_samples: int, base_utilization: float
+) -> tuple[np.ndarray, dict[str, int]]:
+    """*base_utilization* with ``crowd_utilization`` through the crowd window.
+
+    The window is clipped to the run so shrunken smoke runs keep their
+    burst; the clipped start and length are returned with the values.
+    """
+    start = int(round(args.crowd_start_minute))
+    length = int(round(args.crowd_minutes))
+    if start < 0 or length < 1:
+        raise ScenarioError(
+            f"crowd window [{start}, {start + length}) is invalid"
+        )
+    start = min(start, max(0, num_samples - length))
+    values = np.full(num_samples, base_utilization)
+    values[start : min(start + length, num_samples)] = args.crowd_utilization
+    return values, {"crowd_start_minute": start, "crowd_minutes": length}
+
+
+def _middle_third(num_samples: int, base: float, surge: float) -> np.ndarray:
+    """*base* load with *surge* through the middle third of the run."""
+    values = np.full(num_samples, base)
+    values[num_samples // 3 : max(2 * num_samples // 3, num_samples // 3 + 1)] = surge
+    return values
+
+
+def _trace_jobs(
+    spec: WorkloadSpec, values: np.ndarray, name: str, seed: int
+) -> JobTrace:
+    """The job stream of *spec* driven by one utilisation sample per minute."""
+    trace = UtilizationTrace(values, interval=minutes(1), name=name)
+    return generate_trace_driven_jobs(spec, trace, seed=seed).jobs
+
+
+def _tenant_servers(args: ScenarioArgs, scenario_name: str) -> int:
+    """The checked server count of a two-tenant scenario (one per tenant)."""
+    servers = _check_servers(args)
+    if args.dispatcher not in TENANT_DISPATCH_KINDS:
         raise ScenarioError(
             f"dispatcher must be one of {', '.join(TENANT_DISPATCH_KINDS)}, "
-            f"got {kind!r}"
+            f"got {args.dispatcher!r}"
         )
-    return kind
+    if servers < 2:
+        raise ScenarioError(
+            f"{scenario_name} needs at least 2 servers (one per tenant), "
+            f"got {servers}"
+        )
+    return servers
 
 
 def _labelled_tenant_jobs(
-    spec: WorkloadSpec,
-    utilizations: list[np.ndarray],
-    *,
-    seed: int,
-    name: str,
+    args: ScenarioArgs, spec: WorkloadSpec, utilizations: list[np.ndarray], name: str
 ) -> JobTrace:
     """One labelled stream per tenant, merged into a single arrival order.
 
@@ -294,10 +397,7 @@ def _labelled_tenant_jobs(
     """
     streams = []
     for index, values in enumerate(utilizations):
-        trace = UtilizationTrace(
-            values, interval=minutes(1), name=f"{name}-tenant-{index}"
-        )
-        stream = generate_trace_driven_jobs(spec, trace, seed=seed + index).jobs
+        stream = _trace_jobs(spec, values, f"{name}-tenant-{index}", args.seed + index)
         streams.append(
             stream.with_tenant_ids(np.full(len(stream), index, dtype=np.int64))
         )
@@ -305,14 +405,7 @@ def _labelled_tenant_jobs(
 
 
 def _tenant_farm(
-    num_servers: int,
-    spec: WorkloadSpec,
-    farm_qos: FarmQos,
-    dispatcher: str,
-    *,
-    seed: int,
-    backend: str,
-    search: str,
+    args: ScenarioArgs, num_servers: int, spec: WorkloadSpec, farm_qos: FarmQos
 ) -> ServerFarm:
     """A homogeneous Xeon farm honouring every tenant's budget.
 
@@ -322,12 +415,10 @@ def _tenant_farm(
     sleep-state selection.
     """
     return _xeon_farm(
+        args,
         num_servers,
         spec,
-        seed=seed,
-        backend=backend,
-        search=search,
-        dispatcher=make_tenant_dispatcher(dispatcher, farm_qos.tenants),
+        dispatcher=make_tenant_dispatcher(args.dispatcher, farm_qos.tenants),
         qos=farm_qos,
         server_qos=farm_qos.composite_constraint(),
     )
@@ -352,40 +443,14 @@ def _tenant_farm(
         ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail"),
     ),
 )
-def build_diurnal(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    trough_utilization: float,
-    peak_utilization: float,
-    servers: int,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    spec = workload_by_name(workload)
-    values = _diurnal_values(num_samples, trough_utilization, peak_utilization)
-    trace = UtilizationTrace(values, interval=minutes(1), name="diurnal")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-    farm = _xeon_farm(servers, spec, seed=seed, backend=backend, search=search)
-    return BuiltScenario(
-        name="diurnal",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "trough_utilization": trough_utilization,
-            "peak_utilization": peak_utilization,
-            "servers": servers,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+def build_diurnal(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _check_servers(args)
+    spec = workload_by_name(args.workload)
+    values = _diurnal_values(args, num_samples)
+    jobs = _trace_jobs(spec, values, "diurnal", args.seed)
+    farm = _xeon_farm(args, servers, spec)
+    return spec, jobs, farm, {"duration_minutes": num_samples, "servers": servers}
 
 
 # ---------------------------------------------------------------------------
@@ -410,65 +475,19 @@ def build_diurnal(
         ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
     ),
 )
-def build_flash_crowd(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    base_utilization: float,
-    crowd_utilization: float,
-    crowd_start_minute: float,
-    crowd_minutes: float,
-    servers: int,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    if not 0.0 < base_utilization <= crowd_utilization <= 0.95:
-        raise ScenarioError(
-            "need 0 < base_utilization <= crowd_utilization <= 0.95, got "
-            f"[{base_utilization}, {crowd_utilization}]"
-        )
-    start = int(round(crowd_start_minute))
-    length = int(round(crowd_minutes))
-    if start < 0 or length < 1:
-        raise ScenarioError(
-            f"crowd window [{start}, {start + length}) is invalid"
-        )
-    # Clip the window to the run so shrunken smoke runs keep their burst.
-    start = min(start, max(0, num_samples - length))
-    spec = workload_by_name(workload)
-    values = np.full(num_samples, base_utilization)
-    values[start : min(start + length, num_samples)] = crowd_utilization
-    trace = UtilizationTrace(values, interval=minutes(1), name="flash-crowd")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-    farm = _xeon_farm(
-        servers,
-        spec,
-        seed=seed,
-        backend=backend,
-        search=search,
-        dispatcher=LeastLoadedDispatcher(),
-    )
-    return BuiltScenario(
-        name="flash-crowd",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "base_utilization": base_utilization,
-            "crowd_utilization": crowd_utilization,
-            "crowd_start_minute": start,
-            "crowd_minutes": length,
-            "servers": servers,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+def build_flash_crowd(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _check_servers(args)
+    _check_loads(args, "base_utilization", "crowd_utilization", ordered=True)
+    values, window = _crowd_values(args, num_samples, args.base_utilization)
+    spec = workload_by_name(args.workload)
+    jobs = _trace_jobs(spec, values, "flash-crowd", args.seed)
+    farm = _xeon_farm(args, servers, spec, dispatcher=LeastLoadedDispatcher())
+    return spec, jobs, farm, {
+        "duration_minutes": num_samples,
+        **window,
+        "servers": servers,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -491,58 +510,28 @@ def build_flash_crowd(
         ScenarioParameter("servers", 2, "number of identical Xeon servers"),
     ),
 )
-def build_heavy_tail(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    utilization: float,
-    pareto_alpha: float,
-    mean_service_ms: float,
-    servers: int,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    if not 0.0 < utilization <= 0.95:
+def build_heavy_tail(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _check_servers(args)
+    _check_loads(args, "utilization")
+    if args.pareto_alpha <= 2.0:
         raise ScenarioError(
-            f"utilization must lie in (0, 0.95], got {utilization}"
+            f"pareto_alpha must exceed 2 (finite variance), got {args.pareto_alpha}"
         )
-    if pareto_alpha <= 2.0:
+    if args.mean_service_ms <= 0:
         raise ScenarioError(
-            f"pareto_alpha must exceed 2 (finite variance), got {pareto_alpha}"
+            f"mean_service_ms must be positive, got {args.mean_service_ms}"
         )
-    if mean_service_ms <= 0:
-        raise ScenarioError(
-            f"mean_service_ms must be positive, got {mean_service_ms}"
-        )
-    mean_service = mean_service_ms / 1000.0
-    service = Pareto(alpha=pareto_alpha, mean_value=mean_service)
+    mean_service = args.mean_service_ms / 1000.0
     spec = WorkloadSpec(
         name="heavy-tail",
-        interarrival=Exponential(mean_service / utilization),
-        service=service,
+        interarrival=Exponential(mean_service / args.utilization),
+        service=Pareto(alpha=args.pareto_alpha, mean_value=mean_service),
     )
-    values = np.full(num_samples, utilization)
-    trace = UtilizationTrace(values, interval=minutes(1), name="heavy-tail")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-    farm = _xeon_farm(servers, spec, seed=seed, backend=backend, search=search)
-    return BuiltScenario(
-        name="heavy-tail",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "utilization": utilization,
-            "pareto_alpha": pareto_alpha,
-            "mean_service_ms": mean_service_ms,
-            "servers": servers,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    values = np.full(num_samples, args.utilization)
+    jobs = _trace_jobs(spec, values, "heavy-tail", args.seed)
+    farm = _xeon_farm(args, servers, spec)
+    return spec, jobs, farm, {"duration_minutes": num_samples, "servers": servers}
 
 
 # ---------------------------------------------------------------------------
@@ -566,58 +555,26 @@ def build_heavy_tail(
         ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail"),
     ),
 )
-def build_correlated_arrivals(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    quiet_utilization: float,
-    bursty_utilization: float,
-    persistence: float,
-    servers: int,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    if not 0.0 < quiet_utilization <= bursty_utilization <= 0.95:
+def build_correlated_arrivals(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _check_servers(args)
+    _check_loads(args, "quiet_utilization", "bursty_utilization", ordered=True)
+    if not 0.0 <= args.persistence < 1.0:
         raise ScenarioError(
-            "need 0 < quiet_utilization <= bursty_utilization <= 0.95, got "
-            f"[{quiet_utilization}, {bursty_utilization}]"
+            f"persistence must lie in [0, 1), got {args.persistence}"
         )
-    if not 0.0 <= persistence < 1.0:
-        raise ScenarioError(
-            f"persistence must lie in [0, 1), got {persistence}"
-        )
-    spec = workload_by_name(workload)
-    rng = np.random.default_rng(seed)
-    levels = (quiet_utilization, bursty_utilization)
+    spec = workload_by_name(args.workload)
+    rng = np.random.default_rng(args.seed)
+    levels = (args.quiet_utilization, args.bursty_utilization)
     state = 0
     values = np.empty(num_samples)
     for index in range(num_samples):
         values[index] = levels[state]
-        if rng.random() > persistence:
+        if rng.random() > args.persistence:
             state = 1 - state
-    trace = UtilizationTrace(values, interval=minutes(1), name="correlated-arrivals")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed + 1).jobs
-    farm = _xeon_farm(servers, spec, seed=seed, backend=backend, search=search)
-    return BuiltScenario(
-        name="correlated-arrivals",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "quiet_utilization": quiet_utilization,
-            "bursty_utilization": bursty_utilization,
-            "persistence": persistence,
-            "servers": servers,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    jobs = _trace_jobs(spec, values, "correlated-arrivals", args.seed + 1)
+    farm = _xeon_farm(args, servers, spec)
+    return spec, jobs, farm, {"duration_minutes": num_samples, "servers": servers}
 
 
 # ---------------------------------------------------------------------------
@@ -666,36 +623,21 @@ def _mixture_spec(
         ScenarioParameter("servers", 2, "number of identical Xeon servers"),
     ),
 )
-def build_multiclass(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    dns_utilization: float,
-    google_utilization: float,
-    servers: int,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    for label, value in (
-        ("dns_utilization", dns_utilization),
-        ("google_utilization", google_utilization),
-    ):
-        if not 0.0 < value <= 0.95:
-            raise ScenarioError(f"{label} must lie in (0, 0.95], got {value}")
-    dns_spec = dns_workload()
-    google_spec = google_workload()
+def build_multiclass(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _check_servers(args)
+    _check_loads(args, "dns_utilization", "google_utilization")
+    classes = (
+        (dns_workload(), args.dns_utilization),
+        (google_workload(), args.google_utilization),
+    )
     streams = []
     tenants = []
-    for offset, (class_spec, load) in enumerate(
-        ((dns_spec, dns_utilization), (google_spec, google_utilization))
-    ):
+    for offset, (class_spec, load) in enumerate(classes):
         values = np.full(num_samples, load)
-        trace = UtilizationTrace(
-            values, interval=minutes(1), name=f"multiclass-{class_spec.name}"
+        stream = _trace_jobs(
+            class_spec, values, f"multiclass-{class_spec.name}", args.seed + offset
         )
-        stream = generate_trace_driven_jobs(class_spec, trace, seed=seed + offset).jobs
         # Each job class is a tenant: labels survive the merge and the
         # dispatch, so FarmResult.tenant_rows() reports per-class latency
         # without changing the (tenant-blind, round-robin) farm numbers.
@@ -715,34 +657,10 @@ def build_multiclass(
         )
     jobs = merge_streams(streams)
     spec = _mixture_spec(
-        [
-            (dns_spec, dns_utilization / dns_spec.mean_service_time),
-            (google_spec, google_utilization / google_spec.mean_service_time),
-        ]
+        [(class_spec, load / class_spec.mean_service_time) for class_spec, load in classes]
     )
-    farm = _xeon_farm(
-        servers,
-        spec,
-        seed=seed,
-        backend=backend,
-        search=search,
-        qos=FarmQos.per_tenant(*tenants),
-    )
-    return BuiltScenario(
-        name="multiclass",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "dns_utilization": dns_utilization,
-            "google_utilization": google_utilization,
-            "servers": servers,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    farm = _xeon_farm(args, servers, spec, qos=FarmQos.per_tenant(*tenants))
+    return spec, jobs, farm, {"duration_minutes": num_samples, "servers": servers}
 
 
 # ---------------------------------------------------------------------------
@@ -765,53 +683,33 @@ def build_multiclass(
         ScenarioParameter("workload", "dns", "Table 5 workload class supplying job statistics"),
     ),
 )
-def build_trace_replay(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    trace: str,
-    duration_minutes: float,
-    scale: float,
-    servers: int,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    if trace == "file-server":
-        utilization = synthetic_file_server_trace(days=1, seed=seed)
-    elif trace == "email-store":
-        utilization = synthetic_email_store_trace(days=1, seed=seed)
-    elif Path(trace).suffix == ".csv":
-        utilization = UtilizationTrace.from_csv(trace)
+def build_trace_replay(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _check_servers(args)
+    if args.scale <= 0:
+        raise ScenarioError(f"scale must be positive, got {args.scale}")
+    if args.trace == "file-server":
+        utilization = synthetic_file_server_trace(days=1, seed=args.seed)
+    elif args.trace == "email-store":
+        utilization = synthetic_email_store_trace(days=1, seed=args.seed)
+    elif Path(args.trace).suffix == ".csv":
+        try:
+            utilization = UtilizationTrace.from_csv(args.trace)
+        except TraceError as error:
+            raise ScenarioError(str(error)) from error
     else:
         raise ScenarioError(
-            f"unknown trace {trace!r}; expected 'file-server', 'email-store' "
+            f"unknown trace {args.trace!r}; expected 'file-server', 'email-store' "
             "or a path to a .csv file"
         )
-    if scale != 1.0:
-        utilization = utilization.scaled(scale)
+    if args.scale != 1.0:
+        utilization = utilization.scaled(args.scale)
     num_samples = min(num_samples, len(utilization))
     utilization = utilization.slice_index(0, num_samples)
-    spec = workload_by_name(workload)
-    jobs = generate_trace_driven_jobs(spec, utilization, seed=seed).jobs
-    farm = _xeon_farm(servers, spec, seed=seed, backend=backend, search=search)
-    return BuiltScenario(
-        name="trace-replay",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "trace": trace,
-            "duration_minutes": num_samples,
-            "scale": scale,
-            "servers": servers,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    spec = workload_by_name(args.workload)
+    jobs = generate_trace_driven_jobs(spec, utilization, seed=args.seed).jobs
+    farm = _xeon_farm(args, servers, spec)
+    return spec, jobs, farm, {"duration_minutes": num_samples, "servers": servers}
 
 
 # ---------------------------------------------------------------------------
@@ -835,83 +733,17 @@ def build_trace_replay(
         ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
     ),
 )
-def build_heterogeneous_farm(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    xeon_servers: int,
-    atom_servers: int,
-    trough_utilization: float,
-    peak_utilization: float,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    for label, count in (("xeon_servers", xeon_servers), ("atom_servers", atom_servers)):
-        if count != int(count) or count < 0:
-            raise ScenarioError(
-                f"{label} must be a non-negative whole number, got {count}"
-            )
-    xeon_servers, atom_servers = int(xeon_servers), int(atom_servers)
-    if xeon_servers + atom_servers < 1:
-        raise ScenarioError(
-            "need at least one server in total, got "
-            f"xeon_servers={xeon_servers}, atom_servers={atom_servers}"
-        )
-    spec = workload_by_name(workload)
-    values = _diurnal_values(num_samples, trough_utilization, peak_utilization)
-    trace = UtilizationTrace(values, interval=minutes(1), name="heterogeneous-farm")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-
-    xeon = xeon_power_model()
-    atom = atom_power_model()
-    servers: list[ServerSpec] = []
-    for index in range(xeon_servers):
-        servers.append(
-            _sleepscale_server(
-                f"xeon-{index}",
-                xeon,
-                seed=seed + index,
-                backend=backend,
-                search=search,
-            )
-        )
-    for index in range(atom_servers):
-        servers.append(
-            _sleepscale_server(
-                f"atom-{index}",
-                atom,
-                seed=seed + xeon_servers + index,
-                backend=backend,
-                search=search,
-            )
-        )
+def build_heterogeneous_farm(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers, counts = _mixed_fleet(args)
+    spec = workload_by_name(args.workload)
+    values = _diurnal_values(args, num_samples)
+    jobs = _trace_jobs(spec, values, "heterogeneous-farm", args.seed)
     dispatcher = PowerAwareDispatcher.from_power_models(
         [server.power_model for server in servers]
     )
-    farm = ServerFarm(
-        servers=tuple(servers),
-        spec=spec,
-        dispatcher=dispatcher,
-    )
-    return BuiltScenario(
-        name="heterogeneous-farm",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "xeon_servers": xeon_servers,
-            "atom_servers": atom_servers,
-            "trough_utilization": trough_utilization,
-            "peak_utilization": peak_utilization,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    farm = ServerFarm(servers=servers, spec=spec, dispatcher=dispatcher)
+    return spec, jobs, farm, {"duration_minutes": num_samples, **counts}
 
 
 # ---------------------------------------------------------------------------
@@ -937,102 +769,35 @@ def build_heterogeneous_farm(
         ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
     ),
 )
-def build_farm_scale(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    utilization: float,
-    xeon_servers: int,
-    atom_servers: int,
-    atom_frequency_ceiling: float,
-    chunk_jobs: int,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    for label, count in (("xeon_servers", xeon_servers), ("atom_servers", atom_servers)):
-        if count != int(count) or count < 0:
-            raise ScenarioError(
-                f"{label} must be a non-negative whole number, got {count}"
-            )
-    xeon_servers, atom_servers = int(xeon_servers), int(atom_servers)
-    if xeon_servers + atom_servers < 1:
+def build_farm_scale(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    _check_loads(args, "utilization")
+    _check_atom_frequency_ceiling(args)
+    if args.chunk_jobs != int(args.chunk_jobs) or args.chunk_jobs < 0:
         raise ScenarioError(
-            "need at least one server in total, got "
-            f"xeon_servers={xeon_servers}, atom_servers={atom_servers}"
+            f"chunk_jobs must be a non-negative whole number, got {args.chunk_jobs}"
         )
-    if not 0.0 < utilization <= 0.95:
-        raise ScenarioError(
-            f"utilization must lie in (0, 0.95], got {utilization}"
-        )
-    if not 0.0 < atom_frequency_ceiling <= 1.0:
-        raise ScenarioError(
-            f"atom_frequency_ceiling must lie in (0, 1], got {atom_frequency_ceiling}"
-        )
-    if chunk_jobs != int(chunk_jobs) or chunk_jobs < 0:
-        raise ScenarioError(
-            f"chunk_jobs must be a non-negative whole number, got {chunk_jobs}"
-        )
-    chunk_jobs = int(chunk_jobs)
-    spec = workload_by_name(workload)
-    values = np.full(num_samples, utilization)
-    trace = UtilizationTrace(values, interval=minutes(1), name="farm-scale")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-
-    xeon = xeon_power_model()
-    atom = atom_power_model()
-    servers: list[ServerSpec] = []
-    for index in range(xeon_servers):
-        servers.append(
-            _sleepscale_server(
-                f"xeon-{index}",
-                xeon,
-                seed=seed + index,
-                backend=backend,
-                search=search,
-            )
-        )
-    for index in range(atom_servers):
-        servers.append(
-            _sleepscale_server(
-                f"atom-{index}",
-                atom,
-                seed=seed + xeon_servers + index,
-                backend=backend,
-                search=search,
-                # The front end provisions against the Atom parts' lower
-                # DVFS ceiling, so backlog estimates are speed-aware.
-                max_frequency=atom_frequency_ceiling,
-            )
-        )
+    chunk_jobs = int(args.chunk_jobs)
+    servers, counts = _mixed_fleet(
+        args, atom_frequency_ceiling=args.atom_frequency_ceiling
+    )
+    spec = workload_by_name(args.workload)
+    values = np.full(num_samples, args.utilization)
+    jobs = _trace_jobs(spec, values, "farm-scale", args.seed)
     dispatcher = PowerAwareDispatcher.from_power_models(
         [server.power_model for server in servers]
     )
     farm = ServerFarm(
-        servers=tuple(servers),
+        servers=servers,
         spec=spec,
         dispatcher=dispatcher,
         chunk_jobs=chunk_jobs or None,
     )
-    return BuiltScenario(
-        name="farm-scale",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "utilization": utilization,
-            "xeon_servers": xeon_servers,
-            "atom_servers": atom_servers,
-            "atom_frequency_ceiling": atom_frequency_ceiling,
-            "chunk_jobs": chunk_jobs,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    return spec, jobs, farm, {
+        "duration_minutes": num_samples,
+        **counts,
+        "chunk_jobs": chunk_jobs,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1059,100 +824,27 @@ def build_farm_scale(
         ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
     ),
 )
-def build_mega_farm(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    utilization: float,
-    xeon_servers: int,
-    atom_servers: int,
-    atom_frequency_ceiling: float,
-    epoch_minutes: float,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    for label, count in (("xeon_servers", xeon_servers), ("atom_servers", atom_servers)):
-        if count != int(count) or count < 0:
-            raise ScenarioError(
-                f"{label} must be a non-negative whole number, got {count}"
-            )
-    xeon_servers, atom_servers = int(xeon_servers), int(atom_servers)
-    if xeon_servers + atom_servers < 1:
+def build_mega_farm(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    _check_loads(args, "utilization")
+    _check_atom_frequency_ceiling(args)
+    if args.epoch_minutes <= 0:
         raise ScenarioError(
-            "need at least one server in total, got "
-            f"xeon_servers={xeon_servers}, atom_servers={atom_servers}"
+            f"epoch_minutes must be positive, got {args.epoch_minutes}"
         )
-    if not 0.0 < utilization <= 0.95:
-        raise ScenarioError(
-            f"utilization must lie in (0, 0.95], got {utilization}"
-        )
-    if not 0.0 < atom_frequency_ceiling <= 1.0:
-        raise ScenarioError(
-            f"atom_frequency_ceiling must lie in (0, 1], got {atom_frequency_ceiling}"
-        )
-    if epoch_minutes <= 0:
-        raise ScenarioError(
-            f"epoch_minutes must be positive, got {epoch_minutes}"
-        )
-    spec = workload_by_name(workload)
-    values = np.full(num_samples, utilization)
-    trace = UtilizationTrace(values, interval=minutes(1), name="mega-farm")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-
-    xeon = xeon_power_model()
-    atom = atom_power_model()
-    servers: list[ServerSpec] = []
-    for index in range(xeon_servers):
-        servers.append(
-            _sleepscale_server(
-                f"xeon-{index}",
-                xeon,
-                seed=seed + index,
-                backend=backend,
-                search=search,
-                epoch_minutes=epoch_minutes,
-            )
-        )
-    for index in range(atom_servers):
-        servers.append(
-            _sleepscale_server(
-                f"atom-{index}",
-                atom,
-                seed=seed + xeon_servers + index,
-                backend=backend,
-                search=search,
-                epoch_minutes=epoch_minutes,
-                max_frequency=atom_frequency_ceiling,
-            )
-        )
+    servers, counts = _mixed_fleet(
+        args,
+        epoch_minutes=args.epoch_minutes,
+        atom_frequency_ceiling=args.atom_frequency_ceiling,
+    )
+    spec = workload_by_name(args.workload)
+    values = np.full(num_samples, args.utilization)
+    jobs = _trace_jobs(spec, values, "mega-farm", args.seed)
     # Least-loaded (not power-aware) on purpose: every server stays active,
     # so the run's cost is dominated by the 64 independent per-server epoch
     # loops — exactly the work the process executor shards across cores.
-    farm = ServerFarm(
-        servers=tuple(servers),
-        spec=spec,
-        dispatcher=LeastLoadedDispatcher(),
-    )
-    return BuiltScenario(
-        name="mega-farm",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "utilization": utilization,
-            "xeon_servers": xeon_servers,
-            "atom_servers": atom_servers,
-            "atom_frequency_ceiling": atom_frequency_ceiling,
-            "epoch_minutes": epoch_minutes,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    farm = ServerFarm(servers=servers, spec=spec, dispatcher=LeastLoadedDispatcher())
+    return spec, jobs, farm, {"duration_minutes": num_samples, **counts}
 
 
 # ---------------------------------------------------------------------------
@@ -1178,15 +870,12 @@ class RaceToHaltStrategyFactory:
         return RaceToHaltStrategy(self.power_model, self.state)
 
 
-def _autoscale_server(
-    name: str,
-    power_model: ServerPowerModel,
-    *,
-    epoch_minutes: float = 1.0,
-) -> ServerSpec:
+def _autoscale_server(name: str, power_model: ServerPowerModel) -> ServerSpec:
     """A shallow-sleep race-to-halt server for the autoscale scenarios."""
     config = RuntimeConfig(
-        epoch_minutes=epoch_minutes, rho_b=_RHO_B, over_provisioning=0.35
+        epoch_minutes=_AUTOSCALE_EPOCH_MINUTES,
+        rho_b=_RHO_B,
+        over_provisioning=0.35,
     )
     return ServerSpec(
         name=name,
@@ -1197,45 +886,37 @@ def _autoscale_server(
     )
 
 
-def _autoscale_farm_and_controller(
-    servers: int,
-    spec: WorkloadSpec,
-    *,
-    policy: str,
-    setup_latency_s: float,
-    min_awake: float,
-    epoch_minutes: float = 1.0,
+def _autoscale_farm(
+    args: ScenarioArgs, servers: int, spec: WorkloadSpec
 ) -> ServerFarm:
     """A homogeneous shallow-sleep Xeon farm with an embedded controller."""
-    if policy not in CONTROLLER_POLICIES:
+    if args.policy not in CONTROLLER_POLICIES:
         raise ScenarioError(
             f"policy must be one of {', '.join(CONTROLLER_POLICIES)}, "
-            f"got {policy!r}"
+            f"got {args.policy!r}"
         )
-    if setup_latency_s < 0:
+    if args.setup_latency_s < 0:
         raise ScenarioError(
-            f"setup_latency_s must be >= 0, got {setup_latency_s}"
+            f"setup_latency_s must be >= 0, got {args.setup_latency_s}"
         )
+    min_awake = args.min_awake
     if min_awake != int(min_awake) or not 1 <= int(min_awake) <= servers:
         raise ScenarioError(
             f"min_awake must be a whole number in [1, {servers}], "
             f"got {min_awake}"
         )
     power_model = xeon_power_model()
-    specs = tuple(
-        _autoscale_server(
-            f"xeon-{index}", power_model, epoch_minutes=epoch_minutes
-        )
-        for index in range(servers)
-    )
     controller = FarmController(
-        policy=policy,
-        setup=SetupModel(latency_s=setup_latency_s),
+        policy=args.policy,
+        setup=SetupModel(latency_s=args.setup_latency_s),
         min_awake=int(min_awake),
-        epoch_minutes=epoch_minutes,
+        epoch_minutes=_AUTOSCALE_EPOCH_MINUTES,
     )
     return ServerFarm(
-        servers=specs,
+        servers=tuple(
+            _autoscale_server(f"xeon-{index}", power_model)
+            for index in range(servers)
+        ),
         spec=spec,
         dispatcher=LeastLoadedDispatcher(),
         controller=controller,
@@ -1261,52 +942,18 @@ def _autoscale_farm_and_controller(
         ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail"),
     ),
 )
-def build_autoscale_diurnal(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    trough_utilization: float,
-    peak_utilization: float,
-    servers: int,
-    policy: str,
-    setup_latency_s: float,
-    min_awake: int,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    spec = workload_by_name(workload)
-    values = _diurnal_values(num_samples, trough_utilization, peak_utilization)
-    trace = UtilizationTrace(values, interval=minutes(1), name="autoscale-diurnal")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-    farm = _autoscale_farm_and_controller(
-        servers,
-        spec,
-        policy=policy,
-        setup_latency_s=setup_latency_s,
-        min_awake=min_awake,
-    )
-    return BuiltScenario(
-        name="autoscale-diurnal",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "trough_utilization": trough_utilization,
-            "peak_utilization": peak_utilization,
-            "servers": servers,
-            "policy": policy,
-            "setup_latency_s": setup_latency_s,
-            "min_awake": int(min_awake),
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+def build_autoscale_diurnal(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _check_servers(args)
+    spec = workload_by_name(args.workload)
+    values = _diurnal_values(args, num_samples)
+    jobs = _trace_jobs(spec, values, "autoscale-diurnal", args.seed)
+    farm = _autoscale_farm(args, servers, spec)
+    return spec, jobs, farm, {
+        "duration_minutes": num_samples,
+        "servers": servers,
+        "min_awake": int(args.min_awake),
+    }
 
 
 @scenario(
@@ -1328,60 +975,21 @@ def build_autoscale_diurnal(
         ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail"),
     ),
 )
-def build_autoscale_surge(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    base_utilization: float,
-    surge_utilization: float,
-    servers: int,
-    policy: str,
-    setup_latency_s: float,
-    min_awake: int,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    if not 0.0 < base_utilization <= surge_utilization <= 0.95:
-        raise ScenarioError(
-            "need 0 < base_utilization <= surge_utilization <= 0.95, got "
-            f"[{base_utilization}, {surge_utilization}]"
-        )
-    spec = workload_by_name(workload)
-    values = np.full(num_samples, base_utilization)
-    values[num_samples // 3 : max(2 * num_samples // 3, num_samples // 3 + 1)] = (
-        surge_utilization
+def build_autoscale_surge(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _check_servers(args)
+    _check_loads(args, "base_utilization", "surge_utilization", ordered=True)
+    spec = workload_by_name(args.workload)
+    values = _middle_third(
+        num_samples, args.base_utilization, args.surge_utilization
     )
-    trace = UtilizationTrace(values, interval=minutes(1), name="autoscale-surge")
-    jobs = generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-    farm = _autoscale_farm_and_controller(
-        servers,
-        spec,
-        policy=policy,
-        setup_latency_s=setup_latency_s,
-        min_awake=min_awake,
-    )
-    return BuiltScenario(
-        name="autoscale-surge",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "base_utilization": base_utilization,
-            "surge_utilization": surge_utilization,
-            "servers": servers,
-            "policy": policy,
-            "setup_latency_s": setup_latency_s,
-            "min_awake": int(min_awake),
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    jobs = _trace_jobs(spec, values, "autoscale-surge", args.seed)
+    farm = _autoscale_farm(args, servers, spec)
+    return spec, jobs, farm, {
+        "duration_minutes": num_samples,
+        "servers": servers,
+        "min_awake": int(args.min_awake),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1410,49 +1018,19 @@ def build_autoscale_surge(
         ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from"),
     ),
 )
-def build_noisy_neighbor(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    victim_utilization: float,
-    crowd_utilization: float,
-    crowd_base_utilization: float,
-    crowd_start_minute: float,
-    crowd_minutes: float,
-    servers: int,
-    dispatcher: str,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    dispatcher = _check_dispatcher(dispatcher)
-    if servers < 2:
-        raise ScenarioError(
-            f"noisy-neighbor needs at least 2 servers (one per tenant), got {servers}"
-        )
-    for label, value in (
-        ("victim_utilization", victim_utilization),
-        ("crowd_utilization", crowd_utilization),
-        ("crowd_base_utilization", crowd_base_utilization),
-    ):
-        if not 0.0 < value <= 0.95:
-            raise ScenarioError(f"{label} must lie in (0, 0.95], got {value}")
-    start = int(round(crowd_start_minute))
-    length = int(round(crowd_minutes))
-    if start < 0 or length < 1:
-        raise ScenarioError(
-            f"crowd window [{start}, {start + length}) is invalid"
-        )
-    # Clip the window to the run so shrunken smoke runs keep their burst.
-    start = min(start, max(0, num_samples - length))
-    spec = workload_by_name(workload)
-    crowd_values = np.full(num_samples, crowd_base_utilization)
-    crowd_values[start : min(start + length, num_samples)] = crowd_utilization
-    victim_values = np.full(num_samples, victim_utilization)
+def build_noisy_neighbor(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _tenant_servers(args, "noisy-neighbor")
+    _check_loads(
+        args, "victim_utilization", "crowd_utilization", "crowd_base_utilization"
+    )
+    crowd_values, window = _crowd_values(
+        args, num_samples, args.crowd_base_utilization
+    )
+    spec = workload_by_name(args.workload)
+    victim_values = np.full(num_samples, args.victim_utilization)
     jobs = _labelled_tenant_jobs(
-        spec, [crowd_values, victim_values], seed=seed, name="noisy-neighbor"
+        args, spec, [crowd_values, victim_values], "noisy-neighbor"
     )
     farm_qos = FarmQos.per_tenant(
         TenantSpec(
@@ -1468,29 +1046,12 @@ def build_noisy_neighbor(
             priority=1,
         ),
     )
-    farm = _tenant_farm(
-        servers, spec, farm_qos, dispatcher, seed=seed, backend=backend, search=search
-    )
-    return BuiltScenario(
-        name="noisy-neighbor",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "victim_utilization": victim_utilization,
-            "crowd_utilization": crowd_utilization,
-            "crowd_base_utilization": crowd_base_utilization,
-            "crowd_start_minute": start,
-            "crowd_minutes": length,
-            "servers": servers,
-            "dispatcher": dispatcher,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    farm = _tenant_farm(args, servers, spec, farm_qos)
+    return spec, jobs, farm, {
+        "duration_minutes": num_samples,
+        **window,
+        "servers": servers,
+    }
 
 
 @scenario(
@@ -1513,48 +1074,22 @@ def build_noisy_neighbor(
         ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from"),
     ),
 )
-def build_tenant_surge(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    steady_utilization: float,
-    surge_base_utilization: float,
-    surge_utilization: float,
-    surge_weight: float,
-    servers: int,
-    dispatcher: str,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    dispatcher = _check_dispatcher(dispatcher)
-    if servers < 2:
+def build_tenant_surge(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _tenant_servers(args, "tenant-surge")
+    _check_loads(args, "surge_base_utilization", "surge_utilization", ordered=True)
+    _check_loads(args, "steady_utilization")
+    if not args.surge_weight > 0:
         raise ScenarioError(
-            f"tenant-surge needs at least 2 servers (one per tenant), got {servers}"
+            f"surge_weight must be positive, got {args.surge_weight}"
         )
-    if not 0.0 < surge_base_utilization <= surge_utilization <= 0.95:
-        raise ScenarioError(
-            "need 0 < surge_base_utilization <= surge_utilization <= 0.95, got "
-            f"[{surge_base_utilization}, {surge_utilization}]"
-        )
-    if not 0.0 < steady_utilization <= 0.95:
-        raise ScenarioError(
-            f"steady_utilization must lie in (0, 0.95], got {steady_utilization}"
-        )
-    if not surge_weight > 0:
-        raise ScenarioError(
-            f"surge_weight must be positive, got {surge_weight}"
-        )
-    spec = workload_by_name(workload)
-    steady_values = np.full(num_samples, steady_utilization)
-    surge_values = np.full(num_samples, surge_base_utilization)
-    surge_values[
-        num_samples // 3 : max(2 * num_samples // 3, num_samples // 3 + 1)
-    ] = surge_utilization
+    spec = workload_by_name(args.workload)
+    steady_values = np.full(num_samples, args.steady_utilization)
+    surge_values = _middle_third(
+        num_samples, args.surge_base_utilization, args.surge_utilization
+    )
     jobs = _labelled_tenant_jobs(
-        spec, [steady_values, surge_values], seed=seed, name="tenant-surge"
+        args, spec, [steady_values, surge_values], "tenant-surge"
     )
     farm_qos = FarmQos.per_tenant(
         TenantSpec(
@@ -1565,31 +1100,11 @@ def build_tenant_surge(
         TenantSpec(
             name="surge",
             qos=mean_qos_from_baseline(_RHO_B),
-            weight=surge_weight,
+            weight=args.surge_weight,
         ),
     )
-    farm = _tenant_farm(
-        servers, spec, farm_qos, dispatcher, seed=seed, backend=backend, search=search
-    )
-    return BuiltScenario(
-        name="tenant-surge",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "steady_utilization": steady_utilization,
-            "surge_base_utilization": surge_base_utilization,
-            "surge_utilization": surge_utilization,
-            "surge_weight": surge_weight,
-            "servers": servers,
-            "dispatcher": dispatcher,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    farm = _tenant_farm(args, servers, spec, farm_qos)
+    return spec, jobs, farm, {"duration_minutes": num_samples, "servers": servers}
 
 
 @scenario(
@@ -1612,51 +1127,30 @@ def build_tenant_surge(
         ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from"),
     ),
 )
-def build_priority_inversion(
-    *,
-    seed: int,
-    backend: str,
-    search: str,
-    duration_minutes: float,
-    interactive_utilization: float,
-    batch_on_utilization: float,
-    batch_off_utilization: float,
-    phase_minutes: float,
-    servers: int,
-    dispatcher: str,
-    workload: str,
-) -> BuiltScenario:
-    num_samples = _check_duration(duration_minutes)
-    servers = _check_servers(servers)
-    dispatcher = _check_dispatcher(dispatcher)
-    if servers < 2:
-        raise ScenarioError(
-            "priority-inversion needs at least 2 servers (one per tenant), "
-            f"got {servers}"
-        )
-    for label, value in (
-        ("interactive_utilization", interactive_utilization),
-        ("batch_on_utilization", batch_on_utilization),
-        ("batch_off_utilization", batch_off_utilization),
-    ):
-        if not 0.0 < value <= 0.95:
-            raise ScenarioError(f"{label} must lie in (0, 0.95], got {value}")
-    phase = int(round(phase_minutes))
+def build_priority_inversion(args: ScenarioArgs) -> BuilderResult:
+    num_samples = _check_duration(args)
+    servers = _tenant_servers(args, "priority-inversion")
+    _check_loads(
+        args,
+        "interactive_utilization",
+        "batch_on_utilization",
+        "batch_off_utilization",
+    )
+    phase = int(round(args.phase_minutes))
     if phase < 1:
         raise ScenarioError(
-            f"phase_minutes must be at least 1, got {phase_minutes}"
+            f"phase_minutes must be at least 1, got {args.phase_minutes}"
         )
-    spec = workload_by_name(workload)
+    spec = workload_by_name(args.workload)
     minute = np.arange(num_samples)
     batch_values = np.where(
-        (minute // phase) % 2 == 1, batch_on_utilization, batch_off_utilization
+        (minute // phase) % 2 == 1,
+        args.batch_on_utilization,
+        args.batch_off_utilization,
     ).astype(float)
-    interactive_values = np.full(num_samples, interactive_utilization)
+    interactive_values = np.full(num_samples, args.interactive_utilization)
     jobs = _labelled_tenant_jobs(
-        spec,
-        [batch_values, interactive_values],
-        seed=seed,
-        name="priority-inversion",
+        args, spec, [batch_values, interactive_values], "priority-inversion"
     )
     farm_qos = FarmQos.per_tenant(
         TenantSpec(
@@ -1672,25 +1166,9 @@ def build_priority_inversion(
             priority=1,
         ),
     )
-    farm = _tenant_farm(
-        servers, spec, farm_qos, dispatcher, seed=seed, backend=backend, search=search
-    )
-    return BuiltScenario(
-        name="priority-inversion",
-        spec=spec,
-        jobs=jobs,
-        farm=farm,
-        parameters={
-            "duration_minutes": num_samples,
-            "interactive_utilization": interactive_utilization,
-            "batch_on_utilization": batch_on_utilization,
-            "batch_off_utilization": batch_off_utilization,
-            "phase_minutes": phase,
-            "servers": servers,
-            "dispatcher": dispatcher,
-            "workload": workload,
-        },
-        backend=backend,
-        seed=seed,
-        search=search,
-    )
+    farm = _tenant_farm(args, servers, spec, farm_qos)
+    return spec, jobs, farm, {
+        "duration_minutes": num_samples,
+        "phase_minutes": phase,
+        "servers": servers,
+    }

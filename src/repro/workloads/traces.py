@@ -251,31 +251,49 @@ class UtilizationTrace:
     def from_csv(
         cls, path: str | Path, name: str | None = None
     ) -> "UtilizationTrace":
-        """Load a trace written by :meth:`to_csv` (or any compatible CSV)."""
+        """Load a trace written by :meth:`to_csv` (or any compatible CSV).
+
+        An unreadable file, a row without two numeric columns or a value
+        outside ``[0, 1]`` raises :class:`TraceError` naming the path.
+        """
         path = Path(path)
         times: list[float] = []
         values: list[float] = []
-        with path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise TraceError(f"{path} is empty")
-            for row in reader:
-                if not row:
-                    continue
-                times.append(float(row[0]))
-                values.append(float(row[1]))
+        try:
+            with path.open(newline="") as handle:
+                reader = csv.reader(handle)
+                header = next(reader, None)
+                if header is None:
+                    raise TraceError(f"{path} is empty")
+                for row in reader:
+                    if not row:
+                        continue
+                    try:
+                        times.append(float(row[0]))
+                        values.append(float(row[1]))
+                    except (IndexError, ValueError) as error:
+                        raise TraceError(
+                            f"{path} line {reader.line_num}: expected two "
+                            f"numeric columns, got {row}"
+                        ) from error
+        except (OSError, UnicodeDecodeError, csv.Error) as error:
+            # An OSError's strerror leaves out the path the message names.
+            reason = getattr(error, "strerror", None) or error
+            raise TraceError(f"cannot read trace {path}: {reason}") from error
         if len(values) < 2:
             raise TraceError(f"{path} contains fewer than two samples")
         intervals = np.diff(times)
         if np.any(intervals <= 0) or not np.allclose(intervals, intervals[0]):
             raise TraceError(f"{path} is not regularly sampled")
-        return cls(
-            values,
-            interval=float(intervals[0]),
-            start_time=float(times[0]),
-            name=name or path.stem,
-        )
+        try:
+            return cls(
+                values,
+                interval=float(intervals[0]),
+                start_time=float(times[0]),
+                name=name or path.stem,
+            )
+        except TraceError as error:
+            raise TraceError(f"{path}: {error}") from error
 
     @classmethod
     def from_values(

@@ -38,6 +38,23 @@ from repro.simulation.kernel import BACKEND_REFERENCE, BACKEND_VECTORIZED
 #: Overrides that shrink any scenario to a couple of seconds of wall clock.
 TINY = {"duration_minutes": 5}
 
+#: Parameters a builder may normalise to the whole number it actually used
+#: (rounded minutes and counts, a crowd window or trace length clipped to
+#: the run); every other parameter is reported exactly as resolved.
+NORMALISED = frozenset(
+    {
+        "duration_minutes",
+        "servers",
+        "xeon_servers",
+        "atom_servers",
+        "min_awake",
+        "chunk_jobs",
+        "phase_minutes",
+        "crowd_start_minute",
+        "crowd_minutes",
+    }
+)
+
 
 class TestRegistry:
     def test_at_least_six_scenarios_registered(self):
@@ -128,22 +145,46 @@ class TestRegistry:
             register_scenario(existing)
 
     def test_registering_and_removing_a_custom_scenario(self):
-        def build(*, seed, backend, **_):
-            return get_scenario("diurnal").build(seed=seed, backend=backend, **TINY)
+        def build(args):
+            diurnal = get_scenario("diurnal").build(
+                seed=args.seed, backend=args.backend, search=args.search, **TINY
+            )
+            return diurnal.spec, diurnal.jobs, diurnal.farm, {"knob": round(args.knob)}
 
         custom = Scenario(
             name="custom-test-only",
             description="registry round-trip fixture",
             builder=build,
-            parameters=(ScenarioParameter("knob", 1, "unused"),),
+            parameters=(ScenarioParameter("knob", 1, "rounded to a whole number"),),
         )
         register_scenario(custom)
         try:
             assert "custom-test-only" in available_scenarios()
-            built = get_scenario("custom-test-only").build()
+            built = get_scenario("custom-test-only").build(seed=4, knob=2.6)
             assert isinstance(built, BuiltScenario)
+            assert built.name == "custom-test-only"
+            assert built.description == "registry round-trip fixture"
+            assert built.parameters == {"knob": 3}
+            assert built.seed == 4
         finally:
             del _REGISTRY["custom-test-only"]
+
+    def test_builder_may_only_normalise_declared_parameters(self):
+        def build(args):
+            diurnal = get_scenario("diurnal").build(**TINY)
+            return diurnal.spec, diurnal.jobs, diurnal.farm, {"typo": 1}
+
+        custom = Scenario(name="normalises-a-typo", description="x", builder=build)
+        with pytest.raises(ScenarioError, match="undeclared parameter"):
+            custom.build()
+
+    def test_builder_arguments_are_read_only(self):
+        def build(args):
+            args.seed = 1
+
+        custom = Scenario(name="writes-its-args", description="x", builder=build)
+        with pytest.raises(AttributeError, match="read-only"):
+            custom.build()
 
     def test_catalog_matches_registry(self):
         catalog = scenario_catalog()
@@ -170,6 +211,27 @@ class TestEveryScenario:
         assert first.jobs == second.jobs
         assert first.num_jobs > 0
         assert first.parameters["duration_minutes"] == TINY["duration_minutes"]
+
+    def test_build_fills_parameters_and_build_arguments(self, name):
+        scenario_obj = get_scenario(name)
+        overrides = {"duration_minutes": 5.4}
+        built = scenario_obj.build(
+            seed=7, backend=BACKEND_REFERENCE, search="full", **overrides
+        )
+        resolved = {**scenario_obj.parameter_defaults(), **overrides}
+        assert list(built.parameters) == list(resolved)
+        for key, value in built.parameters.items():
+            if key in NORMALISED:
+                assert type(value) is int, key
+            else:
+                assert value == resolved[key], key
+        assert built.parameters["duration_minutes"] == 5
+        assert (built.seed, built.backend, built.search) == (
+            7,
+            BACKEND_REFERENCE,
+            "full",
+        )
+        assert built.description == scenario_obj.description
 
     def test_seed_changes_the_stream(self, name):
         first = get_scenario(name).build(seed=1, **TINY)
@@ -459,6 +521,16 @@ class TestCli:
         assert "list-scenarios" in output
 
 
+def _one_error_line(capsys) -> str:
+    """The single ``error:`` line a failed CLI run wrote, and nothing else."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
 class TestCliErrors:
     """User mistakes end in one ``error:`` line and a nonzero exit."""
 
@@ -468,19 +540,45 @@ class TestCliErrors:
             (["diurnal", "--set", "bogus=1"], "no parameter(s) ['bogus']"),
             (["diurnal", "--set", "peak_utilization=1.5"], "peak_utilization"),
             (["flash-crowd", "--set", "duration_minutes=0.5"], "duration_minutes"),
+            (["trace-replay", "--set", "scale=0"], "scale must be positive, got 0"),
+            (["trace-replay", "--set", "scale=-1"], "scale must be positive, got -1"),
         ],
-        ids=["unknown-parameter", "peak-utilization-range", "fractional-duration"],
+        ids=[
+            "unknown-parameter",
+            "peak-utilization-range",
+            "fractional-duration",
+            "zero-trace-scale",
+            "negative-trace-scale",
+        ],
     )
     def test_bad_override_prints_one_error_line(self, capsys, argv, message):
         from repro.experiments.runner import main
 
-        assert main(["run-scenario", *argv]) != 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert message in lines[0]
+        assert main(["run-scenario", *argv]) == 2
+        assert message in _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (None, "No such file or directory"),
+            ("time_s,utilization\n0,0.1\n60,abc\n", "line 3: expected two numeric"),
+            ("time_s,utilization\n0,0.1\n60\n", "line 3: expected two numeric"),
+        ],
+        ids=["missing-file", "non-numeric-cell", "short-row"],
+    )
+    def test_bad_trace_file_prints_one_error_line(
+        self, capsys, tmp_path, content, message
+    ):
+        from repro.experiments.runner import main
+
+        path = tmp_path / "trace.csv"
+        if content is not None:
+            path.write_text(content)
+        argv = ["run-scenario", "trace-replay", "--set", f"trace={path}"]
+        assert main(argv) == 2
+        line = _one_error_line(capsys)
+        assert str(path) in line
+        assert message in line
 
     @pytest.mark.parametrize(
         ("argv", "message"),

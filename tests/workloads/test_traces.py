@@ -139,6 +139,24 @@ class TestCsvRoundTrip:
         with pytest.raises(TraceError):
             UtilizationTrace.from_csv(path)
 
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (None, "cannot read trace"),
+            ("time_s,utilization\n0,0.1\n60,abc\n", "line 3"),
+            ("time_s,utilization\n0,0.1\n60\n", "line 3"),
+            ("time_s,utilization\n0,0.1\n60,1.5\n", "must lie in"),
+        ],
+        ids=["missing-file", "non-numeric-cell", "short-row", "out-of-range"],
+    )
+    def test_from_csv_names_the_path_of_bad_input(self, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(TraceError, match=message) as error:
+            UtilizationTrace.from_csv(path)
+        assert str(path) in str(error.value)
+
 
 class TestSyntheticTraces:
     def test_email_store_range_matches_paper(self):
