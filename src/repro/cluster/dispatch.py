@@ -65,10 +65,8 @@ the dispatcher state across arrival-ordered chunks, so splitting one trace
 into chunks yields exactly the same assignment as one-shot
 :meth:`JobDispatcher.assign` (the work-tracking
 assigners raise :class:`~repro.exceptions.TraceError` on any other order).
-This is what
-:meth:`ServerFarm.run(..., chunk_jobs=...) <repro.cluster.farm.ServerFarm.run>`
-uses to stream million-job traces without materialising every per-server
-array at once.
+The default :meth:`JobDispatcher.assign`, the farm controller's per-regime
+dispatch and the tenancy dispatchers' per-tenant routing all go through it.
 
 All dispatchers return per-server :class:`~repro.workloads.jobs.JobTrace`
 objects with absolute arrival times preserved, so the per-server runtimes
@@ -180,8 +178,8 @@ def group_by_server(
     argsort is stable, so within each server the jobs keep their order:
     ``grouped[k][ranges[s]]`` equals ``arrays[k][assignment == s]`` bit for
     bit.  This is the only per-server split: :meth:`JobDispatcher.dispatch`
-    and the farm's one-shot, controlled, chunked and process-sharded runs
-    all go through it.
+    and the farm's serial, controlled and process-sharded runs all go
+    through it.
     """
     counts = np.bincount(assignment, minlength=num_servers).tolist()
     order = np.argsort(assignment, kind="stable")
@@ -254,7 +252,7 @@ class JobDispatcher(abc.ABC):
         """
         raise ConfigurationError(
             f"{type(self).__name__} does not support streaming dispatch; "
-            "override assigner() to enable chunked farm runs"
+            "override assigner() to enable controlled and per-tenant farm runs"
         )
 
     def assign(
@@ -479,8 +477,8 @@ class RandomDispatcher(JobDispatcher):
 # ---------------------------------------------------------------------------
 
 
-#: Jobs per heap-step burst: bounds the per-burst Python lists (whole-chunk
-#: bursts raise peak memory on large streamed chunks).
+#: Jobs per burst of the per-job assigners: bounds the per-burst Python lists
+#: (one whole-trace list costs ~80 B/job on million-job traces).
 _BURST = 4096
 
 
@@ -589,7 +587,9 @@ class _PowerAwareAssigner(StreamAssigner):
 
     Each job goes to the first server in *ranking* whose estimated finish
     time is at most ``arrival + threshold``; when none qualifies it goes to
-    the globally least-loaded server.
+    the globally least-loaded server.  Jobs are stepped in bursts of
+    :data:`_BURST`, like the heap assigner, so a million-job trace never
+    becomes one Python list.
     """
 
     def __init__(
@@ -605,27 +605,36 @@ class _PowerAwareAssigner(StreamAssigner):
         self._threshold = threshold
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        arrivals = self._ordered_arrivals(arrival_times).tolist()
-        demands = np.asarray(service_demands, dtype=float).tolist()
+        arrivals = self._ordered_arrivals(arrival_times)
+        demands = np.ascontiguousarray(service_demands, dtype=float)
+        count = len(arrivals)
+        assignment = np.empty(count, dtype=np.int64)
         busy_until = self._tracker.busy_until
         factors = self._tracker.time_factors
         ranking = self._ranking
         threshold = self._threshold
-        servers: list[int] = []
-        append = servers.append
-        for arrival, demand in zip(arrivals, demands, strict=True):
-            cutoff = arrival + threshold
-            for server in ranking:
-                busy = busy_until[server]
-                if busy <= cutoff:
-                    break
-            else:
-                busy = min(busy_until)
-                server = busy_until.index(busy)
-            # ``WorkTracker.charge`` inlined on the ``busy`` just read.
-            busy_until[server] = (arrival if arrival > busy else busy) + demand * factors[server]
-            append(server)
-        return np.array(servers, dtype=np.int64)
+        for index in range(0, count, _BURST):
+            stop = min(count, index + _BURST)
+            servers: list[int] = []
+            append = servers.append
+            for arrival, demand in zip(
+                arrivals[index:stop].tolist(), demands[index:stop].tolist(), strict=True
+            ):
+                cutoff = arrival + threshold
+                for server in ranking:
+                    busy = busy_until[server]
+                    if busy <= cutoff:
+                        break
+                else:
+                    busy = min(busy_until)
+                    server = busy_until.index(busy)
+                # ``WorkTracker.charge`` inlined on the ``busy`` just read.
+                busy_until[server] = (
+                    (arrival if arrival > busy else busy) + demand * factors[server]
+                )
+                append(server)
+            assignment[index:stop] = servers
+        return assignment
 
 
 class PowerAwareDispatcher(JobDispatcher):

@@ -19,10 +19,9 @@ strategy/predictor factories.
 
 Execution model — one pipeline:
 
-1. an *assignment* (job → server) comes from the dispatcher, from the
-   controller's per-regime masked dispatch, or chunk by chunk from the
-   dispatcher's streaming assigner (the front end sees arrival times and
-   nominal service demands only — never DVFS or sleep decisions);
+1. an *assignment* (job → server) comes from the dispatcher or from the
+   controller's per-regime masked dispatch (the front end sees arrival
+   times and nominal service demands only — never DVFS or sleep decisions);
 2. :func:`~repro.cluster.dispatch.group_by_server` splits the jobs into
    per-server contiguous ranges with one stable argsort, so each server
    keeps its jobs in arrival order;
@@ -40,12 +39,9 @@ linearly with the number of servers — the "controlling the overall queuing
 simulation overhead" concern the paper raises — which the ablation benchmark
 quantifies through the recorded wall-clock cost per run.
 
-Streaming farm runs: with ``chunk_jobs`` set (field or ``run`` argument) a
-serial farm dispatches and feeds per-server epoch loops in arrival-ordered
-chunks through :class:`~repro.core.runtime.RuntimeSession`, never
-materialising all per-server job arrays at once — million-job traces stream
-through in bounded memory and produce results identical to the one-shot path
-(pinned by ``tests/cluster/test_farm_streaming.py``).
+Every run takes this one path over the whole trace, so the trace and its
+per-server grouping must fit in memory; the ``"mmap"`` trace backend moves
+the trace's own arrays to disk but not the grouped copy.
 
 Farm-level QoS: each server derives its response-time budget from its own
 ``rho_b``; the farm reports against the *strictest* (smallest) per-server
@@ -79,7 +75,7 @@ from repro.cluster.tenancy import (
 )
 from repro.concurrency import Executor, ProcessExecutor, resolve_executor
 from repro.core.epoch import RuntimeResult
-from repro.core.runtime import RuntimeConfig, RuntimeSession, SleepScaleRuntime
+from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.strategies import PowerManagementStrategy
 from repro.exceptions import ConfigurationError
 from repro.power.platform import ServerPowerModel
@@ -578,9 +574,6 @@ class ServerFarm:
         factory must then be picklable — and produces bit-identical results
         to the serial path (pinned by
         ``tests/cluster/test_executor_parity.py``).
-    chunk_jobs:
-        When set, :meth:`run` streams the trace through the farm in
-        arrival-ordered chunks of this many jobs (see :meth:`run`).
     trace_backend:
         Where the trace's arrays live while the farm runs (``"memory"`` or
         ``"mmap"`` — see :mod:`repro.workloads.storage`).  ``"mmap"``
@@ -600,9 +593,7 @@ class ServerFarm:
         result carries awake counts, wake transitions and setup energy.
         A setup-free ``always-on`` controller is bit-identical to no
         controller at all (pinned by
-        ``tests/cluster/test_controller_parity.py``).  Controlled runs
-        always dispatch one-shot; ``chunk_jobs`` is ignored (chunked and
-        one-shot runs are pinned identical, so nothing is lost).
+        ``tests/cluster/test_controller_parity.py``).
     qos:
         The farm-level QoS contract — the single keyword-only entry point
         that replaces the historically scattered per-call qos plumbing.
@@ -619,7 +610,6 @@ class ServerFarm:
     dispatcher: JobDispatcher = field(default_factory=RoundRobinDispatcher)
     max_workers: int | None = None
     executor: Executor | str | None = None
-    chunk_jobs: int | None = None
     trace_backend: str = TRACE_BACKEND_MEMORY
     controller: FarmController | None = None
     qos: FarmQos | None = field(default=None, kw_only=True)
@@ -644,10 +634,6 @@ class ServerFarm:
         # typo'd executor fails at construction, not mid-run.
         resolve_executor(self.executor, self.max_workers)
         validate_trace_backend(self.trace_backend)
-        if self.chunk_jobs is not None and self.chunk_jobs < 1:
-            raise ConfigurationError(
-                f"chunk_jobs must be at least 1, got {self.chunk_jobs}"
-            )
         names = [server.name for server in self.servers]
         if len(set(names)) != len(names):
             raise ConfigurationError(
@@ -675,7 +661,7 @@ class ServerFarm:
         index and frozen per slot into :class:`PerIndexFactory` objects, so
         the farm stays picklable for the process executor whenever the
         factories are.  *farm_fields* (``dispatcher``, ``executor``,
-        ``chunk_jobs``, ``qos``, ...) are passed to the constructor.
+        ``controller``, ``qos``, ...) are passed to the constructor.
         """
         servers = tuple(
             ServerSpec(
@@ -730,14 +716,9 @@ class ServerFarm:
         self,
         per_server: Sequence[RuntimeResult | None],
         horizon: float,
-        spare_runtimes: Sequence[SleepScaleRuntime] | None = None,
         parked_seconds: Sequence[float] | None = None,
     ) -> list[float]:
         """Sleep-walk energy for servers the dispatcher parked entirely.
-
-        *spare_runtimes* lets the chunked path reuse the (never-fed, hence
-        still fresh) runtimes it already built instead of invoking the
-        factories a second time.
 
         *parked_seconds* (controlled runs) is the span the controller held
         each server in the deep-parked state: that span is charged once at
@@ -756,12 +737,7 @@ class ServerFarm:
                 if parked_seconds is not None
                 else 0.0
             )
-            runtime = (
-                spare_runtimes[index]
-                if spare_runtimes is not None
-                else self._build_runtime(index)
-            )
-            idle_run = runtime.run(JobTrace.empty(), horizon=horizon)
+            idle_run = self._build_runtime(index).run(JobTrace.empty(), horizon=horizon)
             idle_energies[index] = prorated_idle_energy(
                 idle_run.total_energy,
                 idle_run.total_duration,
@@ -805,12 +781,11 @@ class ServerFarm:
     def _assemble_result(
         self,
         per_server: list[RuntimeResult | None],
-        spare_runtimes: Sequence[SleepScaleRuntime] | None = None,
         *,
         schedule: ControllerSchedule | None = None,
         setup_energy: float = 0.0,
-        jobs: JobTrace | None = None,
-        assignment: np.ndarray | None = None,
+        jobs: JobTrace,
+        assignment: np.ndarray,
     ) -> FarmResult:
         if all(result is None for result in per_server):
             raise ConfigurationError("no server received any job")
@@ -828,15 +803,14 @@ class ServerFarm:
             result.total_duration for result in per_server if result is not None
         )
         tenancy = None
-        if jobs is not None and assignment is not None:
-            labels = self._tenant_labels(jobs)
-            if labels is not None:
-                assert isinstance(self.qos, FarmQos)
-                tenancy = TenancyAccounting(
-                    qos=self.qos,
-                    tenant_ids=labels,
-                    assignment=np.asarray(assignment, dtype=np.int64),
-                )
+        labels = self._tenant_labels(jobs)
+        if labels is not None:
+            assert isinstance(self.qos, FarmQos)
+            tenancy = TenancyAccounting(
+                qos=self.qos,
+                tenant_ids=labels,
+                assignment=np.asarray(assignment, dtype=np.int64),
+            )
         return FarmResult(
             per_server=tuple(per_server),
             mean_service_time=self.spec.mean_service_time,
@@ -846,7 +820,6 @@ class ServerFarm:
                 self._idle_energies(
                     per_server,
                     horizon,
-                    spare_runtimes,
                     parked_seconds=(
                         schedule.parked_seconds if schedule is not None else None
                     ),
@@ -860,27 +833,8 @@ class ServerFarm:
             tenancy=tenancy,
         )
 
-    def run(self, jobs: JobTrace, *, chunk_jobs: int | None = None) -> FarmResult:
-        """Dispatch *jobs* across the farm and run every server's epoch loop.
-
-        With ``chunk_jobs`` (argument, or the field as default; ``0`` forces
-        one-shot) the trace is dispatched and fed to the per-server epoch
-        loops in arrival-ordered chunks of that many jobs: the dispatcher's
-        :class:`~repro.cluster.dispatch.StreamAssigner` carries its state
-        across chunks and every server consumes its share through a
-        :class:`~repro.core.runtime.RuntimeSession`, so no per-server copy
-        of the whole stream ever exists.  Chunked and one-shot runs produce
-        identical results, so controlled and process-sharded runs, which
-        need the whole assignment up front, ignore ``chunk_jobs``.
-        """
-        if chunk_jobs is None:
-            chunk_jobs = self.chunk_jobs
-        elif chunk_jobs == 0:
-            chunk_jobs = None
-        elif chunk_jobs < 1:
-            raise ConfigurationError(
-                f"chunk_jobs must be at least 1, got {chunk_jobs}"
-            )
+    def run(self, jobs: JobTrace) -> FarmResult:
+        """Dispatch *jobs* across the farm and run every server's epoch loop."""
         if (
             self.trace_backend == TRACE_BACKEND_MMAP
             and len(jobs) > 0
@@ -899,25 +853,14 @@ class ServerFarm:
                     # The on-disk (2, n) format carries arrivals and demands
                     # only; tenant labels stay in memory across the spill.
                     spilled = spilled.with_tenant_ids(jobs.tenant_ids)
-                return self._run_resolved(spilled, chunk_jobs)
-        return self._run_resolved(jobs, chunk_jobs)
+                return self._run_resolved(spilled)
+        return self._run_resolved(jobs)
 
-    def _run_resolved(self, jobs: JobTrace, chunk_jobs: int | None) -> FarmResult:
-        # Fail fast on a per-tenant farm fed a mislabelled trace, whatever
-        # run path is about to execute.
+    def _run_resolved(self, jobs: JobTrace) -> FarmResult:
+        # Fail fast on a per-tenant farm fed a mislabelled trace, before
+        # any dispatch or epoch loop runs.
         self._tenant_labels(jobs)
         executor = self._resolve_executor()
-        if (
-            chunk_jobs is not None
-            and chunk_jobs < len(jobs)
-            and self.controller is None
-            and not isinstance(executor, ProcessExecutor)
-        ):
-            return self._run_chunked(jobs, chunk_jobs)
-        # Everything else runs one-shot: the controller's schedule is a pure
-        # function of the full trace, and process sharding ships each
-        # server's whole range across the process boundary once (chunked
-        # and one-shot runs are pinned identical, so nothing is lost).
         schedule: ControllerSchedule | None = None
         setup_energy = 0.0
         if self.controller is None:
@@ -1059,75 +1002,3 @@ class ServerFarm:
                 for index in active
             ]
             return executor.map(run_server_shard, tasks)
-
-    def _run_chunked(self, jobs: JobTrace, chunk_jobs: int) -> FarmResult:
-        """Stream *jobs* through the farm in arrival-ordered chunks, serially."""
-        assigner = self.dispatcher.assigner(
-            self.num_servers,
-            server_speeds=self.dispatch_speeds,
-            total_jobs=len(jobs),
-            mean_service_demand=(
-                jobs.mean_service_demand if len(jobs) > 0 else None
-            ),
-            tenant_ids=jobs.tenant_ids,
-        )
-        # Per-tenant accounting needs the full assignment; accumulate the
-        # per-chunk assignments only when a per-tenant FarmQos asks for it
-        # (the chunked path otherwise never materialises the whole array).
-        keep_assignment = (
-            isinstance(self.qos, FarmQos) and self.qos.is_per_tenant
-        )
-        assignment_chunks: list[np.ndarray] = []
-        runtimes = [self._build_runtime(index) for index in range(self.num_servers)]
-        sessions: list[RuntimeSession] = [runtime.stream() for runtime in runtimes]
-        fed_jobs = [0] * self.num_servers
-
-        arrivals = jobs.arrival_times
-        demands = jobs.service_demands
-        for start in range(0, len(jobs), chunk_jobs):
-            chunk_arrivals = arrivals[start : start + chunk_jobs]
-            chunk_demands = demands[start : start + chunk_jobs]
-            assignment = np.asarray(
-                assigner.assign_chunk(chunk_arrivals, chunk_demands)
-            )
-            if assignment.shape != (len(chunk_arrivals),):
-                raise ConfigurationError(
-                    "dispatcher returned an assignment of the wrong shape"
-                )
-            if (
-                assignment.min(initial=0) < 0
-                or assignment.max(initial=0) >= self.num_servers
-            ):
-                raise ConfigurationError(
-                    "dispatcher assigned a job to a non-existent server"
-                )
-            if keep_assignment:
-                assignment_chunks.append(
-                    np.asarray(assignment, dtype=np.int64).copy()
-                )
-            (grouped_arrivals, grouped_demands), ranges = group_by_server(
-                assignment, self.num_servers, chunk_arrivals, chunk_demands
-            )
-            for server, bounds in enumerate(ranges):
-                if bounds is not None:
-                    sessions[server].feed(
-                        grouped_arrivals[bounds], grouped_demands[bounds]
-                    )
-                    fed_jobs[server] += bounds.stop - bounds.start
-        if not any(fed_jobs):
-            raise ConfigurationError("no server received any job")
-        per_server: list[RuntimeResult | None] = [
-            session.finish() if fed else None
-            for session, fed in zip(sessions, fed_jobs, strict=True)
-        ]
-        # Parked servers' runtimes were built but never fed — reuse them for
-        # the idle accounting instead of invoking the factories again.
-        full_assignment = (
-            np.concatenate(assignment_chunks) if assignment_chunks else None
-        )
-        return self._assemble_result(
-            per_server,
-            spare_runtimes=runtimes,
-            jobs=jobs if keep_assignment else None,
-            assignment=full_assignment,
-        )

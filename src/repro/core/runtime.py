@@ -33,10 +33,7 @@ flushes the rest and assembles the :class:`~repro.core.epoch.RuntimeResult`.
 :meth:`SleepScaleRuntime.run` is literally ``stream() -> feed(all jobs) ->
 finish()``, so the one-shot and streamed paths cannot drift apart — a trace
 fed in chunks produces the same result as the same trace fed whole (pinned
-by ``tests/core/test_runtime_stream.py``).  Chunked farm runs
-(:meth:`repro.cluster.farm.ServerFarm.run` with ``chunk_jobs``) rely on this
-to simulate million-job traces without materialising every per-server
-stream up front.
+by ``tests/core/test_runtime_stream.py``).
 """
 
 from __future__ import annotations

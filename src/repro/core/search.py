@@ -26,10 +26,14 @@ is checked before a column winner is accepted.  A violated certificate
 falls the column back to exhaustive evaluation; when no column has a
 feasible candidate at all, the engine falls back to the exhaustive grid so
 the infeasible ranking (largest slack, NaN-aware) also matches the oracle.
-The selected ``PolicySelection.policy`` therefore always equals the
-full-grid search on the same inputs, which ``tests/core/test_search.py``
-fuzzes and ``tests/scenarios/test_default_search_parity.py`` pins, epoch by
-epoch, on every registered scenario.
+The selected ``PolicySelection.policy`` equals the full-grid search on the
+same inputs wherever the certificate holds: the winner walk sweeps every
+index within ``_WALK_BAND`` of the located minimum, and the certificate
+treats only pairs within ``_FLAT_BAND`` as direction-free.  A cheaper
+valley behind a bump the walk does not cross is not seen, so this is not a
+guarantee on every power curve.  ``tests/core/test_search.py`` fuzzes the
+equality and ``tests/scenarios/test_default_search_parity.py`` pins it,
+epoch by epoch, on every registered scenario.
 
 Contract notes (see ``docs/ARCHITECTURE.md``):
 

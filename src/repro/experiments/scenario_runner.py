@@ -449,7 +449,6 @@ def run_scenario(
     search: str = DEFAULT_SEARCH,
     executor: Executor | str | None = None,
     max_workers: int | None = None,
-    chunk_jobs: int | None = None,
     trace_backend: str | None = None,
     controller: FarmController | str | None = None,
     setup_latency_s: float | None = None,
@@ -469,9 +468,7 @@ def run_scenario(
     the schema carries no executor field).  *trace_backend* selects where
     the trace's arrays live while the farm runs (``"memory"``/``"mmap"``;
     storage is result-invisible like the executor, so the schema carries
-    no backend field either).  *chunk_jobs* overrides the farm's
-    streaming chunk size (``0`` forces a one-shot run even if the scenario
-    configured chunking).  *controller* attaches a farm-level right-sizing
+    no backend field either).  *controller* attaches a farm-level right-sizing
     controller (a :class:`~repro.cluster.controller.FarmController` or a
     policy name — with a name, *setup_latency_s*, *setup_energy_j* and
     *min_awake* flesh out its :class:`~repro.cluster.controller.SetupModel`),
@@ -537,10 +534,6 @@ def run_scenario(
         # dataclasses.replace re-runs ServerFarm.__post_init__, so an invalid
         # worker count is rejected rather than silently running serially.
         farm = dataclasses.replace(farm, max_workers=max_workers)
-    if chunk_jobs is not None:
-        farm = dataclasses.replace(
-            farm, chunk_jobs=None if chunk_jobs == 0 else chunk_jobs
-        )
     isolation_rows: tuple[TenantIsolation, ...] | None = None
     if isolation:
         farm_qos = farm.qos
@@ -761,24 +754,14 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--chunk-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "stream the trace through the farm in arrival-ordered chunks of "
-            "N jobs (0 forces a one-shot run); results are identical either way"
-        ),
-    )
-    parser.add_argument(
         "--trace-backend",
         choices=list(TRACE_BACKENDS),
         default=None,
         help=(
             "where the trace's arrays live while the farm runs: 'memory' "
-            "(default) or 'mmap' (trace memory-mapped from a .npy file, for "
-            "larger-than-RAM runs; process shards then carry constant-size "
-            "file descriptors); results are identical whichever is selected"
+            "(default) or 'mmap' (trace memory-mapped from a .npy file; "
+            "process shards then carry constant-size file descriptors); "
+            "results are identical whichever is selected"
         ),
     )
     parser.add_argument(
@@ -859,10 +842,6 @@ def main(argv: list[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
     if arguments.workers is not None and arguments.workers < 1:
         parser.error(f"--workers must be at least 1, got {arguments.workers}")
-    if arguments.chunk_jobs is not None and arguments.chunk_jobs < 0:
-        parser.error(
-            f"--chunk-jobs must be non-negative, got {arguments.chunk_jobs}"
-        )
 
     try:
         overrides = dict(_parse_override(item) for item in arguments.overrides)
@@ -873,7 +852,6 @@ def main(argv: list[str] | None = None) -> int:
             search=arguments.search_mode,
             executor=arguments.executor,
             max_workers=arguments.workers,
-            chunk_jobs=arguments.chunk_jobs,
             trace_backend=arguments.trace_backend,
             controller=arguments.controller,
             setup_latency_s=arguments.setup_latency,

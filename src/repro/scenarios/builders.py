@@ -18,9 +18,8 @@ axis of the joint speed-scaling + sleep-state problem:
                           Figure 7 traces, or any CSV in the same format)
 ``heterogeneous-farm``    mixed Xeon + Atom fleet behind a power-aware
                           dispatcher — farm-level energy proportionality
-``farm-scale``            million-job stream over 16 mixed Xeon/Atom servers,
-                          dispatched power-aware and fed to the per-server
-                          epoch loops in chunks
+``farm-scale``            million-job trace over 16 mixed Xeon/Atom servers,
+                          dispatched power-aware in one pass
 ``mega-farm``             64 mixed Xeon/Atom servers with short epochs — the
                           multi-core regime the process executor targets
                           (``run-scenario mega-farm --executor process``)
@@ -754,10 +753,10 @@ def build_heterogeneous_farm(args: ScenarioArgs) -> BuilderResult:
 @scenario(
     name="farm-scale",
     description=(
-        "Constant heavy load streamed over a 16-server mixed Xeon/Atom fleet: "
-        "the speed-aware heap dispatcher assigns ~1M jobs (at defaults) and "
-        "the farm consumes them in arrival-ordered chunks, never "
-        "materialising every per-server stream at once."
+        "Constant heavy load over a 16-server mixed Xeon/Atom fleet: the "
+        "speed-aware power-aware dispatcher packs ~1M jobs (at defaults) "
+        "onto the most efficient servers, and every server runs its epoch "
+        "loop over its share of the trace."
     ),
     parameters=(
         ScenarioParameter("duration_minutes", 80, "length of the run (~1M Google-like jobs at defaults)"),
@@ -765,7 +764,6 @@ def build_heterogeneous_farm(args: ScenarioArgs) -> BuilderResult:
         ScenarioParameter("xeon_servers", 8, "number of Xeon-class servers"),
         ScenarioParameter("atom_servers", 8, "number of Atom-class servers"),
         ScenarioParameter("atom_frequency_ceiling", 0.7, "DVFS ceiling the dispatcher assumes for Atom-class servers"),
-        ScenarioParameter("chunk_jobs", 32768, "dispatch/feed chunk size in jobs; 0 runs one-shot"),
         ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
     ),
 )
@@ -773,11 +771,6 @@ def build_farm_scale(args: ScenarioArgs) -> BuilderResult:
     num_samples = _check_duration(args)
     _check_loads(args, "utilization")
     _check_atom_frequency_ceiling(args)
-    if args.chunk_jobs != int(args.chunk_jobs) or args.chunk_jobs < 0:
-        raise ScenarioError(
-            f"chunk_jobs must be a non-negative whole number, got {args.chunk_jobs}"
-        )
-    chunk_jobs = int(args.chunk_jobs)
     servers, counts = _mixed_fleet(
         args, atom_frequency_ceiling=args.atom_frequency_ceiling
     )
@@ -787,17 +780,8 @@ def build_farm_scale(args: ScenarioArgs) -> BuilderResult:
     dispatcher = PowerAwareDispatcher.from_power_models(
         [server.power_model for server in servers]
     )
-    farm = ServerFarm(
-        servers=servers,
-        spec=spec,
-        dispatcher=dispatcher,
-        chunk_jobs=chunk_jobs or None,
-    )
-    return spec, jobs, farm, {
-        "duration_minutes": num_samples,
-        **counts,
-        "chunk_jobs": chunk_jobs,
-    }
+    farm = ServerFarm(servers=servers, spec=spec, dispatcher=dispatcher)
+    return spec, jobs, farm, {"duration_minutes": num_samples, **counts}
 
 
 # ---------------------------------------------------------------------------

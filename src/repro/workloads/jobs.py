@@ -481,11 +481,10 @@ class JobTrace:
         """Load a trace written by :meth:`to_file`.
 
         With ``mmap=True`` (default) the trace's arrays are read-only views
-        of a :class:`numpy.memmap`, so a trace larger than RAM can stream
-        through ``ServerFarm.run(chunk_jobs=...)`` — only the pages a chunk
-        touches are resident.  Validation runs the usual trace invariants in
-        bounded-memory chunks; pass ``validate=False`` only for files this
-        process (or an equally trusted one) wrote from a validated trace.
+        of a :class:`numpy.memmap` (the ``"mmap"`` trace backend's form).
+        Validation runs the usual trace invariants in bounded-memory chunks;
+        pass ``validate=False`` only for files this process (or an equally
+        trusted one) wrote from a validated trace.
         """
         from repro.workloads.storage import TraceBuffer
 

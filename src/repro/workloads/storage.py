@@ -14,9 +14,9 @@ per farm.  The ``trace_backend`` knob (on
   trace to disk, publishes its server-grouped arrays into a
   :class:`SharedTraceArena` once, and process shards carry only
   :class:`ArrayDescriptor`\\ s — ``(path, offset, length)`` tuples of
-  constant size — that workers resolve with one contiguous copy.  The same
-  file form lets traces larger than RAM stream through chunked farm runs
-  (``JobTrace.to_file``/``from_file`` + ``ServerFarm.run(chunk_jobs=...)``).
+  constant size — that workers resolve with one contiguous copy.  A farm
+  run still dispatches and groups the whole trace in memory, so the trace
+  must fit in RAM on either backend.
 
 The arena is an owned temporary directory: ``with SharedTraceArena() as
 arena`` deletes every file it published on exit, including when a worker
@@ -72,9 +72,9 @@ def validate_trace_arrays(
 
     Identical checks to the trusting-nothing constructor — finite,
     non-negative, arrivals non-decreasing — but streamed ``chunk`` elements
-    at a time, so validating a memory-mapped trace larger than RAM stays in
-    bounded memory (``np.isfinite`` over the whole array would materialise
-    an O(n) boolean mask).
+    at a time, so validating a memory-mapped trace stays in bounded memory
+    (``np.isfinite`` over the whole array would materialise an O(n) boolean
+    mask).
     """
     if arrivals.ndim != 1 or demands.ndim != 1:
         raise TraceError("arrival times and service demands must be 1-D")
@@ -213,7 +213,7 @@ class TraceBuffer:
     The array-level substrate of :class:`~repro.workloads.jobs.JobTrace`
     persistence: :meth:`write_file` / :meth:`from_file` give the ``.npy``
     on-disk form (one ``(2, n)`` float64 array: row 0 arrivals, row 1
-    demands) that memory-mapped, larger-than-RAM traces stream from.
+    demands) that memory-mapped traces are read from.
     """
 
     def __init__(self, arrivals: np.ndarray, demands: np.ndarray):
@@ -254,9 +254,8 @@ class TraceBuffer:
         """Open a trace file written by :meth:`write_file`.
 
         With ``mmap=True`` (default) the arrays are read-only views of a
-        :class:`numpy.memmap` — only the pages a farm run actually touches
-        are ever resident, so traces larger than RAM stream through
-        ``ServerFarm.run(chunk_jobs=...)``.  ``mmap=False`` loads eagerly.
+        :class:`numpy.memmap`, paged in as a farm run reads them.
+        ``mmap=False`` loads eagerly.
         """
         path = Path(path)
         if not path.exists():

@@ -157,18 +157,6 @@ class TestControllerPlumbing:
         with pytest.raises(ScenarioError, match="FarmController"):
             get_scenario("diurnal").build(controller=object())
 
-    def test_chunked_controlled_run_matches_one_shot(self):
-        """Controlled runs always plan over the full trace: chunk_jobs is
-        documented as ignored, so a chunked call must be bit-identical."""
-        overrides = _tiny_overrides("diurnal")
-        scenario = get_scenario("diurnal")
-        one_shot = scenario.build(controller=_free_always_on(), **overrides)
-        chunked = scenario.build(controller=_free_always_on(), **overrides)
-        assert_farm_results_identical(
-            one_shot.run(),
-            chunked.farm.run(chunked.jobs, chunk_jobs=64),
-        )
-
     def test_homogeneous_farm_threads_the_controller_through(self):
         from repro.cluster.farm import ServerFarm
         from repro.core.runtime import RuntimeConfig

@@ -7,7 +7,8 @@ produce **byte-identical** assignments on its ``"heap"`` (fast) and
 speed models and crafted tie cases.  ``PowerAwareDispatcher`` has one
 engine; its assignments on the same grid are pinned to recorded SHA-256
 digests (``power_aware_golden.json``), and on a wide mixed fleet to a
-reference scan written on ``WorkTracker.charge``.  Streaming assignment
+reference scan written on ``WorkTracker.charge``; one-shot power-aware
+assignment peaks at a bounded number of bytes per job.  Streaming assignment
 (chunked) must be identical to one-shot assignment for *every* dispatcher,
 and every work-tracking assigner rejects chunks out of arrival order.  The
 heterogeneity-blind backlog bug and the RandomDispatcher determinism bug are
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.cluster.dispatch import (
     RandomDispatcher,
     RoundRobinDispatcher,
     WorkTracker,
+    _BURST as BURST,
     merge_streams,
     validate_engine,
 )
@@ -305,6 +308,67 @@ class TestPowerAwareGolden:
         jobs = JobTrace([0.1, 0.1, 0.1], [0.2, 0.3, 0.05])
         assignment = PowerAwareDispatcher([1.0, 2.0], max_backlog=0.5).assign(jobs, 2)
         assert list(assignment) == [0, 0, 1]
+
+
+    @pytest.mark.parametrize("num_jobs", [BURST - 1, BURST, BURST + 1, 3 * BURST + 17])
+    def test_burst_boundaries_match_reference_scan(self, num_jobs):
+        # Traces ending just before, on and just after a burst boundary,
+        # and one crossing three boundaries: the busy-until state carried
+        # from burst to burst must leave the scan unchanged.
+        speeds = [1.0, 0.7, 1.0, 0.5]
+        dispatcher = PowerAwareDispatcher([2.0, 1.0, 3.0, 0.5], max_backlog=0.01)
+        jobs = poisson_jobs(num_jobs, 2.0, seed=num_jobs)
+        expected = reference_power_aware_scan(jobs, [3, 1, 0, 2], 0.01, speeds)
+        one_shot = dispatcher.assign(jobs, 4, server_speeds=speeds)
+        assert digest(one_shot) == digest(expected)
+
+    @pytest.mark.parametrize("chunk", [1, BURST - 1, BURST + 1, 5000])
+    def test_chunks_straddling_bursts(self, chunk):
+        # Chunk sizes that do not divide the burst: chunk and burst
+        # boundaries fall at different jobs.
+        speeds = [1.0] * 8 + [0.7] * 8
+        models = [xeon_power_model()] * 8 + [atom_power_model()] * 8
+        dispatcher = PowerAwareDispatcher.from_power_models(models)
+        jobs = poisson_jobs(10_000, 0.7, seed=13)
+        np.testing.assert_array_equal(
+            assign_in_chunks(dispatcher, jobs, 16, speeds, chunk),
+            dispatcher.assign(jobs, 16, server_speeds=speeds),
+        )
+
+
+def peak_bytes_per_job(dispatcher, jobs, num_servers, speeds) -> float:
+    """Peak traced bytes per job of one one-shot :meth:`assign` call."""
+    tracemalloc.start()
+    try:
+        assignment = dispatcher.assign(jobs, num_servers, server_speeds=speeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert assignment.shape == (len(jobs),)
+    return peak / len(jobs)
+
+
+class TestPowerAwareMemory:
+    def test_one_shot_assign_peaks_under_16_bytes_per_job(self):
+        # Farm runs dispatch the whole trace in one call, so the scan must
+        # not turn it into Python lists: a whole-trace ``.tolist()`` peaks
+        # at ~80 B/job, burst stepping at the int64 assignment plus the
+        # arrival-order check (~9 B/job).
+        num_jobs = 200_000
+        models = [xeon_power_model()] * 8 + [atom_power_model()] * 8
+        speeds = [1.0] * 8 + [0.7] * 8
+        dispatcher = PowerAwareDispatcher.from_power_models(models)
+        jobs = poisson_jobs(num_jobs, 0.7, seed=4)
+        per_job = peak_bytes_per_job(dispatcher, jobs, 16, speeds)
+        assert per_job <= 16, f"{per_job:.1f} B/job"
+
+    def test_least_loaded_heap_assign_peaks_under_16_bytes_per_job(self):
+        # The heap engine steps in the same bursts, so it holds the same
+        # bound on the same one-shot call.
+        speeds = [1.0] * 8 + [0.7] * 8
+        jobs = poisson_jobs(200_000, 0.7 * 15.6, seed=4)
+        per_job = peak_bytes_per_job(LeastLoadedDispatcher(ENGINE_HEAP), jobs, 16, speeds)
+        assert per_job <= 16, f"{per_job:.1f} B/job"
 
 
 def _single_tenant() -> tuple[TenantSpec, ...]:

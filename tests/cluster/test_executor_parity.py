@@ -93,7 +93,6 @@ def _tiny_overrides(name: str) -> dict:
         ("servers", 2),
         ("xeon_servers", 2),
         ("atom_servers", 2),
-        ("chunk_jobs", 1000),
     ):
         if key in declared:
             overrides[key] = small
@@ -144,9 +143,7 @@ class _OutsideParentStrategy:
 
 
 class TestHomogeneousFarmParity:
-    def make_cluster(
-        self, spec, executor=None, workers=None, chunk=None, strategy=_strategy_for
-    ):
+    def make_cluster(self, spec, executor=None, workers=None, strategy=_strategy_for):
         return ServerFarm.homogeneous(
             3,
             xeon_power_model(),
@@ -156,7 +153,6 @@ class TestHomogeneousFarmParity:
             config=RuntimeConfig(epoch_minutes=1.0, rho_b=0.8),
             max_workers=workers,
             executor=executor,
-            chunk_jobs=chunk,
         )
 
     @pytest.fixture(scope="class")
@@ -184,19 +180,6 @@ class TestHomogeneousFarmParity:
         ).run(jobs)
         assert_farm_results_identical(oracle, sharded)
 
-    def test_chunked_process_matches_chunked_serial(self, jobs):
-        """`run(chunk_jobs=)` + process executor: identical results.
-
-        The process path shards whole sub-streams (chunked feeding is a
-        memory optimisation, pinned identical to one-shot), so chunked
-        serial and chunked process runs must agree bit for bit.
-        """
-        spec = dns_workload()
-        oracle = self.make_cluster(spec, chunk=512).run(jobs)
-        sharded = self.make_cluster(
-            spec, executor="process", workers=2, chunk=512
-        ).run(jobs)
-        assert_farm_results_identical(oracle, sharded)
 
     def test_per_index_factories_pickle(self):
         import pickle

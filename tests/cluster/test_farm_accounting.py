@@ -1,11 +1,11 @@
-"""Chunked (streaming) farm runs and the farm accounting fixes.
+"""Farm accounting: the one run path, dispatch speeds and bookkeeping.
 
-Pins the streaming contract — ``ServerFarm.run(..., chunk_jobs=...)``
-produces results identical to the one-shot path for every dispatcher,
-serial or process-sharded, including parked-server idle accounting — plus the
-accounting bug batch: cached ``FarmResult.response_times``, explicit
-``meets_budget`` with zero completed jobs, and the guarded parked-server
-idle proration.
+Pins that every farm run takes one path — serial and process-sharded runs
+agree bit for bit for every dispatcher, parked servers included, and no
+``chunk_jobs`` knob selects another — how a farm threads each server's
+dispatch speed into its dispatcher, plus the accounting bug batch: cached
+``FarmResult.response_times``, explicit ``meets_budget`` with zero
+completed jobs, and the guarded parked-server idle proration.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.cluster.farm import (
     ServerSpec,
     prorated_idle_energy,
 )
-from repro.core.runtime import RuntimeConfig
+from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.strategies import FixedPolicyStrategy
 from repro.exceptions import ConfigurationError
 from repro.policies.policy import race_to_halt_policy
@@ -55,6 +55,14 @@ def fixed_policy_server(name, power_model, max_frequency=1.0, scaling=None):
 
 
 @pytest.fixture(scope="module")
+def busy_workload(dns_empirical):
+    trace = constant_trace(0.9, num_samples=15)
+    return generate_trace_driven_jobs(
+        dns_empirical, trace, seed=23, max_utilization=0.95
+    ).jobs
+
+
+@pytest.fixture(scope="module")
 def mixed_servers():
     return (
         fixed_policy_server("xeon-0", xeon_power_model()),
@@ -63,15 +71,7 @@ def mixed_servers():
     )
 
 
-@pytest.fixture(scope="module")
-def busy_workload(dns_empirical):
-    trace = constant_trace(0.9, num_samples=15)
-    return generate_trace_driven_jobs(
-        dns_empirical, trace, seed=23, max_utilization=0.95
-    ).jobs
-
-
-class TestChunkedFarmRuns:
+class TestOneRunPath:
     @pytest.mark.parametrize(
         "dispatcher_factory",
         [
@@ -80,90 +80,79 @@ class TestChunkedFarmRuns:
             LeastLoadedDispatcher,
             lambda: PowerAwareDispatcher([4.0, 2.0, 2.0]),
         ],
+        ids=["round-robin", "random", "least-loaded", "power-aware"],
     )
-    @pytest.mark.parametrize("max_workers", [None, 2])
-    def test_chunked_matches_one_shot(
-        self, dns_empirical, busy_workload, mixed_servers, dispatcher_factory, max_workers
+    def test_process_matches_serial_for_every_dispatcher(
+        self, dns_empirical, busy_workload, mixed_servers, dispatcher_factory
     ):
-        def build(**kwargs):
+        def build(max_workers=None):
             return ServerFarm(
                 servers=mixed_servers,
                 spec=dns_empirical,
                 dispatcher=dispatcher_factory(),
                 max_workers=max_workers,
-                **kwargs,
             )
 
-        one_shot = build().run(busy_workload)
-        chunked = build(chunk_jobs=123).run(busy_workload)
-        assert chunked.num_jobs == one_shot.num_jobs == len(busy_workload)
-        assert chunked.total_energy == pytest.approx(one_shot.total_energy, rel=1e-9)
-        np.testing.assert_allclose(
-            chunked.response_times, one_shot.response_times, rtol=1e-9
-        )
-        assert chunked.response_time_budget == one_shot.response_time_budget
-        assert chunked.idle_energies == pytest.approx(one_shot.idle_energies)
-        assert chunked.server_names == one_shot.server_names
+        serial = build().run(busy_workload)
+        sharded = build(max_workers=2).run(busy_workload)
+        assert serial.num_jobs == sharded.num_jobs == len(busy_workload)
+        assert sharded.total_energy == serial.total_energy
+        np.testing.assert_array_equal(sharded.response_times, serial.response_times)
+        assert sharded.response_time_budget == serial.response_time_budget
+        assert sharded.idle_energies == serial.idle_energies
+        assert sharded.server_names == serial.server_names
 
-    def test_run_argument_overrides_field(self, dns_empirical, busy_workload, mixed_servers):
-        farm = ServerFarm(servers=mixed_servers, spec=dns_empirical, chunk_jobs=77)
-        via_field = farm.run(busy_workload)
-        via_argument = ServerFarm(servers=mixed_servers, spec=dns_empirical).run(
-            busy_workload, chunk_jobs=77
-        )
-        forced_one_shot = farm.run(busy_workload, chunk_jobs=0)
-        assert via_field.total_energy == pytest.approx(via_argument.total_energy)
-        assert forced_one_shot.total_energy == pytest.approx(via_field.total_energy, rel=1e-9)
-
-    def test_chunked_parks_servers_like_one_shot(self, dns_empirical):
-        """A parked server's idle accounting is identical in both paths."""
+    @pytest.mark.parametrize("max_workers", [None, 2], ids=["serial", "process"])
+    def test_parked_server_walks_a_fresh_runtime(self, dns_empirical, max_workers):
+        """A parked server is charged the prorated sleep walk of a runtime
+        built for it and never fed, on the serial and the sharded path."""
         trace = constant_trace(0.15, num_samples=15)
         jobs = generate_trace_driven_jobs(dns_empirical, trace, seed=9).jobs
-        servers = (
-            fixed_policy_server("atom-0", atom_power_model()),
-            fixed_policy_server("xeon-0", xeon_power_model()),
+        xeon = fixed_policy_server("xeon-0", xeon_power_model())
+        farm = ServerFarm(
+            servers=(fixed_policy_server("atom-0", atom_power_model()), xeon),
+            spec=dns_empirical,
+            dispatcher=PowerAwareDispatcher([1.0, 2.0], max_backlog=1e9),
+            max_workers=max_workers,
         )
-        dispatcher = PowerAwareDispatcher([1.0, 2.0], max_backlog=1e9)
-        one_shot = ServerFarm(
-            servers=servers, spec=dns_empirical, dispatcher=dispatcher
-        ).run(jobs)
-        chunked = ServerFarm(
-            servers=servers, spec=dns_empirical, dispatcher=dispatcher
-        ).run(jobs, chunk_jobs=37)
-        assert one_shot.per_server[1] is None and chunked.per_server[1] is None
-        assert chunked.idle_energies == pytest.approx(one_shot.idle_energies)
-        assert chunked.total_energy == pytest.approx(one_shot.total_energy)
-
-    def test_homogeneous_farm_supports_chunking(self, dns_empirical, busy_workload):
-        xeon = xeon_power_model()
-        policy = race_to_halt_policy(xeon, C6_S0I)
-
-        def build(chunk_jobs=None):
-            return ServerFarm.homogeneous(
-                3,
-                xeon,
-                dns_empirical,
-                lambda index: FixedPolicyStrategy(policy),
-                lambda index: NaivePreviousPredictor(),
-                config=RuntimeConfig(
-                    epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0
-                ),
-                chunk_jobs=chunk_jobs,
-            )
-
-        one_shot = build().run(busy_workload)
-        chunked = build(chunk_jobs=200).run(busy_workload)
-        assert chunked.total_energy == pytest.approx(one_shot.total_energy, rel=1e-9)
-        np.testing.assert_allclose(
-            chunked.response_times, one_shot.response_times, rtol=1e-9
+        result = farm.run(jobs)
+        assert result.per_server[1] is None
+        horizon = result.per_server[0].total_duration
+        idle_run = SleepScaleRuntime(
+            power_model=xeon.power_model,
+            spec=dns_empirical,
+            strategy=xeon.strategy_factory(),
+            predictor=xeon.predictor_factory(),
+            config=xeon.config,
+        ).run(JobTrace.empty(), horizon=horizon)
+        expected = prorated_idle_energy(
+            idle_run.total_energy, idle_run.total_duration, horizon
         )
+        assert expected > 0.0
+        assert result.idle_energies[1] == pytest.approx(expected, rel=1e-12)
 
-    def test_chunk_jobs_validation(self, dns_empirical, mixed_servers, busy_workload):
-        with pytest.raises(ConfigurationError, match="chunk_jobs"):
-            ServerFarm(servers=mixed_servers, spec=dns_empirical, chunk_jobs=0)
-        farm = ServerFarm(servers=mixed_servers, spec=dns_empirical)
-        with pytest.raises(ConfigurationError, match="chunk_jobs"):
-            farm.run(busy_workload, chunk_jobs=-1)
+    @pytest.mark.parametrize("surface", ["field", "run-argument", "homogeneous"])
+    def test_chunk_jobs_knob_is_gone(
+        self, dns_empirical, busy_workload, mixed_servers, surface
+    ):
+        with pytest.raises(TypeError, match="chunk_jobs"):
+            if surface == "field":
+                ServerFarm(servers=mixed_servers, spec=dns_empirical, chunk_jobs=64)
+            elif surface == "run-argument":
+                ServerFarm(servers=mixed_servers, spec=dns_empirical).run(
+                    busy_workload, chunk_jobs=64
+                )
+            else:
+                xeon = xeon_power_model()
+                policy = race_to_halt_policy(xeon, C6_S0I)
+                ServerFarm.homogeneous(
+                    3,
+                    xeon,
+                    dns_empirical,
+                    lambda index: FixedPolicyStrategy(policy),
+                    lambda index: NaivePreviousPredictor(),
+                    chunk_jobs=64,
+                )
 
 
 class TestDispatchSpeedThreading:
@@ -263,8 +252,6 @@ class TestFarmResultAccounting:
         """A farm that completed no jobs must not 'meet' any budget."""
         xeon = xeon_power_model()
         runtime_result = fixed_policy_server("x", xeon)  # reuse factory pieces
-        from repro.core.runtime import SleepScaleRuntime
-
         empty_run = SleepScaleRuntime(
             power_model=xeon,
             spec=dns_empirical,

@@ -213,13 +213,3 @@ class TestChunkedDispatchParity:
                 )
             )
         assert np.array_equal(one_shot, np.concatenate(chunks))
-
-    def test_chunked_farm_run_reproduces_tenant_rows(self):
-        overrides = _tiny_overrides("noisy-neighbor")
-        scenario = get_scenario("noisy-neighbor")
-        one_shot = scenario.build(seed=9, **overrides)
-        chunked = scenario.build(seed=9, **overrides)
-        expected = one_shot.run()
-        actual = chunked.farm.run(chunked.jobs, chunk_jobs=128)
-        assert_farm_results_identical(expected, actual)
-        assert actual.tenant_rows() == expected.tenant_rows()

@@ -5,9 +5,8 @@ in-process memory or a memory-mapped file — a farm produces
 **bit-identical** ``FarmResult``s.  This suite pins that across every
 registered scenario (serial/memory oracle vs zero-copy process sharding
 over mmap, process sharding of in-memory slices, and the serial mmap-spill
-path), proves the arena's files are deleted on every exit path (normal,
-pickling failure, worker crash), and runs a memory-mapped trace larger than
-a configured memory cap through a chunked farm in bounded memory.
+path), and proves the arena's files are deleted on every exit path (normal,
+pickling failure, worker crash).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import glob
 import os
 import pickle
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +34,7 @@ from repro.power.platform import xeon_power_model
 from repro.prediction.naive import NaivePreviousPredictor
 from repro.scenarios import available_scenarios, get_scenario
 from repro.workloads.jobs import JobTrace
-from repro.workloads.storage import SharedTraceArena, TraceBuffer
+from repro.workloads.storage import SharedTraceArena
 
 from tests.cluster.test_executor_parity import (
     _tiny_overrides,
@@ -262,40 +260,11 @@ class TestShardBytesGate:
 
 
 # ---------------------------------------------------------------------------
-# Out-of-core: an mmap trace larger than the configured memory cap
+# The mmap backend at farm level: an in-memory trace spills to disk
 # ---------------------------------------------------------------------------
 
 
 class TestOutOfCoreMmapRun:
-    def test_chunked_run_stays_under_the_memory_cap(self, tmp_path):
-        # A trace bigger than the memory cap the run must respect: the cap
-        # is deliberately smaller than the trace, so completing the run
-        # proves the memory-mapped arrays never materialise — only the
-        # chunks in flight and the O(n) result arrays are resident.
-        num_jobs = 1_200_000
-        path = tmp_path / "big.npy"
-        arrivals = np.arange(num_jobs, dtype=np.float64) * 0.001
-        demands = np.full(num_jobs, 0.0004)
-        TraceBuffer.write_file(path, arrivals, demands)
-        trace_bytes = 2 * 8 * num_jobs
-        memory_cap = int(0.75 * trace_bytes)
-        del arrivals, demands
-
-        farm = _out_of_core_farm()
-        tracemalloc.start()
-        try:
-            jobs = JobTrace.from_file(path, mmap=True, validate=False)
-            result = farm.run(jobs, chunk_jobs=16384)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.num_jobs == num_jobs
-        assert memory_cap < trace_bytes  # the cap really is out-of-core
-        assert peak < memory_cap, (
-            f"peak traced memory {peak / 1e6:.1f} MB exceeded the "
-            f"{memory_cap / 1e6:.1f} MB cap for a {trace_bytes / 1e6:.1f} MB trace"
-        )
-
     def test_mmap_backend_spills_and_matches_memory(self):
         # The ServerFarm-level knob: an in-memory trace run under the mmap
         # backend spills to a temporary file, and the spilled run is
@@ -306,28 +275,3 @@ class TestOutOfCoreMmapRun:
         oracle = serial.run(jobs)
         spilled = dataclasses.replace(serial, trace_backend="mmap").run(jobs)
         assert_farm_results_identical(oracle, spilled)
-
-
-def _out_of_core_farm() -> ServerFarm:
-    from repro.workloads.spec import dns_workload
-
-    servers = tuple(
-        ServerSpec(
-            name=f"server-{index}",
-            power_model=xeon_power_model(),
-            strategy_factory=_fresh_strategy,
-            predictor_factory=_fresh_predictor,
-            # Epochs much shorter than the trace span: a streaming session
-            # buffers fed jobs only until the next epoch boundary, so short
-            # epochs keep the per-server buffers small (a single epoch
-            # spanning the whole trace would re-materialise it).
-            config=RuntimeConfig(epoch_minutes=1.0, rho_b=0.8),
-        )
-        for index in range(8)
-    )
-    return ServerFarm(
-        servers=servers,
-        spec=dns_workload(),
-        dispatcher=RoundRobinDispatcher(),
-        executor="serial",
-    )

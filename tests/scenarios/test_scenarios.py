@@ -48,7 +48,6 @@ NORMALISED = frozenset(
         "xeon_servers",
         "atom_servers",
         "min_awake",
-        "chunk_jobs",
         "phase_minutes",
         "crowd_start_minute",
         "crowd_minutes",
@@ -542,6 +541,7 @@ class TestCliErrors:
             (["flash-crowd", "--set", "duration_minutes=0.5"], "duration_minutes"),
             (["trace-replay", "--set", "scale=0"], "scale must be positive, got 0"),
             (["trace-replay", "--set", "scale=-1"], "scale must be positive, got -1"),
+            (["farm-scale", "--set", "chunk_jobs=32768"], "no parameter(s) ['chunk_jobs']"),
         ],
         ids=[
             "unknown-parameter",
@@ -549,6 +549,7 @@ class TestCliErrors:
             "fractional-duration",
             "zero-trace-scale",
             "negative-trace-scale",
+            "removed-chunk-size",
         ],
     )
     def test_bad_override_prints_one_error_line(self, capsys, argv, message):
