@@ -49,6 +49,8 @@ Contract notes (see ``docs/ARCHITECTURE.md``):
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -178,14 +180,12 @@ class _Probe:
 class _PolicyGrid:
     """The candidate space reshaped as (frequency x sleep-variant), lazily.
 
-    Candidate construction is surprisingly expensive (each policy's sleep
-    sequence sums the platform component powers in pure Python), so the
-    grid builds only the cells the search probes, one frequency row at a
-    time, replicating the row body of
-    :meth:`PolicySpace.candidate_policies` exactly — the enumeration order
-    (frequency-major, variants in declaration order) and the produced
-    :class:`Policy` values are identical to the full search's, which
-    ``tests/core/test_search.py`` pins for every space shape.  Laziness is
+    The grid builds only the cells the search probes, replicating the row
+    body of :meth:`PolicySpace.candidate_policies` exactly — the
+    enumeration order (frequency-major, variants in declaration order) and
+    the produced :class:`Policy` values are identical to the full search's,
+    which ``tests/core/test_search.py`` pins for every space shape and
+    power model.  Laziness is
     only used for :class:`PolicySpace` itself; subclasses overriding the
     enumeration fall back to the exhaustive search (``build`` returns
     ``None``).
@@ -193,8 +193,10 @@ class _PolicyGrid:
 
     def __init__(self, space: PolicySpace, frequencies: np.ndarray):
         self.space = space
-        self.frequencies = frequencies
-        self.num_frequencies = int(frequencies.size)
+        #: The frequency axis as Python floats: cells and warm starts read
+        #: scalars.
+        self.frequencies: list[float] = frequencies.tolist()
+        self.num_frequencies = len(self.frequencies)
         self._deep_pairs = []
         states = space.states
         for delay in space.deep_entry_delays:
@@ -243,7 +245,7 @@ class _PolicyGrid:
         policy = self._cells.get(cell)
         if policy is None:
             space = self.space
-            frequency = float(self.frequencies[freq_index])
+            frequency = self.frequencies[freq_index]
             num_states = len(space.states)
             if variant_index < num_states:
                 sequence = space.power_model.immediate_sleep_sequence(
@@ -337,7 +339,7 @@ class FrontierSearch:
             entry = probed.get(index)
             if entry is None:
                 entry = probe(index, variant)
-                if not np.isfinite(entry.power):
+                if not math.isfinite(entry.power):
                     raise _CertificateViolation("non-finite probe")
                 probed[index] = entry
             return entry
@@ -346,12 +348,8 @@ class FrontierSearch:
         warm_boundary = warm_winner = None
         if warm is not None:
             frequencies = grid.frequencies
-            warm_boundary = int(
-                np.clip(np.searchsorted(frequencies, warm[0] - 1e-12), 0, last)
-            )
-            warm_winner = int(
-                np.clip(np.searchsorted(frequencies, warm[1] - 1e-12), 0, last)
-            )
+            warm_boundary = min(bisect_left(frequencies, warm[0] - 1e-12), last)
+            warm_winner = min(bisect_left(frequencies, warm[1] - 1e-12), last)
 
         # Phase 1 — find the feasibility boundary (slack is non-decreasing
         # in frequency, so the feasible set is a suffix).  The boundary
@@ -537,8 +535,8 @@ class FrontierSearch:
             probed, boundary, asc_until, desc_from, desc_until, self._FLAT_BAND
         )
         self._warm[variant] = (
-            float(grid.frequencies[boundary]),
-            float(grid.frequencies[winner]),
+            grid.frequencies[boundary],
+            grid.frequencies[winner],
         )
         return winner
 
@@ -709,8 +707,7 @@ class PolicySearchEngine:
         self._frontier = FrontierSearch()
         #: Small LRU of candidate grids keyed by the frequency axis: two
         #: utilisations whose stability pruning yields the same axis share
-        #: the same candidate policies, so the (pure-Python, surprisingly
-        #: expensive) policy construction is not repeated per epoch.
+        #: the same candidate policies, so they are not rebuilt per epoch.
         self._grids: OrderedDict[bytes, _PolicyGrid | None] = OrderedDict()
         self.stats = SearchStats()
 

@@ -20,7 +20,7 @@ Two presets are provided: :func:`xeon_power_model` built from Table 2, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
@@ -28,6 +28,7 @@ from repro.power.components import (
     CPU_STATE_TO_MODE,
     ComponentInventory,
     ComponentMode,
+    CpuPowerModel,
     atom_component_inventory,
     xeon_component_inventory,
 )
@@ -68,6 +69,15 @@ class ServerPowerModel:
         default_factory=lambda: dict(DEFAULT_WAKE_UP_LATENCIES)
     )
     name: str = "server"
+    #: Per low-power state, the parts of its spec that do not depend on the
+    #: frequency: ``(platform power, wake-up latency, name, immediate
+    #: sequence)``, where the sequence is shared when the CPU term is
+    #: constant too and ``None`` otherwise.  Filled on first use, so at most
+    #: one entry per state.  Derived state: kept out of repr, ==, hash and
+    #: the pickled state.
+    _state_table: dict[
+        SystemState, tuple[float, float, str, SleepSequence | None]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for state, latency in self.wake_up_latencies.items():
@@ -76,6 +86,14 @@ class ServerPowerModel:
                     f"wake-up latency for {state.name} must be non-negative, "
                     f"got {latency}"
                 )
+
+    def __getstate__(self) -> dict[str, object]:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_state_table", {})
 
     # ------------------------------------------------------------------
     # Power queries
@@ -140,6 +158,32 @@ class ServerPowerModel:
             return float(self.wake_up_latencies[state])
         return default_wake_up_latency(state)
 
+    def _state_parts(
+        self, state: SystemState
+    ) -> tuple[float, float, str, SleepSequence | None]:
+        """The frequency-independent parts of *state*'s spec (see the table)."""
+        parts = self._state_table.get(state)
+        if parts is None:
+            if state.is_active:
+                raise ConfigurationError(
+                    "cannot build a sleep-state spec for the active state"
+                )
+            platform = self.platform_power(state.platform, state.cpu)
+            wake = self.wake_up_latency(state)
+            immediate = None
+            cpu = self.inventory.cpu
+            if type(cpu) is CpuPowerModel and state.cpu in _CONSTANT_CPU_STATES:
+                spec = SleepStateSpec(
+                    state=state,
+                    power=cpu.power(state.cpu) + platform,
+                    entry_delay=0.0,
+                    wake_up_latency=wake,
+                )
+                immediate = SleepSequence([spec])
+            parts = (platform, wake, state.name, immediate)
+            self._state_table[state] = parts
+        return parts
+
     def sleep_state_spec(
         self,
         state: SystemState,
@@ -151,24 +195,28 @@ class ServerPowerModel:
         The resident power of ``C0(i)S0(i)`` and ``C1S0(i)`` depends on the
         DVFS setting left in place when the server idles (the paper holds
         voltage and frequency at the last DVFS setting in ``C0(i)``), hence
-        the *frequency* argument; deeper states are frequency-independent.
+        the *frequency* argument; deeper states are frequency-independent,
+        and their immediately entered spec is built once per model.  The
+        power equals :meth:`system_power` bit for bit.
         """
-        if state.is_active:
-            raise ConfigurationError(
-                "cannot build a sleep-state spec for the active state"
-            )
+        platform, wake, _, immediate = self._state_parts(state)
+        if immediate is not None and entry_delay == 0.0 and 0.0 <= frequency <= 1.0:
+            return immediate[0]
         return SleepStateSpec(
             state=state,
-            power=self.system_power(state, frequency),
+            power=self.inventory.cpu.power(state.cpu, frequency) + platform,
             entry_delay=entry_delay,
-            wake_up_latency=self.wake_up_latency(state),
+            wake_up_latency=wake,
         )
 
     def immediate_sleep_sequence(
         self, state: SystemState, frequency: float = 1.0
     ) -> SleepSequence:
         """Single-state sequence entered as soon as the queue empties."""
-        return SleepSequence([self.sleep_state_spec(state, 0.0, frequency)])
+        _, _, name, immediate = self._state_parts(state)
+        if immediate is not None and 0.0 <= frequency <= 1.0:
+            return immediate
+        return SleepSequence([self.sleep_state_spec(state, 0.0, frequency)], name)
 
     def sleep_sequence(
         self,
@@ -209,6 +257,10 @@ class ServerPowerModel:
                 "wake_up_latency_s": self.wake_up_latency(state),
             }
         return table
+
+
+#: CPU states whose :class:`CpuPowerModel` power has no frequency term.
+_CONSTANT_CPU_STATES = frozenset({CpuState.C3, CpuState.C6})
 
 
 def xeon_power_model(

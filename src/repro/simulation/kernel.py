@@ -25,27 +25,34 @@ against each other):
    the exact delay, so its outcome is computed vectorized.  Only the *risky*
    gaps — shorter than ``w_max``, or straddling an entry-delay boundary —
    need the exact carried delay.  For a single state entered immediately
-   (the whole default policy space) a gap can only *close*: one
-   ``flatnonzero(idle0 < w)`` finds the risky gaps, and their closures are
-   resolved by a per-gap float loop when there are few of them
+   (the whole default policy space) a gap can only *close*, and only when
+   it is shorter than the wake-up latency ``w``.  When ``w`` is at most the
+   structure's ``min(idle0[1:])`` no gap closes and the probe costs ``O(1)``.
+   Otherwise one ``flatnonzero(idle0 < w)`` finds the risky gaps, and their
+   closures are resolved by a per-gap float loop when there are few of them
    (:data:`LOOP_MAX_RISKY`), or by a reset-chain jump table — a
    ``searchsorted`` on the idle prefix sum plus pointer doubling over the
    chain resets — when a wake-up latency far above the inter-arrival gap
    makes nearly every gap risky.  Other ladders resolve their risky gaps in
    a scalar loop over gaps, not jobs.
 
-3. **Sleep-segment accounting.**  Per-state residency and idle energy over
-   all surviving gaps are computed with ``np.searchsorted``/``np.clip``
-   against the entry-delay ladder, one vector operation per sleep state.
-   The delay each gap carries on (``carried_after``) also gives the mean
-   response time without per-job arrays: every job after gap ``g`` departs
-   ``carried_after[g]`` later than in the no-wake system.
+3. **Sleep-segment accounting.**  The delay each gap carries on
+   (``carried_after``) gives the mean response time without per-job
+   arrays: every job after gap ``g`` departs ``carried_after[g]`` later than
+   in the no-wake system.  For a single immediately entered state the
+   residencies, idle energy, wake-ups and delay follow from per-frequency
+   totals (``sum(idle0)``, ``sum(counts)``) plus one scalar correction
+   per closed gap when the loop resolved them; the jump-table regime sums
+   its per-gap arrays directly, because there "total minus closed" would
+   cancel.  Other ladders compute per-state residency and idle energy with
+   ``np.searchsorted``/``np.clip`` against the entry-delay ladder, one
+   vector operation per sleep state.
 
 :class:`TraceKernel` additionally memoises the per-frequency structure
-(scaled services, no-wake departures, candidate gaps, jobs per gap, total
-no-wake response time), so characterising a policy space that crosses the
-same frequencies with several sleep sequences only pays for the Lindley
-recursion once per frequency.
+(no-wake departures, candidate gaps, jobs per gap, the idle and job totals
+above, total no-wake response time), so characterising a policy space that
+crosses the same frequencies with several sleep sequences only pays for the
+Lindley recursion once per frequency.
 
 **Backend contract** (see ``docs/ARCHITECTURE.md``): this module is the
 ``backend="vectorized"`` side; :mod:`repro.simulation.engine` keeps the
@@ -200,25 +207,6 @@ def _closures_by_jump_table(
     return closed, residuals
 
 
-def _single_state_closures(
-    idle0: np.ndarray, wake: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed gaps and residual delays under one immediately entered state.
-
-    Gap 0 carries no delay and always survives; every other gap is entered
-    with the wake-up latency of the previous surviving gap, so only gaps
-    shorter than ``wake`` (the risky ones) can close.
-    """
-    risky = np.flatnonzero(idle0 < wake)
-    if risky.size and risky[0] == 0:
-        risky = risky[1:]
-    if risky.size > LOOP_MAX_RISKY:
-        return _closures_by_jump_table(idle0, risky, wake)
-    if risky.size:
-        return _closures_by_loop(idle0, risky, wake)
-    return risky, np.empty(0)
-
-
 def _resolve_gaps(
     idle0: np.ndarray, entry_delays: np.ndarray, wake_latencies: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -235,7 +223,7 @@ def _resolve_gaps(
     * ``wake_latency`` — wake-up latency paid at the end of the gap.
 
     Single immediately entered states take the cheaper
-    :func:`_single_state_closures` path in :meth:`TraceKernel.solve`.
+    :meth:`TraceKernel._solve_single_state` path.
     """
     num_gaps = idle0.size
     offset = np.zeros(num_gaps)
@@ -342,8 +330,9 @@ class TraceKernel:
         self._base = base
         self._busy_until = None if busy_until is None else float(busy_until)
         self._demand_cumsum = np.cumsum(self._demands)
+        self._demand_total = float(self._demands.sum())
         self._mean_demand = float(jobs.mean_service_demand) if num_jobs else 0.0
-        self._frequency_cache: dict[float, tuple] = {}
+        self._frequency_cache: dict[float, _FrequencyStructure] = {}
 
     @property
     def num_jobs(self) -> int:
@@ -354,36 +343,52 @@ class TraceKernel:
         """No-wake busy-period structure at one frequency (memoised)."""
         cached = self._frequency_cache.get(frequency)
         if cached is None:
+            arrivals = self._arrivals
             time_factor = self._scaling.time_factor(frequency)
-            services = self._demands * time_factor
-            cumulative = self._demand_cumsum * time_factor
-            previous_cumulative = np.empty_like(cumulative)
-            previous_cumulative[0] = 0.0
-            previous_cumulative[1:] = cumulative[:-1]
-            slack = self._arrivals - previous_cumulative
-            departures0 = cumulative + np.maximum(
-                np.maximum.accumulate(slack), self._base
-            )
-            previous_departure = np.empty_like(departures0)
-            previous_departure[0] = self._base
-            previous_departure[1:] = departures0[:-1]
-            gap_indices = np.flatnonzero(self._arrivals >= previous_departure)
-            idle0 = self._arrivals[gap_indices] - previous_departure[gap_indices]
-            # Jobs served after each candidate gap, up to the next one: the
-            # delay carried out of a gap shifts exactly these departures.
-            counts = np.empty(gap_indices.size, dtype=np.intp)
-            if gap_indices.size:
+            # The cumulative service becomes the no-wake departures in place:
+            # D0[i] = C[i] + max(base, max_{j<=i}(A[j] - C[j-1])), C[-1] = 0;
+            # folding ``base`` into the first term leaves the running maximum
+            # unchanged.
+            departures0 = self._demand_cumsum * time_factor
+            work = np.empty_like(arrivals)
+            work[0] = max(arrivals[0], self._base)
+            np.subtract(arrivals[1:], departures0[:-1], out=work[1:])
+            np.maximum.accumulate(work, out=work)
+            np.add(departures0, work, out=departures0)
+            is_gap = np.empty(arrivals.size, dtype=bool)
+            is_gap[0] = arrivals[0] >= self._base
+            np.greater_equal(arrivals[1:], departures0[:-1], out=is_gap[1:])
+            gap_indices = np.flatnonzero(is_gap)
+            idle0 = arrivals[gap_indices]
+            idle0 -= departures0[gap_indices - 1]
+            num_gaps = gap_indices.size
+            idle_rest_min = np.inf
+            counts = np.empty(num_gaps, dtype=np.intp)
+            if num_gaps:
+                if gap_indices[0] == 0:
+                    idle0[0] = arrivals[0] - self._base
+                if num_gaps > 1:
+                    idle_rest_min = float(idle0[1:].min())
+                # Jobs served after each candidate gap, up to the next one:
+                # the delay carried out of a gap shifts exactly these
+                # departures.
                 np.subtract(gap_indices[1:], gap_indices[:-1], out=counts[:-1])
                 counts[-1] = departures0.size - gap_indices[-1]
+            np.subtract(departures0, arrivals, out=work)
             cached = _FrequencyStructure(
                 time_factor=time_factor,
-                services=services,
                 departures0=departures0,
                 gap_indices=gap_indices,
                 idle0=idle0,
                 counts=counts,
-                response0_total=float((departures0 - self._arrivals).sum()),
-                serving_time=float(services.sum()),
+                idle_total=float(idle0.sum()),
+                idle_rest_min=idle_rest_min,
+                jobs_after_gaps=(
+                    departures0.size - int(gap_indices[0]) if num_gaps else 0
+                ),
+                last_departure0=float(departures0[-1]),
+                response0_total=float(work.sum()),
+                serving_time=self._demand_total * time_factor,
                 active_power=self._power_model.active_power(frequency),
                 pre_sleep_power=self._power_model.idle_power(frequency),
             )
@@ -395,12 +400,15 @@ class TraceKernel:
 
         Returns a :class:`GapSolution` whose scalar aggregates — average
         power, energy breakdown, horizon, residencies and the mean response
-        time — are available immediately at ``O(idle gaps)`` cost beyond the
-        memoised per-frequency structure.  The per-job response/waiting
-        arrays (and the full :class:`SimulationResult`) are assembled lazily
-        on first access, through the same arithmetic :meth:`evaluate` always
-        used.  This is what makes frontier-search probes cheap: most probes
-        only ever compare average power and mean response time.
+        time — are available immediately beyond the memoised per-frequency
+        structure: in ``O(1)`` for a single immediately entered state under
+        which no gap closes, in ``O(closures)`` once the risky gaps are found
+        for one with few risky gaps, and in ``O(idle gaps)`` otherwise.  The
+        per-job response/waiting arrays (and the full
+        :class:`SimulationResult`) are assembled lazily on first access,
+        through the same arithmetic :meth:`evaluate` always used.  This is
+        what makes frontier-search probes cheap: most probes only ever
+        compare average power and mean response time.
         """
         frequency = validate_frequency(frequency)
         if self.num_jobs == 0:
@@ -414,30 +422,34 @@ class TraceKernel:
         structure = self._structure(frequency)
         first = sleep[0]
         if len(sleep) == 1 and first.entry_delay == 0.0:
-            carried_after, residency, idle_energy, wake_up_count = (
-                self._solve_single_state(structure, first)
-            )
-        else:
-            carried_after, residency, idle_energy, wake_up_count = (
-                self._solve_ladder(structure, sleep)
-            )
+            return self._solve_single_state(frequency, structure, first)
+        return self._solve_ladder(frequency, structure, sleep)
 
-        # Last departure without materialising the per-job offset array:
-        # the offset of the final job is the delay carried out of the last
-        # candidate gap (``np.repeat`` would place exactly that value there),
-        # so the scalar sum below reproduces ``departures[-1]`` bit-exactly.
-        departures0 = structure.departures0
-        last_departure = float(departures0[-1])
-        if carried_after is not None:
-            last_departure = float(departures0[-1] + carried_after[-1])
-        horizon = last_departure - self._clock_start
+    def _solution(
+        self,
+        frequency: float,
+        structure: "_FrequencyStructure",
+        residency: dict[str, float],
+        idle_energy: float,
+        wake_up_count: int,
+        last_carried: float,
+        carried_after: np.ndarray | None = None,
+        closures: tuple[float, np.ndarray | None, np.ndarray | None] | None = None,
+        delay_total: float | None = None,
+    ) -> "GapSolution":
+        """Assemble a solution from a policy's gap aggregates.
+
+        *last_carried* is the delay carried out of the last candidate gap:
+        every job after it departs that much later than in the no-wake
+        system, so adding it to the last no-wake departure reproduces the
+        assembled ``departures[-1]`` bit-exactly.  *carried_after*,
+        *closures* and *delay_total* are passed on to :class:`GapSolution`.
+        """
+        horizon = structure.last_departure0 + last_carried - self._clock_start
         if horizon <= 0.0:
             # Degenerate single-instant trace; fall back to the total service
             # time so power is still well defined.
-            horizon = max(
-                float(np.sum(self._demands)) * structure.time_factor, 1e-12
-            )
-
+            horizon = max(structure.serving_time, 1e-12)
         active_power = structure.active_power
         energy = EnergyBreakdown(
             serving=active_power * structure.serving_time,
@@ -453,19 +465,29 @@ class TraceKernel:
             wake_up_count=wake_up_count,
             _structure=structure,
             _carried_after=carried_after,
+            _closures=closures,
+            _delay_total=delay_total,
         )
 
-    @staticmethod
     def _solve_single_state(
-        structure: "_FrequencyStructure", spec: SleepStateSpec
-    ) -> tuple[np.ndarray | None, dict[str, float], float, int]:
+        self,
+        frequency: float,
+        structure: "_FrequencyStructure",
+        spec: SleepStateSpec,
+    ) -> "GapSolution":
         """One state entered immediately: the whole default policy space.
 
         Every surviving gap reaches the state and pays its constant wake-up
         latency ``w``, which is also the delay it carries into the next gap;
         a closed gap carries its residual instead.  ``carried_after`` is
-        therefore ``w`` everywhere except at the closures, and every
-        aggregate derives from it.
+        therefore ``w`` everywhere except at the closures.  The aggregates
+        start from the structure's totals, which are exact when no gap
+        closes: waking ``w * gaps``, idle ``sum(idle0) - w * (gaps - 1)`` (gap
+        0 carries no delay) and delay ``w * sum(counts)``.  Up to
+        :data:`LOOP_MAX_RISKY` risky gaps, one correction per closed gap
+        adjusts those totals.  Beyond it nearly every gap is risky, "total
+        minus closed" would cancel, and the per-gap arrays are summed
+        directly.
         """
         idle0 = structure.idle0
         num_gaps = idle0.size
@@ -477,34 +499,101 @@ class TraceKernel:
             name: 0.0,
         }
         if num_gaps == 0:
-            return None, residency, 0.0, 0
+            return self._solution(frequency, structure, residency, 0.0, 0, 0.0)
         wake = float(spec.wake_up_latency)
-        closed, residuals = _single_state_closures(idle0, wake)
+        closed: np.ndarray | None = None
+        residuals: np.ndarray | None = None
+        if structure.idle_rest_min < wake:
+            risky = np.flatnonzero(idle0[1:] < wake)
+            risky += 1  # gap 0 carries no delay and always survives
+            if risky.size > LOOP_MAX_RISKY:
+                return self._solve_by_jump_table(
+                    frequency, structure, spec, residency, risky
+                )
+            closed, residuals = _closures_by_loop(idle0, risky, wake)
+        survivors = num_gaps
+        idle_time = structure.idle_total - wake * (num_gaps - 1)
+        delay_total = wake * structure.jobs_after_gaps
+        last_carried = wake
+        if closed is not None:
+            # A closed gap idles nothing in place of ``idle0 - w``; the
+            # survivor after it (the end of its chain) idles
+            # ``idle0 - residual`` in place of ``idle0 - w``; and the jobs
+            # after it carry the residual in place of ``w``.  There are few
+            # closures here, so scalars beat array passes.
+            gaps = closed.tolist()
+            for gap, residual, idle, count, next_closed in zip(
+                gaps,
+                residuals.tolist(),
+                idle0[closed].tolist(),
+                structure.counts[closed].tolist(),
+                gaps[1:] + [num_gaps],
+                strict=True,
+            ):
+                idle_time += wake - idle
+                if gap + 1 < next_closed:
+                    idle_time += wake - residual
+                delay_total += (residual - wake) * count
+                last_carried = residual if gap == num_gaps - 1 else wake
+            survivors -= len(gaps)
+        # Every survivor idles a non-negative time; the clamp only absorbs
+        # rounding of the totals when they nearly cancel.
+        idle_time = max(idle_time, 0.0)
+        residency[STATE_WAKING] = wake * survivors
+        residency[name] = idle_time
+        return self._solution(
+            frequency,
+            structure,
+            residency,
+            spec.power * idle_time,
+            survivors,
+            last_carried,
+            closures=(wake, closed, residuals),
+            delay_total=delay_total,
+        )
+
+    def _solve_by_jump_table(
+        self,
+        frequency: float,
+        structure: "_FrequencyStructure",
+        spec: SleepStateSpec,
+        residency: dict[str, float],
+        risky: np.ndarray,
+    ) -> "GapSolution":
+        """Single state with many risky gaps: direct per-gap sums."""
+        idle0 = structure.idle0
+        num_gaps = idle0.size
+        wake = float(spec.wake_up_latency)
+        closed, residuals = _closures_by_jump_table(idle0, risky, wake)
         carried_after = np.full(num_gaps, wake)
         carried_after[closed] = residuals
         idle = np.empty(num_gaps)
         idle[0] = idle0[0]
         np.subtract(idle0[1:], carried_after[:-1], out=idle[1:])
-        if closed.size:
-            survived = np.ones(num_gaps, dtype=bool)
-            survived[closed] = False
-            wake_latency = np.where(survived, wake, 0.0)
-            # Survived idle is summed directly, never as "total minus
-            # closed", which cancels.  The jump table decides survival on
-            # prefix sums, so a survivor's idle can still round a hair below
-            # zero; the clamp is a no-op for the per-gap loop.
-            idle_time = float(np.maximum(idle[survived], 0.0).sum())
-        else:
-            wake_latency = carried_after
-            idle_time = float(idle.sum())
-        residency[STATE_WAKING] = float(wake_latency.sum())
-        residency[name] = idle_time
-        return carried_after, residency, spec.power * idle_time, num_gaps - closed.size
+        survived = np.ones(num_gaps, dtype=bool)
+        survived[closed] = False
+        # Survived idle is summed directly, never as "total minus closed",
+        # which cancels.  The jump table decides survival on prefix sums, so
+        # a survivor's idle can still round a hair below zero.
+        idle_time = float(np.maximum(idle[survived], 0.0).sum())
+        residency[STATE_WAKING] = float(np.where(survived, wake, 0.0).sum())
+        residency[spec.name] = idle_time
+        return self._solution(
+            frequency,
+            structure,
+            residency,
+            spec.power * idle_time,
+            num_gaps - closed.size,
+            float(carried_after[-1]),
+            carried_after=carried_after,
+        )
 
-    @staticmethod
     def _solve_ladder(
-        structure: "_FrequencyStructure", sleep: SleepSequence
-    ) -> tuple[np.ndarray | None, dict[str, float], float, int]:
+        self,
+        frequency: float,
+        structure: "_FrequencyStructure",
+        sleep: SleepSequence,
+    ) -> "GapSolution":
         """Any sleep ladder: delayed entry and/or several states."""
         entry_delays = np.array([spec.entry_delay for spec in sleep])
         sleep_powers = np.array([spec.power for spec in sleep])
@@ -516,8 +605,10 @@ class TraceKernel:
             idle0, entry_delays, wake_latencies
         )
         carried_after = None
+        last_carried = 0.0
         if idle0.size:
             carried_after = np.where(survived, wake_latency, offset - idle0)
+            last_carried = float(carried_after[-1])
 
         idle_durations = idle[survived] if not survived.all() else idle
         pre_sleep_time = float(np.minimum(idle_durations, entry_delays[0]).sum())
@@ -542,7 +633,15 @@ class TraceKernel:
             residency[state_names[state_index]] += total
             idle_energy += sleep_powers[state_index] * total
         wake_up_count = int(np.count_nonzero(reached >= 0))
-        return carried_after, residency, idle_energy, wake_up_count
+        return self._solution(
+            frequency,
+            structure,
+            residency,
+            idle_energy,
+            wake_up_count,
+            last_carried,
+            carried_after=carried_after,
+        )
 
     def evaluate(self, frequency: float, sleep: SleepSequence) -> SimulationResult:
         """Simulate one ``(frequency, sleep)`` policy against the trace."""
@@ -554,11 +653,14 @@ class _FrequencyStructure:
 
     __slots__ = (
         "time_factor",
-        "services",
         "departures0",
         "gap_indices",
         "idle0",
         "counts",
+        "idle_total",
+        "idle_rest_min",
+        "jobs_after_gaps",
+        "last_departure0",
         "response0_total",
         "serving_time",
         "active_power",
@@ -569,19 +671,20 @@ class _FrequencyStructure:
         self,
         *,
         time_factor: float,
-        services: np.ndarray,
         departures0: np.ndarray,
         gap_indices: np.ndarray,
         idle0: np.ndarray,
         counts: np.ndarray,
+        idle_total: float,
+        idle_rest_min: float,
+        jobs_after_gaps: int,
+        last_departure0: float,
         response0_total: float,
         serving_time: float,
         active_power: float,
         pre_sleep_power: float,
     ):
         self.time_factor = time_factor
-        #: Per-job service times at this frequency.
-        self.services = services
         #: Per-job departures ignoring wake-up latencies.
         self.departures0 = departures0
         #: Index of the first job after each candidate idle gap.
@@ -590,6 +693,15 @@ class _FrequencyStructure:
         self.idle0 = idle0
         #: Jobs from each candidate gap up to the next one.
         self.counts = counts
+        #: ``sum(idle0)``.
+        self.idle_total = idle_total
+        #: ``min(idle0[1:])`` (inf with fewer than two gaps): a wake-up
+        #: latency at most this closes no gap.
+        self.idle_rest_min = idle_rest_min
+        #: ``sum(counts)``: the jobs at or after the first candidate gap.
+        self.jobs_after_gaps = jobs_after_gaps
+        #: ``departures0[-1]`` as a float.
+        self.last_departure0 = last_departure0
         #: ``sum(departures0 - arrivals)``: total no-wake response time.
         self.response0_total = response0_total
         self.serving_time = serving_time
@@ -607,6 +719,13 @@ class GapSolution:
     :class:`~repro.simulation.metrics.SimulationResult` — identical to what
     :meth:`TraceKernel.evaluate` returns, because ``evaluate`` *is*
     ``solve().result``.
+
+    The delay carried out of each candidate gap is held either as an array
+    (``_carried_after``) or, for a single immediately entered state, as
+    ``_closures = (wake, closed, residuals)``: ``wake`` everywhere except
+    the closed gaps (``closed`` is ``None`` when none closes), built into the
+    array only when the per-job arrays are assembled.  ``_delay_total``,
+    when known, is ``sum(carried_after * counts)``.
     """
 
     __slots__ = (
@@ -618,6 +737,8 @@ class GapSolution:
         "wake_up_count",
         "_structure",
         "_carried_after",
+        "_closures",
+        "_delay_total",
         "_mean_response_time",
         "_result",
     )
@@ -632,6 +753,8 @@ class GapSolution:
         wake_up_count: int = 0,
         _structure: _FrequencyStructure | None = None,
         _carried_after: np.ndarray | None = None,
+        _closures: tuple[float, np.ndarray | None, np.ndarray | None] | None = None,
+        _delay_total: float | None = None,
         _result: SimulationResult | None = None,
     ):
         self.kernel = kernel
@@ -642,6 +765,8 @@ class GapSolution:
         self.wake_up_count = wake_up_count
         self._structure = _structure
         self._carried_after = _carried_after
+        self._closures = _closures
+        self._delay_total = _delay_total
         self._mean_response_time: float | None = None
         self._result = _result
         if _result is not None:
@@ -669,7 +794,9 @@ class GapSolution:
                 self._mean_response_time = self.result.mean_response_time
             else:
                 total = self._structure.response0_total
-                if self._carried_after is not None:
+                if self._delay_total is not None:
+                    total += self._delay_total
+                elif self._carried_after is not None:
                     total += float(
                         (self._carried_after * self._structure.counts).sum()
                     )
@@ -692,6 +819,16 @@ class GapSolution:
             self._result = self._assemble()
         return self._result
 
+    def _carried(self) -> np.ndarray | None:
+        """The delay carried out of every candidate gap, as an array."""
+        if self._carried_after is None and self._closures is not None:
+            wake, closed, residuals = self._closures
+            carried_after = np.full(self._structure.idle0.size, wake)
+            if closed is not None:
+                carried_after[closed] = residuals
+            self._carried_after = carried_after
+        return self._carried_after
+
     def _assemble(self) -> SimulationResult:
         kernel = self.kernel
         structure = self._structure
@@ -702,14 +839,14 @@ class GapSolution:
         # between gaps).
         departures = departures0
         if gap_indices.size:
-            job_offset = np.repeat(self._carried_after, structure.counts)
+            job_offset = np.repeat(self._carried(), structure.counts)
             if gap_indices[0] == 0:
                 departures = departures0 + job_offset
             else:
                 departures = departures0.copy()
                 departures[gap_indices[0] :] += job_offset
         response_times = departures - kernel._arrivals
-        waiting_times = response_times - structure.services
+        waiting_times = response_times - kernel._demands * structure.time_factor
         result = SimulationResult(
             response_times=response_times,
             waiting_times=waiting_times,

@@ -114,9 +114,14 @@ def generate_trace_driven_jobs(
     arrival_chunks: list[np.ndarray] = []
     demand_chunks: list[np.ndarray] = []
 
+    # Each interval's arrivals lie in [start, end), computed by the same
+    # expression for this interval's end and the next one's start, and
+    # cumulative sums of non-negative gaps never decrease: the concatenated
+    # chunks are already in arrival order and need no sort.
     for index, utilization in enumerate(trace.values):
         rho = float(np.clip(utilization, min_utilization, max_utilization))
         interval_start = trace.start_time + index * interval
+        interval_end = trace.start_time + (index + 1) * interval
         # Expected number of jobs in this interval at the clamped load.
         mean_gap = mean_service / rho
         expected_jobs = interval / mean_gap
@@ -126,10 +131,10 @@ def generate_trace_driven_jobs(
         gap_scale = mean_gap / spec.interarrival.mean
         gaps = spec.interarrival.scaled(gap_scale).sample(draw, rng)
         arrivals = interval_start + np.cumsum(gaps)
-        while arrivals.size > 0 and arrivals[-1] < interval_start + interval:
+        while arrivals.size > 0 and arrivals[-1] < interval_end:
             extra = spec.interarrival.scaled(gap_scale).sample(draw, rng)
             arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(extra)])
-        inside = arrivals[arrivals < interval_start + interval]
+        inside = arrivals[arrivals < interval_end]
         if inside.size == 0:
             continue
         demands = spec.service.sample(inside.size, rng)
@@ -141,10 +146,7 @@ def generate_trace_driven_jobs(
             "utilization trace produced no jobs; the trace may be too short "
             "or its utilisation too low for the workload's job size"
         )
-    arrivals = np.concatenate(arrival_chunks)
-    demands = np.concatenate(demand_chunks)
-    order = np.argsort(arrivals, kind="stable")
-    jobs = JobTrace(arrivals[order], demands[order])
+    jobs = JobTrace(np.concatenate(arrival_chunks), np.concatenate(demand_chunks))
     return TraceDrivenWorkload(jobs=jobs, utilization=trace, spec=spec)
 
 

@@ -1,9 +1,10 @@
 """No BLAS calls on the policy-search probe path.
 
-The per-epoch search solves thousands of small kernels per run, and the
-dispatcher steps through every job.  NumPy routes ``np.dot``, ``np.matmul``,
-``np.inner``, ``np.vdot``, ``ndarray.dot`` and the ``@`` operator to BLAS,
-whose helper threads wake on arrays of a few thousand elements: the work
+The per-epoch search solves thousands of small kernels per run, builds each
+probed candidate from the power model, and the dispatcher steps through
+every job.  NumPy routes ``np.dot``, ``np.matmul``, ``np.inner``,
+``np.vdot``, ``ndarray.dot`` and the ``@`` operator to BLAS, whose helper
+threads wake on arrays of a few thousand elements: the work
 then spreads across cores, so process CPU time (``cpu_s``) inflates well
 beyond wall-clock time, with no speedup for arrays this small.  The modules
 below therefore reduce with elementwise ufuncs and ``.sum()`` only; this
@@ -23,6 +24,7 @@ PROBE_PATH_MODULES = (
     "src/repro/simulation/kernel.py",
     "src/repro/core/search.py",
     "src/repro/cluster/dispatch.py",
+    "src/repro/power/platform.py",
 )
 
 BLAS_NAMES = frozenset({"dot", "matmul", "inner", "vdot"})

@@ -37,7 +37,8 @@ from repro.policies.space import (
     full_space,
     single_state_space,
 )
-from repro.power.states import C3_S0I, C6_S0I
+from repro.power.platform import atom_power_model, xeon_power_model
+from repro.power.states import C3_S0I, C6_S0I, LOW_POWER_STATES
 from repro.prediction.naive import NaivePreviousPredictor
 from repro.workloads.generator import generate_jobs
 from repro.workloads.jobs import JobTrace
@@ -81,6 +82,38 @@ class TestLazyGrid:
             grid = _PolicyGrid.build(space, utilization)
             assert grid is not None
             assert grid.policies == space.candidate_policies(utilization)
+
+    @pytest.mark.parametrize("model", ["xeon", "atom", "custom-latencies"])
+    def test_cells_match_candidate_policies_per_model(self, model):
+        power_model = {
+            "xeon": xeon_power_model,
+            "atom": atom_power_model,
+            "custom-latencies": lambda: xeon_power_model(
+                wake_up_latencies={
+                    state: 0.004 * (index + 1)
+                    for index, state in enumerate(LOW_POWER_STATES)
+                }
+            ),
+        }[model]()
+        space = PolicySpace(
+            power_model=power_model, deep_entry_delays=(0.5,), include_dvfs_only=True
+        )
+        for utilization in (0.02, 0.3, 0.7):
+            expected = space.candidate_policies(utilization)
+            grid = _PolicyGrid.build(space, utilization)
+            # Probe cells out of enumeration order, as a search does.
+            cells = [
+                (freq_index, variant_index)
+                for freq_index in range(grid.num_frequencies)
+                for variant_index in range(grid.num_variants)
+            ]
+            for cell in cells[::-3] + cells:
+                policy = grid.policy_at(*cell)
+                assert policy == expected[cell[0] * grid.num_variants + cell[1]]
+                assert policy.label == expected[
+                    cell[0] * grid.num_variants + cell[1]
+                ].label
+            assert grid.policies == expected
 
     def test_subclassed_space_is_not_gridded(self, xeon):
         class CustomSpace(PolicySpace):

@@ -13,8 +13,15 @@ from repro.workloads.generator import (
     generate_trace_driven_jobs,
     make_rng,
 )
+from repro.workloads.distributions import (
+    Deterministic,
+    Empirical,
+    Exponential,
+    HyperExponential,
+)
 from repro.workloads.jobs import JobTrace
-from repro.workloads.traces import constant_trace, step_trace
+from repro.workloads.spec import WorkloadSpec
+from repro.workloads.traces import UtilizationTrace, constant_trace, step_trace
 
 
 class TestGenerateJobs:
@@ -96,6 +103,70 @@ class TestTraceDrivenGeneration:
         a = generate_trace_driven_jobs(dns_ideal, trace, seed=9).jobs
         b = generate_trace_driven_jobs(dns_ideal, trace, seed=9).jobs
         assert a == b
+
+
+class TestTraceDrivenArrivalOrder:
+    """The per-interval chunks concatenate in arrival order, unsorted.
+
+    A stable argsort of the output is the identity permutation, so the
+    ``argsort`` and fancy-index copies the generator used to make returned
+    exactly the stream it returns now.
+    """
+
+    SPECS = {
+        "poisson": WorkloadSpec("poisson", Exponential(0.2), Exponential(0.1)),
+        # Zero gaps: several jobs share an arrival instant (ties).
+        "zero-gaps": WorkloadSpec(
+            "zero-gaps", Empirical([0.0, 0.0, 0.0, 0.5]), Exponential(0.1)
+        ),
+        "deterministic": WorkloadSpec(
+            "deterministic", Deterministic(0.1), Deterministic(0.03)
+        ),
+        "bursty": WorkloadSpec(
+            "bursty", HyperExponential.from_mean_cv(0.2, 3.0), Exponential(0.1)
+        ),
+    }
+    TRACES = {
+        "constant": constant_trace(0.4, num_samples=12),
+        "step": step_trace(0.05, 0.8, num_samples=16),
+        # Fractional interval and offset start: interval ends are rounded.
+        "offset": UtilizationTrace(
+            [0.3, 0.9, 0.1, 0.6, 0.2, 0.7], interval=0.7, start_time=3.1
+        ),
+        # Idle minutes at a tiny clamp leave intervals with no jobs at all.
+        "gappy": UtilizationTrace([0.5, 0.0, 0.0, 0.5, 0.0, 0.5], interval=1.0),
+    }
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize("trace_name", sorted(TRACES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_output_equals_its_stable_argsort(self, spec_name, trace_name, seed):
+        trace = self.TRACES[trace_name]
+        jobs = generate_trace_driven_jobs(
+            self.SPECS[spec_name], trace, seed=seed, min_utilization=1e-6
+        ).jobs
+        arrivals = jobs.arrival_times
+        order = np.argsort(arrivals, kind="stable")
+        np.testing.assert_array_equal(order, np.arange(arrivals.size))
+        resorted = JobTrace(arrivals[order], jobs.service_demands[order])
+        assert resorted == jobs
+        assert np.all(arrivals >= trace.start_time)
+        assert np.all(arrivals < trace.start_time + trace.duration)
+
+    def test_cases_cover_ties_and_empty_intervals(self):
+        ties = generate_trace_driven_jobs(
+            self.SPECS["zero-gaps"], self.TRACES["constant"], seed=0
+        ).jobs
+        assert np.any(np.diff(ties.arrival_times) == 0.0)
+        trace = self.TRACES["gappy"]
+        jobs = generate_trace_driven_jobs(
+            self.SPECS["poisson"], trace, seed=0, min_utilization=1e-6
+        ).jobs
+        per_interval = np.bincount(
+            (jobs.arrival_times // trace.interval).astype(int),
+            minlength=len(trace.values),
+        )
+        assert np.any(per_interval == 0)
 
 
 class TestEmpiricalUtilization:
