@@ -15,7 +15,6 @@ Two bounds that only a timed run on a real machine can check:
 
 The deterministic gates of the same features are tier-1 tests: serial vs
 process parity on every scenario in ``tests/cluster/test_executor_parity.py``,
-the mmap shard-bytes bound in ``tests/cluster/test_trace_backend_parity.py``,
 the tenant isolation flip in ``tests/cluster/test_tenancy.py`` and
 strictest/per-tenant parity in ``tests/cluster/test_tenancy_parity.py``.
 

@@ -4,10 +4,9 @@ Every fast path in this repo ships with a reference oracle and a parity
 test pinning the two bit-identical: the vectorized kernel against the
 per-job loop, the heap dispatch engine against the loop engine, the
 frontier search against the full grid, the process executor against
-serial, the mmap trace backend against in-memory, and the
-reactive/predictive controller policies against always-on.  That
-discipline only survives if *adding* a fast path without its parity
-test fails CI — which is what this rule does.
+serial, and the reactive/predictive controller policies against
+always-on.  That discipline only survives if *adding* a fast path without
+its parity test fails CI — which is what this rule does.
 
 :data:`PARITY_REGISTRY` is the declarative table of contracts.  For each
 contract the checker:
@@ -100,15 +99,6 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         members=("serial", "process"),
         import_evidence=("repro.concurrency", "repro.cluster.farm"),
         description="process fan-out executor vs serial oracle",
-    ),
-    ParityContract(
-        name="trace-backend",
-        module="repro.workloads.storage",
-        selector="TRACE_BACKENDS",
-        oracle="memory",
-        members=("memory", "mmap"),
-        import_evidence=("repro.workloads.storage", "trace_backend"),
-        description="memory-mapped trace arena vs in-memory arrays",
     ),
     ParityContract(
         name="controller-policy",

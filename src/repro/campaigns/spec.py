@@ -40,9 +40,9 @@ KIND_SCENARIO = "scenario"
 CAMPAIGN_KINDS = (KIND_EXPERIMENT, KIND_SCENARIO)
 
 #: Grid axis names a scenario campaign routes to ``Scenario.build`` knobs
-#: instead of declared-parameter overrides.  ``executor``/``trace_backend``
-#: are deliberately absent: they are result-invisible execution knobs and
-#: belong to ``run_campaign``, not to the result-defining grid.
+#: instead of declared-parameter overrides.  ``executor`` is deliberately
+#: absent: it is a result-invisible execution knob and belongs to
+#: ``run_campaign``, not to the result-defining grid.
 SCENARIO_KNOB_AXES = frozenset({"backend", "search", "controller"})
 
 #: Version tag stamped into (and required from) every serialised spec.

@@ -28,7 +28,7 @@ Two properties make the controller testable by parity:
   every server is serviceable from ``t = 0`` in a single regime, so
   :func:`controller_assignment` falls through to the exact
   ``validated_assignment`` call a controller-less farm makes — bit-identical
-  results on every executor and trace backend, by construction.
+  results on every executor, by construction.
 * **The schedule is deterministic.**  Policies see only per-epoch loads in
   order; no wall-clock, no randomness beyond the dispatcher's own.
 

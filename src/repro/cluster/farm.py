@@ -29,19 +29,18 @@ Execution model — one pipeline:
    (``executor="serial"``), or sharded across worker processes
    (``executor="process"``) as picklable :class:`ServerShardTask`\\ s.
 
-Both executors and both trace backends produce bit-identical
-:class:`FarmResult`\\ s.  The work-tracking dispatchers receive each server's
-*dispatch speed* — derived from its :class:`ServerSpec` service scaling and
-frequency ceiling — so heterogeneous farms route on estimated finish times
-rather than raw demand seconds.  Because each server is managed
-independently (no coordination), the per-epoch policy-search overhead scales
-linearly with the number of servers — the "controlling the overall queuing
-simulation overhead" concern the paper raises — which the ablation benchmark
-quantifies through the recorded wall-clock cost per run.
+Both executors produce bit-identical :class:`FarmResult`\\ s.  The
+work-tracking dispatchers receive each server's *dispatch speed* — derived
+from its :class:`ServerSpec` service scaling and frequency ceiling — so
+heterogeneous farms route on estimated finish times rather than raw demand
+seconds.  Because each server is managed independently (no coordination),
+the per-epoch policy-search overhead scales linearly with the number of
+servers — the "controlling the overall queuing simulation overhead" concern
+the paper raises — which the ablation benchmark quantifies through the
+recorded wall-clock cost per run.
 
 Every run takes this one path over the whole trace, so the trace and its
-per-server grouping must fit in memory; the ``"mmap"`` trace backend moves
-the trace's own arrays to disk but not the grouped copy.
+per-server grouping must fit in memory.
 
 Farm-level QoS: each server derives its response-time budget from its own
 ``rho_b``; the farm reports against the *strictest* (smallest) per-server
@@ -50,9 +49,7 @@ budget, which collapses to the shared budget in the homogeneous case.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Callable, Mapping, Sequence
@@ -86,14 +83,6 @@ from repro.simulation.metrics import ResponseTimePercentiles
 from repro.simulation.service_scaling import ServiceScaling, cpu_bound
 from repro.workloads.jobs import JobTrace
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.storage import (
-    TRACE_BACKEND_MEMORY,
-    TRACE_BACKEND_MMAP,
-    ArrayDescriptor,
-    SharedTraceArena,
-    is_mmap_backed,
-    validate_trace_backend,
-)
 
 #: Factory signatures: one fresh strategy/predictor per server, so per-server
 #: state (policy-manager RNGs, LMS weights) is never shared accidentally.
@@ -144,38 +133,19 @@ class ServerShardTask:
     run bit for bit: the full :class:`ServerSpec` (its factories must be
     picklable — the built-in scenario factories and
     :class:`PerIndexFactory` are), the farm-wide workload spec and this
-    server's jobs.  The jobs are either the server's grouped array slices
-    (``trace_backend="memory"``, pickled with the task) or two
-    constant-size :class:`~repro.workloads.storage.ArrayDescriptor`\\ s
-    narrowed to the server's range of the published grouped arrays
-    (``"mmap"``), which the worker copies out contiguously.
+    server's jobs as its grouped array slices, pickled with the task.
     """
 
     server: ServerSpec
     spec: WorkloadSpec
-    arrivals: np.ndarray | ArrayDescriptor
-    demands: np.ndarray | ArrayDescriptor
+    arrivals: np.ndarray
+    demands: np.ndarray
 
 
 def run_server_shard(task: ServerShardTask) -> RuntimeResult:
     """Run one server's epoch loop over its shard (process-pool work fn)."""
-    arrivals, demands = task.arrivals, task.demands
-    if isinstance(arrivals, ArrayDescriptor):
-        arrivals = arrivals.load()
-    if isinstance(demands, ArrayDescriptor):
-        demands = demands.load()
-    jobs = JobTrace.from_validated_arrays(arrivals, demands)
+    jobs = JobTrace.from_validated_arrays(task.arrivals, task.demands)
     return _build_server_runtime(task.server, task.spec).run(jobs)
-
-
-def _take(
-    source: np.ndarray | ArrayDescriptor, bounds: slice | None
-) -> np.ndarray | ArrayDescriptor:
-    """One server's range of a grouped array or of its published descriptor."""
-    assert bounds is not None
-    if isinstance(source, ArrayDescriptor):
-        return source.narrow(bounds.start, bounds.stop - bounds.start)
-    return source[bounds]
 
 
 def prorated_idle_energy(
@@ -574,17 +544,6 @@ class ServerFarm:
         factory must then be picklable — and produces bit-identical results
         to the serial path (pinned by
         ``tests/cluster/test_executor_parity.py``).
-    trace_backend:
-        Where the trace's arrays live while the farm runs (``"memory"`` or
-        ``"mmap"`` — see :mod:`repro.workloads.storage`).  ``"mmap"``
-        spills an in-memory trace to a temporary ``.npy`` file and
-        memory-maps it, so the farm's working arrays live on disk (traces
-        loaded via
-        :meth:`JobTrace.from_file(mmap=True) <repro.workloads.jobs.JobTrace.from_file>`
-        are used as-is); process shards then carry constant-size
-        descriptors into a :class:`~repro.workloads.storage.SharedTraceArena`
-        instead of pickled arrays.  The backend is result-invisible: both
-        produce bit-identical :class:`FarmResult`\\ s.
     controller:
         Optional :class:`~repro.cluster.controller.FarmController` for
         farm-level dynamic right-sizing: before dispatch, the controller
@@ -610,7 +569,6 @@ class ServerFarm:
     dispatcher: JobDispatcher = field(default_factory=RoundRobinDispatcher)
     max_workers: int | None = None
     executor: Executor | str | None = None
-    trace_backend: str = TRACE_BACKEND_MEMORY
     controller: FarmController | None = None
     qos: FarmQos | None = field(default=None, kw_only=True)
 
@@ -633,7 +591,6 @@ class ServerFarm:
         # Resolving validates the name/worker combination up front, so a
         # typo'd executor fails at construction, not mid-run.
         resolve_executor(self.executor, self.max_workers)
-        validate_trace_backend(self.trace_backend)
         names = [server.name for server in self.servers]
         if len(set(names)) != len(names):
             raise ConfigurationError(
@@ -835,28 +792,6 @@ class ServerFarm:
 
     def run(self, jobs: JobTrace) -> FarmResult:
         """Dispatch *jobs* across the farm and run every server's epoch loop."""
-        if (
-            self.trace_backend == TRACE_BACKEND_MMAP
-            and len(jobs) > 0
-            and not is_mmap_backed(jobs.arrival_times)
-        ):
-            # The mmap backend means "the farm's working trace lives on
-            # disk": spill an in-memory trace to a temporary .npy file and
-            # re-open it memory-mapped.  The binary round trip is exact, so
-            # results are bit-identical to the in-memory run; traces that
-            # are already memmap-backed (JobTrace.from_file) pass through.
-            with tempfile.TemporaryDirectory(prefix="repro_trace_") as tmp:
-                path = f"{tmp}/trace.npy"
-                jobs.to_file(path)
-                spilled = JobTrace.from_file(path, mmap=True, validate=False)
-                if jobs.tenant_ids is not None:
-                    # The on-disk (2, n) format carries arrivals and demands
-                    # only; tenant labels stay in memory across the spill.
-                    spilled = spilled.with_tenant_ids(jobs.tenant_ids)
-                return self._run_resolved(spilled)
-        return self._run_resolved(jobs)
-
-    def _run_resolved(self, jobs: JobTrace) -> FarmResult:
         # Fail fast on a per-tenant farm fed a mislabelled trace, before
         # any dispatch or epoch loop runs.
         self._tenant_labels(jobs)
@@ -977,28 +912,16 @@ class ServerFarm:
     ) -> list[RuntimeResult]:
         """Shard the active servers across worker processes.
 
-        Under ``trace_backend="mmap"`` the grouped arrays are published once
-        into a :class:`~repro.workloads.storage.SharedTraceArena` and each
-        task carries descriptors narrowed to its server's range (O(1)
-        pickled bytes per shard); otherwise tasks carry the range slices.
-        The arena's ``with`` block deletes its files on every exit,
-        including a worker crash surfacing as an executor exception.
+        Each task carries its server's range slices of the grouped arrays.
         """
-        arrivals: np.ndarray | ArrayDescriptor
-        demands: np.ndarray | ArrayDescriptor
-        with contextlib.ExitStack() as stack:
-            arrivals, demands = grouped
-            if self.trace_backend == TRACE_BACKEND_MMAP:
-                arena = stack.enter_context(SharedTraceArena())
-                arrivals = arena.publish(arrivals, "arrivals")
-                demands = arena.publish(demands, "demands")
-            tasks = [
-                ServerShardTask(
-                    server=self.servers[index],
-                    spec=self.spec,
-                    arrivals=_take(arrivals, ranges[index]),
-                    demands=_take(demands, ranges[index]),
-                )
-                for index in active
-            ]
-            return executor.map(run_server_shard, tasks)
+        arrivals, demands = grouped
+        tasks = [
+            ServerShardTask(
+                server=self.servers[index],
+                spec=self.spec,
+                arrivals=arrivals[ranges[index]],
+                demands=demands[ranges[index]],
+            )
+            for index in active
+        ]
+        return executor.map(run_server_shard, tasks)

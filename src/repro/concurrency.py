@@ -16,7 +16,8 @@ search), so threads stay GIL-bound and measured slower than serial.
 The executor contract (pinned by ``tests/test_concurrency.py`` and the
 scenario-wide parity suite in ``tests/cluster/test_executor_parity.py``):
 every executor applies the work function to each item independently and
-returns results in item order; exceptions propagate, first in item order;
+returns results in item order; exceptions propagate, first in item order,
+and the process pool starts no further item once one has failed;
 switching executors changes wall-clock only, never results.
 
 Process-executor pickling failures are reported eagerly as
@@ -153,7 +154,11 @@ class ProcessExecutor(Executor):
             for index, future in enumerate(futures):
                 try:
                     results.append(future.result())
-                except Exception as error:
+                except BaseException as error:
+                    # Leaving the ``with`` block waits for every queued
+                    # future; cancel the ones not yet started so the
+                    # failure surfaces without running the rest.
+                    pool.shutdown(cancel_futures=True)
                     if self._is_pickling_failure(error):
                         raise ExecutorError(
                             "the process executor requires picklable work; "

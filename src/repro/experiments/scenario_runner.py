@@ -129,7 +129,6 @@ from repro.scenarios import (
 )
 from repro.core.search import DEFAULT_SEARCH, SEARCHES
 from repro.simulation.kernel import BACKENDS, BACKEND_VECTORIZED
-from repro.workloads.storage import TRACE_BACKENDS
 
 #: Version tag stamped into (and required from) every scenario report.
 REPORT_SCHEMA = "repro.scenario-report/v4"
@@ -449,7 +448,6 @@ def run_scenario(
     search: str = DEFAULT_SEARCH,
     executor: Executor | str | None = None,
     max_workers: int | None = None,
-    trace_backend: str | None = None,
     controller: FarmController | str | None = None,
     setup_latency_s: float | None = None,
     setup_energy_j: float | None = None,
@@ -465,13 +463,11 @@ def run_scenario(
     rejected by the scenario).  *executor*/*max_workers* select how the farm
     runs its per-server epoch loops (serial, or sharded across worker
     processes — the report is identical whichever executes, which is why
-    the schema carries no executor field).  *trace_backend* selects where
-    the trace's arrays live while the farm runs (``"memory"``/``"mmap"``;
-    storage is result-invisible like the executor, so the schema carries
-    no backend field either).  *controller* attaches a farm-level right-sizing
-    controller (a :class:`~repro.cluster.controller.FarmController` or a
-    policy name — with a name, *setup_latency_s*, *setup_energy_j* and
-    *min_awake* flesh out its :class:`~repro.cluster.controller.SetupModel`),
+    the schema carries no executor field).  *controller* attaches a
+    farm-level right-sizing controller (a
+    :class:`~repro.cluster.controller.FarmController` or a policy name —
+    with a name, *setup_latency_s*, *setup_energy_j* and *min_awake* flesh
+    out its :class:`~repro.cluster.controller.SetupModel`),
     replacing any controller the scenario embedded.  *qos* attaches a
     farm-level QoS contract, replacing any the scenario embedded.
     *tenants* is a list of ``--tenant``-style specs
@@ -494,7 +490,7 @@ def run_scenario(
             f"{', '.join(reserved)} cannot be set via overrides; use the "
             f"dedicated {'/'.join(sorted(Scenario.RESERVED_NAMES))} arguments "
             "(CLI: --seed / --backend / --search-mode / --executor / "
-            "--trace-backend / --controller / --tenant)"
+            "--controller / --tenant)"
         )
     setup_flags = (setup_latency_s, setup_energy_j, min_awake)
     if controller is None and any(flag is not None for flag in setup_flags):
@@ -522,7 +518,6 @@ def run_scenario(
         backend=backend,
         search=search,
         executor=executor,
-        trace_backend=trace_backend,
         controller=controller,
         qos=qos,
         **overrides,
@@ -754,17 +749,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--trace-backend",
-        choices=list(TRACE_BACKENDS),
-        default=None,
-        help=(
-            "where the trace's arrays live while the farm runs: 'memory' "
-            "(default) or 'mmap' (trace memory-mapped from a .npy file; "
-            "process shards then carry constant-size file descriptors); "
-            "results are identical whichever is selected"
-        ),
-    )
-    parser.add_argument(
         "--controller",
         choices=list(CONTROLLER_POLICIES),
         default=None,
@@ -852,7 +836,6 @@ def main(argv: list[str] | None = None) -> int:
             search=arguments.search_mode,
             executor=arguments.executor,
             max_workers=arguments.workers,
-            trace_backend=arguments.trace_backend,
             controller=arguments.controller,
             setup_latency_s=arguments.setup_latency,
             setup_energy_j=arguments.setup_energy,

@@ -47,7 +47,6 @@ from repro.exceptions import ScenarioError
 from repro.simulation.kernel import BACKEND_VECTORIZED, validate_backend
 from repro.workloads.jobs import JobTrace
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.storage import validate_trace_backend
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,6 @@ class Scenario:
             "backend",
             "search",
             "executor",
-            "trace_backend",
             "controller",
             "qos",
         }
@@ -180,7 +178,6 @@ class Scenario:
         backend: str = BACKEND_VECTORIZED,
         search: str = DEFAULT_SEARCH,
         executor: Executor | str | None = None,
-        trace_backend: str | None = None,
         controller: FarmController | str | None = None,
         qos: FarmQos | None = None,
         **overrides: Any,
@@ -195,17 +192,15 @@ class Scenario:
         characterisation table in ``last_selection``; frontier keeps the
         winning row.
         ``executor`` selects how the built farm runs its per-server epoch
-        loops (``"serial"``/``"process"``) and ``trace_backend`` where the
-        trace's arrays live while it runs (``"memory"``/``"mmap"``; see
-        :mod:`repro.workloads.storage`); neither changes results — the
-        parity suites pin this — so builders never see them; both are
+        loops (``"serial"``/``"process"``); it does not change results — the
+        executor parity suite pins this — so builders never see it; it is
         applied to the built farm directly.  ``controller`` attaches a
         farm-level right-sizing controller (a
         :class:`~repro.cluster.controller.FarmController` instance, or a
         policy name building one with default — free — setup costs) to the
         built farm, replacing any controller the builder embedded; unlike
-        the executor and trace backend it *does* change results, except for
-        the setup-free ``"always-on"`` identity the parity suite pins.
+        the executor it *does* change results, except for the setup-free
+        ``"always-on"`` identity the parity suite pins.
         ``qos`` attaches a farm-level QoS contract (a
         :class:`~repro.cluster.tenancy.FarmQos`; wrap a bare constraint as
         ``FarmQos.strictest(constraint)``) to the built farm, replacing any
@@ -216,8 +211,6 @@ class Scenario:
         validate_backend(backend)
         validate_search(search)
         validate_executor(executor)
-        if trace_backend is not None:
-            validate_trace_backend(trace_backend)
         if isinstance(controller, str):
             controller = FarmController(policy=controller)
         elif controller is not None and not isinstance(controller, FarmController):
@@ -268,7 +261,6 @@ class Scenario:
             key: value
             for key, value in (
                 ("executor", executor),
-                ("trace_backend", trace_backend),
                 ("controller", controller),
                 ("qos", qos),
             )

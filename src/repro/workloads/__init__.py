@@ -20,13 +20,6 @@ from repro.workloads.generator import (
     make_rng,
 )
 from repro.workloads.jobs import Job, JobTrace
-from repro.workloads.storage import (
-    TRACE_BACKENDS,
-    ArrayDescriptor,
-    SharedTraceArena,
-    TraceBuffer,
-    validate_trace_backend,
-)
 from repro.workloads.spec import (
     TABLE5_STATISTICS,
     WorkloadSpec,
@@ -46,7 +39,6 @@ from repro.workloads.traces import (
 )
 
 __all__ = [
-    "ArrayDescriptor",
     "Deterministic",
     "Distribution",
     "Empirical",
@@ -55,9 +47,6 @@ __all__ = [
     "HyperExponential",
     "Job",
     "JobTrace",
-    "SharedTraceArena",
-    "TRACE_BACKENDS",
-    "TraceBuffer",
     "LogNormal",
     "Pareto",
     "TABLE5_STATISTICS",
@@ -79,6 +68,5 @@ __all__ = [
     "synthetic_email_store_trace",
     "synthetic_file_server_trace",
     "table5",
-    "validate_trace_backend",
     "workload_by_name",
 ]

@@ -123,10 +123,8 @@ class JobTrace:
         the dispatcher re-scanned the entire trace once per server.  This
         trusted constructor skips the scans and only normalises dtype/shape.
 
-        Only for arrays *derived from an already-validated trace* (or
-        validated externally, e.g. by
-        :func:`repro.workloads.storage.validate_trace_arrays`).  Arbitrary
-        input must keep going through the validating constructor.  Among the
+        Only for arrays *derived from an already-validated trace*.
+        Arbitrary input must keep going through the validating constructor.  Among the
         trusted callers are the runtime's per-epoch and log-window traces:
         they concatenate consecutive chunks that
         :meth:`repro.core.runtime.RuntimeSession.feed` already checked
@@ -461,39 +459,48 @@ class JobTrace:
                 writer.writerow([f"{arrival:.9f}", f"{demand:.9f}"])
 
     def to_file(self, path: str | Path) -> None:
-        """Write the trace as a binary ``.npy`` file (lossless, mmap-able).
+        """Write the trace as a binary ``.npy`` file (lossless).
 
         The on-disk form is one ``(2, n)`` float64 array — row 0 arrival
-        times, row 1 service demands — written through a memory map in
-        bounded chunks, so even a trace whose arrays are themselves
-        memory-mapped spills to disk without materialising.  Unlike
-        :meth:`to_csv` (the human-readable interchange format, which rounds
-        to nanoseconds), the round trip through :meth:`from_file` is exact.
+        times, row 1 service demands.  Unlike :meth:`to_csv` (the
+        human-readable interchange format, which rounds to nanoseconds), the
+        round trip through :meth:`from_file` is exact.
         """
-        from repro.workloads.storage import TraceBuffer
-
-        TraceBuffer.write_file(path, self._arrivals, self._demands)
+        # Through a handle: given a bare path, np.save appends ``.npy``.
+        with Path(path).open("wb") as handle:
+            np.save(handle, np.stack([self._arrivals, self._demands]))
 
     @classmethod
-    def from_file(
-        cls, path: str | Path, *, mmap: bool = True, validate: bool = True
-    ) -> "JobTrace":
-        """Load a trace written by :meth:`to_file`.
+    def from_file(cls, path: str | Path) -> "JobTrace":
+        """Load a trace written by :meth:`to_file`, validating it.
 
-        With ``mmap=True`` (default) the trace's arrays are read-only views
-        of a :class:`numpy.memmap` (the ``"mmap"`` trace backend's form).
-        Validation runs the usual trace invariants in bounded-memory chunks;
-        pass ``validate=False`` only for files this process (or an equally
-        trusted one) wrote from a validated trace.
+        Anything that is not such a file — a missing path, a directory, a
+        non-``.npy`` or truncated file, an ``.npz`` archive, a pickled
+        object array, another shape or dtype, or contents the constructor
+        rejects — raises :class:`~repro.exceptions.TraceError` naming
+        *path*.
         """
-        from repro.workloads.storage import TraceBuffer
-
-        buffer = TraceBuffer.from_file(path, mmap=mmap)
-        if len(buffer) == 0:
+        path = Path(path)
+        if not path.exists():
+            raise TraceError(f"trace file {path} does not exist")
+        try:
+            # Through a handle and the ``.npy`` reader itself: ``np.load``
+            # would open an ``.npz`` archive and guess at other formats.
+            with path.open("rb") as handle:
+                data = np.lib.format.read_array(handle, allow_pickle=False)
+        except (OSError, ValueError) as error:
+            raise TraceError(f"{path} is not a trace file: {error}") from error
+        if data.ndim != 2 or data.shape[0] != 2 or data.dtype != np.float64:
+            raise TraceError(
+                f"{path} is not a trace file (expected a (2, n) float64 "
+                f"array, got shape {data.shape}, dtype {data.dtype})"
+            )
+        if data.shape[1] == 0:
             raise TraceError(f"{path} contains no jobs")
-        if validate:
-            buffer.validate()
-        return buffer.as_trace()
+        try:
+            return cls(data[0], data[1])
+        except TraceError as error:
+            raise TraceError(f"{path}: {error}") from error
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "JobTrace":

@@ -1,12 +1,12 @@
 """A setup-free always-on controller must be result-invisible.
 
-The controller contract's oracle leg (the PR 7 analogue of the executor and
-trace-backend parity suites): attaching a ``FarmController`` whose policy is
+The controller contract's oracle leg (the analogue of the executor parity
+suite): attaching a ``FarmController`` whose policy is
 ``always-on`` and whose ``SetupModel`` is free produces **bit-identical**
 ``FarmResult``s to a plain, uncontrolled ``ServerFarm.run`` — same total
 energy, same per-server response-time arrays (hence dispatch assignments),
 same per-epoch policy selections.  This suite pins that across every
-registered scenario and the full executor × trace-backend grid, plus the
+registered scenario and both executors, plus the
 ``ServerFarm.homogeneous`` threading and the ``Scenario.build``/CLI
 plumbing.  It also holds the deterministic savings gate: reactive
 right-sizing saves at least 15% of the always-on energy at equal QoS.
@@ -26,15 +26,8 @@ from tests.cluster.test_executor_parity import (
     assert_farm_results_identical,
 )
 
-#: The full grid the contract quantifies over.  Serial runs execute the
-#: grouped ranges in the caller whatever the backend (mmap storage only
-#: changes where the arrays live); process runs with mmap exercise the
-#: zero-copy shard path under the controller as well.
-GRID = tuple(
-    (executor, backend)
-    for executor in ("serial", "process")
-    for backend in ("memory", "mmap")
-)
+#: The executors the contract quantifies over.
+GRID = ("serial", "process")
 
 
 def _free_always_on() -> FarmController:
@@ -42,7 +35,7 @@ def _free_always_on() -> FarmController:
 
 
 def _plain_oracle(name: str, overrides: dict):
-    """Uncontrolled serial/memory reference run for *name*.
+    """Uncontrolled serial reference run for *name*.
 
     The autoscale scenarios embed a reactive controller by construction, so
     the oracle strips whatever controller the builder attached.
@@ -56,7 +49,7 @@ def _plain_oracle(name: str, overrides: dict):
 
 
 class TestAlwaysOnParityEverywhere:
-    """All registered scenarios × {serial,process} × {memory,mmap}."""
+    """All registered scenarios × {serial,process}."""
 
     @pytest.fixture(params=sorted(available_scenarios()))
     def name(self, request):
@@ -65,11 +58,10 @@ class TestAlwaysOnParityEverywhere:
     def test_setup_free_always_on_matches_uncontrolled(self, name):
         overrides = _tiny_overrides(name)
         oracle = _plain_oracle(name, overrides)
-        for executor, backend in GRID:
+        for executor in GRID:
             built = get_scenario(name).build(
                 seed=9,
                 executor=executor,
-                trace_backend=backend,
                 controller=_free_always_on(),
                 **overrides,
             )
@@ -78,8 +70,8 @@ class TestAlwaysOnParityEverywhere:
             assert_farm_results_identical(oracle, result)
             # The controlled run additionally reports its (full-fleet)
             # schedule and a zero setup bill.
-            assert result.setup_energy == 0.0, (executor, backend)
-            assert result.awake_counts is not None, (executor, backend)
+            assert result.setup_energy == 0.0, executor
+            assert result.awake_counts is not None, executor
             assert set(result.awake_counts) == {built.farm.num_servers}
             assert result.wake_transitions == ()
 

@@ -2,7 +2,8 @@
 
 Pins that every farm run takes one path — serial and process-sharded runs
 agree bit for bit for every dispatcher, parked servers included, and no
-``chunk_jobs`` knob selects another — how a farm threads each server's
+``chunk_jobs`` knob selects another — what a process shard carries and
+leaves behind when it fails, how a farm threads each server's
 dispatch speed into its dispatcher, plus the accounting bug batch: cached
 ``FarmResult.response_times``, explicit ``meets_budget`` with zero
 completed jobs, and the guarded parked-server idle proration.
@@ -10,7 +11,14 @@ completed jobs, and the guarded parked-server idle proration.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+import time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,16 +28,19 @@ from repro.cluster.dispatch import (
     PowerAwareDispatcher,
     RandomDispatcher,
     RoundRobinDispatcher,
+    group_by_server,
 )
 from repro.cluster.farm import (
     FarmResult,
     ServerFarm,
+    ServerShardTask,
     ServerSpec,
     prorated_idle_energy,
+    run_server_shard,
 )
 from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.strategies import FixedPolicyStrategy
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ExecutorError
 from repro.policies.policy import race_to_halt_policy
 from repro.power.platform import atom_power_model, xeon_power_model
 from repro.power.states import C6_S0I
@@ -52,6 +63,28 @@ def fixed_policy_server(name, power_model, max_frequency=1.0, scaling=None):
         scaling=scaling,
         max_frequency=max_frequency,
     )
+
+
+@dataclass(frozen=True)
+class MarkingStrategyFactory:
+    """Picklable factory that leaves a marker file when a shard starts."""
+
+    directory: Path
+    marker: str
+
+    def __call__(self):
+        time.sleep(0.1)
+        (self.directory / self.marker).touch()
+        return FixedPolicyStrategy(race_to_halt_policy(xeon_power_model(), C6_S0I))
+
+
+def failing_strategy_factory():
+    raise RuntimeError("shard 0 failed")
+
+
+def crashing_strategy_factory():
+    # Hard worker death: no exception, no cleanup handlers in the worker.
+    os._exit(17)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +186,146 @@ class TestOneRunPath:
                     lambda index: NaivePreviousPredictor(),
                     chunk_jobs=64,
                 )
+
+    @pytest.mark.parametrize("surface", ["field", "homogeneous"])
+    def test_trace_backend_knob_is_gone(self, dns_empirical, mixed_servers, surface):
+        with pytest.raises(TypeError, match="trace_backend"):
+            if surface == "field":
+                ServerFarm(
+                    servers=mixed_servers, spec=dns_empirical, trace_backend="mmap"
+                )
+            else:
+                xeon = xeon_power_model()
+                policy = race_to_halt_policy(xeon, C6_S0I)
+                ServerFarm.homogeneous(
+                    3,
+                    xeon,
+                    dns_empirical,
+                    lambda index: FixedPolicyStrategy(policy),
+                    lambda index: NaivePreviousPredictor(),
+                    trace_backend="mmap",
+                )
+
+
+class TestServerShards:
+    """The process work unit, and what a failing shard leaves behind."""
+
+    @staticmethod
+    def _tasks(farm, jobs):
+        assignment = farm.dispatcher.validated_assignment(
+            jobs, farm.num_servers, server_speeds=farm.dispatch_speeds
+        )
+        (arrivals, demands), ranges = group_by_server(
+            assignment, farm.num_servers, jobs.arrival_times, jobs.service_demands
+        )
+        return [
+            ServerShardTask(
+                server=server,
+                spec=farm.spec,
+                arrivals=arrivals[bounds],
+                demands=demands[bounds],
+            )
+            for server, bounds in zip(farm.servers, ranges, strict=True)
+        ]
+
+    def test_shard_task_reproduces_the_serial_server(
+        self, dns_empirical, busy_workload, mixed_servers
+    ):
+        serial = ServerFarm(servers=mixed_servers, spec=dns_empirical).run(
+            busy_workload
+        )
+        farm = ServerFarm(servers=mixed_servers, spec=dns_empirical)
+        for index, task in enumerate(self._tasks(farm, busy_workload)):
+            shard = run_server_shard(task)
+            expected = serial.per_server[index]
+            np.testing.assert_array_equal(shard.response_times, expected.response_times)
+            assert shard.total_energy == expected.total_energy
+
+    def test_shard_task_pickles_only_its_slice(
+        self, dns_empirical, busy_workload, mixed_servers
+    ):
+        farm = ServerFarm(servers=mixed_servers, spec=dns_empirical)
+        for task in self._tasks(farm, busy_workload):
+            empty = ServerShardTask(
+                server=task.server,
+                spec=task.spec,
+                arrivals=task.arrivals[:0],
+                demands=task.demands[:0],
+            )
+            payload = len(pickle.dumps(task)) - len(pickle.dumps(empty))
+            # Two float64 values per job of this server's slice (plus pickle
+            # framing), never the grouped arrays the slices are views of.
+            assert 16 * len(task.arrivals) <= payload <= 16 * len(task.arrivals) + 64
+            assert 2 * len(task.arrivals) < len(busy_workload)
+
+    def test_failed_shard_starts_no_queued_shard(
+        self, dns_empirical, busy_workload, tmp_path
+    ):
+        servers = [fixed_policy_server("xeon-0", xeon_power_model())]
+        servers[0] = ServerSpec(
+            name="xeon-0",
+            power_model=servers[0].power_model,
+            strategy_factory=failing_strategy_factory,
+            predictor_factory=NaivePreviousPredictor,
+            config=servers[0].config,
+        )
+        for index in range(1, 8):
+            template = fixed_policy_server(f"xeon-{index}", xeon_power_model())
+            servers.append(
+                ServerSpec(
+                    name=template.name,
+                    power_model=template.power_model,
+                    strategy_factory=MarkingStrategyFactory(tmp_path, template.name),
+                    predictor_factory=NaivePreviousPredictor,
+                    config=template.config,
+                )
+            )
+        farm = ServerFarm(
+            servers=tuple(servers),
+            spec=dns_empirical,
+            dispatcher=RoundRobinDispatcher(),
+            executor="process",
+            max_workers=1,
+        )
+        with pytest.raises(RuntimeError, match="shard 0 failed"):
+            farm.run(busy_workload)
+        # Shards already handed to the worker may still run; the rest not.
+        assert len(list(tmp_path.glob("xeon-*"))) <= 4
+
+    @pytest.mark.parametrize(
+        "strategy_factory, error",
+        [
+            (None, None),
+            (lambda: None, ExecutorError),
+            (crashing_strategy_factory, BrokenProcessPool),
+        ],
+        ids=["normal-run", "executor-error", "worker-crash"],
+    )
+    def test_no_worker_process_survives_a_farm_run(
+        self, dns_empirical, busy_workload, mixed_servers, strategy_factory, error
+    ):
+        servers = mixed_servers
+        if strategy_factory is not None:
+            first = mixed_servers[0]
+            servers = (
+                ServerSpec(
+                    name=first.name,
+                    power_model=first.power_model,
+                    strategy_factory=strategy_factory,
+                    predictor_factory=first.predictor_factory,
+                    config=first.config,
+                ),
+                *mixed_servers[1:],
+            )
+        farm = ServerFarm(
+            servers=servers, spec=dns_empirical, executor="process", max_workers=2
+        )
+        if error is None:
+            assert farm.run(busy_workload).num_jobs == len(busy_workload)
+        else:
+            with pytest.raises(error):
+                farm.run(busy_workload)
+        assert multiprocessing.active_children() == []
 
 
 class TestDispatchSpeedThreading:

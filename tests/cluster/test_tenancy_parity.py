@@ -5,7 +5,7 @@ Two oracles are pinned here:
 * **farm-qos** — attaching ``FarmQos.strictest()`` (the "strictest"
   mode, with or without an explicit constraint) to any scenario's farm
   is bit-identical to attaching no qos at all, across every registered
-  scenario and the executor × trace-backend grid; "per-tenant" mode is
+  scenario and both executors; "per-tenant" mode is
   additionally result-invisible at farm level (same energy, same
   response times — only the ``tenancy`` accounting is new).
 * **tenant-dispatch** — with a single tenant, the "priority" and
@@ -35,17 +35,13 @@ from tests.cluster.test_executor_parity import (
     assert_farm_results_identical,
 )
 
-#: Executor × trace-backend grid the farm-qos contract quantifies over on
-#: the representative scenario (every scenario is pinned serial/memory).
-GRID = tuple(
-    (executor, backend)
-    for executor in ("serial", "process")
-    for backend in ("memory", "mmap")
-)
+#: Executors the farm-qos contract quantifies over on the representative
+#: scenario (every scenario is pinned serial).
+GRID = ("serial", "process")
 
 
 def _plain_oracle(name: str, overrides: dict):
-    """Qos-free serial/memory reference run for *name*.
+    """Qos-free serial reference run for *name*.
 
     The tenant scenarios embed a per-tenant FarmQos by construction, so
     the oracle strips whatever qos the builder attached.
@@ -79,16 +75,15 @@ class TestStrictestParityEverywhere:
 
 
 class TestStrictestParityAcrossTheGrid:
-    """The representative scenario across executors and trace backends."""
+    """The representative scenario across executors."""
 
     def test_strictest_matches_no_qos_on_every_cell(self):
         overrides = _tiny_overrides("diurnal")
         oracle = _plain_oracle("diurnal", overrides)
-        for executor, backend in GRID:
+        for executor in GRID:
             built = get_scenario("diurnal").build(
                 seed=9,
                 executor=executor,
-                trace_backend=backend,
                 qos=FarmQos.strictest(),
                 **overrides,
             )
@@ -124,14 +119,12 @@ class TestPerTenantResultInvisibility:
         oracle_built = scenario.build(seed=9, executor="serial", **overrides)
         oracle = oracle_built.run()
         oracle_rows = oracle.tenant_rows()
-        for executor, backend in GRID:
-            built = scenario.build(
-                seed=9, executor=executor, trace_backend=backend, **overrides
-            )
+        for executor in GRID:
+            built = scenario.build(seed=9, executor=executor, **overrides)
             built.farm.max_workers = 2
             result = built.run()
             assert_farm_results_identical(oracle, result)
-            assert result.tenant_rows() == oracle_rows, (executor, backend)
+            assert result.tenant_rows() == oracle_rows, executor
 
 
 def _single_tenant():

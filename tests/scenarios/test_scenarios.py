@@ -34,6 +34,9 @@ from repro.scenarios import (
 from repro.scenarios.base import _REGISTRY
 from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import BACKEND_REFERENCE, BACKEND_VECTORIZED
+from repro.workloads.jobs import JobTrace
+
+from tests.cluster.test_executor_parity import assert_farm_results_identical
 
 #: Overrides that shrink any scenario to a couple of seconds of wall clock.
 TINY = {"duration_minutes": 5}
@@ -73,6 +76,16 @@ class TestRegistry:
     def test_unknown_override_rejected(self):
         with pytest.raises(ScenarioError, match="no parameter"):
             get_scenario("diurnal").build(not_a_parameter=3)
+
+    def test_trace_backend_knob_is_gone(self):
+        # No longer a build() keyword, so it is an unknown override.
+        assert "trace_backend" not in Scenario.RESERVED_NAMES
+        with pytest.raises(ScenarioError, match="no parameter.*trace_backend"):
+            get_scenario("diurnal").build(trace_backend="mmap")
+
+    def test_run_scenario_trace_backend_is_gone(self):
+        with pytest.raises(TypeError, match="trace_backend"):
+            run_scenario("diurnal", trace_backend="mmap")
 
     def test_reserved_override_names_get_a_helpful_error(self):
         # `--set seed=3` must point at --seed, not crash with a TypeError.
@@ -203,6 +216,20 @@ class TestEveryScenario:
     @pytest.fixture(params=sorted(available_scenarios()))
     def name(self, request):
         return request.param
+
+    def test_saved_trace_reruns_identically(self, name, tmp_path):
+        built = get_scenario(name).build(seed=11, **TINY)
+        path = tmp_path / "jobs.npy"
+        built.jobs.to_file(path)
+        loaded = JobTrace.from_file(path)
+        assert np.array_equal(loaded.arrival_times, built.jobs.arrival_times)
+        assert np.array_equal(loaded.service_demands, built.jobs.service_demands)
+        # The file holds arrival times and service demands only; a
+        # per-tenant scenario's labels are attached again.
+        if built.jobs.tenant_ids is not None:
+            loaded = loaded.with_tenant_ids(built.jobs.tenant_ids)
+        rerun = get_scenario(name).build(seed=11, **TINY).farm.run(loaded)
+        assert_farm_results_identical(built.run(), rerun)
 
     def test_builds_and_is_deterministic(self, name):
         first = get_scenario(name).build(seed=11, **TINY)
@@ -585,9 +612,9 @@ class TestCliErrors:
         ("argv", "message"),
         [
             (["--executor", "thread"], "invalid choice: 'thread'"),
-            (["--trace-backend", "shm"], "invalid choice: 'shm'"),
+            (["--trace-backend", "mmap"], "unrecognized arguments"),
         ],
-        ids=["thread-executor", "shm-backend"],
+        ids=["thread-executor", "trace-backend"],
     )
     def test_removed_executor_and_backend_are_rejected(self, capsys, argv, message):
         from repro.experiments.runner import main

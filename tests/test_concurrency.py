@@ -10,6 +10,7 @@ cross a process boundary.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -47,6 +48,41 @@ def fail_on_even(value):
     if value % 2 == 0:
         raise ValueError(f"item {value} failed")
     return value
+
+
+def fail_first_then_mark(item):
+    """Item 0 fails; every other item leaves a marker file when it runs."""
+    index, directory = item
+    if index == 0:
+        raise ValueError("item 0 failed")
+    time.sleep(0.1)
+    (directory / f"ran-{index}").touch()
+    return index
+
+
+def exit_worker(value):
+    """Hard worker death: no exception, no cleanup handlers."""
+    os._exit(17)
+
+
+def unpicklable_first_then_mark(item):
+    """Item 0 returns a result that cannot pickle; the others leave markers."""
+    index, directory = item
+    if index == 0:
+        return threading.Lock()
+    time.sleep(0.1)
+    (directory / f"ran-{index}").touch()
+    return index
+
+
+def exit_first_then_mark(item):
+    """Item 0 kills its worker; the others leave markers."""
+    index, directory = item
+    if index == 0:
+        os._exit(17)
+    time.sleep(0.1)
+    (directory / f"ran-{index}").touch()
+    return index
 
 
 def record_thread(value):
@@ -108,6 +144,59 @@ class TestExecutors:
     def test_process_exception_propagates_in_item_order(self):
         with pytest.raises(ValueError, match="item 0 failed"):
             ProcessExecutor(max_workers=2).map(fail_on_even, [0, 1, 2])
+
+    def test_process_failure_cancels_queued_items(self, tmp_path):
+        # Without cancelling, leaving the pool waits for every queued item,
+        # so all 19 would run before the failure surfaced.
+        items = [(index, tmp_path) for index in range(20)]
+        with pytest.raises(ValueError, match="item 0 failed"):
+            ProcessExecutor(max_workers=1).map(fail_first_then_mark, items)
+        # The items already handed to the worker may still run.
+        assert len(list(tmp_path.glob("ran-*"))) <= 5
+
+    def test_process_worker_crash_surfaces(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with pytest.raises(BrokenProcessPool):
+            ProcessExecutor(max_workers=1).map(exit_worker, list(range(5)))
+
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), ProcessExecutor(2)], ids=["serial", "process-2"]
+    )
+    def test_failure_starts_no_later_item(self, executor, tmp_path):
+        items = [(index, tmp_path) for index in range(20)]
+        with pytest.raises(ValueError, match="item 0 failed"):
+            executor.map(fail_first_then_mark, items)
+        limit = 0 if isinstance(executor, SerialExecutor) else 5
+        assert len(list(tmp_path.glob("ran-*"))) <= limit
+
+    def test_pickling_failure_cancels_queued_items(self, tmp_path):
+        items = [(index, tmp_path) for index in range(20)]
+        with pytest.raises(ExecutorError, match="work item 0"):
+            ProcessExecutor(max_workers=1).map(unpicklable_first_then_mark, items)
+        assert len(list(tmp_path.glob("ran-*"))) <= 5
+
+    def test_worker_crash_cancels_queued_items(self, tmp_path):
+        from concurrent.futures.process import BrokenProcessPool
+
+        items = [(index, tmp_path) for index in range(20)]
+        with pytest.raises(BrokenProcessPool):
+            ProcessExecutor(max_workers=1).map(exit_first_then_mark, items)
+        assert len(list(tmp_path.glob("ran-*"))) <= 5
+
+    @pytest.mark.parametrize(
+        "work, error",
+        [(square, None), (fail_on_even, ValueError), (exit_worker, Exception)],
+        ids=["normal", "failure", "crash"],
+    )
+    def test_no_worker_process_survives_a_map(self, work, error):
+        executor = ProcessExecutor(max_workers=2)
+        if error is None:
+            executor.map(work, [0, 1, 2, 3])
+        else:
+            with pytest.raises(error):
+                executor.map(work, [0, 1, 2, 3])
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("executor", [SerialExecutor(), ProcessExecutor(2)])
     def test_empty_items_every_executor(self, executor):

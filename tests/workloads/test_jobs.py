@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import TraceError
 from repro.workloads.jobs import Job, JobTrace
@@ -218,6 +222,184 @@ class TestJobTraceCsv:
         assert loaded.offered_load == pytest.approx(small_dns_trace.offered_load, rel=1e-6)
 
 
+def make_trace(n: int = 64, seed: int = 0) -> JobTrace:
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.uniform(0.001, 0.1, size=n))
+    demands = rng.uniform(0.0001, 0.05, size=n)
+    return JobTrace(arrivals, demands)
+
+
+#: Sorted non-negative finite float arrays — a valid arrival process.
+arrival_lists = st.lists(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=50,
+).map(sorted)
+
+#: A 3-job trace file byte for byte as ``to_file`` has always written it: a
+#: version-1.0 ``.npy`` header for a ``(2, 3)`` little-endian float64 array,
+#: then row 0 (arrival times) and row 1 (service demands).
+SAVED_TRACE_BYTES = (
+    b"\x93NUMPY\x01\x00v\x00"
+    + b"{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), }".ljust(117)
+    + b"\n"
+    + np.asarray([[0.0, 0.5, 1.25], [0.1, 0.2, 0.3]], dtype="<f8").tobytes()
+)
+
+
+def _save_npz(path):
+    with path.open("wb") as handle:
+        np.savez(handle, trace=np.zeros((2, 3)))
+
+
+#: Files ``from_file`` must reject as "not a trace file", naming the path:
+#: case → writer of the file at the given path.
+NOT_TRACE_FILES = {
+    "csv-text": lambda path: path.write_text("arrival,demand\n0.0,0.1\n"),
+    "pickled-objects": lambda path: np.save(
+        path, np.array([{"arrival": 0.0}], dtype=object), allow_pickle=True
+    ),
+    "npz-archive": _save_npz,
+    "truncated-data": lambda path: path.write_bytes(SAVED_TRACE_BYTES[:-8]),
+    "header-only": lambda path: path.write_bytes(SAVED_TRACE_BYTES[:128]),
+    "truncated-magic": lambda path: path.write_bytes(SAVED_TRACE_BYTES[:5]),
+    "directory": lambda path: path.mkdir(),
+    "one-row": lambda path: np.save(path, np.arange(3.0)),
+    "three-dimensional": lambda path: np.save(path, np.zeros((2, 3, 1))),
+    "transposed": lambda path: np.save(path, np.zeros((3, 2))),
+    "float32": lambda path: np.save(path, np.zeros((2, 3), dtype=np.float32)),
+    "complex": lambda path: np.save(path, np.zeros((2, 3), dtype=complex)),
+}
+
+
+class TestJobTraceFile:
+    def test_roundtrip_exact(self, tmp_path):
+        trace = make_trace(300, seed=7)
+        path = tmp_path / "trace.npy"
+        trace.to_file(path)
+        loaded = JobTrace.from_file(path)
+        assert np.array_equal(loaded.arrival_times, trace.arrival_times)
+        assert np.array_equal(loaded.service_demands, trace.service_demands)
+
+    @given(arrivals=arrival_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_is_bitwise_lossless(self, arrivals, tmp_path_factory):
+        # to_csv rounds to nanoseconds; the binary file must not lose a ulp.
+        demands = [1e-9 * (index + 1) for index in range(len(arrivals))]
+        trace = JobTrace(arrivals, demands)
+        path = tmp_path_factory.mktemp("traces") / "roundtrip.npy"
+        trace.to_file(path)
+        loaded = JobTrace.from_file(path)
+        assert np.array_equal(loaded.arrival_times, trace.arrival_times)
+        assert np.array_equal(loaded.service_demands, trace.service_demands)
+
+    def test_saved_format_loads_and_is_unchanged(self, tmp_path):
+        saved = tmp_path / "saved.npy"
+        saved.write_bytes(SAVED_TRACE_BYTES)
+        trace = JobTrace([0.0, 0.5, 1.25], [0.1, 0.2, 0.3])
+        assert JobTrace.from_file(saved) == trace
+        # The writer keeps producing exactly these bytes, at exactly the
+        # given path (no ``.npy`` suffix appended).
+        written = tmp_path / "written.trace"
+        trace.to_file(written)
+        assert written.read_bytes() == SAVED_TRACE_BYTES
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(TraceError, match="does not exist"):
+            JobTrace.from_file(tmp_path / "nope.npy")
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.npy"
+        np.save(path, np.empty((2, 0)))
+        with pytest.raises(TraceError, match="no jobs"):
+            JobTrace.from_file(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        path = tmp_path / "bad.npy"
+        np.save(path, np.arange(12.0).reshape(3, 4))
+        with pytest.raises(TraceError, match="not a trace file"):
+            JobTrace.from_file(path)
+
+    def test_wrong_dtype_rejected(self, tmp_path):
+        path = tmp_path / "ints.npy"
+        np.save(path, np.arange(6, dtype=np.int64).reshape(2, 3))
+        with pytest.raises(TraceError, match="not a trace file"):
+            JobTrace.from_file(path)
+
+    def test_validation_on_load_catches_corruption(self, tmp_path):
+        path = tmp_path / "corrupt.npy"
+        np.save(path, np.asarray([[0.0, 2.0, 1.0], [0.1, 0.1, 0.1]]))
+        with pytest.raises(TraceError, match="non-decreasing"):
+            JobTrace.from_file(path)
+
+    def test_mmap_parameter_is_gone(self, tmp_path):
+        path = tmp_path / "trace.npy"
+        make_trace(5).to_file(path)
+        with pytest.raises(TypeError, match="mmap"):
+            JobTrace.from_file(path, mmap=True)
+
+    def test_validate_parameter_is_gone(self, tmp_path):
+        path = tmp_path / "trace.npy"
+        make_trace(5).to_file(path)
+        with pytest.raises(TypeError, match="validate"):
+            JobTrace.from_file(path, validate=False)
+
+    @pytest.mark.parametrize("case", sorted(NOT_TRACE_FILES))
+    def test_not_a_trace_file_is_named(self, case, tmp_path):
+        path = tmp_path / "trace.npy"
+        NOT_TRACE_FILES[case](path)
+        with pytest.raises(TraceError, match="not a trace file") as caught:
+            JobTrace.from_file(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "arrivals, demands, message",
+        [
+            ([0.0, np.nan], [0.1, 0.1], "finite"),
+            ([0.0, 1.0], [0.1, np.inf], "finite"),
+            ([0.0, 1.0], [0.1, -0.1], "non-negative"),
+            ([-1.0, 1.0], [0.1, 0.1], "non-negative"),
+        ],
+    )
+    def test_rejects_like_the_constructor(self, arrivals, demands, message, tmp_path):
+        path = tmp_path / "corrupt.npy"
+        np.save(path, np.asarray([arrivals, demands], dtype=np.float64))
+        with pytest.raises(TraceError, match=message) as caught:
+            JobTrace.from_file(path)
+        assert str(path) in str(caught.value)
+
+
+class TestTrustedConstructor:
+    def test_skips_the_scans(self):
+        # Documented trust: invariant-violating arrays pass through, because
+        # the constructor is only for arrays derived from validated traces.
+        trace = JobTrace.from_validated_arrays(
+            np.asarray([2.0, 1.0]), np.asarray([0.1, 0.1])
+        )
+        assert len(trace) == 2
+
+    def test_still_checks_shape_agreement(self):
+        with pytest.raises(TraceError, match="service demands"):
+            JobTrace.from_validated_arrays(np.arange(3.0), np.arange(2.0))
+        with pytest.raises(TraceError, match="1-D"):
+            JobTrace.from_validated_arrays(
+                np.arange(4.0).reshape(2, 2), np.arange(4.0).reshape(2, 2)
+            )
+
+    def test_derived_traces_match_the_validating_path(self):
+        trace = make_trace(50)
+        head = trace.head(10)
+        tail = trace.tail(10)
+        window = trace.slice_by_time(trace.start_time, trace.end_time)
+        assert head == JobTrace(trace.arrival_times[:10], trace.service_demands[:10])
+        assert len(tail) == 10
+        assert window is not None
+        # Every derived trace still satisfies the invariants it skipped
+        # re-checking (they are preserved by construction).
+        for derived in (head, tail, window):
+            JobTrace(derived.arrival_times, derived.service_demands)
+
+
 class TestEmptyTrace:
     def test_empty_constructor(self):
         trace = JobTrace.empty()
@@ -252,3 +434,20 @@ class TestEmptyTraceContract:
             warnings.simplefilter("error")
             assert np.isnan(trace.mean_service_demand)
             assert np.isnan(trace.mean_interarrival_time)
+
+
+def test_trace_storage_module_is_gone():
+    import repro.workloads
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.workloads.storage")
+    for name in (
+        "TRACE_BACKENDS",
+        "validate_trace_backend",
+        "validate_trace_arrays",
+        "is_mmap_backed",
+        "ArrayDescriptor",
+        "SharedTraceArena",
+        "TraceBuffer",
+    ):
+        assert not hasattr(repro.workloads, name), name
