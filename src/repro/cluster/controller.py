@@ -536,10 +536,6 @@ def controller_assignment(
         )
         if hi <= lo:
             continue
-        regime_demands = demands[lo:hi]
-        mean_demand = float(np.mean(regime_demands))
-        if not np.isfinite(mean_demand) or mean_demand <= 0:
-            mean_demand = 1.0
         restricted = dispatcher.restrict(members)
         speeds = (
             None
@@ -549,8 +545,6 @@ def controller_assignment(
         assigner = restricted.assigner(
             len(members),
             server_speeds=speeds,
-            total_jobs=hi - lo,
-            mean_service_demand=mean_demand,
             tenant_ids=(
                 None if jobs.tenant_ids is None else jobs.tenant_ids[lo:hi]
             ),
@@ -559,7 +553,7 @@ def controller_assignment(
             assignment[lo:hi] = members[0]
             continue
         local = np.asarray(
-            assigner.assign_chunk(arrivals[lo:hi], regime_demands), dtype=np.int64
+            assigner.assign_chunk(arrivals[lo:hi], demands[lo:hi]), dtype=np.int64
         )
         if local.shape != (hi - lo,):
             raise ConfigurationError(

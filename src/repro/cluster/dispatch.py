@@ -59,13 +59,11 @@ The two produce **byte-identical assignments** for every trace (pinned by
 ``tests/cluster/test_dispatch_engine.py``).  :class:`PowerAwareDispatcher`
 has one engine, the ranked per-job scan, whose assignments are pinned by
 per-cell golden digests and an independent reference scan in the same
-suite.  All dispatchers additionally support *streaming* assignment through
-:meth:`JobDispatcher.assigner`: the returned :class:`StreamAssigner` carries
-the dispatcher state across arrival-ordered chunks, so splitting one trace
-into chunks yields exactly the same assignment as one-shot
-:meth:`JobDispatcher.assign` (the work-tracking
-assigners raise :class:`~repro.exceptions.TraceError` on any other order).
-The default :meth:`JobDispatcher.assign`, the farm controller's per-regime
+suite.  Every dispatcher assigns through :meth:`JobDispatcher.assigner`: the
+returned :class:`StreamAssigner` assigns one arrival-ordered trace, or one
+controller regime's slice of it, in one call (the work-tracking assigners
+raise :class:`~repro.exceptions.TraceError` on unordered arrivals).  The
+default :meth:`JobDispatcher.assign`, the farm controller's per-regime
 dispatch and the tenancy dispatchers' per-tenant routing all go through it.
 
 All dispatchers return per-server :class:`~repro.workloads.jobs.JobTrace`
@@ -193,14 +191,13 @@ def group_by_server(
 
 
 class StreamAssigner(abc.ABC):
-    """Stateful assignment of one arrival stream, one chunk at a time.
+    """Assignment of one arrival-ordered trace, or one regime slice, per call.
 
-    Chunks must be consecutive, arrival-ordered slices of a single trace.
-    Feeding the whole trace as one chunk is exactly one-shot assignment;
-    feeding it in pieces yields the same result because the assigner carries
-    all dispatcher state (heap contents, round-robin offset, RNG stream)
-    across calls.  The work-tracking assigners enforce the ordering by
-    reading every chunk through :meth:`_ordered_arrivals`.
+    An assigner is built for one :meth:`assign_chunk` call: the whole trace
+    of a dispatch, or the slice of one controller regime.  (The names
+    outlived chunked runs; ``perfbench/tracer.py`` patches ``assign_chunk``.)
+    The work-tracking assigners read their arrivals through
+    :meth:`_ordered_arrivals`, which rejects unordered arrays.
     """
 
     def __init__(self, num_servers: int):
@@ -209,22 +206,20 @@ class StreamAssigner(abc.ABC):
                 f"a farm needs at least one server, got {num_servers}"
             )
         self.num_servers = num_servers
-        self._last_arrival = -np.inf
 
-    def _ordered_arrivals(self, arrival_times: Sequence[float] | np.ndarray) -> np.ndarray:
-        """The chunk's arrivals as floats, checked to continue the stream in order."""
+    @staticmethod
+    def _ordered_arrivals(arrival_times: Sequence[float] | np.ndarray) -> np.ndarray:
+        """The arrivals as floats, checked to be in arrival order."""
         arrivals = np.ascontiguousarray(arrival_times, dtype=float)
-        if arrivals.size:
-            if np.any(np.diff(arrivals) < 0) or arrivals[0] < self._last_arrival:
-                raise TraceError("streaming dispatch requires arrival-ordered chunks")
-            self._last_arrival = float(arrivals[-1])
+        if np.any(np.diff(arrivals) < 0):
+            raise TraceError("dispatch requires arrival-ordered jobs")
         return arrivals
 
     @abc.abstractmethod
     def assign_chunk(
         self, arrival_times: np.ndarray, service_demands: np.ndarray
     ) -> np.ndarray:
-        """Server index (0-based, int64) for every job in the chunk."""
+        """Server index (0-based, int64) for every job handed in."""
 
 
 class JobDispatcher(abc.ABC):
@@ -235,24 +230,17 @@ class JobDispatcher(abc.ABC):
         num_servers: int,
         *,
         server_speeds: Sequence[float] | None = None,
-        total_jobs: int | None = None,
-        mean_service_demand: float | None = None,
         tenant_ids: np.ndarray | None = None,
     ) -> StreamAssigner:
-        """A fresh :class:`StreamAssigner` for one (possibly chunked) trace.
+        """A fresh :class:`StreamAssigner` for one trace or regime slice.
 
-        *total_jobs* and *mean_service_demand* describe the full trace the
-        chunks will come from; dispatchers that fold the trace length into
-        their seed (:class:`RandomDispatcher`) or derive adaptive thresholds
-        from the job-size statistics (:class:`PowerAwareDispatcher`) need
-        them to make chunked assignment identical to one-shot assignment.
-        *tenant_ids* carries the full trace's tenant labels (arrival order);
-        tenant-blind dispatchers ignore it, the tenancy dispatchers consume
-        it chunk by chunk.
+        *tenant_ids* carries the labels of the jobs it will be handed
+        (arrival order); tenant-blind dispatchers ignore it, the tenancy
+        dispatchers check them against their tenant table here.
         """
         raise ConfigurationError(
-            f"{type(self).__name__} does not support streaming dispatch; "
-            "override assigner() to enable controlled and per-tenant farm runs"
+            f"{type(self).__name__} has no assigner(); override it to "
+            "enable controlled and per-tenant farm runs"
         )
 
     def assign(
@@ -262,16 +250,9 @@ class JobDispatcher(abc.ABC):
         *,
         server_speeds: Sequence[float] | None = None,
     ) -> np.ndarray:
-        """Return the server index (0-based) for every job in *jobs*.
-
-        Dispatchers needing trace statistics beyond the length (the
-        power-aware adaptive threshold) override this to supply them.
-        """
+        """Return the server index (0-based) for every job in *jobs*."""
         assigner = self.assigner(
-            num_servers,
-            server_speeds=server_speeds,
-            total_jobs=len(jobs),
-            tenant_ids=jobs.tenant_ids,
+            num_servers, server_speeds=server_speeds, tenant_ids=jobs.tenant_ids
         )
         return assigner.assign_chunk(jobs.arrival_times, jobs.service_demands)
 
@@ -354,52 +335,41 @@ class JobDispatcher(abc.ABC):
 
 
 class _RoundRobinAssigner(StreamAssigner):
-    """Round-robin with the global job offset carried across chunks."""
-
-    def __init__(self, num_servers: int):
-        super().__init__(num_servers)
-        self._offset = 0
+    """Job *i* of the trace to server ``i mod n``."""
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        count = len(arrival_times)
-        assignment = (
-            np.arange(self._offset, self._offset + count, dtype=np.int64)
-            % self.num_servers
-        )
-        self._offset += count
-        return assignment
+        return np.arange(len(arrival_times), dtype=np.int64) % self.num_servers
 
 
 class RoundRobinDispatcher(JobDispatcher):
     """Assign job *i* to server ``i mod n`` (deterministic, perfectly balanced)."""
 
-    def assigner(
-        self,
-        num_servers,
-        *,
-        server_speeds=None,
-        total_jobs=None,
-        mean_service_demand=None,
-        tenant_ids=None,
-    ) -> StreamAssigner:
+    def assigner(self, num_servers, *, server_speeds=None, tenant_ids=None) -> StreamAssigner:
         return _RoundRobinAssigner(num_servers)
 
 
 class _RandomAssigner(StreamAssigner):
-    """One RNG stream shared by all chunks of one trace."""
+    """A fresh generator per trace, seeded from ``(seed, trace length)``."""
 
-    def __init__(
-        self, num_servers: int, rng: np.random.Generator, probabilities: np.ndarray
-    ):
+    def __init__(self, num_servers: int, seed: int | None, probabilities: np.ndarray):
         super().__init__(num_servers)
-        self._rng = rng
+        self._seed = seed
         self._probabilities = probabilities
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
         count = len(arrival_times)
+        if self._seed is None:
+            # repro: ignore[REP001] -- seed=None is the documented opt-in for
+            # fresh OS entropy per assignment (see RandomDispatcher); every
+            # seeded path below is deterministic.
+            rng = np.random.default_rng()
+        else:
+            # Fold the trace length into the seed so repeated assignments of
+            # the same trace are identical but different traces decorrelate.
+            rng = np.random.default_rng(np.random.SeedSequence((self._seed, count)))
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        return self._rng.choice(
+        return rng.choice(
             self.num_servers, size=count, p=self._probabilities
         ).astype(np.int64, copy=False)
 
@@ -412,9 +382,7 @@ class RandomDispatcher(JobDispatcher):
     ``(seed, trace length)``, so two identical
     :meth:`ServerFarm.run <repro.cluster.farm.ServerFarm.run>` calls with the
     same dispatcher split identically, while traces of different lengths
-    still decorrelate.  (The length fold is new in the dispatch engine: a
-    given seed therefore splits differently than in earlier revisions,
-    which seeded from ``seed`` alone.)
+    still decorrelate.
 
     Parameters
     ----------
@@ -434,15 +402,7 @@ class RandomDispatcher(JobDispatcher):
             if np.any(self._weights < 0) or self._weights.sum() <= 0:
                 raise ConfigurationError("dispatch weights must be non-negative and not all zero")
 
-    def assigner(
-        self,
-        num_servers,
-        *,
-        server_speeds=None,
-        total_jobs=None,
-        mean_service_demand=None,
-        tenant_ids=None,
-    ) -> StreamAssigner:
+    def assigner(self, num_servers, *, server_speeds=None, tenant_ids=None) -> StreamAssigner:
         if self._weights is None:
             probabilities = np.full(num_servers, 1.0 / num_servers)
         else:
@@ -451,18 +411,7 @@ class RandomDispatcher(JobDispatcher):
                     f"got {self._weights.size} weights for {num_servers} servers"
                 )
             probabilities = self._weights / self._weights.sum()
-        if self._seed is None:
-            # repro: ignore[REP001] -- seed=None is the documented opt-in for
-            # fresh OS entropy per assignment (see the class docstring); every
-            # seeded path below is deterministic.
-            rng = np.random.default_rng()
-        else:
-            # Fold the trace length into the seed so repeated assignments of
-            # the same trace are identical but different traces decorrelate.
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self._seed, total_jobs or 0))
-            )
-        return _RandomAssigner(num_servers, rng, probabilities)
+        return _RandomAssigner(num_servers, self._seed, probabilities)
 
     def restrict(self, indices: Sequence[int]) -> "RandomDispatcher":
         if self._weights is None:
@@ -568,15 +517,7 @@ class LeastLoadedDispatcher(JobDispatcher):
     def __init__(self, engine: str = ENGINE_HEAP):
         self._engine = validate_engine(engine)
 
-    def assigner(
-        self,
-        num_servers,
-        *,
-        server_speeds=None,
-        total_jobs=None,
-        mean_service_demand=None,
-        tenant_ids=None,
-    ) -> StreamAssigner:
+    def assigner(self, num_servers, *, server_speeds=None, tenant_ids=None) -> StreamAssigner:
         if self._engine == ENGINE_HEAP:
             return _LeastLoadedHeapAssigner(num_servers, server_speeds)
         return _LeastLoadedLoopAssigner(num_servers, server_speeds)
@@ -587,9 +528,10 @@ class _PowerAwareAssigner(StreamAssigner):
 
     Each job goes to the first server in *ranking* whose estimated finish
     time is at most ``arrival + threshold``; when none qualifies it goes to
-    the globally least-loaded server.  Jobs are stepped in bursts of
-    :data:`_BURST`, like the heap assigner, so a million-job trace never
-    becomes one Python list.
+    the globally least-loaded server.  A ``None`` *max_backlog* makes the
+    threshold ``4 x`` the mean demand of the jobs handed in (1.0 when that
+    mean is zero).  Jobs are stepped in bursts of :data:`_BURST`, like the
+    heap assigner, so a million-job trace never becomes one Python list.
     """
 
     def __init__(
@@ -597,12 +539,12 @@ class _PowerAwareAssigner(StreamAssigner):
         num_servers: int,
         server_speeds: Sequence[float] | None,
         ranking: Sequence[int],
-        threshold: float,
+        max_backlog: float | None,
     ):
         super().__init__(num_servers)
         self._tracker = WorkTracker(num_servers, server_speeds)
         self._ranking = list(ranking)
-        self._threshold = threshold
+        self._max_backlog = max_backlog
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
         arrivals = self._ordered_arrivals(arrival_times)
@@ -612,7 +554,10 @@ class _PowerAwareAssigner(StreamAssigner):
         busy_until = self._tracker.busy_until
         factors = self._tracker.time_factors
         ranking = self._ranking
-        threshold = self._threshold
+        threshold = self._max_backlog
+        if threshold is None:
+            mean_demand = float(np.mean(demands)) if count else 0.0
+            threshold = 4.0 * mean_demand if mean_demand > 0 else 1.0
         for index in range(0, count, _BURST):
             stop = min(count, index + _BURST)
             servers: list[int] = []
@@ -657,8 +602,9 @@ class PowerAwareDispatcher(JobDispatcher):
         preferred.  Build from power models with :meth:`from_power_models`.
     max_backlog:
         Backlog threshold in seconds of work.  ``None`` (default) derives
-        ``4 x`` the dispatched trace's mean service demand at dispatch time,
-        which adapts the packing pressure to the workload's job size.
+        ``4 x`` the mean service demand of the jobs being assigned (the
+        trace, or one controller regime's slice of it), which adapts the
+        packing pressure to the workload's job size.
     """
 
     def __init__(
@@ -691,56 +637,14 @@ class PowerAwareDispatcher(JobDispatcher):
             max_backlog=max_backlog,
         )
 
-    def _resolve_threshold(self, mean_service_demand: float | None) -> float:
-        if self._max_backlog is not None:
-            return self._max_backlog
-        if mean_service_demand is None:
-            raise ConfigurationError(
-                "PowerAwareDispatcher with adaptive max_backlog needs the "
-                "trace's mean_service_demand to build a streaming assigner"
-            )
-        return 4.0 * mean_service_demand if mean_service_demand > 0 else 1.0
-
-    def assigner(
-        self,
-        num_servers,
-        *,
-        server_speeds=None,
-        total_jobs=None,
-        mean_service_demand=None,
-        tenant_ids=None,
-    ) -> StreamAssigner:
+    def assigner(self, num_servers, *, server_speeds=None, tenant_ids=None) -> StreamAssigner:
         if self._idle_powers.size != num_servers:
             raise ConfigurationError(
                 f"got {self._idle_powers.size} idle powers for {num_servers} servers"
             )
         return _PowerAwareAssigner(
-            num_servers,
-            server_speeds,
-            self._ranking.tolist(),
-            self._resolve_threshold(mean_service_demand),
+            num_servers, server_speeds, self._ranking.tolist(), self._max_backlog
         )
-
-    def assign(
-        self,
-        jobs: JobTrace,
-        num_servers: int,
-        *,
-        server_speeds: Sequence[float] | None = None,
-    ) -> np.ndarray:
-        mean_demand = jobs.mean_service_demand if len(jobs) > 0 else None
-        # A zero-job trace has no mean demand; any positive threshold works.
-        if mean_demand is not None and not np.isfinite(mean_demand):
-            mean_demand = None
-        if mean_demand is None and self._max_backlog is None:
-            mean_demand = 1.0
-        assigner = self.assigner(
-            num_servers,
-            server_speeds=server_speeds,
-            total_jobs=len(jobs),
-            mean_service_demand=mean_demand,
-        )
-        return assigner.assign_chunk(jobs.arrival_times, jobs.service_demands)
 
     def restrict(self, indices: Sequence[int]) -> "PowerAwareDispatcher":
         return PowerAwareDispatcher(

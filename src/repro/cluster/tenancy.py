@@ -20,7 +20,7 @@ collapse:
   tenant labels on ``JobTrace``, tenant-aware dispatchers, per-tenant
   rows and budget checks on ``FarmResult``.
 * :class:`PriorityDispatcher` and :class:`WeightedFairDispatcher` are
-  tenant-aware dispatchers honouring the streaming ``assigner()``
+  tenant-aware dispatchers honouring the one-call ``assigner()``
   contract.  With a single tenant both degenerate to
   ``LeastLoadedDispatcher`` byte-for-byte (the ``TENANT_DISPATCH_KINDS``
   parity oracle).
@@ -315,6 +315,7 @@ def _resolve_tenant_ids(
 
     ``None`` is legal only for a single tenant (every job belongs to
     tenant 0) — with several tenants an unlabelled stream is ambiguous.
+    The labels must be those of the jobs the assigner will be handed.
     """
     if tenant_ids is None:
         if num_tenants == 1:
@@ -333,25 +334,13 @@ def _resolve_tenant_ids(
     return labels
 
 
-class _TenantChunkCursor:
-    """Walks the full-stream tenant labels chunk by chunk."""
-
-    def __init__(self, tenant_ids: np.ndarray | None):
-        self._tenant_ids = tenant_ids
-        self._offset = 0
-
-    def take(self, count: int) -> np.ndarray | None:
-        if self._tenant_ids is None:
-            self._offset += count
-            return None
-        if self._offset + count > len(self._tenant_ids):
-            raise ConfigurationError(
-                "job stream is longer than its tenant label array "
-                f"({self._offset + count} > {len(self._tenant_ids)})"
-            )
-        chunk = self._tenant_ids[self._offset : self._offset + count]
-        self._offset += count
-        return chunk
+def _labels_for(labels: np.ndarray | None, count: int) -> np.ndarray | None:
+    """*labels*, checked to label exactly the *count* jobs handed in."""
+    if labels is not None and len(labels) != count:
+        raise ConfigurationError(
+            f"got {len(labels)} tenant labels for {count} jobs"
+        )
+    return labels
 
 
 class _WeightedFairAssigner(StreamAssigner):
@@ -380,9 +369,7 @@ class _WeightedFairAssigner(StreamAssigner):
             block = None if speeds is None else speeds[start : start + size]
             self._offsets.append(start)
             self._subs.append(inner.assigner(size, server_speeds=block))
-        self._cursor = _TenantChunkCursor(
-            _resolve_tenant_ids(tenant_ids, len(tenants), "weighted-fair")
-        )
+        self._labels = _resolve_tenant_ids(tenant_ids, len(tenants), "weighted-fair")
 
     def assign_chunk(
         self,
@@ -391,7 +378,7 @@ class _WeightedFairAssigner(StreamAssigner):
     ) -> np.ndarray:
         arrivals = self._ordered_arrivals(arrival_times)
         demands = np.asarray(service_demands, dtype=float)
-        labels = self._cursor.take(len(arrivals))
+        labels = _labels_for(self._labels, len(arrivals))
         if labels is None:
             local = self._subs[0].assign_chunk(arrivals, demands)
             return self._offsets[0] + np.asarray(local, dtype=np.int64)
@@ -437,9 +424,7 @@ class _PriorityAssigner(StreamAssigner):
         for rank, tenant_index in enumerate(order):
             self._block[tenant_index] = partitions[rank]
         self._tracker = WorkTracker(num_servers, server_speeds)
-        self._cursor = _TenantChunkCursor(
-            _resolve_tenant_ids(tenant_ids, len(tenants), "priority")
-        )
+        self._labels = _resolve_tenant_ids(tenant_ids, len(tenants), "priority")
 
     def assign_chunk(
         self,
@@ -448,7 +433,7 @@ class _PriorityAssigner(StreamAssigner):
     ) -> np.ndarray:
         arrivals = self._ordered_arrivals(arrival_times)
         demands = np.asarray(service_demands, dtype=float)
-        labels = self._cursor.take(len(arrivals))
+        labels = _labels_for(self._labels, len(arrivals))
         assignment = np.empty(len(arrivals), dtype=np.int64)
         busy = self._tracker.busy_until
         for index in range(len(arrivals)):
@@ -536,8 +521,6 @@ class WeightedFairDispatcher(_TenantAwareDispatcher):
         num_servers: int,
         *,
         server_speeds: Sequence[float] | None = None,
-        total_jobs: int | None = None,
-        mean_service_demand: float | None = None,
         tenant_ids: np.ndarray | None = None,
     ) -> StreamAssigner:
         return _WeightedFairAssigner(
@@ -566,8 +549,6 @@ class PriorityDispatcher(_TenantAwareDispatcher):
         num_servers: int,
         *,
         server_speeds: Sequence[float] | None = None,
-        total_jobs: int | None = None,
-        mean_service_demand: float | None = None,
         tenant_ids: np.ndarray | None = None,
     ) -> StreamAssigner:
         return _PriorityAssigner(

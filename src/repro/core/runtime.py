@@ -23,23 +23,19 @@ The result is a :class:`~repro.core.epoch.RuntimeResult` containing every
 epoch record plus run-wide response-time and power metrics — the quantities
 Figures 8, 9 and 10 report.
 
-Incremental epoch feeding
--------------------------
+The epoch loop
+--------------
 
-The epoch loop lives in :class:`RuntimeSession`, which consumes the arrival
-stream in arrival-ordered chunks: :meth:`RuntimeSession.feed` buffers jobs
-and runs every epoch whose inputs are complete, :meth:`RuntimeSession.finish`
-flushes the rest and assembles the :class:`~repro.core.epoch.RuntimeResult`.
-:meth:`SleepScaleRuntime.run` is literally ``stream() -> feed(all jobs) ->
-finish()``, so the one-shot and streamed paths cannot drift apart — a trace
-fed in chunks produces the same result as the same trace fed whole (pinned
-by ``tests/core/test_runtime_stream.py``).
+The loop lives in :class:`RuntimeSession`, which :meth:`SleepScaleRuntime.run`
+builds over the whole validated trace: it sums the demands into the
+observation windows once, then :meth:`RuntimeSession.finish` runs the epochs
+in order, each on a contiguous slice of the trace, and assembles the
+:class:`~repro.core.epoch.RuntimeResult`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +43,7 @@ import numpy as np
 from repro.core.epoch import EpochRecord, RuntimeResult
 from repro.core.qos import baseline_mean_response_budget, baseline_normalized_mean_budget
 from repro.core.strategies import EpochContext, PowerManagementStrategy
-from repro.exceptions import ConfigurationError, TraceError
+from repro.exceptions import ConfigurationError
 from repro.policies.policy import Policy
 from repro.power.platform import ServerPowerModel
 from repro.prediction.base import UtilizationPredictor
@@ -77,7 +73,8 @@ class RuntimeConfig:
         against (older epochs are dropped).
     observation_minutes:
         Granularity of the utilisation observations fed to the predictor
-        (one minute in the paper).
+        (one minute in the paper).  Must divide ``epoch_minutes``, so every
+        epoch covers whole observation windows.
     min_utilization:
         Floor applied to predictions before they reach the policy search, so
         a predicted utilisation of exactly zero cannot produce an empty
@@ -102,6 +99,12 @@ class RuntimeConfig:
             raise ConfigurationError("log_epochs must be non-negative")
         if self.observation_minutes <= 0:
             raise ConfigurationError("observation_minutes must be positive")
+        windows = self.epoch_minutes / self.observation_minutes
+        if round(windows) < 1 or not math.isclose(windows, round(windows), rel_tol=1e-9):
+            raise ConfigurationError(
+                f"observation_minutes ({self.observation_minutes}) must divide "
+                f"epoch_minutes ({self.epoch_minutes}) into whole windows"
+            )
         if not 0.0 < self.min_utilization < 1.0:
             raise ConfigurationError("min_utilization must lie in (0, 1)")
 
@@ -117,18 +120,20 @@ class RuntimeConfig:
 
 
 class RuntimeSession:
-    """One in-progress run of the epoch loop, fed in arrival-ordered chunks.
+    """One run of the epoch loop over one validated job trace.
 
-    Create via :meth:`SleepScaleRuntime.stream`.  ``feed`` accepts either a
-    :class:`~repro.workloads.jobs.JobTrace` or a pair of arrays (absolute
-    arrival times and nominal demands); chunks must arrive in global time
-    order.  An epoch is executed as soon as every input it depends on — its
-    job slice and its observation windows — is known to be complete, so the
-    session only ever buffers the jobs of the epochs still in flight plus
-    the trailing ``log_epochs`` epochs kept for characterisation.
+    Built by :meth:`SleepScaleRuntime.run`.  The constructor sums the
+    trace's demands into the observation windows; :meth:`finish` walks the
+    epochs in order, taking each epoch's jobs as one contiguous slice of
+    the trace, and assembles the :class:`~repro.core.epoch.RuntimeResult`.
     """
 
-    def __init__(self, runtime: "SleepScaleRuntime"):
+    def __init__(
+        self,
+        runtime: "SleepScaleRuntime",
+        jobs: JobTrace,
+        horizon: float | None = None,
+    ):
         self._runtime = runtime
         config = runtime.config
         self._epoch_seconds = config.epoch_seconds
@@ -143,144 +148,60 @@ class RuntimeSession:
         self._budget = baseline_normalized_mean_budget(config.rho_b)
         runtime._predictor.reset()
 
-        # Epoch-loop state (mirrors the historical one-shot loop exactly).
+        # Epoch-loop state.
         self._epoch_records: list[EpochRecord] = []
         self._all_response_times: list[np.ndarray] = []
         self._total_energy = 0.0
         self._carryover_busy_until = 0.0
         self._previous_epoch_mean_delay: float | None = None
-        self._next_epoch = 0
 
-        # Input buffers.
-        self._pending_arrivals: list[np.ndarray] = []
-        self._pending_demands: list[np.ndarray] = []
-        self._recent_epochs: deque[tuple[np.ndarray, np.ndarray]] = deque(
-            maxlen=max(1, config.log_epochs)
-        )
-        self._window_totals = np.zeros(0)
-        self._last_arrival: float | None = None
-        self._finished = False
-
-    # ------------------------------------------------------------------
-    # Feeding
-    # ------------------------------------------------------------------
-
-    def feed(
-        self,
-        jobs: JobTrace | np.ndarray,
-        service_demands: np.ndarray | None = None,
-    ) -> None:
-        """Append one arrival-ordered chunk and run every completed epoch."""
-        if self._finished:
-            raise ConfigurationError("cannot feed a finished runtime session")
-        if isinstance(jobs, JobTrace):
-            arrivals, demands = jobs.arrival_times, jobs.service_demands
-        else:
-            if service_demands is None:
-                raise ConfigurationError(
-                    "feeding raw arrays requires both arrival times and demands"
-                )
-            arrivals = np.asarray(jobs, dtype=float)
-            demands = np.asarray(service_demands, dtype=float)
-            if arrivals.shape != demands.shape or arrivals.ndim != 1:
-                raise TraceError(
-                    "arrival times and service demands must be matching 1-D arrays"
-                )
-            if arrivals.size and (
-                not np.all(np.isfinite(arrivals))
-                or not np.all(np.isfinite(demands))
-                or np.any(arrivals < 0)
-                or np.any(demands < 0)
-                or np.any(np.diff(arrivals) < 0)
-            ):
-                raise TraceError(
-                    "chunk arrival times/demands must be finite, non-negative "
-                    "and arrival-ordered"
-                )
-        if arrivals.size == 0:
-            return
-        if self._last_arrival is not None and arrivals[0] < self._last_arrival:
-            raise TraceError(
-                "chunks must be fed in global arrival order; got an arrival "
-                f"at {arrivals[0]} after one at {self._last_arrival}"
-            )
-        self._last_arrival = float(arrivals[-1])
-
-        # Accumulate observation-window demand totals exactly like the
-        # one-shot np.add.at (same addition order: arrival order).
-        indices = (arrivals // self._interval).astype(int)
-        needed = int(indices[-1]) + 1
-        if needed > self._window_totals.size:
-            grown = np.zeros(max(needed, 2 * self._window_totals.size))
-            grown[: self._window_totals.size] = self._window_totals
-            self._window_totals = grown
-        np.add.at(self._window_totals, indices, demands)
-
-        self._pending_arrivals.append(arrivals)
-        self._pending_demands.append(demands)
-
-        # Run every epoch whose jobs and observation windows are complete.
-        # The strict inequality keeps a job arriving exactly on a boundary
-        # pending until a later arrival (or finish) resolves which epoch —
-        # and which observation window — it belongs to.
-        while True:
-            epoch = self._next_epoch
-            complete_before = max(
-                (epoch + 1) * self._epoch_seconds,
-                (epoch + 1) * self._observations_per_epoch * self._interval,
-            )
-            if self._last_arrival <= complete_before:
-                break
-            self._run_epoch(epoch, num_windows=None)
-
-    # ------------------------------------------------------------------
-    # Epoch execution
-    # ------------------------------------------------------------------
-
-    def _pop_jobs_before(self, end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Consume every buffered job with arrival time strictly below *end*."""
-        arrivals: list[np.ndarray] = []
-        demands: list[np.ndarray] = []
-        while self._pending_arrivals:
-            block = self._pending_arrivals[0]
-            if block[-1] < end:
-                arrivals.append(self._pending_arrivals.pop(0))
-                demands.append(self._pending_demands.pop(0))
-                continue
-            split = int(np.searchsorted(block, end, side="left"))
-            if split > 0:
-                arrivals.append(block[:split])
-                demands.append(self._pending_demands[0][:split])
-                self._pending_arrivals[0] = block[split:]
-                self._pending_demands[0] = self._pending_demands[0][split:]
-            break
-        if not arrivals:
-            empty = np.empty(0)
-            return empty, empty
-        return np.concatenate(arrivals), np.concatenate(demands)
+        # The trace, the index of each run epoch's first job, and the
+        # per-window demand totals (one ``np.add.at`` in arrival order).
+        self._arrivals = jobs.arrival_times
+        self._demands = jobs.service_demands
+        self._epoch_starts = [0]
+        end_time = float(self._arrivals[-1]) if len(jobs) else 0.0
+        if horizon is not None:
+            end_time = max(end_time, horizon)
+        self._num_epochs = max(1, int(math.ceil(end_time / self._epoch_seconds)))
+        self._run_horizon = self._num_epochs * self._epoch_seconds
+        num_windows = int(math.ceil(self._run_horizon / self._interval))
+        # A job arriving exactly at the run horizon lands one window past
+        # the last; its demand is clamped into the last window.
+        totals = np.zeros(num_windows + 1)
+        indices = (self._arrivals // self._interval).astype(int)
+        np.add.at(totals, np.minimum(indices, num_windows), self._demands)
+        totals[num_windows - 1] += totals[num_windows]
+        self._window_totals = totals[:num_windows]
 
     def _log_window_trace(self, epoch_index: int) -> JobTrace | None:
         """The job log of the most recent ``log_epochs`` epochs (if any)."""
         log_epochs = self._runtime.config.log_epochs
-        if log_epochs == 0 or epoch_index == 0:
+        low = self._epoch_starts[max(0, epoch_index - log_epochs)]
+        high = self._epoch_starts[epoch_index]
+        if low == high:
             return None
-        recent = list(self._recent_epochs)[-log_epochs:]
-        arrivals = [block for block, _ in recent if block.size]
-        demands = [block for _, block in recent if block.size]
-        if not arrivals:
-            return None
-        # Consecutive chunks that feed() already accepted: trusted ctor.
+        # A contiguous slice of the validated trace: trusted ctor.
         return JobTrace.from_validated_arrays(
-            np.concatenate(arrivals), np.concatenate(demands)
+            self._arrivals[low:high], self._demands[low:high]
         )
 
-    def _run_epoch(self, epoch_index: int, num_windows: int | None) -> None:
-        """Execute one epoch — the exact historical loop body."""
+    def _run_epoch(self, epoch_index: int) -> None:
+        """Execute one epoch: select a policy, replay the epoch's jobs."""
         runtime = self._runtime
         config = runtime.config
         epoch_seconds = self._epoch_seconds
         epoch_start = epoch_index * epoch_seconds
         epoch_end = epoch_start + epoch_seconds
+        # A job exactly on a boundary belongs to the later epoch; the final
+        # epoch is closed on the right and takes every job up to the run
+        # horizon.
+        first = self._epoch_starts[epoch_index]
+        if epoch_index == self._num_epochs - 1:
+            last = self._arrivals.size
+        else:
+            last = int(np.searchsorted(self._arrivals, epoch_end, side="left"))
+        self._epoch_starts.append(last)
 
         if runtime._predictor.observation_count == 0:
             # No history yet: be conservative and provision for the peak
@@ -307,17 +228,14 @@ class RuntimeSession:
             )
             over_provisioned = True
 
-        epoch_arrivals, epoch_demands = self._pop_jobs_before(epoch_end)
         low = epoch_index * self._observations_per_epoch
         high = (epoch_index + 1) * self._observations_per_epoch
-        if num_windows is not None:
-            high = min(high, num_windows)
         observed_slice = np.clip(
             self._window_totals[low:high] / self._interval, 0.0, 1.0
         )
         observed_mean = float(np.mean(observed_slice)) if observed_slice.size else 0.0
 
-        if epoch_arrivals.size == 0:
+        if first == last:
             # No arrivals at all: the server just walks its sleep sequence
             # (or finishes leftover backlog) for the whole epoch.
             idle_start = max(epoch_start, self._carryover_busy_until)
@@ -354,10 +272,9 @@ class RuntimeSession:
                 self._carryover_busy_until, epoch_start
             )
         else:
-            # feed() validated every chunk and their global order, so the
-            # epoch's slice of them needs no second scan.
+            # A contiguous slice of the validated trace needs no second scan.
             epoch_jobs = JobTrace.from_validated_arrays(
-                epoch_arrivals, epoch_demands
+                self._arrivals[first:last], self._demands[first:last]
             )
             result = simulate_trace(
                 jobs=epoch_jobs,
@@ -399,57 +316,18 @@ class RuntimeSession:
 
         # Reveal the epoch's observed per-minute utilisations.
         runtime._predictor.observe_many(observed_slice)
-        self._recent_epochs.append((epoch_arrivals, epoch_demands))
-        self._next_epoch = epoch_index + 1
 
-    # ------------------------------------------------------------------
-    # Finishing
-    # ------------------------------------------------------------------
-
-    def finish(self, horizon: float | None = None) -> RuntimeResult:
-        """Flush the remaining epochs and assemble the run-wide result.
-
-        *horizon* extends the observation window beyond the last arrival (at
-        least one epoch is always run), exactly as in
-        :meth:`SleepScaleRuntime.run`.
-        """
-        if self._finished:
-            raise ConfigurationError("runtime session already finished")
+    def finish(self) -> RuntimeResult:
+        """Run every epoch and assemble the run-wide result."""
         config = self._runtime.config
-        epoch_seconds = self._epoch_seconds
-        end_time = self._last_arrival if self._last_arrival is not None else 0.0
-        if horizon is not None:
-            end_time = max(end_time, horizon)
-        num_epochs = max(1, int(math.ceil(end_time / epoch_seconds)))
-        run_horizon = num_epochs * epoch_seconds
-        num_windows = int(math.ceil(run_horizon / self._interval))
-
-        if self._window_totals.size < num_windows:
-            grown = np.zeros(num_windows)
-            grown[: self._window_totals.size] = self._window_totals
-            self._window_totals = grown
-        elif self._window_totals.size > num_windows:
-            # Jobs arriving exactly at the run horizon land past the last
-            # window; the one-shot accounting clamps them into it.
-            overflow = float(np.sum(self._window_totals[num_windows:]))
-            if overflow:
-                self._window_totals[num_windows - 1] += overflow
-                self._window_totals[num_windows:] = 0.0
-
-        for epoch_index in range(self._next_epoch, num_epochs):
-            self._run_epoch(epoch_index, num_windows=num_windows)
-
-        self._finished = True
-        total_duration = max(run_horizon, self._carryover_busy_until)
+        for epoch_index in range(self._num_epochs):
+            self._run_epoch(epoch_index)
+        total_duration = max(self._run_horizon, self._carryover_busy_until)
         response_times = (
             np.concatenate(self._all_response_times)
             if self._all_response_times
             else np.array([], dtype=float)
         )
-        # Drop the per-epoch fragments: a finished session may outlive the
-        # concatenation (the farm keeps sessions alive while it assembles
-        # results), and holding both doubles peak memory on streaming runs.
-        self._all_response_times = []
         return RuntimeResult(
             strategy=self._runtime._strategy.name,
             predictor=self._runtime._predictor.name,
@@ -503,20 +381,6 @@ class SleepScaleRuntime:
         pre_sleep_power = self._power_model.idle_power(policy.frequency)
         return policy.sleep.idle_energy(idle_duration, pre_sleep_power)
 
-    # ------------------------------------------------------------------
-    # Main entry points
-    # ------------------------------------------------------------------
-
-    def stream(self) -> RuntimeSession:
-        """Start an incremental run; feed chunks, then ``finish()``.
-
-        Starting a session resets the predictor, exactly as :meth:`run`
-        does; one runtime can therefore be streamed (or run) repeatedly,
-        but only one session should be active at a time because strategy
-        and predictor state are owned by the runtime.
-        """
-        return RuntimeSession(self)
-
     def run(self, jobs: JobTrace, horizon: float | None = None) -> RuntimeResult:
         """Run the strategy over the whole job stream and aggregate the results.
 
@@ -528,11 +392,8 @@ class SleepScaleRuntime:
         (:meth:`JobTrace.empty`) a valid input: the controller then walks its
         selected policies' sleep sequences for the whole window — how a farm
         accounts for a server that received no traffic but still burns power.
+        A job arriving exactly at the run horizon belongs to the final epoch.
 
-        ``run`` is exactly ``stream()`` + one ``feed`` + ``finish``; the
-        one-shot and chunked paths share every line of the epoch loop.
+        Each run resets the predictor, so one runtime can be run repeatedly.
         """
-        session = self.stream()
-        if len(jobs) > 0:
-            session.feed(jobs)
-        return session.finish(horizon=horizon)
+        return RuntimeSession(self, jobs, horizon).finish()

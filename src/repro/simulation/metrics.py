@@ -318,7 +318,7 @@ def merge_results(results: list[SimulationResult]) -> SimulationResult:
             residency[state] = residency.get(state, 0.0) + duration
     frequency = sum(r.frequency * r.horizon for r in results) / horizon
     total_demand = sum(r.mean_service_demand * r.num_jobs for r in results)
-    total_jobs = sum(r.num_jobs for r in results)
+    num_jobs = sum(r.num_jobs for r in results)
     return SimulationResult(
         response_times=response,
         waiting_times=waiting,
@@ -327,5 +327,5 @@ def merge_results(results: list[SimulationResult]) -> SimulationResult:
         state_residency=residency,
         frequency=frequency,
         wake_up_count=sum(r.wake_up_count for r in results),
-        mean_service_demand=total_demand / total_jobs if total_jobs else 0.0,
+        mean_service_demand=total_demand / num_jobs if num_jobs else 0.0,
     )

@@ -37,7 +37,10 @@ def _validated_tenant_ids(
     if labels.size != num_jobs:
         raise TraceError(f"got {labels.size} tenant labels for {num_jobs} jobs")
     if not np.issubdtype(labels.dtype, np.integer):
-        if labels.size and not np.array_equal(labels, labels.astype(np.int64)):
+        if labels.size and not (
+            np.all(np.isfinite(labels))
+            and np.array_equal(labels, labels.astype(np.int64))
+        ):
             raise TraceError("tenant labels must be integers")
     labels = labels.astype(np.int64, copy=False)
     if labels.size and labels.min() < 0:
@@ -125,10 +128,9 @@ class JobTrace:
 
         Only for arrays *derived from an already-validated trace*.
         Arbitrary input must keep going through the validating constructor.  Among the
-        trusted callers are the runtime's per-epoch and log-window traces:
-        they concatenate consecutive chunks that
-        :meth:`repro.core.runtime.RuntimeSession.feed` already checked
-        (finite, non-negative, in global arrival order).
+        trusted callers are the runtime's per-epoch and log-window traces,
+        contiguous slices of the trace :meth:`repro.core.runtime.SleepScaleRuntime.run`
+        was given.
         """
         arrivals = np.asarray(arrival_times, dtype=float)
         demands = np.asarray(service_demands, dtype=float)
@@ -461,14 +463,18 @@ class JobTrace:
     def to_file(self, path: str | Path) -> None:
         """Write the trace as a binary ``.npy`` file (lossless).
 
-        The on-disk form is one ``(2, n)`` float64 array — row 0 arrival
-        times, row 1 service demands.  Unlike :meth:`to_csv` (the
+        The on-disk form is one float64 array — row 0 arrival times, row 1
+        service demands and, for a tenant-labelled trace, row 2 the tenant
+        labels: ``(2, n)`` or ``(3, n)``.  Unlike :meth:`to_csv` (the
         human-readable interchange format, which rounds to nanoseconds), the
         round trip through :meth:`from_file` is exact.
         """
+        rows = [self._arrivals, self._demands]
+        if self._tenant_ids is not None:
+            rows.append(self._tenant_ids)
         # Through a handle: given a bare path, np.save appends ``.npy``.
         with Path(path).open("wb") as handle:
-            np.save(handle, np.stack([self._arrivals, self._demands]))
+            np.save(handle, np.stack(rows))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "JobTrace":
@@ -490,15 +496,17 @@ class JobTrace:
                 data = np.lib.format.read_array(handle, allow_pickle=False)
         except (OSError, ValueError) as error:
             raise TraceError(f"{path} is not a trace file: {error}") from error
-        if data.ndim != 2 or data.shape[0] != 2 or data.dtype != np.float64:
+        if data.ndim != 2 or data.shape[0] not in (2, 3) or data.dtype != np.float64:
             raise TraceError(
-                f"{path} is not a trace file (expected a (2, n) float64 "
-                f"array, got shape {data.shape}, dtype {data.dtype})"
+                f"{path} is not a trace file (expected a (2, n) or (3, n) "
+                f"float64 array, got shape {data.shape}, dtype {data.dtype})"
             )
         if data.shape[1] == 0:
             raise TraceError(f"{path} contains no jobs")
         try:
-            return cls(data[0], data[1])
+            return cls(
+                data[0], data[1], tenant_ids=data[2] if data.shape[0] == 3 else None
+            )
         except TraceError as error:
             raise TraceError(f"{path}: {error}") from error
 

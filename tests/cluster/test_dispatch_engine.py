@@ -8,9 +8,9 @@ speed models and crafted tie cases.  ``PowerAwareDispatcher`` has one
 engine; its assignments on the same grid are pinned to recorded SHA-256
 digests (``power_aware_golden.json``), and on a wide mixed fleet to a
 reference scan written on ``WorkTracker.charge``; one-shot power-aware
-assignment peaks at a bounded number of bytes per job.  Streaming assignment
-(chunked) must be identical to one-shot assignment for *every* dispatcher,
-and every work-tracking assigner rejects chunks out of arrival order.  The
+assignment peaks at a bounded number of bytes per job.  Every work-tracking
+assigner rejects arrivals out of order, and the adaptive power-aware
+threshold follows the demands each assigner is handed.  The
 heterogeneity-blind backlog bug and the RandomDispatcher determinism bug are
 pinned by dedicated regression tests.
 """
@@ -32,7 +32,6 @@ from repro.cluster.dispatch import (
     LeastLoadedDispatcher,
     PowerAwareDispatcher,
     RandomDispatcher,
-    RoundRobinDispatcher,
     WorkTracker,
     _BURST as BURST,
     merge_streams,
@@ -78,23 +77,6 @@ WIDE_FLEET_CASES = [(16, None), (64, None), (16, [1.0] * 8 + [0.7] * 8)]
 def fleet_capacity(num_servers: int, speeds: list[float] | None) -> float:
     """Service capacity in full-frequency servers."""
     return float(num_servers if speeds is None else sum(speeds))
-
-
-def assign_in_chunks(dispatcher, jobs, num_servers, speeds, chunk) -> np.ndarray:
-    """Stream *jobs* through one assigner in *chunk*-job pieces."""
-    assigner = dispatcher.assigner(
-        num_servers,
-        server_speeds=speeds,
-        total_jobs=len(jobs),
-        mean_service_demand=jobs.mean_service_demand,
-    )
-    parts = [
-        assigner.assign_chunk(
-            jobs.arrival_times[i : i + chunk], jobs.service_demands[i : i + chunk]
-        )
-        for i in range(0, len(jobs), chunk)
-    ]
-    return np.concatenate(parts)
 
 
 #: Traffic regimes relative to one full-frequency server: idle-dominated,
@@ -157,19 +139,6 @@ class TestEngineEquivalence:
             jobs, num_servers, server_speeds=speeds
         )
         np.testing.assert_array_equal(heap, loop)
-
-    def test_least_loaded_chunks_straddling_bursts(self):
-        # 5000-job chunks do not divide the 4096-job burst, so bursts and
-        # chunk boundaries fall at different jobs.
-        jobs = poisson_jobs(10_000, 0.3 * 16, seed=6)
-        one_shot = LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, 16)
-        np.testing.assert_array_equal(
-            assign_in_chunks(LeastLoadedDispatcher(ENGINE_HEAP), jobs, 16, None, 5000),
-            one_shot,
-        )
-        np.testing.assert_array_equal(
-            one_shot, LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, 16)
-        )
 
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
     @pytest.mark.parametrize("num_servers", [2, 4])
@@ -293,9 +262,7 @@ class TestPowerAwareGolden:
         expected = reference_power_aware_scan(jobs, ranking, threshold, speeds)
         one_shot = dispatcher.assign(jobs, 16, server_speeds=speeds)
         assert digest(one_shot) == digest(expected)
-        chunked = assign_in_chunks(dispatcher, jobs, 16, speeds, 3000)
-        assert digest(chunked) == digest(expected)
-        empty = dispatcher.assigner(16, server_speeds=speeds, mean_service_demand=1.0)
+        empty = dispatcher.assigner(16, server_speeds=speeds)
         assigned = empty.assign_chunk(np.empty(0), np.empty(0))
         assert assigned.dtype == np.int64 and assigned.shape == (0,)
 
@@ -322,18 +289,22 @@ class TestPowerAwareGolden:
         one_shot = dispatcher.assign(jobs, 4, server_speeds=speeds)
         assert digest(one_shot) == digest(expected)
 
-    @pytest.mark.parametrize("chunk", [1, BURST - 1, BURST + 1, 5000])
-    def test_chunks_straddling_bursts(self, chunk):
-        # Chunk sizes that do not divide the burst: chunk and burst
-        # boundaries fall at different jobs.
-        speeds = [1.0] * 8 + [0.7] * 8
-        models = [xeon_power_model()] * 8 + [atom_power_model()] * 8
-        dispatcher = PowerAwareDispatcher.from_power_models(models)
-        jobs = poisson_jobs(10_000, 0.7, seed=13)
-        np.testing.assert_array_equal(
-            assign_in_chunks(dispatcher, jobs, 16, speeds, chunk),
-            dispatcher.assign(jobs, 16, server_speeds=speeds),
-        )
+    def test_adaptive_threshold_follows_the_demands_handed_in(self):
+        # A regime slice gets 4 x its own mean demand, exactly as if that
+        # slice were dispatched as a whole trace.
+        speeds = [1.0, 0.7, 1.0, 0.5]
+        idle_powers = [2.0, 1.0, 3.0, 0.5]
+        jobs = poisson_jobs(6000, 2.0, seed=21)
+        part = jobs.head(2500)
+        assigned = PowerAwareDispatcher(idle_powers).assigner(
+            4, server_speeds=speeds
+        ).assign_chunk(part.arrival_times, part.service_demands)
+        threshold = 4.0 * float(np.mean(part.service_demands))
+        expected = reference_power_aware_scan(part, [3, 1, 0, 2], threshold, speeds)
+        assert digest(assigned) == digest(expected)
+        # Zero-demand jobs fall back to a one-second threshold.
+        zeros = JobTrace(np.arange(5.0), np.zeros(5))
+        assert list(PowerAwareDispatcher(idle_powers).assign(zeros, 4)) == [3] * 5
 
 
 def peak_bytes_per_job(dispatcher, jobs, num_servers, speeds) -> float:
@@ -375,57 +346,25 @@ def _single_tenant() -> tuple[TenantSpec, ...]:
     return (TenantSpec(name="only", qos=mean_qos_from_baseline(0.8)),)
 
 
-#: Every work-tracking dispatcher, each with its streaming assigner.
+#: Every work-tracking dispatcher.
 WORK_TRACKING_DISPATCHERS = {
     "least-loaded-heap": lambda: LeastLoadedDispatcher(ENGINE_HEAP),
     "least-loaded-loop": lambda: LeastLoadedDispatcher(ENGINE_LOOP),
-    "power-aware": lambda: PowerAwareDispatcher([1.0, 2.0]),
+    "power-aware": lambda: PowerAwareDispatcher([1.0, 2.0], max_backlog=1.0),
     "priority": lambda: PriorityDispatcher(_single_tenant()),
     "weighted-fair": lambda: WeightedFairDispatcher(_single_tenant()),
 }
 
 
-class TestStreamingAssignment:
-    """Chunked assignment must equal one-shot for every dispatcher."""
-
-    @pytest.mark.parametrize("chunk", [1, 7, 997, 100000])
-    def test_chunked_equals_one_shot(self, chunk):
-        jobs = poisson_jobs(5000, 3.0, seed=11)
-        speeds = [1.0, 0.7, 1.0, 0.7]
-        dispatchers = [
-            RoundRobinDispatcher(),
-            RandomDispatcher(seed=5),
-            LeastLoadedDispatcher(),
-            LeastLoadedDispatcher(ENGINE_LOOP),
-            PowerAwareDispatcher([4.0, 5.0, 6.0, 7.0]),
-        ]
-        for dispatcher in dispatchers:
-            np.testing.assert_array_equal(
-                assign_in_chunks(dispatcher, jobs, 4, speeds, chunk),
-                dispatcher.assign(jobs, 4, server_speeds=speeds),
-                err_msg=type(dispatcher).__name__,
-            )
-
+class TestArrivalOrder:
     @pytest.mark.parametrize("name", sorted(WORK_TRACKING_DISPATCHERS))
-    def test_out_of_order_chunks_rejected(self, name):
-        assigner = WORK_TRACKING_DISPATCHERS[name]().assigner(
-            2, total_jobs=5, mean_service_demand=1.0
-        )
-        assigner.assign_chunk(np.array([5.0, 6.0]), np.array([1.0, 1.0]))
-        # A chunk may start exactly where the previous one ended.
-        assigner.assign_chunk(np.array([6.0]), np.array([1.0]))
+    def test_unordered_arrivals_rejected(self, name):
+        assigner = WORK_TRACKING_DISPATCHERS[name]().assigner(2)
         with pytest.raises(TraceError, match="arrival-ordered"):
-            assigner.assign_chunk(np.array([2.0]), np.array([1.0]))
-        # A chunk unordered within itself is rejected too.
-        fresh = WORK_TRACKING_DISPATCHERS[name]().assigner(
-            2, total_jobs=3, mean_service_demand=1.0
-        )
-        with pytest.raises(TraceError, match="arrival-ordered"):
-            fresh.assign_chunk(np.array([1.0, 3.0, 2.0]), np.ones(3))
-
-    def test_adaptive_threshold_requires_mean_demand(self):
-        with pytest.raises(ConfigurationError, match="mean_service_demand"):
-            PowerAwareDispatcher([1.0, 2.0]).assigner(2, total_jobs=10)
+            assigner.assign_chunk(np.array([1.0, 3.0, 2.0]), np.ones(3))
+        # Simultaneous arrivals are in order.
+        fresh = WORK_TRACKING_DISPATCHERS[name]().assigner(2)
+        assert fresh.assign_chunk(np.array([1.0, 1.0, 2.0]), np.ones(3)).shape == (3,)
 
 
 class TestWorkTracker:

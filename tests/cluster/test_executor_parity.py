@@ -6,7 +6,7 @@ per-server epoch loops, a farm produces **bit-identical** ``FarmResult``s —
 same total energy, same per-server dispatch assignments (hence per-server
 response-time arrays), and same per-epoch policy selections.  This suite
 pins that across every registered scenario, for
-``ServerFarm.homogeneous`` farms, for chunked runs, and for the other
+``ServerFarm.homogeneous`` farms, and for the other
 ``fan_out`` call sites (``sweep_states``, ``run_experiments``).
 """
 

@@ -11,6 +11,7 @@ completed jobs, and the guarded parked-server idle proration.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -41,10 +42,12 @@ from repro.cluster.farm import (
 from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.strategies import FixedPolicyStrategy
 from repro.exceptions import ConfigurationError, ExecutorError
+from repro.experiments.scenario_runner import report_from_result, validate_report
 from repro.policies.policy import race_to_halt_policy
 from repro.power.platform import atom_power_model, xeon_power_model
 from repro.power.states import C6_S0I
 from repro.prediction.naive import NaivePreviousPredictor
+from repro.scenarios import get_scenario
 from repro.simulation.service_scaling import memory_bound, partially_bound
 from repro.workloads.generator import generate_trace_driven_jobs
 from repro.workloads.jobs import JobTrace
@@ -440,6 +443,20 @@ class TestFarmResultAccounting:
         assert result.num_jobs == 0
         assert np.isnan(result.mean_response_time)
         assert result.meets_budget is False
+
+    def test_job_at_the_run_horizon_is_served(self):
+        """Regression: a job arriving exactly at the end of the last epoch
+        was left out of every epoch, and only the report's job-conservation
+        check noticed."""
+        built = get_scenario("diurnal").build(seed=0, duration_minutes=5)
+        arrivals = built.jobs.arrival_times.copy()
+        arrivals[-1] = 300.0
+        built = dataclasses.replace(
+            built, jobs=JobTrace(arrivals, built.jobs.service_demands)
+        )
+        result = built.farm.run(built.jobs)
+        assert result.num_jobs == len(built.jobs)
+        validate_report(report_from_result(built, result))
 
     def test_prorated_idle_energy_guards_zero_spans(self):
         assert prorated_idle_energy(100.0, 50.0, 25.0) == pytest.approx(50.0)

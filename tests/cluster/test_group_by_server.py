@@ -3,7 +3,7 @@
 :func:`~repro.cluster.dispatch.group_by_server` must hand every server exactly
 the jobs a boolean mask would select, in the same order, bit for bit — and
 ``None`` for a server that received nothing.  ``JobDispatcher.dispatch`` and
-the one-shot, controlled, chunked and process-sharded farm runs all split
+the serial, controlled and process-sharded farm runs all split
 through it, so this property is what keeps them bit-identical to each other.
 """
 
@@ -45,7 +45,7 @@ def test_ranges_equal_the_masked_arrays_bit_for_bit(case):
     arrivals = np.cumsum(rng.exponential(size=assignment.size))
     demands = rng.standard_normal(assignment.size) * 1e-3
     labels = rng.integers(0, 5, size=assignment.size)
-    # Chunk by chunk, as the streaming farm path splits each chunk.
+    # On consecutive slices of the assignment (the whole when chunk == size).
     for start in range(0, assignment.size, chunk):
         part = slice(start, start + chunk)
         sources = (arrivals[part], demands[part], labels[part])

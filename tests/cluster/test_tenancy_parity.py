@@ -11,7 +11,7 @@ Two oracles are pinned here:
 * **tenant-dispatch** — with a single tenant, the "priority" and
   "weighted-fair" dispatchers degenerate to the tenant-blind
   "least-loaded" oracle byte for byte (the single block spans the whole
-  fleet), and chunked dispatch equals one-shot dispatch for both.
+  fleet).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.cluster.tenancy import (
     WeightedFairDispatcher,
 )
 from repro.core.qos import mean_qos_from_baseline
+from repro.exceptions import ConfigurationError
 from repro.scenarios import available_scenarios, get_scenario
 from tests.cluster.test_executor_parity import (
     _tiny_overrides,
@@ -169,8 +170,8 @@ class TestSingleTenantDegeneracy:
         assert np.array_equal(oracle, fast)
 
 
-class TestChunkedDispatchParity:
-    """Chunked == one-shot for both tenant dispatchers (streaming contract)."""
+class TestTwoTenantAssigner:
+    """One assigner call per trace, with the labels of the jobs handed in."""
 
     def _two_tenant_stream(self, num_jobs: int = 500):
         from repro.workloads.jobs import JobTrace
@@ -184,7 +185,7 @@ class TestChunkedDispatchParity:
     @pytest.mark.parametrize(
         "dispatcher_cls", [PriorityDispatcher, WeightedFairDispatcher]
     )
-    def test_chunked_assignment_matches_one_shot(self, dispatcher_cls):
+    def test_labels_must_match_the_jobs_handed_in(self, dispatcher_cls):
         tenants = (
             TenantSpec(name="a", qos=mean_qos_from_baseline(0.8)),
             TenantSpec(
@@ -193,16 +194,12 @@ class TestChunkedDispatchParity:
         )
         jobs = self._two_tenant_stream()
         dispatcher = dispatcher_cls(tenants)
-        one_shot = dispatcher.assign(jobs, 5)
-        assigner = dispatcher.assigner(
-            5, total_jobs=len(jobs), tenant_ids=jobs.tenant_ids
+        assigner = dispatcher.assigner(5, tenant_ids=jobs.tenant_ids)
+        assert np.array_equal(
+            assigner.assign_chunk(jobs.arrival_times, jobs.service_demands),
+            dispatcher.assign(jobs, 5),
         )
-        chunks = []
-        for start in range(0, len(jobs), 64):
-            chunks.append(
-                assigner.assign_chunk(
-                    jobs.arrival_times[start : start + 64],
-                    jobs.service_demands[start : start + 64],
-                )
+        with pytest.raises(ConfigurationError, match="tenant labels for 64 jobs"):
+            dispatcher.assigner(5, tenant_ids=jobs.tenant_ids).assign_chunk(
+                jobs.arrival_times[:64], jobs.service_demands[:64]
             )
-        assert np.array_equal(one_shot, np.concatenate(chunks))

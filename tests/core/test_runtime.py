@@ -69,6 +69,24 @@ class TestRuntimeConfig:
         with pytest.raises(ConfigurationError):
             RuntimeConfig(min_utilization=0.0)
 
+    @pytest.mark.parametrize(
+        "epoch_minutes, observation_minutes", [(5.0, 2.0), (0.5, 1.0), (5.0, 1.5)]
+    )
+    def test_observations_must_tile_the_epoch(self, epoch_minutes, observation_minutes):
+        # Windows that do not divide the epoch drift away from it: with
+        # 2-minute windows and 5-minute epochs the second epoch would be
+        # observed through minutes 4-10 instead of 5-10.
+        with pytest.raises(ConfigurationError, match="whole windows"):
+            RuntimeConfig(
+                epoch_minutes=epoch_minutes, observation_minutes=observation_minutes
+            )
+
+    def test_window_ratio_has_a_float_tolerance(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point.
+        config = RuntimeConfig(epoch_minutes=0.3, observation_minutes=0.1)
+        assert config.epoch_seconds == pytest.approx(3 * config.observation_seconds)
+        RuntimeConfig(epoch_minutes=5.0, observation_minutes=2.5)
+
 
 class TestRuntimeWithFixedPolicy:
     def test_epoch_count_covers_trace(self, xeon, dns_empirical, flat_workload):
@@ -188,28 +206,6 @@ class TestOverProvisioning:
         assert result.epochs[1].over_provisioned
         assert result.epochs[2].over_provisioned
 
-    def test_empty_epoch_run_stream_parity(self, xeon, dns_empirical):
-        policy = single_state_policy(xeon, C0I_S0I, 0.7)
-        jobs = JobTrace(
-            np.concatenate([np.arange(10.0), [125.0, 130.0]]),
-            np.concatenate([np.full(10, 2.0), [0.1, 0.1]]),
-        )
-        one_shot = build_runtime(
-            xeon, dns_empirical, FixedPolicyStrategy(policy),
-            epoch_minutes=1.0, alpha=0.35,
-        ).run(jobs)
-        session = build_runtime(
-            xeon, dns_empirical, FixedPolicyStrategy(policy),
-            epoch_minutes=1.0, alpha=0.35,
-        ).stream()
-        session.feed(jobs.arrival_times[:7], jobs.service_demands[:7])
-        session.feed(jobs.arrival_times[7:], jobs.service_demands[7:])
-        chunked = session.finish()
-        assert chunked.total_energy == one_shot.total_energy
-        assert [e.over_provisioned for e in chunked.epochs] == [
-            e.over_provisioned for e in one_shot.epochs
-        ]
-
     def test_over_provisioning_reduces_response_time(self, xeon, dns_empirical, flat_workload):
         policy = single_state_policy(xeon, C0I_S0I, 0.6)
         without = build_runtime(
@@ -291,6 +287,42 @@ class TestSleepScaleEndToEnd:
         result = runtime.run(flat_workload.jobs)
         assert result.predictor == "Offline"
         assert result.num_jobs == len(flat_workload.jobs)
+
+
+class TestEpochBoundaries:
+    @staticmethod
+    def _race_to_halt(xeon, spec):
+        policy = race_to_halt_policy(xeon, C6_S0I)
+        return policy, build_runtime(xeon, spec, FixedPolicyStrategy(policy))
+
+    def test_boundary_job_belongs_to_the_later_epoch(self, xeon, dns_empirical):
+        _, runtime = self._race_to_halt(xeon, dns_empirical)
+        jobs = JobTrace([0.0, 100.0, 300.0, 600.0, 650.0], [0.1, 0.2, 0.3, 0.4, 0.1])
+        result = runtime.run(jobs)
+        assert [epoch.num_jobs for epoch in result.epochs] == [2, 1, 2]
+
+    @pytest.mark.parametrize("horizon", [None, 300.0])
+    def test_job_at_the_run_horizon_is_served(self, xeon, dns_empirical, horizon):
+        # The last arrival sits exactly on the end of the only epoch: the
+        # final epoch is closed on the right, so it serves that job.
+        _, runtime = self._race_to_halt(xeon, dns_empirical)
+        result = runtime.run(JobTrace([1.0, 300.0], [0.1, 0.1]), horizon=horizon)
+        assert len(result.epochs) == 1
+        assert result.epochs[0].num_jobs == 2
+        assert result.num_jobs == 2
+        assert result.total_duration > 300.0
+        # Its demand is observed in the last window of the epoch.
+        assert result.epochs[0].observed_utilization == pytest.approx(0.2 / 300.0)
+
+    def test_zero_job_run_walks_the_sleep_sequence(self, xeon, dns_empirical):
+        policy, runtime = self._race_to_halt(xeon, dns_empirical)
+        result = runtime.run(JobTrace.empty(), horizon=1234.5)
+        epoch_energy = policy.sleep.idle_energy(300.0, xeon.idle_power(policy.frequency))
+        assert epoch_energy > 0.0
+        assert [epoch.num_jobs for epoch in result.epochs] == [0] * 5
+        assert [epoch.energy_joules for epoch in result.epochs] == [epoch_energy] * 5
+        assert result.total_duration == 1500.0
+        assert result.total_energy == pytest.approx(5 * epoch_energy, rel=1e-12)
 
 
 class TestEmptyEpochs:

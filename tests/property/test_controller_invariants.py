@@ -261,8 +261,6 @@ def _reference_assignment(jobs, dispatcher, schedule, server_speeds):
                 if server_speeds is None
                 else tuple(server_speeds[i] for i in members)
             ),
-            total_jobs=hi - lo,
-            mean_service_demand=float(np.mean(demands[lo:hi])),
             tenant_ids=jobs.tenant_ids[lo:hi],
         )
         local = assigner.assign_chunk(arrivals[lo:hi], demands[lo:hi])
@@ -281,8 +279,6 @@ class TestOneServerBypass:
         assigner = dispatcher.restrict([server]).assigner(
             1,
             server_speeds=(_SPEEDS[server],),
-            total_jobs=len(jobs),
-            mean_service_demand=jobs.mean_service_demand,
             tenant_ids=jobs.tenant_ids,
         )
         local = assigner.assign_chunk(jobs.arrival_times, jobs.service_demands)

@@ -224,10 +224,11 @@ class TestEveryScenario:
         loaded = JobTrace.from_file(path)
         assert np.array_equal(loaded.arrival_times, built.jobs.arrival_times)
         assert np.array_equal(loaded.service_demands, built.jobs.service_demands)
-        # The file holds arrival times and service demands only; a
-        # per-tenant scenario's labels are attached again.
-        if built.jobs.tenant_ids is not None:
-            loaded = loaded.with_tenant_ids(built.jobs.tenant_ids)
+        # A per-tenant scenario's labels travel in the file.
+        if built.jobs.tenant_ids is None:
+            assert loaded.tenant_ids is None
+        else:
+            assert np.array_equal(loaded.tenant_ids, built.jobs.tenant_ids)
         rerun = get_scenario(name).build(seed=11, **TINY).farm.run(loaded)
         assert_farm_results_identical(built.run(), rerun)
 

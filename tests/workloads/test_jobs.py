@@ -266,7 +266,7 @@ NOT_TRACE_FILES = {
     "directory": lambda path: path.mkdir(),
     "one-row": lambda path: np.save(path, np.arange(3.0)),
     "three-dimensional": lambda path: np.save(path, np.zeros((2, 3, 1))),
-    "transposed": lambda path: np.save(path, np.zeros((3, 2))),
+    "transposed": lambda path: np.save(path, np.zeros((4, 2))),
     "float32": lambda path: np.save(path, np.zeros((2, 3), dtype=np.float32)),
     "complex": lambda path: np.save(path, np.zeros((2, 3), dtype=complex)),
 }
@@ -293,6 +293,31 @@ class TestJobTraceFile:
         assert np.array_equal(loaded.arrival_times, trace.arrival_times)
         assert np.array_equal(loaded.service_demands, trace.service_demands)
 
+    def test_labelled_roundtrip(self, tmp_path):
+        trace = make_trace(50, seed=3).with_tenant_ids(np.arange(50) % 3)
+        path = tmp_path / "labelled.npy"
+        trace.to_file(path)
+        assert np.load(path).shape == (3, 50)
+        loaded = JobTrace.from_file(path)
+        assert loaded == trace
+        assert np.array_equal(loaded.tenant_ids, trace.tenant_ids)
+        assert loaded.tenant_ids.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0.0, 1.5, 1.0], "integers"),
+            ([0.0, np.nan, 1.0], "integers"),
+            ([0.0, -1.0, 1.0], "non-negative"),
+        ],
+    )
+    def test_bad_label_row_rejected(self, labels, message, tmp_path):
+        path = tmp_path / "labelled.npy"
+        np.save(path, np.asarray([[0.0, 0.5, 1.25], [0.1, 0.2, 0.3], labels]))
+        with pytest.raises(TraceError, match=message) as caught:
+            JobTrace.from_file(path)
+        assert str(path) in str(caught.value)
+
     def test_saved_format_loads_and_is_unchanged(self, tmp_path):
         saved = tmp_path / "saved.npy"
         saved.write_bytes(SAVED_TRACE_BYTES)
@@ -316,7 +341,7 @@ class TestJobTraceFile:
 
     def test_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "bad.npy"
-        np.save(path, np.arange(12.0).reshape(3, 4))
+        np.save(path, np.arange(12.0).reshape(4, 3))
         with pytest.raises(TraceError, match="not a trace file"):
             JobTrace.from_file(path)
 
