@@ -57,7 +57,6 @@ from repro.concurrency import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    fan_out,
     resolve_executor,
 )
 from repro.core import (
@@ -206,7 +205,6 @@ __all__ = [
     "cpu_bound",
     "dns_workload",
     "dvfs_only_strategy",
-    "fan_out",
     "figure9_strategies",
     "full_space",
     "generate_jobs",

@@ -8,7 +8,6 @@ REP001    determinism — no unseeded RNG / wall-clock reads in result code
 REP002    picklability — no lambdas/local functions across process boundaries
 REP003    oracle-parity — every fast-path member has a registered parity test
 REP004    float-equality — no ``==``/``!=`` on float simulation quantities
-REP005    fan-out conformance — public fan-outs accept and forward executor=
 REP006    hygiene — mutable defaults, bare/silent excepts
 ========  ===================================================================
 
@@ -37,7 +36,6 @@ from repro.analysis.engine import (
 from repro.analysis.parity import PARITY_REGISTRY, OracleParityRule, ParityContract
 from repro.analysis.rules import (
     DeterminismRule,
-    FanOutConformanceRule,
     FloatEqualityRule,
     HygieneRule,
     PicklabilityRule,
@@ -47,7 +45,6 @@ __all__ = [
     "PARITY_REGISTRY",
     "AnalysisReport",
     "DeterminismRule",
-    "FanOutConformanceRule",
     "FileContext",
     "Finding",
     "FloatEqualityRule",

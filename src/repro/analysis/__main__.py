@@ -28,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="AST-based invariant checks (determinism, picklability, "
-        "oracle-parity, float-equality, fan-out conformance, hygiene).",
+        "oracle-parity, float-equality, hygiene).",
     )
     parser.add_argument(
         "paths",

@@ -1,4 +1,4 @@
-"""The built-in invariant rules (REP001–REP006 minus the parity rule).
+"""The built-in per-file invariant rules (REP001, REP002, REP004, REP006).
 
 Each rule encodes one contract the repo's oracle-parity discipline rests
 on.  They are static approximations — documented per rule — tuned to
@@ -21,7 +21,6 @@ from repro.analysis.engine import FileContext, Finding, Rule, register_rule
 
 __all__ = [
     "DeterminismRule",
-    "FanOutConformanceRule",
     "FloatEqualityRule",
     "HygieneRule",
     "PicklabilityRule",
@@ -184,9 +183,9 @@ class DeterminismRule(Rule):
 
 #: Callables whose arguments cross (or may cross, depending on the
 #: ``executor=`` knob) a process boundary: the shard-task dataclasses
-#: and per-server factory holders the farm pickles, plus the fan-out
-#: entry point itself.  Keyword arguments to these must never be
-#: lambdas or local functions — exactly the PR 5 bug class.
+#: and per-server factory holders the farm pickles.  Keyword arguments
+#: to these must never be lambdas or local functions — exactly the PR 5
+#: bug class.
 _BOUNDARY_CALLEES = frozenset(
     {
         "ServerSpec",
@@ -229,9 +228,8 @@ class PicklabilityRule(Rule):
     fan-out into a worker.  Flags:
 
     * a ``lambda`` (or a local name bound to a lambda / nested ``def``)
-      passed to ``fan_out`` or to an ``<executor>.map(...)`` call
-      (everywhere — the executor behind those calls is the caller's
-      choice);
+      passed to an ``<executor>.map(...)`` call (everywhere — the
+      executor behind those calls is the caller's choice);
     * outside tests, the same passed to a shard-context constructor
       (``ServerSpec``, ``ServerFarm.homogeneous``, ``PerIndexFactory``,
       ``ServerShardTask``) — tests may build serial-only farms with local
@@ -373,9 +371,7 @@ class _PicklabilityWalker:
         constructor_boundary = (
             last in _BOUNDARY_CALLEES and self.context.category != "tests"
         )
-        if last == "fan_out":
-            boundary = "fan_out"
-        elif constructor_boundary:
+        if constructor_boundary:
             boundary = last or ""
         elif _is_executor_map(node):
             boundary = "executor.map"
@@ -531,94 +527,6 @@ class FloatEqualityRule(Rule):
                     "that makes exact equality sound",
                 )
                 return
-
-
-# ---------------------------------------------------------------------------
-# REP005 — fan-out signature conformance
-
-
-@register_rule
-class FanOutConformanceRule(Rule):
-    """REP005: public fan-out entry points accept and forward ``executor=``.
-
-    The executor subsystem only stays pluggable if every public function
-    that fans work out lets the caller pick the pool.  For each public
-    (non-underscore) module-level function or method in library code
-    whose body (including nested helpers) calls ``fan_out``, the
-    function must take an ``executor`` parameter and every ``fan_out``
-    call under it must forward it (keyword ``executor=...`` or the bare
-    name positionally).
-    """
-
-    code = "REP005"
-    name = "fan-out-conformance"
-    description = "public fan-out entry points must accept and forward executor="
-    categories = ("src",)
-
-    def check(self, context: FileContext) -> Iterable[Finding]:
-        for function in self._public_functions(context.tree):
-            calls = [
-                node
-                for node in ast.walk(function)
-                if isinstance(node, ast.Call)
-                and (_dotted_name(node.func) or "").split(".")[-1] == "fan_out"
-            ]
-            if not calls:
-                continue
-            parameters = _parameter_names(function)
-            if "executor" not in parameters:
-                yield context.finding(
-                    self.code,
-                    function,
-                    f"public fan-out entry point {function.name}() does not accept "
-                    "executor=; every fan-out site must let the caller pick the pool",
-                )
-                continue
-            for call in calls:
-                if not _forwards_executor(call):
-                    yield context.finding(
-                        self.code,
-                        call,
-                        f"{function.name}() accepts executor= but this fan_out call "
-                        "does not forward it",
-                    )
-
-    @staticmethod
-    def _public_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                yield node
-            elif isinstance(node, ast.ClassDef):
-                for member in node.body:
-                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                        yield member
-
-
-def _parameter_names(function: ast.FunctionDef) -> set[str]:
-    arguments = function.args
-    names = {
-        arg.arg
-        for arg in (
-            *arguments.posonlyargs,
-            *arguments.args,
-            *arguments.kwonlyargs,
-        )
-    }
-    if arguments.vararg is not None:
-        names.add(arguments.vararg.arg)
-    if arguments.kwarg is not None:
-        names.add(arguments.kwarg.arg)
-    return names
-
-
-def _forwards_executor(call: ast.Call) -> bool:
-    for keyword in call.keywords:
-        if keyword.arg == "executor" or keyword.arg is None:  # **kwargs forwards too
-            return True
-    return any(
-        isinstance(argument, ast.Name) and argument.id == "executor"
-        for argument in call.args
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 :func:`run_campaign` is the one entry point: it pins the store to the
 spec, enumerates the cells, skips the ones whose records are already
-trusted (``resume=True``), and fans the rest out through the shared
-:mod:`repro.concurrency` executor subsystem.  Cell tasks are plain
+trusted (``resume=True``), and runs the rest on an executor from the shared
+:mod:`repro.concurrency` subsystem.  Cell tasks are plain
 picklable data (:class:`CellTask`) executed by a module-level function,
 so the process executor works exactly like the serial oracle — the cell
 *records* are byte-identical whichever executor ran them (pinned by
@@ -21,7 +21,7 @@ import dataclasses
 from pathlib import Path
 from typing import Any
 
-from repro.concurrency import Executor, fan_out
+from repro.concurrency import Executor, resolve_executor
 from repro.exceptions import CampaignError
 from repro.campaigns.spec import (
     KIND_EXPERIMENT,
@@ -142,6 +142,9 @@ def run_campaign(
     """
     if max_cells is not None and max_cells < 0:
         raise CampaignError(f"max_cells must be non-negative, got {max_cells}")
+    # Resolved before the store is touched: a bad executor or worker count
+    # leaves no output directory behind.
+    cell_executor = resolve_executor(executor, max_workers)
     store = CampaignStore(output_dir)
     store.initialise(spec, resume=resume)
     cells = spec.cells()
@@ -153,14 +156,11 @@ def run_campaign(
     # Batch the fan-out so records land on disk as the campaign progresses:
     # an interruption between batches loses at most one batch of work, and
     # a batch is at most one pool's worth of cells.
-    batch_size = max(1, max_workers or 1)
+    batch_size = max_workers or 1
     for start in range(0, len(pending), batch_size):
         batch = pending[start : start + batch_size]
-        payloads = fan_out(
-            [cell_task(spec, cell) for cell in batch],
-            execute_cell,
-            max_workers,
-            executor,
+        payloads = cell_executor.map(
+            execute_cell, [cell_task(spec, cell) for cell in batch]
         )
         for cell, payload in zip(batch, payloads, strict=True):
             store.write_cell(make_cell_record(spec, cell, payload))

@@ -186,6 +186,10 @@ class CampaignSpec:
                 raise CampaignError(
                     f"campaign {self.name!r} seeds must be integers, got {seed!r}"
                 )
+            if seed < 0:
+                raise CampaignError(
+                    f"campaign {self.name!r} seeds must be non-negative, got {seed}"
+                )
         if len(set(self.seeds)) != len(self.seeds):
             raise CampaignError(
                 f"campaign {self.name!r} declares duplicate seeds: {self.seeds}"

@@ -584,12 +584,8 @@ class ServerFarm:
             )
         if self.qos is not None and not isinstance(self.qos, FarmQos):
             raise ConfigurationError(farm_qos_type_error(self.qos))
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be at least 1, got {self.max_workers}"
-            )
-        # Resolving validates the name/worker combination up front, so a
-        # typo'd executor fails at construction, not mid-run.
+        # Resolving validates the executor name and worker count up front,
+        # so a typo'd executor fails at construction, not mid-run.
         resolve_executor(self.executor, self.max_workers)
         names = [server.name for server in self.servers]
         if len(set(names)) != len(names):

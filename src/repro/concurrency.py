@@ -1,9 +1,9 @@
-"""Fan-out executors: serial or process pool.
+"""Executors: serial or process pool.
 
-The farm, the state sweeps and the experiment runner all offer the same
-optional parallelism: independent work items, results in item order, serial
-execution unless a pool is explicitly requested.  :func:`fan_out` is that
-shape, once, so the call sites cannot drift apart.  Two executors back it:
+The farm and the campaign engine run independent work items the same way:
+results in item order, serial execution unless a pool is explicitly
+requested.  :func:`resolve_executor` turns their ``executor=``/
+``max_workers`` knobs into one of two executors:
 
 * :class:`SerialExecutor` — run in the caller's thread (the oracle);
 * :class:`ProcessExecutor` — a ``ProcessPoolExecutor``; work functions,
@@ -41,7 +41,7 @@ ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 #: Executor names accepted by every ``executor=`` knob (farm, cluster,
-#: sweeps, experiment runner, ``Scenario.build`` and the CLIs).
+#: campaigns, ``Scenario.build`` and the CLIs).
 EXECUTOR_SERIAL = "serial"
 EXECUTOR_PROCESS = "process"
 EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_PROCESS)
@@ -176,21 +176,19 @@ def resolve_executor(
 ) -> Executor:
     """Turn an ``executor=`` knob value into a concrete :class:`Executor`.
 
-    ``None`` means a process pool when ``max_workers > 1`` and serial
-    otherwise — including the historical tolerance for ``max_workers <= 0``
-    meaning "no pool".  A string selects by name (:data:`EXECUTORS`), with
-    *max_workers* sizing the pool (and then a count below 1 is rejected —
-    an explicitly requested pool of zero workers is a configuration error);
-    an :class:`Executor` instance is returned unchanged (its own worker
-    count wins).
+    A *max_workers* below 1 is rejected whatever the executor.  ``None``
+    means a process pool when ``max_workers > 1`` and serial otherwise.  A
+    string selects by name (:data:`EXECUTORS`), with *max_workers* sizing
+    the pool; an :class:`Executor` instance is returned unchanged (its own
+    worker count wins).
     """
+    _validate_workers(max_workers)
     if isinstance(executor, Executor):
         return executor
     if executor is None:
         if max_workers is not None and max_workers > 1:
             return ProcessExecutor(max_workers)
         return SerialExecutor()
-    _validate_workers(max_workers)
     if executor == EXECUTOR_SERIAL:
         return SerialExecutor()
     if executor == EXECUTOR_PROCESS:
@@ -209,21 +207,3 @@ def validate_executor(executor: Executor | str | None) -> None:
     resolve with their worker counts instead.
     """
     resolve_executor(executor)
-
-
-def fan_out(
-    items: Sequence[ItemT],
-    fn: Callable[[ItemT], ResultT],
-    max_workers: int | None,
-    executor: Executor | str | None = None,
-) -> list[ResultT]:
-    """Apply *fn* to every item on the executor the arguments select.
-
-    Results come back in item order.  With the default ``executor=None``, a
-    process pool runs the items when ``max_workers > 1`` (so *fn* and the
-    items must pickle); ``None``, ``1`` and the historically tolerated
-    ``<= 0`` run them in the caller's thread.  Exceptions propagate either
-    way (first in item order for the pool).  Items must be independent —
-    *fn* must not rely on earlier calls' side effects.
-    """
-    return resolve_executor(executor, max_workers).map(fn, list(items))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.exceptions import ExperimentError
+from repro.exceptions import ConfigurationError, ExperimentError
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,10 @@ class ExperimentConfig:
     seed: int = 0
     num_jobs: int | None = None
     frequency_step: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def sweep_num_jobs(self) -> int:

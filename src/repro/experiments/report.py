@@ -136,7 +136,7 @@ def experiment_payload(result: ExperimentResult) -> dict[str, Any]:
 def experiment_report(
     results: Mapping[str, ExperimentResult], config: ExperimentConfig
 ) -> dict[str, Any]:
-    """Assemble the schema-versioned report for one ``run_experiments`` call.
+    """Assemble the schema-versioned report for one run of several experiments.
 
     The returned document is already validated against
     :data:`EXPERIMENT_REPORT_SCHEMA`.

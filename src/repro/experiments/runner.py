@@ -1,14 +1,14 @@
 """Experiment and campaign registries, and the command-line entry point.
 
 ``python -m repro.experiments <name> [<name> ...] [--full] [--seed N]`` runs
-one or more experiments and prints their result tables; ``--list`` shows
-every registered experiment, ``--parallel N`` fans independent experiments
-out over a pool of N worker processes (``--executor`` picks serial or
-process execution; each experiment owns its seeds, so results are identical
-whichever executor runs them), and ``--output FILE`` also writes the results
-as a schema-versioned JSON report (:mod:`repro.experiments.report`).  The
-same registry is what the benchmark harness iterates over, so the CLI and
-the benchmarks can never diverge on what an experiment means.
+one or more experiments, one after another, and prints their result tables;
+``--list`` shows every registered experiment, and ``--output FILE`` also
+writes the results as a schema-versioned JSON report
+(:mod:`repro.experiments.report`; ``--output -`` puts the report alone on
+stdout and the tables on stderr).  Runs that should use several cores go
+through ``run-campaign --workers N`` instead.  The same registry is what the
+benchmark harness iterates over, so the CLI and the benchmarks can never
+diverge on what an experiment means.
 
 Four subcommands expose the scenario library
 (:mod:`repro.experiments.scenario_runner`) and the campaign engine
@@ -29,15 +29,13 @@ Four subcommands expose the scenario library
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro.campaigns.spec import CampaignSpec
-from repro.concurrency import EXECUTORS, Executor, fan_out
 from repro.exceptions import ExperimentError, ReproError
 from repro.experiments import (
     ablations,
@@ -140,6 +138,15 @@ def get_campaign(name: str) -> CampaignSpec:
         ) from error
 
 
+def _experiment_runner(name: str) -> Callable[..., ExperimentResult]:
+    try:
+        return EXPERIMENTS[name]
+    except KeyError as error:
+        raise ExperimentError(
+            f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
+        ) from error
+
+
 def run_experiment(
     name: str, config: ExperimentConfig | None = None, **kwargs: Any
 ) -> ExperimentResult:
@@ -149,42 +156,7 @@ def run_experiment(
     function — this is how campaign cells select their slice of a figure
     (e.g. ``run_experiment("figure1", config, workloads=["dns"])``).
     """
-    try:
-        runner = EXPERIMENTS[name]
-    except KeyError as error:
-        raise ExperimentError(
-            f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
-        ) from error
-    return runner(config or ExperimentConfig(), **kwargs)
-
-
-def run_experiments(
-    names: Sequence[str],
-    config: ExperimentConfig | None = None,
-    max_workers: int | None = None,
-    executor: Executor | str | None = None,
-) -> dict[str, ExperimentResult]:
-    """Run several registered experiments, optionally on a pool.
-
-    Each experiment derives its random streams from the config's base seed
-    independently of the others, so the fan-out (``max_workers > 1`` for a
-    process pool, or an explicit ``executor=``) produces the same results
-    as running them one after another.  Unknown names raise before anything is started.
-    """
-    for name in names:
-        if name not in EXPERIMENTS:
-            raise ExperimentError(
-                f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
-            )
-    # Deduplicate (order-preserving): experiments are deterministic per
-    # config, so a repeated name would just burn wall-clock for the same row.
-    names = list(dict.fromkeys(names))
-    config = config or ExperimentConfig()
-    # functools.partial of the module-level runner stays picklable for the
-    # process executor (experiment names and configs are plain data).
-    run_one = functools.partial(run_experiment, config=config)
-    results = fan_out(names, run_one, max_workers, executor)
-    return dict(zip(names, results, strict=True))
+    return _experiment_runner(name)(config or ExperimentConfig(), **kwargs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -247,23 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run multiple experiments on a pool of N workers",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=list(EXECUTORS),
-        default=None,
-        help=(
-            "pool type for --parallel: 'process' (default when N > 1) "
-            "for multi-core runs, 'serial' to force in-line execution; "
-            "results are identical across executors"
-        ),
-    )
-    parser.add_argument(
         "--output",
         metavar="FILE",
         default=None,
@@ -273,31 +228,32 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     arguments = parser.parse_args(argv)
-    if arguments.parallel < 1:
-        parser.error(f"--parallel must be at least 1, got {arguments.parallel}")
 
     if arguments.list or not arguments.experiments:
         for name in available_experiments():
             print(name)
         return 0
 
+    # With '--output -' stdout carries the JSON report alone.
+    log = sys.stderr if arguments.output == "-" else sys.stdout
     started = time.perf_counter()
     try:
         config = ExperimentConfig(fast=not arguments.full, seed=arguments.seed)
-        results = run_experiments(
-            arguments.experiments,
-            config,
-            max_workers=arguments.parallel,
-            executor=arguments.executor,
-        )
+        # Every name is checked before any experiment runs; a repeated name
+        # runs once (experiments are deterministic per config).
+        runners = {
+            name: _experiment_runner(name)
+            for name in dict.fromkeys(arguments.experiments)
+        }
+        results = {name: run(config) for name, run in runners.items()}
     except ReproError as error:
         # A mistyped experiment name or bad option: one line, no traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    for name in dict.fromkeys(arguments.experiments):
-        print(format_result(results[name]))
-        print()
+    for result in results.values():
+        print(format_result(result), file=log)
+        print(file=log)
     if arguments.output is not None:
         report = experiment_report(results, config)
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -307,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(arguments.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
             print(f"wrote report to {arguments.output}")
-    print(f"completed in {elapsed:.1f} s (fast={config.fast})")
+    print(f"completed in {elapsed:.1f} s (fast={config.fast})", file=log)
     return 0
 
 

@@ -208,6 +208,8 @@ class Scenario:
         ``strictest`` is pinned bit-identical to no qos at all, and
         per-tenant mode only adds accounting.
         """
+        if seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {seed}")
         validate_backend(backend)
         validate_search(search)
         validate_executor(executor)

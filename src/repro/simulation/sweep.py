@@ -10,13 +10,11 @@ the simulation engine and provides small helpers to locate the optimum
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.concurrency import Executor, fan_out
 from repro.exceptions import ConfigurationError
 from repro.power.dvfs import frequency_grid
 from repro.power.platform import ServerPowerModel
@@ -250,8 +248,6 @@ def sweep_states(
     sleeps: Mapping[str, SleepLike] | Sequence[SleepLike],
     power_model: ServerPowerModel,
     utilization: float,
-    max_workers: int | None = None,
-    executor: Executor | str | None = None,
     **kwargs,
 ) -> dict[str, TradeoffCurve]:
     """Sweep frequencies for several sleep behaviours (one curve each).
@@ -259,15 +255,10 @@ def sweep_states(
     ``sleeps`` may be a mapping ``label -> sleep specification`` or a plain
     sequence of specifications (system states and sleep sequences are
     labelled by their own names).  Remaining keyword arguments are passed
-    through to :func:`sweep_frequencies`.
-
-    ``max_workers`` > 1 fans the per-state curves out over a process pool;
-    ``executor`` selects explicitly (``"serial"``/``"process"`` or an
-    :class:`~repro.concurrency.Executor`) — the process executor requires
-    picklable sleep specifications (states and sequences are; ad-hoc
-    callables are not).  Each curve draws its job stream from an independent
-    generator seeded the same way as the serial path, so results are
-    identical whichever executor runs them.
+    through to :func:`sweep_frequencies`.  Each curve draws its job stream
+    from its own generator seeded from those arguments, so a curve does not
+    depend on which other states are swept.  To spread a grid of sweeps over
+    several cores, run it as a campaign (``run-campaign --workers N``).
     """
     if isinstance(sleeps, Mapping):
         labelled = dict(sleeps)
@@ -283,17 +274,12 @@ def sweep_states(
                 )
     if not labelled:
         raise ConfigurationError("sweep_states needs at least one sleep sequence")
-    # A partial of the module-level sweep keeps the work function picklable
-    # for the process executor (a closure would not be).
-    sweep_one = functools.partial(
-        sweep_frequencies,
-        spec,
-        power_model=power_model,
-        utilization=utilization,
-        **kwargs,
-    )
-    curves = fan_out(list(labelled.values()), sweep_one, max_workers, executor)
-    return dict(zip(labelled.keys(), curves, strict=True))
+    return {
+        label: sweep_frequencies(
+            spec, sleep, power_model=power_model, utilization=utilization, **kwargs
+        )
+        for label, sleep in labelled.items()
+    }
 
 
 def best_policy_across_states(

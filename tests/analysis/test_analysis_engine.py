@@ -89,7 +89,7 @@ class TestFileCategories:
 
 
 class TestRegistry:
-    def test_all_six_builtin_rules_register(self):
+    def test_all_five_builtin_rules_register(self):
         codes = [code for code, _name, _description in rule_catalog()]
         assert codes == sorted(codes)
         assert {
@@ -97,7 +97,6 @@ class TestRegistry:
             "REP002",
             "REP003",
             "REP004",
-            "REP005",
             "REP006",
         } <= set(codes)
 

@@ -96,14 +96,14 @@ class TestREP001Determinism:
 
 
 class TestREP002Picklability:
-    def test_lambda_into_fan_out_flagged(self):
+    def test_lambda_into_resolved_executor_map_flagged(self):
         source = (
-            "from repro.concurrency import fan_out\n\n"
+            "from repro.concurrency import resolve_executor\n\n"
             "def run(items):\n"
-            "    return fan_out(items, lambda x: x, None)\n"
+            "    return resolve_executor(None, 2).map(lambda x: x, items)\n"
         )
         (finding,) = run_rule("REP002", source)
-        assert "fan_out" in finding.message
+        assert "executor.map" in finding.message
 
     def test_local_function_into_shard_constructor_flagged(self):
         source = (
@@ -125,16 +125,16 @@ class TestREP002Picklability:
         (finding,) = run_rule("REP002", source)
         assert "executor.map" in finding.message
 
-    def test_shard_constructor_exempt_in_tests_but_fan_out_is_not(self):
+    def test_shard_constructor_exempt_in_tests_but_executor_map_is_not(self):
         constructor = (
             "def build():\n"
             "    return ServerSpec(name='x', strategy_factory=lambda i: i)\n"
         )
         assert run_rule("REP002", constructor, path=TESTS) == []
         fan = (
-            "from repro.concurrency import fan_out\n\n"
+            "from repro.concurrency import resolve_executor\n\n"
             "def run(items):\n"
-            "    return fan_out(items, lambda x: x, None)\n"
+            "    return resolve_executor(None, 2).map(lambda x: x, items)\n"
         )
         assert len(run_rule("REP002", fan, path=TESTS)) == 1
 
@@ -146,11 +146,11 @@ class TestREP002Picklability:
 
     def test_module_level_function_clean(self):
         source = (
-            "from repro.concurrency import fan_out\n\n"
+            "from repro.concurrency import resolve_executor\n\n"
             "def work(value):\n"
             "    return value\n\n"
             "def run(items, executor=None):\n"
-            "    return fan_out(items, work, None, executor=executor)\n"
+            "    return resolve_executor(executor, 2).map(work, items)\n"
         )
         assert run_rule("REP002", source) == []
 
@@ -196,67 +196,6 @@ class TestREP004FloatEquality:
             "REP004",
             "# repro: ignore[REP004] -- fixture: bit-identity by parity contract\n"
             "diverged = candidate_energy != oracle_energy\n",
-        )
-
-
-class TestREP005FanOutConformance:
-    def test_missing_executor_parameter_flagged(self):
-        source = (
-            "from repro.concurrency import fan_out\n\n"
-            "def sweep(items):\n"
-            "    return fan_out(items, handler, 4)\n"
-        )
-        (finding,) = run_rule("REP005", source)
-        assert "does not accept executor=" in finding.message
-
-    def test_unforwarded_call_flagged(self):
-        source = (
-            "from repro.concurrency import fan_out\n\n"
-            "def sweep(items, executor=None):\n"
-            "    return fan_out(items, handler, 4)\n"
-        )
-        (finding,) = run_rule("REP005", source)
-        assert "does not forward" in finding.message
-
-    def test_forwarding_entry_point_clean(self):
-        source = (
-            "from repro.concurrency import fan_out\n\n"
-            "def sweep(items, executor=None):\n"
-            "    return fan_out(items, handler, 4, executor=executor)\n"
-        )
-        assert run_rule("REP005", source) == []
-
-    def test_kwargs_passthrough_counts_as_forwarding(self):
-        source = (
-            "from repro.concurrency import fan_out\n\n"
-            "def sweep(items, executor=None, **kwargs):\n"
-            "    return fan_out(items, handler, 4, **kwargs)\n"
-        )
-        assert run_rule("REP005", source) == []
-
-    def test_private_helpers_exempt(self):
-        source = (
-            "from repro.concurrency import fan_out\n\n"
-            "def _sweep(items):\n"
-            "    return fan_out(items, handler, 4)\n"
-        )
-        assert run_rule("REP005", source) == []
-
-    def test_only_applies_to_src(self):
-        source = (
-            "from repro.concurrency import fan_out\n\n"
-            "def sweep(items):\n"
-            "    return fan_out(items, handler, 4)\n"
-        )
-        assert run_rule("REP005", source, path=BENCH) == []
-
-    def test_suppression_honoured(self):
-        assert_suppressed(
-            "REP005",
-            "from repro.concurrency import fan_out\n\n"
-            "# repro: ignore[REP005] -- fixture: executor fixed by the protocol\n"
-            "def sweep(items):\n"
-            "    return fan_out(items, handler, 4)\n",
         )
 
 

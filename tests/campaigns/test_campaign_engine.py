@@ -23,7 +23,7 @@ from repro.campaigns import (
     execute_cell,
     run_campaign,
 )
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, ExecutorError
 from repro.experiments import runner
 
 
@@ -79,6 +79,14 @@ class TestRunCampaign:
     def test_negative_max_cells_rejected(self, tmp_path):
         with pytest.raises(CampaignError, match="max_cells"):
             run_campaign(runner.CAMPAIGNS["table2"], tmp_path, max_cells=-1)
+
+    @pytest.mark.parametrize("executor", [None, "process"])
+    def test_zero_workers_rejected_before_the_store(self, executor, tmp_path):
+        with pytest.raises(ExecutorError, match="at least 1"):
+            run_campaign(
+                runner.CAMPAIGNS["table2"], tmp_path, executor=executor, max_workers=0
+            )
+        assert not CampaignStore(tmp_path).campaign_path.exists()
 
     def test_interrupt_then_resume_partitions_cells(self, parity_spec, tmp_path):
         first = run_campaign(parity_spec, tmp_path, max_cells=1)

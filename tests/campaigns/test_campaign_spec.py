@@ -68,6 +68,10 @@ class TestValidation:
         with pytest.raises(CampaignError, match="seeds must be integers"):
             make_spec(seeds=(True,))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(CampaignError, match="seeds must be non-negative, got -1"):
+            make_spec(seeds=(0, -1))
+
     def test_nan_grid_value_rejected(self):
         with pytest.raises(CampaignError, match="finite"):
             make_spec(grid={"alpha": (math.nan,)})

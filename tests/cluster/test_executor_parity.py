@@ -5,9 +5,8 @@ The executor contract for farms (the analogue of the backend, dispatch
 per-server epoch loops, a farm produces **bit-identical** ``FarmResult``s —
 same total energy, same per-server dispatch assignments (hence per-server
 response-time arrays), and same per-epoch policy selections.  This suite
-pins that across every registered scenario, for
-``ServerFarm.homogeneous`` farms, and for the other
-``fan_out`` call sites (``sweep_states``, ``run_experiments``).
+pins that across every registered scenario and for
+``ServerFarm.homogeneous`` farms.
 """
 
 from __future__ import annotations
@@ -25,12 +24,9 @@ from repro.core.qos import mean_qos_from_baseline
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import sleepscale_strategy
 from repro.exceptions import ExecutorError
-from repro.experiments.runner import run_experiments
 from repro.power.platform import xeon_power_model
 from repro.prediction.lms_cusum import LmsCusumPredictor
 from repro.scenarios import available_scenarios, get_scenario
-from repro.simulation.sweep import sweep_states
-from repro.power.states import C1_S0I, C3_S0I
 from repro.workloads.generator import generate_jobs
 from repro.workloads.spec import dns_workload
 
@@ -221,31 +217,6 @@ class TestUnpicklableWork:
         for name in ("gpu", "thread"):
             with pytest.raises(ExecutorError, match="unknown executor"):
                 ServerFarm(servers=(server,), spec=spec, executor=name)
-
-
-class TestOtherFanOutSites:
-    def test_sweep_states_process_matches_serial(self):
-        spec = dns_workload()
-        power = xeon_power_model()
-        kwargs = dict(num_jobs=600, frequency_step=0.05, seed=5)
-        serial = sweep_states(spec, [C1_S0I, C3_S0I], power, 0.3, **kwargs)
-        sharded = sweep_states(
-            spec,
-            [C1_S0I, C3_S0I],
-            power,
-            0.3,
-            executor="process",
-            max_workers=2,
-            **kwargs,
-        )
-        assert serial.keys() == sharded.keys()
-        for label in serial:
-            assert serial[label].points == sharded[label].points
-
-    def test_run_experiments_process_matches_serial(self):
-        serial = run_experiments(["table2"])
-        sharded = run_experiments(["table2"], executor="process", max_workers=2)
-        assert serial["table2"].rows == sharded["table2"].rows
 
 
 class TestScenarioBuildExecutor:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ExperimentError
-from repro.experiments import figure7, table2, table5
+from repro.exceptions import ConfigurationError, ExperimentError
+from repro.experiments import figure7, runner, table2, table5
 from repro.experiments.base import (
     ExperimentConfig,
     ExperimentResult,
@@ -39,6 +39,10 @@ class TestExperimentConfig:
         config = ExperimentConfig(fast=True, num_jobs=1234, frequency_step=0.02)
         assert config.sweep_num_jobs == 1234
         assert config.sweep_frequency_step == 0.02
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+            ExperimentConfig(seed=-1)
 
 
 class TestExperimentResult:
@@ -167,38 +171,44 @@ class TestFigure7Experiment:
 
 
 class TestRunExperiments:
-    def test_multiple_experiments_serial(self):
-        from repro.experiments.base import ExperimentConfig
-        from repro.experiments.runner import run_experiments
+    """The direct CLI runs the named experiments one after another."""
 
-        results = run_experiments(
-            ["table2", "table5"], ExperimentConfig(fast=True, seed=1)
-        )
-        assert set(results) == {"table2", "table5"}
-        assert results["table2"].rows
+    def test_multiple_experiments_serial(self, capsys):
+        assert main(["table2", "table5", "table2", "--seed", "1"]) == 0
+        output = capsys.readouterr().out
+        # A repeated name runs once; tables print in first-mention order.
+        assert output.count("== table2:") == 1
+        assert output.index("== table2:") < output.index("== table5:")
 
-    def test_parallel_matches_serial(self):
-        from repro.experiments.base import ExperimentConfig
-        from repro.experiments.runner import run_experiments
+    def test_unknown_name_rejected_before_running(self, capsys, monkeypatch):
+        def must_not_run(config):
+            raise AssertionError("table2 ran before the names were checked")
 
-        config = ExperimentConfig(fast=True, seed=1)
-        serial = run_experiments(["table2", "table5"], config)
-        threaded = run_experiments(["table2", "table5"], config, max_workers=2)
-        for name in serial:
-            assert serial[name].rows == threaded[name].rows
-
-    def test_unknown_name_rejected_before_running(self):
-        import pytest as _pytest
-
-        from repro.exceptions import ExperimentError
-        from repro.experiments.runner import run_experiments
-
-        with _pytest.raises(ExperimentError):
-            run_experiments(["table2", "figure99"])
+        monkeypatch.setitem(runner.EXPERIMENTS, "table2", must_not_run)
+        assert main(["table2", "figure99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: unknown experiment 'figure99'")
 
     def test_cli_accepts_multiple_experiments(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["table2", "table5", "--parallel", "2", "--seed", "1"]) == 0
+        assert main(["table2", "table5", "--seed", "1"]) == 0
         output = capsys.readouterr().out
         assert "table2" in output and "table5" in output
+
+    @pytest.mark.parametrize(
+        "flags", [["--parallel", "2"], ["--executor", "process"]]
+    )
+    def test_removed_pool_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["figure1", "figure2", *flags])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["figure1", "table5"])
+    def test_negative_seed_is_one_error_line(self, name, capsys):
+        assert main([name, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == "error: seed must be non-negative, got -1"

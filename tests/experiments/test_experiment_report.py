@@ -147,5 +147,10 @@ class TestCliOutput:
 
     def test_output_dash_writes_to_stdout(self, capsys):
         assert runner.main(["table2", "--output", "-"]) == 0
-        out = capsys.readouterr().out
-        assert f'"schema": "{EXPERIMENT_REPORT_SCHEMA}"' in out
+        captured = capsys.readouterr()
+        # Stdout is exactly the report; the tables and timing go to stderr.
+        report = json.loads(captured.out)
+        validate_experiment_report(report)
+        assert report["schema"] == EXPERIMENT_REPORT_SCHEMA
+        assert "== table2:" in captured.err
+        assert "completed in" in captured.err

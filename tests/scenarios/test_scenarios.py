@@ -636,6 +636,33 @@ class TestCliErrors:
         assert lines[0].startswith("error: ")
         assert "no_such_figure" in lines[0]
 
+    def test_negative_seed_prints_one_error_line(self, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["run-scenario", "diurnal", "--seed", "-1"]) == 2
+        assert _one_error_line(capsys) == "error: seed must be non-negative, got -1"
+
+    def test_build_rejects_negative_seed(self):
+        with pytest.raises(ScenarioError, match="seed must be non-negative"):
+            get_scenario("diurnal").build(seed=-1, **TINY)
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--seeds", "-1"], "seeds must be non-negative, got -1"),
+            (["--workers", "0"], "max_workers must be at least 1, got 0"),
+        ],
+        ids=["negative-seed", "zero-workers"],
+    )
+    def test_bad_campaign_flag_leaves_no_store(self, capsys, tmp_path, flags, message):
+        from repro.experiments.runner import main
+
+        output_dir = tmp_path / "store"
+        argv = ["run-campaign", "figure1", "--output-dir", str(output_dir), *flags]
+        assert main(argv) == 2
+        assert message in _one_error_line(capsys)
+        assert not output_dir.exists()
+
     def test_unknown_campaign_exits_like_run_scenario(self, capsys, tmp_path):
         from repro.experiments.runner import main
 

@@ -312,22 +312,3 @@ class TestSweepBackends:
             seed=0,
         )
         assert list(curve.frequencies) == [0.8]
-
-    def test_sweep_states_parallel_matches_serial(self, dns_ideal, xeon):
-        kwargs = dict(
-            utilization=0.2,
-            num_jobs=300,
-            frequency_step=0.2,
-            seed=0,
-        )
-        sleeps = {"C6S0(i)": C6_S0I, "C6S3": C6_S3}
-        serial = sweep_states(dns_ideal, sleeps, xeon, **kwargs)
-        parallel = sweep_states(dns_ideal, sleeps, xeon, max_workers=2, **kwargs)
-        assert serial.keys() == parallel.keys()
-        for label in serial:
-            np.testing.assert_array_equal(
-                serial[label].powers, parallel[label].powers
-            )
-            np.testing.assert_array_equal(
-                serial[label].frequencies, parallel[label].frequencies
-            )

@@ -1,11 +1,10 @@
-"""The executor subsystem behind ``fan_out``.
+"""The executor subsystem behind the farm and the campaign engine.
 
 Pins the executor contract of :mod:`repro.concurrency`: results in item
-order on every executor, serial fallback exactly where the historical
-``fan_out`` ran serially (``max_workers > 1`` now means worker processes),
-first-in-item-order exception propagation, and —
-for the process executor — *clear* errors (not hangs) when work cannot
-cross a process boundary.
+order on every executor, serial execution unless ``max_workers > 1`` or an
+executor name asks for worker processes, first-in-item-order exception
+propagation, and — for the process executor — *clear* errors (not hangs)
+when work cannot cross a process boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.concurrency import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    fan_out,
     resolve_executor,
     validate_executor,
 )
@@ -89,40 +87,39 @@ def record_thread(value):
     return threading.get_ident()
 
 
-class TestFanOutContract:
-    """The historical fan_out behaviour, unchanged by the refactor."""
+class TestResolvedExecutorContract:
+    """``resolve_executor(executor, max_workers).map(...)``, as its callers use it."""
 
     def test_results_in_item_order_serial(self):
-        assert fan_out([3, 1, 2], square, None) == [9, 1, 4]
+        assert resolve_executor(None, None).map(square, [3, 1, 2]) == [9, 1, 4]
 
     def test_results_in_item_order_pooled(self):
         items = list(range(5))
-        assert fan_out(items, square_after_reverse_delay, 2) == [
+        assert resolve_executor(None, 2).map(square_after_reverse_delay, items) == [
             value * value for value in items
         ]
 
     def test_workers_above_one_select_worker_processes(self):
         """``max_workers > 1`` without an executor means the process pool."""
-        pids = fan_out([1, 2], worker_pid, 2)
+        pids = resolve_executor(None, 2).map(worker_pid, [1, 2])
         assert all(pid != os.getpid() for pid in pids)
 
-    @pytest.mark.parametrize("max_workers", [None, 0, 1])
+    @pytest.mark.parametrize("max_workers", [None, 1])
     def test_serial_fallback_runs_in_callers_thread(self, max_workers):
-        """``max_workers <= 1`` (including the historical 0) stays serial."""
-        idents = fan_out([1, 2, 3], record_thread, max_workers)
+        idents = resolve_executor(None, max_workers).map(record_thread, [1, 2, 3])
         assert set(idents) == {threading.get_ident()}
 
     @pytest.mark.parametrize("max_workers", [None, 2])
     def test_first_exception_in_item_order(self, max_workers):
         """Items 0 and 2 both fail; item 0's error must be the one raised."""
         with pytest.raises(ValueError, match="item 0 failed"):
-            fan_out([0, 1, 2], fail_on_even, max_workers)
+            resolve_executor(None, max_workers).map(fail_on_even, [0, 1, 2])
 
     def test_empty_items(self):
-        assert fan_out([], square, 2) == []
+        assert resolve_executor(None, 2).map(square, []) == []
 
-    def test_executor_keyword_selects_by_name(self):
-        assert fan_out([2, 3], square, None, executor="process") == [4, 9]
+    def test_executor_selects_by_name(self):
+        assert resolve_executor("process").map(square, [2, 3]) == [4, 9]
 
 
 class TestExecutors:
@@ -244,7 +241,9 @@ class TestProcessPicklability:
 class TestResolveExecutor:
     def test_none_means_process_above_one_worker(self):
         assert isinstance(resolve_executor(None, None), SerialExecutor)
-        assert isinstance(resolve_executor(None, 0), SerialExecutor)
+        for max_workers in (0, -2):  # below 1 is an error, not "serial"
+            with pytest.raises(ExecutorError, match="at least 1"):
+                resolve_executor(None, max_workers)
         assert isinstance(resolve_executor(None, 1), SerialExecutor)
         assert isinstance(resolve_executor(None, 2), ProcessExecutor)
         assert resolve_executor(None, 8).name == "process"
