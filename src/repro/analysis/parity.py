@@ -2,11 +2,10 @@
 
 Every fast path in this repo ships with a reference oracle and a parity
 test pinning the two bit-identical: the vectorized kernel against the
-per-job loop, the heap dispatch engine against the loop engine, the
-frontier search against the full grid, the process executor against
-serial, and the reactive/predictive controller policies against
-always-on.  That discipline only survives if *adding* a fast path without
-its parity test fails CI — which is what this rule does.
+per-job loop, the frontier search against the full grid, the process
+executor against serial, and the reactive/predictive controller policies
+against always-on.  That discipline only survives if *adding* a fast path
+without its parity test fails CI — which is what this rule does.
 
 :data:`PARITY_REGISTRY` is the declarative table of contracts.  For each
 contract the checker:
@@ -74,15 +73,6 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         description="vectorized Lindley-recursion kernel vs per-job reference loop",
     ),
     ParityContract(
-        name="dispatch-engine",
-        module="repro.cluster.dispatch",
-        selector="DISPATCH_ENGINES",
-        oracle="loop",
-        members=("heap", "loop"),
-        import_evidence=("repro.cluster.dispatch",),
-        description="least-loaded heap-backed dispatch engine vs per-job loop engine",
-    ),
-    ParityContract(
         name="policy-search",
         module="repro.core.search",
         selector="SEARCHES",
@@ -108,15 +98,6 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         members=("always-on", "reactive", "predictive"),
         import_evidence=("repro.cluster.controller", "FarmController"),
         description="reactive/predictive right-sizing vs always-on identity",
-    ),
-    ParityContract(
-        name="campaign-executor",
-        module="repro.campaigns.engine",
-        selector="CAMPAIGN_EXECUTORS",
-        oracle="serial",
-        members=("serial", "process"),
-        import_evidence=("repro.campaigns",),
-        description="campaign cell fan-out executors vs serial oracle",
     ),
     ParityContract(
         name="farm-qos",

@@ -15,7 +15,6 @@ experiment registry — see ``repro.experiments.runner.CAMPAIGNS`` and the
 """
 
 from repro.campaigns.engine import (
-    CAMPAIGN_EXECUTORS,
     CampaignRunResult,
     CellTask,
     campaign_results,
@@ -42,7 +41,6 @@ from repro.campaigns.store import (
 )
 
 __all__ = [
-    "CAMPAIGN_EXECUTORS",
     "CAMPAIGN_KINDS",
     "CELL_SCHEMA",
     "KIND_EXPERIMENT",

@@ -18,6 +18,7 @@ record, and is rebuilt deterministically from the records alone.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from pathlib import Path
 from typing import Any
 
@@ -30,11 +31,6 @@ from repro.campaigns.spec import (
     split_scenario_params,
 )
 from repro.campaigns.store import CampaignStore, make_cell_record
-
-#: Executors campaign fan-out is pinned across: ``serial`` is the oracle,
-#: ``process`` must produce byte-identical cell records (REP003 contract
-#: ``campaign-executor``).
-CAMPAIGN_EXECUTORS = ("serial", "process")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,6 +98,31 @@ def execute_cell(task: CellTask) -> dict[str, Any]:
     )
 
 
+def _check_names(spec: CampaignSpec, cells: list[CampaignCell]) -> None:
+    """Check the target and every cell's parameter names against the registry.
+
+    The same checks a cell would fail at run time, made up front.  Imports
+    are deferred for the reason :func:`execute_cell` gives.
+    """
+    if spec.kind == KIND_EXPERIMENT:
+        from repro.experiments.runner import _experiment_runner
+
+        signature = inspect.signature(_experiment_runner(spec.target))
+        for cell in cells:
+            try:
+                signature.bind(None, **cell.params)
+            except TypeError as error:
+                raise CampaignError(
+                    f"experiment {spec.target!r} cannot take the cell parameters: {error}"
+                ) from error
+        return
+    from repro.scenarios import get_scenario
+
+    scenario = get_scenario(spec.target)
+    for cell in cells:
+        scenario.check_parameter_names(split_scenario_params(cell.params)[1])
+
+
 @dataclasses.dataclass(frozen=True)
 class CampaignRunResult:
     """What one :func:`run_campaign` call did.
@@ -134,20 +155,21 @@ def run_campaign(
     *resume* skips cells whose records are already present and trusted —
     corrupted or stale records are re-run, and a resumed store ends up
     byte-identical to an uninterrupted one.  *executor*/*max_workers*
-    select the fan-out (:data:`CAMPAIGN_EXECUTORS`; results are identical
-    whichever executes).  *max_cells* bounds how many pending cells this
-    call runs — the supported way to interrupt a campaign at a cell
-    boundary (CI's campaign-smoke job runs a truncated pass, then a
+    select the fan-out (:data:`~repro.concurrency.EXECUTORS`; results are
+    identical whichever executes).  *max_cells* bounds how many pending
+    cells this call runs — the supported way to interrupt a campaign at a
+    cell boundary (CI's campaign-smoke job runs a truncated pass, then a
     ``--resume`` pass, and asserts the stores match byte-for-byte).
     """
     if max_cells is not None and max_cells < 0:
         raise CampaignError(f"max_cells must be non-negative, got {max_cells}")
-    # Resolved before the store is touched: a bad executor or worker count
-    # leaves no output directory behind.
+    # Resolved before the store is touched: a bad executor or worker count,
+    # a typo'd target or parameter name leaves no output directory behind.
     cell_executor = resolve_executor(executor, max_workers)
+    cells = spec.cells()
+    _check_names(spec, cells)
     store = CampaignStore(output_dir)
     store.initialise(spec, resume=resume)
-    cells = spec.cells()
     done = store.completed_cell_ids(cells)
     pending = [cell for cell in cells if cell.cell_id not in done]
     if max_cells is not None:

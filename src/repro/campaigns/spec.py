@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
@@ -193,6 +194,15 @@ class CampaignSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise CampaignError(
                 f"campaign {self.name!r} declares duplicate seeds: {self.seeds}"
+            )
+        if self.num_jobs is not None and self.num_jobs < 1:
+            raise CampaignError(
+                f"campaign {self.name!r} num_jobs must be at least 1, got {self.num_jobs}"
+            )
+        if self.frequency_step is not None and not 0 < self.frequency_step < math.inf:
+            raise CampaignError(
+                f"campaign {self.name!r} frequency_step must be positive and "
+                f"finite, got {self.frequency_step}"
             )
         validate_backend(self.backend)
         validate_search(self.search)

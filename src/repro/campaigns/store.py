@@ -178,8 +178,11 @@ class CampaignStore:
         resuming must be asked for, so the execution-count guarantees of
         ``--resume`` are never delivered by accident.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.cells_dir.mkdir(exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            self.cells_dir.mkdir(exist_ok=True)
+        except OSError as error:
+            raise CampaignError(f"cannot create store {self.root}: {error}") from error
         spec_text = _dump_json(spec.to_json_dict())
         if self.campaign_path.exists():
             try:

@@ -23,9 +23,6 @@ from repro.cluster.controller import (
     make_policy,
 )
 from repro.cluster.dispatch import (
-    DISPATCH_ENGINES,
-    ENGINE_HEAP,
-    ENGINE_LOOP,
     JobDispatcher,
     LeastLoadedDispatcher,
     PowerAwareDispatcher,
@@ -34,7 +31,6 @@ from repro.cluster.dispatch import (
     StreamAssigner,
     WorkTracker,
     merge_streams,
-    validate_engine,
 )
 from repro.cluster.farm import (
     FarmResult,
@@ -63,9 +59,6 @@ from repro.cluster.tenancy import (
 
 __all__ = [
     "CONTROLLER_POLICIES",
-    "DISPATCH_ENGINES",
-    "ENGINE_HEAP",
-    "ENGINE_LOOP",
     "FARM_QOS_MODES",
     "TENANT_DISPATCH_KINDS",
     "AlwaysOnPolicy",
@@ -103,5 +96,4 @@ __all__ = [
     "prorated_idle_energy",
     "run_server_shard",
     "tenant_partitions",
-    "validate_engine",
 ]

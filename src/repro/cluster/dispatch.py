@@ -44,27 +44,22 @@ service-scaling rule and frequency ceiling and threads them through
 instead of raw demand seconds.  Omitting the speeds reproduces the old
 homogeneity-blind estimate bit for bit.
 
-Assignment engines
-------------------
+Assignment
+----------
 
-:class:`LeastLoadedDispatcher` has two interchangeable engines, mirroring the
-simulation-backend contract:
-
-* ``"heap"`` (default) — one O(log m) min-heap step per job, O(n log m) for
-  ``n`` jobs on ``m`` servers, on uniform and mixed speeds alike;
-* ``"loop"`` — the original per-job Python scan, kept as the reference
-  oracle.
-
-The two produce **byte-identical assignments** for every trace (pinned by
-``tests/cluster/test_dispatch_engine.py``).  :class:`PowerAwareDispatcher`
-has one engine, the ranked per-job scan, whose assignments are pinned by
-per-cell golden digests and an independent reference scan in the same
-suite.  Every dispatcher assigns through :meth:`JobDispatcher.assigner`: the
-returned :class:`StreamAssigner` assigns one arrival-ordered trace, or one
-controller regime's slice of it, in one call (the work-tracking assigners
-raise :class:`~repro.exceptions.TraceError` on unordered arrivals).  The
-default :meth:`JobDispatcher.assign`, the farm controller's per-regime
-dispatch and the tenancy dispatchers' per-tenant routing all go through it.
+:class:`LeastLoadedDispatcher` takes one O(log m) min-heap step per job,
+O(n log m) for ``n`` jobs on ``m`` servers, on uniform and mixed speeds
+alike.  :class:`PowerAwareDispatcher` takes one ranked per-job scan.  Both
+are pinned byte-identical to independent reference scans written on
+:meth:`WorkTracker.charge` (exact ties included), and the power-aware
+assignments also to per-cell golden digests, in
+``tests/cluster/test_dispatch_engine.py``.  Every dispatcher assigns
+through :meth:`JobDispatcher.assigner`: the returned :class:`StreamAssigner`
+assigns one arrival-ordered trace, or one controller regime's slice of it,
+in one call (the work-tracking assigners raise
+:class:`~repro.exceptions.TraceError` on unordered arrivals).  The default
+:meth:`JobDispatcher.assign`, the farm controller's per-regime dispatch and
+the tenancy dispatchers' per-tenant routing all go through it.
 
 All dispatchers return per-server :class:`~repro.workloads.jobs.JobTrace`
 objects with absolute arrival times preserved, so the per-server runtimes
@@ -85,21 +80,6 @@ from repro.workloads.jobs import JobTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (farm imports dispatch)
     from repro.power.platform import ServerPowerModel
-
-#: Engine identifiers for :class:`LeastLoadedDispatcher` (the dispatch
-#: analogue of the simulation BACKENDS tuple).
-ENGINE_HEAP = "heap"
-ENGINE_LOOP = "loop"
-DISPATCH_ENGINES = (ENGINE_HEAP, ENGINE_LOOP)
-
-
-def validate_engine(engine: str) -> str:
-    """Check *engine* names a known dispatch engine and return it."""
-    if engine not in DISPATCH_ENGINES:
-        raise ConfigurationError(
-            f"unknown dispatch engine {engine!r}; expected one of {DISPATCH_ENGINES}"
-        )
-    return engine
 
 
 def _demand_time_factors(
@@ -125,17 +105,17 @@ def _demand_time_factors(
 
 
 class WorkTracker:
-    """Estimated per-server finish times, shared by the work-tracking engines.
+    """Estimated per-server finish times, shared by the work-tracking assigners.
 
     The tracker stores, for every server, the time it would finish all work
     routed to it so far, serving at its assumed speed.  ``charge`` routes one
     job and returns the server's new estimated finish time
     (``max(busy, arrival) + demand * time_factor``).  Both the least-loaded
     heap step and the power-aware ranked scan inline the same arithmetic on
-    the ``busy`` value they already read.  The heap-vs-loop parity tests and
-    the power-aware reference scan in ``tests/cluster/test_dispatch_engine.py``
-    (exact ties included, on uniform and mixed speeds) pin them byte-identical
-    to ``charge``.
+    the ``busy`` value they already read.  The reference scans in
+    ``tests/cluster/test_dispatch_engine.py``, written on ``charge`` (exact
+    ties included, on uniform and mixed speeds), pin them byte-identical to
+    it.
     """
 
     __slots__ = ("busy_until", "time_factors")
@@ -438,17 +418,17 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
     smallest estimated finish time, charge the job to it with
     ``WorkTracker.charge`` inlined, and push the new finish time back.
     Jobs are stepped in bursts of :data:`_BURST` so the per-burst lists
-    stay small.  The comparisons are on exactly the float values the
-    per-job loop computes, and ``(busy_until, server)`` tuples break ties
-    towards the lowest server index, so the assignment is byte-identical
-    to ``engine="loop"``.
+    stay small.  The comparisons are on exactly the float values a per-job
+    scan over ``WorkTracker.charge`` computes, and ``(busy_until, server)``
+    tuples break ties towards the lowest server index, so the assignment is
+    byte-identical to that scan.
     """
 
     def __init__(self, num_servers: int, server_speeds: Sequence[float] | None):
         super().__init__(num_servers)
         self._tracker = WorkTracker(num_servers, server_speeds)
         # (busy_until, server): ties break towards the lowest server index,
-        # exactly like the loop engine's list.index(min(...)).
+        # exactly like a scan's list.index(min(...)).
         self._heap = [(0.0, server) for server in range(num_servers)]
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
@@ -478,26 +458,6 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
         return assignment
 
 
-class _LeastLoadedLoopAssigner(StreamAssigner):
-    """The original per-job scan, retained as the reference oracle."""
-
-    def __init__(self, num_servers: int, server_speeds: Sequence[float] | None):
-        super().__init__(num_servers)
-        self._tracker = WorkTracker(num_servers, server_speeds)
-
-    def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        arrivals = self._ordered_arrivals(arrival_times).tolist()
-        demands = np.asarray(service_demands, dtype=float).tolist()
-        tracker = self._tracker
-        busy_until = tracker.busy_until
-        assignment = np.empty(len(arrivals), dtype=np.int64)
-        for index, (arrival, demand) in enumerate(zip(arrivals, demands, strict=True)):
-            server = busy_until.index(min(busy_until))
-            assignment[index] = server
-            tracker.charge(server, arrival, demand)
-        return assignment
-
-
 class LeastLoadedDispatcher(JobDispatcher):
     """Assign each job to the server with the least estimated outstanding work.
 
@@ -507,20 +467,11 @@ class LeastLoadedDispatcher(JobDispatcher):
     the smallest estimated finish time at its arrival instant; idle servers
     have finish times in the past, so when any server is idle the job
     *always* lands on an idle one — the longest-idle first, which also breaks
-    ties deterministically.
-
-    ``engine="heap"`` (default) assigns in O(n log m); ``engine="loop"`` is
-    the retained per-job reference oracle.  Both produce byte-identical
-    assignments.
+    ties deterministically.  Each job takes one O(log m) heap step.
     """
 
-    def __init__(self, engine: str = ENGINE_HEAP):
-        self._engine = validate_engine(engine)
-
     def assigner(self, num_servers, *, server_speeds=None, tenant_ids=None) -> StreamAssigner:
-        if self._engine == ENGINE_HEAP:
-            return _LeastLoadedHeapAssigner(num_servers, server_speeds)
-        return _LeastLoadedLoopAssigner(num_servers, server_speeds)
+        return _LeastLoadedHeapAssigner(num_servers, server_speeds)
 
 
 class _PowerAwareAssigner(StreamAssigner):

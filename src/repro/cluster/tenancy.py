@@ -48,12 +48,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.cluster.dispatch import (
-    ENGINE_HEAP,
     JobDispatcher,
     LeastLoadedDispatcher,
     StreamAssigner,
     WorkTracker,
-    validate_engine,
 )
 from repro.core.qos import QosConstraint
 from repro.exceptions import ConfigurationError
@@ -356,13 +354,12 @@ class _WeightedFairAssigner(StreamAssigner):
         num_servers: int,
         server_speeds: Sequence[float] | None,
         tenants: tuple[TenantSpec, ...],
-        engine: str,
         tenant_ids: np.ndarray | None,
     ):
         super().__init__(num_servers)
         partitions = tenant_partitions(num_servers, tenants)
         speeds = None if server_speeds is None else list(server_speeds)
-        inner = LeastLoadedDispatcher(engine=engine)
+        inner = LeastLoadedDispatcher()
         self._offsets: list[int] = []
         self._subs: list[StreamAssigner] = []
         for start, size in partitions:
@@ -403,8 +400,8 @@ class _PriorityAssigner(StreamAssigner):
     start the job immediately).  A lower-priority flood therefore never
     occupies higher blocks, and a higher-priority tenant never queues
     behind a lower-priority backlog.  With one tenant the block is the
-    whole fleet and the per-job scan is exactly the least-loaded loop
-    engine.
+    whole fleet and the per-job scan is exactly a least-loaded scan over
+    ``WorkTracker.charge``, byte-identical to ``LeastLoadedDispatcher``.
     """
 
     def __init__(
@@ -505,16 +502,8 @@ class WeightedFairDispatcher(_TenantAwareDispatcher):
 
     kind = TENANT_DISPATCH_WEIGHTED_FAIR
 
-    def __init__(self, tenants: Sequence[TenantSpec], engine: str = ENGINE_HEAP):
-        super().__init__(tenants)
-        self._engine = validate_engine(engine)
-
-    @property
-    def engine(self) -> str:
-        return self._engine
-
     def with_tenants(self, tenants: Sequence[TenantSpec]) -> WeightedFairDispatcher:
-        return WeightedFairDispatcher(tenants, engine=self._engine)
+        return WeightedFairDispatcher(tenants)
 
     def assigner(
         self,
@@ -524,7 +513,7 @@ class WeightedFairDispatcher(_TenantAwareDispatcher):
         tenant_ids: np.ndarray | None = None,
     ) -> StreamAssigner:
         return _WeightedFairAssigner(
-            num_servers, server_speeds, self._tenants, self._engine, tenant_ids
+            num_servers, server_speeds, self._tenants, tenant_ids
         )
 
 
@@ -556,9 +545,7 @@ class PriorityDispatcher(_TenantAwareDispatcher):
         )
 
 
-def make_tenant_dispatcher(
-    kind: str, tenants: Sequence[TenantSpec], engine: str = ENGINE_HEAP
-) -> JobDispatcher:
+def make_tenant_dispatcher(kind: str, tenants: Sequence[TenantSpec]) -> JobDispatcher:
     """Build a dispatcher by registry kind.
 
     ``least-loaded`` is the tenant-blind oracle; ``priority`` and
@@ -566,11 +553,11 @@ def make_tenant_dispatcher(
     the oracle for a single tenant).
     """
     if kind == TENANT_DISPATCH_LEAST_LOADED:
-        return LeastLoadedDispatcher(engine=engine)
+        return LeastLoadedDispatcher()
     if kind == TENANT_DISPATCH_PRIORITY:
         return PriorityDispatcher(tenants)
     if kind == TENANT_DISPATCH_WEIGHTED_FAIR:
-        return WeightedFairDispatcher(tenants, engine=engine)
+        return WeightedFairDispatcher(tenants)
     raise ConfigurationError(
         f"unknown tenant dispatcher {kind!r}; "
         f"expected one of {TENANT_DISPATCH_KINDS}"

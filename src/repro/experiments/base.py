@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
+from pathlib import Path
 from typing import Any
 
 from repro.exceptions import ConfigurationError, ExperimentError
@@ -158,3 +159,27 @@ def format_result(result: ExperimentResult, columns: Sequence[str] | None = None
     for note in result.notes:
         parts.append(f"note: {note}")
     return "\n".join(parts)
+
+
+def check_output_file(path: str) -> None:
+    """Refuse an ``--output`` path that cannot be written, before the run.
+
+    Raises :class:`~repro.exceptions.ExperimentError` when *path* is a
+    directory or its parent is not an existing directory.
+    """
+    target = Path(path)
+    if target.is_dir():
+        raise ExperimentError(f"cannot write {path}: it is a directory")
+    if not target.parent.is_dir():
+        raise ExperimentError(
+            f"cannot write {path}: {target.parent} is not an existing directory"
+        )
+
+
+def write_output_file(path: str, text: str) -> None:
+    """Write *text* to *path*, an ``OSError`` becoming an ``ExperimentError``."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as error:
+        raise ExperimentError(f"cannot write {path}: {error}") from error

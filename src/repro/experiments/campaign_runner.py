@@ -24,8 +24,9 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.campaigns.engine import CAMPAIGN_EXECUTORS, run_campaign
+from repro.campaigns.engine import run_campaign
 from repro.campaigns.spec import CampaignSpec, describe_spec, load_spec_file
+from repro.concurrency import EXECUTORS
 from repro.exceptions import ReproError
 
 
@@ -76,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=list(CAMPAIGN_EXECUTORS),
+        choices=list(EXECUTORS),
         default=None,
         help="cell fan-out executor (results are identical across executors)",
     )

@@ -52,7 +52,13 @@ from repro.experiments import (
     table2,
     table5,
 )
-from repro.experiments.base import ExperimentConfig, ExperimentResult, format_result
+from repro.experiments.base import (
+    ExperimentConfig,
+    ExperimentResult,
+    check_output_file,
+    format_result,
+    write_output_file,
+)
 from repro.experiments.report import experiment_report
 
 #: Registry of experiment name -> run callable.  The ``ablation-*`` entries
@@ -238,6 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     log = sys.stderr if arguments.output == "-" else sys.stdout
     started = time.perf_counter()
     try:
+        if arguments.output not in (None, "-"):
+            check_output_file(arguments.output)
         config = ExperimentConfig(fast=not arguments.full, seed=arguments.seed)
         # Every name is checked before any experiment runs; a repeated name
         # runs once (experiments are deterministic per config).
@@ -260,8 +268,11 @@ def main(argv: list[str] | None = None) -> int:
         if arguments.output == "-":
             sys.stdout.write(text)
         else:
-            with open(arguments.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            try:
+                write_output_file(arguments.output, text)
+            except ExperimentError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
             print(f"wrote report to {arguments.output}")
     print(f"completed in {elapsed:.1f} s (fast={config.fast})", file=log)
     return 0

@@ -119,6 +119,7 @@ from repro.core.qos import (
     percentile_qos_from_baseline,
 )
 from repro.exceptions import ConfigurationError, ExperimentError, ScenarioError
+from repro.experiments.base import check_output_file, write_output_file
 from repro.experiments.schema import Bool, Const, Int, List, Num, Obj, Opt, Str, validate
 from repro.scenarios import (
     BuiltScenario,
@@ -828,6 +829,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workers must be at least 1, got {arguments.workers}")
 
     try:
+        if arguments.output:
+            check_output_file(arguments.output)
         overrides = dict(_parse_override(item) for item in arguments.overrides)
         report = run_scenario(
             arguments.scenario,
@@ -844,15 +847,15 @@ def main(argv: list[str] | None = None) -> int:
             isolation=arguments.isolation,
             overrides=overrides,
         )
+        text = json.dumps(report, indent=2, sort_keys=False)
+        print(text)
+        if arguments.output:
+            write_output_file(arguments.output, text + "\n")
     except (ScenarioError, ConfigurationError, ExperimentError) as error:
-        # A mistyped name, --set or flag combination: one line, no traceback.
+        # A mistyped name, --set, flag combination or unwritable --output:
+        # one line, no traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2, sort_keys=False)
-    print(text)
-    if arguments.output:
-        with open(arguments.output, "w") as handle:
-            handle.write(text + "\n")
     return 0
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import types
 from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 from repro.cluster.controller import FarmController
@@ -171,6 +171,22 @@ class Scenario:
         """Declared parameters and their default values."""
         return {parameter.name: parameter.default for parameter in self.parameters}
 
+    def check_parameter_names(self, names: Iterable[str]) -> set[str]:
+        """Reject any of *names* the scenario does not declare.
+
+        Returns the declared names.  :meth:`build` checks its overrides
+        here, and ``run_campaign`` checks a scenario campaign's parameter
+        names before it writes the store.
+        """
+        declared = {parameter.name for parameter in self.parameters}
+        unknown = sorted(set(names) - declared)
+        if unknown:
+            raise ScenarioError(
+                f"scenario {self.name!r} has no parameter(s) {unknown}; "
+                f"declared: {sorted(declared)}"
+            )
+        return declared
+
     def build(
         self,
         *,
@@ -222,13 +238,7 @@ class Scenario:
             )
         if qos is not None and not isinstance(qos, FarmQos):
             raise ScenarioError(farm_qos_type_error(qos))
-        declared = {parameter.name for parameter in self.parameters}
-        unknown = sorted(set(overrides) - declared)
-        if unknown:
-            raise ScenarioError(
-                f"scenario {self.name!r} has no parameter(s) {unknown}; "
-                f"declared: {sorted(declared)}"
-            )
+        declared = self.check_parameter_names(overrides)
         values = self.parameter_defaults()
         for key, value in overrides.items():
             # Type-check against the declared default so a mistyped CLI value

@@ -1,8 +1,8 @@
-"""Executor parity for the campaign engine (REP003 ``campaign-executor``).
+"""Executor parity for the campaign engine.
 
-The campaign fan-out is pinned across the shared executor subsystem: the
-"serial" executor is the oracle, and the "process" executor must leave a
-*byte-identical* store behind — same cell records, same
+The campaign fan-out runs on the shared executor subsystem
+(:data:`repro.concurrency.EXECUTORS`): the "process" executor must leave a
+store *byte-identical* to the "serial" one — same cell records, same
 merged CSV.  Cell tasks are plain picklable data executed by a
 module-level function, which is what makes the process executor possible
 at all (REP002).
@@ -11,20 +11,21 @@ at all (REP002).
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
 import repro.campaigns
+import repro.campaigns.engine
 from repro.campaigns import (
-    CAMPAIGN_EXECUTORS,
     CampaignStore,
     campaign_results,
     cell_task,
     execute_cell,
     run_campaign,
 )
-from repro.exceptions import CampaignError, ExecutorError
-from repro.experiments import runner
+from repro.exceptions import CampaignError, ExecutorError, ExperimentError, ScenarioError
+from repro.experiments import campaign_runner, runner
 
 
 def store_bytes(root):
@@ -51,9 +52,14 @@ def serial_oracle(tmp_path_factory, parity_spec):
 
 
 class TestExecutorParity:
-    def test_selector_matches_registry(self):
-        assert CAMPAIGN_EXECUTORS == ("serial", "process")
-        assert repro.campaigns.CAMPAIGN_EXECUTORS is CAMPAIGN_EXECUTORS
+    def test_executor_names_are_the_concurrency_tuple(self, tmp_path, capsys):
+        assert not hasattr(repro.campaigns, "CAMPAIGN_EXECUTORS")
+        assert not hasattr(repro.campaigns.engine, "CAMPAIGN_EXECUTORS")
+        argv = ["table5", "--output-dir", str(tmp_path / "store"), "--executor", "thread"]
+        with pytest.raises(SystemExit) as exit_info:
+            campaign_runner.main(argv)
+        assert exit_info.value.code == 2
+        assert "(choose from 'serial', 'process')" in capsys.readouterr().err
 
     def test_process_executor_matches_serial_oracle(
         self, serial_oracle, parity_spec, tmp_path
@@ -87,6 +93,34 @@ class TestRunCampaign:
                 runner.CAMPAIGNS["table2"], tmp_path, executor=executor, max_workers=0
             )
         assert not CampaignStore(tmp_path).campaign_path.exists()
+
+    @pytest.mark.parametrize(
+        ("changes", "error", "message"),
+        [
+            ({"target": "figure0"}, ExperimentError, "unknown experiment 'figure0'"),
+            (
+                {"grid": {"workload": (("dns",),)}},
+                CampaignError,
+                "unexpected keyword argument 'workload'",
+            ),
+            (
+                {"kind": "scenario", "target": "diurnl", "grid": {}},
+                ScenarioError,
+                "unknown scenario 'diurnl'",
+            ),
+            (
+                {"kind": "scenario", "target": "diurnal", "grid": {"peak": (0.5,)}},
+                ScenarioError,
+                "has no parameter(s) ['peak']",
+            ),
+        ],
+        ids=["experiment-target", "experiment-parameter", "scenario-target", "scenario-parameter"],
+    )
+    def test_typo_rejected_before_the_store(self, tmp_path, changes, error, message):
+        spec = runner.CAMPAIGNS["figure1"].replace(**changes)
+        with pytest.raises(error, match=re.escape(message)):
+            run_campaign(spec, tmp_path / "store")
+        assert not (tmp_path / "store").exists()
 
     def test_interrupt_then_resume_partitions_cells(self, parity_spec, tmp_path):
         first = run_campaign(parity_spec, tmp_path, max_cells=1)

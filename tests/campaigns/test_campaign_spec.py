@@ -72,6 +72,15 @@ class TestValidation:
         with pytest.raises(CampaignError, match="seeds must be non-negative, got -1"):
             make_spec(seeds=(0, -1))
 
+    def test_zero_num_jobs_rejected(self):
+        with pytest.raises(CampaignError, match="num_jobs must be at least 1, got 0"):
+            make_spec(num_jobs=0)
+
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])
+    def test_non_positive_or_non_finite_frequency_step_rejected(self, step):
+        with pytest.raises(CampaignError, match="frequency_step must be positive"):
+            make_spec(frequency_step=step)
+
     def test_nan_grid_value_rejected(self):
         with pytest.raises(CampaignError, match="finite"):
             make_spec(grid={"alpha": (math.nan,)})

@@ -1,18 +1,18 @@
-"""The dispatch-engine contract: heap vs. loop equivalence, power-aware
-golden assignments and speed-aware backlog.
+"""The work-tracking dispatchers against reference scans: least-loaded heap
+vs. scan equivalence, power-aware golden assignments and speed-aware backlog.
 
-Mirroring the simulation backend suite, ``LeastLoadedDispatcher`` must
-produce **byte-identical** assignments on its ``"heap"`` (fast) and
-``"loop"`` (reference oracle) engines, across traffic regimes, farm sizes,
-speed models and crafted tie cases.  ``PowerAwareDispatcher`` has one
-engine; its assignments on the same grid are pinned to recorded SHA-256
-digests (``power_aware_golden.json``), and on a wide mixed fleet to a
-reference scan written on ``WorkTracker.charge``; one-shot power-aware
-assignment peaks at a bounded number of bytes per job.  Every work-tracking
-assigner rejects arrivals out of order, and the adaptive power-aware
-threshold follows the demands each assigner is handed.  The
-heterogeneity-blind backlog bug and the RandomDispatcher determinism bug are
-pinned by dedicated regression tests.
+``LeastLoadedDispatcher``'s heap step must produce **byte-identical**
+assignments to ``reference_least_loaded_scan``, a per-job scan written on
+``WorkTracker.charge``, across traffic regimes, farm sizes, speed models,
+burst boundaries and crafted tie cases.  ``PowerAwareDispatcher``'s
+assignments on the same grid are pinned to recorded SHA-256 digests
+(``power_aware_golden.json``), and on a wide mixed fleet to
+``reference_power_aware_scan``, also written on ``WorkTracker.charge``;
+one-shot assignment of either dispatcher peaks at a bounded number of bytes
+per job.  Every work-tracking assigner rejects arrivals out of order, and
+the adaptive power-aware threshold follows the demands each assigner is
+handed.  The heterogeneity-blind backlog bug and the RandomDispatcher
+determinism bug are pinned by dedicated regression tests.
 """
 
 from __future__ import annotations
@@ -25,19 +25,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.cluster
+import repro.cluster.dispatch
 from repro.cluster.dispatch import (
-    DISPATCH_ENGINES,
-    ENGINE_HEAP,
-    ENGINE_LOOP,
     LeastLoadedDispatcher,
     PowerAwareDispatcher,
     RandomDispatcher,
     WorkTracker,
     _BURST as BURST,
     merge_streams,
-    validate_engine,
 )
-from repro.cluster.tenancy import PriorityDispatcher, TenantSpec, WeightedFairDispatcher
+from repro.cluster.tenancy import (
+    PriorityDispatcher,
+    TenantSpec,
+    WeightedFairDispatcher,
+    make_tenant_dispatcher,
+)
 from repro.core.qos import mean_qos_from_baseline
 from repro.exceptions import ConfigurationError, TraceError
 from repro.power.platform import atom_power_model, xeon_power_model
@@ -114,39 +117,50 @@ def coarse_decimal_jobs(seed: int) -> JobTrace:
     )
 
 
+def reference_least_loaded_scan(jobs, num_servers, speeds=None) -> np.ndarray:
+    """The per-job least-loaded scan, written on ``WorkTracker.charge``."""
+    tracker = WorkTracker(num_servers, server_speeds=speeds)
+    assignment = np.empty(len(jobs), dtype=np.int64)
+    for index, (arrival, demand) in enumerate(
+        zip(jobs.arrival_times.tolist(), jobs.service_demands.tolist())
+    ):
+        server = tracker.busy_until.index(min(tracker.busy_until))
+        assignment[index] = server
+        tracker.charge(server, arrival, demand)
+    return assignment
+
+
+def least_loaded(jobs, num_servers, speeds=None) -> np.ndarray:
+    return LeastLoadedDispatcher().assign(jobs, num_servers, server_speeds=speeds)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("utilization", UTILIZATIONS)
     @pytest.mark.parametrize("num_servers,speeds", SPEED_CASES)
     def test_least_loaded_byte_identical(self, utilization, num_servers, speeds):
         jobs = poisson_jobs(3000, utilization, seed=int(utilization * 10))
-        heap = LeastLoadedDispatcher(ENGINE_HEAP).assign(
-            jobs, num_servers, server_speeds=speeds
+        np.testing.assert_array_equal(
+            least_loaded(jobs, num_servers, speeds),
+            reference_least_loaded_scan(jobs, num_servers, speeds),
         )
-        loop = LeastLoadedDispatcher(ENGINE_LOOP).assign(
-            jobs, num_servers, server_speeds=speeds
-        )
-        np.testing.assert_array_equal(heap, loop)
 
     @pytest.mark.parametrize("load", [0.3, 0.7])
     @pytest.mark.parametrize("num_servers,speeds", WIDE_FLEET_CASES)
     def test_least_loaded_across_bursts_byte_identical(self, load, num_servers, speeds):
         # 10,000 jobs cross two heap-step burst boundaries (4096 jobs each).
         jobs = poisson_jobs(10_000, load * fleet_capacity(num_servers, speeds), seed=5)
-        heap = LeastLoadedDispatcher(ENGINE_HEAP).assign(
-            jobs, num_servers, server_speeds=speeds
+        np.testing.assert_array_equal(
+            least_loaded(jobs, num_servers, speeds),
+            reference_least_loaded_scan(jobs, num_servers, speeds),
         )
-        loop = LeastLoadedDispatcher(ENGINE_LOOP).assign(
-            jobs, num_servers, server_speeds=speeds
-        )
-        np.testing.assert_array_equal(heap, loop)
 
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
     @pytest.mark.parametrize("num_servers", [2, 4])
     def test_exact_ties_byte_identical(self, trace_index, num_servers):
         jobs = TIE_TRACES[trace_index]
         np.testing.assert_array_equal(
-            LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, num_servers),
-            LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, num_servers),
+            least_loaded(jobs, num_servers),
+            reference_least_loaded_scan(jobs, num_servers),
         )
 
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
@@ -156,12 +170,8 @@ class TestEngineEquivalence:
     ):
         jobs = TIE_TRACES[trace_index]
         np.testing.assert_array_equal(
-            LeastLoadedDispatcher(ENGINE_HEAP).assign(
-                jobs, num_servers, server_speeds=speeds
-            ),
-            LeastLoadedDispatcher(ENGINE_LOOP).assign(
-                jobs, num_servers, server_speeds=speeds
-            ),
+            least_loaded(jobs, num_servers, speeds),
+            reference_least_loaded_scan(jobs, num_servers, speeds),
         )
 
     @pytest.mark.parametrize("seed", range(8))
@@ -169,18 +179,26 @@ class TestEngineEquivalence:
         jobs = coarse_decimal_jobs(seed)
         for num_servers in (2, 5):
             np.testing.assert_array_equal(
-                LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, num_servers),
-                LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, num_servers),
+                least_loaded(jobs, num_servers),
+                reference_least_loaded_scan(jobs, num_servers),
             )
 
-    def test_engine_validation(self):
-        assert validate_engine(ENGINE_HEAP) == "heap"
-        assert DISPATCH_ENGINES == ("heap", "loop")
-        with pytest.raises(ConfigurationError, match="dispatch engine"):
-            LeastLoadedDispatcher(engine="vectorized")
-        # The power-aware dispatcher has one engine and no knob for it.
+    def test_engine_knob_is_gone(self):
+        # One least-loaded assigner: no engine selector on any dispatcher,
+        # and no engine names left to import.
+        tenants = _single_tenant()
+        with pytest.raises(TypeError):
+            LeastLoadedDispatcher(engine="loop")
+        with pytest.raises(TypeError):
+            WeightedFairDispatcher(tenants, engine="loop")
+        with pytest.raises(TypeError):
+            make_tenant_dispatcher("least-loaded", tenants, engine="loop")
         with pytest.raises(TypeError):
             PowerAwareDispatcher([1.0], engine="loop")
+        assert not hasattr(WeightedFairDispatcher(tenants), "engine")
+        for name in ("DISPATCH_ENGINES", "ENGINE_HEAP", "ENGINE_LOOP", "validate_engine"):
+            assert not hasattr(repro.cluster, name)
+            assert not hasattr(repro.cluster.dispatch, name)
 
     def test_dispatch_is_still_lossless(self):
         jobs = poisson_jobs(2000, 3.0, seed=7)
@@ -334,11 +352,11 @@ class TestPowerAwareMemory:
         assert per_job <= 16, f"{per_job:.1f} B/job"
 
     def test_least_loaded_heap_assign_peaks_under_16_bytes_per_job(self):
-        # The heap engine steps in the same bursts, so it holds the same
+        # The heap assigner steps in the same bursts, so it holds the same
         # bound on the same one-shot call.
         speeds = [1.0] * 8 + [0.7] * 8
         jobs = poisson_jobs(200_000, 0.7 * 15.6, seed=4)
-        per_job = peak_bytes_per_job(LeastLoadedDispatcher(ENGINE_HEAP), jobs, 16, speeds)
+        per_job = peak_bytes_per_job(LeastLoadedDispatcher(), jobs, 16, speeds)
         assert per_job <= 16, f"{per_job:.1f} B/job"
 
 
@@ -348,8 +366,7 @@ def _single_tenant() -> tuple[TenantSpec, ...]:
 
 #: Every work-tracking dispatcher.
 WORK_TRACKING_DISPATCHERS = {
-    "least-loaded-heap": lambda: LeastLoadedDispatcher(ENGINE_HEAP),
-    "least-loaded-loop": lambda: LeastLoadedDispatcher(ENGINE_LOOP),
+    "least-loaded-heap": lambda: LeastLoadedDispatcher(),
     "power-aware": lambda: PowerAwareDispatcher([1.0, 2.0], max_backlog=1.0),
     "priority": lambda: PriorityDispatcher(_single_tenant()),
     "weighted-fair": lambda: WeightedFairDispatcher(_single_tenant()),
@@ -401,18 +418,18 @@ class TestSpeedAwareBacklogRegression:
             finishes[index] = tracker.charge(int(assignment[index]), arrival, demand)
         return finishes
 
-    @pytest.mark.parametrize("engine", DISPATCH_ENGINES)
-    def test_least_loaded_misroute(self, engine):
+    def test_least_loaded_misroute(self):
         # Server 1 runs at half speed.  The blind estimate believes it has
         # the smaller backlog at job 2 and routes there; the speed-aware
         # estimate sends the job to the faster server, finishing earlier.
         speeds = [1.0, 0.5]
         jobs = JobTrace([0.0, 0.0, 0.0], [0.8, 0.7, 0.7])
-        dispatcher = LeastLoadedDispatcher(engine)
-        blind = dispatcher.assign(jobs, 2)
-        aware = dispatcher.assign(jobs, 2, server_speeds=speeds)
+        blind = least_loaded(jobs, 2)
+        aware = least_loaded(jobs, 2, speeds)
         assert list(blind) == [0, 1, 1]
         assert list(aware) == [0, 1, 0]
+        assert list(reference_least_loaded_scan(jobs, 2)) == [0, 1, 1]
+        assert list(reference_least_loaded_scan(jobs, 2, speeds)) == [0, 1, 0]
         blind_finishes = self.true_finish_times(jobs, blind, speeds)
         aware_finishes = self.true_finish_times(jobs, aware, speeds)
         assert aware_finishes.max() < blind_finishes.max()
@@ -438,11 +455,9 @@ class TestSpeedAwareBacklogRegression:
 
     def test_speeds_equal_one_reproduce_blind_estimate(self):
         jobs = poisson_jobs(2000, 3.0, seed=3)
-        for engine in DISPATCH_ENGINES:
-            dispatcher = LeastLoadedDispatcher(engine)
+        for assign in (least_loaded, reference_least_loaded_scan):
             np.testing.assert_array_equal(
-                dispatcher.assign(jobs, 3),
-                dispatcher.assign(jobs, 3, server_speeds=[1.0, 1.0, 1.0]),
+                assign(jobs, 3), assign(jobs, 3, [1.0, 1.0, 1.0])
             )
 
     def test_no_idle_server_starvation_under_heterogeneity(self):

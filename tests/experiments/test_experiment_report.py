@@ -145,6 +145,17 @@ class TestCliOutput:
         assert [entry["name"] for entry in report["experiments"]] == ["table2"]
         assert f"wrote report to {path}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_is_refused_before_the_run(self, tmp_path, capsys, target):
+        output = tmp_path / "missing" / "o.json" if target == "missing-dir" else tmp_path
+        assert runner.main(["table2", "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        # No table was printed: the experiment never ran.
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {output}")
+
     def test_output_dash_writes_to_stdout(self, capsys):
         assert runner.main(["table2", "--output", "-"]) == 0
         captured = capsys.readouterr()

@@ -205,14 +205,12 @@ def _tenants(count):
 
 #: One instance of every dispatcher kind over the 6-server fleet below.
 _BYPASS_DISPATCHERS = {
-    "least-loaded-heap": LeastLoadedDispatcher(engine="heap"),
-    "least-loaded-loop": LeastLoadedDispatcher(engine="loop"),
+    "least-loaded-heap": LeastLoadedDispatcher(),
     "power-aware": PowerAwareDispatcher([90.0, 30.0, 60.0, 30.0, 120.0, 45.0]),
     "round-robin": RoundRobinDispatcher(),
     "random": RandomDispatcher(seed=5),
     "random-weighted": RandomDispatcher(seed=5, weights=[1, 2, 3, 1, 2, 3]),
     "weighted-fair": WeightedFairDispatcher(_tenants(1)),
-    "weighted-fair-loop": WeightedFairDispatcher(_tenants(1), engine="loop"),
     "priority": PriorityDispatcher(_tenants(1)),
 }
 _SPEEDS = (1.0, 0.5, 1.0, 0.75, 1.0, 0.5)

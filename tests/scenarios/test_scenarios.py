@@ -651,8 +651,10 @@ class TestCliErrors:
         [
             (["--seeds", "-1"], "seeds must be non-negative, got -1"),
             (["--workers", "0"], "max_workers must be at least 1, got 0"),
+            (["--num-jobs", "0"], "num_jobs must be at least 1, got 0"),
+            (["--frequency-step", "0"], "frequency_step must be positive and finite"),
         ],
-        ids=["negative-seed", "zero-workers"],
+        ids=["negative-seed", "zero-workers", "zero-jobs", "zero-frequency-step"],
     )
     def test_bad_campaign_flag_leaves_no_store(self, capsys, tmp_path, flags, message):
         from repro.experiments.runner import main
@@ -674,3 +676,58 @@ class TestCliErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert "no-such-campaign" in lines[0]
+
+    @pytest.mark.parametrize(
+        ("typo", "message"),
+        [
+            ({"target": "diurnl"}, "unknown scenario 'diurnl'"),
+            (
+                {"grid": {"peak_utilisation": [0.5]}},
+                "has no parameter(s) ['peak_utilisation']",
+            ),
+        ],
+        ids=["target", "parameter"],
+    )
+    def test_typo_in_a_spec_file_leaves_no_store(self, capsys, tmp_path, typo, message):
+        from repro.experiments.runner import main
+
+        spec = {
+            "schema": "repro.campaign-spec/v1",
+            "name": "typo",
+            "kind": "scenario",
+            "target": "diurnal",
+            "grid": {"peak_utilization": [0.5]},
+            "fixed": {"duration_minutes": 2},
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**spec, **typo}))
+        output_dir = tmp_path / "store"
+        argv = ["run-campaign", str(spec_path), "--output-dir", str(output_dir)]
+        assert main(argv) == 2
+        assert message in _one_error_line(capsys)
+        assert not output_dir.exists()
+        # The corrected spec runs into the same directory.
+        spec_path.write_text(json.dumps(spec))
+        assert main(argv) == 0
+        assert (output_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_scenario_output_is_refused_before_the_run(
+        self, capsys, tmp_path, target
+    ):
+        from repro.experiments.runner import main
+
+        output = tmp_path / "missing" / "o.json" if target == "missing-dir" else tmp_path
+        argv = ["run-scenario", "diurnal", "--set", "duration_minutes=2"]
+        assert main([*argv, "--output", str(output)]) == 2
+        # One error line and no report on stdout: the scenario never ran.
+        assert _one_error_line(capsys).startswith(f"error: cannot write {output}")
+
+    def test_campaign_output_dir_under_a_file_is_one_error_line(self, capsys, tmp_path):
+        from repro.experiments.runner import main
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["run-campaign", "table5", "--output-dir", str(blocker / "sub")]
+        assert main(argv) == 2
+        assert "cannot create store" in _one_error_line(capsys)
