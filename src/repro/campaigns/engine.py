@@ -98,11 +98,14 @@ def execute_cell(task: CellTask) -> dict[str, Any]:
     )
 
 
-def _check_names(spec: CampaignSpec, cells: list[CampaignCell]) -> None:
-    """Check the target and every cell's parameter names against the registry.
+def _check_cells(spec: CampaignSpec, cells: list[CampaignCell]) -> None:
+    """Check the target and every cell's parameters against the registry.
 
-    The same checks a cell would fail at run time, made up front.  Imports
-    are deferred for the reason :func:`execute_cell` gives.
+    The same checks a cell would fail at run time, made up front: an
+    experiment's parameter names, or a scenario's knob values and declared
+    parameter names and types (:meth:`Scenario.resolve`, which builds
+    nothing).  Range checks inside the builders still fail at run time.
+    Imports are deferred for the reason :func:`execute_cell` gives.
     """
     if spec.kind == KIND_EXPERIMENT:
         from repro.experiments.runner import _experiment_runner
@@ -120,7 +123,14 @@ def _check_names(spec: CampaignSpec, cells: list[CampaignCell]) -> None:
 
     scenario = get_scenario(spec.target)
     for cell in cells:
-        scenario.check_parameter_names(split_scenario_params(cell.params)[1])
+        knobs, overrides = split_scenario_params(cell.params)
+        scenario.resolve(
+            overrides,
+            seed=cell.seed,
+            backend=knobs.get("backend", spec.backend),
+            search=knobs.get("search", spec.search),
+            controller=knobs.get("controller"),
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,10 +174,11 @@ def run_campaign(
     if max_cells is not None and max_cells < 0:
         raise CampaignError(f"max_cells must be non-negative, got {max_cells}")
     # Resolved before the store is touched: a bad executor or worker count,
-    # a typo'd target or parameter name leaves no output directory behind.
+    # a typo'd target, a bad parameter name, type or knob value leaves no
+    # output directory behind.
     cell_executor = resolve_executor(executor, max_workers)
     cells = spec.cells()
-    _check_names(spec, cells)
+    _check_cells(spec, cells)
     store = CampaignStore(output_dir)
     store.initialise(spec, resume=resume)
     done = store.completed_cell_ids(cells)

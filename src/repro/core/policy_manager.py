@@ -137,6 +137,30 @@ def evaluation_from_result(
     )
 
 
+def pick_index(rows: Sequence[tuple[float, bool, float]]) -> tuple[int, bool]:
+    """The oracle's pick among ``(average power, meets QoS, slack)`` rows.
+
+    Returns the chosen row's index and whether it meets the budget; the rule
+    is :func:`pick_selection`'s, which the search engine also applies to its
+    own probes.
+    """
+    indices = range(len(rows))
+    feasible = [index for index in indices if rows[index][1]]
+    if feasible:
+        return min(feasible, key=lambda index: rows[index][0]), True
+    finite_slacks = [row[2] for row in rows if not math.isnan(row[2])]
+    if finite_slacks:
+        best_slack = max(finite_slacks)
+        tolerance = 0.02 * abs(best_slack)
+        # NaN rows fail this comparison and are dropped from contention.
+        near_best = [
+            index for index in indices if rows[index][2] >= best_slack - tolerance
+        ]
+    else:
+        near_best = list(indices)
+    return min(near_best, key=lambda index: rows[index][0]), False
+
+
 def pick_selection(evaluations: Sequence[PolicyEvaluation]) -> PolicySelection:
     """Select from a full characterisation table (the full-grid oracle).
 
@@ -153,27 +177,11 @@ def pick_selection(evaluations: Sequence[PolicyEvaluation]) -> PolicySelection:
     """
     if not evaluations:
         raise PolicySelectionError("no candidate policy could be evaluated")
-    feasible = [e for e in evaluations if e.meets_qos]
-    if feasible:
-        best = min(feasible, key=lambda e: e.average_power)
-        return PolicySelection(
-            best=best, evaluations=tuple(evaluations), feasible=True
-        )
-    finite_slacks = [
-        e.qos_slack for e in evaluations if not math.isnan(e.qos_slack)
-    ]
-    if finite_slacks:
-        best_slack = max(finite_slacks)
-        tolerance = 0.02 * abs(best_slack)
-        # NaN rows fail this comparison and are dropped from contention.
-        near_best = [
-            e for e in evaluations if e.qos_slack >= best_slack - tolerance
-        ]
-    else:
-        near_best = list(evaluations)
-    best = min(near_best, key=lambda e: e.average_power)
+    index, feasible = pick_index(
+        [(e.average_power, e.meets_qos, e.qos_slack) for e in evaluations]
+    )
     return PolicySelection(
-        best=best, evaluations=tuple(evaluations), feasible=False
+        best=evaluations[index], evaluations=tuple(evaluations), feasible=feasible
     )
 
 

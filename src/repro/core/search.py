@@ -18,29 +18,50 @@ policy **identical** to the full-grid oracle:
   found by bisecting for the first ascending power pair.  Both bisection
   phases are warm-started from the previous epoch's boundary/winner.
 
-The engine never trusts those structural assumptions blindly.  Every probe
-is recorded, and a per-column **monotonicity certificate** — QoS slack
-non-decreasing in frequency over the probed window, probed powers
-valley-shaped around the claimed winner, no NaNs, no exact power ties —
-is checked before a column winner is accepted.  A violated certificate
-falls the column back to exhaustive evaluation; when no column has a
-feasible candidate at all, the engine falls back to the exhaustive grid so
-the infeasible ranking (largest slack, NaN-aware) also matches the oracle.
-The selected ``PolicySelection.policy`` equals the full-grid search on the
-same inputs wherever the certificate holds: the winner walk sweeps every
-index within ``_WALK_BAND`` of the located minimum, and the certificate
-treats only pairs within ``_FLAT_BAND`` as direction-free.  A cheaper
-valley behind a bump the walk does not cross is not seen, so this is not a
-guarantee on every power curve.  ``tests/core/test_search.py`` fuzzes the
-equality and ``tests/scenarios/test_default_search_parity.py`` pins it,
-epoch by epoch, on every registered scenario.
+Across columns the engine prunes by a proven bound rather than by shape.
+The previous selection's winning column is searched first; every later
+column whose power floor lies above ``(1 + 1e-9)`` times the best feasible
+column winner so far is skipped (:attr:`SearchStats.pruned_columns`).  The
+floor (:class:`~repro.simulation.kernel.PowerFloor`) holds for a single
+state entered immediately: the kernel splits the horizon exactly into
+serving, waking and sleep residency, ``H = S(f) + W + I``, so average power
+is a mix of the active and the sleep power with busy weight at least
+``S(f) / H``, and without a carried-in backlog ``H`` is at most
+``D0_last(f_min) - t0 + w_s``.  Every cell of a skipped column therefore
+costs more than a feasible incumbent, and pruning cannot change the
+selection: it is exact, not a tolerance.  Ladders with an entry delay get
+no floor and are always searched.  The floor's inputs come from the trace
+alone — one Lindley pass at the lowest frequency, shared with the probes,
+and one active-power and serving-time term per frequency, computed once an
+incumbent exists — so both simulation backends prune the same columns.
+
+Within a column the engine never trusts its structural assumptions
+blindly.  Every probe is recorded, and a per-column **monotonicity
+certificate** — QoS slack non-decreasing in frequency over the probed
+window, probed powers valley-shaped around the claimed winner, no NaNs, no
+exact power ties — is checked before a column winner is accepted.  A
+violated certificate falls the column back to exhaustive evaluation; when
+no column has a feasible candidate at all, the engine probes every cell of
+the grid and ranks them by :func:`~repro.core.policy_manager.pick_selection`'s
+rule, so the infeasible ranking (largest slack, NaN-aware) also matches the
+oracle.  The selected ``PolicySelection.policy`` equals the full-grid
+search on the same inputs wherever the certificate holds: the winner walk
+sweeps every index within ``_WALK_BAND`` of the located minimum, and the
+certificate treats only pairs within ``_FLAT_BAND`` as direction-free.  A
+cheaper valley behind a bump the walk does not cross is not seen, so this
+is not a guarantee on every power curve.  ``tests/core/test_search.py``
+fuzzes the equality, ``benchmarks/search_fuzz.py`` runs 1,200 more draws,
+``tests/property/test_property_power_floor.py`` checks the floor against
+both backends, and ``tests/scenarios/test_default_search_parity.py`` pins
+the selections, epoch by epoch, on every registered scenario.
 
 Contract notes (see ``docs/ARCHITECTURE.md``):
 
-* frontier selections carry only the winning evaluation in
-  ``PolicySelection.evaluations`` (the probed metrics are engine-internal);
-  use ``search="full"`` or :meth:`PolicySearchEngine.characterize` when the
-  full table is needed;
+* frontier selections, including the all-infeasible ranking, carry only
+  the winning evaluation in ``PolicySelection.evaluations`` (the probed
+  metrics are engine-internal, and only the winner assembles per-job
+  arrays); use ``search="full"`` or :meth:`PolicySearchEngine.characterize`
+  when the full table is needed;
 * the engine is uncached: every epoch characterises a fresh log window, so
   inputs almost never repeat (a characterisation cache shared across the
   ``figure8``-``figure10`` experiments hit 7 times in 7,992 selection
@@ -61,16 +82,20 @@ from repro.core.policy_manager import (
     PolicyEvaluation,
     PolicySelection,
     evaluation_from_result,
+    pick_index,
     pick_selection,
 )
 from repro.core.qos import MeanResponseTimeConstraint, QosConstraint
 from repro.exceptions import ConfigurationError
-from repro.policies.policy import Policy, dvfs_only_policy
+from repro.policies.policy import Policy, dvfs_only_policy, dvfs_only_sequence
 from repro.policies.space import PolicySpace
 from repro.power.platform import ServerPowerModel
+from repro.power.sleep import SleepSequence
 from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import (
     BACKEND_VECTORIZED,
+    GapSolution,
+    PowerFloor,
     TraceKernel,
     validate_backend,
 )
@@ -185,10 +210,11 @@ class _PolicyGrid:
     enumeration order (frequency-major, variants in declaration order) and
     the produced :class:`Policy` values are identical to the full search's,
     which ``tests/core/test_search.py`` pins for every space shape and
-    power model.  Laziness is
-    only used for :class:`PolicySpace` itself; subclasses overriding the
-    enumeration fall back to the exhaustive search (``build`` returns
-    ``None``).
+    power model.  A probe needs only a cell's sleep sequence
+    (:meth:`sequence_at`); the :class:`Policy` is built for the winner
+    alone (:meth:`policy_at`).  Laziness is only used for
+    :class:`PolicySpace` itself; subclasses overriding the enumeration fall
+    back to the exhaustive search (``build`` returns ``None``).
     """
 
     def __init__(self, space: PolicySpace, frequencies: np.ndarray):
@@ -208,7 +234,7 @@ class _PolicyGrid:
         self.num_variants = (
             len(states) + len(self._deep_pairs) + int(space.include_dvfs_only)
         )
-        self._cells: dict[tuple[int, int], Policy] = {}
+        self._sequences: dict[tuple[int, int], SleepSequence] = {}
 
     @classmethod
     def build(
@@ -235,15 +261,15 @@ class _PolicyGrid:
             for variant_index in range(self.num_variants)
         ]
 
-    def policy_at(self, freq_index: int, variant_index: int) -> Policy:
-        """The candidate at one grid cell, in full-enumeration identity.
+    def sequence_at(self, freq_index: int, variant_index: int) -> SleepSequence:
+        """The sleep sequence of one grid cell (cached).
 
         Mirrors the per-frequency body of ``candidate_policies`` for a
         single cell, so only the probed candidates are ever constructed.
         """
         cell = (freq_index, variant_index)
-        policy = self._cells.get(cell)
-        if policy is None:
+        sequence = self._sequences.get(cell)
+        if sequence is None:
             space = self.space
             frequency = self.frequencies[freq_index]
             num_states = len(space.states)
@@ -251,7 +277,6 @@ class _PolicyGrid:
                 sequence = space.power_model.immediate_sleep_sequence(
                     space.states[variant_index], frequency
                 )
-                policy = Policy(frequency=frequency, sleep=sequence)
             elif variant_index < num_states + len(self._deep_pairs):
                 shallow, deepest, delay = self._deep_pairs[
                     variant_index - num_states
@@ -259,11 +284,39 @@ class _PolicyGrid:
                 sequence = space.power_model.sleep_sequence(
                     [shallow, deepest], [0.0, delay], frequency
                 )
-                policy = Policy(frequency=frequency, sleep=sequence)
             else:
-                policy = dvfs_only_policy(space.power_model, frequency)
-            self._cells[cell] = policy
-        return policy
+                sequence = dvfs_only_sequence(space.power_model, frequency)
+            self._sequences[cell] = sequence
+        return sequence
+
+    def floor_terms(self, variant_index: int) -> tuple[list[float], float] | None:
+        """``(P_s(f) per frequency, w_s)`` of a single-state column.
+
+        The powers equal those of :meth:`sequence_at`'s specs bit for bit.
+        ``None`` for a ladder with an entry delay, which has no power floor.
+        """
+        space = self.space
+        num_states = len(space.states)
+        if variant_index < num_states:
+            state = space.states[variant_index]
+            return (
+                space.power_model.sleep_powers(state, self.frequencies),
+                space.power_model.wake_up_latency(state),
+            )
+        if variant_index < num_states + len(self._deep_pairs):
+            return None
+        # The DVFS-only pseudo state idles at the active power, waking in 0 s.
+        active = space.power_model.active_power
+        return [active(frequency) for frequency in self.frequencies], 0.0
+
+    def policy_at(self, freq_index: int, variant_index: int) -> Policy:
+        """The candidate at one grid cell, in full-enumeration identity."""
+        frequency = self.frequencies[freq_index]
+        if variant_index >= len(self.space.states) + len(self._deep_pairs):
+            return dvfs_only_policy(self.space.power_model, frequency)
+        return Policy(
+            frequency=frequency, sleep=self.sequence_at(freq_index, variant_index)
+        )
 
 
 class _CertificateViolation(Exception):
@@ -286,9 +339,13 @@ class SearchStats:
     fallback_full: int = 0
     candidates_seen: int = 0
     candidates_evaluated: int = 0
+    #: Columns skipped because their power floor is above a feasible
+    #: incumbent, and the grid cells they hold.
+    pruned_columns: int = 0
+    candidates_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        """Plain-dict snapshot (for reports and benchmarks)."""
+        """Plain-dict snapshot (for benchmarks; scenario reports omit it)."""
         return {
             "selections": self.selections,
             "full_selections": self.full_selections,
@@ -297,6 +354,8 @@ class SearchStats:
             "fallback_full": self.fallback_full,
             "candidates_seen": self.candidates_seen,
             "candidates_evaluated": self.candidates_evaluated,
+            "pruned_columns": self.pruned_columns,
+            "candidates_pruned": self.candidates_pruned,
         }
 
 
@@ -314,10 +373,13 @@ class FrontierSearch:
         #: variant index -> (boundary frequency, winner frequency) of the
         #: previous accepted frontier selection.
         self._warm: dict[int, tuple[float, float]] = {}
+        #: The previous selection's winning column, searched first.
+        self._first_variant = 0
 
     def reset(self) -> None:
         """Drop all warm-start state (selections are unaffected either way)."""
         self._warm.clear()
+        self._first_variant = 0
 
     # -- column search --------------------------------------------------------
 
@@ -622,23 +684,39 @@ class FrontierSearch:
 
     # -- whole-grid search ----------------------------------------------------
 
+    #: Relative margin above the incumbent a column's power floor must clear
+    #: before the column is skipped; it absorbs rounding in the floor and
+    #: in the kernel's energy sums.
+    _PRUNE_MARGIN = 1e-9
+
     def run(
         self,
         grid: _PolicyGrid,
         probe: Callable[[int, int], _Probe],
         stats: SearchStats,
+        floor: Callable[[int], float],
     ) -> tuple[int, int, _Probe] | None:
         """The winning grid cell ``(freq index, variant index, probe)``.
 
-        ``None`` means no candidate anywhere is feasible (the caller must
-        fall back to the exhaustive grid for oracle-identical infeasible
-        ranking).  Columns whose certificate fails are re-evaluated
-        exhaustively, so the returned winner always matches the oracle's
-        feasible minimum.
+        ``None`` means no candidate anywhere is feasible (the caller ranks
+        the whole grid for oracle-identical infeasible ranking).  Columns
+        whose certificate fails are re-evaluated exhaustively, so the
+        returned winner always matches the oracle's feasible minimum.
+
+        The previous winner's column is searched first; after that a column
+        whose proven power floor (``floor(variant)``) lies above the best
+        feasible column winner so far cannot hold the minimum and is skipped.
         """
         best: tuple[float, int, int] | None = None
         best_probe: _Probe | None = None
-        for variant in range(grid.num_variants):
+        first = self._first_variant if self._first_variant < grid.num_variants else 0
+        for variant in (first, *range(first), *range(first + 1, grid.num_variants)):
+            if best is not None and floor(variant) > best[0] * (
+                1.0 + self._PRUNE_MARGIN
+            ):
+                stats.pruned_columns += 1
+                stats.candidates_pruned += grid.num_frequencies
+                continue
             try:
                 winner = self._column_winner(grid, variant, probe)
             except _CertificateViolation:
@@ -654,6 +732,7 @@ class FrontierSearch:
                 best_probe = entry
         if best is None or best_probe is None:
             return None
+        self._first_variant = best[2]
         return best[1], best[2], best_probe
 
     @staticmethod
@@ -713,24 +792,26 @@ class PolicySearchEngine:
 
     # -- evaluation plumbing --------------------------------------------------
 
-    def _evaluator(self, jobs: JobTrace) -> Callable[[Policy], SimulationResult]:
-        if self._backend != BACKEND_VECTORIZED:
+    def _evaluator(
+        self, jobs: JobTrace, kernel: TraceKernel
+    ) -> Callable[[float, SleepSequence], GapSolution | _ResultSolution]:
+        """Solve one ``(frequency, sleep)`` cell on the configured backend."""
+        if self._backend == BACKEND_VECTORIZED:
+            return kernel.solve
 
-            def evaluate(policy: Policy) -> _ResultSolution:
-                return _ResultSolution(
-                    simulate_trace(
-                        jobs=jobs,
-                        frequency=policy.frequency,
-                        sleep=policy.sleep,
-                        power_model=self._power_model,
-                        scaling=self._scaling,
-                        backend=self._backend,
-                    )
+        def evaluate(frequency: float, sleep: SleepSequence) -> _ResultSolution:
+            return _ResultSolution(
+                simulate_trace(
+                    jobs=jobs,
+                    frequency=frequency,
+                    sleep=sleep,
+                    power_model=self._power_model,
+                    scaling=self._scaling,
+                    backend=self._backend,
                 )
+            )
 
-            return evaluate
-        kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
-        return lambda policy: kernel.solve(policy.frequency, policy.sleep)
+        return evaluate
 
     # -- characterisation -----------------------------------------------------
 
@@ -758,10 +839,14 @@ class PolicySearchEngine:
             if grid is not None
             else self._space.candidate_policies(utilization)
         )
-        evaluate = self._evaluator(jobs)
+        evaluate = self._evaluator(
+            jobs, TraceKernel(jobs, self._power_model, scaling=self._scaling)
+        )
         self.stats.candidates_evaluated += len(candidates)
         return tuple(
-            evaluation_from_result(policy, evaluate(policy).result, self._qos)
+            evaluation_from_result(
+                policy, evaluate(policy.frequency, policy.sleep).result, self._qos
+            )
             for policy in candidates
         )
 
@@ -785,7 +870,8 @@ class PolicySearchEngine:
         grid = self._grid_for(utilization)
         if grid is None or grid.num_frequencies < 2:
             return None
-        evaluate = self._evaluator(jobs)
+        kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
+        evaluate = self._evaluator(jobs, kernel)
         qos = self._qos
         probes: dict[tuple[int, int], _Probe] = {}
 
@@ -793,24 +879,51 @@ class PolicySearchEngine:
             cell = (freq_index, variant_index)
             entry = probes.get(cell)
             if entry is None:
-                solution = evaluate(grid.policy_at(freq_index, variant_index))
+                solution = evaluate(
+                    grid.frequencies[freq_index],
+                    grid.sequence_at(freq_index, variant_index),
+                )
                 entry = _Probe(solution, qos)
                 probes[cell] = entry
                 self.stats.candidates_evaluated += 1
             return entry
 
+        # Built on the first call, which comes only once an incumbent exists.
+        power_floor: PowerFloor | None = None
+
+        def floor(variant_index: int) -> float:
+            nonlocal power_floor
+            terms = grid.floor_terms(variant_index)
+            if terms is None:
+                return -math.inf
+            if power_floor is None:
+                power_floor = kernel.power_floor(grid.frequencies)
+            return power_floor(*terms)
+
         # Count without touching grid.policies: materialising every cell
         # just to count it would defeat the lazy grid.
         self.stats.candidates_seen += grid.num_frequencies * grid.num_variants
-        winner = self._frontier.run(grid, probe, self.stats)
+        winner = self._frontier.run(grid, probe, self.stats, floor)
         if winner is None:
-            # Nothing feasible anywhere: the oracle ranks by largest slack
-            # over the whole table, so only the exhaustive grid can match it.
+            # Nothing feasible was found: the oracle ranks the whole table
+            # (largest slack, NaN-aware), so probe every cell and rank them
+            # by the same rule.  Nothing was pruned without an incumbent.
             self.stats.fallback_full += 1
-            return None
-        freq_index, variant_index, entry = winner
+            cells = [
+                (freq_index, variant_index)
+                for freq_index in range(grid.num_frequencies)
+                for variant_index in range(grid.num_variants)
+            ]
+            entries = [probe(*cell) for cell in cells]
+            index, feasible = pick_index(
+                [(entry.power, entry.meets, entry.slack) for entry in entries]
+            )
+            (freq_index, variant_index), entry = cells[index], entries[index]
+        else:
+            freq_index, variant_index, entry = winner
+            feasible = True
+            self.stats.frontier_selections += 1
         best = evaluation_from_result(
             grid.policy_at(freq_index, variant_index), entry.solution.result, qos
         )
-        self.stats.frontier_selections += 1
-        return PolicySelection(best=best, evaluations=(best,), feasible=True)
+        return PolicySelection(best=best, evaluations=(best,), feasible=feasible)

@@ -122,6 +122,19 @@ def race_to_halt_policy(
     return single_state_policy(power_model, state, frequency=1.0, entry_delay=0.0)
 
 
+def dvfs_only_sequence(
+    power_model: ServerPowerModel, frequency: float
+) -> SleepSequence:
+    """The sleep side of :func:`dvfs_only_policy`: a no-power-saving pseudo state."""
+    spec = SleepStateSpec(
+        state=C0I_S0I,
+        power=power_model.active_power(frequency),
+        entry_delay=0.0,
+        wake_up_latency=0.0,
+    )
+    return SleepSequence([spec], name="no-sleep")
+
+
 def dvfs_only_policy(power_model: ServerPowerModel, frequency: float) -> Policy:
     """A DVFS-only policy: no power reduction at all when the queue empties.
 
@@ -131,15 +144,9 @@ def dvfs_only_policy(power_model: ServerPowerModel, frequency: float) -> Policy:
     resident power equals the active power at *frequency* and whose wake-up
     latency is zero.
     """
-    spec = SleepStateSpec(
-        state=C0I_S0I,
-        power=power_model.active_power(frequency),
-        entry_delay=0.0,
-        wake_up_latency=0.0,
-    )
     return Policy(
         frequency=frequency,
-        sleep=SleepSequence([spec], name="no-sleep"),
+        sleep=dvfs_only_sequence(power_model, frequency),
         label=f"f={frequency:.2f} dvfs-only",
     )
 

@@ -209,6 +209,20 @@ class ServerPowerModel:
             wake_up_latency=wake,
         )
 
+    def sleep_powers(
+        self, state: SystemState, frequencies: Sequence[float]
+    ) -> list[float]:
+        """The resident power ``P_i`` of low-power *state* at each frequency.
+
+        Bit-identical to the ``power`` of :meth:`sleep_state_spec` at each
+        frequency, without building the specs.
+        """
+        platform, _, _, immediate = self._state_parts(state)
+        if immediate is not None:
+            return [immediate[0].power] * len(frequencies)
+        cpu = self.inventory.cpu
+        return [cpu.power(state.cpu, frequency) + platform for frequency in frequencies]
+
     def immediate_sleep_sequence(
         self, state: SystemState, frequency: float = 1.0
     ) -> SleepSequence:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import types
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro.cluster.controller import FarmController
@@ -171,21 +171,68 @@ class Scenario:
         """Declared parameters and their default values."""
         return {parameter.name: parameter.default for parameter in self.parameters}
 
-    def check_parameter_names(self, names: Iterable[str]) -> set[str]:
-        """Reject any of *names* the scenario does not declare.
+    def resolve(
+        self,
+        overrides: Mapping[str, Any],
+        *,
+        seed: int = 0,
+        backend: str = BACKEND_VECTORIZED,
+        search: str = DEFAULT_SEARCH,
+        executor: Executor | str | None = None,
+        controller: FarmController | str | None = None,
+        qos: FarmQos | None = None,
+    ) -> tuple[dict[str, Any], FarmController | None]:
+        """Check one build's overrides and knobs without building anything.
 
-        Returns the declared names.  :meth:`build` checks its overrides
-        here, and ``run_campaign`` checks a scenario campaign's parameter
-        names before it writes the store.
+        Returns the declared parameters with *overrides* laid over the
+        defaults, and the controller (a policy name becomes a
+        :class:`~repro.cluster.controller.FarmController`).  :meth:`build`
+        calls this first, and ``run_campaign`` calls it for every cell of a
+        scenario campaign before it writes the store.  Range checks on a
+        parameter's value stay in the builder.
         """
-        declared = {parameter.name for parameter in self.parameters}
-        unknown = sorted(set(names) - declared)
+        if seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {seed}")
+        validate_backend(backend)
+        validate_search(search)
+        validate_executor(executor)
+        if isinstance(controller, str):
+            controller = FarmController(policy=controller)
+        elif controller is not None and not isinstance(controller, FarmController):
+            raise ScenarioError(
+                "controller must be a FarmController, a policy name or None, "
+                f"got {type(controller).__name__}"
+            )
+        if qos is not None and not isinstance(qos, FarmQos):
+            raise ScenarioError(farm_qos_type_error(qos))
+        values = self.parameter_defaults()
+        unknown = sorted(set(overrides) - set(values))
         if unknown:
             raise ScenarioError(
                 f"scenario {self.name!r} has no parameter(s) {unknown}; "
-                f"declared: {sorted(declared)}"
+                f"declared: {sorted(values)}"
             )
-        return declared
+        for key, value in overrides.items():
+            # Type-check against the declared default so a mistyped CLI value
+            # ("--set duration_minutes=abc") fails here with a clear message
+            # instead of a TypeError somewhere inside the builder.
+            default = values[key]
+            if isinstance(default, bool) != isinstance(value, bool):
+                expected, got = type(default).__name__, value
+            elif isinstance(default, (int, float)) and not isinstance(
+                value, (int, float)
+            ):
+                expected, got = "number", value
+            elif isinstance(default, str) and not isinstance(value, str):
+                expected, got = "string", value
+            else:
+                values[key] = value
+                continue
+            raise ScenarioError(
+                f"parameter {key!r} of scenario {self.name!r} expects a "
+                f"{expected} (default {default!r}), got {got!r}"
+            )
+        return values, controller
 
     def build(
         self,
@@ -224,46 +271,19 @@ class Scenario:
         ``strictest`` is pinned bit-identical to no qos at all, and
         per-tenant mode only adds accounting.
         """
-        if seed < 0:
-            raise ScenarioError(f"seed must be non-negative, got {seed}")
-        validate_backend(backend)
-        validate_search(search)
-        validate_executor(executor)
-        if isinstance(controller, str):
-            controller = FarmController(policy=controller)
-        elif controller is not None and not isinstance(controller, FarmController):
-            raise ScenarioError(
-                "controller must be a FarmController, a policy name or None, "
-                f"got {type(controller).__name__}"
-            )
-        if qos is not None and not isinstance(qos, FarmQos):
-            raise ScenarioError(farm_qos_type_error(qos))
-        declared = self.check_parameter_names(overrides)
-        values = self.parameter_defaults()
-        for key, value in overrides.items():
-            # Type-check against the declared default so a mistyped CLI value
-            # ("--set duration_minutes=abc") fails here with a clear message
-            # instead of a TypeError somewhere inside the builder.
-            default = values[key]
-            if isinstance(default, bool) != isinstance(value, bool):
-                expected, got = type(default).__name__, value
-            elif isinstance(default, (int, float)) and not isinstance(
-                value, (int, float)
-            ):
-                expected, got = "number", value
-            elif isinstance(default, str) and not isinstance(value, str):
-                expected, got = "string", value
-            else:
-                values[key] = value
-                continue
-            raise ScenarioError(
-                f"parameter {key!r} of scenario {self.name!r} expects a "
-                f"{expected} (default {default!r}), got {got!r}"
-            )
+        values, controller = self.resolve(
+            overrides,
+            seed=seed,
+            backend=backend,
+            search=search,
+            executor=executor,
+            controller=controller,
+            qos=qos,
+        )
         spec, jobs, farm, normalised = self.builder(
             ScenarioArgs(**values, seed=seed, backend=backend, search=search)
         )
-        undeclared = sorted(set(normalised) - declared)
+        undeclared = sorted(set(normalised) - set(values))
         if undeclared:
             raise ScenarioError(
                 f"scenario {self.name!r} normalised undeclared parameter(s) "

@@ -73,7 +73,9 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -652,6 +654,84 @@ class TraceKernel:
     def evaluate(self, frequency: float, sleep: SleepSequence) -> SimulationResult:
         """Simulate one ``(frequency, sleep)`` policy against the trace."""
         return self.solve(frequency, sleep).result
+
+    def power_floor(self, frequencies: Sequence[float]) -> "PowerFloor":
+        """Lower bounds on single-state average power over a frequency axis.
+
+        Costs one Lindley pass at the lowest frequency (memoised, so a
+        :meth:`solve` there reuses it) and one active-power and serving-time
+        term per frequency; see :class:`PowerFloor` for the bound.
+        """
+        if self.num_jobs == 0 or self._base > self._clock_start:
+            return PowerFloor(None, [], [])
+        lowest = self._structure(validate_frequency(min(frequencies)))
+        return PowerFloor(
+            lowest.last_departure0 - self._clock_start,
+            [self._power_model.active_power(f) for f in frequencies],
+            [self._demand_total * self._scaling.time_factor(f) for f in frequencies],
+        )
+
+
+class PowerFloor:
+    """A proven lower bound on the average power of single-state policies.
+
+    For one state ``s`` entered as soon as the queue empties, the kernel
+    splits the horizon exactly into serving ``S(f)``, waking ``W`` and sleep
+    residency ``I``: ``H = S + W + I``, with energy
+    ``P_act(f) * (S + W) + P_s(f) * I``.  Average power is therefore a
+    convex combination of ``P_act`` and ``P_s`` with busy weight
+    ``(S + W) / H >= S / H``.  Without a carried-in backlog the horizon is
+    bounded by ``D0_last(f_min) - t0 + w_s``: the no-wake last departure
+    never rises with frequency, and the delay carried out of the last gap is
+    at most the wake-up latency.  Hence, whenever ``P_act >= P_s``,
+    ``P(f, s) >= P_s + (P_act - P_s) * min(1, S(f) / (D0_last(f_min) - t0 +
+    w_s))``, and otherwise ``P(f, s) >= P_act``.
+
+    Built by :meth:`TraceKernel.power_floor`; the bound holds for either
+    simulation backend because it only reads the trace.
+    """
+
+    __slots__ = ("_span", "_active_powers", "_serving_times")
+
+    def __init__(
+        self,
+        span: float | None,
+        active_powers: list[float],
+        serving_times: list[float],
+    ):
+        #: ``D0_last(f_min) - t0``; ``None`` when no bound is proven (a
+        #: carried-in backlog, or no jobs).
+        self._span = span
+        self._active_powers = active_powers
+        self._serving_times = serving_times
+
+    def __call__(self, sleep_powers: Sequence[float], wake_up_latency: float) -> float:
+        """The least average power one immediately entered state can draw.
+
+        *sleep_powers* holds the state's resident power ``P_s(f)`` at each
+        frequency of the axis and *wake_up_latency* its ``w_s``; a ladder
+        with an entry delay has no floor and must not be passed.  ``-inf``
+        (nothing proven) when a backlog is carried in, when the trace is
+        empty or when the horizon bound is not positive.
+        """
+        span = self._span
+        if span is None:
+            return -math.inf
+        horizon = span + wake_up_latency
+        if not horizon > 0.0:
+            return -math.inf
+        floor = math.inf
+        for active, serving, resident in zip(
+            self._active_powers, self._serving_times, sleep_powers, strict=True
+        ):
+            if active >= resident:
+                bound = resident + (active - resident) * min(1.0, serving / horizon)
+            else:
+                bound = active
+            if not math.isfinite(bound):
+                return -math.inf
+            floor = min(floor, bound)
+        return floor
 
 
 class _FrequencyStructure:

@@ -10,6 +10,7 @@ at all (REP002).
 
 from __future__ import annotations
 
+import json
 import pickle
 import re
 
@@ -121,6 +122,38 @@ class TestRunCampaign:
         with pytest.raises(error, match=re.escape(message)):
             run_campaign(spec, tmp_path / "store")
         assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize(
+        ("grid", "message"),
+        [
+            ({"controller": ["reactiv"]}, "unknown right-sizing policy 'reactiv'"),
+            ({"duration_minutes": ["two"]}, "'duration_minutes' of scenario 'diurnal' "
+             "expects a number"),
+        ],
+        ids=["controller-value", "parameter-type"],
+    )
+    def test_bad_scenario_cell_exits_2_without_a_store(
+        self, tmp_path, capsys, grid, message
+    ):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "schema": "repro.campaign-spec/v1",
+                    "name": "bad-cell",
+                    "kind": "scenario",
+                    "target": "diurnal",
+                    "grid": grid,
+                }
+            )
+        )
+        store = tmp_path / "store"
+        assert campaign_runner.main([str(spec_path), "--output-dir", str(store)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert not store.exists()
 
     def test_interrupt_then_resume_partitions_cells(self, parity_spec, tmp_path):
         first = run_campaign(parity_spec, tmp_path, max_cells=1)

@@ -26,6 +26,7 @@ from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.search import (
     SEARCH_FRONTIER,
     SEARCH_FULL,
+    SearchStats,
     _PolicyGrid,
     validate_search,
 )
@@ -115,6 +116,30 @@ class TestLazyGrid:
                 ].label
             assert grid.policies == expected
 
+    @pytest.mark.parametrize("model", ["xeon", "atom"])
+    def test_floor_terms_match_the_cell_sequences(self, model):
+        power_model = {"xeon": xeon_power_model, "atom": atom_power_model}[model]()
+        space = PolicySpace(
+            power_model=power_model, deep_entry_delays=(0.5,), include_dvfs_only=True
+        )
+        grid = _PolicyGrid.build(space, 0.3)
+        ladders = 0
+        for variant in range(grid.num_variants):
+            terms = grid.floor_terms(variant)
+            cells = [
+                grid.sequence_at(freq_index, variant)
+                for freq_index in range(grid.num_frequencies)
+            ]
+            if any(len(sleep) > 1 for sleep in cells):
+                assert terms is None
+                ladders += 1
+                continue
+            powers, wake = terms
+            assert powers == [sleep[0].power for sleep in cells]
+            assert all(sleep[0].wake_up_latency == wake for sleep in cells)
+            assert all(sleep[0].entry_delay == 0.0 for sleep in cells)
+        assert ladders == 1
+
     def test_subclassed_space_is_not_gridded(self, xeon):
         class CustomSpace(PolicySpace):
             pass
@@ -139,8 +164,12 @@ class TestLazyGrid:
 def _assert_equivalent(
     power_model, dns, backend, space_kind, qos_kind, step, utilization,
     jobs_seed, num_jobs,
-):
-    """Frontier and full-grid managers select identically on one draw."""
+) -> SearchStats:
+    """Frontier and full-grid managers select identically on one draw.
+
+    Returns the frontier engine's counters (``benchmarks/search_fuzz.py``
+    reads its pruned columns).
+    """
     space = {
         "full": lambda: full_space(power_model, frequency_step=step),
         "single": lambda: single_state_space(
@@ -170,6 +199,7 @@ def _assert_equivalent(
     assert fast.policy == oracle.policy
     assert fast.feasible == oracle.feasible
     assert fast.best.average_power == oracle.best.average_power
+    return frontier.search_stats
 
 
 class TestFrontierFullEquivalence:
@@ -250,6 +280,26 @@ class TestFrontierFullEquivalence:
                 == full.select(jobs, utilization).policy
             )
 
+    def test_pruned_columns_still_select_like_full(self, xeon, atom, dns_ideal):
+        """Columns skipped on their power floor never hold the oracle's pick."""
+        qos = mean_qos_from_baseline(0.8)
+        for power_model in (xeon, atom):
+            space = full_space(power_model, frequency_step=0.02)
+            full, frontier = _managers(power_model, space, qos)
+            rng = np.random.default_rng(21)
+            for utilization in (0.05, 0.2, 0.45, 0.7):
+                jobs = generate_jobs(
+                    dns_ideal, num_jobs=700, utilization=utilization, rng=rng
+                )
+                oracle = full.select(jobs, utilization)
+                fast = frontier.select(jobs, utilization)
+                assert fast.policy == oracle.policy
+                assert fast.best.average_power == oracle.best.average_power
+            stats = frontier.search_stats
+            assert stats.pruned_columns > 0
+            assert 0 < stats.candidates_pruned < stats.candidates_seen
+            assert stats.as_dict()["pruned_columns"] == stats.pruned_columns
+
     def test_zero_job_trace_matches_full(self, xeon):
         qos = mean_qos_from_baseline(0.8)
         space = full_space(xeon, frequency_step=0.1)
@@ -315,9 +365,13 @@ class TestFallbacks:
         stats = frontier.search_stats
         assert stats is not None
         # The broken monotonicity must have been detected, not silently
-        # trusted: every column went through the exhaustive fallback.
+        # trusted: every column went through the exhaustive fallback unless
+        # its proven power floor ruled it out.
         assert stats.fallback_columns > 0
-        assert stats.candidates_evaluated == stats.candidates_seen
+        assert (
+            stats.candidates_evaluated + stats.candidates_pruned
+            == stats.candidates_seen
+        )
 
     def test_infeasible_everywhere_matches_oracle(self, xeon, dns_ideal):
         # An impossibly tight budget: nothing meets it, so the engine must
