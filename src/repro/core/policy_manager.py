@@ -215,9 +215,10 @@ class PolicyManager:
         Policy-search mode: ``"full"`` (default) walks the whole candidate
         grid; ``"frontier"`` routes :meth:`select` through the
         :class:`~repro.core.search.PolicySearchEngine`, which bisects the
-        frequency axis per sleep state and falls back to the full grid
-        whenever its monotonicity certificate fails — the selected policy
-        is always identical to the full search.
+        frequency axis per sleep state for the feasibility boundary, skips
+        cells on proven power floors and falls back to the full grid
+        whenever its slack certificate fails — the selected policy is
+        identical to the full search.
     """
 
     def __init__(

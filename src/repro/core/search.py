@@ -9,51 +9,48 @@ whole grid even when the winner barely moves between epochs.  This module
 makes the search sublinear in the candidate grid while keeping the selected
 policy **identical** to the full-grid oracle:
 
-* :class:`FrontierSearch` — exploits the monotone structure of the grid
-  (the speed-scaling frontier of Wierman et al.): at a fixed sleep state,
-  QoS slack is non-decreasing in frequency, so the feasible set is a suffix
-  of the sorted frequency axis whose boundary can be *bisected*; average
-  power along the feasible suffix is unimodal (a valley between the
-  run-slow and race-to-idle regimes), so the cheapest feasible setting is
-  found by bisecting for the first ascending power pair.  Both bisection
-  phases are warm-started from the previous epoch's boundary/winner.
+* :class:`FrontierSearch` — exploits the monotone slack of the grid (the
+  speed-scaling frontier of Wierman et al.): at a fixed sleep state, QoS
+  slack is non-decreasing in frequency, so the feasible set is a suffix of
+  the sorted frequency axis whose boundary can be *bisected*, warm-started
+  from the previous epoch's boundary.
 
-Across columns the engine prunes by a proven bound rather than by shape.
-The previous selection's winning column is searched first; every later
-column whose power floor lies above ``(1 + 1e-9)`` times the best feasible
-column winner so far is skipped (:attr:`SearchStats.pruned_columns`).  The
-floor (:class:`~repro.simulation.kernel.PowerFloor`) holds for a single
-state entered immediately: the kernel splits the horizon exactly into
-serving, waking and sleep residency, ``H = S(f) + W + I``, so average power
-is a mix of the active and the sleep power with busy weight at least
-``S(f) / H``, and without a carried-in backlog ``H`` is at most
-``D0_last(f_min) - t0 + w_s``.  Every cell of a skipped column therefore
-costs more than a feasible incumbent, and pruning cannot change the
-selection: it is exact, not a tolerance.  Ladders with an entry delay get
-no floor and are always searched.  The floor's inputs come from the trace
-alone — one Lindley pass at the lowest frequency, shared with the probes,
-and one active-power and serving-time term per frequency, computed once an
-incumbent exists — so both simulation backends prune the same columns.
+Inside that suffix, and across columns, the engine prunes by a proven bound
+rather than by shape.  Every cell has a power floor
+(:class:`~repro.simulation.kernel.PowerFloor`): for a single state entered
+immediately, the kernel splits the horizon exactly into serving, waking and
+sleep residency, ``H = S(f) + W + I``, so average power is a mix of the
+active and the sleep power with busy weight at least ``S(f) / H``, and
+without a carried-in backlog ``H`` is at most ``D0_last(f_min) - t0 + w_s``.
+A column's search probes the previous winner (or the boundary) first, then
+walks the feasible suffix in ascending floor order and stops at the first
+cell whose floor lies above ``(1 + 1e-9)`` times the lower of the column's
+best and the best feasible cell of earlier columns.  The previous
+selection's winning column is searched first, and a column whose every
+floor lies above that incumbent is skipped (:attr:`SearchStats.pruned_columns`).
+A skipped cell costs more than a feasible cell already probed, so pruning
+cannot change the selection: it is exact, not a tolerance.  The floors come
+from the trace alone — one Lindley pass at the lowest frequency, shared
+with the probes, and one active-power and serving-time term per frequency —
+so both simulation backends prune the same cells.
 
-Within a column the engine never trusts its structural assumptions
-blindly.  Every probe is recorded, and a per-column **monotonicity
-certificate** — QoS slack non-decreasing in frequency over the probed
-window, probed powers valley-shaped around the claimed winner, no NaNs, no
-exact power ties — is checked before a column winner is accepted.  A
+The only structural assumption left is the monotone slack, and it is
+checked, not trusted.  Every probe is recorded, and a per-column
+**certificate** — QoS slack non-decreasing in frequency and the feasible set
+a suffix over every probe whose slack the search read, a feasible winner, no
+non-finite power — is checked before a column winner is accepted.  A
 violated certificate falls the column back to exhaustive evaluation; when
 no column has a feasible candidate at all, the engine probes every cell of
 the grid and ranks them by :func:`~repro.core.policy_manager.pick_selection`'s
 rule, so the infeasible ranking (largest slack, NaN-aware) also matches the
-oracle.  The selected ``PolicySelection.policy`` equals the full-grid
-search on the same inputs wherever the certificate holds: the winner walk
-sweeps every index within ``_WALK_BAND`` of the located minimum, and the
-certificate treats only pairs within ``_FLAT_BAND`` as direction-free.  A
-cheaper valley behind a bump the walk does not cross is not seen, so this
-is not a guarantee on every power curve.  ``tests/core/test_search.py``
-fuzzes the equality, ``benchmarks/search_fuzz.py`` runs 1,200 more draws,
-``tests/property/test_property_power_floor.py`` checks the floor against
-both backends, and ``tests/scenarios/test_default_search_parity.py`` pins
-the selections, epoch by epoch, on every registered scenario.
+oracle.  The selected ``PolicySelection.policy`` therefore equals the
+full-grid search whenever slack is monotone in frequency, ties included
+(the lower index wins, as in the oracle's first-minimum scan), and a slack
+that is not monotone is caught wherever a probe reads it.  ``tests/core/test_search.py`` fuzzes the
+equality, ``benchmarks/search_fuzz.py`` runs 1,200 more draws,
+``tests/property/test_property_power_floor.py`` checks every cell against
+its floor on both backends, and ``tests/scenarios/test_default_search_parity.py``
+pins the selections, epoch by epoch, on every registered scenario.
 
 Contract notes (see ``docs/ARCHITECTURE.md``):
 
@@ -95,7 +92,6 @@ from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import (
     BACKEND_VECTORIZED,
     GapSolution,
-    PowerFloor,
     TraceKernel,
     validate_backend,
 )
@@ -223,17 +219,7 @@ class _PolicyGrid:
         #: scalars.
         self.frequencies: list[float] = frequencies.tolist()
         self.num_frequencies = len(self.frequencies)
-        self._deep_pairs = []
-        states = space.states
-        for delay in space.deep_entry_delays:
-            deepest = states[-1] if states else None
-            shallow = states[0] if states else None
-            if deepest is None or shallow is None or deepest == shallow:
-                continue
-            self._deep_pairs.append((shallow, deepest, delay))
-        self.num_variants = (
-            len(states) + len(self._deep_pairs) + int(space.include_dvfs_only)
-        )
+        self.num_variants = len(space.states) + int(space.include_dvfs_only)
         self._sequences: dict[tuple[int, int], SleepSequence] = {}
 
     @classmethod
@@ -272,39 +258,27 @@ class _PolicyGrid:
         if sequence is None:
             space = self.space
             frequency = self.frequencies[freq_index]
-            num_states = len(space.states)
-            if variant_index < num_states:
+            if variant_index < len(space.states):
                 sequence = space.power_model.immediate_sleep_sequence(
                     space.states[variant_index], frequency
-                )
-            elif variant_index < num_states + len(self._deep_pairs):
-                shallow, deepest, delay = self._deep_pairs[
-                    variant_index - num_states
-                ]
-                sequence = space.power_model.sleep_sequence(
-                    [shallow, deepest], [0.0, delay], frequency
                 )
             else:
                 sequence = dvfs_only_sequence(space.power_model, frequency)
             self._sequences[cell] = sequence
         return sequence
 
-    def floor_terms(self, variant_index: int) -> tuple[list[float], float] | None:
-        """``(P_s(f) per frequency, w_s)`` of a single-state column.
+    def floor_terms(self, variant_index: int) -> tuple[list[float], float]:
+        """``(P_s(f) per frequency, w_s)`` of a column's single state.
 
         The powers equal those of :meth:`sequence_at`'s specs bit for bit.
-        ``None`` for a ladder with an entry delay, which has no power floor.
         """
         space = self.space
-        num_states = len(space.states)
-        if variant_index < num_states:
+        if variant_index < len(space.states):
             state = space.states[variant_index]
             return (
                 space.power_model.sleep_powers(state, self.frequencies),
                 space.power_model.wake_up_latency(state),
             )
-        if variant_index < num_states + len(self._deep_pairs):
-            return None
         # The DVFS-only pseudo state idles at the active power, waking in 0 s.
         active = space.power_model.active_power
         return [active(frequency) for frequency in self.frequencies], 0.0
@@ -312,7 +286,7 @@ class _PolicyGrid:
     def policy_at(self, freq_index: int, variant_index: int) -> Policy:
         """The candidate at one grid cell, in full-enumeration identity."""
         frequency = self.frequencies[freq_index]
-        if variant_index >= len(self.space.states) + len(self._deep_pairs):
+        if variant_index >= len(self.space.states):
             return dvfs_only_policy(self.space.power_model, frequency)
         return Policy(
             frequency=frequency, sleep=self.sequence_at(freq_index, variant_index)
@@ -339,8 +313,9 @@ class SearchStats:
     fallback_full: int = 0
     candidates_seen: int = 0
     candidates_evaluated: int = 0
-    #: Columns skipped because their power floor is above a feasible
-    #: incumbent, and the grid cells they hold.
+    #: Columns skipped because every cell's power floor is above a feasible
+    #: incumbent; ``candidates_pruned`` counts their cells plus the cells
+    #: skipped on their floor inside a searched column.
     pruned_columns: int = 0
     candidates_pruned: int = 0
 
@@ -360,7 +335,7 @@ class SearchStats:
 
 
 class FrontierSearch:
-    """Per-column frontier bisection with warm starts and certificates.
+    """Per-column boundary bisection and floor walk, with warm starts.
 
     One instance lives inside each :class:`PolicySearchEngine` and carries
     the warm-start state — the previous epoch's feasibility boundary and
@@ -388,11 +363,16 @@ class FrontierSearch:
         grid: _PolicyGrid,
         variant: int,
         probe: Callable[[int, int], _Probe],
+        floors: list[float],
+        incumbent: float,
+        stats: SearchStats,
     ) -> int | None:
         """Index of the column's cheapest feasible frequency, or ``None``.
 
-        Raises :class:`_CertificateViolation` when the probes contradict the
-        monotone-slack / unimodal-power structure.
+        Cells whose *floors* lie above *incumbent* may be skipped, so a
+        column that cannot beat the incumbent may return a cell that is not
+        its own minimum.  Raises :class:`_CertificateViolation` when the
+        probes contradict the monotone-slack structure.
         """
         last = grid.num_frequencies - 1
         probed: dict[int, _Probe] = {}
@@ -453,240 +433,67 @@ class FrontierSearch:
         if not at(boundary).meets or (boundary > 0 and at(boundary - 1).meets):
             raise _CertificateViolation("feasibility bisection inconsistent")
 
-        # Phase 2 — locate the power minimum of the feasible suffix.  The
-        # empirical shape family of average power along the frequency axis
-        # has at most one descent block: pure ascent (run-slow regime, the
-        # minimum is the boundary), descent into a valley then ascent (the
-        # valley between run-slow and race-to-idle), or a short
-        # near-saturation bump followed by the descent.  The suffix minimum
-        # is therefore the boundary, the valley, or the top — located with
-        # a handful of anchored probes plus one bisection of the monotone
-        # descent/ascent transition.  An exact probed power tie is
-        # ambiguous for the oracle's first-minimum tie-break, so it voids
-        # the certificate.
-        def ascends(index: int) -> bool:
-            here, there = at(index).power, at(index + 1).power
-            if here == there:
-                raise _CertificateViolation("probed power tie")
-            return there > here
-
-        def first_ascent(low: int, high: int) -> int:
-            """First index in ``[low, high]`` whose next step ascends.
-
-            Valid when the pair direction is monotone (descent block then
-            ascent block) over the bracket; ``high`` when all descend.
-            """
-            while low < high:
-                mid = (low + high) // 2
-                if ascends(mid):
-                    high = mid
-                else:
-                    low = mid + 1
-            return low
-
-        winner = boundary
-        asc_until = desc_from = desc_until = None
-        if boundary < last:
-            if not ascends(boundary):
-                # Descending start: classic valley; find the first ascending
-                # pair.  The valley drifts slowly between epochs, so confirm
-                # the warm start with its two neighbouring pairs before
-                # falling back to bisection of the remaining bracket.
-                low, high = boundary, last
-                if warm_winner is not None and boundary < warm_winner < last:
-                    w = warm_winner
-                    if ascends(w):
-                        # Winner is at or left of w; A(boundary) is known
-                        # False, so one or two left probes usually pin it.
-                        if not ascends(w - 1):
-                            low = high = w
-                        elif w - 2 <= boundary or not ascends(w - 2):
-                            low = high = w - 1
-                        else:
-                            high = w - 2
-                    else:
-                        # Winner is right of w.
-                        low = w + 1
-                        if low < last and ascends(low):
-                            low = high = low
-                winner = first_ascent(low, high)
-                desc_from, desc_until = boundary, winner
-            elif not ascends(last - 1):
-                # Ascent at the boundary but descent at the top: the curve
-                # peaks and then descends through the end, so the suffix
-                # minimum is whichever end is cheaper (ties go to the
-                # earlier enumeration index, matching the oracle).
-                winner = last if at(last).power < at(boundary).power else boundary
-                asc_until = boundary + 1
-                desc_from, desc_until = last - 1, last
-            else:
-                # Ascent at both ends: either pure ascent (minimum at the
-                # boundary) or a bump hiding an interior valley.  Probe a
-                # few interior pairs — previous winner first, then the
-                # midpoint and quartiles — for a descent anchor.
-                anchor = None
-                mid = (boundary + last) // 2
-                if (
-                    warm_winner is not None
-                    and warm_boundary is not None
-                    and warm_winner <= warm_boundary
-                ):
-                    # The previous epoch already concluded pure ascent for
-                    # this column; one midpoint spot-check re-verifies it.
-                    hints = [mid]
-                else:
-                    hints = [mid, (boundary + mid) // 2, (mid + last) // 2]
-                    if warm_winner is not None:
-                        hints.insert(0, warm_winner - 1)
-                        hints.insert(1, warm_winner)
-                seen = set()
-                for hint in hints:
-                    hint = min(max(hint, boundary + 1), last - 2)
-                    if hint in seen or hint <= boundary or hint >= last - 1:
-                        continue
-                    seen.add(hint)
-                    if not ascends(hint):
-                        anchor = hint
-                        break
-                if anchor is None:
-                    winner = boundary  # pure ascent, as far as probed
-                    asc_until = last
-                else:
-                    valley = first_ascent(anchor, last)
-                    winner = (
-                        valley
-                        if at(valley).power < at(boundary).power
-                        else boundary
-                    )
-                    asc_until = boundary + 1
-                    desc_from, desc_until = anchor, valley
-
-        # Near-minimum refinement: close to its minimum the power curve of a
-        # finite characterisation trace is not smooth.  Adjacent differences
-        # wiggle with gap-resolution granularity, and a short bump can hide
-        # a second, cheaper valley behind it, so a bisection can land a few
-        # indices off.  Walk outward over the contiguous run of indices whose
-        # power stays within ``_WALK_BAND`` of the located winner and take
-        # the exact minimum, with ties resolved to the earlier index exactly
-        # like the oracle's first-minimum scan.  A cheaper valley the walk
-        # reaches across a bump voids the certificate below (the descent
-        # after the valley is checked), which sends the column to the
-        # exhaustive fallback; a valley the walk does not reach is not seen.
-        if boundary < last:
-            ceiling = at(winner).power * (1.0 + self._WALK_BAND)
-            best_index, best_power = winner, at(winner).power
-            index = winner
-            while index > boundary and at(index - 1).power <= ceiling:
-                index -= 1
-                power = at(index).power
-                if power <= best_power:
-                    best_index, best_power = index, power
-            index = winner
-            while index < last and at(index + 1).power <= ceiling:
-                index += 1
-                power = at(index).power
-                if power < best_power:
-                    best_index, best_power = index, power
-            winner = best_index
+        # Phase 2 — the cheapest cell of the feasible suffix.  Probe the
+        # previous winner (or the boundary) first, then walk the rest of the
+        # suffix in ascending floor order and stop at the first cell whose
+        # proven floor lies above the column best or the global incumbent,
+        # whichever is lower: no cell from there on can win.  Power ties go
+        # to the lower index, like the oracle's first-minimum scan.
+        start = (
+            warm_winner
+            if warm_winner is not None and warm_winner >= boundary
+            else boundary
+        )
+        winner, winner_power = start, at(start).power
+        order = sorted(range(boundary, last + 1), key=floors.__getitem__)
+        skipped = 0
+        for position, index in enumerate(order):
+            if floors[index] > min(winner_power, incumbent) * (
+                1.0 + self._PRUNE_MARGIN
+            ):
+                skipped = sum(1 for rest in order[position:] if rest not in probed)
+                break
+            power = at(index).power
+            if (power, index) < (winner_power, winner):
+                winner, winner_power = index, power
 
         if not at(winner).meets:
             # Under a monotone slack the whole suffix is feasible; a winner
             # that is not means the structure does not hold here.
             raise _CertificateViolation("winner infeasible")
-        self._certify(
-            probed, boundary, asc_until, desc_from, desc_until, self._FLAT_BAND
-        )
+        self._certify(probed, boundary)
+        stats.candidates_pruned += skipped
         self._warm[variant] = (
             grid.frequencies[boundary],
             grid.frequencies[winner],
         )
         return winner
 
-    #: Relative power difference below which the certificate treats an
-    #: adjacent probed pair as direction-free (gap-resolution granularity,
-    #: not curve shape).  Bumps between valleys are not that small (0.2% is
-    #: observed on a 700-job percentile-QoS trace on the Atom preset), so
-    #: the band stays narrow: a bump the walk probes across still counts as
-    #: a change of direction.
-    _FLAT_BAND = 3e-4
-
-    #: Relative width of the winner walk around a located power minimum.  It
-    #: must span the bumps that can separate two valleys of one column; a
-    #: 3e-4 walk missed a cheaper valley behind a 0.2% bump.
-    _WALK_BAND = 3e-3
-
     @staticmethod
-    def _certify(
-        probed: dict[int, _Probe],
-        boundary: int,
-        asc_until: int | None,
-        desc_from: int | None,
-        desc_until: int | None,
-        flat_band: float,
-    ) -> None:
-        """Check the probed window against the monotone-frontier structure.
+    def _certify(probed: dict[int, _Probe], boundary: int) -> None:
+        """Check the probed window against the monotone-slack structure.
 
-        Probed slacks must be non-decreasing in frequency, the feasible set
-        must be exactly the suffix from *boundary*, and probed powers must
-        match the shape regions the search established: ascending where
-        both pair ends lie in ``[boundary, asc_until]`` or at/after
-        ``desc_until``, descending where both lie in
-        ``[desc_from, desc_until]``.  Pairs straddling a region border, and
-        pairs whose power difference lies inside the flat band (direction
-        there is granularity noise the winner refinement already swept),
-        carry no power constraint.
+        Slack must be non-decreasing in frequency over exactly the probes
+        whose slack the search consumed (the feasibility phase and the
+        winner), and the feasible set must be the suffix from *boundary*.
+        Power-only probes need no check: the floor walk ranks them exactly.
         """
-        indices = sorted(probed)
         previous_slack = None
-        previous_power: tuple[int, float] | None = None
-        for index in indices:
+        for index in sorted(probed):
             entry = probed[index]
-            if entry.slack_computed:
-                # Slack checks cover exactly the probes whose slack the
-                # search consumed (feasibility phase + winner); valley
-                # probes stay power-only and are governed by the shape
-                # checks below.
-                if previous_slack is not None and entry.slack < previous_slack:
-                    raise _CertificateViolation("slack not monotone over probes")
-                previous_slack = entry.slack
-                if entry.meets != (index >= boundary):
-                    raise _CertificateViolation("feasible set is not a suffix")
-            if index < boundary:
+            if not entry.slack_computed:
                 continue
-            if previous_power is not None:
-                earlier_index, earlier_power = previous_power
-                ascended = entry.power > earlier_power
-                if abs(entry.power - earlier_power) <= flat_band * abs(
-                    earlier_power
-                ):
-                    previous_power = (index, entry.power)
-                    continue
-                if (
-                    asc_until is not None
-                    and index <= asc_until
-                    and not ascended
-                ):
-                    raise _CertificateViolation("power not ascending from boundary")
-                if (
-                    desc_from is not None
-                    and earlier_index >= desc_from
-                    and index <= desc_until
-                    and ascended
-                ):
-                    raise _CertificateViolation("power not descending to valley")
-                if (
-                    desc_until is not None
-                    and earlier_index >= desc_until
-                    and not ascended
-                ):
-                    raise _CertificateViolation("power not ascending from valley")
-            previous_power = (index, entry.power)
+            if previous_slack is not None and entry.slack < previous_slack:
+                raise _CertificateViolation("slack not monotone over probes")
+            previous_slack = entry.slack
+            if entry.meets != (index >= boundary):
+                raise _CertificateViolation("feasible set is not a suffix")
 
     # -- whole-grid search ----------------------------------------------------
 
-    #: Relative margin above the incumbent a column's power floor must clear
-    #: before the column is skipped; it absorbs rounding in the floor and
-    #: in the kernel's energy sums.
+    #: Relative margin above the incumbent a cell's power floor must clear
+    #: before the cell is skipped; it absorbs rounding in the floor and in
+    #: the kernel's energy sums.
     _PRUNE_MARGIN = 1e-9
 
     def run(
@@ -694,7 +501,7 @@ class FrontierSearch:
         grid: _PolicyGrid,
         probe: Callable[[int, int], _Probe],
         stats: SearchStats,
-        floor: Callable[[int], float],
+        floor: Callable[[int], list[float]],
     ) -> tuple[int, int, _Probe] | None:
         """The winning grid cell ``(freq index, variant index, probe)``.
 
@@ -703,22 +510,25 @@ class FrontierSearch:
         whose certificate fails are re-evaluated exhaustively, so the
         returned winner always matches the oracle's feasible minimum.
 
-        The previous winner's column is searched first; after that a column
-        whose proven power floor (``floor(variant)``) lies above the best
-        feasible column winner so far cannot hold the minimum and is skipped.
+        The previous winner's column is searched first.  ``floor(variant)``
+        holds a proven power floor per cell of a column; a cell whose floor
+        lies above the best feasible cell so far cannot hold the minimum and
+        is skipped, and so is a column whose every cell is.
         """
         best: tuple[float, int, int] | None = None
         best_probe: _Probe | None = None
         first = self._first_variant if self._first_variant < grid.num_variants else 0
         for variant in (first, *range(first), *range(first + 1, grid.num_variants)):
-            if best is not None and floor(variant) > best[0] * (
-                1.0 + self._PRUNE_MARGIN
-            ):
+            floors = floor(variant)
+            incumbent = math.inf if best is None else best[0]
+            if min(floors) > incumbent * (1.0 + self._PRUNE_MARGIN):
                 stats.pruned_columns += 1
                 stats.candidates_pruned += grid.num_frequencies
                 continue
             try:
-                winner = self._column_winner(grid, variant, probe)
+                winner = self._column_winner(
+                    grid, variant, probe, floors, incumbent, stats
+                )
             except _CertificateViolation:
                 stats.fallback_columns += 1
                 self._warm.pop(variant, None)
@@ -888,17 +698,10 @@ class PolicySearchEngine:
                 self.stats.candidates_evaluated += 1
             return entry
 
-        # Built on the first call, which comes only once an incumbent exists.
-        power_floor: PowerFloor | None = None
+        power_floor = kernel.power_floor(grid.frequencies)
 
-        def floor(variant_index: int) -> float:
-            nonlocal power_floor
-            terms = grid.floor_terms(variant_index)
-            if terms is None:
-                return -math.inf
-            if power_floor is None:
-                power_floor = kernel.power_floor(grid.frequencies)
-            return power_floor(*terms)
+        def floor(variant_index: int) -> list[float]:
+            return power_floor(*grid.floor_terms(variant_index))
 
         # Count without touching grid.policies: materialising every cell
         # just to count it would defeat the lazy grid.

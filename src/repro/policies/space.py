@@ -2,8 +2,8 @@
 
 SleepScale's policy manager evaluates, once per epoch, every candidate policy
 in a finite space: the cross product of a small set of DVFS frequencies
-(about ten in a real system) and the available low-power states (optionally
-including multi-state sequences with entry delays).  :class:`PolicySpace`
+(about ten in a real system) and the available low-power states, each
+entered immediately on idling.  :class:`PolicySpace`
 enumerates that space for a given (predicted) utilisation, skipping operating
 points that would leave the queue unstable.
 """
@@ -51,9 +51,6 @@ class PolicySpace:
     include_dvfs_only:
         Also include the no-sleep (DVFS-only) pseudo policies, used when the
         space backs the DVFS-only baseline strategy.
-    deep_entry_delays:
-        Optional entry delays (seconds) for two-state sequences
-        ``C0(i)S0(i) -> <deepest state>``; empty by default.
     scaling:
         Service-time/frequency dependence used for the stability filter.
     """
@@ -65,7 +62,6 @@ class PolicySpace:
     use_pstates: bool = False
     pstate_levels: int = 10
     include_dvfs_only: bool = False
-    deep_entry_delays: tuple[float, ...] = field(default_factory=tuple)
     scaling: ServiceScaling = field(default_factory=cpu_bound)
 
     def __post_init__(self) -> None:
@@ -73,8 +69,6 @@ class PolicySpace:
             raise ConfigurationError("policy space needs at least one state")
         if self.frequencies is not None and len(self.frequencies) == 0:
             raise ConfigurationError("explicit frequency list must not be empty")
-        if any(delay <= 0 for delay in self.deep_entry_delays):
-            raise ConfigurationError("deep entry delays must be positive")
 
     # ------------------------------------------------------------------
     # Frequency candidates
@@ -123,15 +117,6 @@ class PolicySpace:
             for state in self.states:
                 sequence = self.power_model.immediate_sleep_sequence(
                     state, frequency
-                )
-                policies.append(Policy(frequency=frequency, sleep=sequence))
-            for delay in self.deep_entry_delays:
-                deepest = self.states[-1] if self.states else None
-                shallow = self.states[0] if self.states else None
-                if deepest is None or shallow is None or deepest == shallow:
-                    continue
-                sequence = self.power_model.sleep_sequence(
-                    [shallow, deepest], [0.0, delay], frequency
                 )
                 policies.append(Policy(frequency=frequency, sleep=sequence))
             if self.include_dvfs_only:

@@ -656,7 +656,7 @@ class TraceKernel:
         return self.solve(frequency, sleep).result
 
     def power_floor(self, frequencies: Sequence[float]) -> "PowerFloor":
-        """Lower bounds on single-state average power over a frequency axis.
+        """Lower bounds on single-state average power at each frequency.
 
         Costs one Lindley pass at the lowest frequency (memoised, so a
         :meth:`solve` there reuses it) and one active-power and serving-time
@@ -705,22 +705,23 @@ class PowerFloor:
         self._active_powers = active_powers
         self._serving_times = serving_times
 
-    def __call__(self, sleep_powers: Sequence[float], wake_up_latency: float) -> float:
+    def __call__(
+        self, sleep_powers: Sequence[float], wake_up_latency: float
+    ) -> list[float]:
         """The least average power one immediately entered state can draw.
 
         *sleep_powers* holds the state's resident power ``P_s(f)`` at each
-        frequency of the axis and *wake_up_latency* its ``w_s``; a ladder
-        with an entry delay has no floor and must not be passed.  ``-inf``
-        (nothing proven) when a backlog is carried in, when the trace is
-        empty or when the horizon bound is not positive.
+        frequency of the axis and *wake_up_latency* its ``w_s``; the result
+        holds one floor per frequency.  A floor is ``-inf`` (nothing proven)
+        when it is not finite, and every floor is when a backlog is carried
+        in, when the trace is empty or when the horizon bound is not
+        positive.
         """
         span = self._span
-        if span is None:
-            return -math.inf
-        horizon = span + wake_up_latency
+        horizon = -math.inf if span is None else span + wake_up_latency
         if not horizon > 0.0:
-            return -math.inf
-        floor = math.inf
+            return [-math.inf] * len(sleep_powers)
+        floors = []
         for active, serving, resident in zip(
             self._active_powers, self._serving_times, sleep_powers, strict=True
         ):
@@ -728,10 +729,8 @@ class PowerFloor:
                 bound = resident + (active - resident) * min(1.0, serving / horizon)
             else:
                 bound = active
-            if not math.isfinite(bound):
-                return -math.inf
-            floor = min(floor, bound)
-        return floor
+            floors.append(bound if math.isfinite(bound) else -math.inf)
+        return floors
 
 
 class _FrequencyStructure:

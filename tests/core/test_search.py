@@ -11,6 +11,7 @@ cacheless farm surface.
 from __future__ import annotations
 
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from repro.cluster.farm import ServerFarm
 from repro.core.policy_manager import PolicyManager
 from repro.core.qos import (
+    MeanResponseTimeConstraint,
     QosConstraint,
     mean_qos_from_baseline,
     percentile_qos_from_baseline,
@@ -26,8 +28,10 @@ from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.search import (
     SEARCH_FRONTIER,
     SEARCH_FULL,
+    FrontierSearch,
     SearchStats,
     _PolicyGrid,
+    _Probe,
     validate_search,
 )
 from repro.core.strategies import sleepscale_strategy
@@ -76,7 +80,6 @@ class TestLazyGrid:
             full_space(xeon, frequency_step=0.05),
             dvfs_only_space(xeon, frequency_step=0.1),
             single_state_space(xeon, C3_S0I, frequency_step=0.07),
-            PolicySpace(power_model=xeon, deep_entry_delays=(0.5, 2.0)),
             PolicySpace(power_model=xeon, use_pstates=True, include_dvfs_only=True),
         ]
         for space in spaces:
@@ -96,9 +99,7 @@ class TestLazyGrid:
                 }
             ),
         }[model]()
-        space = PolicySpace(
-            power_model=power_model, deep_entry_delays=(0.5,), include_dvfs_only=True
-        )
+        space = PolicySpace(power_model=power_model, include_dvfs_only=True)
         for utilization in (0.02, 0.3, 0.7):
             expected = space.candidate_policies(utilization)
             grid = _PolicyGrid.build(space, utilization)
@@ -119,26 +120,18 @@ class TestLazyGrid:
     @pytest.mark.parametrize("model", ["xeon", "atom"])
     def test_floor_terms_match_the_cell_sequences(self, model):
         power_model = {"xeon": xeon_power_model, "atom": atom_power_model}[model]()
-        space = PolicySpace(
-            power_model=power_model, deep_entry_delays=(0.5,), include_dvfs_only=True
-        )
+        space = PolicySpace(power_model=power_model, include_dvfs_only=True)
         grid = _PolicyGrid.build(space, 0.3)
-        ladders = 0
         for variant in range(grid.num_variants):
-            terms = grid.floor_terms(variant)
+            powers, wake = grid.floor_terms(variant)
             cells = [
                 grid.sequence_at(freq_index, variant)
                 for freq_index in range(grid.num_frequencies)
             ]
-            if any(len(sleep) > 1 for sleep in cells):
-                assert terms is None
-                ladders += 1
-                continue
-            powers, wake = terms
+            assert all(len(sleep) == 1 for sleep in cells)
             assert powers == [sleep[0].power for sleep in cells]
             assert all(sleep[0].wake_up_latency == wake for sleep in cells)
             assert all(sleep[0].entry_delay == 0.0 for sleep in cells)
-        assert ladders == 1
 
     def test_subclassed_space_is_not_gridded(self, xeon):
         class CustomSpace(PolicySpace):
@@ -176,11 +169,6 @@ def _assert_equivalent(
             power_model, C6_S0I, frequency_step=step
         ),
         "dvfs": lambda: dvfs_only_space(power_model, frequency_step=step),
-        "deep": lambda: PolicySpace(
-            power_model=power_model,
-            frequency_step=step,
-            deep_entry_delays=(0.05,),
-        ),
     }[space_kind]()
     qos = (
         mean_qos_from_baseline(0.8)
@@ -206,7 +194,7 @@ class TestFrontierFullEquivalence:
     """The headline contract: identical selected policy on every case."""
 
     @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    @pytest.mark.parametrize("space_kind", ["full", "single", "dvfs", "deep"])
+    @pytest.mark.parametrize("space_kind", ["full", "single", "dvfs"])
     @pytest.mark.parametrize("qos_kind", ["mean", "percentile"])
     def test_equivalence_fuzz(
         self, xeon, atom, dns_ideal, backend, space_kind, qos_kind
@@ -236,7 +224,6 @@ class TestFrontierFullEquivalence:
         [
             ("full", 0.083885101905616, 135939283),
             ("full", 0.07693773837751156, 398926077),
-            ("deep", 0.08161663088466843, 451439759),
         ],
     )
     def test_cheaper_valley_behind_bump(
@@ -244,10 +231,10 @@ class TestFrontierFullEquivalence:
     ):
         """Percentile-QoS columns with two valleys split by a ~0.2% bump.
 
-        On the first draw the oracle picks f=0.63 (21.979 W); the valley
-        across the bump, f=0.71 (21.995 W), must not stop the winner walk.
-        The fuzz above drew these cases when it was seeded from ``hash()``
-        under ``PYTHONHASHSEED`` 4, 13 and 21.
+        On the first draw the oracle picks f=0.63 (21.979 W) and the other
+        valley, across the bump, sits at f=0.71 (21.995 W); the floor walk
+        must rank both.  The fuzz above drew these cases when it was seeded
+        from ``hash()`` under ``PYTHONHASHSEED`` 4 and 13.
         """
         _assert_equivalent(
             atom,
@@ -323,6 +310,80 @@ class TestFrontierFullEquivalence:
         if fast.feasible:
             assert fast.evaluations == (fast.best,)
         assert len(oracle.evaluations) == space.size(0.3)
+
+
+class TestFloorWalk:
+    """``FrontierSearch.run`` on synthetic columns with known floors."""
+
+    #: A first valley at index 1 (8 W) and a cheaper one at index 6 (6 W)
+    #: behind a bump far wider than any tolerance a walk could carry.
+    POWERS = [10.0, 8.0, 9.0, 9.5, 10.0, 11.0, 6.0, 12.0, 13.0]
+
+    @staticmethod
+    def _run(columns, budget=10.0):
+        """Search *columns*, a list of ``(powers, floors)`` per variant.
+
+        The normalised response time falls from 5.0 by 0.1 per index, so
+        slack rises in frequency and *budget* sets the feasibility boundary
+        (every cell meets the default budget).
+        """
+        size = len(columns[0][0])
+        grid = SimpleNamespace(
+            num_frequencies=size,
+            num_variants=len(columns),
+            frequencies=[0.2 + 0.1 * index for index in range(size)],
+        )
+        qos = MeanResponseTimeConstraint(normalized_budget=budget)
+        probed = []
+
+        def probe(freq_index, variant_index):
+            probed.append((freq_index, variant_index))
+            solution = SimpleNamespace(
+                average_power=columns[variant_index][0][freq_index],
+                normalized_mean_response_time=5.0 - 0.1 * freq_index,
+            )
+            return _Probe(solution, qos)
+
+        stats = SearchStats()
+        winner = FrontierSearch().run(
+            grid, probe, stats, lambda variant: columns[variant][1]
+        )
+        return winner, set(probed), stats
+
+    def test_cheaper_valley_behind_a_bump_wins(self):
+        winner, _, stats = self._run([(self.POWERS, [0.0] * len(self.POWERS))])
+        assert winner[:2] == (6, 0)
+        assert winner[2].power == 6.0
+        assert stats.fallback_columns == 0
+        assert stats.candidates_pruned == 0
+
+    def test_tight_floors_skip_cells(self):
+        floors = [power - 1e-6 for power in self.POWERS]
+        winner, probed, stats = self._run([(self.POWERS, floors)])
+        assert winner[:2] == (6, 0)
+        assert len(probed) < len(self.POWERS)
+        assert stats.candidates_pruned == len(self.POWERS) - len(probed)
+
+    def test_power_ties_go_to_the_lower_index(self):
+        winner, _, _ = self._run([([10.0, 7.0, 9.0, 7.0, 8.0], [0.0] * 5)])
+        assert winner[:2] == (1, 0)
+
+    def test_cheaper_infeasible_prefix_never_wins(self):
+        # Budget 4.65 makes indices 0-3 infeasible; their 1 W never counts.
+        powers = [1.0, 1.0, 1.0, 1.0, 10.0, 9.0, 12.0, 8.0, 13.0]
+        winner, _, stats = self._run([(powers, [0.0] * len(powers))], budget=4.65)
+        assert winner[:2] == (7, 0)
+        assert winner[2].meets
+        assert stats.fallback_columns == 0
+
+    def test_column_whose_floors_clear_the_incumbent_is_skipped(self):
+        size = len(self.POWERS)
+        dearer = ([20.0] * size, [7.0] * size)  # least floor above 6 W
+        winner, probed, stats = self._run([(self.POWERS, [0.0] * size), dearer])
+        assert winner[:2] == (6, 0)
+        assert stats.pruned_columns == 1
+        assert stats.candidates_pruned == size
+        assert all(variant == 0 for _, variant in probed)
 
 
 class _InvertedQos(QosConstraint):

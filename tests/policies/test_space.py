@@ -89,18 +89,6 @@ class TestCandidatePolicies:
             state.name for state in LOW_POWER_STATES
         }
 
-    def test_deep_entry_delays_add_two_state_sequences(self, xeon):
-        space = PolicySpace(
-            power_model=xeon,
-            states=(C0I_S0I, C6_S3),
-            frequencies=(0.8,),
-            deep_entry_delays=(5.0,),
-        )
-        policies = space.candidate_policies(0.2)
-        multi = [p for p in policies if len(p.sleep) == 2]
-        assert multi
-        assert all(p.sleep[1].entry_delay == 5.0 for p in multi)
-
     def test_size_helper(self, xeon):
         space = PolicySpace(power_model=xeon, states=(C6_S3,), frequencies=(0.6,))
         assert space.size(0.2) == len(space.candidate_policies(0.2))
@@ -110,5 +98,3 @@ class TestCandidatePolicies:
             PolicySpace(power_model=xeon, states=())
         with pytest.raises(ConfigurationError):
             PolicySpace(power_model=xeon, frequencies=())
-        with pytest.raises(ConfigurationError):
-            PolicySpace(power_model=xeon, deep_entry_delays=(-1.0,))

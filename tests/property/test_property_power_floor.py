@@ -2,14 +2,14 @@
 
 :class:`~repro.simulation.kernel.PowerFloor` bounds the average power of
 every ``(frequency, state)`` cell of a sleep-state column from the trace
-alone, and the frontier search skips a column whose floor lies above a
-feasible incumbent.  A skipped column is only safe when the bound is sound,
-so these tests check it against the two facts it rests on, on both
-simulation backends, both presets, all five low-power states, utilisation
-0.02-0.9 and exponential and lognormal demands:
+alone, and the frontier search skips every cell whose floor lies above a
+feasible incumbent.  A skipped cell is only safe when its own bound is
+sound, so these tests check each cell against the two facts it rests on,
+on both simulation backends, both presets, all five low-power states,
+utilisation 0.02-0.9 and exponential and lognormal demands:
 
-* every solve's ``average_power`` is at least its column floor (up to the
-  search's pruning margin, 1e-9 relative);
+* every solve's ``average_power`` is at least the floor of its own cell
+  (up to the search's pruning margin, 1e-9 relative);
 * the horizon splits exactly into serving, waking and sleep residency
   (1e-9 relative).
 """
@@ -28,7 +28,7 @@ from repro.power.platform import atom_power_model, xeon_power_model
 from repro.power.sleep import SleepSequence, SleepStateSpec
 from repro.power.states import LOW_POWER_STATES
 from repro.simulation.engine import simulate_trace
-from repro.simulation.kernel import TraceKernel
+from repro.simulation.kernel import PowerFloor, TraceKernel
 from repro.simulation.metrics import STATE_SERVING, STATE_WAKING
 from repro.workloads.jobs import JobTrace
 
@@ -67,11 +67,12 @@ def assert_floor_holds(
     sleep_powers = power_model.sleep_powers(state, frequencies)
     assert sleep_powers == [sleep[0].power for sleep in sequences]
     kernel = TraceKernel(jobs, power_model)
-    floor = kernel.power_floor(frequencies)(
+    floors = kernel.power_floor(frequencies)(
         sleep_powers, power_model.wake_up_latency(state)
     )
-    assert math.isfinite(floor)
-    for frequency, sleep in zip(frequencies, sequences, strict=True):
+    assert len(floors) == len(frequencies)
+    assert all(math.isfinite(floor) for floor in floors)
+    for frequency, sleep, floor in zip(frequencies, sequences, floors, strict=True):
         if backend == "vectorized":
             result = kernel.solve(frequency, sleep)
         else:
@@ -129,10 +130,19 @@ class TestSleepHotterThanActive:
             ]
         )
         kernel = TraceKernel(jobs, power_model)
-        floor = kernel.power_floor(frequencies)([hot[0].power] * 3, 0.01)
-        assert floor == min(power_model.active_power(f) for f in frequencies)
-        for frequency in frequencies:
+        floors = kernel.power_floor(frequencies)([hot[0].power] * 3, 0.01)
+        assert floors == [power_model.active_power(f) for f in frequencies]
+        for frequency, floor in zip(frequencies, floors, strict=True):
             assert kernel.solve(frequency, hot).average_power >= floor
+
+
+class TestBusyWeightClamp:
+    def test_floor_never_exceeds_the_active_power(self):
+        # Average power mixes P_act and P_s, so the busy weight is at most 1.
+        # A kernel never needs the clamp (S(f) <= S(f_min) <= D0_last(f_min)
+        # - t0), so only a serving time longer than the span shows it.
+        floors = PowerFloor(1.0, [10.0, 12.0], [3.0, 0.5])([2.0, 2.0], 0.0)
+        assert floors == [10.0, 7.0]
 
 
 class TestNothingProven:
@@ -142,8 +152,13 @@ class TestNothingProven:
         power_model = _MODELS["xeon"]
         jobs = JobTrace([1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
         kernel = TraceKernel(jobs, power_model, busy_until=1.5)
-        assert kernel.power_floor([1.0])([5.0], 0.1) == -math.inf
+        assert kernel.power_floor([1.0, 0.5])([5.0, 4.0], 0.1) == [-math.inf] * 2
 
     def test_zero_jobs(self):
         kernel = TraceKernel(JobTrace.empty(), _MODELS["xeon"])
-        assert kernel.power_floor([1.0])([5.0], 0.1) == -math.inf
+        assert kernel.power_floor([1.0, 0.5])([5.0, 4.0], 0.1) == [-math.inf] * 2
+
+    def test_non_finite_cell_floor(self):
+        # An infinite active power proves nothing for its own cell only.
+        floors = PowerFloor(1.0, [math.inf, 12.0], [0.5, 0.5])([2.0, 2.0], 0.0)
+        assert floors == [-math.inf, 7.0]
