@@ -103,9 +103,10 @@ def _check_cells(spec: CampaignSpec, cells: list[CampaignCell]) -> None:
 
     The same checks a cell would fail at run time, made up front: an
     experiment's parameter names, or a scenario's knob values and declared
-    parameter names and types (:meth:`Scenario.resolve`, which builds
-    nothing).  Range checks inside the builders still fail at run time.
-    Imports are deferred for the reason :func:`execute_cell` gives.
+    parameter names, types and range rules (:meth:`Scenario.resolve`,
+    which builds nothing).  Only what a builder reads from disk (a trace
+    CSV) still fails at run time.  Imports are deferred for the reason
+    :func:`execute_cell` gives.
     """
     if spec.kind == KIND_EXPERIMENT:
         from repro.experiments.runner import _experiment_runner
@@ -174,8 +175,8 @@ def run_campaign(
     if max_cells is not None and max_cells < 0:
         raise CampaignError(f"max_cells must be non-negative, got {max_cells}")
     # Resolved before the store is touched: a bad executor or worker count,
-    # a typo'd target, a bad parameter name, type or knob value leaves no
-    # output directory behind.
+    # a typo'd target, a bad parameter name, type, range or knob value
+    # leaves no output directory behind.
     cell_executor = resolve_executor(executor, max_workers)
     cells = spec.cells()
     _check_cells(spec, cells)

@@ -137,6 +137,11 @@ def evaluation_from_result(
     )
 
 
+#: With nothing feasible, a row whose slack is within this fraction of the
+#: largest slack competes on power with the largest-slack row.
+NEAR_BEST_SLACK = 0.02
+
+
 def pick_index(rows: Sequence[tuple[float, bool, float]]) -> tuple[int, bool]:
     """The oracle's pick among ``(average power, meets QoS, slack)`` rows.
 
@@ -151,7 +156,7 @@ def pick_index(rows: Sequence[tuple[float, bool, float]]) -> tuple[int, bool]:
     finite_slacks = [row[2] for row in rows if not math.isnan(row[2])]
     if finite_slacks:
         best_slack = max(finite_slacks)
-        tolerance = 0.02 * abs(best_slack)
+        tolerance = NEAR_BEST_SLACK * abs(best_slack)
         # NaN rows fail this comparison and are dropped from contention.
         near_best = [
             index for index in indices if rows[index][2] >= best_slack - tolerance

@@ -34,23 +34,40 @@ from the trace alone — one Lindley pass at the lowest frequency, shared
 with the probes, and one active-power and serving-time term per frequency —
 so both simulation backends prune the same cells.
 
+Under a mean-response budget, a column can also be proven infeasible
+without a probe.  Every cell has a response floor
+(:class:`~repro.simulation.kernel.ResponseFloor`): with wake-up latency
+``w``, ``mu * E[R] >= (R0(f_max) + w * K) / (n * mean_demand)``, where
+``R0`` is the no-wake total response (it never rises with speed) and ``K``
+a lower bound on the wake-ups any frequency of the axis pays, read from the
+gaps at ``f_min``.  A column whose floor lies above the budget (with a
+``1e-9`` relative margin) has no feasible cell, so it is skipped unprobed
+and needs no certificate (:attr:`SearchStats.infeasible_columns`).  This
+floor too reads only the trace, one more Lindley pass at ``f_max``, so
+both backends skip the same columns.
+
 The only structural assumption left is the monotone slack, and it is
 checked, not trusted.  Every probe is recorded, and a per-column
 **certificate** — QoS slack non-decreasing in frequency and the feasible set
 a suffix over every probe whose slack the search read, a feasible winner, no
 non-finite power — is checked before a column winner is accepted.  A
 violated certificate falls the column back to exhaustive evaluation; when
-no column has a feasible candidate at all, the engine probes every cell of
-the grid and ranks them by :func:`~repro.core.policy_manager.pick_selection`'s
-rule, so the infeasible ranking (largest slack, NaN-aware) also matches the
-oracle.  The selected ``PolicySelection.policy`` therefore equals the
-full-grid search whenever slack is monotone in frequency, ties included
-(the lower index wins, as in the oracle's first-minimum scan), and a slack
-that is not monotone is caught wherever a probe reads it.  ``tests/core/test_search.py`` fuzzes the
-equality, ``benchmarks/search_fuzz.py`` runs 1,200 more draws,
-``tests/property/test_property_power_floor.py`` checks every cell against
-its floor on both backends, and ``tests/scenarios/test_default_search_parity.py``
-pins the selections, epoch by epoch, on every registered scenario.
+no column has a feasible candidate at all, the engine probes every cell
+that can hold :func:`~repro.core.policy_manager.pick_selection`'s pick
+and ranks them by its rule, so the infeasible ranking (largest slack,
+NaN-aware) also matches the oracle.  Under a mean-response budget the
+response floors cap each column's slack, and a column whose cap lies below
+the near-best band of a slack already probed is left out.  The selected
+``PolicySelection.policy`` therefore equals the full-grid search whenever
+slack is monotone in frequency, ties included (the lower index wins, as in
+the oracle's first-minimum scan), and a slack that is not monotone is
+caught wherever a probe reads it.  ``tests/core/test_search.py`` fuzzes
+the equality, ``benchmarks/search_fuzz.py`` runs 1,200 more draws,
+``tests/property/test_property_power_floor.py`` and
+``tests/property/test_property_response_floor.py`` check every cell
+against its floors on both backends, and
+``tests/scenarios/test_default_search_parity.py`` pins the selections,
+epoch by epoch, on every registered scenario.
 
 Contract notes (see ``docs/ARCHITECTURE.md``):
 
@@ -71,11 +88,12 @@ import math
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.core.policy_manager import (
+    NEAR_BEST_SLACK,
     PolicyEvaluation,
     PolicySelection,
     evaluation_from_result,
@@ -273,15 +291,20 @@ class _PolicyGrid:
         The powers equal those of :meth:`sequence_at`'s specs bit for bit.
         """
         space = self.space
+        wake = self.wake_up_latency(variant_index)
         if variant_index < len(space.states):
             state = space.states[variant_index]
-            return (
-                space.power_model.sleep_powers(state, self.frequencies),
-                space.power_model.wake_up_latency(state),
-            )
+            return space.power_model.sleep_powers(state, self.frequencies), wake
         # The DVFS-only pseudo state idles at the active power, waking in 0 s.
         active = space.power_model.active_power
-        return [active(frequency) for frequency in self.frequencies], 0.0
+        return [active(frequency) for frequency in self.frequencies], wake
+
+    def wake_up_latency(self, variant_index: int) -> float:
+        """``w_s`` of a column's single state (0 for the DVFS-only column)."""
+        space = self.space
+        if variant_index < len(space.states):
+            return space.power_model.wake_up_latency(space.states[variant_index])
+        return 0.0
 
     def policy_at(self, freq_index: int, variant_index: int) -> Policy:
         """The candidate at one grid cell, in full-enumeration identity."""
@@ -314,9 +337,13 @@ class SearchStats:
     candidates_seen: int = 0
     candidates_evaluated: int = 0
     #: Columns skipped because every cell's power floor is above a feasible
-    #: incumbent; ``candidates_pruned`` counts their cells plus the cells
-    #: skipped on their floor inside a searched column.
+    #: incumbent.
     pruned_columns: int = 0
+    #: Columns skipped because their response floor is above the budget:
+    #: every cell is proven infeasible.
+    infeasible_columns: int = 0
+    #: Cells of both kinds of skipped column, plus the cells skipped on
+    #: their power floor inside a searched column.
     candidates_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -330,6 +357,7 @@ class SearchStats:
             "candidates_seen": self.candidates_seen,
             "candidates_evaluated": self.candidates_evaluated,
             "pruned_columns": self.pruned_columns,
+            "infeasible_columns": self.infeasible_columns,
             "candidates_pruned": self.candidates_pruned,
         }
 
@@ -502,6 +530,7 @@ class FrontierSearch:
         probe: Callable[[int, int], _Probe],
         stats: SearchStats,
         floor: Callable[[int], list[float]],
+        ceilings: Sequence[float] | None = None,
     ) -> tuple[int, int, _Probe] | None:
         """The winning grid cell ``(freq index, variant index, probe)``.
 
@@ -510,15 +539,22 @@ class FrontierSearch:
         whose certificate fails are re-evaluated exhaustively, so the
         returned winner always matches the oracle's feasible minimum.
 
-        The previous winner's column is searched first.  ``floor(variant)``
-        holds a proven power floor per cell of a column; a cell whose floor
-        lies above the best feasible cell so far cannot hold the minimum and
-        is skipped, and so is a column whose every cell is.
+        The previous winner's column is searched first.  *ceilings*, when
+        given, holds a proven upper bound on every cell's slack per column;
+        a column whose bound is negative has no feasible cell and is
+        skipped unprobed.  ``floor(variant)`` holds a proven power floor
+        per cell of a column; a cell whose floor lies above the best
+        feasible cell so far cannot hold the minimum and is skipped, and so
+        is a column whose every cell is.
         """
         best: tuple[float, int, int] | None = None
         best_probe: _Probe | None = None
         first = self._first_variant if self._first_variant < grid.num_variants else 0
         for variant in (first, *range(first), *range(first + 1, grid.num_variants)):
+            if ceilings is not None and ceilings[variant] < 0.0:
+                stats.infeasible_columns += 1
+                stats.candidates_pruned += grid.num_frequencies
+                continue
             floors = floor(variant)
             incumbent = math.inf if best is None else best[0]
             if min(floors) > incumbent * (1.0 + self._PRUNE_MARGIN):
@@ -703,19 +739,33 @@ class PolicySearchEngine:
         def floor(variant_index: int) -> list[float]:
             return power_floor(*grid.floor_terms(variant_index))
 
+        ceilings = None
+        if type(qos) is MeanResponseTimeConstraint:
+            # The same test ``_Probe`` applies: a cell meets the budget iff
+            # its slack, budget minus mu*E[R], is non-negative.
+            response_floor = kernel.response_floor(grid.frequencies)
+            margin = 1.0 - FrontierSearch._PRUNE_MARGIN
+            ceilings = [
+                qos.normalized_budget
+                - response_floor(grid.wake_up_latency(variant_index)) * margin
+                for variant_index in range(grid.num_variants)
+            ]
+
         # Count without touching grid.policies: materialising every cell
         # just to count it would defeat the lazy grid.
         self.stats.candidates_seen += grid.num_frequencies * grid.num_variants
-        winner = self._frontier.run(grid, probe, self.stats, floor)
+        winner = self._frontier.run(grid, probe, self.stats, floor, ceilings)
         if winner is None:
             # Nothing feasible was found: the oracle ranks the whole table
-            # (largest slack, NaN-aware), so probe every cell and rank them
-            # by the same rule.  Nothing was pruned without an incumbent.
+            # (largest slack, NaN-aware), so probe every cell that can hold
+            # its pick and rank them by the same rule, in enumeration order.
+            # Nothing was pruned on power without an incumbent.
             self.stats.fallback_full += 1
+            variants = self._contending_variants(grid, probe, probes, ceilings)
             cells = [
                 (freq_index, variant_index)
                 for freq_index in range(grid.num_frequencies)
-                for variant_index in range(grid.num_variants)
+                for variant_index in variants
             ]
             entries = [probe(*cell) for cell in cells]
             index, feasible = pick_index(
@@ -730,3 +780,38 @@ class PolicySearchEngine:
             grid.policy_at(freq_index, variant_index), entry.solution.result, qos
         )
         return PolicySelection(best=best, evaluations=(best,), feasible=feasible)
+
+    @staticmethod
+    def _contending_variants(
+        grid: _PolicyGrid,
+        probe: Callable[[int, int], _Probe],
+        probes: dict[tuple[int, int], _Probe],
+        ceilings: Sequence[float] | None,
+    ) -> list[int]:
+        """The columns that can hold the all-infeasible pick, ascending.
+
+        ``pick_index`` picks among the feasible cells or, with none, among
+        the cells within :data:`NEAR_BEST_SLACK` of the largest slack
+        ``s*``.  Once a slack ``s`` is probed, ``s <= s*``, and the band's
+        edge ``s - NEAR_BEST_SLACK * |s|`` only rises with ``s``; so a
+        column whose slack ceiling lies below both 0 and that edge holds
+        neither kind of cell.  Columns are probed whole in descending
+        ceiling order, so the first one ruled out rules out the rest.
+        """
+        if ceilings is None:
+            return list(range(grid.num_variants))
+        best = max(
+            (entry.slack for entry in probes.values() if math.isfinite(entry.slack)),
+            default=-math.inf,
+        )
+        contending = []
+        for variant in sorted(range(grid.num_variants), key=lambda v: -ceilings[v]):
+            edge = best - NEAR_BEST_SLACK * abs(best)
+            if ceilings[variant] < min(edge, 0.0):
+                break
+            contending.append(variant)
+            for freq_index in range(grid.num_frequencies):
+                slack = probe(freq_index, variant).slack
+                if math.isfinite(slack):
+                    best = max(best, slack)
+        return sorted(contending)

@@ -7,11 +7,15 @@ SleepScale on a handful of workload shapes; the registry holds the ones
 this reproduction evaluates it on.
 
 The contract — each parameter is stated once, in its
-:class:`ScenarioParameter` declaration:
+:class:`ScenarioParameter` declaration, range rule included:
 
-* :meth:`Scenario.build` resolves the declared defaults and overrides and
-  calls the builder with one read-only :class:`ScenarioArgs` namespace: the
-  resolved parameters plus ``seed``, ``backend`` and ``search``;
+* :meth:`Scenario.resolve` lays the overrides over the declared defaults
+  and checks each value's type and range rule, then the scenario's rules
+  across parameters (say, a trough load at most the peak), building
+  nothing;
+* :meth:`Scenario.build` resolves and calls the builder with one
+  read-only :class:`ScenarioArgs` namespace: the resolved parameters plus
+  ``seed``, ``backend`` and ``search``;
 * the builder returns ``(spec, jobs, farm, normalised)``, where
   ``normalised`` maps the few parameters it normalised (say, a duration
   rounded to whole minutes) to the values it actually used;
@@ -33,6 +37,7 @@ Builders must be deterministic given ``seed`` and hand ``backend`` and
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import types
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
@@ -49,13 +54,28 @@ from repro.workloads.jobs import JobTrace
 from repro.workloads.spec import WorkloadSpec
 
 
+#: A declared parameter's range rule: called with the parameter's name and
+#: its resolved value, it returns the failure message, or ``None``.
+ParameterCheck = Callable[[str, Any], "str | None"]
+
+#: A scenario's rule across parameters: called with every resolved value,
+#: it returns the failure message, or ``None``.
+ScenarioCheck = Callable[[Mapping[str, Any]], "str | None"]
+
+
 @dataclass(frozen=True)
 class ScenarioParameter:
-    """One declared knob of a scenario: name, default value, documentation."""
+    """One declared knob of a scenario: name, default, documentation, rule.
+
+    ``check``, when given, is the parameter's range rule;
+    :meth:`Scenario.resolve` applies it to every value, so a bad value
+    fails before anything is built or written.
+    """
 
     name: str
     default: Any
     description: str
+    check: ParameterCheck | None = None
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
@@ -137,6 +157,8 @@ class Scenario:
     description: str
     builder: ScenarioBuilder
     parameters: tuple[ScenarioParameter, ...] = ()
+    #: Rules across parameters, applied after every parameter's own rule.
+    checks: tuple[ScenarioCheck, ...] = ()
 
     #: Keywords owned by :meth:`build` itself; a declared parameter (or an
     #: override splatted into ``build``) must never collide with them.
@@ -188,8 +210,9 @@ class Scenario:
         defaults, and the controller (a policy name becomes a
         :class:`~repro.cluster.controller.FarmController`).  :meth:`build`
         calls this first, and ``run_campaign`` calls it for every cell of a
-        scenario campaign before it writes the store.  Range checks on a
-        parameter's value stay in the builder.
+        scenario campaign before it writes the store.  Each value must have
+        its default's type and meet its parameter's ``check``, and the
+        values together must meet the scenario's ``checks``.
         """
         if seed < 0:
             raise ScenarioError(f"seed must be non-negative, got {seed}")
@@ -232,6 +255,19 @@ class Scenario:
                 f"parameter {key!r} of scenario {self.name!r} expects a "
                 f"{expected} (default {default!r}), got {got!r}"
             )
+        # Lazily, in order: a rule across parameters may rely on each
+        # parameter's own rule having passed.
+        failures = itertools.chain(
+            (
+                parameter.check(parameter.name, values[parameter.name])
+                for parameter in self.parameters
+                if parameter.check is not None
+            ),
+            (check(values) for check in self.checks),
+        )
+        for failure in failures:
+            if failure is not None:
+                raise ScenarioError(failure)
         return values, controller
 
     def build(
@@ -330,6 +366,7 @@ def scenario(
     name: str,
     description: str,
     parameters: tuple[ScenarioParameter, ...] = (),
+    checks: tuple[ScenarioCheck, ...] = (),
 ) -> Callable[[ScenarioBuilder], ScenarioBuilder]:
     """Decorator form of :func:`register_scenario` for builder functions."""
 
@@ -340,6 +377,7 @@ def scenario(
                 description=description,
                 builder=builder,
                 parameters=parameters,
+                checks=checks,
             )
         )
         return builder

@@ -40,7 +40,10 @@ axis of the joint speed-scaling + sleep-state problem:
                           overloads that priority dispatch confines
 ========================  ====================================================
 
-Each parameter is stated once, in its ``ScenarioParameter`` declaration.
+Each parameter is stated once, in its ``ScenarioParameter`` declaration,
+with the range rule its values must meet; the rules across parameters sit in
+the ``checks`` of the ``@scenario`` declaration, so a builder only ever sees
+values that passed them.
 :meth:`~repro.scenarios.base.Scenario.build` calls a builder with one
 read-only :class:`~repro.scenarios.base.ScenarioArgs` namespace (the
 resolved parameters plus ``seed``, ``backend`` and ``search``); the builder
@@ -58,8 +61,10 @@ dispatcher sees roughly ``utilization / n`` per server.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -95,13 +100,15 @@ from repro.core.strategies import (
     RaceToHaltStrategy,
     sleepscale_strategy,
 )
-from repro.exceptions import ScenarioError, TraceError
+from repro.exceptions import ConfigurationError, ScenarioError, TraceError
 from repro.power.platform import ServerPowerModel, atom_power_model, xeon_power_model
 from repro.power.states import C1_S0I, SystemState
 from repro.prediction.lms_cusum import LmsCusumPredictor
 from repro.scenarios.base import (
     BuilderResult,
+    ParameterCheck,
     ScenarioArgs,
+    ScenarioCheck,
     ScenarioParameter,
     scenario,
 )
@@ -245,20 +252,8 @@ def _mixed_fleet(
     Xeon *i* is seeded ``seed + i`` and Atom *i* ``seed + xeon_servers + i``.
     Returns the servers and the two counts as whole numbers.
     """
-    counts = {}
-    for label in ("xeon_servers", "atom_servers"):
-        count = getattr(args, label)
-        if count != int(count) or count < 0:
-            raise ScenarioError(
-                f"{label} must be a non-negative whole number, got {count}"
-            )
-        counts[label] = int(count)
+    counts = {label: int(getattr(args, label)) for label in ("xeon_servers", "atom_servers")}
     xeons, atoms = counts["xeon_servers"], counts["atom_servers"]
-    if xeons + atoms < 1:
-        raise ScenarioError(
-            "need at least one server in total, got "
-            f"xeon_servers={xeons}, atom_servers={atoms}"
-        )
     xeon = xeon_power_model()
     atom = atom_power_model()
     servers = tuple(
@@ -282,53 +277,142 @@ def _mixed_fleet(
     return servers, counts
 
 
-def _check_duration(args: ScenarioArgs) -> int:
-    if args.duration_minutes < 1:
-        raise ScenarioError(
-            f"duration_minutes must be at least 1, got {args.duration_minutes}"
+# ---------------------------------------------------------------------------
+# Range rules (``ScenarioParameter.check`` / ``Scenario.checks``)
+# ---------------------------------------------------------------------------
+
+
+def _at_least(low: float, *, whole: bool = False) -> ParameterCheck:
+    """A value of at least *low*; with *whole*, a whole number too."""
+
+    def check(name: str, value: Any) -> str | None:
+        if whole and not float(value).is_integer():
+            return f"{name} must be a whole number, got {value}"
+        if not value >= low:
+            return f"{name} must be at least {low}, got {value}"
+        return None
+
+    return check
+
+
+def _rounds_to_at_least(low: int) -> ParameterCheck:
+    """A value that rounds to a whole number of at least *low*."""
+
+    def check(name: str, value: Any) -> str | None:
+        if not (math.isfinite(value) and round(value) >= low):
+            return f"{name} must be at least {low}, got {value}"
+        return None
+
+    return check
+
+
+def _lies_in(low: float, high: float, brackets: str = "(]") -> ParameterCheck:
+    """A value between *low* and *high*; *brackets* closes or opens each end."""
+
+    def check(name: str, value: Any) -> str | None:
+        above = value >= low if brackets[0] == "[" else value > low
+        below = value <= high if brackets[1] == "]" else value < high
+        if not (above and below):
+            return (
+                f"{name} must lie in {brackets[0]}{low}, {high}{brackets[1]}, "
+                f"got {value}"
+            )
+        return None
+
+    return check
+
+
+def _positive(name: str, value: Any) -> str | None:
+    if not value > 0:
+        return f"{name} must be positive, got {value}"
+    return None
+
+
+def _one_of(choices: tuple[str, ...]) -> ParameterCheck:
+    def check(name: str, value: Any) -> str | None:
+        if value not in choices:
+            return f"{name} must be one of {', '.join(choices)}, got {value!r}"
+        return None
+
+    return check
+
+
+def _finite_variance(name: str, value: Any) -> str | None:
+    if not value > 2.0:
+        return f"{name} must exceed 2 (finite variance), got {value}"
+    return None
+
+
+def _workload(name: str, value: Any) -> str | None:
+    """A Table 5 workload name."""
+    try:
+        workload_by_name(value)
+    except ConfigurationError as error:
+        return str(error)
+    return None
+
+
+#: The stored traces ``trace-replay`` knows by name; any other trace is a
+#: CSV path.
+_NAMED_TRACES = {
+    "file-server": synthetic_file_server_trace,
+    "email-store": synthetic_email_store_trace,
+}
+
+
+def _trace_name(name: str, value: Any) -> str | None:
+    if value not in _NAMED_TRACES and Path(value).suffix != ".csv":
+        return (
+            f"unknown trace {value!r}; expected 'file-server', 'email-store' "
+            "or a path to a .csv file"
         )
+    return None
+
+
+#: An offered load relative to one server.
+_LOAD = _lies_in(0, 0.95)
+_MINUTES = _at_least(1)
+_SERVERS = _at_least(1, whole=True)
+
+
+def _minutes(args: ScenarioArgs) -> int:
+    """The run length in whole minutes."""
     return int(round(args.duration_minutes))
 
 
-def _check_servers(args: ScenarioArgs) -> int:
-    if args.servers != int(args.servers):
-        raise ScenarioError(
-            f"servers must be a whole number, got {args.servers}"
+def _ordered(low_name: str, high_name: str) -> ScenarioCheck:
+    """Two offered loads, the first at most the second."""
+
+    def check(values: Mapping[str, Any]) -> str | None:
+        low, high = values[low_name], values[high_name]
+        if not low <= high:
+            return f"need 0 < {low_name} <= {high_name} <= 0.95, got [{low}, {high}]"
+        return None
+
+    return check
+
+
+def _some_server(values: Mapping[str, Any]) -> str | None:
+    xeons, atoms = int(values["xeon_servers"]), int(values["atom_servers"])
+    if xeons + atoms < 1:
+        return (
+            "need at least one server in total, got "
+            f"xeon_servers={xeons}, atom_servers={atoms}"
         )
-    if args.servers < 1:
-        raise ScenarioError(f"servers must be at least 1, got {args.servers}")
-    return int(args.servers)
+    return None
 
 
-def _check_atom_frequency_ceiling(args: ScenarioArgs) -> None:
-    if not 0.0 < args.atom_frequency_ceiling <= 1.0:
-        raise ScenarioError(
-            "atom_frequency_ceiling must lie in (0, 1], got "
-            f"{args.atom_frequency_ceiling}"
+def _min_awake_fits(values: Mapping[str, Any]) -> str | None:
+    min_awake, servers = values["min_awake"], int(values["servers"])
+    if min_awake > servers:
+        return (
+            f"min_awake must be a whole number in [1, {servers}], got {min_awake}"
         )
-
-
-def _check_loads(args: ScenarioArgs, *names: str, ordered: bool = False) -> None:
-    """Each named offered load must lie in (0, 0.95].
-
-    With ``ordered``, the two named loads must also be non-decreasing.
-    """
-    if ordered:
-        low, high = (getattr(args, name) for name in names)
-        if not 0.0 < low <= high <= 0.95:
-            raise ScenarioError(
-                f"need 0 < {names[0]} <= {names[1]} <= 0.95, got [{low}, {high}]"
-            )
-        return
-    for name in names:
-        value = getattr(args, name)
-        if not 0.0 < value <= 0.95:
-            raise ScenarioError(f"{name} must lie in (0, 0.95], got {value}")
+    return None
 
 
 def _diurnal_values(args: ScenarioArgs, num_samples: int) -> np.ndarray:
     """One raised-cosine day/night cycle spanning *num_samples* minutes."""
-    _check_loads(args, "trough_utilization", "peak_utilization", ordered=True)
     trough, peak = args.trough_utilization, args.peak_utilization
     phase = 2.0 * math.pi * np.arange(num_samples) / num_samples
     return trough + (peak - trough) * 0.5 * (1.0 - np.cos(phase))
@@ -344,10 +428,6 @@ def _crowd_values(
     """
     start = int(round(args.crowd_start_minute))
     length = int(round(args.crowd_minutes))
-    if start < 0 or length < 1:
-        raise ScenarioError(
-            f"crowd window [{start}, {start + length}) is invalid"
-        )
     start = min(start, max(0, num_samples - length))
     values = np.full(num_samples, base_utilization)
     values[start : min(start + length, num_samples)] = args.crowd_utilization
@@ -367,22 +447,6 @@ def _trace_jobs(
     """The job stream of *spec* driven by one utilisation sample per minute."""
     trace = UtilizationTrace(values, interval=minutes(1), name=name)
     return generate_trace_driven_jobs(spec, trace, seed=seed).jobs
-
-
-def _tenant_servers(args: ScenarioArgs, scenario_name: str) -> int:
-    """The checked server count of a two-tenant scenario (one per tenant)."""
-    servers = _check_servers(args)
-    if args.dispatcher not in TENANT_DISPATCH_KINDS:
-        raise ScenarioError(
-            f"dispatcher must be one of {', '.join(TENANT_DISPATCH_KINDS)}, "
-            f"got {args.dispatcher!r}"
-        )
-    if servers < 2:
-        raise ScenarioError(
-            f"{scenario_name} needs at least 2 servers (one per tenant), "
-            f"got {servers}"
-        )
-    return servers
 
 
 def _labelled_tenant_jobs(
@@ -435,16 +499,17 @@ def _tenant_farm(
         "run) served by a small homogeneous Xeon farm."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 40, "length of the run; one full day/night cycle is compressed into it"),
-        ScenarioParameter("trough_utilization", 0.08, "night-time offered load (relative to one server)"),
-        ScenarioParameter("peak_utilization", 0.85, "mid-day offered load (relative to one server)"),
-        ScenarioParameter("servers", 2, "number of identical Xeon servers"),
-        ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail"),
+        ScenarioParameter("duration_minutes", 40, "length of the run; one full day/night cycle is compressed into it", _MINUTES),
+        ScenarioParameter("trough_utilization", 0.08, "night-time offered load (relative to one server)", _LOAD),
+        ScenarioParameter("peak_utilization", 0.85, "mid-day offered load (relative to one server)", _LOAD),
+        ScenarioParameter("servers", 2, "number of identical Xeon servers", _SERVERS),
+        ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail", _workload),
     ),
+    checks=(_ordered("trough_utilization", "peak_utilization"),),
 )
 def build_diurnal(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _check_servers(args)
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     spec = workload_by_name(args.workload)
     values = _diurnal_values(args, num_samples)
     jobs = _trace_jobs(spec, values, "diurnal", args.seed)
@@ -465,19 +530,19 @@ def build_diurnal(args: ScenarioArgs) -> BuilderResult:
         "least-loaded dispatcher."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 30, "length of the run"),
-        ScenarioParameter("base_utilization", 0.1, "offered load outside the crowd window"),
-        ScenarioParameter("crowd_utilization", 0.9, "offered load during the crowd window"),
-        ScenarioParameter("crowd_start_minute", 12, "minute at which the crowd arrives"),
-        ScenarioParameter("crowd_minutes", 6, "how long the crowd persists"),
-        ScenarioParameter("servers", 3, "number of identical Xeon servers"),
-        ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
+        ScenarioParameter("duration_minutes", 30, "length of the run", _MINUTES),
+        ScenarioParameter("base_utilization", 0.1, "offered load outside the crowd window", _LOAD),
+        ScenarioParameter("crowd_utilization", 0.9, "offered load during the crowd window", _LOAD),
+        ScenarioParameter("crowd_start_minute", 12, "minute at which the crowd arrives", _rounds_to_at_least(0)),
+        ScenarioParameter("crowd_minutes", 6, "how long the crowd persists", _rounds_to_at_least(1)),
+        ScenarioParameter("servers", 3, "number of identical Xeon servers", _SERVERS),
+        ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail", _workload),
     ),
+    checks=(_ordered("base_utilization", "crowd_utilization"),),
 )
 def build_flash_crowd(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _check_servers(args)
-    _check_loads(args, "base_utilization", "crowd_utilization", ordered=True)
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     values, window = _crowd_values(args, num_samples, args.base_utilization)
     spec = workload_by_name(args.workload)
     jobs = _trace_jobs(spec, values, "flash-crowd", args.seed)
@@ -502,25 +567,16 @@ def build_flash_crowd(args: ScenarioArgs) -> BuilderResult:
         "states are risky."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 25, "length of the run"),
-        ScenarioParameter("utilization", 0.5, "constant offered load (relative to one server)"),
-        ScenarioParameter("pareto_alpha", 2.5, "Pareto tail index (must exceed 2 for finite variance)"),
-        ScenarioParameter("mean_service_ms", 92.0, "mean job size in milliseconds (the Mail workload's)"),
-        ScenarioParameter("servers", 2, "number of identical Xeon servers"),
+        ScenarioParameter("duration_minutes", 25, "length of the run", _MINUTES),
+        ScenarioParameter("utilization", 0.5, "constant offered load (relative to one server)", _LOAD),
+        ScenarioParameter("pareto_alpha", 2.5, "Pareto tail index (must exceed 2 for finite variance)", _finite_variance),
+        ScenarioParameter("mean_service_ms", 92.0, "mean job size in milliseconds (the Mail workload's)", _positive),
+        ScenarioParameter("servers", 2, "number of identical Xeon servers", _SERVERS),
     ),
 )
 def build_heavy_tail(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _check_servers(args)
-    _check_loads(args, "utilization")
-    if args.pareto_alpha <= 2.0:
-        raise ScenarioError(
-            f"pareto_alpha must exceed 2 (finite variance), got {args.pareto_alpha}"
-        )
-    if args.mean_service_ms <= 0:
-        raise ScenarioError(
-            f"mean_service_ms must be positive, got {args.mean_service_ms}"
-        )
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     mean_service = args.mean_service_ms / 1000.0
     spec = WorkloadSpec(
         name="heavy-tail",
@@ -546,22 +602,18 @@ def build_heavy_tail(args: ScenarioArgs) -> BuilderResult:
         "stream), defeating memoryless predictors."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 30, "length of the run"),
-        ScenarioParameter("quiet_utilization", 0.12, "offered load in the quiet phase"),
-        ScenarioParameter("bursty_utilization", 0.7, "offered load in the bursty phase"),
-        ScenarioParameter("persistence", 0.85, "probability of staying in the current phase each minute"),
-        ScenarioParameter("servers", 2, "number of identical Xeon servers"),
-        ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail"),
+        ScenarioParameter("duration_minutes", 30, "length of the run", _MINUTES),
+        ScenarioParameter("quiet_utilization", 0.12, "offered load in the quiet phase", _LOAD),
+        ScenarioParameter("bursty_utilization", 0.7, "offered load in the bursty phase", _LOAD),
+        ScenarioParameter("persistence", 0.85, "probability of staying in the current phase each minute", _lies_in(0, 1, "[)")),
+        ScenarioParameter("servers", 2, "number of identical Xeon servers", _SERVERS),
+        ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail", _workload),
     ),
+    checks=(_ordered("quiet_utilization", "bursty_utilization"),),
 )
 def build_correlated_arrivals(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _check_servers(args)
-    _check_loads(args, "quiet_utilization", "bursty_utilization", ordered=True)
-    if not 0.0 <= args.persistence < 1.0:
-        raise ScenarioError(
-            f"persistence must lie in [0, 1), got {args.persistence}"
-        )
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     spec = workload_by_name(args.workload)
     rng = np.random.default_rng(args.seed)
     levels = (args.quiet_utilization, args.bursty_utilization)
@@ -616,16 +668,15 @@ def _mixture_spec(
         "superposed into one stream and served by a shared Xeon farm."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 20, "length of the run"),
-        ScenarioParameter("dns_utilization", 0.25, "offered load contributed by the DNS-like class"),
-        ScenarioParameter("google_utilization", 0.35, "offered load contributed by the Google-like class"),
-        ScenarioParameter("servers", 2, "number of identical Xeon servers"),
+        ScenarioParameter("duration_minutes", 20, "length of the run", _MINUTES),
+        ScenarioParameter("dns_utilization", 0.25, "offered load contributed by the DNS-like class", _LOAD),
+        ScenarioParameter("google_utilization", 0.35, "offered load contributed by the Google-like class", _LOAD),
+        ScenarioParameter("servers", 2, "number of identical Xeon servers", _SERVERS),
     ),
 )
 def build_multiclass(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _check_servers(args)
-    _check_loads(args, "dns_utilization", "google_utilization")
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     classes = (
         (dns_workload(), args.dns_utilization),
         (google_workload(), args.google_utilization),
@@ -675,32 +726,23 @@ def build_multiclass(args: ScenarioArgs) -> BuilderResult:
         "UtilizationTrace.to_csv."
     ),
     parameters=(
-        ScenarioParameter("trace", "file-server", "'file-server', 'email-store', or a path to a trace CSV"),
-        ScenarioParameter("duration_minutes", 45, "how many minutes of the trace to replay"),
-        ScenarioParameter("scale", 1.0, "multiply the trace's utilisation by this factor (clipped to [0, 1])"),
-        ScenarioParameter("servers", 1, "number of identical Xeon servers"),
-        ScenarioParameter("workload", "dns", "Table 5 workload class supplying job statistics"),
+        ScenarioParameter("trace", "file-server", "'file-server', 'email-store', or a path to a trace CSV", _trace_name),
+        ScenarioParameter("duration_minutes", 45, "how many minutes of the trace to replay", _MINUTES),
+        ScenarioParameter("scale", 1.0, "multiply the trace's utilisation by this factor (clipped to [0, 1])", _positive),
+        ScenarioParameter("servers", 1, "number of identical Xeon servers", _SERVERS),
+        ScenarioParameter("workload", "dns", "Table 5 workload class supplying job statistics", _workload),
     ),
 )
 def build_trace_replay(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _check_servers(args)
-    if args.scale <= 0:
-        raise ScenarioError(f"scale must be positive, got {args.scale}")
-    if args.trace == "file-server":
-        utilization = synthetic_file_server_trace(days=1, seed=args.seed)
-    elif args.trace == "email-store":
-        utilization = synthetic_email_store_trace(days=1, seed=args.seed)
-    elif Path(args.trace).suffix == ".csv":
+    num_samples = _minutes(args)
+    servers = int(args.servers)
+    if args.trace in _NAMED_TRACES:
+        utilization = _NAMED_TRACES[args.trace](days=1, seed=args.seed)
+    else:
         try:
             utilization = UtilizationTrace.from_csv(args.trace)
         except TraceError as error:
             raise ScenarioError(str(error)) from error
-    else:
-        raise ScenarioError(
-            f"unknown trace {args.trace!r}; expected 'file-server', 'email-store' "
-            "or a path to a .csv file"
-        )
     if args.scale != 1.0:
         utilization = utilization.scaled(args.scale)
     num_samples = min(num_samples, len(utilization))
@@ -724,16 +766,17 @@ def build_trace_replay(args: ScenarioArgs) -> BuilderResult:
         "— farm-level energy proportionality."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 30, "length of the run; one day/night cycle is compressed into it"),
-        ScenarioParameter("xeon_servers", 1, "number of Xeon-class servers"),
-        ScenarioParameter("atom_servers", 2, "number of Atom-class servers"),
-        ScenarioParameter("trough_utilization", 0.1, "night-time offered load (relative to one server)"),
-        ScenarioParameter("peak_utilization", 0.8, "mid-day offered load (relative to one server)"),
-        ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
+        ScenarioParameter("duration_minutes", 30, "length of the run; one day/night cycle is compressed into it", _MINUTES),
+        ScenarioParameter("xeon_servers", 1, "number of Xeon-class servers", _at_least(0, whole=True)),
+        ScenarioParameter("atom_servers", 2, "number of Atom-class servers", _at_least(0, whole=True)),
+        ScenarioParameter("trough_utilization", 0.1, "night-time offered load (relative to one server)", _LOAD),
+        ScenarioParameter("peak_utilization", 0.8, "mid-day offered load (relative to one server)", _LOAD),
+        ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail", _workload),
     ),
+    checks=(_ordered("trough_utilization", "peak_utilization"), _some_server),
 )
 def build_heterogeneous_farm(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
+    num_samples = _minutes(args)
     servers, counts = _mixed_fleet(args)
     spec = workload_by_name(args.workload)
     values = _diurnal_values(args, num_samples)
@@ -759,18 +802,17 @@ def build_heterogeneous_farm(args: ScenarioArgs) -> BuilderResult:
         "loop over its share of the trace."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 80, "length of the run (~1M Google-like jobs at defaults)"),
-        ScenarioParameter("utilization", 0.9, "constant offered load (relative to one full-frequency server)"),
-        ScenarioParameter("xeon_servers", 8, "number of Xeon-class servers"),
-        ScenarioParameter("atom_servers", 8, "number of Atom-class servers"),
-        ScenarioParameter("atom_frequency_ceiling", 0.7, "DVFS ceiling the dispatcher assumes for Atom-class servers"),
-        ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
+        ScenarioParameter("duration_minutes", 80, "length of the run (~1M Google-like jobs at defaults)", _MINUTES),
+        ScenarioParameter("utilization", 0.9, "constant offered load (relative to one full-frequency server)", _LOAD),
+        ScenarioParameter("xeon_servers", 8, "number of Xeon-class servers", _at_least(0, whole=True)),
+        ScenarioParameter("atom_servers", 8, "number of Atom-class servers", _at_least(0, whole=True)),
+        ScenarioParameter("atom_frequency_ceiling", 0.7, "DVFS ceiling the dispatcher assumes for Atom-class servers", _lies_in(0, 1)),
+        ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail", _workload),
     ),
+    checks=(_some_server,),
 )
 def build_farm_scale(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    _check_loads(args, "utilization")
-    _check_atom_frequency_ceiling(args)
+    num_samples = _minutes(args)
     servers, counts = _mixed_fleet(
         args, atom_frequency_ceiling=args.atom_frequency_ceiling
     )
@@ -799,23 +841,18 @@ def build_farm_scale(args: ScenarioArgs) -> BuilderResult:
         "across worker processes."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 40, "length of the run"),
-        ScenarioParameter("utilization", 0.85, "constant offered load (relative to one full-frequency server)"),
-        ScenarioParameter("xeon_servers", 32, "number of Xeon-class servers"),
-        ScenarioParameter("atom_servers", 32, "number of Atom-class servers"),
-        ScenarioParameter("atom_frequency_ceiling", 0.7, "DVFS ceiling the dispatcher assumes for Atom-class servers"),
-        ScenarioParameter("epoch_minutes", 2.0, "policy-update epoch length; short epochs mean many searches per server"),
-        ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail"),
+        ScenarioParameter("duration_minutes", 40, "length of the run", _MINUTES),
+        ScenarioParameter("utilization", 0.85, "constant offered load (relative to one full-frequency server)", _LOAD),
+        ScenarioParameter("xeon_servers", 32, "number of Xeon-class servers", _at_least(0, whole=True)),
+        ScenarioParameter("atom_servers", 32, "number of Atom-class servers", _at_least(0, whole=True)),
+        ScenarioParameter("atom_frequency_ceiling", 0.7, "DVFS ceiling the dispatcher assumes for Atom-class servers", _lies_in(0, 1)),
+        ScenarioParameter("epoch_minutes", 2.0, "policy-update epoch length; short epochs mean many searches per server", _positive),
+        ScenarioParameter("workload", "google", "Table 5 workload class: dns, google or mail", _workload),
     ),
+    checks=(_some_server,),
 )
 def build_mega_farm(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    _check_loads(args, "utilization")
-    _check_atom_frequency_ceiling(args)
-    if args.epoch_minutes <= 0:
-        raise ScenarioError(
-            f"epoch_minutes must be positive, got {args.epoch_minutes}"
-        )
+    num_samples = _minutes(args)
     servers, counts = _mixed_fleet(
         args,
         epoch_minutes=args.epoch_minutes,
@@ -874,26 +911,11 @@ def _autoscale_farm(
     args: ScenarioArgs, servers: int, spec: WorkloadSpec
 ) -> ServerFarm:
     """A homogeneous shallow-sleep Xeon farm with an embedded controller."""
-    if args.policy not in CONTROLLER_POLICIES:
-        raise ScenarioError(
-            f"policy must be one of {', '.join(CONTROLLER_POLICIES)}, "
-            f"got {args.policy!r}"
-        )
-    if args.setup_latency_s < 0:
-        raise ScenarioError(
-            f"setup_latency_s must be >= 0, got {args.setup_latency_s}"
-        )
-    min_awake = args.min_awake
-    if min_awake != int(min_awake) or not 1 <= int(min_awake) <= servers:
-        raise ScenarioError(
-            f"min_awake must be a whole number in [1, {servers}], "
-            f"got {min_awake}"
-        )
     power_model = xeon_power_model()
     controller = FarmController(
         policy=args.policy,
         setup=SetupModel(latency_s=args.setup_latency_s),
-        min_awake=int(min_awake),
+        min_awake=int(args.min_awake),
         epoch_minutes=_AUTOSCALE_EPOCH_MINUTES,
     )
     return ServerFarm(
@@ -916,19 +938,20 @@ def _autoscale_farm(
         "(paying setup latency and energy) as the day ramps up."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 40, "length of the run; one full day/night cycle is compressed into it"),
-        ScenarioParameter("trough_utilization", 0.06, "night-time offered load (relative to one server)"),
-        ScenarioParameter("peak_utilization", 0.85, "mid-day offered load (relative to one server)"),
-        ScenarioParameter("servers", 4, "fleet size (provisioned for redundancy, not for mean load)"),
-        ScenarioParameter("policy", "reactive", "right-sizing policy: always-on, reactive or predictive"),
-        ScenarioParameter("setup_latency_s", 30.0, "seconds a woken server needs before it can serve"),
-        ScenarioParameter("min_awake", 1, "servers the controller must keep serviceable at all times"),
-        ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail"),
+        ScenarioParameter("duration_minutes", 40, "length of the run; one full day/night cycle is compressed into it", _MINUTES),
+        ScenarioParameter("trough_utilization", 0.06, "night-time offered load (relative to one server)", _LOAD),
+        ScenarioParameter("peak_utilization", 0.85, "mid-day offered load (relative to one server)", _LOAD),
+        ScenarioParameter("servers", 4, "fleet size (provisioned for redundancy, not for mean load)", _SERVERS),
+        ScenarioParameter("policy", "reactive", "right-sizing policy: always-on, reactive or predictive", _one_of(CONTROLLER_POLICIES)),
+        ScenarioParameter("setup_latency_s", 30.0, "seconds a woken server needs before it can serve", _at_least(0)),
+        ScenarioParameter("min_awake", 1, "servers the controller must keep serviceable at all times", _at_least(1, whole=True)),
+        ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail", _workload),
     ),
+    checks=(_ordered("trough_utilization", "peak_utilization"), _min_awake_fits),
 )
 def build_autoscale_diurnal(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _check_servers(args)
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     spec = workload_by_name(args.workload)
     values = _diurnal_values(args, num_samples)
     jobs = _trace_jobs(spec, values, "autoscale-diurnal", args.seed)
@@ -949,20 +972,20 @@ def build_autoscale_diurnal(args: ScenarioArgs) -> BuilderResult:
         "(absorbing the setup latency) and park back down afterwards."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 30, "length of the run; the surge occupies the middle third"),
-        ScenarioParameter("base_utilization", 0.08, "offered load outside the surge (relative to one server)"),
-        ScenarioParameter("surge_utilization", 0.85, "offered load during the surge (relative to one server)"),
-        ScenarioParameter("servers", 4, "fleet size (provisioned for the surge, idle in the baseline)"),
-        ScenarioParameter("policy", "reactive", "right-sizing policy: always-on, reactive or predictive"),
-        ScenarioParameter("setup_latency_s", 30.0, "seconds a woken server needs before it can serve"),
-        ScenarioParameter("min_awake", 1, "servers the controller must keep serviceable at all times"),
-        ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail"),
+        ScenarioParameter("duration_minutes", 30, "length of the run; the surge occupies the middle third", _MINUTES),
+        ScenarioParameter("base_utilization", 0.08, "offered load outside the surge (relative to one server)", _LOAD),
+        ScenarioParameter("surge_utilization", 0.85, "offered load during the surge (relative to one server)", _LOAD),
+        ScenarioParameter("servers", 4, "fleet size (provisioned for the surge, idle in the baseline)", _SERVERS),
+        ScenarioParameter("policy", "reactive", "right-sizing policy: always-on, reactive or predictive", _one_of(CONTROLLER_POLICIES)),
+        ScenarioParameter("setup_latency_s", 30.0, "seconds a woken server needs before it can serve", _at_least(0)),
+        ScenarioParameter("min_awake", 1, "servers the controller must keep serviceable at all times", _at_least(1, whole=True)),
+        ScenarioParameter("workload", "dns", "Table 5 workload class: dns, google or mail", _workload),
     ),
+    checks=(_ordered("base_utilization", "surge_utilization"), _min_awake_fits),
 )
 def build_autoscale_surge(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _check_servers(args)
-    _check_loads(args, "base_utilization", "surge_utilization", ordered=True)
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     spec = workload_by_name(args.workload)
     values = _middle_third(
         num_samples, args.base_utilization, args.surge_utilization
@@ -991,23 +1014,20 @@ def build_autoscale_surge(args: ScenarioArgs) -> BuilderResult:
         "the damage to the crowd's own servers."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 30, "length of the run"),
-        ScenarioParameter("victim_utilization", 0.15, "victim tenant's steady offered load (relative to one server)"),
-        ScenarioParameter("crowd_utilization", 0.9, "crowd tenant's offered load during its burst window"),
-        ScenarioParameter("crowd_base_utilization", 0.05, "crowd tenant's offered load outside the burst window"),
-        ScenarioParameter("crowd_start_minute", 10, "minute at which the crowd arrives"),
-        ScenarioParameter("crowd_minutes", 20, "how long the crowd persists (default: to the end of the run)"),
-        ScenarioParameter("servers", 2, "number of identical Xeon servers (>= 2, one per tenant)"),
-        ScenarioParameter("dispatcher", TENANT_DISPATCH_PRIORITY, "tenant dispatch kind: least-loaded, priority or weighted-fair"),
-        ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from"),
+        ScenarioParameter("duration_minutes", 30, "length of the run", _MINUTES),
+        ScenarioParameter("victim_utilization", 0.15, "victim tenant's steady offered load (relative to one server)", _LOAD),
+        ScenarioParameter("crowd_utilization", 0.9, "crowd tenant's offered load during its burst window", _LOAD),
+        ScenarioParameter("crowd_base_utilization", 0.05, "crowd tenant's offered load outside the burst window", _LOAD),
+        ScenarioParameter("crowd_start_minute", 10, "minute at which the crowd arrives", _rounds_to_at_least(0)),
+        ScenarioParameter("crowd_minutes", 20, "how long the crowd persists (default: to the end of the run)", _rounds_to_at_least(1)),
+        ScenarioParameter("servers", 2, "number of identical Xeon servers (>= 2, one per tenant)", _at_least(2, whole=True)),
+        ScenarioParameter("dispatcher", TENANT_DISPATCH_PRIORITY, "tenant dispatch kind: least-loaded, priority or weighted-fair", _one_of(TENANT_DISPATCH_KINDS)),
+        ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from", _workload),
     ),
 )
 def build_noisy_neighbor(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _tenant_servers(args, "noisy-neighbor")
-    _check_loads(
-        args, "victim_utilization", "crowd_utilization", "crowd_base_utilization"
-    )
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     crowd_values, window = _crowd_values(
         args, num_samples, args.crowd_base_utilization
     )
@@ -1048,25 +1068,20 @@ def build_noisy_neighbor(args: ScenarioArgs) -> BuilderResult:
         "fills its own (larger, weight-proportional) share."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 30, "length of the run; the surge occupies the middle third"),
-        ScenarioParameter("steady_utilization", 0.2, "steady tenant's constant offered load"),
-        ScenarioParameter("surge_base_utilization", 0.1, "surging tenant's offered load outside the surge"),
-        ScenarioParameter("surge_utilization", 0.85, "surging tenant's offered load during the surge"),
-        ScenarioParameter("surge_weight", 2.0, "surging tenant's capacity weight (steady tenant has weight 1)"),
-        ScenarioParameter("servers", 3, "number of identical Xeon servers (>= 2, one per tenant)"),
-        ScenarioParameter("dispatcher", TENANT_DISPATCH_WEIGHTED_FAIR, "tenant dispatch kind: least-loaded, priority or weighted-fair"),
-        ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from"),
+        ScenarioParameter("duration_minutes", 30, "length of the run; the surge occupies the middle third", _MINUTES),
+        ScenarioParameter("steady_utilization", 0.2, "steady tenant's constant offered load", _LOAD),
+        ScenarioParameter("surge_base_utilization", 0.1, "surging tenant's offered load outside the surge", _LOAD),
+        ScenarioParameter("surge_utilization", 0.85, "surging tenant's offered load during the surge", _LOAD),
+        ScenarioParameter("surge_weight", 2.0, "surging tenant's capacity weight (steady tenant has weight 1)", _positive),
+        ScenarioParameter("servers", 3, "number of identical Xeon servers (>= 2, one per tenant)", _at_least(2, whole=True)),
+        ScenarioParameter("dispatcher", TENANT_DISPATCH_WEIGHTED_FAIR, "tenant dispatch kind: least-loaded, priority or weighted-fair", _one_of(TENANT_DISPATCH_KINDS)),
+        ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from", _workload),
     ),
+    checks=(_ordered("surge_base_utilization", "surge_utilization"),),
 )
 def build_tenant_surge(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _tenant_servers(args, "tenant-surge")
-    _check_loads(args, "surge_base_utilization", "surge_utilization", ordered=True)
-    _check_loads(args, "steady_utilization")
-    if not args.surge_weight > 0:
-        raise ScenarioError(
-            f"surge_weight must be positive, got {args.surge_weight}"
-        )
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     spec = workload_by_name(args.workload)
     steady_values = np.full(num_samples, args.steady_utilization)
     surge_values = _middle_third(
@@ -1101,30 +1116,20 @@ def build_tenant_surge(args: ScenarioArgs) -> BuilderResult:
         "so the repeated batch overloads cannot invert its priority."
     ),
     parameters=(
-        ScenarioParameter("duration_minutes", 24, "length of the run"),
-        ScenarioParameter("interactive_utilization", 0.15, "interactive tenant's steady offered load"),
-        ScenarioParameter("batch_on_utilization", 0.9, "batch tenant's offered load in its on-phases"),
-        ScenarioParameter("batch_off_utilization", 0.05, "batch tenant's offered load in its off-phases"),
-        ScenarioParameter("phase_minutes", 6, "length of each batch on/off phase"),
-        ScenarioParameter("servers", 2, "number of identical Xeon servers (>= 2, one per tenant)"),
-        ScenarioParameter("dispatcher", TENANT_DISPATCH_PRIORITY, "tenant dispatch kind: least-loaded, priority or weighted-fair"),
-        ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from"),
+        ScenarioParameter("duration_minutes", 24, "length of the run", _MINUTES),
+        ScenarioParameter("interactive_utilization", 0.15, "interactive tenant's steady offered load", _LOAD),
+        ScenarioParameter("batch_on_utilization", 0.9, "batch tenant's offered load in its on-phases", _LOAD),
+        ScenarioParameter("batch_off_utilization", 0.05, "batch tenant's offered load in its off-phases", _LOAD),
+        ScenarioParameter("phase_minutes", 6, "length of each batch on/off phase", _rounds_to_at_least(1)),
+        ScenarioParameter("servers", 2, "number of identical Xeon servers (>= 2, one per tenant)", _at_least(2, whole=True)),
+        ScenarioParameter("dispatcher", TENANT_DISPATCH_PRIORITY, "tenant dispatch kind: least-loaded, priority or weighted-fair", _one_of(TENANT_DISPATCH_KINDS)),
+        ScenarioParameter("workload", "google", "Table 5 workload class both tenants draw jobs from", _workload),
     ),
 )
 def build_priority_inversion(args: ScenarioArgs) -> BuilderResult:
-    num_samples = _check_duration(args)
-    servers = _tenant_servers(args, "priority-inversion")
-    _check_loads(
-        args,
-        "interactive_utilization",
-        "batch_on_utilization",
-        "batch_off_utilization",
-    )
+    num_samples = _minutes(args)
+    servers = int(args.servers)
     phase = int(round(args.phase_minutes))
-    if phase < 1:
-        raise ScenarioError(
-            f"phase_minutes must be at least 1, got {args.phase_minutes}"
-        )
     spec = workload_by_name(args.workload)
     minute = np.arange(num_samples)
     batch_values = np.where(

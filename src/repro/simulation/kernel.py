@@ -398,7 +398,6 @@ class TraceKernel:
                 response0_total=float(work.sum()),
                 serving_time=self._demand_total * time_factor,
                 active_power=self._power_model.active_power(frequency),
-                pre_sleep_power=self._power_model.idle_power(frequency),
             )
             self._frequency_cache[frequency] = cached
         return cached
@@ -627,7 +626,7 @@ class TraceKernel:
         }
         for name in state_names:
             residency.setdefault(name, 0.0)
-        idle_energy = structure.pre_sleep_power * pre_sleep_time
+        idle_energy = self._power_model.idle_power(frequency) * pre_sleep_time
         num_states = len(state_names)
         for state_index in range(num_states):
             lower = entry_delays[state_index]
@@ -670,6 +669,115 @@ class TraceKernel:
             [self._power_model.active_power(f) for f in frequencies],
             [self._demand_total * self._scaling.time_factor(f) for f in frequencies],
         )
+
+    def response_floor(self, frequencies: Sequence[float]) -> "ResponseFloor":
+        """Lower bounds on single-state ``mu * E[R]`` over a frequency axis.
+
+        Costs two Lindley passes, at the lowest and the highest frequency
+        (both memoised, so a :meth:`solve` there reuses them); see
+        :class:`ResponseFloor` for the bound.
+        """
+        if self.num_jobs == 0 or not self._mean_demand > 0.0:
+            return ResponseFloor(None, np.empty(0), 0, 0.0)
+        lowest = self._structure(validate_frequency(min(frequencies)))
+        highest = self._structure(validate_frequency(max(frequencies)))
+        return ResponseFloor(
+            highest.response0_total,
+            np.sort(lowest.idle0),
+            self.num_jobs,
+            self._mean_demand,
+        )
+
+
+class ResponseFloor:
+    """A proven lower bound on ``mu * E[R]`` of single-state policies.
+
+    For one state with wake-up latency ``w`` entered as soon as the queue
+    empties, every job after a candidate gap departs the delay carried out
+    of that gap later than without wake-ups: ``w`` after a gap that
+    survives, a positive residual after one that closes.  So the total
+    response time is at least ``R0(f) + w * S(f)``, with ``R0`` the no-wake
+    total and ``S`` the surviving gaps.  Over an axis ``[f_min, f_max]``:
+
+    * ``R0(f) >= R0(f_max)``: no-wake departures never rise with speed;
+    * ``S(f) >= K``, the least ``k`` with ``T(k) + k * w >= Phi``, where
+      ``Phi`` sums ``min(idle0, w)`` over the gaps at ``f_min`` and ``T(k)``
+      sums its ``k`` largest terms.  Closures chain after a survivor, and a
+      chain's closed gaps idle less than ``w`` in all, so ``Phi(f) - T_f(S)
+      < S * w`` at ``f``; every ``f_min`` gap is a gap at ``f`` idling at
+      least as long, so ``Phi - T(k)`` (the sum without the ``k`` largest
+      terms) is at most ``Phi(f) - T_f(k)``, and ``S`` meets the condition
+      at ``f_min`` too.
+
+    Hence ``mu * E[R](f, s) >= (R0(f_max) + w * K) / (n * mean_demand)``.
+    With ``w = 0`` (the DVFS-only pseudo state) the floor is exactly the
+    no-wake response at ``f_max``.  ``K`` is taken with a ``1e-9 * Phi``
+    margin, so rounding can only lower it.
+
+    Built by :meth:`TraceKernel.response_floor`; the bound holds for either
+    simulation backend because it only reads the trace.
+    """
+
+    __slots__ = ("_response0", "_idle", "_prefix", "_num_jobs", "_mean_demand")
+
+    def __init__(
+        self,
+        response0: float | None,
+        idle: np.ndarray,
+        num_jobs: int,
+        mean_demand: float,
+    ):
+        #: ``R0(f_max)``; ``None`` when nothing is proven (no jobs).
+        self._response0 = response0
+        #: The no-wake idle times of the gaps at ``f_min``, ascending, and
+        #: their prefix sums: ``P[j]`` sums the ``j`` shortest.
+        self._idle = idle
+        self._prefix = np.empty(idle.size + 1)
+        self._prefix[0] = 0.0
+        np.cumsum(idle, out=self._prefix[1:])
+        self._num_jobs = num_jobs
+        self._mean_demand = mean_demand
+
+    def survivors(self, wake_up_latency: float) -> int:
+        """``K``: the least number of gaps that survive at any frequency.
+
+        ``K`` is the least ``k`` with ``Phi - T(k) <= k * w``, where
+        ``Phi - T(k)`` sums the ``gaps - k`` smallest ``min(idle0, w)``.
+        With ``m`` gaps idling ``w`` or longer, ``k <= m`` leaves
+        ``m - k`` capped terms in that sum, so the condition reads
+        ``k >= Phi / (2 * w)``; past ``m`` it reads ``P[j] <= (gaps - j) *
+        w`` for ``j = gaps - k``, with ``P`` the prefix sums of the
+        ascending idle times, and ``P[j] - (gaps - j) * w`` rises with
+        ``j``.
+        """
+        wake = float(wake_up_latency)
+        gaps = self._idle.size
+        if not wake > 0.0 or gaps == 0:
+            return 0
+        prefix = self._prefix
+        short = int(np.searchsorted(self._idle, wake, side="left"))
+        capped = gaps - short
+        phi = float(prefix[short]) + capped * wake
+        margin = 1e-9 * phi
+        least = max(math.ceil((phi - margin) / (2.0 * wake)), 0)
+        if least <= capped:
+            return least
+        fits = bisect_right(
+            range(short + 1),
+            margin,
+            key=lambda j: float(prefix[j]) - (gaps - j) * wake,
+        )
+        return gaps - fits + 1
+
+    def __call__(self, wake_up_latency: float) -> float:
+        """The least ``mu * E[R]`` any cell of the state's column can reach.
+
+        ``-inf`` when nothing is proven (no jobs, or no mean demand).
+        """
+        if self._response0 is None:
+            return -math.inf
+        total = self._response0 + wake_up_latency * self.survivors(wake_up_latency)
+        return total / self._num_jobs / self._mean_demand
 
 
 class PowerFloor:
@@ -749,7 +857,6 @@ class _FrequencyStructure:
         "response0_total",
         "serving_time",
         "active_power",
-        "pre_sleep_power",
     )
 
     def __init__(
@@ -767,7 +874,6 @@ class _FrequencyStructure:
         response0_total: float,
         serving_time: float,
         active_power: float,
-        pre_sleep_power: float,
     ):
         self.time_factor = time_factor
         #: Per-job departures ignoring wake-up latencies.
@@ -791,7 +897,6 @@ class _FrequencyStructure:
         self.response0_total = response0_total
         self.serving_time = serving_time
         self.active_power = active_power
-        self.pre_sleep_power = pre_sleep_power
 
 
 class GapSolution:

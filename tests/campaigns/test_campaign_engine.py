@@ -82,6 +82,23 @@ class TestPicklability:
         assert pickle.loads(pickle.dumps(execute_cell)) is execute_cell
 
 
+def _diurnal_spec(tmp_path, grid):
+    """A one-cell diurnal scenario campaign spec file over *grid*."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps(
+            {
+                "schema": "repro.campaign-spec/v1",
+                "name": "bad-cell",
+                "kind": "scenario",
+                "target": "diurnal",
+                "grid": grid,
+            }
+        )
+    )
+    return spec_path
+
+
 class TestRunCampaign:
     def test_negative_max_cells_rejected(self, tmp_path):
         with pytest.raises(CampaignError, match="max_cells"):
@@ -129,24 +146,16 @@ class TestRunCampaign:
             ({"controller": ["reactiv"]}, "unknown right-sizing policy 'reactiv'"),
             ({"duration_minutes": ["two"]}, "'duration_minutes' of scenario 'diurnal' "
              "expects a number"),
+            ({"duration_minutes": [-5]}, "duration_minutes must be at least 1, got -5"),
+            ({"peak_utilization": [0.05]}, "need 0 < trough_utilization <= "
+             "peak_utilization <= 0.95, got [0.08, 0.05]"),
         ],
-        ids=["controller-value", "parameter-type"],
+        ids=["controller-value", "parameter-type", "parameter-range", "parameters-order"],
     )
     def test_bad_scenario_cell_exits_2_without_a_store(
         self, tmp_path, capsys, grid, message
     ):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(
-            json.dumps(
-                {
-                    "schema": "repro.campaign-spec/v1",
-                    "name": "bad-cell",
-                    "kind": "scenario",
-                    "target": "diurnal",
-                    "grid": grid,
-                }
-            )
-        )
+        spec_path = _diurnal_spec(tmp_path, grid)
         store = tmp_path / "store"
         assert campaign_runner.main([str(spec_path), "--output-dir", str(store)]) == 2
         lines = capsys.readouterr().err.splitlines()
@@ -154,6 +163,18 @@ class TestRunCampaign:
         assert lines[0].startswith("error: ")
         assert message in lines[0]
         assert not store.exists()
+
+    def test_corrected_range_reruns_into_the_same_directory(self, tmp_path, capsys):
+        # The failed run wrote nothing, so the corrected spec is not refused
+        # as "a different spec" of the same store.
+        store = tmp_path / "store"
+        argv = ["--output-dir", str(store)]
+        bad = _diurnal_spec(tmp_path, {"duration_minutes": [-5]})
+        assert campaign_runner.main([str(bad), *argv]) == 2
+        assert "must be at least 1, got -5" in capsys.readouterr().err
+        good = _diurnal_spec(tmp_path, {"duration_minutes": [5]})
+        assert campaign_runner.main([str(good), *argv]) == 0
+        assert CampaignStore(store).results_path.exists()
 
     def test_interrupt_then_resume_partitions_cells(self, parity_spec, tmp_path):
         first = run_campaign(parity_spec, tmp_path, max_cells=1)

@@ -320,12 +320,13 @@ class TestFloorWalk:
     POWERS = [10.0, 8.0, 9.0, 9.5, 10.0, 11.0, 6.0, 12.0, 13.0]
 
     @staticmethod
-    def _run(columns, budget=10.0):
+    def _run(columns, budget=10.0, ceilings=None):
         """Search *columns*, a list of ``(powers, floors)`` per variant.
 
         The normalised response time falls from 5.0 by 0.1 per index, so
         slack rises in frequency and *budget* sets the feasibility boundary
-        (every cell meets the default budget).
+        (every cell meets the default budget).  *ceilings* are the columns'
+        slack ceilings, as ``FrontierSearch.run`` takes them.
         """
         size = len(columns[0][0])
         grid = SimpleNamespace(
@@ -346,7 +347,7 @@ class TestFloorWalk:
 
         stats = SearchStats()
         winner = FrontierSearch().run(
-            grid, probe, stats, lambda variant: columns[variant][1]
+            grid, probe, stats, lambda variant: columns[variant][1], ceilings
         )
         return winner, set(probed), stats
 
@@ -384,6 +385,38 @@ class TestFloorWalk:
         assert stats.pruned_columns == 1
         assert stats.candidates_pruned == size
         assert all(variant == 0 for _, variant in probed)
+
+    def test_column_proven_infeasible_is_never_probed(self):
+        # The first column is the cheapest everywhere, but its slack ceiling
+        # is negative: no cell can meet the budget, so it is never probed,
+        # needs no certificate and the second column wins.
+        size = len(self.POWERS)
+        cheaper = ([1.0] * size, [0.0] * size)
+        winner, probed, stats = self._run(
+            [cheaper, (self.POWERS, [0.0] * size)], ceilings=[-1e-6, 5.0]
+        )
+        assert winner[:2] == (6, 1)
+        assert all(variant == 1 for _, variant in probed)
+        assert stats.infeasible_columns == 1
+        assert stats.candidates_pruned == size
+        assert stats.fallback_columns == 0
+
+    def test_non_negative_ceiling_is_searched(self):
+        # A ceiling of exactly 0 still allows a cell with zero slack.
+        size = len(self.POWERS)
+        winner, probed, stats = self._run(
+            [(self.POWERS, [0.0] * size)], ceilings=[0.0]
+        )
+        assert winner[:2] == (6, 0)
+        assert stats.infeasible_columns == 0
+
+    def test_every_column_proven_infeasible_returns_none(self):
+        size = len(self.POWERS)
+        columns = [(self.POWERS, [0.0] * size)] * 2
+        winner, probed, stats = self._run(columns, ceilings=[-1.0, -2.0])
+        assert winner is None
+        assert probed == set()
+        assert stats.infeasible_columns == 2
 
 
 class _InvertedQos(QosConstraint):
@@ -455,6 +488,37 @@ class TestFallbacks:
         assert oracle.feasible is False
         assert fast.policy == oracle.policy
         assert fast.feasible is False
+
+
+class TestInfeasibleFallback:
+    """The all-infeasible ranking probes only the columns that can hold it."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    def test_mean_budget_below_reach_matches_oracle(self, xeon, dns_ideal, backend):
+        # mu*E[R] >= 1 at any speed, so a budget of 0.5 is met nowhere.
+        qos = MeanResponseTimeConstraint(normalized_budget=0.5)
+        space = full_space(xeon, frequency_step=0.05)
+        full, frontier = _managers(xeon, space, qos, backend=backend)
+        rng = np.random.default_rng(17)
+        for utilization in (0.1, 0.4, 0.7):
+            jobs = generate_jobs(
+                dns_ideal,
+                num_jobs=300 if backend == "reference" else 800,
+                utilization=utilization,
+                rng=rng,
+            )
+            oracle = full.select(jobs, utilization)
+            fast = frontier.select(jobs, utilization)
+            assert oracle.feasible is False
+            assert fast.feasible is False
+            assert fast.policy == oracle.policy
+        stats = frontier.search_stats
+        assert stats.fallback_full == 3
+        # The deep states' slack ceilings lie below the near-best band.
+        assert stats.candidates_evaluated < stats.candidates_seen
+        # Every column's response floor is above the budget, so the
+        # frontier probes nothing before the fallback.
+        assert stats.infeasible_columns == 3 * _PolicyGrid.build(space, 0.1).num_variants
 
 
 class TestUtilizationRange:

@@ -9,6 +9,7 @@ itself, so newly registered scenarios are covered automatically.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,67 @@ class TestRegistry:
         custom = Scenario(name="normalises-a-typo", description="x", builder=build)
         with pytest.raises(ScenarioError, match="undeclared parameter"):
             custom.build()
+
+    def test_rules_run_in_resolve_before_any_build(self):
+        def build(args):  # pragma: no cover - the rules stop every call
+            raise AssertionError("a rule should have failed first")
+
+        def positive(name, value):
+            return None if value > 0 else f"{name} must be positive, got {value}"
+
+        def ordered(values):
+            if values["low"] <= values["high"]:
+                return None
+            return f"low above high: {values['low']} > {values['high']}"
+
+        custom = Scenario(
+            name="rule-checked",
+            description="x",
+            builder=build,
+            parameters=(
+                ScenarioParameter("low", 1.0, "x", positive),
+                ScenarioParameter("high", 2.0, "x", positive),
+            ),
+            checks=(ordered,),
+        )
+        assert custom.resolve({})[0] == {"low": 1.0, "high": 2.0}
+        with pytest.raises(ScenarioError, match="low must be positive, got -1"):
+            custom.resolve({"low": -1.0})
+        # A parameter's own rule fails before the rule across parameters.
+        with pytest.raises(ScenarioError, match="high must be positive"):
+            custom.build(high=-1.0)
+        with pytest.raises(ScenarioError, match="low above high: 3.0 > 2.0"):
+            custom.build(low=3.0)
+
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_declared_defaults_meet_their_rules(self, name):
+        values, _ = get_scenario(name).resolve({})
+        assert values == get_scenario(name).parameter_defaults()
+
+    @pytest.mark.parametrize(
+        ("name", "overrides", "message"),
+        [
+            ("diurnal", {"duration_minutes": -5}, "duration_minutes must be at least 1, got -5"),
+            ("diurnal", {"workload": "dnx"}, "unknown Table 5 workload 'dnx'"),
+            ("diurnal", {"trough_utilization": 0.9}, "need 0 < trough_utilization"),
+            ("flash-crowd", {"crowd_minutes": 0}, "crowd_minutes must be at least 1"),
+            ("correlated-arrivals", {"persistence": 1.0}, "persistence must lie in [0, 1), got 1.0"),
+            ("trace-replay", {"trace": "trace.txt"}, "unknown trace 'trace.txt'"),
+            ("farm-scale", {"xeon_servers": 0, "atom_servers": 0}, "need at least one server"),
+            ("mega-farm", {"atom_frequency_ceiling": 1.2}, "atom_frequency_ceiling must lie in (0, 1]"),
+            ("mega-farm", {"epoch_minutes": 0.0}, "epoch_minutes must be positive"),
+            ("autoscale-diurnal", {"min_awake": 5}, "min_awake must be a whole number in [1, 4]"),
+            ("autoscale-surge", {"policy": "reactiv"}, "policy must be one of"),
+            ("autoscale-surge", {"setup_latency_s": -1.0}, "setup_latency_s must be at least 0"),
+            ("noisy-neighbor", {"dispatcher": "fifo"}, "dispatcher must be one of"),
+            ("tenant-surge", {"servers": 1}, "servers must be at least 2, got 1"),
+            ("tenant-surge", {"surge_weight": 0.0}, "surge_weight must be positive"),
+            ("priority-inversion", {"phase_minutes": 0.4}, "phase_minutes must be at least 1"),
+        ],
+    )
+    def test_bad_values_fail_in_resolve(self, name, overrides, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            get_scenario(name).resolve(overrides)
 
     def test_builder_arguments_are_read_only(self):
         def build(args):
