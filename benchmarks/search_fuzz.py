@@ -10,9 +10,9 @@ feasibility and power.
 
 Prints the number of draws and mismatches, the sleep-state columns the
 frontier skipped on their proven power floors and on their proven response
-floors (every cell over a mean-response budget), and the grid cells it
-evaluated out of those it saw (the probe cost of the bounds), and exits 1
-on any mismatch.  Run from the repository root (no arguments; about 15 s on
+floors (every cell over a mean-response budget), the cells it skipped on
+their own response floors, and the grid cells it evaluated out of those it
+saw (the probe cost of the bounds), and exits 1 on any mismatch.  Run from the repository root (no arguments; about 15 s on
 2 vCPUs)::
 
     PYTHONPATH=src python benchmarks/search_fuzz.py
@@ -43,7 +43,7 @@ REFERENCE_EVERY = 8
 def main() -> int:
     models = (xeon_power_model(), atom_power_model())
     dns = dns_workload(empirical=False)
-    mismatches = pruned = infeasible = evaluated = seen = 0
+    mismatches = pruned = infeasible = proven = evaluated = seen = 0
     for index in range(DRAWS):
         rng = np.random.default_rng(zlib.crc32(f"search-fuzz/{index}".encode()))
         reference = index % REFERENCE_EVERY == 0
@@ -70,11 +70,13 @@ def main() -> int:
             continue
         pruned += stats.pruned_columns
         infeasible += stats.infeasible_columns
+        proven += stats.proven_cells
         evaluated += stats.candidates_evaluated
         seen += stats.candidates_seen
     print(
         f"draws: {DRAWS}  mismatches: {mismatches}  columns pruned: {pruned}"
-        f"  infeasible columns: {infeasible}  cells evaluated: {evaluated} of {seen}"
+        f"  infeasible columns: {infeasible}  proven cells: {proven}"
+        f"  cells evaluated: {evaluated} of {seen}"
     )
     return 1 if mismatches else 0
 

@@ -104,8 +104,8 @@ def _check_cells(spec: CampaignSpec, cells: list[CampaignCell]) -> None:
     The same checks a cell would fail at run time, made up front: an
     experiment's parameter names, or a scenario's knob values and declared
     parameter names, types and range rules (:meth:`Scenario.resolve`,
-    which builds nothing).  Only what a builder reads from disk (a trace
-    CSV) still fails at run time.  Imports are deferred for the reason
+    which builds nothing; a trace CSV is loaded by its rule, so an
+    unreadable one fails here too).  Imports are deferred for the reason
     :func:`execute_cell` gives.
     """
     if spec.kind == KIND_EXPERIMENT:

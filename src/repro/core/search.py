@@ -21,7 +21,9 @@ rather than by shape.  Every cell has a power floor
 immediately, the kernel splits the horizon exactly into serving, waking and
 sleep residency, ``H = S(f) + W + I``, so average power is a mix of the
 active and the sleep power with busy weight at least ``S(f) / H``, and
-without a carried-in backlog ``H`` is at most ``D0_last(f_min) - t0 + w_s``.
+without a carried-in backlog ``H`` is at most ``D0_last(f_a) - t0 + w_s``
+at every frequency from an anchor ``f_a`` up (``f_min``, or the anchor of
+use 3 below).
 A column's search probes the previous winner (or the boundary) first, then
 walks the feasible suffix in ascending floor order and stops at the first
 cell whose floor lies above ``(1 + 1e-9)`` times the lower of the column's
@@ -30,21 +32,43 @@ selection's winning column is searched first, and a column whose every
 floor lies above that incumbent is skipped (:attr:`SearchStats.pruned_columns`).
 A skipped cell costs more than a feasible cell already probed, so pruning
 cannot change the selection: it is exact, not a tolerance.  The floors come
-from the trace alone — one Lindley pass at the lowest frequency, shared
-with the probes, and one active-power and serving-time term per frequency —
-so both simulation backends prune the same cells.
+from the trace alone — one Lindley pass at the anchor, shared with the
+probes, and one active-power and serving-time term per frequency — so both
+simulation backends prune the same cells.
 
-Under a mean-response budget, a column can also be proven infeasible
-without a probe.  Every cell has a response floor
-(:class:`~repro.simulation.kernel.ResponseFloor`): with wake-up latency
-``w``, ``mu * E[R] >= (R0(f_max) + w * K) / (n * mean_demand)``, where
-``R0`` is the no-wake total response (it never rises with speed) and ``K``
-a lower bound on the wake-ups any frequency of the axis pays, read from the
-gaps at ``f_min``.  A column whose floor lies above the budget (with a
-``1e-9`` relative margin) has no feasible cell, so it is skipped unprobed
-and needs no certificate (:attr:`SearchStats.infeasible_columns`).  This
-floor too reads only the trace, one more Lindley pass at ``f_max``, so
-both backends skip the same columns.
+Under a mean-response budget, cells can also be proven infeasible without
+a probe.  Every cell has a response floor
+(:class:`~repro.simulation.kernel.ResponseFloor`) built on the
+speed-scaling lemma: with no carried-in backlog, scaling every service time
+by ``k = tf(f) / tf(f_max) >= 1`` scales every Lindley waiting time by at
+least ``k`` (induction on ``W' = max(0, W + k*S - T)``), so the no-wake
+total response obeys ``R0(f) >= k * R0(f_max)``; with a backlog ``k = 1``.
+Wake-ups only add delay, at least ``w * K`` in all, where ``K`` is a lower
+bound on the gaps that survive at every frequency from an anchor up, read
+from the anchor's gaps.  So a cell obeys ``mu * E[R] >= (k * R0(f_max) + w
+* K) / (n * mean_demand)``, which gives it a slack ceiling (with a ``1e-9``
+relative margin).  The search uses the ceilings in four places, all
+exact:
+
+1. a cell whose ceiling is negative is infeasible and never probed.  The
+   ceilings rise with frequency, so these cells form a prefix of each
+   column; the column's boundary search starts at its first unproven cell,
+   and a feasible first cell fixes the boundary with no further probe.  A
+   column with no unproven cell is skipped unprobed and needs no
+   certificate (:attr:`SearchStats.infeasible_columns`; every skipped cell
+   counts in :attr:`SearchStats.proven_cells`);
+2. when nothing is feasible, the fallback ranks cells, not columns, by
+   their ceilings (below);
+3. the no-wake ceiling (``w = 0``) bounds every column's, so every cell
+   below the first frequency where it is non-negative is infeasible in
+   every column.  ``K`` and the power floor's horizon are read there rather
+   than at ``f_min``, which tightens both and saves the Lindley pass at
+   ``f_min`` whenever that frequency is proven;
+4. the power floor's busy weight adds the proven waking time ``w * K``;
+   ``K`` is computed once per column and shared by both floors.
+
+These floors too read only the trace, one more Lindley pass at ``f_max``,
+so both backends skip the same cells.
 
 The only structural assumption left is the monotone slack, and it is
 checked, not trusted.  Every probe is recorded, and a per-column
@@ -56,8 +80,9 @@ no column has a feasible candidate at all, the engine probes every cell
 that can hold :func:`~repro.core.policy_manager.pick_selection`'s pick
 and ranks them by its rule, so the infeasible ranking (largest slack,
 NaN-aware) also matches the oracle.  Under a mean-response budget the
-response floors cap each column's slack, and a column whose cap lies below
-the near-best band of a slack already probed is left out.  The selected
+cells are probed in descending slack ceiling, and the first cell whose
+ceiling lies below the near-best band of a slack already probed ends the
+walk: it and every cell after it are left out.  The selected
 ``PolicySelection.policy`` therefore equals the full-grid search whenever
 slack is monotone in frequency, ties included (the lower index wins, as in
 the oracle's first-minimum scan), and a slack that is not monotone is
@@ -342,8 +367,11 @@ class SearchStats:
     #: Columns skipped because their response floor is above the budget:
     #: every cell is proven infeasible.
     infeasible_columns: int = 0
+    #: Cells skipped because their own response floor is above the budget
+    #: (every cell of an infeasible column among them).
+    proven_cells: int = 0
     #: Cells of both kinds of skipped column, plus the cells skipped on
-    #: their power floor inside a searched column.
+    #: their response or power floor inside a searched column.
     candidates_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -358,6 +386,7 @@ class SearchStats:
             "candidates_evaluated": self.candidates_evaluated,
             "pruned_columns": self.pruned_columns,
             "infeasible_columns": self.infeasible_columns,
+            "proven_cells": self.proven_cells,
             "candidates_pruned": self.candidates_pruned,
         }
 
@@ -392,11 +421,13 @@ class FrontierSearch:
         variant: int,
         probe: Callable[[int, int], _Probe],
         floors: list[float],
+        first: int,
         incumbent: float,
         stats: SearchStats,
     ) -> int | None:
         """Index of the column's cheapest feasible frequency, or ``None``.
 
+        The cells below *first* are proven infeasible and never probed.
         Cells whose *floors* lie above *incumbent* may be skipped, so a
         column that cannot beat the incumbent may return a cell that is not
         its own minimum.  Raises :class:`_CertificateViolation` when the
@@ -422,31 +453,40 @@ class FrontierSearch:
             warm_winner = min(bisect_left(frequencies, warm[1] - 1e-12), last)
 
         # Phase 1 — find the feasibility boundary (slack is non-decreasing
-        # in frequency, so the feasible set is a suffix).  The boundary
-        # drifts by at most an index or two between epochs even though the
-        # frequency axis itself shifts, so the warm start is confirmed with
-        # a short local walk before resorting to bisection.
-        low, high = 0, None  # high: smallest index known feasible
-        if warm_boundary is not None and at(warm_boundary).meets:
-            high = warm_boundary
-            for _ in range(2):  # walk left over small drift
-                if high == 0 or not at(high - 1).meets:
-                    low = high
-                    break
-                high -= 1
-        elif warm_boundary is not None:
-            low = warm_boundary + 1
-            if low <= last and at(low).meets:  # drift of one index right
-                low = high = low
+        # in frequency, so the feasible set is a suffix) among the unproven
+        # cells.  Behind a proven prefix the boundary usually sits at its
+        # first unproven cell, and a feasible one fixes it with no further
+        # probe.  Otherwise the boundary drifts by at most an index or two
+        # between epochs even though the frequency axis itself shifts, so
+        # the warm start is confirmed with a short local walk before
+        # resorting to bisection.
+        low, high = first, None  # high: smallest index known feasible
+        if first > 0:
+            if at(first).meets:
+                high = first
+            else:
+                low = first + 1
+        if high is None and warm_boundary is not None and warm_boundary >= low:
+            if at(warm_boundary).meets:
+                high = warm_boundary
+                for _ in range(2):  # walk left over small drift
+                    if high == low or not at(high - 1).meets:
+                        low = high
+                        break
+                    high -= 1
+            else:
+                low = warm_boundary + 1
+                if low <= last and at(low).meets:  # drift of one index right
+                    high = low
         if high is None:
-            if not at(last).meets:
+            if low > last or not at(last).meets:
                 # Under a monotone slack an infeasible top means an empty
                 # column — but that conclusion rests on unprobed structure,
                 # so verify it at the other end: a feasible bottom, or a
                 # bottom with *more* slack than the top, contradicts
                 # monotonicity and sends the column to the exhaustive
                 # fallback instead of being silently skipped.
-                bottom = at(0)
+                bottom = at(first)
                 if bottom.meets or not bottom.slack <= at(last).slack:
                     raise _CertificateViolation("slack not monotone at column ends")
                 return None
@@ -458,7 +498,7 @@ class FrontierSearch:
             else:
                 low = mid + 1
         boundary = high
-        if not at(boundary).meets or (boundary > 0 and at(boundary - 1).meets):
+        if not at(boundary).meets or (boundary > first and at(boundary - 1).meets):
             raise _CertificateViolation("feasibility bisection inconsistent")
 
         # Phase 2 — the cheapest cell of the feasible suffix.  Probe the
@@ -530,7 +570,7 @@ class FrontierSearch:
         probe: Callable[[int, int], _Probe],
         stats: SearchStats,
         floor: Callable[[int], list[float]],
-        ceilings: Sequence[float] | None = None,
+        ceilings: Sequence[Sequence[float]] | None = None,
     ) -> tuple[int, int, _Probe] | None:
         """The winning grid cell ``(freq index, variant index, probe)``.
 
@@ -540,35 +580,48 @@ class FrontierSearch:
         returned winner always matches the oracle's feasible minimum.
 
         The previous winner's column is searched first.  *ceilings*, when
-        given, holds a proven upper bound on every cell's slack per column;
-        a column whose bound is negative has no feasible cell and is
-        skipped unprobed.  ``floor(variant)`` holds a proven power floor
-        per cell of a column; a cell whose floor lies above the best
-        feasible cell so far cannot hold the minimum and is skipped, and so
-        is a column whose every cell is.
+        given, holds a proven upper bound on the slack of each cell of each
+        column; a cell whose bound is negative is infeasible, so a column's
+        search starts at its first cell with a non-negative bound, and a
+        column with none is skipped unprobed.  ``floor(variant)`` holds a
+        proven power floor per cell of a column; a cell whose floor lies
+        above the best feasible cell so far cannot hold the minimum and is
+        skipped, and so is a column whose every unproven cell is.
         """
         best: tuple[float, int, int] | None = None
         best_probe: _Probe | None = None
         first = self._first_variant if self._first_variant < grid.num_variants else 0
+        size = grid.num_frequencies
         for variant in (first, *range(first), *range(first + 1, grid.num_variants)):
-            if ceilings is not None and ceilings[variant] < 0.0:
+            proven = 0
+            if ceilings is not None:
+                proven = next(
+                    (
+                        index
+                        for index, cap in enumerate(ceilings[variant])
+                        if not cap < 0.0
+                    ),
+                    size,
+                )
+                stats.proven_cells += proven
+                stats.candidates_pruned += proven
+            if proven == size:
                 stats.infeasible_columns += 1
-                stats.candidates_pruned += grid.num_frequencies
                 continue
             floors = floor(variant)
             incumbent = math.inf if best is None else best[0]
-            if min(floors) > incumbent * (1.0 + self._PRUNE_MARGIN):
+            if min(floors[proven:]) > incumbent * (1.0 + self._PRUNE_MARGIN):
                 stats.pruned_columns += 1
-                stats.candidates_pruned += grid.num_frequencies
+                stats.candidates_pruned += size - proven
                 continue
             try:
                 winner = self._column_winner(
-                    grid, variant, probe, floors, incumbent, stats
+                    grid, variant, probe, floors, proven, incumbent, stats
                 )
             except _CertificateViolation:
                 stats.fallback_columns += 1
                 self._warm.pop(variant, None)
-                winner = self._exhaustive_column(grid, variant, probe)
+                winner = self._exhaustive_column(grid, variant, probe, proven)
             if winner is None:
                 continue
             entry = probe(winner, variant)
@@ -583,11 +636,14 @@ class FrontierSearch:
 
     @staticmethod
     def _exhaustive_column(
-        grid: _PolicyGrid, variant: int, probe: Callable[[int, int], _Probe]
+        grid: _PolicyGrid,
+        variant: int,
+        probe: Callable[[int, int], _Probe],
+        first: int,
     ) -> int | None:
-        """Exact column minimum by evaluating every frequency (fallback)."""
+        """Exact column minimum by evaluating every unproven cell (fallback)."""
         best: tuple[float, int] | None = None
-        for index in range(grid.num_frequencies):
+        for index in range(first, grid.num_frequencies):
             entry = probe(index, variant)
             if not entry.meets:
                 continue
@@ -734,22 +790,40 @@ class PolicySearchEngine:
                 self.stats.candidates_evaluated += 1
             return entry
 
-        power_floor = kernel.power_floor(grid.frequencies)
-
-        def floor(variant_index: int) -> list[float]:
-            return power_floor(*grid.floor_terms(variant_index))
-
+        frequencies = grid.frequencies
+        wakes = [grid.wake_up_latency(variant) for variant in range(grid.num_variants)]
+        survivors = [0] * grid.num_variants
+        anchor = 0
         ceilings = None
         if type(qos) is MeanResponseTimeConstraint:
             # The same test ``_Probe`` applies: a cell meets the budget iff
             # its slack, budget minus mu*E[R], is non-negative.
-            response_floor = kernel.response_floor(grid.frequencies)
+            budget = qos.normalized_budget
             margin = 1.0 - FrontierSearch._PRUNE_MARGIN
+            # No column's cell beats the no-wake floor at its frequency, so
+            # every cell below the first one that can meet the budget with
+            # no wake-up at all is infeasible: read ``K`` and the power
+            # floor's horizon there (at the top when no cell can).
+            no_wake = kernel.response_floor(frequencies, first=None).cells(0.0)
+            anchor = next(
+                (
+                    index
+                    for index, floor in enumerate(no_wake)
+                    if not budget - floor * margin < 0.0
+                ),
+                grid.num_frequencies - 1,
+            )
+            response_floor = kernel.response_floor(frequencies, anchor)
+            survivors = [response_floor.survivors(wake) for wake in wakes]
             ceilings = [
-                qos.normalized_budget
-                - response_floor(grid.wake_up_latency(variant_index)) * margin
-                for variant_index in range(grid.num_variants)
+                [budget - floor * margin for floor in response_floor.cells(wake, count)]
+                for wake, count in zip(wakes, survivors, strict=True)
             ]
+        power_floor = kernel.power_floor(frequencies, anchor)
+
+        def floor(variant_index: int) -> list[float]:
+            sleep_powers, wake = grid.floor_terms(variant_index)
+            return power_floor(sleep_powers, wake, wake * survivors[variant_index])
 
         # Count without touching grid.policies: materialising every cell
         # just to count it would defeat the lazy grid.
@@ -761,12 +835,7 @@ class PolicySearchEngine:
             # its pick and rank them by the same rule, in enumeration order.
             # Nothing was pruned on power without an incumbent.
             self.stats.fallback_full += 1
-            variants = self._contending_variants(grid, probe, probes, ceilings)
-            cells = [
-                (freq_index, variant_index)
-                for freq_index in range(grid.num_frequencies)
-                for variant_index in variants
-            ]
+            cells = self._contending_cells(grid, probe, probes, ceilings)
             entries = [probe(*cell) for cell in cells]
             index, feasible = pick_index(
                 [(entry.power, entry.meets, entry.slack) for entry in entries]
@@ -782,36 +851,42 @@ class PolicySearchEngine:
         return PolicySelection(best=best, evaluations=(best,), feasible=feasible)
 
     @staticmethod
-    def _contending_variants(
+    def _contending_cells(
         grid: _PolicyGrid,
         probe: Callable[[int, int], _Probe],
         probes: dict[tuple[int, int], _Probe],
-        ceilings: Sequence[float] | None,
-    ) -> list[int]:
-        """The columns that can hold the all-infeasible pick, ascending.
+        ceilings: Sequence[Sequence[float]] | None,
+    ) -> list[tuple[int, int]]:
+        """The cells that can hold the all-infeasible pick, in enumeration order.
 
         ``pick_index`` picks among the feasible cells or, with none, among
         the cells within :data:`NEAR_BEST_SLACK` of the largest slack
         ``s*``.  Once a slack ``s`` is probed, ``s <= s*``, and the band's
-        edge ``s - NEAR_BEST_SLACK * |s|`` only rises with ``s``; so a
-        column whose slack ceiling lies below both 0 and that edge holds
-        neither kind of cell.  Columns are probed whole in descending
-        ceiling order, so the first one ruled out rules out the rest.
+        edge ``s - NEAR_BEST_SLACK * |s|`` only rises with ``s``; so a cell
+        whose slack ceiling lies below both 0 and that edge is neither kind
+        of cell.  Cells are probed in descending ceiling order, so the
+        first one ruled out rules out the rest.
         """
+        cells = [
+            (freq_index, variant_index)
+            for freq_index in range(grid.num_frequencies)
+            for variant_index in range(grid.num_variants)
+        ]
         if ceilings is None:
-            return list(range(grid.num_variants))
+            return cells
         best = max(
             (entry.slack for entry in probes.values() if math.isfinite(entry.slack)),
             default=-math.inf,
         )
         contending = []
-        for variant in sorted(range(grid.num_variants), key=lambda v: -ceilings[v]):
+        for freq_index, variant_index in sorted(
+            cells, key=lambda cell: -ceilings[cell[1]][cell[0]]
+        ):
             edge = best - NEAR_BEST_SLACK * abs(best)
-            if ceilings[variant] < min(edge, 0.0):
+            if ceilings[variant_index][freq_index] < min(edge, 0.0):
                 break
-            contending.append(variant)
-            for freq_index in range(grid.num_frequencies):
-                slack = probe(freq_index, variant).slack
-                if math.isfinite(slack):
-                    best = max(best, slack)
+            contending.append((freq_index, variant_index))
+            slack = probe(freq_index, variant_index).slack
+            if math.isfinite(slack):
+                best = max(best, slack)
         return sorted(contending)

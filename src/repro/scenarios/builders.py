@@ -100,7 +100,7 @@ from repro.core.strategies import (
     RaceToHaltStrategy,
     sleepscale_strategy,
 )
-from repro.exceptions import ConfigurationError, ScenarioError, TraceError
+from repro.exceptions import ConfigurationError, TraceError
 from repro.power.platform import ServerPowerModel, atom_power_model, xeon_power_model
 from repro.power.states import C1_S0I, SystemState
 from repro.prediction.lms_cusum import LmsCusumPredictor
@@ -361,11 +361,18 @@ _NAMED_TRACES = {
 
 
 def _trace_name(name: str, value: Any) -> str | None:
-    if value not in _NAMED_TRACES and Path(value).suffix != ".csv":
+    """A stored trace's name, or a trace CSV that loads."""
+    if value in _NAMED_TRACES:
+        return None
+    if Path(value).suffix != ".csv":
         return (
             f"unknown trace {value!r}; expected 'file-server', 'email-store' "
             "or a path to a .csv file"
         )
+    try:
+        UtilizationTrace.from_csv(value)
+    except TraceError as error:
+        return str(error)
     return None
 
 
@@ -739,10 +746,7 @@ def build_trace_replay(args: ScenarioArgs) -> BuilderResult:
     if args.trace in _NAMED_TRACES:
         utilization = _NAMED_TRACES[args.trace](days=1, seed=args.seed)
     else:
-        try:
-            utilization = UtilizationTrace.from_csv(args.trace)
-        except TraceError as error:
-            raise ScenarioError(str(error)) from error
+        utilization = UtilizationTrace.from_csv(args.trace)
     if args.scale != 1.0:
         utilization = utilization.scaled(args.scale)
     num_samples = min(num_samples, len(utilization))

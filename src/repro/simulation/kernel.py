@@ -654,71 +654,112 @@ class TraceKernel:
         """Simulate one ``(frequency, sleep)`` policy against the trace."""
         return self.solve(frequency, sleep).result
 
-    def power_floor(self, frequencies: Sequence[float]) -> "PowerFloor":
+    def power_floor(
+        self, frequencies: Sequence[float], first: int = 0
+    ) -> "PowerFloor":
         """Lower bounds on single-state average power at each frequency.
 
-        Costs one Lindley pass at the lowest frequency (memoised, so a
+        *frequencies* is an ascending axis.  The horizon bound is read at
+        ``frequencies[first]`` and proves the cells from there up; the cells
+        below get ``-inf``.  Costs one Lindley pass there (memoised, so a
         :meth:`solve` there reuses it) and one active-power and serving-time
         term per frequency; see :class:`PowerFloor` for the bound.
         """
         if self.num_jobs == 0 or self._base > self._clock_start:
             return PowerFloor(None, [], [])
-        lowest = self._structure(validate_frequency(min(frequencies)))
+        anchor = self._structure(validate_frequency(min(frequencies[first:])))
         return PowerFloor(
-            lowest.last_departure0 - self._clock_start,
+            anchor.last_departure0 - self._clock_start,
             [self._power_model.active_power(f) for f in frequencies],
             [self._demand_total * self._scaling.time_factor(f) for f in frequencies],
+            first,
         )
 
-    def response_floor(self, frequencies: Sequence[float]) -> "ResponseFloor":
-        """Lower bounds on single-state ``mu * E[R]`` over a frequency axis.
+    def response_floor(
+        self, frequencies: Sequence[float], first: int | None = 0
+    ) -> "ResponseFloor":
+        """Lower bounds on single-state ``mu * E[R]`` at each frequency.
 
-        Costs two Lindley passes, at the lowest and the highest frequency
-        (both memoised, so a :meth:`solve` there reuses them); see
-        :class:`ResponseFloor` for the bound.
+        *frequencies* is an ascending axis.  The survivor bound ``K`` is
+        read from the gaps at ``frequencies[first]`` and proves the cells
+        from there up; ``first=None`` reads no gaps and proves no wake-up
+        (``K = 0``).  Costs a Lindley pass at the highest frequency and one
+        at ``frequencies[first]`` (both memoised, so a :meth:`solve` there
+        reuses them); see :class:`ResponseFloor` for the bound.
         """
         if self.num_jobs == 0 or not self._mean_demand > 0.0:
-            return ResponseFloor(None, np.empty(0), 0, 0.0)
-        lowest = self._structure(validate_frequency(min(frequencies)))
-        highest = self._structure(validate_frequency(max(frequencies)))
+            return ResponseFloor(None, np.empty(0), 0, 0.0, [1.0] * len(frequencies))
+        top = validate_frequency(max(frequencies))
+        if self._base > self._arrivals[0]:
+            # The backlog's own wait does not scale with the service times.
+            scales = [1.0] * len(frequencies)
+        else:
+            top_factor = self._scaling.time_factor(top)
+            scales = [
+                max(1.0, self._scaling.time_factor(f) / top_factor)
+                for f in frequencies
+            ]
+        idle = np.empty(0)
+        if first is not None:
+            anchor = self._structure(validate_frequency(min(frequencies[first:])))
+            idle = np.sort(anchor.idle0)
         return ResponseFloor(
-            highest.response0_total,
-            np.sort(lowest.idle0),
+            self._structure(top).response0_total,
+            idle,
             self.num_jobs,
             self._mean_demand,
+            scales,
+            first or 0,
         )
 
 
 class ResponseFloor:
-    """A proven lower bound on ``mu * E[R]`` of single-state policies.
+    """A proven lower bound on ``mu * E[R]`` of each single-state cell.
 
     For one state with wake-up latency ``w`` entered as soon as the queue
     empties, every job after a candidate gap departs the delay carried out
     of that gap later than without wake-ups: ``w`` after a gap that
     survives, a positive residual after one that closes.  So the total
     response time is at least ``R0(f) + w * S(f)``, with ``R0`` the no-wake
-    total and ``S`` the surviving gaps.  Over an axis ``[f_min, f_max]``:
+    total and ``S`` the surviving gaps.  Over an ascending axis ending at
+    ``f_max``:
 
-    * ``R0(f) >= R0(f_max)``: no-wake departures never rise with speed;
-    * ``S(f) >= K``, the least ``k`` with ``T(k) + k * w >= Phi``, where
-      ``Phi`` sums ``min(idle0, w)`` over the gaps at ``f_min`` and ``T(k)``
-      sums its ``k`` largest terms.  Closures chain after a survivor, and a
-      chain's closed gaps idle less than ``w`` in all, so ``Phi(f) - T_f(S)
-      < S * w`` at ``f``; every ``f_min`` gap is a gap at ``f`` idling at
-      least as long, so ``Phi - T(k)`` (the sum without the ``k`` largest
-      terms) is at most ``Phi(f) - T_f(k)``, and ``S`` meets the condition
-      at ``f_min`` too.
+    * ``R0(f) >= k(f) * R0(f_max)`` with ``k(f) = tf(f) / tf(f_max) >= 1``
+      when no backlog is carried in (the server is free by the first
+      arrival).  Scaling every service time by ``k`` scales every Lindley
+      waiting time by at least ``k``: by induction on ``W' = max(0, W + k*S
+      - T)``, since ``k*(W + S) - T >= k*(W + S - T)`` for ``T >= 0``; so
+      each response ``W + k*S`` scales by at least ``k`` too.  With a
+      backlog ``k = 1``: no-wake departures never rise with speed;
+    * ``S(f) >= K`` at every frequency from the anchor ``f_a =
+      frequencies[first]`` up, where ``K`` is the least ``k`` with ``T(k) +
+      k * w >= Phi``, ``Phi`` sums ``min(idle0, w)`` over the gaps at
+      ``f_a`` and ``T(k)`` sums its ``k`` largest terms.  Closures chain
+      after a survivor, and a chain's closed gaps idle less than ``w`` in
+      all, so ``Phi(f) - T_f(S) < S * w`` at ``f``; every ``f_a`` gap is a
+      gap at ``f >= f_a`` idling at least as long, so ``Phi - T(k)`` (the
+      sum without the ``k`` largest terms) is at most ``Phi(f) - T_f(k)``,
+      and ``S`` meets the condition at ``f_a`` too.
 
-    Hence ``mu * E[R](f, s) >= (R0(f_max) + w * K) / (n * mean_demand)``.
-    With ``w = 0`` (the DVFS-only pseudo state) the floor is exactly the
-    no-wake response at ``f_max``.  ``K`` is taken with a ``1e-9 * Phi``
-    margin, so rounding can only lower it.
+    Hence ``mu * E[R](f, s) >= (k(f) * R0(f_max) + w * K) / (n *
+    mean_demand)`` from the anchor up, and the same without ``w * K`` below
+    it (:meth:`cells`).  With ``w = 0`` (the DVFS-only pseudo state) the
+    floor of the top cell is exactly its no-wake response.  ``K`` is taken
+    with a ``1e-9 * Phi`` margin, so rounding can only lower it.
 
     Built by :meth:`TraceKernel.response_floor`; the bound holds for either
     simulation backend because it only reads the trace.
     """
 
-    __slots__ = ("_response0", "_idle", "_prefix", "_num_jobs", "_mean_demand")
+    __slots__ = (
+        "_response0",
+        "_idle",
+        "_prefix",
+        "_num_jobs",
+        "_mean_demand",
+        "_scales",
+        "_first",
+    )
 
     def __init__(
         self,
@@ -726,10 +767,12 @@ class ResponseFloor:
         idle: np.ndarray,
         num_jobs: int,
         mean_demand: float,
+        scales: Sequence[float] = (),
+        first: int = 0,
     ):
         #: ``R0(f_max)``; ``None`` when nothing is proven (no jobs).
         self._response0 = response0
-        #: The no-wake idle times of the gaps at ``f_min``, ascending, and
+        #: The no-wake idle times of the gaps at the anchor, ascending, and
         #: their prefix sums: ``P[j]`` sums the ``j`` shortest.
         self._idle = idle
         self._prefix = np.empty(idle.size + 1)
@@ -737,9 +780,13 @@ class ResponseFloor:
         np.cumsum(idle, out=self._prefix[1:])
         self._num_jobs = num_jobs
         self._mean_demand = mean_demand
+        #: ``k(f)`` per frequency of the axis.
+        self._scales = scales
+        #: The anchor's index: ``K`` proves the cells from here up.
+        self._first = first
 
     def survivors(self, wake_up_latency: float) -> int:
-        """``K``: the least number of gaps that survive at any frequency.
+        """``K``: the least number of gaps that survive from the anchor up.
 
         ``K`` is the least ``k`` with ``Phi - T(k) <= k * w``, where
         ``Phi - T(k)`` sums the ``gaps - k`` smallest ``min(idle0, w)``.
@@ -760,6 +807,9 @@ class ResponseFloor:
         phi = float(prefix[short]) + capped * wake
         margin = 1e-9 * phi
         least = max(math.ceil((phi - margin) / (2.0 * wake)), 0)
+        if 2.0 * least * wake < phi - margin:
+            # The quotient underflowed (a subnormal ``Phi``).
+            least += 1
         if least <= capped:
             return least
         fits = bisect_right(
@@ -769,15 +819,26 @@ class ResponseFloor:
         )
         return gaps - fits + 1
 
-    def __call__(self, wake_up_latency: float) -> float:
-        """The least ``mu * E[R]`` any cell of the state's column can reach.
+    def cells(
+        self, wake_up_latency: float, survivors: int | None = None
+    ) -> list[float]:
+        """The least ``mu * E[R]`` of each cell of the state's column.
 
-        ``-inf`` when nothing is proven (no jobs, or no mean demand).
+        *survivors* is the column's ``K`` when the caller already holds it
+        (:meth:`survivors` otherwise).  Every floor is ``-inf`` when nothing
+        is proven (no jobs, or no mean demand).
         """
         if self._response0 is None:
-            return -math.inf
-        total = self._response0 + wake_up_latency * self.survivors(wake_up_latency)
-        return total / self._num_jobs / self._mean_demand
+            return [-math.inf] * len(self._scales)
+        if survivors is None:
+            survivors = self.survivors(wake_up_latency)
+        response0 = self._response0
+        waking = wake_up_latency * survivors
+        num_jobs, mean_demand, first = self._num_jobs, self._mean_demand, self._first
+        return [
+            (k * response0 + (waking if index >= first else 0.0)) / num_jobs / mean_demand
+            for index, k in enumerate(self._scales)
+        ]
 
 
 class PowerFloor:
@@ -788,53 +849,67 @@ class PowerFloor:
     residency ``I``: ``H = S + W + I``, with energy
     ``P_act(f) * (S + W) + P_s(f) * I``.  Average power is therefore a
     convex combination of ``P_act`` and ``P_s`` with busy weight
-    ``(S + W) / H >= S / H``.  Without a carried-in backlog the horizon is
-    bounded by ``D0_last(f_min) - t0 + w_s``: the no-wake last departure
-    never rises with frequency, and the delay carried out of the last gap is
-    at most the wake-up latency.  Hence, whenever ``P_act >= P_s``,
-    ``P(f, s) >= P_s + (P_act - P_s) * min(1, S(f) / (D0_last(f_min) - t0 +
-    w_s))``, and otherwise ``P(f, s) >= P_act``.
+    ``(S + W) / H >= (S + W_min) / H``, where ``W_min`` is a proven least
+    waking time (``w_s * K``, :meth:`ResponseFloor.survivors`).  Without a
+    carried-in backlog the horizon is bounded by ``D0_last(f_a) - t0 + w_s``
+    at every frequency from the anchor ``f_a`` up: the no-wake last
+    departure never rises with frequency, and the delay carried out of the
+    last gap is at most the wake-up latency.  Hence, whenever
+    ``P_act >= P_s``, ``P(f, s) >= P_s + (P_act - P_s) * min(1, (S(f) +
+    W_min) / (D0_last(f_a) - t0 + w_s))``, and otherwise ``P(f, s) >=
+    P_act``.
 
     Built by :meth:`TraceKernel.power_floor`; the bound holds for either
     simulation backend because it only reads the trace.
     """
 
-    __slots__ = ("_span", "_active_powers", "_serving_times")
+    __slots__ = ("_span", "_active_powers", "_serving_times", "_first")
 
     def __init__(
         self,
         span: float | None,
         active_powers: list[float],
         serving_times: list[float],
+        first: int = 0,
     ):
-        #: ``D0_last(f_min) - t0``; ``None`` when no bound is proven (a
+        #: ``D0_last(f_a) - t0``; ``None`` when no bound is proven (a
         #: carried-in backlog, or no jobs).
         self._span = span
         self._active_powers = active_powers
         self._serving_times = serving_times
+        #: The anchor's index: the floors prove the cells from here up.
+        self._first = first
 
     def __call__(
-        self, sleep_powers: Sequence[float], wake_up_latency: float
+        self,
+        sleep_powers: Sequence[float],
+        wake_up_latency: float,
+        waking: float = 0.0,
     ) -> list[float]:
         """The least average power one immediately entered state can draw.
 
         *sleep_powers* holds the state's resident power ``P_s(f)`` at each
-        frequency of the axis and *wake_up_latency* its ``w_s``; the result
-        holds one floor per frequency.  A floor is ``-inf`` (nothing proven)
-        when it is not finite, and every floor is when a backlog is carried
-        in, when the trace is empty or when the horizon bound is not
-        positive.
+        frequency of the axis, *wake_up_latency* its ``w_s`` and *waking* a
+        proven least waking time of the cells from the anchor up; the
+        result holds one floor per frequency.  A floor is ``-inf`` (nothing
+        proven) below the anchor and where it is not finite, and every
+        floor is when a backlog is carried in, when the trace is empty or
+        when the horizon bound is not positive.
         """
         span = self._span
         horizon = -math.inf if span is None else span + wake_up_latency
         if not horizon > 0.0:
             return [-math.inf] * len(sleep_powers)
-        floors = []
+        floors = [-math.inf] * self._first
         for active, serving, resident in zip(
-            self._active_powers, self._serving_times, sleep_powers, strict=True
+            self._active_powers[self._first :],
+            self._serving_times[self._first :],
+            sleep_powers[self._first :],
+            strict=True,
         ):
             if active >= resident:
-                bound = resident + (active - resident) * min(1.0, serving / horizon)
+                busy = min(1.0, (serving + waking) / horizon)
+                bound = resident + (active - resident) * busy
             else:
                 bound = active
             floors.append(bound if math.isfinite(bound) else -math.inf)

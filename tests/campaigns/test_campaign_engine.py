@@ -176,6 +176,29 @@ class TestRunCampaign:
         assert campaign_runner.main([str(good), *argv]) == 0
         assert CampaignStore(store).results_path.exists()
 
+    def test_unreadable_trace_csv_exits_2_without_a_store(self, tmp_path, capsys):
+        # The trace rule loads the CSV, so the cell is refused before the
+        # store is initialised.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "schema": "repro.campaign-spec/v1",
+                    "name": "missing-trace",
+                    "kind": "scenario",
+                    "target": "trace-replay",
+                    "grid": {"trace": [str(tmp_path / "missing.csv")]},
+                }
+            )
+        )
+        store = tmp_path / "store"
+        assert campaign_runner.main([str(spec_path), "--output-dir", str(store)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot read trace ")
+        assert "missing.csv" in lines[0]
+        assert not store.exists()
+
     def test_interrupt_then_resume_partitions_cells(self, parity_spec, tmp_path):
         first = run_campaign(parity_spec, tmp_path, max_cells=1)
         assert len(first.executed) == 1

@@ -10,6 +10,7 @@ through it, so this property is what keeps them bit-identical to each other.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,19 @@ def test_ranges_equal_the_masked_arrays_bit_for_bit(case):
                 actual = grouped_array[bounds]
                 assert actual.dtype == expected.dtype
                 assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("num_servers", [1, 2, 255, 256, 257, 65_536, 65_537])
+def test_narrow_key_sort_keeps_the_int64_order(num_servers):
+    # Up to 65,536 servers the indices are sorted as uint8/uint16 keys; the
+    # stable order must be the int64 argsort's, up to the widest index.
+    rng = np.random.default_rng(num_servers)
+    assignment = rng.integers(0, num_servers, size=100_000)
+    assignment[:2] = (0, num_servers - 1)
+    positions = np.arange(assignment.size)
+    (grouped,), ranges = group_by_server(assignment, num_servers, positions)
+    assert grouped.tobytes() == np.argsort(assignment, kind="stable").tobytes()
+    assert len(ranges) == num_servers
 
 
 def test_empty_servers_come_back_as_none():

@@ -325,10 +325,16 @@ class TestFloorWalk:
 
         The normalised response time falls from 5.0 by 0.1 per index, so
         slack rises in frequency and *budget* sets the feasibility boundary
-        (every cell meets the default budget).  *ceilings* are the columns'
-        slack ceilings, as ``FrontierSearch.run`` takes them.
+        (every cell meets the default budget).  *ceilings* holds each
+        column's slack ceilings per cell, as ``FrontierSearch.run`` takes
+        them; a number stands for every cell of its column.
         """
         size = len(columns[0][0])
+        if ceilings is not None:
+            ceilings = [
+                [ceiling] * size if isinstance(ceiling, float) else ceiling
+                for ceiling in ceilings
+            ]
         grid = SimpleNamespace(
             num_frequencies=size,
             num_variants=len(columns),
@@ -409,6 +415,35 @@ class TestFloorWalk:
         )
         assert winner[:2] == (6, 0)
         assert stats.infeasible_columns == 0
+
+    def test_proven_prefix_is_never_probed(self):
+        # Budget 4.65 makes indices 0-3 infeasible, and their ceilings prove
+        # it: the search starts at index 4, which is feasible, so it fixes
+        # the boundary with no probe below it.
+        size = len(self.POWERS)
+        ceilings = [-0.3, -0.2, -0.1, -1e-6] + [0.5] * (size - 4)
+        winner, probed, stats = self._run(
+            [(self.POWERS, [0.0] * size)], budget=4.65, ceilings=[ceilings]
+        )
+        assert winner[:2] == (6, 0)
+        assert all(index >= 4 for index, _ in probed)
+        assert stats.proven_cells == 4
+        assert stats.candidates_pruned == 4
+        assert stats.fallback_columns == 0
+
+    def test_infeasible_first_unproven_cell_bisects_above_it(self):
+        # Only indices 0-1 are proven; index 2 is unproven but infeasible,
+        # so the boundary (4) is found above it and the winner is exact.
+        size = len(self.POWERS)
+        ceilings = [-0.2, -0.1] + [0.5] * (size - 2)
+        winner, probed, stats = self._run(
+            [(self.POWERS, [0.0] * size)], budget=4.65, ceilings=[ceilings]
+        )
+        assert winner[:2] == (6, 0)
+        assert (0, 0) not in probed and (1, 0) not in probed
+        assert (2, 0) in probed
+        assert stats.proven_cells == 2
+        assert stats.fallback_columns == 0
 
     def test_every_column_proven_infeasible_returns_none(self):
         size = len(self.POWERS)
@@ -519,6 +554,49 @@ class TestInfeasibleFallback:
         # Every column's response floor is above the budget, so the
         # frontier probes nothing before the fallback.
         assert stats.infeasible_columns == 3 * _PolicyGrid.build(space, 0.1).num_variants
+
+
+class TestPerCellFallback:
+    """The all-infeasible ranking probes cells in descending slack ceiling."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    @pytest.mark.parametrize("budget", [0.5, 2.0])
+    def test_atom_under_heavy_load_probes_one_cell_per_column(
+        self, atom, dns_ideal, monkeypatch, backend, budget
+    ):
+        # At 0.8 utilisation no Atom cell meets the budget, and every cell
+        # is proven so: the fallback ranks only the top of each column.
+        qos = MeanResponseTimeConstraint(normalized_budget=budget)
+        space = full_space(atom, frequency_step=0.05)
+        full, frontier = _managers(atom, space, qos, backend=backend)
+        jobs = generate_jobs(
+            dns_ideal,
+            num_jobs=300 if backend == "reference" else 800,
+            utilization=0.8,
+            rng=np.random.default_rng(3),
+        )
+        cells = set()
+        sequence_at = _PolicyGrid.sequence_at
+
+        def recording(grid, freq_index, variant_index):
+            cells.add((freq_index, variant_index))
+            return sequence_at(grid, freq_index, variant_index)
+
+        monkeypatch.setattr(_PolicyGrid, "sequence_at", recording)
+        fast = frontier.select(jobs, 0.8)
+        monkeypatch.undo()
+        oracle = full.select(jobs, 0.8)
+        assert oracle.feasible is False
+        assert fast.feasible is False
+        assert fast.policy == oracle.policy
+        stats = frontier.search_stats
+        grid = _PolicyGrid.build(space, 0.8)
+        assert stats.fallback_full == 1
+        assert stats.infeasible_columns == grid.num_variants
+        assert stats.proven_cells == stats.candidates_seen
+        variants = [variant for _, variant in cells]
+        assert len(variants) == len(set(variants))
+        assert stats.candidates_evaluated <= grid.num_variants
 
 
 class TestUtilizationRange:

@@ -9,7 +9,10 @@ on both simulation backends, both presets, all five low-power states,
 utilisation 0.02-0.9 and exponential and lognormal demands:
 
 * every solve's ``average_power`` is at least the floor of its own cell
-  (up to the search's pruning margin, 1e-9 relative);
+  (up to the search's pruning margin, 1e-9 relative), both the plain
+  floor and the one the search uses: the horizon read at an anchor
+  frequency at or below the cell, and the proven waking time ``w * K``
+  (``K`` read at the same anchor) added to the busy weight;
 * the horizon splits exactly into serving, waking and sleep residency
   (1e-9 relative).
 """
@@ -54,6 +57,7 @@ def assert_floor_holds(
     demands: str,
     seed: int,
     backend: str,
+    anchor: int,
 ) -> None:
     power_model = _MODELS[model]
     state = LOW_POWER_STATES[state_index]
@@ -67,12 +71,18 @@ def assert_floor_holds(
     sleep_powers = power_model.sleep_powers(state, frequencies)
     assert sleep_powers == [sleep[0].power for sleep in sequences]
     kernel = TraceKernel(jobs, power_model)
-    floors = kernel.power_floor(frequencies)(
-        sleep_powers, power_model.wake_up_latency(state)
-    )
+    wake = power_model.wake_up_latency(state)
+    floors = kernel.power_floor(frequencies)(sleep_powers, wake)
     assert len(floors) == len(frequencies)
     assert all(math.isfinite(floor) for floor in floors)
-    for frequency, sleep, floor in zip(frequencies, sequences, floors, strict=True):
+    first = anchor % len(frequencies)
+    waking = wake * kernel.response_floor(frequencies, first).survivors(wake)
+    anchored = kernel.power_floor(frequencies, first)(sleep_powers, wake, waking)
+    assert anchored[:first] == [-math.inf] * first
+    assert all(math.isfinite(floor) for floor in anchored[first:])
+    for frequency, sleep, floor, tighter in zip(
+        frequencies, sequences, floors, anchored, strict=True
+    ):
         if backend == "vectorized":
             result = kernel.solve(frequency, sleep)
         else:
@@ -80,6 +90,7 @@ def assert_floor_holds(
                 jobs, frequency, sleep, power_model, backend="reference"
             )
         assert result.average_power >= floor * (1.0 - 1e-9)
+        assert result.average_power >= tighter * (1.0 - 1e-9)
         residency = result.state_residency
         split = residency[STATE_SERVING] + residency[STATE_WAKING] + residency[state.name]
         assert split == pytest.approx(result.horizon, rel=1e-9)
@@ -91,6 +102,7 @@ _CASES = {
     "utilization": st.floats(min_value=0.02, max_value=0.9),
     "demands": st.sampled_from(["exponential", "lognormal"]),
     "seed": st.integers(min_value=0, max_value=2**20),
+    "anchor": st.integers(min_value=0, max_value=63),
 }
 
 
@@ -98,16 +110,20 @@ class TestPowerFloor:
     @given(**_CASES)
     @settings(max_examples=60, deadline=None)
     def test_kernel_solves_stay_above_the_floor(
-        self, model, state_index, utilization, demands, seed
+        self, model, state_index, utilization, demands, seed, anchor
     ):
-        assert_floor_holds(model, state_index, utilization, demands, seed, "vectorized")
+        assert_floor_holds(
+            model, state_index, utilization, demands, seed, "vectorized", anchor
+        )
 
     @given(**_CASES)
     @settings(max_examples=20, deadline=None)
     def test_reference_runs_stay_above_the_floor(
-        self, model, state_index, utilization, demands, seed
+        self, model, state_index, utilization, demands, seed, anchor
     ):
-        assert_floor_holds(model, state_index, utilization, demands, seed, "reference")
+        assert_floor_holds(
+            model, state_index, utilization, demands, seed, "reference", anchor
+        )
 
 
 class TestSleepHotterThanActive:

@@ -7,10 +7,13 @@ whose floor is above the budget without probing it.  A skipped column is
 only safe when the bound is sound, so these tests check it directly:
 
 * every solve's ``normalized_mean_response_time`` is at least the floor of
-  its column (up to the search's margin, 1e-9 relative), on both
-  simulation backends, both presets, all five low-power states and the
-  DVFS-only pseudo state, utilisation 0.02-0.95, exponential and lognormal
-  demands and three service scalings;
+  its column and the floor of its own cell, ``(k(f) * R0(f_max) + w * K) /
+  (n * mean_demand)`` with ``K`` read at any anchor frequency at or below
+  it (up to the search's margin, 1e-9 relative), on both simulation
+  backends, both presets, all five low-power states and the DVFS-only
+  pseudo state, utilisation 0.02-0.95, exponential and lognormal demands
+  and three service scalings;
+* with a carried-in backlog the per-cell floors keep ``k = 1``;
 * with no wake-up latency the floor is the top frequency's no-wake
   response itself;
 * the survivor count ``K`` never exceeds the gaps that survive, on
@@ -72,6 +75,7 @@ def assert_floor_holds(
     beta: float,
     seed: int,
     backend: str,
+    anchor: int,
 ) -> None:
     power_model = _MODELS[model]
     scaling = ServiceScaling(beta)
@@ -80,9 +84,13 @@ def assert_floor_holds(
     frequencies = full_space(power_model).candidate_frequencies(utilization).tolist()
     wake, sequences = _column(power_model, state_index, frequencies)
     kernel = TraceKernel(jobs, power_model, scaling=scaling)
-    floor = kernel.response_floor(frequencies)(wake)
-    assert math.isfinite(floor)
-    for frequency, sleep in zip(frequencies, sequences, strict=True):
+    floors = kernel.response_floor(frequencies).cells(wake)
+    # The anchor of K: any frequency of the axis, as the search's first
+    # frequency that can meet a budget without wake-ups.
+    first = anchor % len(frequencies)
+    anchored = kernel.response_floor(frequencies, first).cells(wake)
+    assert all(math.isfinite(floor) for floor in floors + anchored)
+    for index, (frequency, sleep) in enumerate(zip(frequencies, sequences, strict=True)):
         if backend == "vectorized":
             response = kernel.solve(frequency, sleep).normalized_mean_response_time
         else:
@@ -90,10 +98,13 @@ def assert_floor_holds(
                 jobs, frequency, sleep, power_model, scaling=scaling,
                 backend="reference",
             ).normalized_mean_response_time
-        assert response >= floor * (1.0 - 1e-9)
+        assert response >= floors[index] * (1.0 - 1e-9)
+        assert response >= anchored[index] * (1.0 - 1e-9)
     if wake == 0.0:
         top = kernel.solve(frequencies[-1], sequences[-1])
-        assert floor == pytest.approx(top.normalized_mean_response_time, rel=1e-12)
+        assert floors[-1] == pytest.approx(
+            top.normalized_mean_response_time, rel=1e-12
+        )
 
 
 _CASES = {
@@ -103,6 +114,7 @@ _CASES = {
     "demands": st.sampled_from(["exponential", "lognormal"]),
     "beta": st.sampled_from([1.0, 0.5, 0.0]),
     "seed": st.integers(min_value=0, max_value=2**20),
+    "anchor": st.integers(min_value=0, max_value=63),
 }
 
 
@@ -110,19 +122,19 @@ class TestResponseFloor:
     @given(**_CASES)
     @settings(max_examples=60, deadline=None)
     def test_kernel_solves_stay_above_the_floor(
-        self, model, state_index, utilization, demands, beta, seed
+        self, model, state_index, utilization, demands, beta, seed, anchor
     ):
         assert_floor_holds(
-            model, state_index, utilization, demands, beta, seed, "vectorized"
+            model, state_index, utilization, demands, beta, seed, "vectorized", anchor
         )
 
     @given(**_CASES)
     @settings(max_examples=20, deadline=None)
     def test_reference_runs_stay_above_the_floor(
-        self, model, state_index, utilization, demands, beta, seed
+        self, model, state_index, utilization, demands, beta, seed, anchor
     ):
         assert_floor_holds(
-            model, state_index, utilization, demands, beta, seed, "reference"
+            model, state_index, utilization, demands, beta, seed, "reference", anchor
         )
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
@@ -136,16 +148,43 @@ class TestResponseFloor:
         kernel = TraceKernel(
             jobs, power_model, busy_until=float(jobs.arrival_times[0]) + 1.0
         )
+        # The backlog's own wait does not scale with speed, so no cell's
+        # floor scales R0(f_max) up: every cell keeps k = 1.
+        no_wake = kernel.response_floor(frequencies, first=None).cells(0.0)
+        assert no_wake == [no_wake[-1]] * 3
         for state_index in range(_DVFS_ONLY + 1):
             wake, sequences = _column(power_model, state_index, frequencies)
-            floor = kernel.response_floor(frequencies)(wake)
-            for frequency, sleep in zip(frequencies, sequences, strict=True):
-                solution = kernel.solve(frequency, sleep)
-                assert solution.normalized_mean_response_time >= floor * (1 - 1e-9)
+            for first in range(len(frequencies)):
+                floors = kernel.response_floor(frequencies, first).cells(wake)
+                for frequency, sleep, floor in zip(
+                    frequencies, sequences, floors, strict=True
+                ):
+                    solution = kernel.solve(frequency, sleep)
+                    response = solution.normalized_mean_response_time
+                    assert response >= floor * (1 - 1e-9)
+
+    @given(seed=st.integers(min_value=0, max_value=2**20))
+    @settings(max_examples=20, deadline=None)
+    def test_scaled_floor_is_tight_without_queueing(self, seed):
+        # Jobs that never wait respond in exactly k(f) times their top-speed
+        # time, so the DVFS-only floor of every cell is its response.
+        power_model = _MODELS["xeon"]
+        rng = np.random.default_rng(seed)
+        sizes = rng.uniform(0.001, 0.01, 200)
+        jobs = JobTrace.from_interarrivals(np.full(200, 0.1), sizes)
+        frequencies = [0.4, 0.7, 1.0]
+        kernel = TraceKernel(jobs, power_model)
+        cells = kernel.response_floor(frequencies).cells(0.0)
+        for frequency, cell in zip(frequencies, cells, strict=True):
+            response = kernel.solve(
+                frequency, dvfs_only_sequence(power_model, frequency)
+            ).normalized_mean_response_time
+            assert cell == pytest.approx(response, rel=1e-9)
+            assert response >= cell * (1 - 1e-9)
 
     def test_zero_jobs_prove_nothing(self):
         kernel = TraceKernel(JobTrace.empty(), _MODELS["xeon"])
-        assert kernel.response_floor([0.5, 1.0])(1.0) == -math.inf
+        assert kernel.response_floor([0.5, 1.0]).cells(1.0) == [-math.inf] * 2
 
 
 def _survivors(idle0: list[float], wake: float) -> int:
@@ -176,6 +215,8 @@ class TestSurvivorBound:
             ([0.0, 0.0, 0.0], 1.0, 1, 0),
             # No wake-up latency: every gap survives, K = 0.
             ([0.0, 0.2, 0.4], 0.0, 3, 0),
+            # A subnormal idle time: Phi / (2w) underflows to 0, yet K = 1.
+            ([5e-324], 1.0, 1, 1),
         ],
     )
     def test_hand_built_gaps(self, idle0, wake, survivors, bound):
