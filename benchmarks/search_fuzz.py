@@ -1,19 +1,24 @@
-"""Frontier-vs-full search fuzz: 1,200 seeded draws, 0 mismatches allowed.
+"""Frontier-vs-full search fuzz: 1,400 seeded draws, 0 mismatches allowed.
 
-Each draw is one case of ``tests/core/test_search.py::_assert_equivalent``:
-a policy-space shape, a QoS type, a simulation backend, a platform preset, a
-frequency step, a utilisation and a job stream, all drawn from a generator
-seeded with ``zlib.crc32`` of the draw's name (never ``hash()``, which
-changes with ``PYTHONHASHSEED``), so every run draws the same cases.  The
-frontier and the full-grid oracle must select the same policy with the same
-feasibility and power.
+Each of the first 1,200 draws is one case of
+``tests/core/test_search.py::_assert_equivalent``: a policy-space shape, a
+QoS type, a simulation backend, a platform preset, a frequency step, a
+utilisation and a job stream.  The last 200 draw the regime where QoS slack
+falls as frequency rises: a C6S3-only space, exponential 5 or 50 ms jobs,
+and a mean budget inside a step where the ``full`` table's mu*E[R] rises
+with frequency (a draw whose column has no such step is counted and not
+compared).  Every draw comes from a generator seeded with ``zlib.crc32`` of
+the draw's name (never ``hash()``, which changes with ``PYTHONHASHSEED``),
+so every run draws the same cases.  The frontier and the full-grid oracle
+must select the same policy with the same feasibility and power.
 
 Prints the number of draws and mismatches, the sleep-state columns the
 frontier skipped on their proven power floors and on their proven response
 floors (every cell over a mean-response budget), the cells it skipped on
-their own response floors, and the grid cells it evaluated out of those it
-saw (the probe cost of the bounds), and exits 1 on any mismatch.  Run from the repository root (no arguments; about 15 s on
-2 vCPUs)::
+their own response floors, the grid cells it evaluated out of those it
+saw (the probe cost of the bounds), and the rising-step draws compared, and
+exits 1 on any mismatch.  Run from the repository root (no arguments; about
+20 s on 2 vCPUs)::
 
     PYTHONPATH=src python benchmarks/search_fuzz.py
 """
@@ -28,11 +33,20 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from repro.core.qos import MeanResponseTimeConstraint  # noqa: E402
+from repro.policies.space import single_state_space  # noqa: E402
 from repro.power.platform import atom_power_model, xeon_power_model  # noqa: E402
+from repro.power.states import C6_S3  # noqa: E402
 from repro.workloads import dns_workload  # noqa: E402
-from tests.core.test_search import _assert_equivalent  # noqa: E402
+from tests.core.test_search import (  # noqa: E402
+    _assert_equivalent,
+    _assert_selects_like_full,
+    _exponential_trace,
+    _rising_step_budgets,
+)
 
 DRAWS = 1_200
+RISING_DRAWS = 200
 SPACE_KINDS = ("full", "single", "dvfs")
 QOS_KINDS = ("mean", "percentile")
 #: One draw in this many runs the per-job reference backend (on a shorter
@@ -73,10 +87,46 @@ def main() -> int:
         proven += stats.proven_cells
         evaluated += stats.candidates_evaluated
         seen += stats.candidates_seen
+    rising = 0
+    for index in range(RISING_DRAWS):
+        rng = np.random.default_rng(zlib.crc32(f"search-fuzz/rising/{index}".encode()))
+        power_model = models[int(rng.integers(len(models)))]
+        step = (0.05, 0.02)[int(rng.integers(2))]
+        mean_demand = (0.005, 0.05)[int(rng.integers(2))]
+        utilization = float(rng.uniform(0.02, 0.9))
+        jobs_seed = int(rng.integers(1 << 30))
+        space = single_state_space(power_model, C6_S3, frequency_step=step)
+        jobs = _exponential_trace(jobs_seed, mean_demand, utilization, num_jobs=700)
+        budgets = _rising_step_budgets(space, jobs, utilization)
+        if not budgets:
+            continue
+        rising += 1
+        budget = budgets[int(rng.integers(len(budgets)))]
+        qos = MeanResponseTimeConstraint(budget)
+        try:
+            stats = _assert_selects_like_full(power_model, space, qos, jobs, utilization)
+        except AssertionError:
+            mismatches += 1
+            shown = {
+                "power_model": power_model.name,
+                "step": step,
+                "mean_demand": mean_demand,
+                "utilization": utilization,
+                "jobs_seed": jobs_seed,
+                "budget": budget,
+            }
+            print(f"mismatch on rising-step draw {index}: {shown}")
+            continue
+        pruned += stats.pruned_columns
+        infeasible += stats.infeasible_columns
+        proven += stats.proven_cells
+        evaluated += stats.candidates_evaluated
+        seen += stats.candidates_seen
     print(
-        f"draws: {DRAWS}  mismatches: {mismatches}  columns pruned: {pruned}"
-        f"  infeasible columns: {infeasible}  proven cells: {proven}"
-        f"  cells evaluated: {evaluated} of {seen}"
+        f"draws: {DRAWS + RISING_DRAWS}  mismatches: {mismatches}"
+        f"  columns pruned: {pruned}  infeasible columns: {infeasible}"
+        f"  proven cells: {proven}  cells evaluated: {evaluated} of {seen}"
+        f"  rising-step draws: {rising} of {RISING_DRAWS}"
     )
     return 1 if mismatches else 0
 

@@ -79,7 +79,7 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         oracle="full",
         members=("full", "frontier"),
         import_evidence=("repro.core.search",),
-        description="frontier feasibility-boundary search vs full-grid selection",
+        description="frontier power-floor walk vs full-grid selection",
     ),
     ParityContract(
         name="executor",

@@ -22,7 +22,6 @@ from repro.core.search import (
     DEFAULT_SEARCH,
     SEARCH_FRONTIER,
     SEARCH_FULL,
-    FrontierSearch,
     PolicySearchEngine,
     SearchStats,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "EpochContext",
     "EpochRecord",
     "FixedPolicyStrategy",
-    "FrontierSearch",
     "MeanResponseTimeConstraint",
     "PercentileResponseTimeConstraint",
     "PolicyEvaluation",

@@ -219,11 +219,10 @@ class PolicyManager:
     search:
         Policy-search mode: ``"full"`` (default) walks the whole candidate
         grid; ``"frontier"`` routes :meth:`select` through the
-        :class:`~repro.core.search.PolicySearchEngine`, which bisects the
-        frequency axis per sleep state for the feasibility boundary, skips
-        cells on proven power floors and falls back to the full grid
-        whenever its slack certificate fails — the selected policy is
-        identical to the full search.
+        :class:`~repro.core.search.PolicySearchEngine`, which probes the
+        grid's cells in ascending proven power floor, never probes a cell
+        proven infeasible, and stops once no unprobed cell can win — the
+        selected policy is identical to the full search.
     """
 
     def __init__(

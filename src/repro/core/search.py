@@ -9,32 +9,27 @@ whole grid even when the winner barely moves between epochs.  This module
 makes the search sublinear in the candidate grid while keeping the selected
 policy **identical** to the full-grid oracle:
 
-* :class:`FrontierSearch` — exploits the monotone slack of the grid (the
-  speed-scaling frontier of Wierman et al.): at a fixed sleep state, QoS
-  slack is non-decreasing in frequency, so the feasible set is a suffix of
-  the sorted frequency axis whose boundary can be *bisected*, warm-started
-  from the previous epoch's boundary.
+* :func:`floor_walk` — a best-first walk over the whole grid, ordered by
+  proven per-cell bounds, that stops as soon as no unprobed cell can win.
 
-Inside that suffix, and across columns, the engine prunes by a proven bound
-rather than by shape.  Every cell has a power floor
+Every cell has a power floor
 (:class:`~repro.simulation.kernel.PowerFloor`): for a single state entered
 immediately, the kernel splits the horizon exactly into serving, waking and
 sleep residency, ``H = S(f) + W + I``, so average power is a mix of the
 active and the sleep power with busy weight at least ``S(f) / H``, and
 without a carried-in backlog ``H`` is at most ``D0_last(f_a) - t0 + w_s``
 at every frequency from an anchor ``f_a`` up (``f_min``, or the anchor of
-use 3 below).
-A column's search probes the previous winner (or the boundary) first, then
-walks the feasible suffix in ascending floor order and stops at the first
-cell whose floor lies above ``(1 + 1e-9)`` times the lower of the column's
-best and the best feasible cell of earlier columns.  The previous
-selection's winning column is searched first, and a column whose every
-floor lies above that incumbent is skipped (:attr:`SearchStats.pruned_columns`).
-A skipped cell costs more than a feasible cell already probed, so pruning
-cannot change the selection: it is exact, not a tolerance.  The floors come
-from the trace alone — one Lindley pass at the anchor, shared with the
-probes, and one active-power and serving-time term per frequency — so both
-simulation backends prune the same cells.
+use 3 below).  The walk probes the cells of every column in ascending
+``(floor, freq index, variant)`` order and stops at the first cell whose
+floor lies above ``(1 + 1e-9)`` times the best feasible power found: that
+cell and every cell after it cost more than a feasible cell already probed
+(a column none of whose cells is probed counts in
+:attr:`SearchStats.pruned_columns`).  The winner is the least ``(power,
+freq index, variant)`` among the feasible probes, which is the oracle's
+first minimum in frequency-major order, ties included.  The floors come from
+the trace alone — one Lindley pass at the anchor, shared with the probes,
+and one active-power and serving-time term per frequency — so both
+simulation backends skip the same cells.
 
 Under a mean-response budget, cells can also be proven infeasible without
 a probe.  Every cell has a response floor
@@ -52,13 +47,12 @@ exact:
 
 1. a cell whose ceiling is negative is infeasible and never probed.  The
    ceilings rise with frequency, so these cells form a prefix of each
-   column; the column's boundary search starts at its first unproven cell,
-   and a feasible first cell fixes the boundary with no further probe.  A
-   column with no unproven cell is skipped unprobed and needs no
-   certificate (:attr:`SearchStats.infeasible_columns`; every skipped cell
-   counts in :attr:`SearchStats.proven_cells`);
-2. when nothing is feasible, the fallback ranks cells, not columns, by
-   their ceilings (below);
+   column, and the walk starts each column at its first unproven cell.  A
+   column with no unproven cell is skipped
+   (:attr:`SearchStats.infeasible_columns`; every skipped cell counts in
+   :attr:`SearchStats.proven_cells`);
+2. when nothing is feasible, the fallback ranks cells by their ceilings
+   (below);
 3. the no-wake ceiling (``w = 0``) bounds every column's, so every cell
    below the first frequency where it is non-negative is infeasible in
    every column.  ``K`` and the power floor's horizon are read there rather
@@ -70,25 +64,21 @@ exact:
 These floors too read only the trace, one more Lindley pass at ``f_max``,
 so both backends skip the same cells.
 
-The only structural assumption left is the monotone slack, and it is
-checked, not trusted.  Every probe is recorded, and a per-column
-**certificate** — QoS slack non-decreasing in frequency and the feasible set
-a suffix over every probe whose slack the search read, a feasible winner, no
-non-finite power — is checked before a column winner is accepted.  A
-violated certificate falls the column back to exhaustive evaluation; when
-no column has a feasible candidate at all, the engine probes every cell
-that can hold :func:`~repro.core.policy_manager.pick_selection`'s pick
-and ranks them by its rule, so the infeasible ranking (largest slack,
-NaN-aware) also matches the oracle.  Under a mean-response budget the
-cells are probed in descending slack ceiling, and the first cell whose
-ceiling lies below the near-best band of a slack already probed ends the
-walk: it and every cell after it are left out.  The selected
-``PolicySelection.policy`` therefore equals the full-grid search whenever
-slack is monotone in frequency, ties included (the lower index wins, as in
-the oracle's first-minimum scan), and a slack that is not monotone is
-caught wherever a probe reads it.  ``tests/core/test_search.py`` fuzzes
-the equality, ``benchmarks/search_fuzz.py`` runs 1,200 more draws,
-``tests/property/test_property_power_floor.py`` and
+No shape of the grid is assumed: QoS slack need not rise with frequency
+(under C6S3's 1 s wake-up, short jobs can meet a budget at a low frequency
+and miss it at a higher one), and every cell the walk skips is either
+proven infeasible or proven dearer than a feasible probe.  When no cell is
+feasible, the engine probes every cell that can hold
+:func:`~repro.core.policy_manager.pick_selection`'s pick and ranks them by
+its rule, so the infeasible ranking (largest slack, NaN-aware) also matches
+the oracle.  Under a mean-response budget the cells are probed in
+descending slack ceiling, and the first cell whose ceiling lies below the
+near-best band of a slack already probed ends the walk: it and every cell
+after it are left out.  A probe with a non-finite power sends the selection
+to the full grid.  The selected ``PolicySelection.policy`` therefore equals
+the full-grid search.  ``tests/core/test_search.py`` fuzzes the equality
+and pins a rising-slack sweep, ``benchmarks/search_fuzz.py`` runs more
+draws, ``tests/property/test_property_power_floor.py`` and
 ``tests/property/test_property_response_floor.py`` check every cell
 against its floors on both backends, and
 ``tests/scenarios/test_default_search_parity.py`` pins the selections,
@@ -110,7 +100,6 @@ Contract notes (see ``docs/ARCHITECTURE.md``):
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
@@ -191,8 +180,6 @@ class _Probe:
     gap-aggregate ``E[R]`` — the same number the assembled result reports —
     so mean-QoS probes never build per-job arrays; any other constraint
     materialises them on first access to slack or feasibility.
-    ``slack_computed`` lets the certificate check slack monotonicity over
-    exactly the probes whose slack the search actually used.
     """
 
     __slots__ = ("solution", "_qos", "_mean_budget", "_slack", "_meets")
@@ -236,10 +223,6 @@ class _Probe:
                 )
         return self._meets
 
-    @property
-    def slack_computed(self) -> bool:
-        return self._slack is not None or self._meets is not None
-
 
 class _PolicyGrid:
     """The candidate space reshaped as (frequency x sleep-variant), lazily.
@@ -258,8 +241,7 @@ class _PolicyGrid:
 
     def __init__(self, space: PolicySpace, frequencies: np.ndarray):
         self.space = space
-        #: The frequency axis as Python floats: cells and warm starts read
-        #: scalars.
+        #: The frequency axis as Python floats: cells read scalars.
         self.frequencies: list[float] = frequencies.tolist()
         self.num_frequencies = len(self.frequencies)
         self.num_variants = len(space.states) + int(space.include_dvfs_only)
@@ -341,13 +323,15 @@ class _PolicyGrid:
         )
 
 
-class _CertificateViolation(Exception):
-    """Raised inside a column search when a monotonicity assumption fails."""
-
-
 # ---------------------------------------------------------------------------
 # The frontier search
 # ---------------------------------------------------------------------------
+
+#: Relative margin above the best feasible power a cell's power floor must
+#: clear before the cell is skipped, and below the budget a cell's response
+#: floor must lie before the cell is proven infeasible; it absorbs rounding
+#: in the floors and in the kernel's sums.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass
@@ -357,12 +341,11 @@ class SearchStats:
     selections: int = 0
     full_selections: int = 0
     frontier_selections: int = 0
-    fallback_columns: int = 0
     fallback_full: int = 0
     candidates_seen: int = 0
     candidates_evaluated: int = 0
-    #: Columns skipped because every cell's power floor is above a feasible
-    #: incumbent.
+    #: Columns with an unproven cell, none of which was probed because every
+    #: such cell's power floor lies above the winner.
     pruned_columns: int = 0
     #: Columns skipped because their response floor is above the budget:
     #: every cell is proven infeasible.
@@ -370,8 +353,8 @@ class SearchStats:
     #: Cells skipped because their own response floor is above the budget
     #: (every cell of an infeasible column among them).
     proven_cells: int = 0
-    #: Cells of both kinds of skipped column, plus the cells skipped on
-    #: their response or power floor inside a searched column.
+    #: Cells the walk skips: the proven cells plus those whose power floor
+    #: lies above the winner.
     candidates_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -380,7 +363,6 @@ class SearchStats:
             "selections": self.selections,
             "full_selections": self.full_selections,
             "frontier_selections": self.frontier_selections,
-            "fallback_columns": self.fallback_columns,
             "fallback_full": self.fallback_full,
             "candidates_seen": self.candidates_seen,
             "candidates_evaluated": self.candidates_evaluated,
@@ -391,266 +373,68 @@ class SearchStats:
         }
 
 
-class FrontierSearch:
-    """Per-column boundary bisection and floor walk, with warm starts.
+def floor_walk(
+    grid: _PolicyGrid,
+    probe: Callable[[int, int], _Probe],
+    stats: SearchStats,
+    floor: Callable[[int], list[float]],
+    ceilings: Sequence[Sequence[float]] | None = None,
+) -> tuple[int, int, _Probe] | None:
+    """The winning grid cell ``(freq index, variant index, probe)``, exactly.
 
-    One instance lives inside each :class:`PolicySearchEngine` and carries
-    the warm-start state — the previous epoch's feasibility boundary and
-    winner frequency per sleep-variant column — across selections.  Warm
-    starts only change *which* indices are probed first, never the answer:
-    the certificate is checked on whatever window was actually probed.
+    ``None`` means no candidate anywhere is feasible (the caller ranks the
+    grid for the oracle's infeasible pick).  *ceilings*, when given, holds a
+    proven upper bound on the slack of each cell of each column; the cells
+    below a column's first non-negative bound are infeasible and never
+    probed, and a column with none is skipped.  ``floor(variant)`` holds a
+    proven power floor per cell of a column.  Every other cell is probed in
+    ascending ``(floor, freq index, variant)`` order until a floor lies above
+    the best feasible power found: that cell and every cell after it cost
+    more than a feasible cell already probed.  The winner is the least
+    ``(power, freq index, variant)`` among the feasible probes, the oracle's
+    first minimum in frequency-major order.
     """
-
-    def __init__(self) -> None:
-        #: variant index -> (boundary frequency, winner frequency) of the
-        #: previous accepted frontier selection.
-        self._warm: dict[int, tuple[float, float]] = {}
-        #: The previous selection's winning column, searched first.
-        self._first_variant = 0
-
-    def reset(self) -> None:
-        """Drop all warm-start state (selections are unaffected either way)."""
-        self._warm.clear()
-        self._first_variant = 0
-
-    # -- column search --------------------------------------------------------
-
-    def _column_winner(
-        self,
-        grid: _PolicyGrid,
-        variant: int,
-        probe: Callable[[int, int], _Probe],
-        floors: list[float],
-        first: int,
-        incumbent: float,
-        stats: SearchStats,
-    ) -> int | None:
-        """Index of the column's cheapest feasible frequency, or ``None``.
-
-        The cells below *first* are proven infeasible and never probed.
-        Cells whose *floors* lie above *incumbent* may be skipped, so a
-        column that cannot beat the incumbent may return a cell that is not
-        its own minimum.  Raises :class:`_CertificateViolation` when the
-        probes contradict the monotone-slack structure.
-        """
-        last = grid.num_frequencies - 1
-        probed: dict[int, _Probe] = {}
-
-        def at(index: int) -> _Probe:
-            entry = probed.get(index)
-            if entry is None:
-                entry = probe(index, variant)
-                if not math.isfinite(entry.power):
-                    raise _CertificateViolation("non-finite probe")
-                probed[index] = entry
-            return entry
-
-        warm = self._warm.get(variant)
-        warm_boundary = warm_winner = None
-        if warm is not None:
-            frequencies = grid.frequencies
-            warm_boundary = min(bisect_left(frequencies, warm[0] - 1e-12), last)
-            warm_winner = min(bisect_left(frequencies, warm[1] - 1e-12), last)
-
-        # Phase 1 — find the feasibility boundary (slack is non-decreasing
-        # in frequency, so the feasible set is a suffix) among the unproven
-        # cells.  Behind a proven prefix the boundary usually sits at its
-        # first unproven cell, and a feasible one fixes it with no further
-        # probe.  Otherwise the boundary drifts by at most an index or two
-        # between epochs even though the frequency axis itself shifts, so
-        # the warm start is confirmed with a short local walk before
-        # resorting to bisection.
-        low, high = first, None  # high: smallest index known feasible
-        if first > 0:
-            if at(first).meets:
-                high = first
-            else:
-                low = first + 1
-        if high is None and warm_boundary is not None and warm_boundary >= low:
-            if at(warm_boundary).meets:
-                high = warm_boundary
-                for _ in range(2):  # walk left over small drift
-                    if high == low or not at(high - 1).meets:
-                        low = high
-                        break
-                    high -= 1
-            else:
-                low = warm_boundary + 1
-                if low <= last and at(low).meets:  # drift of one index right
-                    high = low
-        if high is None:
-            if low > last or not at(last).meets:
-                # Under a monotone slack an infeasible top means an empty
-                # column — but that conclusion rests on unprobed structure,
-                # so verify it at the other end: a feasible bottom, or a
-                # bottom with *more* slack than the top, contradicts
-                # monotonicity and sends the column to the exhaustive
-                # fallback instead of being silently skipped.
-                bottom = at(first)
-                if bottom.meets or not bottom.slack <= at(last).slack:
-                    raise _CertificateViolation("slack not monotone at column ends")
-                return None
-            high = last
-        while low < high:
-            mid = (low + high) // 2
-            if at(mid).meets:
-                high = mid
-            else:
-                low = mid + 1
-        boundary = high
-        if not at(boundary).meets or (boundary > first and at(boundary - 1).meets):
-            raise _CertificateViolation("feasibility bisection inconsistent")
-
-        # Phase 2 — the cheapest cell of the feasible suffix.  Probe the
-        # previous winner (or the boundary) first, then walk the rest of the
-        # suffix in ascending floor order and stop at the first cell whose
-        # proven floor lies above the column best or the global incumbent,
-        # whichever is lower: no cell from there on can win.  Power ties go
-        # to the lower index, like the oracle's first-minimum scan.
-        start = (
-            warm_winner
-            if warm_winner is not None and warm_winner >= boundary
-            else boundary
-        )
-        winner, winner_power = start, at(start).power
-        order = sorted(range(boundary, last + 1), key=floors.__getitem__)
-        skipped = 0
-        for position, index in enumerate(order):
-            if floors[index] > min(winner_power, incumbent) * (
-                1.0 + self._PRUNE_MARGIN
-            ):
-                skipped = sum(1 for rest in order[position:] if rest not in probed)
-                break
-            power = at(index).power
-            if (power, index) < (winner_power, winner):
-                winner, winner_power = index, power
-
-        if not at(winner).meets:
-            # Under a monotone slack the whole suffix is feasible; a winner
-            # that is not means the structure does not hold here.
-            raise _CertificateViolation("winner infeasible")
-        self._certify(probed, boundary)
-        stats.candidates_pruned += skipped
-        self._warm[variant] = (
-            grid.frequencies[boundary],
-            grid.frequencies[winner],
-        )
-        return winner
-
-    @staticmethod
-    def _certify(probed: dict[int, _Probe], boundary: int) -> None:
-        """Check the probed window against the monotone-slack structure.
-
-        Slack must be non-decreasing in frequency over exactly the probes
-        whose slack the search consumed (the feasibility phase and the
-        winner), and the feasible set must be the suffix from *boundary*.
-        Power-only probes need no check: the floor walk ranks them exactly.
-        """
-        previous_slack = None
-        for index in sorted(probed):
-            entry = probed[index]
-            if not entry.slack_computed:
-                continue
-            if previous_slack is not None and entry.slack < previous_slack:
-                raise _CertificateViolation("slack not monotone over probes")
-            previous_slack = entry.slack
-            if entry.meets != (index >= boundary):
-                raise _CertificateViolation("feasible set is not a suffix")
-
-    # -- whole-grid search ----------------------------------------------------
-
-    #: Relative margin above the incumbent a cell's power floor must clear
-    #: before the cell is skipped; it absorbs rounding in the floor and in
-    #: the kernel's energy sums.
-    _PRUNE_MARGIN = 1e-9
-
-    def run(
-        self,
-        grid: _PolicyGrid,
-        probe: Callable[[int, int], _Probe],
-        stats: SearchStats,
-        floor: Callable[[int], list[float]],
-        ceilings: Sequence[Sequence[float]] | None = None,
-    ) -> tuple[int, int, _Probe] | None:
-        """The winning grid cell ``(freq index, variant index, probe)``.
-
-        ``None`` means no candidate anywhere is feasible (the caller ranks
-        the whole grid for oracle-identical infeasible ranking).  Columns
-        whose certificate fails are re-evaluated exhaustively, so the
-        returned winner always matches the oracle's feasible minimum.
-
-        The previous winner's column is searched first.  *ceilings*, when
-        given, holds a proven upper bound on the slack of each cell of each
-        column; a cell whose bound is negative is infeasible, so a column's
-        search starts at its first cell with a non-negative bound, and a
-        column with none is skipped unprobed.  ``floor(variant)`` holds a
-        proven power floor per cell of a column; a cell whose floor lies
-        above the best feasible cell so far cannot hold the minimum and is
-        skipped, and so is a column whose every unproven cell is.
-        """
-        best: tuple[float, int, int] | None = None
-        best_probe: _Probe | None = None
-        first = self._first_variant if self._first_variant < grid.num_variants else 0
-        size = grid.num_frequencies
-        for variant in (first, *range(first), *range(first + 1, grid.num_variants)):
-            proven = 0
-            if ceilings is not None:
-                proven = next(
-                    (
-                        index
-                        for index, cap in enumerate(ceilings[variant])
-                        if not cap < 0.0
-                    ),
-                    size,
-                )
-                stats.proven_cells += proven
-                stats.candidates_pruned += proven
-            if proven == size:
-                stats.infeasible_columns += 1
-                continue
-            floors = floor(variant)
-            incumbent = math.inf if best is None else best[0]
-            if min(floors[proven:]) > incumbent * (1.0 + self._PRUNE_MARGIN):
-                stats.pruned_columns += 1
-                stats.candidates_pruned += size - proven
-                continue
-            try:
-                winner = self._column_winner(
-                    grid, variant, probe, floors, proven, incumbent, stats
-                )
-            except _CertificateViolation:
-                stats.fallback_columns += 1
-                self._warm.pop(variant, None)
-                winner = self._exhaustive_column(grid, variant, probe, proven)
-            if winner is None:
-                continue
-            entry = probe(winner, variant)
-            order = (entry.power, winner, variant)
-            if best is None or order < best:
-                best = order
-                best_probe = entry
-        if best is None or best_probe is None:
-            return None
-        self._first_variant = best[2]
-        return best[1], best[2], best_probe
-
-    @staticmethod
-    def _exhaustive_column(
-        grid: _PolicyGrid,
-        variant: int,
-        probe: Callable[[int, int], _Probe],
-        first: int,
-    ) -> int | None:
-        """Exact column minimum by evaluating every unproven cell (fallback)."""
-        best: tuple[float, int] | None = None
-        for index in range(first, grid.num_frequencies):
-            entry = probe(index, variant)
-            if not entry.meets:
-                continue
-            order = (entry.power, index)
-            if best is None or order < best:
-                best = order
-        return None if best is None else best[1]
+    size = grid.num_frequencies
+    cells: list[tuple[float, int, int]] = []
+    for variant in range(grid.num_variants):
+        proven = 0
+        if ceilings is not None:
+            proven = next(
+                (
+                    index
+                    for index, cap in enumerate(ceilings[variant])
+                    if not cap < 0.0
+                ),
+                size,
+            )
+            stats.proven_cells += proven
+            stats.candidates_pruned += proven
+        if proven == size:
+            stats.infeasible_columns += 1
+            continue
+        floors = floor(variant)
+        cells.extend((floors[index], index, variant) for index in range(proven, size))
+    cells.sort()
+    best: tuple[float, int, int] | None = None
+    best_probe: _Probe | None = None
+    walked = 0
+    for bound, index, variant in cells:
+        if best is not None and bound > best[0] * (1.0 + _PRUNE_MARGIN):
+            break
+        walked += 1
+        entry = probe(index, variant)
+        # Feasibility is read only where it matters: a percentile budget
+        # assembles per-job arrays to answer it.
+        order = (entry.power, index, variant)
+        if (best is None or order < best) and entry.meets:
+            best, best_probe = order, entry
+    stats.candidates_pruned += len(cells) - walked
+    stats.pruned_columns += len({variant for _, _, variant in cells}) - len(
+        {variant for _, _, variant in cells[:walked]}
+    )
+    if best is None or best_probe is None:
+        return None
+    return best[1], best[2], best_probe
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +451,7 @@ class PolicySearchEngine:
     which builds no engine.  The engine owns:
 
     * the per-trace evaluator (kernel-backed for the vectorized backend,
-      per-candidate :func:`simulate_trace` for the reference backend),
-    * the :class:`FrontierSearch` warm-start state, and
+      per-candidate :func:`simulate_trace` for the reference backend), and
     * the :class:`SearchStats` counters benchmarks read.
     """
 
@@ -685,7 +468,6 @@ class PolicySearchEngine:
         self._qos = qos
         self._scaling = scaling or cpu_bound()
         self._backend = validate_backend(backend)
-        self._frontier = FrontierSearch()
         #: Small LRU of candidate grids keyed by the frequency axis: two
         #: utilisations whose stability pruning yields the same axis share
         #: the same candidate policies, so they are not rebuilt per epoch.
@@ -770,7 +552,7 @@ class PolicySearchEngine:
     ) -> PolicySelection | None:
         """Frontier-accelerated selection; ``None`` requests the full path."""
         grid = self._grid_for(utilization)
-        if grid is None or grid.num_frequencies < 2:
+        if grid is None:
             return None
         kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
         evaluate = self._evaluator(jobs, kernel)
@@ -799,7 +581,7 @@ class PolicySearchEngine:
             # The same test ``_Probe`` applies: a cell meets the budget iff
             # its slack, budget minus mu*E[R], is non-negative.
             budget = qos.normalized_budget
-            margin = 1.0 - FrontierSearch._PRUNE_MARGIN
+            margin = 1.0 - _PRUNE_MARGIN
             # No column's cell beats the no-wake floor at its frequency, so
             # every cell below the first one that can meet the budget with
             # no wake-up at all is infeasible: read ``K`` and the power
@@ -828,23 +610,26 @@ class PolicySearchEngine:
         # Count without touching grid.policies: materialising every cell
         # just to count it would defeat the lazy grid.
         self.stats.candidates_seen += grid.num_frequencies * grid.num_variants
-        winner = self._frontier.run(grid, probe, self.stats, floor, ceilings)
+        winner = floor_walk(grid, probe, self.stats, floor, ceilings)
+        feasible = winner is not None
         if winner is None:
             # Nothing feasible was found: the oracle ranks the whole table
             # (largest slack, NaN-aware), so probe every cell that can hold
             # its pick and rank them by the same rule, in enumeration order.
-            # Nothing was pruned on power without an incumbent.
-            self.stats.fallback_full += 1
             cells = self._contending_cells(grid, probe, probes, ceilings)
             entries = [probe(*cell) for cell in cells]
             index, feasible = pick_index(
                 [(entry.power, entry.meets, entry.slack) for entry in entries]
             )
-            (freq_index, variant_index), entry = cells[index], entries[index]
-        else:
-            freq_index, variant_index, entry = winner
-            feasible = True
+            winner = (*cells[index], entries[index])
+        if not all(math.isfinite(entry.power) for entry in probes.values()):
+            # The floors cannot order a non-finite power; the oracle ranks it.
+            return None
+        if feasible:
             self.stats.frontier_selections += 1
+        else:
+            self.stats.fallback_full += 1
+        freq_index, variant_index, entry = winner
         best = evaluation_from_result(
             grid.policy_at(freq_index, variant_index), entry.solution.result, qos
         )

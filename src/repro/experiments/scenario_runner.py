@@ -723,9 +723,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(SEARCHES),
         default=DEFAULT_SEARCH,
         help=(
-            "per-epoch policy-search mode: 'frontier' (default) bisects the "
-            "candidate grid, 'full' walks all of it as the oracle (selected "
-            "policies are identical either way)"
+            "per-epoch policy-search mode: 'frontier' (default) probes the "
+            "candidate grid in proven power-floor order, 'full' walks all of "
+            "it as the oracle (selected policies are identical either way)"
         ),
     )
     parser.add_argument(

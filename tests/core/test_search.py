@@ -28,10 +28,11 @@ from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.search import (
     SEARCH_FRONTIER,
     SEARCH_FULL,
-    FrontierSearch,
+    PolicySearchEngine,
     SearchStats,
     _PolicyGrid,
     _Probe,
+    floor_walk,
     validate_search,
 )
 from repro.core.strategies import sleepscale_strategy
@@ -43,7 +44,7 @@ from repro.policies.space import (
     single_state_space,
 )
 from repro.power.platform import atom_power_model, xeon_power_model
-from repro.power.states import C3_S0I, C6_S0I, LOW_POWER_STATES
+from repro.power.states import C3_S0I, C6_S0I, C6_S3, LOW_POWER_STATES
 from repro.prediction.naive import NaivePreviousPredictor
 from repro.workloads.generator import generate_jobs
 from repro.workloads.jobs import JobTrace
@@ -181,6 +182,15 @@ def _assert_equivalent(
         utilization=utilization,
         rng=np.random.default_rng(jobs_seed),
     )
+    return _assert_selects_like_full(
+        power_model, space, qos, jobs, utilization, backend=backend
+    )
+
+
+def _assert_selects_like_full(
+    power_model, space, qos, jobs, utilization, backend="vectorized"
+) -> SearchStats:
+    """The frontier selects the oracle's policy, feasibility and power."""
     full, frontier = _managers(power_model, space, qos, backend=backend)
     oracle = full.select(jobs, utilization)
     fast = frontier.select(jobs, utilization)
@@ -188,6 +198,33 @@ def _assert_equivalent(
     assert fast.feasible == oracle.feasible
     assert fast.best.average_power == oracle.best.average_power
     return frontier.search_stats
+
+
+def _exponential_trace(seed, mean_demand, utilization, num_jobs=800) -> JobTrace:
+    """Exponential demands and gaps at *utilization*, drawn from *seed*."""
+    rng = np.random.default_rng(seed)
+    demands = rng.exponential(mean_demand, num_jobs)
+    gaps = rng.exponential(mean_demand / utilization, num_jobs)
+    return JobTrace.from_interarrivals(gaps, demands)
+
+
+def _rising_step_budgets(space, jobs, utilization) -> list[float]:
+    """Mean budgets inside every step where mu*E[R] rises with frequency.
+
+    *space* has one sleep-state column, so the ``full`` table lists its
+    cells in frequency order.  A budget at the midpoint of a rising step is
+    met just below the step and missed just above it: the feasible cells do
+    not form a suffix of the frequency axis.
+    """
+    table = PolicyManager(
+        space.power_model, space, MeanResponseTimeConstraint(1.0)
+    ).characterize(jobs, utilization)
+    responses = [row.normalized_mean_response_time for row in table]
+    return [
+        (lower + upper) / 2
+        for lower, upper in zip(responses, responses[1:], strict=False)
+        if upper > lower
+    ]
 
 
 class TestFrontierFullEquivalence:
@@ -312,8 +349,44 @@ class TestFrontierFullEquivalence:
         assert len(oracle.evaluations) == space.size(0.3)
 
 
+class TestRisingSlack:
+    """Columns whose slack falls as frequency rises.
+
+    Short jobs against C6S3's 1 s wake-up: at a lower frequency fewer idle
+    gaps survive, so fewer wake-ups are paid, and that can outweigh the
+    slower service.  The feasible cells of such a column need not form a
+    suffix of the frequency axis.
+    """
+
+    def test_minimal_case_selects_the_cheaper_low_frequency(self, xeon):
+        space = single_state_space(xeon, C6_S3)
+        qos = MeanResponseTimeConstraint(100.0)
+        jobs = _exponential_trace(0, 0.005, 0.2)
+        full, _ = _managers(xeon, space, qos)
+        oracle = full.select(jobs, 0.2)
+        assert oracle.policy.frequency == pytest.approx(0.71)
+        assert oracle.best.average_power == pytest.approx(164.99, abs=0.005)
+        _assert_selects_like_full(xeon, space, qos, jobs, 0.2)
+
+    def test_every_rising_step_budget_selects_like_full(self, xeon, atom):
+        cases = 0
+        for power_model in (xeon, atom):
+            space = single_state_space(power_model, C6_S3)
+            for seed in range(3):
+                for mean_demand in (0.005, 0.05):
+                    for utilization in (0.05, 0.2, 0.5, 0.8):
+                        jobs = _exponential_trace(seed, mean_demand, utilization)
+                        for budget in _rising_step_budgets(space, jobs, utilization):
+                            qos = MeanResponseTimeConstraint(budget)
+                            _assert_selects_like_full(
+                                power_model, space, qos, jobs, utilization
+                            )
+                            cases += 1
+        assert cases == 138
+
+
 class TestFloorWalk:
-    """``FrontierSearch.run`` on synthetic columns with known floors."""
+    """``floor_walk`` on synthetic columns with known floors."""
 
     #: A first valley at index 1 (8 W) and a cheaper one at index 6 (6 W)
     #: behind a bump far wider than any tolerance a walk could carry.
@@ -326,7 +399,7 @@ class TestFloorWalk:
         The normalised response time falls from 5.0 by 0.1 per index, so
         slack rises in frequency and *budget* sets the feasibility boundary
         (every cell meets the default budget).  *ceilings* holds each
-        column's slack ceilings per cell, as ``FrontierSearch.run`` takes
+        column's slack ceilings per cell, as ``floor_walk`` takes
         them; a number stands for every cell of its column.
         """
         size = len(columns[0][0])
@@ -352,7 +425,7 @@ class TestFloorWalk:
             return _Probe(solution, qos)
 
         stats = SearchStats()
-        winner = FrontierSearch().run(
+        winner = floor_walk(
             grid, probe, stats, lambda variant: columns[variant][1], ceilings
         )
         return winner, set(probed), stats
@@ -361,7 +434,6 @@ class TestFloorWalk:
         winner, _, stats = self._run([(self.POWERS, [0.0] * len(self.POWERS))])
         assert winner[:2] == (6, 0)
         assert winner[2].power == 6.0
-        assert stats.fallback_columns == 0
         assert stats.candidates_pruned == 0
 
     def test_tight_floors_skip_cells(self):
@@ -381,7 +453,6 @@ class TestFloorWalk:
         winner, _, stats = self._run([(powers, [0.0] * len(powers))], budget=4.65)
         assert winner[:2] == (7, 0)
         assert winner[2].meets
-        assert stats.fallback_columns == 0
 
     def test_column_whose_floors_clear_the_incumbent_is_skipped(self):
         size = len(self.POWERS)
@@ -394,8 +465,8 @@ class TestFloorWalk:
 
     def test_column_proven_infeasible_is_never_probed(self):
         # The first column is the cheapest everywhere, but its slack ceiling
-        # is negative: no cell can meet the budget, so it is never probed,
-        # needs no certificate and the second column wins.
+        # is negative: no cell can meet the budget, so it is never probed
+        # and the second column wins.
         size = len(self.POWERS)
         cheaper = ([1.0] * size, [0.0] * size)
         winner, probed, stats = self._run(
@@ -405,7 +476,6 @@ class TestFloorWalk:
         assert all(variant == 1 for _, variant in probed)
         assert stats.infeasible_columns == 1
         assert stats.candidates_pruned == size
-        assert stats.fallback_columns == 0
 
     def test_non_negative_ceiling_is_searched(self):
         # A ceiling of exactly 0 still allows a cell with zero slack.
@@ -418,8 +488,7 @@ class TestFloorWalk:
 
     def test_proven_prefix_is_never_probed(self):
         # Budget 4.65 makes indices 0-3 infeasible, and their ceilings prove
-        # it: the search starts at index 4, which is feasible, so it fixes
-        # the boundary with no probe below it.
+        # it: the walk starts at index 4 and never probes below it.
         size = len(self.POWERS)
         ceilings = [-0.3, -0.2, -0.1, -1e-6] + [0.5] * (size - 4)
         winner, probed, stats = self._run(
@@ -429,11 +498,11 @@ class TestFloorWalk:
         assert all(index >= 4 for index, _ in probed)
         assert stats.proven_cells == 4
         assert stats.candidates_pruned == 4
-        assert stats.fallback_columns == 0
 
-    def test_infeasible_first_unproven_cell_bisects_above_it(self):
+    def test_infeasible_first_unproven_cell_is_probed_and_passed_over(self):
         # Only indices 0-1 are proven; index 2 is unproven but infeasible,
-        # so the boundary (4) is found above it and the winner is exact.
+        # so the walk probes it, finds it no winner and goes on to the
+        # exact winner above it.
         size = len(self.POWERS)
         ceilings = [-0.2, -0.1] + [0.5] * (size - 2)
         winner, probed, stats = self._run(
@@ -443,7 +512,6 @@ class TestFloorWalk:
         assert (0, 0) not in probed and (1, 0) not in probed
         assert (2, 0) in probed
         assert stats.proven_cells == 2
-        assert stats.fallback_columns == 0
 
     def test_every_column_proven_infeasible_returns_none(self):
         size = len(self.POWERS)
@@ -457,9 +525,9 @@ class TestFloorWalk:
 class _InvertedQos(QosConstraint):
     """Met only when the system is *slow*: slack decreases in frequency.
 
-    This breaks the frontier's feasible-set-is-a-suffix assumption on
-    purpose — the feasible set is a prefix — so every column's top probe is
-    infeasible and the engine must take the full-grid fallback.
+    The feasible set of each column is a prefix, not a suffix, on purpose:
+    the floor walk assumes no shape of the grid, so it must still select
+    exactly like the oracle.
     """
 
     def __init__(self, minimum_normalized_response: float):
@@ -493,14 +561,43 @@ class TestFallbacks:
             assert fast.feasible == oracle.feasible
         stats = frontier.search_stats
         assert stats is not None
-        # The broken monotonicity must have been detected, not silently
-        # trusted: every column went through the exhaustive fallback unless
-        # its proven power floor ruled it out.
-        assert stats.fallback_columns > 0
         assert (
             stats.candidates_evaluated + stats.candidates_pruned
             == stats.candidates_seen
         )
+
+    def test_non_finite_power_takes_the_full_path(
+        self, xeon, dns_ideal, monkeypatch
+    ):
+        # The floors cannot order a NaN power, so the select is left to the
+        # oracle's own ranking.
+        class NanPower:
+            average_power = float("nan")
+
+            def __init__(self, solution):
+                self._solution = solution
+
+            def __getattr__(self, name):
+                return getattr(self._solution, name)
+
+        evaluator = PolicySearchEngine._evaluator
+
+        def poisoned(engine, jobs, kernel):
+            evaluate = evaluator(engine, jobs, kernel)
+            return lambda frequency, sleep: NanPower(evaluate(frequency, sleep))
+
+        monkeypatch.setattr(PolicySearchEngine, "_evaluator", poisoned)
+        _, frontier = _managers(
+            xeon, full_space(xeon, frequency_step=0.1), mean_qos_from_baseline(0.8)
+        )
+        jobs = generate_jobs(
+            dns_ideal, num_jobs=300, utilization=0.3,
+            rng=np.random.default_rng(2),
+        )
+        frontier.select(jobs, 0.3)
+        stats = frontier.search_stats
+        assert stats.full_selections == 1
+        assert stats.frontier_selections == stats.fallback_full == 0
 
     def test_infeasible_everywhere_matches_oracle(self, xeon, dns_ideal):
         # An impossibly tight budget: nothing meets it, so the engine must
@@ -618,6 +715,25 @@ class TestUtilizationRange:
         fast = frontier.select(jobs, utilization)
         assert fast.policy == oracle.policy
         assert fast.best.average_power == oracle.best.average_power
+
+    @pytest.mark.parametrize("model", ["xeon", "atom"])
+    @pytest.mark.parametrize("step", [0.05, 0.02])
+    @pytest.mark.parametrize("qos_kind", ["mean", "percentile"])
+    def test_one_frequency_grid_is_searched(self, dns_ideal, model, step, qos_kind):
+        # At 0.99 only full speed is stable: the walk ranks a one-row grid.
+        power_model = {"xeon": xeon_power_model, "atom": atom_power_model}[model]()
+        space = full_space(power_model, frequency_step=step)
+        assert _PolicyGrid.build(space, 0.99).num_frequencies == 1
+        qos = (
+            mean_qos_from_baseline(0.8)
+            if qos_kind == "mean"
+            else percentile_qos_from_baseline(0.8, dns_ideal.mean_service_time)
+        )
+        jobs = generate_jobs(
+            dns_ideal, num_jobs=400, utilization=0.99, rng=np.random.default_rng(13)
+        )
+        stats = _assert_selects_like_full(power_model, space, qos, jobs, 0.99)
+        assert stats.full_selections == 0
 
     @pytest.mark.parametrize("utilization", [-0.1, 1.0, float("nan")])
     def test_out_of_range_rejected_by_both(self, xeon, dns_ideal, utilization):

@@ -8,8 +8,7 @@ same energy, tail latency and budget verdict as one built with
 ``search="full"``, and every server takes the same decision every epoch.
 The scenarios use the strategies' default 0.05 frequency step; the
 fine-grid cases below repeat the check at step 0.02, where the finer grid
-gives the frontier's boundary bisection and floor walk more room to go
-wrong.
+gives the frontier's floor walk more cells to order and to skip.
 """
 
 from __future__ import annotations
