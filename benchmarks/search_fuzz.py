@@ -2,8 +2,8 @@
 
 Each of the first 1,200 draws is one case of
 ``tests/core/test_search.py::_assert_equivalent``: a policy-space shape, a
-QoS type, a simulation backend, a platform preset, a frequency step, a
-utilisation and a job stream.  The last 200 draw the regime where QoS slack
+QoS type, a platform preset, a frequency step, a utilisation and a job
+stream (one draw in eight is short: 250 jobs at step 0.05).  The last 200 draw the regime where QoS slack
 falls as frequency rises: a C6S3-only space, exponential 5 or 50 ms jobs,
 and a mean budget inside a step where the ``full`` table's mu*E[R] rises
 with frequency (a draw whose column has no such step is counted and not
@@ -49,9 +49,9 @@ DRAWS = 1_200
 RISING_DRAWS = 200
 SPACE_KINDS = ("full", "single", "dvfs")
 QOS_KINDS = ("mean", "percentile")
-#: One draw in this many runs the per-job reference backend (on a shorter
-#: stream, as in the tier-1 fuzz); the rest run the vectorized kernel.
-REFERENCE_EVERY = 8
+#: One draw in this many is short (250 jobs at step 0.05, as the tier-1
+#: fuzz's short draws); the rest draw 700 jobs at step 0.05 or 0.02.
+SHORT_EVERY = 8
 
 
 def main() -> int:
@@ -60,19 +60,18 @@ def main() -> int:
     mismatches = pruned = infeasible = proven = evaluated = seen = 0
     for index in range(DRAWS):
         rng = np.random.default_rng(zlib.crc32(f"search-fuzz/{index}".encode()))
-        reference = index % REFERENCE_EVERY == 0
+        short = index % SHORT_EVERY == 0
         space_kind = SPACE_KINDS[int(rng.integers(len(SPACE_KINDS)))]
         qos_kind = QOS_KINDS[int(rng.integers(len(QOS_KINDS)))]
         case = {
             "power_model": models[int(rng.integers(len(models)))],
             "dns": dns,
-            "backend": "reference" if reference else "vectorized",
             "space_kind": space_kind,
             "qos_kind": qos_kind,
-            "step": 0.05 if reference else (0.05, 0.02)[int(rng.integers(2))],
+            "step": 0.05 if short else (0.05, 0.02)[int(rng.integers(2))],
             "utilization": float(rng.uniform(0.02, 0.95)),
             "jobs_seed": int(rng.integers(1 << 30)),
-            "num_jobs": 250 if reference else 700,
+            "num_jobs": 250 if short else 700,
         }
         try:
             stats = _assert_equivalent(**case)

@@ -8,9 +8,10 @@ primitive for this implementation: one Algorithm 1 evaluation, a whole
 policy-space characterisation, and the analytic (closed-form) evaluation that
 could replace simulation for the idealised model.
 
-Both simulation backends are benchmarked — the vectorized kernel (the
-default everywhere) and the per-job reference loop it replaced — so the
-speedup and any future regression are visible in one report.
+The simulation kernel (the package's one simulator) is benchmarked next to
+the per-job loop it replaced, which the tests keep as their oracle
+(``tests/simulation/reference_loop.py``), so the speedup and any future
+regression are visible in one report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analytic.mm1_sleep import evaluate_policy
-from repro.core.policy_manager import PolicyManager
+from repro.core.policy_manager import PolicyManager, evaluation_from_result, pick_selection
 from repro.core.qos import MeanResponseTimeConstraint
 from repro.policies.space import full_space
 from repro.power.platform import xeon_power_model
@@ -27,6 +28,7 @@ from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import TraceKernel
 from repro.workloads.generator import generate_jobs
 from repro.workloads.spec import dns_workload
+from tests.simulation.reference_loop import reference_simulate_trace
 
 
 @pytest.fixture(scope="module")
@@ -39,14 +41,27 @@ def job_stream():
     return generate_jobs(dns_workload(empirical=False), num_jobs=10_000, utilization=0.3, seed=0)
 
 
-def make_manager(power_model, backend):
+def make_manager(power_model):
     return PolicyManager(
         power_model=power_model,
         policy_space=full_space(power_model, frequency_step=0.1),
         qos=MeanResponseTimeConstraint(5.0),
         characterization_jobs=1_000,
         seed=0,
-        backend=backend,
+    )
+
+
+def reference_select(manager, power_model, jobs, utilization):
+    """The manager's full-grid selection, each candidate run by the per-job loop."""
+    return pick_selection(
+        [
+            evaluation_from_result(
+                policy,
+                reference_simulate_trace(jobs, policy.frequency, policy.sleep, power_model),
+                manager.qos,
+            )
+            for policy in manager.policy_space.candidate_policies(utilization)
+        ]
     )
 
 
@@ -65,7 +80,7 @@ def test_bench_single_policy_evaluation_reference(benchmark, power_model, job_st
     """The same single-policy run through the per-job reference loop."""
     sleep = power_model.immediate_sleep_sequence(C6_S0I, 0.7)
     result = benchmark(
-        simulate_trace, job_stream, 0.7, sleep, power_model, backend="reference"
+        reference_simulate_trace, job_stream, 0.7, sleep, power_model
     )
     assert result.num_jobs == 10_000
 
@@ -87,7 +102,7 @@ def test_bench_warm_kernel_evaluation(benchmark, power_model, job_stream):
 @pytest.mark.benchmark(group="simulator")
 def test_bench_policy_space_characterization(benchmark, power_model):
     """A full per-epoch policy search over the default SleepScale space."""
-    manager = make_manager(power_model, "vectorized")
+    manager = make_manager(power_model)
     spec = dns_workload(empirical=False)
     jobs = generate_jobs(spec, num_jobs=1_000, utilization=0.3, seed=1)
 
@@ -97,12 +112,13 @@ def test_bench_policy_space_characterization(benchmark, power_model):
 
 @pytest.mark.benchmark(group="simulator")
 def test_bench_policy_space_characterization_reference(benchmark, power_model):
-    """The same policy search forced through the per-job reference loop."""
-    manager = make_manager(power_model, "reference")
+    """The same policy search with every candidate run by the per-job loop."""
+    manager = make_manager(power_model)
     spec = dns_workload(empirical=False)
     jobs = generate_jobs(spec, num_jobs=1_000, utilization=0.3, seed=1)
 
-    selection = benchmark(manager.select, jobs, 0.3)
+    selection = benchmark(reference_select, manager, power_model, jobs, 0.3)
+    assert selection.policy == manager.select(jobs, 0.3).policy
     assert selection.feasible
 
 

@@ -1,17 +1,17 @@
 """REP003 — the oracle-parity registry.
 
 Every fast path in this repo ships with a reference oracle and a parity
-test pinning the two bit-identical: the vectorized kernel against the
-per-job loop, the frontier search against the full grid, the process
-executor against serial, and the reactive/predictive controller policies
-against always-on.  That discipline only survives if *adding* a fast path
-without its parity test fails CI — which is what this rule does.
+test pinning the two bit-identical: the frontier search against the full
+grid, the process executor against serial, and the reactive/predictive
+controller policies against always-on.  That discipline only survives if
+*adding* a fast path without its parity test fails CI — which is what
+this rule does.
 
 :data:`PARITY_REGISTRY` is the declarative table of contracts.  For each
 contract the checker:
 
 1. parses the owning module and resolves the **selector tuple** (e.g.
-   ``BACKENDS`` in :mod:`repro.simulation.kernel`) — every member of the
+   ``SEARCHES`` in :mod:`repro.core.search`) — every member of the
    tuple must be declared in the registry, and every registry member
    must still exist in the tuple (no stale contracts);
 2. cross-references the analyzed **test corpus**: for every non-oracle
@@ -41,7 +41,7 @@ __all__ = ["PARITY_REGISTRY", "OracleParityRule", "ParityContract"]
 class ParityContract:
     """One fast-path family and the oracle its members must match."""
 
-    #: Short name used in messages (e.g. ``"kernel-backend"``).
+    #: Short name used in messages (e.g. ``"policy-search"``).
     name: str
     #: Dotted module owning the selector tuple.
     module: str
@@ -63,15 +63,6 @@ class ParityContract:
 
 
 PARITY_REGISTRY: tuple[ParityContract, ...] = (
-    ParityContract(
-        name="kernel-backend",
-        module="repro.simulation.kernel",
-        selector="BACKENDS",
-        oracle="reference",
-        members=("vectorized", "reference"),
-        import_evidence=("repro.simulation.kernel", "repro.simulation.engine"),
-        description="vectorized Lindley-recursion kernel vs per-job reference loop",
-    ),
     ParityContract(
         name="policy-search",
         module="repro.core.search",

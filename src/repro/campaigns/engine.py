@@ -44,7 +44,6 @@ class CellTask:
     fast: bool
     num_jobs: int | None
     frequency_step: float | None
-    backend: str
     search: str
 
 
@@ -58,7 +57,6 @@ def cell_task(spec: CampaignSpec, cell: CampaignCell) -> CellTask:
         fast=spec.fast,
         num_jobs=spec.num_jobs,
         frequency_step=spec.frequency_step,
-        backend=spec.backend,
         search=spec.search,
     )
 
@@ -91,7 +89,6 @@ def execute_cell(task: CellTask) -> dict[str, Any]:
     return run_scenario(
         task.target,
         seed=task.seed,
-        backend=knobs.get("backend", task.backend),
         search=knobs.get("search", task.search),
         controller=knobs.get("controller"),
         overrides=overrides,
@@ -128,7 +125,6 @@ def _check_cells(spec: CampaignSpec, cells: list[CampaignCell]) -> None:
         scenario.resolve(
             overrides,
             seed=cell.seed,
-            backend=knobs.get("backend", spec.backend),
             search=knobs.get("search", spec.search),
             controller=knobs.get("controller"),
         )

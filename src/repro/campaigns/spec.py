@@ -32,7 +32,6 @@ from typing import Any
 
 from repro.core.search import SEARCH_FULL, validate_search
 from repro.exceptions import CampaignError
-from repro.simulation.kernel import BACKEND_VECTORIZED, validate_backend
 
 #: The two campaign kinds: cells call a registered experiment's ``run``
 #: callable, or build-and-run a registered scenario.
@@ -44,7 +43,7 @@ CAMPAIGN_KINDS = (KIND_EXPERIMENT, KIND_SCENARIO)
 #: instead of declared-parameter overrides.  ``executor`` is deliberately
 #: absent: it is a result-invisible execution knob and belongs to
 #: ``run_campaign``, not to the result-defining grid.
-SCENARIO_KNOB_AXES = frozenset({"backend", "search", "controller"})
+SCENARIO_KNOB_AXES = frozenset({"search", "controller"})
 
 #: Version tag stamped into (and required from) every serialised spec.
 SPEC_SCHEMA = "repro.campaign-spec/v1"
@@ -151,9 +150,9 @@ class CampaignSpec:
     fast / num_jobs / frequency_step:
         The :class:`~repro.experiments.base.ExperimentConfig` knobs for
         experiment cells (ignored by scenario cells).
-    backend / search:
-        Simulation backend and policy-search mode for scenario cells
-        (grid knob axes override them per cell).
+    search:
+        Policy-search mode for scenario cells (a ``search`` grid axis
+        overrides it per cell).
     """
 
     name: str
@@ -166,7 +165,6 @@ class CampaignSpec:
     fast: bool = True
     num_jobs: int | None = None
     frequency_step: float | None = None
-    backend: str = BACKEND_VECTORIZED
     # Pinned in campaign.json/results.csv: a new default breaks --resume.
     search: str = SEARCH_FULL
 
@@ -204,7 +202,6 @@ class CampaignSpec:
                 f"campaign {self.name!r} frequency_step must be positive and "
                 f"finite, got {self.frequency_step}"
             )
-        validate_backend(self.backend)
         validate_search(self.search)
         # Canonicalise (and thereby validate) the grid and fixed values so
         # cell IDs never depend on tuple-vs-list spelling.
@@ -301,7 +298,6 @@ class CampaignSpec:
             "fast": self.fast,
             "num_jobs": self.num_jobs,
             "frequency_step": self.frequency_step,
-            "backend": self.backend,
             "search": self.search,
         }
 
@@ -327,7 +323,6 @@ class CampaignSpec:
             "fast",
             "num_jobs",
             "frequency_step",
-            "backend",
             "search",
         }
         unknown = sorted(set(payload) - known)
@@ -352,7 +347,6 @@ class CampaignSpec:
                 fast=payload.get("fast", defaults.fast),
                 num_jobs=payload.get("num_jobs", None),
                 frequency_step=payload.get("frequency_step", None),
-                backend=payload.get("backend", defaults.backend),
                 search=payload.get("search", defaults.search),
             )
         except TypeError as error:

@@ -187,11 +187,11 @@ class CampaignStore:
         if self.campaign_path.exists():
             try:
                 existing = json.loads(self.campaign_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as error:
+                existing_spec = CampaignSpec.from_json_dict(existing)
+            except (OSError, json.JSONDecodeError, CampaignError) as error:
                 raise CampaignError(
                     f"cannot read {self.campaign_path}: {error}"
                 ) from error
-            existing_spec = CampaignSpec.from_json_dict(existing)
             if existing_spec.canonical_text() != spec.canonical_text():
                 raise CampaignError(
                     f"store {self.root} belongs to campaign "

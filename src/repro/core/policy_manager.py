@@ -17,12 +17,11 @@ Two levels of API are provided:
   candidate when nothing meets the budget (the realistic behaviour of an
   overloaded server: do the best you can).
 
-Characterisation is *batched* by default: all candidates are evaluated
-through one shared :class:`~repro.simulation.kernel.TraceKernel`, which
-reuses the trace's arrival/demand arrays and the per-frequency busy-period
-structure across every sleep state at that frequency
-(:meth:`PolicyManager.characterize_batch`).  Construct the manager with
-``backend="reference"`` to fall back to the per-job simulation loop.
+Characterisation is *batched* (:meth:`PolicyManager.characterize`): all
+candidates are evaluated through one shared
+:class:`~repro.simulation.kernel.TraceKernel`, which reuses the trace's
+arrival/demand arrays and the per-frequency busy-period structure across
+every sleep state at that frequency.
 
 Why batching is cheap (the Lindley/busy-period sketch, in full in
 :mod:`repro.simulation.kernel` and ``docs/ARCHITECTURE.md``): at a fixed
@@ -54,12 +53,7 @@ from repro.core.qos import QosConstraint
 from repro.policies.policy import Policy
 from repro.policies.space import PolicySpace
 from repro.power.platform import ServerPowerModel
-from repro.simulation.engine import simulate_trace
-from repro.simulation.kernel import (
-    BACKEND_VECTORIZED,
-    TraceKernel,
-    validate_backend,
-)
+from repro.simulation.kernel import TraceKernel
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.service_scaling import ServiceScaling, cpu_bound
 from repro.workloads.generator import generate_jobs, make_rng
@@ -212,10 +206,6 @@ class PolicyManager:
     seed:
         Seed for the job-stream generator used by
         :meth:`select_for_spec`/:meth:`characterize_spec`.
-    backend:
-        Simulation backend used for characterisation: ``"vectorized"``
-        (default, batched through a shared :class:`TraceKernel`) or
-        ``"reference"`` (the per-job loop).
     search:
         Policy-search mode: ``"full"`` (default) walks the whole candidate
         grid; ``"frontier"`` routes :meth:`select` through the
@@ -233,7 +223,6 @@ class PolicyManager:
         scaling: ServiceScaling | None = None,
         characterization_jobs: int = 5_000,
         seed: int | None = 0,
-        backend: str = BACKEND_VECTORIZED,
         # Offline characteriser: select().evaluations/by_state() need the table.
         search: str = "full",
     ):
@@ -243,7 +232,6 @@ class PolicyManager:
         self._scaling = scaling or cpu_bound()
         self._characterization_jobs = int(characterization_jobs)
         self._rng = make_rng(seed)
-        self._backend = validate_backend(backend)
         # Deferred: repro.core.search imports this module.
         from repro.core.search import (
             SEARCH_FRONTIER,
@@ -258,7 +246,6 @@ class PolicyManager:
                 policy_space=self._space,
                 qos=self._qos,
                 scaling=self._scaling,
-                backend=self._backend,
             )
             if self._search == SEARCH_FRONTIER
             else None
@@ -288,22 +275,6 @@ class PolicyManager:
 
     # -- characterisation -------------------------------------------------------------
 
-    def _evaluation_from_result(
-        self, policy: Policy, result: SimulationResult
-    ) -> PolicyEvaluation:
-        return evaluation_from_result(policy, result, self._qos)
-
-    def _evaluate(self, policy: Policy, jobs: JobTrace) -> PolicyEvaluation:
-        result = simulate_trace(
-            jobs=jobs,
-            frequency=policy.frequency,
-            sleep=policy.sleep,
-            power_model=self._power_model,
-            scaling=self._scaling,
-            backend=self._backend,
-        )
-        return self._evaluation_from_result(policy, result)
-
     def characterize(
         self, jobs: JobTrace, utilization: float
     ) -> tuple[PolicyEvaluation, ...]:
@@ -311,32 +282,19 @@ class PolicyManager:
 
         *utilization* is the (predicted) offered load used to prune unstable
         frequency settings from the candidate space; the evaluation itself
-        replays *jobs* under each surviving policy.  With the default
-        vectorized backend this delegates to :meth:`characterize_batch`.
+        replays *jobs* under each surviving policy.  The kernel is
+        constructed once for *jobs*: the candidate space is a (frequency x
+        sleep-state) grid, so the no-wake busy-period structure computed for
+        the first sleep state at a given frequency is reused by every other
+        state at that frequency.
         """
         if self._engine is not None:
             return self._engine.characterize(jobs, utilization)
-        if self._backend == BACKEND_VECTORIZED:
-            return self.characterize_batch(jobs, utilization)
-        candidates = self._space.candidate_policies(utilization)
-        return tuple(self._evaluate(policy, jobs) for policy in candidates)
-
-    def characterize_batch(
-        self, jobs: JobTrace, utilization: float
-    ) -> tuple[PolicyEvaluation, ...]:
-        """Evaluate every candidate policy through one shared trace kernel.
-
-        The kernel is constructed once for *jobs*: the candidate space is a
-        (frequency × sleep-state) grid, so the no-wake busy-period structure
-        computed for the first sleep state at a given frequency is reused by
-        every other state at that frequency.  This is the per-epoch fast path
-        of the policy search.
-        """
         candidates = self._space.candidate_policies(utilization)
         kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
         return tuple(
-            self._evaluation_from_result(
-                policy, kernel.evaluate(policy.frequency, policy.sleep)
+            evaluation_from_result(
+                policy, kernel.evaluate(policy.frequency, policy.sleep), self._qos
             )
             for policy in candidates
         )

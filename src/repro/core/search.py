@@ -3,10 +3,11 @@
 SleepScale's per-epoch policy search evaluates every candidate
 ``(frequency, sleep-state)`` policy against the characterisation trace —
 once per epoch, per server.  At farm scale that search, not the queueing
-simulation, is the hot path: ``PolicyManager.characterize_batch`` rebuilds a
-fresh :class:`~repro.simulation.kernel.TraceKernel` per call and walks the
-whole grid even when the winner barely moves between epochs.  This module
-makes the search sublinear in the candidate grid while keeping the selected
+simulation, is the hot path: the full search
+(``PolicyManager.characterize``) builds a fresh
+:class:`~repro.simulation.kernel.TraceKernel` per call and walks the whole
+grid even when the winner barely moves between epochs.  This module makes
+the search sublinear in the candidate grid while keeping the selected
 policy **identical** to the full-grid oracle:
 
 * :func:`floor_walk` — a best-first walk over the whole grid, ordered by
@@ -28,8 +29,7 @@ cell and every cell after it cost more than a feasible cell already probed
 freq index, variant)`` among the feasible probes, which is the oracle's
 first minimum in frequency-major order, ties included.  The floors come from
 the trace alone — one Lindley pass at the anchor, shared with the probes,
-and one active-power and serving-time term per frequency — so both
-simulation backends skip the same cells.
+and one active-power and serving-time term per frequency.
 
 Under a mean-response budget, cells can also be proven infeasible without
 a probe.  Every cell has a response floor
@@ -61,8 +61,7 @@ exact:
 4. the power floor's busy weight adds the proven waking time ``w * K``;
    ``K`` is computed once per column and shared by both floors.
 
-These floors too read only the trace, one more Lindley pass at ``f_max``,
-so both backends skip the same cells.
+These floors too read only the trace, one more Lindley pass at ``f_max``.
 
 No shape of the grid is assumed: QoS slack need not rise with frequency
 (under C6S3's 1 s wake-up, short jobs can meet a budget at a low frequency
@@ -80,7 +79,7 @@ the full-grid search.  ``tests/core/test_search.py`` fuzzes the equality
 and pins a rising-slack sweep, ``benchmarks/search_fuzz.py`` runs more
 draws, ``tests/property/test_property_power_floor.py`` and
 ``tests/property/test_property_response_floor.py`` check every cell
-against its floors on both backends, and
+against its floors, on the kernel and on the per-job test oracle, and
 ``tests/scenarios/test_default_search_parity.py`` pins the selections,
 epoch by epoch, on every registered scenario.
 
@@ -120,14 +119,7 @@ from repro.policies.policy import Policy, dvfs_only_policy, dvfs_only_sequence
 from repro.policies.space import PolicySpace
 from repro.power.platform import ServerPowerModel
 from repro.power.sleep import SleepSequence
-from repro.simulation.engine import simulate_trace
-from repro.simulation.kernel import (
-    BACKEND_VECTORIZED,
-    GapSolution,
-    TraceKernel,
-    validate_backend,
-)
-from repro.simulation.metrics import SimulationResult
+from repro.simulation.kernel import TraceKernel
 from repro.simulation.service_scaling import ServiceScaling, cpu_bound
 from repro.workloads.jobs import JobTrace
 
@@ -153,23 +145,6 @@ def validate_search(search: str) -> str:
 # ---------------------------------------------------------------------------
 # The candidate grid
 # ---------------------------------------------------------------------------
-
-
-class _ResultSolution:
-    """Adapter giving a plain :class:`SimulationResult` the solution shape."""
-
-    __slots__ = ("result",)
-
-    def __init__(self, result: SimulationResult):
-        self.result = result
-
-    @property
-    def average_power(self) -> float:
-        return self.result.average_power
-
-    @property
-    def normalized_mean_response_time(self) -> float:
-        return self.result.normalized_mean_response_time
 
 
 class _Probe:
@@ -350,11 +325,13 @@ class SearchStats:
     #: Columns skipped because their response floor is above the budget:
     #: every cell is proven infeasible.
     infeasible_columns: int = 0
-    #: Cells skipped because their own response floor is above the budget
-    #: (every cell of an infeasible column among them).
+    #: Cells proven infeasible by their own response floor (every cell of an
+    #: infeasible column among them); the all-infeasible ranking may still
+    #: probe some of them.
     proven_cells: int = 0
-    #: Cells the walk skips: the proven cells plus those whose power floor
-    #: lies above the winner.
+    #: Cells never probed: the proven cells the all-infeasible ranking
+    #: leaves out, plus those whose power floor lies above the winner.  Each
+    #: seen cell counts once, as evaluated or as pruned.
     candidates_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -448,11 +425,9 @@ class PolicySearchEngine:
     One engine backs one frontier
     :class:`~repro.core.policy_manager.PolicyManager` (hence one strategy,
     hence one server); the full-grid oracle is ``PolicyManager(search="full")``,
-    which builds no engine.  The engine owns:
-
-    * the per-trace evaluator (kernel-backed for the vectorized backend,
-      per-candidate :func:`simulate_trace` for the reference backend), and
-    * the :class:`SearchStats` counters benchmarks read.
+    which builds no engine.  The engine solves each probed cell through one
+    :class:`~repro.simulation.kernel.TraceKernel` per trace and owns the
+    :class:`SearchStats` counters benchmarks read.
     """
 
     def __init__(
@@ -461,41 +436,16 @@ class PolicySearchEngine:
         policy_space: PolicySpace,
         qos: QosConstraint,
         scaling: ServiceScaling | None = None,
-        backend: str = BACKEND_VECTORIZED,
     ):
         self._power_model = power_model
         self._space = policy_space
         self._qos = qos
         self._scaling = scaling or cpu_bound()
-        self._backend = validate_backend(backend)
         #: Small LRU of candidate grids keyed by the frequency axis: two
         #: utilisations whose stability pruning yields the same axis share
         #: the same candidate policies, so they are not rebuilt per epoch.
         self._grids: OrderedDict[bytes, _PolicyGrid | None] = OrderedDict()
         self.stats = SearchStats()
-
-    # -- evaluation plumbing --------------------------------------------------
-
-    def _evaluator(
-        self, jobs: JobTrace, kernel: TraceKernel
-    ) -> Callable[[float, SleepSequence], GapSolution | _ResultSolution]:
-        """Solve one ``(frequency, sleep)`` cell on the configured backend."""
-        if self._backend == BACKEND_VECTORIZED:
-            return kernel.solve
-
-        def evaluate(frequency: float, sleep: SleepSequence) -> _ResultSolution:
-            return _ResultSolution(
-                simulate_trace(
-                    jobs=jobs,
-                    frequency=frequency,
-                    sleep=sleep,
-                    power_model=self._power_model,
-                    scaling=self._scaling,
-                    backend=self._backend,
-                )
-            )
-
-        return evaluate
 
     # -- characterisation -----------------------------------------------------
 
@@ -523,13 +473,11 @@ class PolicySearchEngine:
             if grid is not None
             else self._space.candidate_policies(utilization)
         )
-        evaluate = self._evaluator(
-            jobs, TraceKernel(jobs, self._power_model, scaling=self._scaling)
-        )
+        kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
         self.stats.candidates_evaluated += len(candidates)
         return tuple(
             evaluation_from_result(
-                policy, evaluate(policy.frequency, policy.sleep).result, self._qos
+                policy, kernel.solve(policy.frequency, policy.sleep).result, self._qos
             )
             for policy in candidates
         )
@@ -555,7 +503,6 @@ class PolicySearchEngine:
         if grid is None:
             return None
         kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
-        evaluate = self._evaluator(jobs, kernel)
         qos = self._qos
         probes: dict[tuple[int, int], _Probe] = {}
 
@@ -563,7 +510,7 @@ class PolicySearchEngine:
             cell = (freq_index, variant_index)
             entry = probes.get(cell)
             if entry is None:
-                solution = evaluate(
+                solution = kernel.solve(
                     grid.frequencies[freq_index],
                     grid.sequence_at(freq_index, variant_index),
                 )
@@ -616,8 +563,12 @@ class PolicySearchEngine:
             # Nothing feasible was found: the oracle ranks the whole table
             # (largest slack, NaN-aware), so probe every cell that can hold
             # its pick and rank them by the same rule, in enumeration order.
+            walked = len(probes)
             cells = self._contending_cells(grid, probe, probes, ceilings)
             entries = [probe(*cell) for cell in cells]
+            # The walk probed every unproven cell, so each new probe is a
+            # proven cell it counted as pruned: count it once, as evaluated.
+            self.stats.candidates_pruned -= len(probes) - walked
             index, feasible = pick_index(
                 [(entry.power, entry.meets, entry.slack) for entry in entries]
             )

@@ -36,7 +36,6 @@ from repro.policies.space import (
 )
 from repro.power.platform import ServerPowerModel
 from repro.power.states import C3_S0I, C6_S0I, SystemState
-from repro.simulation.kernel import BACKEND_VECTORIZED
 from repro.simulation.service_scaling import ServiceScaling, cpu_bound
 from repro.workloads.generator import generate_jobs, make_rng
 from repro.workloads.jobs import JobTrace
@@ -108,7 +107,6 @@ class PolicySearchStrategy(PowerManagementStrategy):
         max_logged_jobs: int = 5_000,
         min_utilization: float = 0.02,
         seed: int | None = 0,
-        backend: str = BACKEND_VECTORIZED,
         search: str = DEFAULT_SEARCH,
     ):
         self.name = name
@@ -119,7 +117,6 @@ class PolicySearchStrategy(PowerManagementStrategy):
             scaling=scaling or cpu_bound(),
             characterization_jobs=characterization_jobs,
             seed=seed,
-            backend=backend,
             search=search,
         )
         self._max_logged_jobs = int(max_logged_jobs)
@@ -224,7 +221,6 @@ def sleepscale_strategy(
     characterization_jobs: int = 2_000,
     max_logged_jobs: int = 5_000,
     seed: int | None = 0,
-    backend: str = BACKEND_VECTORIZED,
     search: str = DEFAULT_SEARCH,
 ) -> PolicySearchStrategy:
     """The full SleepScale strategy (SS): all low-power states, joint search."""
@@ -238,7 +234,6 @@ def sleepscale_strategy(
         characterization_jobs=characterization_jobs,
         max_logged_jobs=max_logged_jobs,
         seed=seed,
-        backend=backend,
         search=search,
     )
 
@@ -252,7 +247,6 @@ def sleepscale_single_state_strategy(
     characterization_jobs: int = 2_000,
     max_logged_jobs: int = 5_000,
     seed: int | None = 0,
-    backend: str = BACKEND_VECTORIZED,
     search: str = DEFAULT_SEARCH,
 ) -> PolicySearchStrategy:
     """SleepScale restricted to a single low-power state — SS(C3) in the paper."""
@@ -268,7 +262,6 @@ def sleepscale_single_state_strategy(
         characterization_jobs=characterization_jobs,
         max_logged_jobs=max_logged_jobs,
         seed=seed,
-        backend=backend,
         search=search,
     )
 
@@ -281,7 +274,6 @@ def dvfs_only_strategy(
     characterization_jobs: int = 2_000,
     max_logged_jobs: int = 5_000,
     seed: int | None = 0,
-    backend: str = BACKEND_VECTORIZED,
     search: str = DEFAULT_SEARCH,
 ) -> PolicySearchStrategy:
     """The DVFS-only baseline: frequency search but no low-power state at all."""
@@ -297,7 +289,6 @@ def dvfs_only_strategy(
         characterization_jobs=characterization_jobs,
         max_logged_jobs=max_logged_jobs,
         seed=seed,
-        backend=backend,
         search=search,
     )
 

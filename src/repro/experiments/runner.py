@@ -16,9 +16,9 @@ Four subcommands expose the scenario library
 
 * ``python -m repro.experiments list-scenarios`` — every registered scenario
   with its one-line description;
-* ``python -m repro.experiments run-scenario <name> [--seed N] [--backend B]
-  [--set key=value ...]`` — run one scenario end-to-end and print its JSON
-  report;
+* ``python -m repro.experiments run-scenario <name> [--seed N]
+  [--search-mode M] [--set key=value ...]`` — run one scenario end-to-end
+  and print its JSON report;
 * ``python -m repro.experiments list-campaigns`` — every registered
   campaign with its cell count and axes;
 * ``python -m repro.experiments run-campaign <name|spec.json> [--resume]

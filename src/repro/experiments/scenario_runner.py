@@ -18,7 +18,7 @@ block recording the farm-level QoS contract and per-tenant outcomes)::
       "scenario": str,            # registered scenario name
       "description": str,
       "seed": int,
-      "backend": "vectorized" | "reference",
+      "backend": "vectorized",    # fixed; leaves with schema v5
       "search": "frontier" | "full",
       "parameters": {name: value, ...},        # resolved builder parameters
       "workload": {
@@ -129,10 +129,12 @@ from repro.scenarios import (
     scenario_catalog,
 )
 from repro.core.search import DEFAULT_SEARCH, SEARCHES
-from repro.simulation.kernel import BACKENDS, BACKEND_VECTORIZED
 
 #: Version tag stamped into (and required from) every scenario report.
 REPORT_SCHEMA = "repro.scenario-report/v4"
+#: The report's ``backend`` value.  The package has one simulator; the key
+#: stays, with this one value, until the next schema version drops it.
+REPORT_BACKEND = "vectorized"
 
 #: A metric that is undefined for some slots (an idle server's latency).
 _METRIC = Opt(Num())
@@ -179,7 +181,7 @@ REPORT_TABLE = Obj(
         "scenario": Str(nonempty=True),
         "description": Str(nonempty=True),
         "seed": Int(),
-        "backend": Str(choices=BACKENDS),
+        "backend": Const(REPORT_BACKEND),
         "search": Str(choices=SEARCHES),
         "parameters": Obj(),
         "workload": Obj(
@@ -331,7 +333,7 @@ def report_from_result(
         "scenario": built.name,
         "description": built.description,
         "seed": built.seed,
-        "backend": built.backend,
+        "backend": REPORT_BACKEND,
         "search": built.search,
         "parameters": dict(built.parameters),
         "workload": {
@@ -445,7 +447,6 @@ def run_scenario(
     name: str,
     *,
     seed: int = 0,
-    backend: str = BACKEND_VECTORIZED,
     search: str = DEFAULT_SEARCH,
     executor: Executor | str | None = None,
     max_workers: int | None = None,
@@ -490,7 +491,7 @@ def run_scenario(
         raise ExperimentError(
             f"{', '.join(reserved)} cannot be set via overrides; use the "
             f"dedicated {'/'.join(sorted(Scenario.RESERVED_NAMES))} arguments "
-            "(CLI: --seed / --backend / --search-mode / --executor / "
+            "(CLI: --seed / --search-mode / --executor / "
             "--controller / --tenant)"
         )
     setup_flags = (setup_latency_s, setup_energy_j, min_awake)
@@ -516,7 +517,6 @@ def run_scenario(
         )
     built = get_scenario(name).build(
         seed=seed,
-        backend=backend,
         search=search,
         executor=executor,
         controller=controller,
@@ -713,12 +713,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=BACKEND_VECTORIZED,
-        help="simulation backend for the per-epoch policy search",
-    )
-    parser.add_argument(
         "--search-mode",
         choices=list(SEARCHES),
         default=DEFAULT_SEARCH,
@@ -835,7 +829,6 @@ def main(argv: list[str] | None = None) -> int:
         report = run_scenario(
             arguments.scenario,
             seed=arguments.seed,
-            backend=arguments.backend,
             search=arguments.search_mode,
             executor=arguments.executor,
             max_workers=arguments.workers,

@@ -15,14 +15,14 @@ The contract — each parameter is stated once, in its
   nothing;
 * :meth:`Scenario.build` resolves and calls the builder with one
   read-only :class:`ScenarioArgs` namespace: the resolved parameters plus
-  ``seed``, ``backend`` and ``search``;
+  ``seed`` and ``search``;
 * the builder returns ``(spec, jobs, farm, normalised)``, where
   ``normalised`` maps the few parameters it normalised (say, a duration
   rounded to whole minutes) to the values it actually used;
 * :meth:`Scenario.build` assembles the :class:`BuiltScenario` — its
   ``parameters`` are the resolved values with the normalised ones laid
-  over them, in declaration order — and applies the executor, trace
-  backend, controller and qos overrides to the farm;
+  over them, in declaration order — and applies the executor, controller
+  and qos overrides to the farm;
 * :func:`register_scenario` (usually via the :func:`scenario` decorator)
   publishes it under a unique kebab-case name;
 * :func:`get_scenario` / :func:`available_scenarios` /
@@ -30,8 +30,8 @@ The contract — each parameter is stated once, in its
   tests share, so a scenario that builds also appears in ``list-scenarios``
   and in the smoke matrix automatically.
 
-Builders must be deterministic given ``seed`` and hand ``backend`` and
-``search`` to every policy-search strategy they create.
+Builders must be deterministic given ``seed`` and hand ``search`` to every
+policy-search strategy they create.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.cluster.tenancy import FarmQos, farm_qos_type_error
 from repro.concurrency import Executor, validate_executor
 from repro.core.search import DEFAULT_SEARCH, validate_search
 from repro.exceptions import ScenarioError
-from repro.simulation.kernel import BACKEND_VECTORIZED, validate_backend
 from repro.workloads.jobs import JobTrace
 from repro.workloads.spec import WorkloadSpec
 
@@ -99,7 +98,6 @@ class BuiltScenario:
     jobs: JobTrace
     farm: ServerFarm
     parameters: Mapping[str, Any] = field(default_factory=dict)
-    backend: str = BACKEND_VECTORIZED
     seed: int = 0
     #: Policy-search mode every search strategy of the farm was built with.
     search: str = DEFAULT_SEARCH
@@ -112,7 +110,6 @@ class BuiltScenario:
             raise ScenarioError(
                 f"scenario {self.name!r} built an empty job stream"
             )
-        validate_backend(self.backend)
         validate_search(self.search)
 
     @property
@@ -134,7 +131,7 @@ class ScenarioArgs(types.SimpleNamespace):
     """The one argument of a scenario builder, read-only.
 
     Its attributes are the declared parameters (defaults with the overrides
-    applied) plus ``seed``, ``backend`` and ``search``.
+    applied) plus ``seed`` and ``search``.
     """
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -165,7 +162,6 @@ class Scenario:
     RESERVED_NAMES = frozenset(
         {
             "seed",
-            "backend",
             "search",
             "executor",
             "controller",
@@ -198,7 +194,6 @@ class Scenario:
         overrides: Mapping[str, Any],
         *,
         seed: int = 0,
-        backend: str = BACKEND_VECTORIZED,
         search: str = DEFAULT_SEARCH,
         executor: Executor | str | None = None,
         controller: FarmController | str | None = None,
@@ -216,7 +211,6 @@ class Scenario:
         """
         if seed < 0:
             raise ScenarioError(f"seed must be non-negative, got {seed}")
-        validate_backend(backend)
         validate_search(search)
         validate_executor(executor)
         if isinstance(controller, str):
@@ -274,7 +268,6 @@ class Scenario:
         self,
         *,
         seed: int = 0,
-        backend: str = BACKEND_VECTORIZED,
         search: str = DEFAULT_SEARCH,
         executor: Executor | str | None = None,
         controller: FarmController | str | None = None,
@@ -310,14 +303,13 @@ class Scenario:
         values, controller = self.resolve(
             overrides,
             seed=seed,
-            backend=backend,
             search=search,
             executor=executor,
             controller=controller,
             qos=qos,
         )
         spec, jobs, farm, normalised = self.builder(
-            ScenarioArgs(**values, seed=seed, backend=backend, search=search)
+            ScenarioArgs(**values, seed=seed, search=search)
         )
         undeclared = sorted(set(normalised) - set(values))
         if undeclared:
@@ -342,7 +334,6 @@ class Scenario:
             jobs=jobs,
             farm=farm,
             parameters={**values, **normalised},
-            backend=backend,
             seed=seed,
             search=search,
             description=self.description,

@@ -46,7 +46,7 @@ the ``checks`` of the ``@scenario`` declaration, so a builder only ever sees
 values that passed them.
 :meth:`~repro.scenarios.base.Scenario.build` calls a builder with one
 read-only :class:`~repro.scenarios.base.ScenarioArgs` namespace (the
-resolved parameters plus ``seed``, ``backend`` and ``search``); the builder
+resolved parameters plus ``seed`` and ``search``); the builder
 returns spec, jobs, farm and only the parameters it normalised — whole
 minutes and server counts, a crowd window clipped to the run, a trace
 length clipped to the trace — and ``Scenario.build`` assembles the rest.
@@ -153,7 +153,6 @@ class SleepScaleStrategyFactory:
     qos: QosConstraint
     characterization_jobs: int
     seed: int
-    backend: str
     search: str
 
     def __call__(self) -> PolicySearchStrategy:
@@ -162,7 +161,6 @@ class SleepScaleStrategyFactory:
             self.qos,
             characterization_jobs=self.characterization_jobs,
             seed=self.seed,
-            backend=self.backend,
             search=self.search,
         )
 
@@ -207,7 +205,6 @@ def _sleepscale_server(
             qos=qos,
             characterization_jobs=_CHARACTERIZATION_JOBS,
             seed=args.seed + seed_offset,
-            backend=args.backend,
             search=args.search,
         ),
         predictor_factory=LmsCusumPredictorFactory(history=10),

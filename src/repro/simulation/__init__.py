@@ -1,11 +1,9 @@
 """Queueing simulation substrate: Algorithm 1, metrics and trade-off sweeps.
 
-Two interchangeable simulation backends are provided: the readable per-job
-reference loop in :mod:`repro.simulation.engine` and the vectorized
-busy-period kernel in :mod:`repro.simulation.kernel` (the default).  Pass
-``backend="reference"``/``backend="vectorized"`` to ``simulate_trace`` and
-``simulate_workload`` to choose explicitly, or use :class:`TraceKernel`
-directly to evaluate many policies against one trace.
+One simulator serves every caller: the NumPy busy-period kernel in
+:mod:`repro.simulation.kernel`.  ``simulate_trace`` and ``simulate_workload``
+run one policy through it; use :class:`TraceKernel` directly to evaluate many
+policies against one trace.
 """
 
 from repro.simulation.engine import (
@@ -17,12 +15,7 @@ from repro.simulation.engine import (
     simulate_workload,
     warm_up_truncated,
 )
-from repro.simulation.kernel import (
-    BACKEND_REFERENCE,
-    BACKEND_VECTORIZED,
-    TraceKernel,
-    zero_job_result,
-)
+from repro.simulation.kernel import TraceKernel, zero_job_result
 from repro.simulation.metrics import (
     STATE_PRE_SLEEP,
     STATE_SERVING,
@@ -46,8 +39,6 @@ from repro.simulation.sweep import (
 )
 
 __all__ = [
-    "BACKEND_REFERENCE",
-    "BACKEND_VECTORIZED",
     "EnergyBreakdown",
     "MAX_STABLE_UTILIZATION",
     "STATE_PRE_SLEEP",

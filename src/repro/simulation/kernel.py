@@ -1,13 +1,14 @@
-"""Vectorized simulation backend — the fast path of Algorithm 1.
+"""The simulation kernel — Algorithm 1 as NumPy busy-period arithmetic.
 
-The reference implementation in :mod:`repro.simulation.engine` walks the job
-stream one job at a time in Python, which costs several milliseconds per
-10,000-job policy evaluation.  SleepScale's policy manager re-evaluates the
-*same* trace under every candidate policy once per epoch, so that loop is the
-hot path of the entire reproduction.  This module replaces it with a NumPy
-formulation that produces numerically matching results (the equivalence suite
-in ``tests/simulation/test_backend_equivalence.py`` pins the two backends
-against each other):
+Walking the job stream one job at a time in Python costs several
+milliseconds per 10,000-job policy evaluation, and SleepScale's policy
+manager re-evaluates the *same* trace under every candidate policy once per
+epoch, so that walk would be the hot path of the entire reproduction.  This
+module is the package's one simulator instead: a NumPy formulation whose
+results match the per-job loop, which the tests keep as their oracle
+(``tests/simulation/reference_loop.py``; the equivalence suite in
+``tests/simulation/test_kernel_equivalence.py`` pins the two against each
+other):
 
 1. **No-wake departures** (the Lindley recursion).  Ignoring wake-up
    latencies, the departure of job *i* is
@@ -54,21 +55,16 @@ above, total no-wake response time), so characterising a policy space that
 crosses the same frequencies with several sleep sequences only pays for the
 Lindley recursion once per frequency.
 
-**Backend contract** (see ``docs/ARCHITECTURE.md``): this module is the
-``backend="vectorized"`` side; :mod:`repro.simulation.engine` keeps the
-``backend="reference"`` per-job loop as the readable oracle.  Both must
-produce numerically matching results (``rtol <= 1e-9``) for every trace,
-frequency, sleep sequence and power model — any intentional behaviour change
-must land in *both* backends and keep the equivalence suite green.  The one
-exception is a knife edge: when a job arrives as the previous one departs,
-to within rounding, a zero-length idle gap (a wake-up, then ``w`` of delay)
-and no gap at all differ by a whole wake-up, and the two backends round
-departures differently, so they may disagree by one wake-up there
-(``tests/property/test_property_kernel_aggregates.py`` pins such a
-trace).  Every simulating entry point (``simulate_trace``,
-``simulate_workload``, ``PolicyManager``, the strategy factories,
-``Scenario.build``) accepts a ``backend=`` argument and passes it down
-unchanged.
+**Oracle contract** (see ``docs/ARCHITECTURE.md``): the kernel must
+match the test oracle ``reference_simulate_trace`` numerically (``rtol <=
+1e-9``) for every trace, frequency, sleep sequence and power model — any
+intentional behaviour change must land in the oracle too and keep the
+equivalence suite green.  The one exception is a knife edge: when a job
+arrives as the previous one departs, to within rounding, a zero-length
+idle gap (a wake-up, then ``w`` of delay) and no gap at all differ by a
+whole wake-up, and the kernel and the oracle round departures differently,
+so they may disagree by one wake-up there
+(``tests/property/test_property_kernel_aggregates.py`` pins such a trace).
 """
 
 from __future__ import annotations
@@ -92,12 +88,6 @@ from repro.simulation.metrics import (
 from repro.simulation.service_scaling import ServiceScaling, cpu_bound
 from repro.workloads.jobs import JobTrace
 
-#: Backend identifiers accepted by ``simulate_trace``/``simulate_workload``.
-BACKEND_REFERENCE = "reference"
-BACKEND_VECTORIZED = "vectorized"
-BACKENDS = (BACKEND_VECTORIZED, BACKEND_REFERENCE)
-
-
 def validate_frequency(frequency: float) -> float:
     """Validate a DVFS scaling factor and return it as a plain float."""
     if not 0.0 < frequency <= 1.0:
@@ -105,15 +95,6 @@ def validate_frequency(frequency: float) -> float:
             f"operating frequency must lie in (0, 1], got {frequency}"
         )
     return float(frequency)
-
-
-def validate_backend(backend: str) -> str:
-    """Validate a simulation backend name."""
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown simulation backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
 
 
 def zero_job_result(
@@ -747,8 +728,8 @@ class ResponseFloor:
     floor of the top cell is exactly its no-wake response.  ``K`` is taken
     with a ``1e-9 * Phi`` margin, so rounding can only lower it.
 
-    Built by :meth:`TraceKernel.response_floor`; the bound holds for either
-    simulation backend because it only reads the trace.
+    Built by :meth:`TraceKernel.response_floor`; the bound holds for the
+    test oracle too because it only reads the trace.
     """
 
     __slots__ = (
@@ -859,8 +840,8 @@ class PowerFloor:
     W_min) / (D0_last(f_a) - t0 + w_s))``, and otherwise ``P(f, s) >=
     P_act``.
 
-    Built by :meth:`TraceKernel.power_floor`; the bound holds for either
-    simulation backend because it only reads the trace.
+    Built by :meth:`TraceKernel.power_floor`; the bound holds for the
+    test oracle too because it only reads the trace.
     """
 
     __slots__ = ("_span", "_active_powers", "_serving_times", "_first")

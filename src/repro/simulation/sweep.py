@@ -20,11 +20,10 @@ from repro.power.dvfs import frequency_grid
 from repro.power.platform import ServerPowerModel
 from repro.power.sleep import SleepSequence
 from repro.power.states import SystemState
-from repro.simulation.engine import is_stable, simulate_trace, simulate_workload
-from repro.simulation.kernel import BACKEND_VECTORIZED, TraceKernel, validate_backend
+from repro.simulation.engine import is_stable, simulate_workload
+from repro.simulation.kernel import TraceKernel
 from repro.simulation.service_scaling import ServiceScaling
 from repro.workloads.generator import generate_jobs, make_rng
-from repro.workloads.jobs import JobTrace
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -160,7 +159,6 @@ def sweep_frequencies(
     scaling: ServiceScaling | None = None,
     frequency_step: float = 0.01,
     reuse_jobs: bool = True,
-    backend: str = BACKEND_VECTORIZED,
 ) -> TradeoffCurve:
     """Sweep the DVFS frequency for one sleep behaviour at one utilisation.
 
@@ -173,15 +171,13 @@ def sweep_frequencies(
     1 in steps of 0.01) and the *same* generated job stream is re-evaluated
     at every frequency (``reuse_jobs=True``), which removes sampling noise
     between adjacent frequencies and matches how the policy manager replays
-    one logged epoch under every candidate policy.  With the default
-    vectorized ``backend`` the shared stream is evaluated through one
-    :class:`~repro.simulation.kernel.TraceKernel`, so the per-trace set-up
-    work is paid once for the whole sweep.
+    one logged epoch under every candidate policy.  The shared stream is
+    evaluated through one :class:`~repro.simulation.kernel.TraceKernel`, so
+    the per-trace set-up work is paid once for the whole sweep.
 
     Swept points whose effective load reaches the shared stability cutoff
     (:data:`~repro.simulation.engine.MAX_STABLE_UTILIZATION`) are skipped.
     """
-    validate_backend(backend)
     if frequencies is None:
         frequencies = frequency_grid(utilization, step=frequency_step)
     frequencies = np.sort(np.asarray(frequencies, dtype=float))
@@ -191,14 +187,12 @@ def sweep_frequencies(
     sleep_factory = resolve_sleep(sleep, power_model)
     scaling = scaling or ServiceScaling(beta=spec.cpu_boundedness)
     rng = make_rng(seed)
-    shared_jobs: JobTrace | None = None
     kernel: TraceKernel | None = None
     if reuse_jobs:
         shared_jobs = generate_jobs(
             spec, num_jobs=num_jobs, utilization=utilization, rng=rng
         )
-        if backend == BACKEND_VECTORIZED:
-            kernel = TraceKernel(shared_jobs, power_model, scaling=scaling)
+        kernel = TraceKernel(shared_jobs, power_model, scaling=scaling)
 
     points: list[TradeoffPoint] = []
     label: str | None = None
@@ -210,15 +204,6 @@ def sweep_frequencies(
         label = sequence.name if label is None else label
         if kernel is not None:
             result = kernel.evaluate(frequency, sequence)
-        elif shared_jobs is not None:
-            result = simulate_trace(
-                jobs=shared_jobs,
-                frequency=frequency,
-                sleep=sequence,
-                power_model=power_model,
-                scaling=scaling,
-                backend=backend,
-            )
         else:
             result = simulate_workload(
                 spec,
@@ -229,7 +214,6 @@ def sweep_frequencies(
                 num_jobs=num_jobs,
                 rng=rng,
                 scaling=scaling,
-                backend=backend,
             )
         points.append(_point_from_result(result, sequence.name))
     if not points:

@@ -164,6 +164,29 @@ class TestRunCampaign:
         assert message in lines[0]
         assert not store.exists()
 
+    @pytest.mark.parametrize(
+        ("extra", "grid", "message"),
+        [
+            ({"backend": "reference"}, {}, "campaign spec has unknown keys: ['backend']"),
+            ({}, {"backend": ["reference"]}, "has no parameter(s) ['backend']"),
+        ],
+        ids=["spec-key", "grid-axis"],
+    )
+    def test_backend_knob_exits_2_without_a_store(
+        self, tmp_path, capsys, extra, grid, message
+    ):
+        # The package has one simulator: a spec that still names a backend
+        # is refused before anything is written.
+        spec_path = _diurnal_spec(tmp_path, grid)
+        spec_path.write_text(json.dumps({**json.loads(spec_path.read_text()), **extra}))
+        store = tmp_path / "store"
+        assert campaign_runner.main([str(spec_path), "--output-dir", str(store)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert not store.exists()
+
     def test_corrected_range_reruns_into_the_same_directory(self, tmp_path, capsys):
         # The failed run wrote nothing, so the corrected spec is not refused
         # as "a different spec" of the same store.

@@ -121,7 +121,7 @@ class TestValidation:
 
     def test_experiment_campaign_rejects_scenario_knob_axes(self):
         with pytest.raises(CampaignError, match="scenario knob axes"):
-            make_spec(grid={"backend": ("vectorized", "reference")})
+            make_spec(grid={"search": ("full", "frontier")})
 
     def test_scenario_campaign_accepts_knob_axes(self):
         spec = make_spec(

@@ -199,6 +199,19 @@ class TestInitialise:
         with pytest.raises(CampaignError, match="cannot read"):
             store.initialise(spec, resume=True)
 
+    def test_stale_campaign_json_names_the_file(self, tmp_path):
+        # A store written when specs still had a ``backend`` field.
+        spec = tiny_spec()
+        store = CampaignStore(tmp_path)
+        store.initialise(spec, resume=False)
+        stale = {**json.loads(store.campaign_path.read_text()), "backend": "vectorized"}
+        store.campaign_path.write_text(json.dumps(stale), encoding="utf-8")
+        with pytest.raises(CampaignError) as error:
+            store.initialise(spec, resume=True)
+        message = str(error.value)
+        assert str(store.campaign_path) in message
+        assert "unknown keys: ['backend']" in message
+
 
 class TestFinalise:
     def test_csv_is_deterministic_and_ordered(self, tmp_path):

@@ -1,7 +1,7 @@
 """Serial and process executors must be result-invisible.
 
-The executor contract for farms (the analogue of the backend, dispatch
--engine and search-engine oracle contracts): whichever executor runs the
+The executor contract for farms (the analogue of the kernel, dispatch and
+search-engine oracle contracts): whichever executor runs the
 per-server epoch loops, a farm produces **bit-identical** ``FarmResult``s —
 same total energy, same per-server dispatch assignments (hence per-server
 response-time arrays), and same per-epoch policy selections.  This suite

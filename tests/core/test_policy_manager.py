@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.policy_manager import PolicyManager, pick_selection
+from repro.core.policy_manager import (
+    PolicyManager,
+    evaluation_from_result,
+    pick_selection,
+)
 from repro.core.qos import MeanResponseTimeConstraint, PercentileResponseTimeConstraint
 from repro.exceptions import PolicySelectionError
 from repro.policies.space import PolicySpace, full_space
 from repro.power.states import C0I_S0I, C6_S0I, C6_S3
+from tests.simulation.reference_loop import reference_simulate_trace
 
 
 @pytest.fixture()
@@ -202,28 +207,23 @@ class TestPercentileSelection:
 class TestBatchedCharacterization:
     """The batched (shared-kernel) path must match per-policy simulation."""
 
-    def make_manager(self, xeon, backend):
-        space = PolicySpace(
-            power_model=xeon,
-            states=(C0I_S0I, C6_S0I, C6_S3),
-            frequency_step=0.1,
-        )
-        return PolicyManager(
-            power_model=xeon,
-            policy_space=space,
-            qos=MeanResponseTimeConstraint(5.0),
-            characterization_jobs=1_500,
-            seed=3,
-            backend=backend,
+    @staticmethod
+    def oracle_table(manager, power_model, jobs, utilization):
+        """The characterisation table, each row run through the per-job loop."""
+        return tuple(
+            evaluation_from_result(
+                policy,
+                reference_simulate_trace(
+                    jobs, policy.frequency, policy.sleep, power_model
+                ),
+                manager.qos,
+            )
+            for policy in manager.policy_space.candidate_policies(utilization)
         )
 
-    def test_batch_matches_reference_backend(self, xeon, small_dns_trace):
-        batched = self.make_manager(xeon, "vectorized").characterize(
-            small_dns_trace, 0.3
-        )
-        reference = self.make_manager(xeon, "reference").characterize(
-            small_dns_trace, 0.3
-        )
+    def test_batch_matches_reference_loop(self, manager, xeon, small_dns_trace):
+        batched = manager.characterize(small_dns_trace, 0.3)
+        reference = self.oracle_table(manager, xeon, small_dns_trace, 0.3)
         assert len(batched) == len(reference)
         for fast, slow in zip(batched, reference):
             assert fast.policy == slow.policy
@@ -238,26 +238,11 @@ class TestBatchedCharacterization:
             )
             assert fast.meets_qos == slow.meets_qos
 
-    def test_characterize_batch_is_explicit_entry_point(
-        self, manager, small_dns_trace
-    ):
-        batched = manager.characterize_batch(small_dns_trace, 0.3)
-        default = manager.characterize(small_dns_trace, 0.3)
-        assert len(batched) == len(default)
-        for explicit, implicit in zip(batched, default):
-            assert explicit.average_power == implicit.average_power
-
-    def test_selection_identical_across_backends(self, xeon, small_dns_trace):
-        fast = self.make_manager(xeon, "vectorized").select(small_dns_trace, 0.3)
-        slow = self.make_manager(xeon, "reference").select(small_dns_trace, 0.3)
+    def test_selection_matches_reference_loop(self, manager, xeon, small_dns_trace):
+        fast = manager.select(small_dns_trace, 0.3)
+        slow = pick_selection(self.oracle_table(manager, xeon, small_dns_trace, 0.3))
         assert fast.policy == slow.policy
         assert fast.feasible == slow.feasible
-
-    def test_unknown_backend_rejected(self, xeon):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            self.make_manager(xeon, "turbo")
 
 
 class TestZeroJobCharacterization:

@@ -2,7 +2,7 @@
 
 The central contract: for any inputs, ``search="frontier"`` selects the
 **identical** policy to the full-grid search.  The fuzz classes sweep
-policy-space shapes, QoS constraint types, both simulation backends and both
+policy-space shapes, QoS constraint types, two trace lengths and both
 platform presets; the structural classes pin the lazy candidate grid, the
 fallback paths, the utilisation range, the characterisation table and the
 cacheless farm surface.
@@ -28,7 +28,6 @@ from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.search import (
     SEARCH_FRONTIER,
     SEARCH_FULL,
-    PolicySearchEngine,
     SearchStats,
     _PolicyGrid,
     _Probe,
@@ -46,21 +45,16 @@ from repro.policies.space import (
 from repro.power.platform import atom_power_model, xeon_power_model
 from repro.power.states import C3_S0I, C6_S0I, C6_S3, LOW_POWER_STATES
 from repro.prediction.naive import NaivePreviousPredictor
+from repro.simulation.kernel import TraceKernel
 from repro.workloads.generator import generate_jobs
 from repro.workloads.jobs import JobTrace
+from tests.simulation.reference_loop import reference_simulate_trace
 
 
-def _managers(power_model, space, qos, backend="vectorized"):
+def _managers(power_model, space, qos):
     """A (full oracle, frontier) pair over identical configuration."""
-    full = PolicyManager(power_model, space, qos, seed=0, backend=backend)
-    frontier = PolicyManager(
-        power_model,
-        space,
-        qos,
-        seed=0,
-        backend=backend,
-        search=SEARCH_FRONTIER,
-    )
+    full = PolicyManager(power_model, space, qos, seed=0)
+    frontier = PolicyManager(power_model, space, qos, seed=0, search=SEARCH_FRONTIER)
     return full, frontier
 
 
@@ -156,8 +150,7 @@ class TestLazyGrid:
 
 
 def _assert_equivalent(
-    power_model, dns, backend, space_kind, qos_kind, step, utilization,
-    jobs_seed, num_jobs,
+    power_model, dns, space_kind, qos_kind, step, utilization, jobs_seed, num_jobs,
 ) -> SearchStats:
     """Frontier and full-grid managers select identically on one draw.
 
@@ -182,22 +175,23 @@ def _assert_equivalent(
         utilization=utilization,
         rng=np.random.default_rng(jobs_seed),
     )
-    return _assert_selects_like_full(
-        power_model, space, qos, jobs, utilization, backend=backend
-    )
+    return _assert_selects_like_full(power_model, space, qos, jobs, utilization)
 
 
-def _assert_selects_like_full(
-    power_model, space, qos, jobs, utilization, backend="vectorized"
-) -> SearchStats:
-    """The frontier selects the oracle's policy, feasibility and power."""
-    full, frontier = _managers(power_model, space, qos, backend=backend)
+def _assert_selects_like_full(power_model, space, qos, jobs, utilization) -> SearchStats:
+    """The frontier selects the oracle's policy, feasibility and power.
+
+    Its counters count every cell it saw once, as evaluated or as pruned.
+    """
+    full, frontier = _managers(power_model, space, qos)
     oracle = full.select(jobs, utilization)
     fast = frontier.select(jobs, utilization)
     assert fast.policy == oracle.policy
     assert fast.feasible == oracle.feasible
     assert fast.best.average_power == oracle.best.average_power
-    return frontier.search_stats
+    stats = frontier.search_stats
+    assert stats.candidates_evaluated + stats.candidates_pruned == stats.candidates_seen
+    return stats
 
 
 def _exponential_trace(seed, mean_demand, utilization, num_jobs=800) -> JobTrace:
@@ -227,33 +221,40 @@ def _rising_step_budgets(space, jobs, utilization) -> list[float]:
     ]
 
 
+#: The fuzz's draw shapes: ``(seed key, cases, frequency steps, jobs)``.
+#: The seed keys name the simulators the draws were first recorded on, so
+#: every draw keeps its inputs.
+_FUZZ_DRAWS = {
+    "long": ("vectorized", 4, (0.05, 0.02), 700),
+    "short": ("reference", 2, (0.05,), 250),
+}
+
+
 class TestFrontierFullEquivalence:
     """The headline contract: identical selected policy on every case."""
 
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    @pytest.mark.parametrize("draw", sorted(_FUZZ_DRAWS))
     @pytest.mark.parametrize("space_kind", ["full", "single", "dvfs"])
     @pytest.mark.parametrize("qos_kind", ["mean", "percentile"])
     def test_equivalence_fuzz(
-        self, xeon, atom, dns_ideal, backend, space_kind, qos_kind
+        self, xeon, atom, dns_ideal, draw, space_kind, qos_kind
     ):
+        seed_key, cases, steps, num_jobs = _FUZZ_DRAWS[draw]
         # crc32, not hash(): string hashing changes with PYTHONHASHSEED, and
         # every run must draw the same cases.
-        key = f"{backend}/{space_kind}/{qos_kind}".encode()
+        key = f"{seed_key}/{space_kind}/{qos_kind}".encode()
         rng = np.random.default_rng(zlib.crc32(key))
-        cases = 2 if backend == "reference" else 4
         for index in range(cases):
-            step = 0.05 if backend == "reference" else (0.05, 0.02)[index % 2]
             utilization = float(rng.uniform(0.02, 0.95))
             _assert_equivalent(
                 xeon if index % 2 == 0 else atom,
                 dns_ideal,
-                backend,
                 space_kind,
                 qos_kind,
-                step,
+                steps[index % len(steps)],
                 utilization,
                 jobs_seed=int(rng.integers(1 << 30)),
-                num_jobs=250 if backend == "reference" else 700,
+                num_jobs=num_jobs,
             )
 
     @pytest.mark.parametrize(
@@ -276,7 +277,6 @@ class TestFrontierFullEquivalence:
         _assert_equivalent(
             atom,
             dns_ideal,
-            "vectorized",
             space_kind,
             "percentile",
             0.02,
@@ -580,13 +580,12 @@ class TestFallbacks:
             def __getattr__(self, name):
                 return getattr(self._solution, name)
 
-        evaluator = PolicySearchEngine._evaluator
+        solve = TraceKernel.solve
 
-        def poisoned(engine, jobs, kernel):
-            evaluate = evaluator(engine, jobs, kernel)
-            return lambda frequency, sleep: NanPower(evaluate(frequency, sleep))
+        def poisoned(kernel, frequency, sleep):
+            return NanPower(solve(kernel, frequency, sleep))
 
-        monkeypatch.setattr(PolicySearchEngine, "_evaluator", poisoned)
+        monkeypatch.setattr(TraceKernel, "solve", poisoned)
         _, frontier = _managers(
             xeon, full_space(xeon, frequency_step=0.1), mean_qos_from_baseline(0.8)
         )
@@ -625,19 +624,16 @@ class TestFallbacks:
 class TestInfeasibleFallback:
     """The all-infeasible ranking probes only the columns that can hold it."""
 
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_mean_budget_below_reach_matches_oracle(self, xeon, dns_ideal, backend):
+    @pytest.mark.parametrize("num_jobs", [800, 300])
+    def test_mean_budget_below_reach_matches_oracle(self, xeon, dns_ideal, num_jobs):
         # mu*E[R] >= 1 at any speed, so a budget of 0.5 is met nowhere.
         qos = MeanResponseTimeConstraint(normalized_budget=0.5)
         space = full_space(xeon, frequency_step=0.05)
-        full, frontier = _managers(xeon, space, qos, backend=backend)
+        full, frontier = _managers(xeon, space, qos)
         rng = np.random.default_rng(17)
         for utilization in (0.1, 0.4, 0.7):
             jobs = generate_jobs(
-                dns_ideal,
-                num_jobs=300 if backend == "reference" else 800,
-                utilization=utilization,
-                rng=rng,
+                dns_ideal, num_jobs=num_jobs, utilization=utilization, rng=rng
             )
             oracle = full.select(jobs, utilization)
             fast = frontier.select(jobs, utilization)
@@ -656,19 +652,19 @@ class TestInfeasibleFallback:
 class TestPerCellFallback:
     """The all-infeasible ranking probes cells in descending slack ceiling."""
 
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    @pytest.mark.parametrize("num_jobs", [800, 300])
     @pytest.mark.parametrize("budget", [0.5, 2.0])
     def test_atom_under_heavy_load_probes_one_cell_per_column(
-        self, atom, dns_ideal, monkeypatch, backend, budget
+        self, atom, dns_ideal, monkeypatch, num_jobs, budget
     ):
         # At 0.8 utilisation no Atom cell meets the budget, and every cell
         # is proven so: the fallback ranks only the top of each column.
         qos = MeanResponseTimeConstraint(normalized_budget=budget)
         space = full_space(atom, frequency_step=0.05)
-        full, frontier = _managers(atom, space, qos, backend=backend)
+        full, frontier = _managers(atom, space, qos)
         jobs = generate_jobs(
             dns_ideal,
-            num_jobs=300 if backend == "reference" else 800,
+            num_jobs=num_jobs,
             utilization=0.8,
             rng=np.random.default_rng(3),
         )
@@ -694,6 +690,20 @@ class TestPerCellFallback:
         variants = [variant for _, variant in cells]
         assert len(variants) == len(set(variants))
         assert stats.candidates_evaluated <= grid.num_variants
+
+
+    def test_each_cell_counts_once(self, atom, dns_ideal):
+        # Every cell is proven infeasible, and the ranking then probes the
+        # top of each column: those cells count as evaluated, not also as
+        # pruned.
+        qos = MeanResponseTimeConstraint(normalized_budget=0.5)
+        space = full_space(atom, frequency_step=0.05)
+        jobs = generate_jobs(
+            dns_ideal, num_jobs=800, utilization=0.8, rng=np.random.default_rng(3)
+        )
+        stats = _assert_selects_like_full(atom, space, qos, jobs, 0.8)
+        assert stats.proven_cells == stats.candidates_seen == 25
+        assert (stats.candidates_evaluated, stats.candidates_pruned) == (4, 21)
 
 
 class TestUtilizationRange:
@@ -744,15 +754,13 @@ class TestUtilizationRange:
 
 
 class TestCharacterization:
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    @pytest.mark.parametrize("oracle", ["full", "loop"])
     @pytest.mark.parametrize("utilization", [0.05, 0.45, 0.9])
     def test_frontier_manager_table_matches_full(
-        self, xeon, dns_ideal, backend, utilization
+        self, xeon, dns_ideal, oracle, utilization
     ):
         space = full_space(xeon, frequency_step=0.1)
-        full, frontier = _managers(
-            xeon, space, mean_qos_from_baseline(0.8), backend=backend
-        )
+        full, frontier = _managers(xeon, space, mean_qos_from_baseline(0.8))
         jobs = generate_jobs(
             dns_ideal, num_jobs=300, utilization=utilization,
             rng=np.random.default_rng(14),
@@ -761,9 +769,20 @@ class TestCharacterization:
         def rows(table):
             return [(e.policy, e.average_power, e.qos_slack) for e in table]
 
-        oracle = full.characterize(jobs, utilization)
-        assert len(oracle) == space.size(utilization)
-        assert rows(frontier.characterize(jobs, utilization)) == rows(oracle)
+        table = frontier.characterize(jobs, utilization)
+        assert len(table) == space.size(utilization)
+        if oracle == "full":
+            assert rows(table) == rows(full.characterize(jobs, utilization))
+            return
+        # Every row against the per-job loop.
+        for row in table:
+            result = reference_simulate_trace(
+                jobs, row.policy.frequency, row.policy.sleep, xeon
+            )
+            assert row.average_power == pytest.approx(result.average_power, rel=1e-9)
+            assert row.normalized_mean_response_time == pytest.approx(
+                result.normalized_mean_response_time, rel=1e-9
+            )
 
 
 class TestEngineSurface:

@@ -68,7 +68,6 @@ def test_scenario_campaign_cells_reproduce_direct_reports(tmp_path):
         direct = run_scenario(
             spec.target,
             seed=cell.seed,
-            backend=knobs.get("backend", spec.backend),
             search=knobs.get("search", spec.search),
             controller=knobs.get("controller"),
             overrides=overrides,

@@ -6,14 +6,15 @@ horizon, mean response time) from per-frequency totals plus one correction
 per closed gap, and only the jump-table regime sums per-gap arrays.  These
 tests recompute every aggregate with a direct walk over all candidate gaps
 (``rtol = 1e-12`` of the summed terms' magnitude: totals that nearly cancel
-are exact only to that) and run the per-job reference backend
-(``rtol = 1e-9``), on both sides of :data:`LOOP_MAX_RISKY`.
+are exact only to that) and run the per-job test oracle
+(``reference_simulate_trace``, ``rtol = 1e-9``), on both sides of
+:data:`LOOP_MAX_RISKY`.
 
 A job that arrives exactly when the previous one departs is a knife edge:
 an idle gap of zero length (a wake-up, then ``w`` of delay) and no gap at
-all (no wake-up, no delay) differ by a whole wake-up, and the two backends
-round departures differently, so they may take different sides.  The
-reference comparison therefore covers the cases whose every arrival clears
+all (no wake-up, no delay) differ by a whole wake-up, and the kernel and
+the oracle round departures differently, so they may take different sides.
+The oracle comparison therefore covers the cases whose every arrival clears
 the previous departure by more than rounding; the direct walk, which decides
 each gap by the kernel's own comparison, covers all of them.
 """
@@ -28,10 +29,10 @@ from hypothesis import strategies as st
 from repro.power.platform import xeon_power_model
 from repro.power.sleep import SleepSequence, SleepStateSpec
 from repro.power.states import C6_S0I
-from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import LOOP_MAX_RISKY, TraceKernel
 from repro.simulation.metrics import STATE_WAKING
 from repro.workloads.jobs import JobTrace
+from tests.simulation.reference_loop import reference_simulate_trace
 
 _XEON = xeon_power_model()
 _POWER = 9.0
@@ -127,9 +128,9 @@ def assert_aggregates_match(
     if np.any(np.abs(edges) <= 1e-9 * max(1.0, float(departures[-1]))):
         return  # a knife edge: see the module docstring
 
-    # And with the per-job reference simulator.
-    reference = simulate_trace(
-        jobs, frequency, _sleep(wake), _XEON, busy_until=busy_until, backend="reference"
+    # And with the per-job test oracle.
+    reference = reference_simulate_trace(
+        jobs, frequency, _sleep(wake), _XEON, busy_until=busy_until
     )
     assert reference.wake_up_count == solution.wake_up_count
     np.testing.assert_allclose(
@@ -189,7 +190,7 @@ class TestSmallTraces:
         wake=st.floats(min_value=0.0, max_value=1.5),
     )
     # A knife edge Hypothesis found: job 4 arrives as job 3 departs, and the
-    # reference backend counts 3 wake-ups where the vectorized one counts 2.
+    # per-job oracle counts 3 wake-ups where the kernel counts 2.
     # Only the direct walk checks it.
     @example(
         jobs=JobTrace(

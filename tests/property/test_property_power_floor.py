@@ -5,7 +5,7 @@ every ``(frequency, state)`` cell of a sleep-state column from the trace
 alone, and the frontier search skips every cell whose floor lies above a
 feasible incumbent.  A skipped cell is only safe when its own bound is
 sound, so these tests check each cell against the two facts it rests on,
-on both simulation backends, both presets, all five low-power states,
+on the kernel and on the per-job test oracle, both presets, all five low-power states,
 utilisation 0.02-0.9 and exponential and lognormal demands:
 
 * every solve's ``average_power`` is at least the floor of its own cell
@@ -30,10 +30,10 @@ from repro.policies.space import full_space
 from repro.power.platform import atom_power_model, xeon_power_model
 from repro.power.sleep import SleepSequence, SleepStateSpec
 from repro.power.states import LOW_POWER_STATES
-from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import PowerFloor, TraceKernel
 from repro.simulation.metrics import STATE_SERVING, STATE_WAKING
 from repro.workloads.jobs import JobTrace
+from tests.simulation.reference_loop import reference_simulate_trace
 
 _MODELS = {"xeon": xeon_power_model(), "atom": atom_power_model()}
 _MEAN_DEMAND = 0.1
@@ -56,12 +56,12 @@ def assert_floor_holds(
     utilization: float,
     demands: str,
     seed: int,
-    backend: str,
+    simulator: str,
     anchor: int,
 ) -> None:
     power_model = _MODELS[model]
     state = LOW_POWER_STATES[state_index]
-    num_jobs = 600 if backend == "vectorized" else 150
+    num_jobs = 600 if simulator == "kernel" else 150
     jobs = _trace(seed, utilization, demands, num_jobs)
     frequencies = full_space(power_model).candidate_frequencies(utilization).tolist()
     sequences = [
@@ -83,12 +83,10 @@ def assert_floor_holds(
     for frequency, sleep, floor, tighter in zip(
         frequencies, sequences, floors, anchored, strict=True
     ):
-        if backend == "vectorized":
+        if simulator == "kernel":
             result = kernel.solve(frequency, sleep)
         else:
-            result = simulate_trace(
-                jobs, frequency, sleep, power_model, backend="reference"
-            )
+            result = reference_simulate_trace(jobs, frequency, sleep, power_model)
         assert result.average_power >= floor * (1.0 - 1e-9)
         assert result.average_power >= tighter * (1.0 - 1e-9)
         residency = result.state_residency
@@ -113,7 +111,7 @@ class TestPowerFloor:
         self, model, state_index, utilization, demands, seed, anchor
     ):
         assert_floor_holds(
-            model, state_index, utilization, demands, seed, "vectorized", anchor
+            model, state_index, utilization, demands, seed, "kernel", anchor
         )
 
     @given(**_CASES)
@@ -122,7 +120,7 @@ class TestPowerFloor:
         self, model, state_index, utilization, demands, seed, anchor
     ):
         assert_floor_holds(
-            model, state_index, utilization, demands, seed, "reference", anchor
+            model, state_index, utilization, demands, seed, "loop", anchor
         )
 
 

@@ -9,8 +9,8 @@ only safe when the bound is sound, so these tests check it directly:
 * every solve's ``normalized_mean_response_time`` is at least the floor of
   its column and the floor of its own cell, ``(k(f) * R0(f_max) + w * K) /
   (n * mean_demand)`` with ``K`` read at any anchor frequency at or below
-  it (up to the search's margin, 1e-9 relative), on both simulation
-  backends, both presets, all five low-power states and the DVFS-only
+  it (up to the search's margin, 1e-9 relative), on the kernel and on
+  the per-job test oracle, both presets, all five low-power states and the DVFS-only
   pseudo state, utilisation 0.02-0.95, exponential and lognormal demands
   and three service scalings;
 * with a carried-in backlog the per-cell floors keep ``k = 1``;
@@ -35,10 +35,10 @@ from repro.policies.policy import dvfs_only_sequence
 from repro.policies.space import full_space
 from repro.power.platform import atom_power_model, xeon_power_model
 from repro.power.states import LOW_POWER_STATES
-from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import ResponseFloor, TraceKernel, _closures_by_loop
 from repro.simulation.service_scaling import ServiceScaling
 from repro.workloads.jobs import JobTrace
+from tests.simulation.reference_loop import reference_simulate_trace
 
 _MODELS = {"xeon": xeon_power_model(), "atom": atom_power_model()}
 _MEAN_DEMAND = 0.1
@@ -74,12 +74,12 @@ def assert_floor_holds(
     demands: str,
     beta: float,
     seed: int,
-    backend: str,
+    simulator: str,
     anchor: int,
 ) -> None:
     power_model = _MODELS[model]
     scaling = ServiceScaling(beta)
-    num_jobs = 600 if backend == "vectorized" else 150
+    num_jobs = 600 if simulator == "kernel" else 150
     jobs = _trace(seed, utilization, demands, num_jobs)
     frequencies = full_space(power_model).candidate_frequencies(utilization).tolist()
     wake, sequences = _column(power_model, state_index, frequencies)
@@ -91,12 +91,11 @@ def assert_floor_holds(
     anchored = kernel.response_floor(frequencies, first).cells(wake)
     assert all(math.isfinite(floor) for floor in floors + anchored)
     for index, (frequency, sleep) in enumerate(zip(frequencies, sequences, strict=True)):
-        if backend == "vectorized":
+        if simulator == "kernel":
             response = kernel.solve(frequency, sleep).normalized_mean_response_time
         else:
-            response = simulate_trace(
-                jobs, frequency, sleep, power_model, scaling=scaling,
-                backend="reference",
+            response = reference_simulate_trace(
+                jobs, frequency, sleep, power_model, scaling=scaling
             ).normalized_mean_response_time
         assert response >= floors[index] * (1.0 - 1e-9)
         assert response >= anchored[index] * (1.0 - 1e-9)
@@ -125,7 +124,7 @@ class TestResponseFloor:
         self, model, state_index, utilization, demands, beta, seed, anchor
     ):
         assert_floor_holds(
-            model, state_index, utilization, demands, beta, seed, "vectorized", anchor
+            model, state_index, utilization, demands, beta, seed, "kernel", anchor
         )
 
     @given(**_CASES)
@@ -134,7 +133,7 @@ class TestResponseFloor:
         self, model, state_index, utilization, demands, beta, seed, anchor
     ):
         assert_floor_holds(
-            model, state_index, utilization, demands, beta, seed, "reference", anchor
+            model, state_index, utilization, demands, beta, seed, "loop", anchor
         )
 
     @given(seed=st.integers(min_value=0, max_value=2**20))

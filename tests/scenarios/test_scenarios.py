@@ -1,7 +1,7 @@
 """Scenario registry round-trip tests.
 
-Every registered scenario must build, simulate a short trace on both
-simulation backends, and produce a JSON report that validates against the
+Every registered scenario must build, simulate a short trace on the kernel
+exactly like the per-job test oracle, and produce a JSON report that validates against the
 ``repro.scenario-report/v2`` schema.  These tests iterate the registry
 itself, so newly registered scenarios are covered automatically.
 """
@@ -34,10 +34,10 @@ from repro.scenarios import (
 )
 from repro.scenarios.base import _REGISTRY
 from repro.simulation.engine import simulate_trace
-from repro.simulation.kernel import BACKEND_REFERENCE, BACKEND_VECTORIZED
 from repro.workloads.jobs import JobTrace
 
 from tests.cluster.test_executor_parity import assert_farm_results_identical
+from tests.simulation.reference_loop import reference_simulate_trace
 
 #: Overrides that shrink any scenario to a couple of seconds of wall clock.
 TINY = {"duration_minutes": 5}
@@ -90,10 +90,10 @@ class TestRegistry:
 
     def test_reserved_override_names_get_a_helpful_error(self):
         # `--set seed=3` must point at --seed, not crash with a TypeError.
-        with pytest.raises(ExperimentError, match="--seed / --backend"):
+        with pytest.raises(ExperimentError, match="--seed / --search-mode"):
             run_scenario("diurnal", overrides={"seed": 3})
-        with pytest.raises(ExperimentError, match="--seed / --backend"):
-            run_scenario("diurnal", overrides={"backend": "reference"})
+        with pytest.raises(ExperimentError, match="--seed / --search-mode"):
+            run_scenario("diurnal", overrides={"search": "full"})
 
     def test_reserved_parameter_names_rejected_at_registration(self):
         with pytest.raises(ScenarioError, match="reserved"):
@@ -160,7 +160,7 @@ class TestRegistry:
     def test_registering_and_removing_a_custom_scenario(self):
         def build(args):
             diurnal = get_scenario("diurnal").build(
-                seed=args.seed, backend=args.backend, search=args.search, **TINY
+                seed=args.seed, search=args.search, **TINY
             )
             return diurnal.spec, diurnal.jobs, diurnal.farm, {"knob": round(args.knob)}
 
@@ -304,9 +304,7 @@ class TestEveryScenario:
     def test_build_fills_parameters_and_build_arguments(self, name):
         scenario_obj = get_scenario(name)
         overrides = {"duration_minutes": 5.4}
-        built = scenario_obj.build(
-            seed=7, backend=BACKEND_REFERENCE, search="full", **overrides
-        )
+        built = scenario_obj.build(seed=7, search="full", **overrides)
         resolved = {**scenario_obj.parameter_defaults(), **overrides}
         assert list(built.parameters) == list(resolved)
         for key, value in built.parameters.items():
@@ -315,11 +313,7 @@ class TestEveryScenario:
             else:
                 assert value == resolved[key], key
         assert built.parameters["duration_minutes"] == 5
-        assert (built.seed, built.backend, built.search) == (
-            7,
-            BACKEND_REFERENCE,
-            "full",
-        )
+        assert (built.seed, built.search) == (7, "full")
         assert built.description == scenario_obj.description
 
     def test_seed_changes_the_stream(self, name):
@@ -327,32 +321,22 @@ class TestEveryScenario:
         second = get_scenario(name).build(seed=2, **TINY)
         assert first.jobs != second.jobs
 
-    def test_short_trace_simulates_on_both_backends(self, name):
-        """The built stream is valid input for both simulation backends."""
+    def test_short_trace_matches_reference_loop(self, name):
+        """The built stream simulates on the kernel like the per-job oracle."""
         from repro.power.states import C3_S0I
 
         built = get_scenario(name).build(seed=3, **TINY)
         jobs = built.jobs.head(200)
         policy_model = built.farm.servers[0].power_model
         sleep = policy_model.immediate_sleep_sequence(C3_S0I)
-        results = {
-            backend: simulate_trace(
-                jobs=jobs,
-                frequency=0.8,
-                sleep=sleep,
-                power_model=policy_model,
-                backend=backend,
-            )
-            for backend in (BACKEND_VECTORIZED, BACKEND_REFERENCE)
-        }
+        kernel, oracle = (
+            simulate(jobs, 0.8, sleep, policy_model)
+            for simulate in (simulate_trace, reference_simulate_trace)
+        )
         np.testing.assert_allclose(
-            results[BACKEND_VECTORIZED].response_times,
-            results[BACKEND_REFERENCE].response_times,
-            rtol=1e-9,
+            kernel.response_times, oracle.response_times, rtol=1e-9
         )
-        assert results[BACKEND_VECTORIZED].total_energy == pytest.approx(
-            results[BACKEND_REFERENCE].total_energy, rel=1e-9
-        )
+        assert kernel.total_energy == pytest.approx(oracle.total_energy, rel=1e-9)
 
     def test_end_to_end_report_is_schema_valid_and_json_safe(self, name):
         report = run_scenario(name, seed=5, overrides=TINY)
@@ -370,34 +354,25 @@ class TestEveryScenario:
         )
 
 
-class TestBackendSelection:
-    def test_reference_backend_runs_end_to_end(self):
-        report = run_scenario(
-            "diurnal", seed=7, backend=BACKEND_REFERENCE, overrides=TINY
-        )
-        assert report["backend"] == BACKEND_REFERENCE
+class TestRemovedBackendKnob:
+    """One simulator: ``backend`` is no knob, and the report keeps one value."""
 
-    def test_backends_agree_on_selected_states(self):
-        """The per-epoch policy search must not depend on the backend."""
-        reports = {
-            backend: run_scenario(
-                "diurnal", seed=7, backend=backend, overrides=TINY
-            )
-            for backend in (BACKEND_VECTORIZED, BACKEND_REFERENCE)
-        }
-        assert (
-            reports[BACKEND_VECTORIZED]["state_selection_fractions"]
-            == reports[BACKEND_REFERENCE]["state_selection_fractions"]
-        )
-        assert reports[BACKEND_VECTORIZED]["energy"]["total_joules"] == pytest.approx(
-            reports[BACKEND_REFERENCE]["energy"]["total_joules"], rel=1e-6
-        )
+    def test_build_takes_backend_as_an_unknown_parameter(self):
+        assert "backend" not in Scenario.RESERVED_NAMES
+        with pytest.raises(ScenarioError, match=r"no parameter\(s\) \['backend'\]"):
+            get_scenario("diurnal").build(backend="reference", **TINY)
 
-    def test_unknown_backend_rejected(self):
-        from repro.exceptions import ConfigurationError
+    def test_run_scenario_backend_is_gone(self):
+        with pytest.raises(TypeError, match="backend"):
+            run_scenario("diurnal", backend="reference")
+        with pytest.raises(ScenarioError, match=r"no parameter\(s\) \['backend'\]"):
+            run_scenario("diurnal", overrides={"backend": "reference", **TINY})
 
-        with pytest.raises(ConfigurationError):
-            get_scenario("diurnal").build(backend="quantum")
+    def test_report_backend_is_the_one_simulator(self):
+        report = run_scenario("diurnal", seed=7, overrides=TINY)
+        assert report["backend"] == "vectorized"
+        with pytest.raises(ExperimentError, match="backend"):
+            validate_report({**report, "backend": "reference"})
 
 
 class TestHeterogeneousScenario:
@@ -632,6 +607,7 @@ class TestCliErrors:
             (["trace-replay", "--set", "scale=0"], "scale must be positive, got 0"),
             (["trace-replay", "--set", "scale=-1"], "scale must be positive, got -1"),
             (["farm-scale", "--set", "chunk_jobs=32768"], "no parameter(s) ['chunk_jobs']"),
+            (["diurnal", "--set", "backend=reference"], "no parameter(s) ['backend']"),
         ],
         ids=[
             "unknown-parameter",
@@ -640,6 +616,7 @@ class TestCliErrors:
             "zero-trace-scale",
             "negative-trace-scale",
             "removed-chunk-size",
+            "removed-backend",
         ],
     )
     def test_bad_override_prints_one_error_line(self, capsys, argv, message):
@@ -676,8 +653,9 @@ class TestCliErrors:
         [
             (["--executor", "thread"], "invalid choice: 'thread'"),
             (["--trace-backend", "mmap"], "unrecognized arguments"),
+            (["--backend", "reference"], "unrecognized arguments: --backend"),
         ],
-        ids=["thread-executor", "trace-backend"],
+        ids=["thread-executor", "trace-backend", "backend"],
     )
     def test_removed_executor_and_backend_are_rejected(self, capsys, argv, message):
         from repro.experiments.runner import main
@@ -685,7 +663,10 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as exit_info:
             main(["run-scenario", "diurnal", *argv])
         assert exit_info.value.code == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert message in line
 
     def test_unknown_experiment_prints_one_error_line(self, capsys):
         from repro.experiments.runner import main

@@ -1,11 +1,12 @@
-"""Property-style equivalence suite: vectorized kernel vs reference loop.
+"""Property-style equivalence suite: the simulation kernel vs the per-job loop.
 
-The vectorized backend must reproduce the reference simulator's results to
-floating-point noise — response times, waiting times, the energy breakdown,
-state residency, wake-up counts and the horizon — across randomized traces,
-frequencies, service scalings, multi-state sleep sequences and the
-``start_time``/``busy_until`` edge cases.  These tests are the contract that
-lets the rest of the package default to the fast backend.
+``simulate_trace`` (one :class:`TraceKernel` evaluation) must reproduce the
+test oracle ``reference_simulate_trace`` to floating-point noise — response
+times, waiting times, the energy breakdown, state residency, wake-up counts
+and the horizon — across randomized traces, frequencies, service scalings,
+multi-state sleep sequences, zero-job traces and the
+``start_time``/``busy_until`` edge cases, rejected inputs included.  These
+tests are the contract that lets the package run the kernel alone.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.power.platform import xeon_power_model
 from repro.power.sleep import SleepSequence, SleepStateSpec
 from repro.power.states import LOW_POWER_STATES, C6_S0I
@@ -25,6 +27,7 @@ from repro.simulation.kernel import (
 )
 from repro.simulation.service_scaling import ServiceScaling, memory_bound
 from repro.workloads.jobs import JobTrace
+from tests.simulation.reference_loop import reference_simulate_trace
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -35,14 +38,10 @@ def power_model():
     return xeon_power_model()
 
 
-def assert_backends_agree(jobs, frequency, sleep, power_model, **kwargs):
-    """Run both backends and assert every reported quantity matches."""
-    reference = simulate_trace(
-        jobs, frequency, sleep, power_model, backend="reference", **kwargs
-    )
-    vectorized = simulate_trace(
-        jobs, frequency, sleep, power_model, backend="vectorized", **kwargs
-    )
+def assert_kernel_matches_loop(jobs, frequency, sleep, power_model, **kwargs):
+    """Run the kernel and the loop and assert every reported quantity matches."""
+    reference = reference_simulate_trace(jobs, frequency, sleep, power_model, **kwargs)
+    vectorized = simulate_trace(jobs, frequency, sleep, power_model, **kwargs)
     np.testing.assert_allclose(
         vectorized.response_times, reference.response_times, rtol=RTOL, atol=ATOL
     )
@@ -133,7 +132,7 @@ class TestRandomizedEquivalence:
         lowest = utilization ** (1.0 / scaling.beta) if scaling.beta else 0.05
         frequency = float(rng.uniform(min(lowest + 0.02, 0.99), 1.0))
         sleep = random_sleep_sequence(rng, wake_scale=float(rng.choice([0.01, 0.3])))
-        assert_backends_agree(
+        assert_kernel_matches_loop(
             jobs, frequency, sleep, power_model, scaling=scaling
         )
 
@@ -145,7 +144,7 @@ class TestRandomizedEquivalence:
         sleep = random_sleep_sequence(rng, wake_scale=0.2)
         start = float(rng.uniform(0.0, jobs.start_time))
         busy = float(rng.uniform(start, jobs.start_time + 20.0))
-        assert_backends_agree(
+        assert_kernel_matches_loop(
             jobs, 0.8, sleep, power_model, start_time=start, busy_until=busy
         )
 
@@ -174,7 +173,7 @@ class TestRandomizedEquivalence:
                 )
             ]
         )
-        vectorized, reference = assert_backends_agree(jobs, 1.0, sleep, power_model)
+        vectorized, reference = assert_kernel_matches_loop(jobs, 1.0, sleep, power_model)
         idle0 = TraceKernel(jobs, power_model)._structure(1.0).idle0
         risky = np.flatnonzero(idle0 < wake)
         risky = risky[risky > 0]
@@ -193,28 +192,28 @@ class TestRandomizedEquivalence:
 
 class TestHandCraftedEdgeCases:
     def test_arrival_exactly_at_departure(self, power_model):
-        # Job 1 arrives exactly as job 0 departs: both backends must count
+        # Job 1 arrives exactly as job 0 departs: the kernel and the loop must count
         # the zero-length idle period as a wake-up.
         jobs = JobTrace([0.0, 1.0, 2.0, 8.0], [1.0, 1.0, 0.5, 0.5])
         sleep = power_model.immediate_sleep_sequence(C6_S0I, 1.0)
-        vectorized, reference = assert_backends_agree(jobs, 1.0, sleep, power_model)
+        vectorized, reference = assert_kernel_matches_loop(jobs, 1.0, sleep, power_model)
         assert vectorized.wake_up_count == reference.wake_up_count >= 2
 
     def test_single_job(self, power_model):
         jobs = JobTrace([3.0], [0.5])
         sleep = power_model.immediate_sleep_sequence(C6_S0I, 0.6)
-        assert_backends_agree(jobs, 0.6, sleep, power_model, start_time=0.0)
+        assert_kernel_matches_loop(jobs, 0.6, sleep, power_model, start_time=0.0)
 
     def test_job_at_time_zero_with_zero_demand(self, power_model):
         jobs = JobTrace([0.0, 0.0], [0.0, 0.0])
         sleep = power_model.immediate_sleep_sequence(C6_S0I, 1.0)
-        assert_backends_agree(jobs, 1.0, sleep, power_model)
+        assert_kernel_matches_loop(jobs, 1.0, sleep, power_model)
 
     def test_memory_bound_scaling(self, power_model):
         rng = np.random.default_rng(11)
         jobs = random_trace(rng, num_jobs=200, utilization=0.4)
         sleep = random_sleep_sequence(rng, wake_scale=0.1)
-        assert_backends_agree(
+        assert_kernel_matches_loop(
             jobs, 0.3, sleep, power_model, scaling=memory_bound()
         )
 
@@ -231,7 +230,7 @@ class TestHandCraftedEdgeCases:
                 )
             ]
         )
-        vectorized, _ = assert_backends_agree(jobs, 1.0, sleep, power_model)
+        vectorized, _ = assert_kernel_matches_loop(jobs, 1.0, sleep, power_model)
         assert vectorized.energy.idle >= 0.0
 
     def test_delayed_entry_never_reached(self, power_model):
@@ -245,33 +244,62 @@ class TestHandCraftedEdgeCases:
                 )
             ]
         )
-        vectorized, _ = assert_backends_agree(jobs, 1.0, sleep, power_model)
+        vectorized, _ = assert_kernel_matches_loop(jobs, 1.0, sleep, power_model)
         assert vectorized.wake_up_count == 0
 
     def test_empty_trace(self, power_model):
         sleep = power_model.immediate_sleep_sequence(C6_S0I, 0.7)
-        for backend in ("vectorized", "reference"):
-            result = simulate_trace(
-                JobTrace.empty(), 0.7, sleep, power_model, backend=backend
-            )
-            assert result.num_jobs == 0
-            assert result.total_energy == 0.0
-            assert result.wake_up_count == 0
-            assert np.isnan(result.mean_response_time)
-            assert result.state_residency[sleep[0].name] == 0.0
+        result, _ = assert_kernel_matches_loop(JobTrace.empty(), 0.7, sleep, power_model)
+        assert result.num_jobs == 0
+        assert result.total_energy == 0.0
+        assert result.wake_up_count == 0
+        assert np.isnan(result.mean_response_time)
+        assert result.state_residency[sleep[0].name] == 0.0
 
-    def test_empty_trace_with_busy_window(self, power_model):
+    @pytest.mark.parametrize(
+        "window",
+        [
+            {"start_time": 0.0, "busy_until": 5.0},
+            {"start_time": 2.0},
+            {"busy_until": 3.0},
+        ],
+    )
+    def test_empty_trace_with_window(self, power_model, window):
         sleep = power_model.immediate_sleep_sequence(C6_S0I, 0.7)
-        result = simulate_trace(
-            JobTrace.empty(),
-            0.7,
-            sleep,
-            power_model,
-            start_time=0.0,
-            busy_until=5.0,
+        result, reference = assert_kernel_matches_loop(
+            JobTrace.empty(), 0.7, sleep, power_model, **window
         )
-        assert result.horizon == pytest.approx(5.0)
-        assert result.average_power == 0.0
+        assert result.horizon == reference.horizon
+        assert result.average_power == reference.average_power == 0.0
+        if "busy_until" in window:
+            start = window.get("start_time", 0.0)
+            assert result.horizon == pytest.approx(window["busy_until"] - start)
+
+    @pytest.mark.parametrize(
+        "jobs, frequency, window",
+        [
+            (JobTrace([1.0, 2.0], [0.5, 0.5]), 0.7, {"start_time": 1.5}),
+            (
+                JobTrace([1.0, 2.0], [0.5, 0.5]),
+                0.7,
+                {"start_time": 0.5, "busy_until": 0.2},
+            ),
+            (JobTrace.empty(), 0.7, {"start_time": 4.0, "busy_until": 1.0}),
+            (JobTrace([1.0, 2.0], [0.5, 0.5]), 0.0, {}),
+            (JobTrace([1.0, 2.0], [0.5, 0.5]), 1.2, {}),
+            (JobTrace.empty(), 1.2, {}),
+        ],
+    )
+    def test_rejected_inputs_are_rejected_alike(
+        self, power_model, jobs, frequency, window
+    ):
+        sleep = power_model.immediate_sleep_sequence(C6_S0I, 0.7)
+        messages = []
+        for simulate in (simulate_trace, reference_simulate_trace):
+            with pytest.raises(ConfigurationError) as error:
+                simulate(jobs, frequency, sleep, power_model, **window)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
 
 
 class TestTraceKernelReuse:

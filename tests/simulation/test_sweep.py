@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.power.states import C0I_S0I, C6_S0I, C6_S3
+from repro.simulation.service_scaling import ServiceScaling
 from repro.simulation.sweep import (
     TradeoffCurve,
     TradeoffPoint,
@@ -15,6 +16,8 @@ from repro.simulation.sweep import (
     sweep_frequencies,
     sweep_states,
 )
+from repro.workloads.generator import generate_jobs, make_rng
+from tests.simulation.reference_loop import reference_simulate_trace
 
 
 def make_point(frequency, power, response=1.0, p95=2.0, state="C6S3") -> TradeoffPoint:
@@ -255,34 +258,41 @@ class TestSweepStates:
         assert np.isclose(deep.frequency, shallow.frequency)
 
 
-class TestSweepBackends:
-    """Backend selection and the unified stability cutoff."""
+class TestSweepOracle:
+    """The kernel-backed sweep against the per-job loop, and the stability cutoff."""
 
-    def test_backends_produce_identical_curves(self, dns_ideal, xeon):
+    def test_curve_matches_reference_loop(self, dns_ideal, xeon):
         kwargs = dict(
             utilization=0.3,
             num_jobs=500,
             frequency_step=0.1,
             seed=0,
         )
-        fast = sweep_frequencies(dns_ideal, C6_S0I, xeon, backend="vectorized", **kwargs)
-        slow = sweep_frequencies(dns_ideal, C6_S0I, xeon, backend="reference", **kwargs)
-        assert list(fast.frequencies) == list(slow.frequencies)
-        np.testing.assert_allclose(fast.powers, slow.powers, rtol=1e-9)
-        np.testing.assert_allclose(
-            fast.normalized_response_times, slow.normalized_response_times, rtol=1e-9
+        fast = sweep_frequencies(dns_ideal, C6_S0I, xeon, **kwargs)
+        # The sweep's own stream: one draw from its seeded generator.
+        jobs = generate_jobs(
+            dns_ideal, num_jobs=500, utilization=0.3, rng=make_rng(0)
         )
-
-    def test_unknown_backend_rejected(self, dns_ideal, xeon):
-        with pytest.raises(ConfigurationError):
-            sweep_frequencies(
-                dns_ideal,
-                C6_S0I,
+        scaling = ServiceScaling(beta=dns_ideal.cpu_boundedness)
+        slow = [
+            reference_simulate_trace(
+                jobs,
+                frequency,
+                xeon.immediate_sleep_sequence(C6_S0I, frequency),
                 xeon,
-                utilization=0.3,
-                num_jobs=100,
-                backend="turbo",
+                scaling=scaling,
             )
+            for frequency in fast.frequencies.tolist()
+        ]
+        assert list(fast.frequencies) == [result.frequency for result in slow]
+        np.testing.assert_allclose(
+            fast.powers, [result.average_power for result in slow], rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            fast.normalized_response_times,
+            [result.normalized_mean_response_time for result in slow],
+            rtol=1e-9,
+        )
 
     def test_stability_cutoff_matches_check_stability(self, dns_ideal, xeon):
         # The sweep and check_stability share MAX_STABLE_UTILIZATION: a point
