@@ -31,6 +31,7 @@ from repro.campaigns.spec import (
     split_scenario_params,
 )
 from repro.campaigns.store import CampaignStore, make_cell_record
+from repro.workloads.generator import trace_reuse
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,7 +167,16 @@ def run_campaign(
     identical whichever executes).  *max_cells* bounds how many pending
     cells this call runs — the supported way to interrupt a campaign at a
     cell boundary (CI's campaign-smoke job runs a truncated pass, then a
-    ``--resume`` pass, and asserts the stores match byte-for-byte).
+    ``--resume`` pass, and asserts the stores match byte-for-byte).  Cells
+    run in batches of the executor's worker count.
+
+    The cell loop runs inside a
+    :func:`~repro.workloads.generator.trace_reuse` scope: a cell whose
+    trace-driven workload equals the previous cell's (same spec, trace,
+    seed and clamps; a campaign axis the trace does not read) reuses it
+    instead of sampling it again.  The scope holds one entry, which is
+    enough because cells run seed-major; it does nothing outside
+    ``run_campaign``, and changes no record.
     """
     if max_cells is not None and max_cells < 0:
         raise CampaignError(f"max_cells must be non-negative, got {max_cells}")
@@ -185,16 +195,17 @@ def run_campaign(
     executed: list[str] = []
     # Batch the fan-out so records land on disk as the campaign progresses:
     # an interruption between batches loses at most one batch of work, and
-    # a batch is at most one pool's worth of cells.
-    batch_size = max_workers or 1
-    for start in range(0, len(pending), batch_size):
-        batch = pending[start : start + batch_size]
-        payloads = cell_executor.map(
-            execute_cell, [cell_task(spec, cell) for cell in batch]
-        )
-        for cell, payload in zip(batch, payloads, strict=True):
-            store.write_cell(make_cell_record(spec, cell, payload))
-            executed.append(cell.cell_id)
+    # a batch is one pool's worth of cells.
+    batch_size = cell_executor.workers
+    with trace_reuse():
+        for start in range(0, len(pending), batch_size):
+            batch = pending[start : start + batch_size]
+            payloads = cell_executor.map(
+                execute_cell, [cell_task(spec, cell) for cell in batch]
+            )
+            for cell, payload in zip(batch, payloads, strict=True):
+                store.write_cell(make_cell_record(spec, cell, payload))
+                executed.append(cell.cell_id)
     completed = len(done) + len(executed) == len(cells)
     results_path = store.finalise(spec, cells) if completed else None
     return CampaignRunResult(

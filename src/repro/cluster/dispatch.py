@@ -49,7 +49,10 @@ Assignment
 
 :class:`LeastLoadedDispatcher` takes one O(log m) min-heap step per job,
 O(n log m) for ``n`` jobs on ``m`` servers, on uniform and mixed speeds
-alike.  :class:`PowerAwareDispatcher` takes one ranked per-job scan.  Both
+alike.  On exactly two servers (the common controller regime of a
+right-sized farm) it steps on two floats instead: one comparison per job,
+with the heap's tie rule (server 1 only when strictly sooner free).
+:class:`PowerAwareDispatcher` takes one ranked per-job scan.  Both
 are pinned byte-identical to independent reference scans written on
 :meth:`WorkTracker.charge` (exact ties included), and the power-aware
 assignments also to per-cell golden digests, in
@@ -110,12 +113,12 @@ class WorkTracker:
     The tracker stores, for every server, the time it would finish all work
     routed to it so far, serving at its assumed speed.  ``charge`` routes one
     job and returns the server's new estimated finish time
-    (``max(busy, arrival) + demand * time_factor``).  Both the least-loaded
-    heap step and the power-aware ranked scan inline the same arithmetic on
-    the ``busy`` value they already read.  The reference scans in
-    ``tests/cluster/test_dispatch_engine.py``, written on ``charge`` (exact
-    ties included, on uniform and mixed speeds), pin them byte-identical to
-    it.
+    (``max(busy, arrival) + demand * time_factor``).  The least-loaded
+    heap and two-server steps and the power-aware ranked scan inline the
+    same arithmetic on the ``busy`` value they already read.  The reference
+    scans in ``tests/cluster/test_dispatch_engine.py``, written on
+    ``charge`` (exact ties included, on uniform and mixed speeds), pin them
+    byte-identical to it.
     """
 
     __slots__ = ("busy_until", "time_factors")
@@ -426,16 +429,18 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
     Every job takes one O(log m) heap step: pop the server with the
     smallest estimated finish time, charge the job to it with
     ``WorkTracker.charge`` inlined, and push the new finish time back.
+    The heap is the only state: no per-server list is kept beside it.
     Jobs are stepped in bursts of :data:`_BURST` so the per-burst lists
     stay small.  The comparisons are on exactly the float values a per-job
     scan over ``WorkTracker.charge`` computes, and ``(busy_until, server)``
     tuples break ties towards the lowest server index, so the assignment is
-    byte-identical to that scan.
+    byte-identical to that scan.  A two-server fleet takes
+    :class:`_LeastLoadedPairAssigner`'s one-comparison step instead.
     """
 
     def __init__(self, num_servers: int, server_speeds: Sequence[float] | None):
         super().__init__(num_servers)
-        self._tracker = WorkTracker(num_servers, server_speeds)
+        self._factors = _demand_time_factors(num_servers, server_speeds)
         # (busy_until, server): ties break towards the lowest server index,
         # exactly like a scan's list.index(min(...)).
         self._heap = [(0.0, server) for server in range(num_servers)]
@@ -445,8 +450,7 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
         demands = np.ascontiguousarray(service_demands, dtype=float)
         count = len(arrivals)
         assignment = np.empty(count, dtype=np.int64)
-        busy_until = self._tracker.busy_until
-        factors = self._tracker.time_factors
+        factors = self._factors
         heap = self._heap
         heapreplace = heapq.heapreplace
         for index in range(0, count, _BURST):
@@ -460,10 +464,49 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
                 # ``WorkTracker.charge`` inlined: ``max(busy, arrival)``
                 # spelled as the comparison ``max`` itself makes.
                 finish = (arrival if arrival > busy else busy) + demand * factors[server]
-                busy_until[server] = finish
                 heapreplace(heap, (finish, server))
                 append(server)
             assignment[index:stop] = servers
+        return assignment
+
+
+class _LeastLoadedPairAssigner(StreamAssigner):
+    """Join-the-least-work on exactly two servers: one comparison per job.
+
+    The two estimated finish times live in two local floats during a call
+    and in ``self._busy`` between calls, so chunked assignment equals
+    one-shot.  A job goes to server 1 only when server 1's finish time is
+    strictly lower, which is the heap's ``(busy_until, server)`` tie rule;
+    the charge is ``WorkTracker.charge`` inlined, as in the heap step.
+    """
+
+    def __init__(self, server_speeds: Sequence[float] | None):
+        super().__init__(2)
+        self._factors = _demand_time_factors(2, server_speeds)
+        self._busy = (0.0, 0.0)
+
+    def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
+        arrivals = self._ordered_arrivals(arrival_times)
+        demands = np.ascontiguousarray(service_demands, dtype=float)
+        count = len(arrivals)
+        assignment = np.empty(count, dtype=np.int64)
+        factor0, factor1 = self._factors
+        busy0, busy1 = self._busy
+        for index in range(0, count, _BURST):
+            stop = min(count, index + _BURST)
+            servers: list[int] = []
+            append = servers.append
+            for arrival, demand in zip(
+                arrivals[index:stop].tolist(), demands[index:stop].tolist(), strict=True
+            ):
+                if busy1 < busy0:
+                    busy1 = (arrival if arrival > busy1 else busy1) + demand * factor1
+                    append(1)
+                else:
+                    busy0 = (arrival if arrival > busy0 else busy0) + demand * factor0
+                    append(0)
+            assignment[index:stop] = servers
+        self._busy = (busy0, busy1)
         return assignment
 
 
@@ -476,10 +519,13 @@ class LeastLoadedDispatcher(JobDispatcher):
     the smallest estimated finish time at its arrival instant; idle servers
     have finish times in the past, so when any server is idle the job
     *always* lands on an idle one — the longest-idle first, which also breaks
-    ties deterministically.  Each job takes one O(log m) heap step.
+    ties deterministically.  Each job takes one O(log m) heap step, or one
+    comparison on a two-server fleet.
     """
 
     def assigner(self, num_servers, *, server_speeds=None, tenant_ids=None) -> StreamAssigner:
+        if num_servers == 2:
+            return _LeastLoadedPairAssigner(server_speeds)
         return _LeastLoadedHeapAssigner(num_servers, server_speeds)
 
 

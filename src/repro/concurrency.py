@@ -67,6 +67,11 @@ class Executor(abc.ABC):
     ) -> list[ResultT]:
         """Apply *fn* to every item and return the results in item order."""
 
+    @property
+    def workers(self) -> int:
+        """How many items the executor runs at once."""
+        return 1
+
     def describe(self) -> str:
         """Human-readable description for logs and benchmark reports."""
         return self.name
@@ -108,6 +113,10 @@ class ProcessExecutor(Executor):
     def __init__(self, max_workers: int | None = None):
         self.max_workers = _validate_workers(max_workers)
 
+    @property
+    def workers(self) -> int:
+        return self.max_workers or os.cpu_count() or 1
+
     @staticmethod
     def _context():
         if "fork" in multiprocessing.get_all_start_methods():
@@ -145,7 +154,7 @@ class ProcessExecutor(Executor):
                 f"function (type {type(fn).__name__}) cannot cross a "
                 f"process boundary: {error}"
             ) from error
-        workers = min(self.max_workers or os.cpu_count() or 1, len(items))
+        workers = min(self.workers, len(items))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=self._context()
         ) as pool:

@@ -12,10 +12,17 @@ Two generation modes are needed by the paper's evaluation:
   (Figure 7).  SleepScale then consumes this job stream as the causal input.
 
 Both modes return :class:`~repro.workloads.jobs.JobTrace` objects.
+
+Inside a :func:`trace_reuse` scope (the campaign engine opens one around
+its cell loop), a seeded trace-driven generation equal in every input to the
+previous one returns that same workload instead of sampling it again.
 """
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Hashable, Iterator
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +87,59 @@ class TraceDrivenWorkload:
     spec: WorkloadSpec
 
 
+#: The reuse slot of the innermost open :func:`trace_reuse` scope: at most
+#: one entry, the last seeded generation keyed by every input it read.
+_REUSE: ContextVar[dict[Hashable, TraceDrivenWorkload] | None] = ContextVar(
+    "trace_reuse", default=None
+)
+
+
+@contextlib.contextmanager
+def trace_reuse() -> Iterator[None]:
+    """Reuse the last seeded trace-driven workload while the scope is open.
+
+    Inside the scope, :func:`generate_trace_driven_jobs` called with
+    ``seed=`` and no ``rng`` keeps its last result, keyed by every input it
+    reads (the spec, the trace's values, interval, start time and name, the
+    seed and both utilisation clamps); the next call with an equal key
+    returns that same object.  A miss drops the entry before generating, so
+    the scope never holds two traces.  One entry suffices for callers that
+    run equal inputs back to back (a seed-major campaign).  A spec that
+    does not hash generates as usual.  Outside every scope nothing is kept,
+    and the scope closes on exceptions too.
+    """
+    token = _REUSE.set({})
+    try:
+        yield
+    finally:
+        _REUSE.reset(token)
+
+
+def _reuse_key(
+    spec: WorkloadSpec,
+    trace: UtilizationTrace,
+    seed: int,
+    min_utilization: float,
+    max_utilization: float,
+) -> Hashable | None:
+    """The reuse key of one seeded generation (``None`` if it cannot hash)."""
+    key = (
+        spec,
+        trace.values.tobytes(),
+        trace.interval,
+        trace.start_time,
+        trace.name,
+        seed,
+        min_utilization,
+        max_utilization,
+    )
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 def generate_trace_driven_jobs(
     spec: WorkloadSpec,
     trace: UtilizationTrace,
@@ -100,14 +160,24 @@ def generate_trace_driven_jobs(
 
     This mirrors Section 6: "we scale the inter-arrival time between
     generated jobs to match the time-varying utilization of Figure 7".
+    Inside a :func:`trace_reuse` scope a seeded call equal in every input
+    to the previous one returns the previous result.
     """
-    if rng is None:
-        rng = make_rng(seed)
     if not 0.0 < min_utilization <= max_utilization < 1.0:
         raise ConfigurationError(
             "utilization clamp must satisfy 0 < min <= max < 1, got "
             f"[{min_utilization}, {max_utilization}]"
         )
+    slot = _REUSE.get() if rng is None and seed is not None else None
+    key = None
+    if slot is not None:
+        key = _reuse_key(spec, trace, seed, min_utilization, max_utilization)
+        reused = slot.get(key) if key is not None else None
+        if reused is not None:
+            return reused
+        slot.clear()
+    if rng is None:
+        rng = make_rng(seed)
 
     interval = trace.interval
     mean_service = spec.service.mean
@@ -147,7 +217,10 @@ def generate_trace_driven_jobs(
             "or its utilisation too low for the workload's job size"
         )
     jobs = JobTrace(np.concatenate(arrival_chunks), np.concatenate(demand_chunks))
-    return TraceDrivenWorkload(jobs=jobs, utilization=trace, spec=spec)
+    workload = TraceDrivenWorkload(jobs=jobs, utilization=trace, spec=spec)
+    if key is not None:
+        slot[key] = workload
+    return workload
 
 
 def empirical_utilization(

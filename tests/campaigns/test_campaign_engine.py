@@ -1,11 +1,12 @@
-"""Executor parity for the campaign engine.
+"""Executor parity and trace reuse for the campaign engine.
 
 The campaign fan-out runs on the shared executor subsystem
 (:data:`repro.concurrency.EXECUTORS`): the "process" executor must leave a
 store *byte-identical* to the "serial" one — same cell records, same
 merged CSV.  Cell tasks are plain picklable data executed by a
 module-level function, which is what makes the process executor possible
-at all (REP002).
+at all (REP002).  Batches are one pool's worth of cells, and the trace
+reuse scope around the cell loop changes no record.
 """
 
 from __future__ import annotations
@@ -18,15 +19,22 @@ import pytest
 
 import repro.campaigns
 import repro.campaigns.engine
+import repro.concurrency
+import repro.workloads.generator
 from repro.campaigns import (
+    CampaignSpec,
     CampaignStore,
     campaign_results,
     cell_task,
     execute_cell,
     run_campaign,
 )
+from repro.campaigns.spec import split_scenario_params
+from repro.campaigns.store import make_cell_record
+from repro.concurrency import ProcessExecutor
 from repro.exceptions import CampaignError, ExecutorError, ExperimentError, ScenarioError
 from repro.experiments import campaign_runner, runner
+from repro.experiments.scenario_runner import run_scenario
 
 
 def store_bytes(root):
@@ -239,3 +247,82 @@ class TestRunCampaign:
         run_campaign(parity_spec, tmp_path, max_cells=1)
         with pytest.raises(CampaignError, match="incomplete"):
             campaign_results(CampaignStore(tmp_path), parity_spec)
+
+
+class RecordingProcessExecutor(ProcessExecutor):
+    """A process executor that records batch sizes and runs them in-process."""
+
+    def __init__(self, max_workers=None):
+        super().__init__(max_workers)
+        self.batches = []
+
+    def map(self, fn, items):
+        self.batches.append(len(items))
+        return [fn(item) for item in items]
+
+
+def _autoscale_spec(seeds=(0, 1)):
+    """``autoscale-diurnal``, ``policy`` x *seeds*, 5 minutes per cell."""
+    return CampaignSpec(
+        name="autoscale-reuse",
+        kind="scenario",
+        target="autoscale-diurnal",
+        seeds=seeds,
+        grid={"policy": ("always-on", "reactive")},
+        fixed={"duration_minutes": 5},
+    )
+
+
+class TestBatching:
+    @pytest.mark.parametrize(
+        ("max_workers", "batches"), [(None, [3, 1]), (2, [2, 2]), (4, [4])]
+    )
+    def test_process_batches_follow_the_worker_count(
+        self, monkeypatch, tmp_path, max_workers, batches
+    ):
+        # Without a worker count a process pool is as wide as the machine.
+        monkeypatch.setattr(repro.concurrency.os, "cpu_count", lambda: 3)
+        executor = RecordingProcessExecutor(max_workers)
+        outcome = run_campaign(_autoscale_spec(), tmp_path, executor=executor)
+        assert outcome.completed
+        assert executor.batches == batches
+
+    def test_worker_counts(self, monkeypatch):
+        monkeypatch.setattr(repro.concurrency.os, "cpu_count", lambda: 3)
+        assert repro.concurrency.SerialExecutor().workers == 1
+        assert ProcessExecutor().workers == 3
+        assert ProcessExecutor(5).workers == 5
+
+
+class TestTraceReuse:
+    def test_store_matches_cells_run_one_at_a_time(self, tmp_path, monkeypatch):
+        spec = _autoscale_spec()
+        # Written outside any reuse scope: every cell samples its own trace.
+        oracle = CampaignStore(tmp_path / "one-at-a-time")
+        oracle.initialise(spec, resume=False)
+        cells = spec.cells()
+        for cell in cells:
+            knobs, overrides = split_scenario_params(cell.params)
+            payload = run_scenario(
+                spec.target,
+                seed=cell.seed,
+                search=knobs.get("search", spec.search),
+                controller=knobs.get("controller"),
+                overrides=overrides,
+            )
+            oracle.write_cell(make_cell_record(spec, cell, payload))
+        oracle.finalise(spec, cells)
+        # The campaign samples each seed's trace once: the policy axis does
+        # not read it, so the second cell of every seed reuses the first's.
+        samples = []
+        real_make_rng = repro.workloads.generator.make_rng
+
+        def counting_make_rng(seed=None):
+            samples.append(seed)
+            return real_make_rng(seed)
+
+        monkeypatch.setattr(repro.workloads.generator, "make_rng", counting_make_rng)
+        outcome = run_campaign(spec, tmp_path / "campaign")
+        assert outcome.completed
+        assert len(samples) == len(spec.seeds)
+        assert store_bytes(tmp_path / "campaign") == store_bytes(tmp_path / "one-at-a-time")

@@ -1,10 +1,11 @@
 """The work-tracking dispatchers against reference scans: least-loaded heap
 vs. scan equivalence, power-aware golden assignments and speed-aware backlog.
 
-``LeastLoadedDispatcher``'s heap step must produce **byte-identical**
-assignments to ``reference_least_loaded_scan``, a per-job scan written on
+``LeastLoadedDispatcher``'s heap step, and its one-comparison step on two
+servers, must produce **byte-identical** assignments to
+``reference_least_loaded_scan``, a per-job scan written on
 ``WorkTracker.charge``, across traffic regimes, farm sizes, speed models,
-burst boundaries and crafted tie cases.  ``PowerAwareDispatcher``'s
+burst boundaries, chunked assignment and crafted tie cases.  ``PowerAwareDispatcher``'s
 assignments on the same grid are pinned to recorded SHA-256 digests
 (``power_aware_golden.json``), and on a wide mixed fleet to
 ``reference_power_aware_scan``, also written on ``WorkTracker.charge``;
@@ -65,7 +66,15 @@ SPEED_CASES = [
     # Power-of-two speeds: estimated finish times tie exactly across speeds.
     (4, [1.0, 0.5, 1.0, 0.25]),
     (1, None),
+    # Two servers take the least-loaded one-comparison step; power-of-two
+    # speeds force exact cross-speed ties there too.
+    (2, None),
+    (2, [1.0, 0.5]),
 ]
+
+#: The cases the power-aware digests in ``power_aware_golden.json`` were
+#: recorded on; the later cases are checked against the reference scan.
+GOLDEN_SPEED_CASES = SPEED_CASES[:6]
 
 #: The mixed-speed fleets, where estimated finish times can tie exactly
 #: across servers of different speeds.
@@ -73,8 +82,18 @@ MIXED_SPEED_CASES = [case for case in SPEED_CASES if case[1] is not None]
 
 #: Wide fleets for the burst-boundary parity cases.  The homogeneous 16- and
 #: 64-server fleets at load 0.3 are the shapes where a vectorised merge tier
-#: used to replace the per-job heap step.
-WIDE_FLEET_CASES = [(16, None), (64, None), (16, [1.0] * 8 + [0.7] * 8)]
+#: used to replace the per-job heap step; the two-server fleet crosses the
+#: bursts of the one-comparison step.
+WIDE_FLEET_CASES = [
+    (16, None),
+    (64, None),
+    (16, [1.0] * 8 + [0.7] * 8),
+    (2, [1.0, 0.5]),
+]
+
+#: Chunk boundaries straddling the per-job assigners' bursts: one assigner
+#: handed these slices in turn must equal one-shot assignment.
+CHUNK_BOUNDS = [0, BURST - 1, BURST + 1, 2 * BURST, 2 * BURST + 7, 10_000]
 
 
 def fleet_capacity(num_servers: int, speeds: list[float] | None) -> float:
@@ -152,6 +171,25 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(
             least_loaded(jobs, num_servers, speeds),
             reference_least_loaded_scan(jobs, num_servers, speeds),
+        )
+
+    @pytest.mark.parametrize("load", [0.3, 0.7])
+    @pytest.mark.parametrize("num_servers,speeds", WIDE_FLEET_CASES + [(3, None)])
+    def test_chunks_straddling_bursts_equal_one_shot(self, load, num_servers, speeds):
+        # The step state (heap or two floats) carries across assign_chunk
+        # calls, so slicing the trace anywhere leaves the assignment intact.
+        jobs = poisson_jobs(10_000, load * fleet_capacity(num_servers, speeds), seed=6)
+        assigner = LeastLoadedDispatcher().assigner(num_servers, server_speeds=speeds)
+        chunked = np.concatenate(
+            [
+                assigner.assign_chunk(
+                    jobs.arrival_times[lo:hi], jobs.service_demands[lo:hi]
+                )
+                for lo, hi in zip(CHUNK_BOUNDS, CHUNK_BOUNDS[1:])
+            ]
+        )
+        np.testing.assert_array_equal(
+            chunked, reference_least_loaded_scan(jobs, num_servers, speeds)
         )
 
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
@@ -232,7 +270,7 @@ class TestPowerAwareGolden:
     """The ranked per-job scan, pinned cell by cell to recorded digests."""
 
     @pytest.mark.parametrize("utilization", UTILIZATIONS)
-    @pytest.mark.parametrize("num_servers,speeds", SPEED_CASES)
+    @pytest.mark.parametrize("num_servers,speeds", GOLDEN_SPEED_CASES)
     @pytest.mark.parametrize("max_backlog", [None, 0.05, 1.0])
     def test_power_aware_golden(self, utilization, num_servers, speeds, max_backlog):
         jobs = poisson_jobs(3000, utilization, seed=int(utilization * 10) + 1)
@@ -243,6 +281,23 @@ class TestPowerAwareGolden:
         case = SPEED_CASES.index((num_servers, speeds))
         key = f"util={utilization}/case={case}/backlog={max_backlog}"
         assert digest(assignment) == GOLDEN["cells"][key]
+
+    @pytest.mark.parametrize("utilization", UTILIZATIONS)
+    @pytest.mark.parametrize("num_servers,speeds", SPEED_CASES[len(GOLDEN_SPEED_CASES):])
+    @pytest.mark.parametrize("max_backlog", [None, 0.05, 1.0])
+    def test_power_aware_later_cases_match_reference_scan(
+        self, utilization, num_servers, speeds, max_backlog
+    ):
+        jobs = poisson_jobs(3000, utilization, seed=int(utilization * 10) + 1)
+        idle_powers = list(np.linspace(4.0, 20.0, num_servers))
+        assignment = PowerAwareDispatcher(idle_powers, max_backlog=max_backlog).assign(
+            jobs, num_servers, server_speeds=speeds
+        )
+        threshold = 4.0 * jobs.mean_service_demand if max_backlog is None else max_backlog
+        expected = reference_power_aware_scan(
+            jobs, list(range(num_servers)), threshold, speeds
+        )
+        assert digest(assignment) == digest(expected)
 
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
     @pytest.mark.parametrize("num_servers", [2, 4])

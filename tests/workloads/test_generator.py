@@ -12,6 +12,7 @@ from repro.workloads.generator import (
     generate_jobs,
     generate_trace_driven_jobs,
     make_rng,
+    trace_reuse,
 )
 from repro.workloads.distributions import (
     Deterministic,
@@ -167,6 +168,117 @@ class TestTraceDrivenArrivalOrder:
             minlength=len(trace.values),
         )
         assert np.any(per_interval == 0)
+
+
+def _reuse_inputs(dns_ideal):
+    """Keyword arguments of one seeded generation, in reuse-key order."""
+    return {
+        "spec": dns_ideal,
+        "trace": UtilizationTrace([0.2, 0.5, 0.3], interval=minutes(1), name="t"),
+        "seed": 3,
+        "min_utilization": 0.01,
+        "max_utilization": 0.95,
+    }
+
+
+#: One change per reuse-key field; each must miss.
+_KEY_CHANGES = {
+    "spec": lambda inputs: {"spec": inputs["spec"].at_utilization(0.4)},
+    "values": lambda inputs: {
+        "trace": UtilizationTrace([0.2, 0.5, 0.31], interval=minutes(1), name="t")
+    },
+    "interval": lambda inputs: {
+        "trace": UtilizationTrace([0.2, 0.5, 0.3], interval=minutes(2), name="t")
+    },
+    "start_time": lambda inputs: {
+        "trace": UtilizationTrace(
+            [0.2, 0.5, 0.3], interval=minutes(1), start_time=60.0, name="t"
+        )
+    },
+    "name": lambda inputs: {
+        "trace": UtilizationTrace([0.2, 0.5, 0.3], interval=minutes(1), name="u")
+    },
+    "seed": lambda inputs: {"seed": 4},
+    "min_utilization": lambda inputs: {"min_utilization": 0.02},
+    "max_utilization": lambda inputs: {"max_utilization": 0.9},
+}
+
+
+class TestTraceReuse:
+    def test_equal_inputs_reuse_inside_the_scope_only(self, dns_ideal):
+        inputs = _reuse_inputs(dns_ideal)
+        assert generate_trace_driven_jobs(**inputs) is not generate_trace_driven_jobs(
+            **inputs
+        )
+        with trace_reuse():
+            first = generate_trace_driven_jobs(**inputs)
+            # An equal, separately built key reuses too.
+            again = generate_trace_driven_jobs(**_reuse_inputs(dns_ideal))
+            assert again is first
+        after = generate_trace_driven_jobs(**inputs)
+        assert after is not first
+        assert after.jobs == first.jobs
+
+    @pytest.mark.parametrize("field", sorted(_KEY_CHANGES))
+    def test_any_changed_key_field_misses(self, dns_ideal, field):
+        inputs = _reuse_inputs(dns_ideal)
+        changed = {**inputs, **_KEY_CHANGES[field](inputs)}
+        with trace_reuse():
+            first = generate_trace_driven_jobs(**inputs)
+            other = generate_trace_driven_jobs(**changed)
+            assert other is not first
+        # The miss generated exactly what an unscoped call does.
+        assert other.jobs == generate_trace_driven_jobs(**changed).jobs
+
+    def test_one_entry_is_kept(self, dns_ideal):
+        inputs = _reuse_inputs(dns_ideal)
+        with trace_reuse():
+            first = generate_trace_driven_jobs(**inputs)
+            generate_trace_driven_jobs(**{**inputs, "seed": 4})
+            assert generate_trace_driven_jobs(**inputs) is not first
+
+    def test_rng_and_unseeded_calls_are_never_reused(self, dns_ideal):
+        inputs = _reuse_inputs(dns_ideal)
+        del inputs["seed"]
+        with trace_reuse():
+            with_rng = generate_trace_driven_jobs(**inputs, rng=make_rng(3))
+            assert generate_trace_driven_jobs(**inputs, rng=make_rng(3)) is not with_rng
+            # A seed beside an rng does not open the reuse path either.
+            seeded_rng = generate_trace_driven_jobs(**inputs, seed=3, rng=make_rng(3))
+            assert generate_trace_driven_jobs(**inputs, seed=3) is not seeded_rng
+            assert generate_trace_driven_jobs(**inputs) is not generate_trace_driven_jobs(
+                **inputs
+            )
+
+    def test_unhashable_spec_generates_as_usual(self):
+        spec = WorkloadSpec(
+            name="logged",
+            interarrival=Empirical([0.1, 0.2, 0.4]),
+            service=Empirical([0.05, 0.1]),
+        )
+        trace = constant_trace(0.3, num_samples=2)
+        with trace_reuse():
+            first = generate_trace_driven_jobs(spec, trace, seed=1)
+            second = generate_trace_driven_jobs(spec, trace, seed=1)
+        assert second is not first
+        assert second.jobs == first.jobs
+
+    def test_scope_resets_after_an_exception(self, dns_ideal):
+        inputs = _reuse_inputs(dns_ideal)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            with trace_reuse():
+                first = generate_trace_driven_jobs(**inputs)
+                raise RuntimeError("cell failed")
+        assert generate_trace_driven_jobs(**inputs) is not first
+
+    def test_nested_scope_keeps_its_own_entry(self, dns_ideal):
+        inputs = _reuse_inputs(dns_ideal)
+        with trace_reuse():
+            outer = generate_trace_driven_jobs(**inputs)
+            with trace_reuse():
+                inner = generate_trace_driven_jobs(**inputs)
+                assert inner is not outer
+            assert generate_trace_driven_jobs(**inputs) is outer
 
 
 class TestEmpiricalUtilization:
