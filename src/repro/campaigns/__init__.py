@@ -20,6 +20,7 @@ from repro.campaigns.engine import (
     campaign_results,
     cell_task,
     execute_cell,
+    record_cell,
     run_campaign,
 )
 from repro.campaigns.spec import (
@@ -57,6 +58,7 @@ __all__ = [
     "execute_cell",
     "load_spec_file",
     "make_cell_record",
+    "record_cell",
     "run_campaign",
     "split_scenario_params",
     "validate_cell_record",

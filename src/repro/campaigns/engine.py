@@ -2,17 +2,18 @@
 
 :func:`run_campaign` is the one entry point: it pins the store to the
 spec, enumerates the cells, skips the ones whose records are already
-trusted (``resume=True``), and runs the rest on an executor from the shared
-:mod:`repro.concurrency` subsystem.  Cell tasks are plain
+trusted (``resume=True``), and runs the rest in one fan-out on an executor
+from the shared :mod:`repro.concurrency` subsystem.  Cell tasks are plain
 picklable data (:class:`CellTask`) executed by a module-level function,
-so the process executor works exactly like the serial oracle — the cell
-*records* are byte-identical whichever executor ran them (pinned by
-``tests/campaigns/test_campaign_engine.py``).
+:func:`record_cell`, which runs the cell and writes its record in the
+process that ran it — so the process executor works exactly like the
+serial oracle, and the cell *records* are byte-identical whichever
+executor ran them (pinned by ``tests/campaigns/test_campaign_engine.py``).
 
-Records are persisted batch-by-batch as cells finish, so an interruption
-at any cell boundary leaves a valid partial store; the merged
-``results.csv`` is only written when every cell of the campaign has a
-record, and is rebuilt deterministically from the records alone.
+Records are persisted cell by cell as cells finish, so an interruption
+at any point leaves a valid partial store holding every finished cell; the
+merged ``results.csv`` is only written when every cell of the campaign has
+a record, and is rebuilt deterministically from the records alone.
 """
 
 from __future__ import annotations
@@ -36,25 +37,23 @@ from repro.workloads.generator import trace_reuse
 
 @dataclasses.dataclass(frozen=True)
 class CellTask:
-    """Everything one worker needs to run one cell (plain picklable data)."""
+    """Everything one worker needs to run and record one cell (picklable data)."""
 
-    kind: str
-    target: str
-    seed: int
-    params: dict[str, Any]
+    cell: CampaignCell
+    campaign: str
+    root: Path
     fast: bool
     num_jobs: int | None
     frequency_step: float | None
     search: str
 
 
-def cell_task(spec: CampaignSpec, cell: CampaignCell) -> CellTask:
-    """The :class:`CellTask` for *cell* under *spec*."""
+def cell_task(spec: CampaignSpec, cell: CampaignCell, root: str | Path) -> CellTask:
+    """The :class:`CellTask` for *cell* under *spec*, recording into *root*."""
     return CellTask(
-        kind=cell.kind,
-        target=cell.target,
-        seed=cell.seed,
-        params=dict(cell.params),
+        cell=cell,
+        campaign=spec.name,
+        root=Path(root),
         fast=spec.fast,
         num_jobs=spec.num_jobs,
         frequency_step=spec.frequency_step,
@@ -65,35 +64,47 @@ def cell_task(spec: CampaignSpec, cell: CampaignCell) -> CellTask:
 def execute_cell(task: CellTask) -> dict[str, Any]:
     """Run one cell and return its JSON-ready result payload.
 
-    Module-level and lambda-free so the process executor can ship it
-    (REP002).  Imports are deferred: the experiment registry imports every
-    figure module, and pulling that into this module's import graph would
-    create a cycle (figure modules declare their campaigns with
+    Imports are deferred: the experiment registry imports every figure
+    module, and pulling that into this module's import graph would create a
+    cycle (figure modules declare their campaigns with
     :mod:`repro.campaigns.spec`).
     """
-    if task.kind == KIND_EXPERIMENT:
+    cell = task.cell
+    if cell.kind == KIND_EXPERIMENT:
         from repro.experiments.base import ExperimentConfig
         from repro.experiments.report import experiment_payload
         from repro.experiments.runner import run_experiment
 
         config = ExperimentConfig(
             fast=task.fast,
-            seed=task.seed,
+            seed=cell.seed,
             num_jobs=task.num_jobs,
             frequency_step=task.frequency_step,
         )
-        result = run_experiment(task.target, config, **task.params)
+        result = run_experiment(cell.target, config, **cell.params)
         return experiment_payload(result)
     from repro.experiments.scenario_runner import run_scenario
 
-    knobs, overrides = split_scenario_params(task.params)
+    knobs, overrides = split_scenario_params(cell.params)
     return run_scenario(
-        task.target,
-        seed=task.seed,
+        cell.target,
+        seed=cell.seed,
         search=knobs.get("search", task.search),
         controller=knobs.get("controller"),
         overrides=overrides,
     )
+
+
+def record_cell(task: CellTask) -> str:
+    """Run one cell, persist its record and return its cell ID.
+
+    The executor's work function: module-level and lambda-free so the
+    process executor can ship it (REP002).  Every record has its own file
+    and temp file, so workers writing side by side never collide.
+    """
+    payload = execute_cell(task)
+    CampaignStore(task.root).write_cell(make_cell_record(task.campaign, task.cell, payload))
+    return task.cell.cell_id
 
 
 def _check_cells(spec: CampaignSpec, cells: list[CampaignCell]) -> None:
@@ -167,16 +178,22 @@ def run_campaign(
     identical whichever executes).  *max_cells* bounds how many pending
     cells this call runs — the supported way to interrupt a campaign at a
     cell boundary (CI's campaign-smoke job runs a truncated pass, then a
-    ``--resume`` pass, and asserts the stores match byte-for-byte).  Cells
-    run in batches of the executor's worker count.
+    ``--resume`` pass, and asserts the stores match byte-for-byte).
 
-    The cell loop runs inside a
+    Every pending cell goes to one :meth:`~repro.concurrency.Executor.map`
+    call (one pool on the process executor), and each cell task writes its
+    own record as it finishes, so a failing or interrupted run keeps every
+    record its finished cells wrote.
+
+    The fan-out runs inside a
     :func:`~repro.workloads.generator.trace_reuse` scope: a cell whose
-    trace-driven workload equals the previous cell's (same spec, trace,
-    seed and clamps; a campaign axis the trace does not read) reuses it
-    instead of sampling it again.  The scope holds one entry, which is
-    enough because cells run seed-major; it does nothing outside
-    ``run_campaign``, and changes no record.
+    trace-driven workload equals the previous cell's in the same process
+    (same spec, trace, seed and clamps; a campaign axis the trace does not
+    read) reuses it instead of sampling it again.  The scope holds one
+    entry, which is enough because cells run seed-major; forked process
+    workers inherit the open scope and keep their own entry across the
+    cells they serve.  It does nothing outside ``run_campaign``, and
+    changes no record.
     """
     if max_cells is not None and max_cells < 0:
         raise CampaignError(f"max_cells must be non-negative, got {max_cells}")
@@ -192,20 +209,10 @@ def run_campaign(
     pending = [cell for cell in cells if cell.cell_id not in done]
     if max_cells is not None:
         pending = pending[:max_cells]
-    executed: list[str] = []
-    # Batch the fan-out so records land on disk as the campaign progresses:
-    # an interruption between batches loses at most one batch of work, and
-    # a batch is one pool's worth of cells.
-    batch_size = cell_executor.workers
     with trace_reuse():
-        for start in range(0, len(pending), batch_size):
-            batch = pending[start : start + batch_size]
-            payloads = cell_executor.map(
-                execute_cell, [cell_task(spec, cell) for cell in batch]
-            )
-            for cell, payload in zip(batch, payloads, strict=True):
-                store.write_cell(make_cell_record(spec, cell, payload))
-                executed.append(cell.cell_id)
+        executed = cell_executor.map(
+            record_cell, [cell_task(spec, cell, output_dir) for cell in pending]
+        )
     completed = len(done) + len(executed) == len(cells)
     results_path = store.finalise(spec, cells) if completed else None
     return CampaignRunResult(

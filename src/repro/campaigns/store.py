@@ -102,9 +102,9 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def make_cell_record(
-    spec: CampaignSpec, cell: CampaignCell, result: Mapping[str, Any]
+    campaign: str, cell: CampaignCell, result: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """Assemble (and validate) the persistent record for one finished cell.
+    """Assemble (and validate) the record of one finished cell of *campaign*.
 
     *result* is the cell's JSON-ready payload: an experiment payload
     (:func:`repro.experiments.report.experiment_payload`) for experiment
@@ -112,7 +112,7 @@ def make_cell_record(
     """
     record = {
         "schema": CELL_SCHEMA,
-        "campaign": spec.name,
+        "campaign": campaign,
         "cell_id": cell.cell_id,
         "kind": cell.kind,
         "target": cell.target,

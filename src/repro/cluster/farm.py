@@ -25,9 +25,10 @@ Execution model — one pipeline:
 2. :func:`~repro.cluster.dispatch.group_by_server` splits the jobs into
    per-server contiguous ranges with one stable argsort, so each server
    keeps its jobs in arrival order;
-3. each server's epoch loop runs over its range — in the caller
-   (``executor="serial"``), or sharded across worker processes
-   (``executor="process"``) as picklable :class:`ServerShardTask`\\ s.
+3. each active server's range becomes one picklable
+   :class:`ServerShardTask`, and one ``executor.map`` call runs the
+   servers' epoch loops — in the caller (``executor="serial"``) or across
+   worker processes (``executor="process"``).
 
 Both executors produce bit-identical :class:`FarmResult`\\ s.  The
 work-tracking dispatchers receive each server's *dispatch speed* — derived
@@ -70,7 +71,7 @@ from repro.cluster.tenancy import (
     farm_qos_type_error,
     tenant_outcomes,
 )
-from repro.concurrency import Executor, ProcessExecutor, resolve_executor
+from repro.concurrency import Executor, resolve_executor
 from repro.core.epoch import RuntimeResult
 from repro.core.runtime import RuntimeConfig, SleepScaleRuntime
 from repro.core.strategies import PowerManagementStrategy
@@ -114,7 +115,7 @@ class PerIndexFactory:
 
 
 def _build_server_runtime(server: ServerSpec, spec: WorkloadSpec) -> SleepScaleRuntime:
-    """One fresh runtime for *server* (shared by all execution paths)."""
+    """One fresh runtime for *server* (shard and idle runs alike)."""
     return SleepScaleRuntime(
         power_model=server.power_model,
         spec=spec,
@@ -127,13 +128,13 @@ def _build_server_runtime(server: ServerSpec, spec: WorkloadSpec) -> SleepScaleR
 
 @dataclass(frozen=True)
 class ServerShardTask:
-    """Picklable unit of process-sharded farm work: one server, one shard.
+    """Picklable unit of farm work: one server, one shard.
 
-    Everything a worker process needs to reproduce the serial per-server
-    run bit for bit: the full :class:`ServerSpec` (its factories must be
-    picklable — the built-in scenario factories and
+    Everything one server's epoch loop needs, in the caller or in a worker
+    process: the full :class:`ServerSpec` (its factories must be picklable
+    for the process executor — the built-in scenario factories and
     :class:`PerIndexFactory` are), the farm-wide workload spec and this
-    server's jobs as its grouped array slices, pickled with the task.
+    server's jobs as its grouped array slices.
     """
 
     server: ServerSpec
@@ -143,7 +144,8 @@ class ServerShardTask:
 
 
 def run_server_shard(task: ServerShardTask) -> RuntimeResult:
-    """Run one server's epoch loop over its shard (process-pool work fn)."""
+    """Run one server's epoch loop over its shard (the farm's work fn)."""
+    # A grouped range keeps arrival order: trusted constructor.
     jobs = JobTrace.from_validated_arrays(task.arrivals, task.demands)
     return _build_server_runtime(task.server, task.spec).run(jobs)
 
@@ -538,11 +540,11 @@ class ServerFarm:
         How the per-server epoch loops execute: ``None`` picks by
         ``max_workers`` (process pool iff ``> 1``), ``"serial"``/
         ``"process"`` select explicitly, and an
-        :class:`~repro.concurrency.Executor` instance is used as-is.  The
-        process executor shards the farm across worker processes via
-        picklable :class:`ServerShardTask`\\ s — every ``ServerSpec``
-        factory must then be picklable — and produces bit-identical results
-        to the serial path (pinned by
+        :class:`~repro.concurrency.Executor` instance is used as-is.  Every
+        executor runs one picklable :class:`ServerShardTask` per active
+        server; the process executor ships them to worker processes — every
+        ``ServerSpec`` factory must then be picklable — and produces
+        bit-identical results to the serial run (pinned by
         ``tests/cluster/test_executor_parity.py``).
     controller:
         Optional :class:`~repro.cluster.controller.FarmController` for
@@ -659,12 +661,6 @@ class ServerFarm:
     # Running
     # ------------------------------------------------------------------
 
-    def _build_runtime(self, index: int) -> SleepScaleRuntime:
-        return _build_server_runtime(self.servers[index], self.spec)
-
-    def _resolve_executor(self) -> Executor:
-        return resolve_executor(self.executor, self.max_workers)
-
     def _idle_energies(
         self,
         per_server: Sequence[RuntimeResult | None],
@@ -690,7 +686,9 @@ class ServerFarm:
                 if parked_seconds is not None
                 else 0.0
             )
-            idle_run = self._build_runtime(index).run(JobTrace.empty(), horizon=horizon)
+            idle_run = _build_server_runtime(self.servers[index], self.spec).run(
+                JobTrace.empty(), horizon=horizon
+            )
             idle_energies[index] = prorated_idle_energy(
                 idle_run.total_energy,
                 idle_run.total_duration,
@@ -791,7 +789,7 @@ class ServerFarm:
         # Fail fast on a per-tenant farm fed a mislabelled trace, before
         # any dispatch or epoch loop runs.
         self._tenant_labels(jobs)
-        executor = self._resolve_executor()
+        executor = resolve_executor(self.executor, self.max_workers)
         schedule: ControllerSchedule | None = None
         setup_energy = 0.0
         if self.controller is None:
@@ -863,54 +861,16 @@ class ServerFarm:
     ) -> list[RuntimeResult | None]:
         """Run every server's epoch loop over its range of one assignment.
 
-        The process executor ships :class:`ServerShardTask`\\ s; any other
-        executor maps :meth:`_run_server` in this process.
+        One :class:`ServerShardTask` per active server, carrying that
+        server's range slices of the grouped arrays, goes to one
+        ``executor.map(run_server_shard, ...)`` call on every executor.
         """
-        grouped, ranges = group_by_server(
+        (arrivals, demands), ranges = group_by_server(
             assignment, self.num_servers, jobs.arrival_times, jobs.service_demands
         )
         active = [index for index, bounds in enumerate(ranges) if bounds is not None]
         if not active:
             raise ConfigurationError("no server received any job")
-        if isinstance(executor, ProcessExecutor):
-            results = self._run_shards(executor, grouped, ranges, active)
-        else:
-            arrivals, demands = grouped
-            # A grouped range keeps arrival order: trusted constructor.
-            results = executor.map(
-                self._run_server,
-                [
-                    (
-                        index,
-                        JobTrace.from_validated_arrays(
-                            arrivals[ranges[index]], demands[ranges[index]]
-                        ),
-                    )
-                    for index in active
-                ],
-            )
-        per_server: list[RuntimeResult | None] = [None] * self.num_servers
-        for index, result in zip(active, results, strict=True):
-            per_server[index] = result
-        return per_server
-
-    def _run_server(self, item: tuple[int, JobTrace]) -> RuntimeResult:
-        """In-process work fn: build server *index*'s runtime and run it."""
-        index, jobs = item
-        return self._build_runtime(index).run(jobs)
-
-    def _run_shards(
-        self,
-        executor: Executor,
-        grouped: tuple[np.ndarray, ...],
-        ranges: Sequence[slice | None],
-        active: Sequence[int],
-    ) -> list[RuntimeResult]:
-        """Shard the active servers across worker processes.
-
-        Each task carries its server's range slices of the grouped arrays.
-        """
-        arrivals, demands = grouped
         tasks = [
             ServerShardTask(
                 server=self.servers[index],
@@ -920,4 +880,7 @@ class ServerFarm:
             )
             for index in active
         ]
-        return executor.map(run_server_shard, tasks)
+        per_server: list[RuntimeResult | None] = [None] * self.num_servers
+        for index, result in zip(active, executor.map(run_server_shard, tasks), strict=True):
+            per_server[index] = result
+        return per_server

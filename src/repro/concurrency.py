@@ -1,9 +1,10 @@
 """Executors: serial or process pool.
 
 The farm and the campaign engine run independent work items the same way:
-results in item order, serial execution unless a pool is explicitly
-requested.  :func:`resolve_executor` turns their ``executor=``/
-``max_workers`` knobs into one of two executors:
+one :meth:`Executor.map` call per run over every item (a farm's active
+servers, a campaign's pending cells), results in item order, serial
+execution unless a pool is explicitly requested.  :func:`resolve_executor`
+turns their ``executor=``/``max_workers`` knobs into one of two executors:
 
 * :class:`SerialExecutor` — run in the caller's thread (the oracle);
 * :class:`ProcessExecutor` — a ``ProcessPoolExecutor``; work functions,
@@ -67,11 +68,6 @@ class Executor(abc.ABC):
     ) -> list[ResultT]:
         """Apply *fn* to every item and return the results in item order."""
 
-    @property
-    def workers(self) -> int:
-        """How many items the executor runs at once."""
-        return 1
-
     def describe(self) -> str:
         """Human-readable description for logs and benchmark reports."""
         return self.name
@@ -104,18 +100,18 @@ class ProcessExecutor(Executor):
 
     The pool uses the ``fork`` start method where the platform offers it
     (cheap start-up, workers inherit the parent's imports); elsewhere the
-    platform default applies.  Either way each worker process is fresh per
-    :meth:`map` call, so no state leaks between fan-outs.
+    platform default applies.  Each :meth:`map` call starts one pool and
+    joins it before returning, and a run makes one call, so a campaign or
+    farm run starts one pool.  A worker may serve several items of that
+    call, in any order: state a work function keeps in its process (the
+    campaign's trace reuse slot) carries between those items, never between
+    calls.
     """
 
     name = EXECUTOR_PROCESS
 
     def __init__(self, max_workers: int | None = None):
         self.max_workers = _validate_workers(max_workers)
-
-    @property
-    def workers(self) -> int:
-        return self.max_workers or os.cpu_count() or 1
 
     @staticmethod
     def _context():
@@ -154,7 +150,7 @@ class ProcessExecutor(Executor):
                 f"function (type {type(fn).__name__}) cannot cross a "
                 f"process boundary: {error}"
             ) from error
-        workers = min(self.workers, len(items))
+        workers = min(self.max_workers or os.cpu_count() or 1, len(items))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=self._context()
         ) as pool:
@@ -207,12 +203,3 @@ def resolve_executor(
         "or an Executor instance"
     )
 
-
-def validate_executor(executor: Executor | str | None) -> None:
-    """Reject unknown executor names early, discarding the resolved instance.
-
-    For call sites that only need the name checked — :meth:`Scenario.build`
-    validates before handing the name to the built farm; the farm configs
-    resolve with their worker counts instead.
-    """
-    resolve_executor(executor)

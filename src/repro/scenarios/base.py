@@ -46,7 +46,7 @@ from typing import Any
 from repro.cluster.controller import FarmController
 from repro.cluster.farm import ServerFarm
 from repro.cluster.tenancy import FarmQos, farm_qos_type_error
-from repro.concurrency import Executor, validate_executor
+from repro.concurrency import Executor, resolve_executor
 from repro.core.search import DEFAULT_SEARCH, validate_search
 from repro.exceptions import ScenarioError
 from repro.workloads.jobs import JobTrace
@@ -212,7 +212,7 @@ class Scenario:
         if seed < 0:
             raise ScenarioError(f"seed must be non-negative, got {seed}")
         validate_search(search)
-        validate_executor(executor)
+        resolve_executor(executor)
         if isinstance(controller, str):
             controller = FarmController(policy=controller)
         elif controller is not None and not isinstance(controller, FarmController):

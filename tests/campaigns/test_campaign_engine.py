@@ -5,15 +5,23 @@ The campaign fan-out runs on the shared executor subsystem
 store *byte-identical* to the "serial" one — same cell records, same
 merged CSV.  Cell tasks are plain picklable data executed by a
 module-level function, which is what makes the process executor possible
-at all (REP002).  Batches are one pool's worth of cells, and the trace
-reuse scope around the cell loop changes no record.
+at all (REP002).  A campaign is one fan-out (one pool on the process
+executor) whose cell tasks write their own records, and the trace reuse
+scope around it changes no record.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 import pickle
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,11 +35,11 @@ from repro.campaigns import (
     campaign_results,
     cell_task,
     execute_cell,
+    record_cell,
     run_campaign,
 )
 from repro.campaigns.spec import split_scenario_params
 from repro.campaigns.store import make_cell_record
-from repro.concurrency import ProcessExecutor
 from repro.exceptions import CampaignError, ExecutorError, ExperimentError, ScenarioError
 from repro.experiments import campaign_runner, runner
 from repro.experiments.scenario_runner import run_scenario
@@ -83,11 +91,12 @@ class TestExecutorParity:
 class TestPicklability:
     def test_cell_tasks_round_trip_through_pickle(self, parity_spec):
         for cell in parity_spec.cells():
-            task = cell_task(parity_spec, cell)
+            task = cell_task(parity_spec, cell, "store")
             assert pickle.loads(pickle.dumps(task)) == task
 
-    def test_execute_cell_is_module_level(self):
+    def test_work_functions_are_module_level(self):
         assert pickle.loads(pickle.dumps(execute_cell)) is execute_cell
+        assert pickle.loads(pickle.dumps(record_cell)) is record_cell
 
 
 def _diurnal_spec(tmp_path, grid):
@@ -249,18 +258,6 @@ class TestRunCampaign:
             campaign_results(CampaignStore(tmp_path), parity_spec)
 
 
-class RecordingProcessExecutor(ProcessExecutor):
-    """A process executor that records batch sizes and runs them in-process."""
-
-    def __init__(self, max_workers=None):
-        super().__init__(max_workers)
-        self.batches = []
-
-    def map(self, fn, items):
-        self.batches.append(len(items))
-        return [fn(item) for item in items]
-
-
 def _autoscale_spec(seeds=(0, 1)):
     """``autoscale-diurnal``, ``policy`` x *seeds*, 5 minutes per cell."""
     return CampaignSpec(
@@ -273,25 +270,112 @@ def _autoscale_spec(seeds=(0, 1)):
     )
 
 
-class TestBatching:
-    @pytest.mark.parametrize(
-        ("max_workers", "batches"), [(None, [3, 1]), (2, [2, 2]), (4, [4])]
-    )
-    def test_process_batches_follow_the_worker_count(
-        self, monkeypatch, tmp_path, max_workers, batches
-    ):
-        # Without a worker count a process pool is as wide as the machine.
-        monkeypatch.setattr(repro.concurrency.os, "cpu_count", lambda: 3)
-        executor = RecordingProcessExecutor(max_workers)
-        outcome = run_campaign(_autoscale_spec(), tmp_path, executor=executor)
-        assert outcome.completed
-        assert executor.batches == batches
+def _fail_on_cell_1(task):
+    """:func:`execute_cell`, except that cell 1 of :func:`_autoscale_spec` raises."""
+    if task.cell == _autoscale_spec().cells()[1]:
+        raise RuntimeError("cell 1 fails")
+    return execute_cell(task)
 
-    def test_worker_counts(self, monkeypatch):
+
+@pytest.fixture(scope="module")
+def autoscale_serial(tmp_path_factory):
+    """The serial store of :func:`_autoscale_spec`."""
+    root = tmp_path_factory.mktemp("autoscale-serial")
+    assert run_campaign(_autoscale_spec(), root).completed
+    return store_bytes(root)
+
+
+class TestOneFanOut:
+    @pytest.mark.parametrize(("max_workers", "width"), [(None, 3), (2, 2), (8, 4)])
+    def test_one_pool_per_campaign(
+        self, monkeypatch, tmp_path, autoscale_serial, max_workers, width
+    ):
+        # Without a worker count a process pool is as wide as the machine,
+        # and never wider than the campaign.
         monkeypatch.setattr(repro.concurrency.os, "cpu_count", lambda: 3)
-        assert repro.concurrency.SerialExecutor().workers == 1
-        assert ProcessExecutor().workers == 3
-        assert ProcessExecutor(5).workers == 5
+        widths = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                widths.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(repro.concurrency, "ProcessPoolExecutor", CountingPool)
+        outcome = run_campaign(
+            _autoscale_spec(), tmp_path, executor="process", max_workers=max_workers
+        )
+        assert outcome.completed
+        assert widths == [width]
+        assert store_bytes(tmp_path) == autoscale_serial
+
+    def test_failing_cell_keeps_its_neighbours_records(
+        self, monkeypatch, tmp_path, autoscale_serial
+    ):
+        spec = _autoscale_spec()
+        cells = spec.cells()
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(repro.campaigns.engine, "execute_cell", _fail_on_cell_1)
+        with pytest.raises(RuntimeError, match="cell 1 fails"):
+            run_campaign(spec, tmp_path, executor="process", max_workers=2)
+        store = CampaignStore(tmp_path)
+        assert store.load_cell(cells[0]) is not None
+        assert store.load_cell(cells[1]) is None
+        monkeypatch.undo()
+        assert run_campaign(spec, tmp_path, resume=True).completed
+        assert store_bytes(tmp_path) == autoscale_serial
+
+
+class TestInterrupt:
+    def test_sigint_leaves_no_worker_and_resumes_to_the_serial_store(self, tmp_path):
+        # Cells long enough that the run is still going when the first
+        # record lands.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "schema": "repro.campaign-spec/v1",
+                    "name": "interrupted",
+                    "kind": "scenario",
+                    "target": "autoscale-diurnal",
+                    "seeds": [0, 1, 2],
+                    "grid": {"policy": ["always-on", "reactive"]},
+                    "fixed": {"duration_minutes": 720},
+                }
+            )
+        )
+        store = tmp_path / "interrupted"
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        argv = [str(spec_path), "--output-dir", str(store)]
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", "run-campaign", *argv,
+             "--executor", "process", "--workers", "2"],
+            env=env,
+            start_new_session=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not any((store / "cells").glob("*.json")):
+                assert parent.poll() is None, "the campaign ended before its first record"
+                assert time.monotonic() < deadline, "no record within 120 s"
+                time.sleep(0.005)
+            parent.send_signal(signal.SIGINT)
+            assert parent.wait(timeout=120) != 0
+        finally:
+            if parent.poll() is None:
+                os.killpg(parent.pid, signal.SIGKILL)
+                parent.wait()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(parent.pid, 0)
+        assert not list(store.rglob("*.tmp"))
+        assert not (store / "results.csv").exists()
+        assert campaign_runner.main([*argv, "--resume"]) == 0
+        straight = tmp_path / "straight"
+        assert campaign_runner.main([str(spec_path), "--output-dir", str(straight)]) == 0
+        assert store_bytes(store) == store_bytes(straight)
 
 
 class TestTraceReuse:
@@ -310,7 +394,7 @@ class TestTraceReuse:
                 controller=knobs.get("controller"),
                 overrides=overrides,
             )
-            oracle.write_cell(make_cell_record(spec, cell, payload))
+            oracle.write_cell(make_cell_record(spec.name, cell, payload))
         oracle.finalise(spec, cells)
         # The campaign samples each seed's trace once: the policy axis does
         # not read it, so the second cell of every seed reuses the first's.

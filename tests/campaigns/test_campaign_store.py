@@ -58,7 +58,7 @@ def fill_store(spec, root):
     store = CampaignStore(root)
     store.initialise(spec, resume=False)
     for cell in spec.cells():
-        store.write_cell(make_cell_record(spec, cell, payload_for(cell)))
+        store.write_cell(make_cell_record(spec.name, cell, payload_for(cell)))
     return store
 
 
@@ -66,7 +66,7 @@ class TestCellRecords:
     def test_make_cell_record_is_valid_and_schema_tagged(self):
         spec = tiny_spec()
         cell = spec.cells()[0]
-        record = make_cell_record(spec, cell, payload_for(cell))
+        record = make_cell_record(spec.name, cell, payload_for(cell))
         assert record["schema"] == CELL_SCHEMA
         assert record["cell_id"] == cell.cell_id
         validate_cell_record(record)
@@ -78,7 +78,7 @@ class TestCellRecords:
     def test_wrong_key_set_rejected(self):
         spec = tiny_spec()
         cell = spec.cells()[0]
-        record = make_cell_record(spec, cell, payload_for(cell))
+        record = make_cell_record(spec.name, cell, payload_for(cell))
         record.pop("campaign")
         with pytest.raises(CampaignError, match="exactly the keys"):
             validate_cell_record(record)
@@ -86,7 +86,7 @@ class TestCellRecords:
     def test_wrong_schema_rejected(self):
         spec = tiny_spec()
         cell = spec.cells()[0]
-        record = make_cell_record(spec, cell, payload_for(cell))
+        record = make_cell_record(spec.name, cell, payload_for(cell))
         record["schema"] = "repro.campaign-cell/v0"
         with pytest.raises(CampaignError, match="schema"):
             validate_cell_record(record)
@@ -94,7 +94,7 @@ class TestCellRecords:
     def test_malformed_cell_id_rejected(self):
         spec = tiny_spec()
         cell = spec.cells()[0]
-        record = make_cell_record(spec, cell, payload_for(cell))
+        record = make_cell_record(spec.name, cell, payload_for(cell))
         record["cell_id"] = "bogus"
         with pytest.raises(CampaignError, match="malformed"):
             validate_cell_record(record)
@@ -104,7 +104,7 @@ class TestCellRecords:
         # the id is recomputed from kind/target/seed/params.
         spec = tiny_spec()
         cell = spec.cells()[0]
-        record = make_cell_record(spec, cell, payload_for(cell))
+        record = make_cell_record(spec.name, cell, payload_for(cell))
         record["seed"] = record["seed"] + 1
         with pytest.raises(CampaignError, match="stale"):
             validate_cell_record(record)
@@ -115,7 +115,7 @@ class TestCellRecords:
         bad = payload_for(cell)
         bad["rows"] = []
         with pytest.raises(CampaignError, match="rows"):
-            make_cell_record(spec, cell, bad)
+            make_cell_record(spec.name, cell, bad)
 
 
 class TestLoadCell:

@@ -22,7 +22,6 @@ from repro.concurrency import (
     ProcessExecutor,
     SerialExecutor,
     resolve_executor,
-    validate_executor,
 )
 from repro.exceptions import ConfigurationError, ExecutorError
 
@@ -268,13 +267,6 @@ class TestResolveExecutor:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ExecutorError):
             resolve_executor("process", 0)
-
-    def test_validate_executor(self):
-        validate_executor(None)
-        for name in EXECUTORS:
-            validate_executor(name)
-        with pytest.raises(ExecutorError):
-            validate_executor("bogus")
 
     def test_executor_error_is_a_configuration_error(self):
         """Existing ``except ConfigurationError`` call sites keep working."""
